@@ -32,6 +32,7 @@ from repro.apps.core.spec import (
     HandlerSpec,
     InvariantSpec,
     KeyRef,
+    OpAccess,
 )
 
 # Importing the binder modules registers the generic binders.
@@ -54,6 +55,7 @@ __all__ = [
     "KernelApp",
     "KernelContext",
     "KeyRef",
+    "OpAccess",
     "SpecOracle",
     "UndeclaredAccess",
     "bind",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Hashable, Iterable, Optional
 
-from repro.apps.core.spec import AppSpec, HandlerSpec, KeyRef
+from repro.apps.core.spec import AppSpec, HandlerSpec, KeyRef, OpAccess
 from repro.transactions.anomalies import EffectLedger, Invariant
 
 __all__ = [
@@ -84,6 +84,7 @@ class KernelContext:
         env,
         op: Any,
         handler: HandlerSpec,
+        access: OpAccess,
         scratch: Optional[dict] = None,
     ) -> None:
         self.env = env
@@ -91,8 +92,8 @@ class KernelContext:
         self.handler = handler
         #: survives across steps of a transaction-per-step execution.
         self.scratch: dict = scratch if scratch is not None else {}
-        self._readable = frozenset(handler.declared(op))
-        self._writable = frozenset(handler.writes(op))
+        self._readable = access.readable
+        self._writable = access.writable
 
     # -- declared-access checks ---------------------------------------------
 

@@ -70,8 +70,8 @@ class KernelEntityActor(Actor):
 class _ActorTxnCtx(KernelContext):
     """Handler context over a dynamic coordinator session."""
 
-    def __init__(self, env, op, handler, session: TxnSession) -> None:
-        super().__init__(env, op, handler)
+    def __init__(self, env, op, handler, access, session: TxnSession) -> None:
+        super().__init__(env, op, handler, access)
         self.session = session
 
     def _get(self, entity: str, key: Hashable) -> Generator:
@@ -94,8 +94,8 @@ class _ActorTxnCtx(KernelContext):
 class _PlainActorCtx(KernelContext):
     """Uncoordinated context: direct reads, buffered writes."""
 
-    def __init__(self, env, op, handler, runtime: ActorRuntime) -> None:
-        super().__init__(env, op, handler)
+    def __init__(self, env, op, handler, access, runtime: ActorRuntime) -> None:
+        super().__init__(env, op, handler, access)
         self.actors = runtime
         #: (entity, key) -> row-or-None, in write order
         self.writes: dict[tuple, Any] = {}
@@ -156,16 +156,17 @@ class ActorBinder(Binder):
 
     def execute(self, op: Any) -> Generator:
         handler = self.handler_for(op)
-        for entity, key in handler.writes(op):
+        access = handler.access(op)
+        for entity, key in access.writable:
             self._keys[entity].add(key)
         if self.mode == "transaction":
             idents = [
                 ("KernelEntityActor", storage_key(entity, key))
-                for entity, key in handler.declared(op)
+                for entity, key in access.declared
             ]
 
             def driver(session):
-                ctx = _ActorTxnCtx(self.env, op, handler, session)
+                ctx = _ActorTxnCtx(self.env, op, handler, access, session)
                 result = yield from handler.body(ctx, op)
                 return result
 
@@ -189,7 +190,7 @@ class ActorBinder(Binder):
             raise last
         # plain: run the body against live state, then write each row
         # independently — the crash window between calls is the anomaly.
-        ctx = _PlainActorCtx(self.env, op, handler, self.actors)
+        ctx = _PlainActorCtx(self.env, op, handler, access, self.actors)
         result = yield from handler.body(ctx, op)
         for (entity, key), row in ctx.writes.items():
             yield from self.actors.ref(

@@ -26,8 +26,8 @@ from repro.sim import Environment
 class _DataflowCtx(KernelContext):
     """Entity access over the engine's per-transaction write buffer."""
 
-    def __init__(self, env, op, handler, txn) -> None:
-        super().__init__(env, op, handler)
+    def __init__(self, env, op, handler, access, txn) -> None:
+        super().__init__(env, op, handler, access)
         self.txn = txn
 
     def _get(self, entity: str, key: Hashable) -> Generator:
@@ -62,8 +62,9 @@ class DataflowBinder(Binder):
         self._started = False
 
     def _bind_handler(self, handler: HandlerSpec):
-        def fn(txn, key, op):
-            ctx = _DataflowCtx(self.env, op, handler, txn)
+        def fn(txn, key, payload):
+            op, access = payload
+            ctx = _DataflowCtx(self.env, op, handler, access, txn)
             try:
                 result = yield from handler.body(ctx, op)
             except AppFailure as exc:
@@ -99,8 +100,9 @@ class DataflowBinder(Binder):
 
     def execute(self, op: Any) -> Generator:
         handler = self.handler_for(op)
-        keys = [storage_key(entity, key) for entity, key in handler.declared(op)]
-        future = self.engine.submit(handler.name, keys[0], op, keys=keys)
+        access = handler.access(op)
+        keys = [storage_key(entity, key) for entity, key in access.declared]
+        future = self.engine.submit(handler.name, keys[0], (op, access), keys=keys)
         result = yield future
         self.record_effect(op)
         return result

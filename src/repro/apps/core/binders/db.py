@@ -13,7 +13,7 @@ from typing import Any, Generator, Hashable, Optional
 
 from repro.apps.core.base import AppUncertain, Binder, KernelContext, register_binder
 from repro.apps.core.retry import with_txn
-from repro.apps.core.spec import AppSpec, HandlerSpec
+from repro.apps.core.spec import AppSpec, HandlerSpec, OpAccess
 from repro.db import DatabaseServer, IsolationLevel
 from repro.db.errors import FencedOut, TransactionAborted
 from repro.db.sharding import ShardedDatabase
@@ -26,8 +26,8 @@ SER = IsolationLevel.SERIALIZABLE
 class _TableCtx(KernelContext):
     """Entity access over one open (possibly distributed) transaction."""
 
-    def __init__(self, env, op, handler, db, txn, scratch=None) -> None:
-        super().__init__(env, op, handler, scratch)
+    def __init__(self, env, op, handler, access, db, txn, scratch=None) -> None:
+        super().__init__(env, op, handler, access, scratch)
         self.db = db
         self.txn = txn
 
@@ -79,21 +79,23 @@ class DbBinder(Binder):
             if self.transaction_per_step and handler.steps
             else (handler.body,)
         )
+        access = handler.access(op)
         scratch: dict = {}
         result = None
         for body in bodies:
             result = yield from with_txn(
                 self,
-                self._txn_body(handler, op, body, scratch),
+                self._txn_body(handler, op, access, body, scratch),
                 retries=self.retries,
                 isolation=self.isolation,
             )
         self.record_effect(op)
         return result
 
-    def _txn_body(self, handler: HandlerSpec, op: Any, body, scratch: dict):
+    def _txn_body(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
+                  scratch: dict):
         def run(txn):
-            ctx = _TableCtx(self.env, op, handler, self.db, txn, scratch)
+            ctx = _TableCtx(self.env, op, handler, access, self.db, txn, scratch)
             result = yield from body(ctx, op)
             return result
 
@@ -171,19 +173,21 @@ class ShardedDbBinder(Binder):
             if self.transaction_per_step and handler.steps
             else (handler.body,)
         )
+        access = handler.access(op)
         scratch: dict = {}
         result = None
         for body in bodies:
-            result = yield from self._run_txn(handler, op, body, scratch)
+            result = yield from self._run_txn(handler, op, access, body, scratch)
         self.record_effect(op)
         return result
 
-    def _run_txn(self, handler: HandlerSpec, op: Any, body, scratch: dict) -> Generator:
+    def _run_txn(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
+                 scratch: dict) -> Generator:
         op_id = getattr(op, "op_id", op)
         for attempt in range(self.retries):
             txn = self.db.begin(SER)
             try:
-                ctx = _TableCtx(self.env, op, handler, self.db, txn, scratch)
+                ctx = _TableCtx(self.env, op, handler, access, self.db, txn, scratch)
                 result = yield from body(ctx, op)
                 yield from self.db.commit(txn)
                 return result

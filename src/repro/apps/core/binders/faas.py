@@ -21,8 +21,8 @@ from repro.sim import Environment
 class _FaasCtx(KernelContext):
     """Entity access over a workflow's OCC read/write sets."""
 
-    def __init__(self, env, op, handler, wctx) -> None:
-        super().__init__(env, op, handler)
+    def __init__(self, env, op, handler, access, wctx) -> None:
+        super().__init__(env, op, handler, access)
         self.wctx = wctx
 
     def _get(self, entity: str, key: Hashable) -> Generator:
@@ -56,8 +56,11 @@ class FaasBinder(Binder):
             self.workflows.register(handler.name, self._bind_handler(handler))
 
     def _bind_handler(self, handler: HandlerSpec):
-        def workflow(wctx, op):
-            ctx = _FaasCtx(self.env, op, handler, wctx)
+        def workflow(wctx, payload):
+            # One OCC attempt; every attempt shares the access sets that
+            # execute() evaluated.
+            op, access = payload
+            ctx = _FaasCtx(self.env, op, handler, access, wctx)
             result = yield from handler.body(ctx, op)
             return result
 
@@ -71,7 +74,7 @@ class FaasBinder(Binder):
         handler = self.handler_for(op)
         op_id = getattr(op, "op_id", None)
         result = yield from self.workflows.run(
-            handler.name, op, workflow_id=op_id
+            handler.name, (op, handler.access(op)), workflow_id=op_id
         )
         self.record_effect(op)
         return result

@@ -27,7 +27,7 @@ from typing import Any, Generator, Hashable, Optional
 
 from repro.apps.core.base import AppUncertain, Binder, KernelContext, register_binder
 from repro.apps.core.retry import with_prepared_txn, with_txn
-from repro.apps.core.spec import AppSpec, EntitySpec, HandlerSpec
+from repro.apps.core.spec import AppSpec, EntitySpec, HandlerSpec, OpAccess
 from repro.microservices import Microservice
 from repro.sim import Environment
 
@@ -51,8 +51,9 @@ def _apply_writes(db, txn, table: str, writes: list) -> Generator:
 class _MicroCtx(KernelContext):
     """Coordinator-side context: RPC reads with versions, buffered writes."""
 
-    def __init__(self, env, op, handler, binder: "MicroserviceBinder", attempt: int) -> None:
-        super().__init__(env, op, handler)
+    def __init__(self, env, op, handler, access, binder: "MicroserviceBinder",
+                 attempt: int) -> None:
+        super().__init__(env, op, handler, access)
         self.binder = binder
         self.attempt = attempt
         #: (entity, key) -> row-or-None as first read (the OCC pre-image)
@@ -240,9 +241,10 @@ class MicroserviceBinder(Binder):
 
     def execute(self, op: Any) -> Generator:
         handler = self.handler_for(op)
+        access = handler.access(op)
         op_id = getattr(op, "op_id", id(op))
         for attempt in range(self.attempts):
-            ctx = _MicroCtx(self.env, op, handler, self, attempt)
+            ctx = _MicroCtx(self.env, op, handler, access, self, attempt)
             result = yield from handler.body(ctx, op)
             if self.mode == "2pc":
                 outcome = yield from self._commit_2pc(f"{op_id}#{attempt}", ctx)
@@ -255,7 +257,9 @@ class MicroserviceBinder(Binder):
                     2.0 * (attempt + 1) * self._rng.uniform(0.5, 1.5)
                 )
                 continue
-            yield from self._apply_groups(f"{op_id}#{attempt}", handler, op, ctx)
+            yield from self._apply_groups(
+                f"{op_id}#{attempt}", handler, op, access, ctx
+            )
             self.record_effect(op)
             return result
         raise RuntimeError(f"{op_id}: validation retries exhausted")
@@ -308,7 +312,7 @@ class MicroserviceBinder(Binder):
     # -- saga / uncoordinated ----------------------------------------------
 
     def _apply_groups(self, txn_id: str, handler: HandlerSpec, op: Any,
-                      ctx: _MicroCtx) -> Generator:
+                      access: OpAccess, ctx: _MicroCtx) -> Generator:
         applied: list[str] = []
         try:
             for entity in ctx.touched_entities():
@@ -322,13 +326,13 @@ class MicroserviceBinder(Binder):
         except Exception:
             if self.mode == "none":
                 raise  # fire-and-hope: a torn application is the point
-            yield from self._compensate(txn_id, handler, op, ctx, applied)
+            yield from self._compensate(txn_id, handler, op, access, ctx, applied)
             raise
 
     def _compensate(self, txn_id: str, handler: HandlerSpec, op: Any,
-                    ctx: _MicroCtx, applied: list[str]) -> Generator:
+                    access: OpAccess, ctx: _MicroCtx, applied: list[str]) -> Generator:
         if handler.compensate is not None:
-            undo_ctx = _MicroCtx(self.env, op, handler, self, 0)
+            undo_ctx = _MicroCtx(self.env, op, handler, access, self, 0)
             yield from handler.compensate(undo_ctx, op)
             groups = [
                 (entity, undo_ctx.entity_writes(entity))

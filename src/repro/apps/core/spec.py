@@ -23,12 +23,27 @@ app once makes it chaos-fuzzable on every runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Optional
 
 from repro.transactions.anomalies import Invariant, Violation
 
 #: ``(entity, key)`` — the unit of declared access.
 KeyRef = tuple[str, Hashable]
+
+
+class OpAccess(NamedTuple):
+    """One operation's declared key sets.
+
+    Computed once per execution (:meth:`HandlerSpec.access`) and shared by
+    the binder — which routes, locks or declares by it — and by every
+    :class:`~repro.apps.core.base.KernelContext` the operation creates,
+    retries included, which enforce it.
+    """
+
+    #: reads before writes, de-duplicated
+    declared: tuple[KeyRef, ...]
+    readable: frozenset
+    writable: frozenset
 
 
 @dataclass(frozen=True)
@@ -66,12 +81,11 @@ class HandlerSpec:
     steps: Optional[tuple[Callable, ...]] = None
     compensate: Optional[Callable] = None
 
-    def declared(self, op: Any) -> list[KeyRef]:
-        """The full declared key set, reads before writes, de-duplicated."""
-        seen: dict[KeyRef, None] = {}
-        for ref in list(self.reads(op)) + list(self.writes(op)):
-            seen[ref] = None
-        return list(seen)
+    def access(self, op: Any) -> OpAccess:
+        """Evaluate ``reads`` and ``writes`` for ``op``, once."""
+        writes = tuple(self.writes(op))
+        declared = tuple(dict.fromkeys((*self.reads(op), *writes)))
+        return OpAccess(declared, frozenset(declared), frozenset(writes))
 
 
 class AppSpec:

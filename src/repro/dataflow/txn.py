@@ -18,11 +18,25 @@ Mechanics reproduced here:
 - all of a transaction's writes are buffered and installed only if its
   root invocation completes — atomicity with rollback on abort;
 - results are released at **epoch commit** (transactional output), and a
-  durable result log makes replayed epochs release nothing twice;
-- every N epochs the partition states checkpoint to durable storage; on
-  failure the engine restores the snapshot and deterministically replays
-  the durable input log — exactly-once end to end, *with* serializable
-  isolation.
+  durable result log makes replayed epochs release nothing twice.  Epochs
+  commit contiguous runs of the TID-ordered input log, so the released
+  TIDs are always a prefix and the log is one high-water mark;
+- every N epochs the engine uploads a **delta checkpoint** — only the
+  keys written since the previous one — and truncates the input log at
+  the position the delta is durable through; a background **compactor**
+  folds the delta chain into a base image off the epoch path.  On failure
+  the engine restores base + deltas and deterministically replays the log
+  suffix — exactly-once end to end, *with* serializable isolation, at a
+  durability cost proportional to one checkpoint interval, not to the
+  history.
+
+Checkpoint objects are immutable and named by the absolute input-log
+position they are durable through (``delta-<position>``,
+``base-<position>``).  A name is never reused for different content, so an
+upload that was in flight when the engine crashed is harmless whenever it
+lands: restore takes the newest base and folds every delta above it in
+position order, and a delta is only deleted once a base at or above its
+position is durable.
 """
 
 from __future__ import annotations
@@ -41,6 +55,19 @@ TxnFunction = Callable[["TxnContext", Hashable, Any], Generator]
 
 #: Transactions with no declared key set serialize behind everything.
 _UNIVERSAL_KEY = object()
+
+_BUCKET = "txn-dataflow"
+#: Deltas allowed above the base before the compactor folds them into it.
+_COMPACT_AFTER = 8
+
+
+def _object_name(kind: str, position: int) -> str:
+    """Zero-padded, so an object-store listing sorts names by position."""
+    return f"{kind}-{position:012d}"
+
+
+def _position_of(name: str) -> int:
+    return int(name.rpartition("-")[2])
 
 
 class TxnAbort(Exception):
@@ -66,6 +93,9 @@ class TxnDataflowStats:
     waves: int = 0
     cross_partition_calls: int = 0
     checkpoints: int = 0
+    checkpoint_keys: int = 0  # dirty keys uploaded by delta checkpoints
+    log_truncated: int = 0  # input-log entries dropped below a durable delta
+    compactions: int = 0
     recoveries: int = 0
     replayed: int = 0
 
@@ -119,7 +149,17 @@ class TxnContext:
 
 
 class TransactionalDataflow:
-    """The engine: sequencer + epoch executor + checkpointing."""
+    """The engine: sequencer + epoch executor + delta checkpoints over a compacted base.
+
+    Durable state is the input log (held from the newest durable delta on)
+    plus, in bucket ``txn-dataflow`` of ``checkpoint_store``, one
+    ``base-<position>`` image and the ``delta-<position>`` objects above
+    it.  Every ``checkpoint_every`` epochs the epoch loop uploads the keys
+    written since the last delta, charged by their number; a background
+    process folds more than ``_COMPACT_AFTER`` deltas into a new base.
+    :meth:`recover` lists the bucket, reads the newest base and the deltas
+    above it, and replays the log suffix as one epoch.
+    """
 
     def __init__(
         self,
@@ -144,15 +184,26 @@ class TransactionalDataflow:
         self.checkpoint_store = checkpoint_store or ObjectStoreServer(
             env, ObjectStore(), latency=Latency.object_store()
         )
+        self._compaction_store = self.checkpoint_store.client(
+            "txn-dataflow.compaction"
+        )
         self._functions: dict[str, TxnFunction] = {}
-        self._state: list[dict[Hashable, Any]] = [{} for _ in range(num_partitions)]
-        self._input_log: list[_Request] = []  # durable (sequencer log)
+        self._state: list[dict[Hashable, Any]] = self._blank_partitions()
+        #: per partition, the keys written since the last checkpoint (a dict
+        #: for its insertion order: deltas must not depend on the hash seed)
+        self._dirty: list[dict[Hashable, None]] = self._blank_partitions()
+        #: durable sequencer log, truncated below the newest durable delta:
+        #: entry ``i`` sits at absolute position ``_log_base + i``
+        self._input_log: list[_Request] = []
+        self._log_base = 0
         self._pending: list[_Request] = []
-        self._committed_tids: set[int] = set()  # durable result log
+        self._released_through = 0  # durable result log: every tid <= this is out
         self._epochs_done = 0
-        self._checkpointed_through = 0  # index into the input log
+        self._chain: list[int] = []  # positions of durable deltas not yet in a base
+        self._compacting = False
         self._running = False
         self._generation = 0  # bumped on crash/stop so stale loops exit
+        self._incarnation = 0  # bumped on crash so in-flight work abandons itself
         self.stats = TxnDataflowStats()
 
     # -- registration / submission -----------------------------------------------
@@ -202,6 +253,9 @@ class TransactionalDataflow:
 
     # -- state --------------------------------------------------------------------
 
+    def _blank_partitions(self) -> list[dict]:
+        return [{} for _ in range(self.num_partitions)]
+
     def _partition(self, key: Hashable) -> int:
         return stable_hash(key) % self.num_partitions
 
@@ -210,9 +264,13 @@ class TransactionalDataflow:
 
     def _install(self, buffer: dict[Hashable, Any], deleted: set[Hashable]) -> None:
         for key, value in buffer.items():
-            self._state[self._partition(key)][key] = value
+            partition = self._partition(key)
+            self._state[partition][key] = value
+            self._dirty[partition][key] = None
         for key in deleted:
-            self._state[self._partition(key)].pop(key, None)
+            partition = self._partition(key)
+            self._state[partition].pop(key, None)
+            self._dirty[partition][key] = None
 
     def state_of(self, key: Hashable) -> Any:
         """Committed state peek (tests/invariants)."""
@@ -265,6 +323,7 @@ class TransactionalDataflow:
 
     def _run_epoch(self, batch: list[_Request], replay: bool) -> Generator:
         """Execute one epoch: conflict waves, then atomic commit."""
+        incarnation = self._incarnation
         outcomes: list[tuple[_Request, bool, Any]] = []
         for group in self._conflict_groups(batch):
             sequencer = Sequencer()
@@ -274,32 +333,38 @@ class TransactionalDataflow:
                 self.stats.waves += 1
                 running = [
                     self.env.process(
-                        self._execute_one(item.payload), label=f"txn-{item.payload.tid}"
+                        self._execute_one(item.payload, incarnation),
+                        label=f"txn-{item.payload.tid}",
                     )
                     for item in wave
                 ]
                 results = yield all_of(self.env, running)
+                if self._incarnation != incarnation:
+                    return
                 outcomes.extend(results)
         # Epoch commit: flush, record results durably, release futures.
         yield self.env.timeout(self.epoch_commit_ms)
+        if self._incarnation != incarnation:
+            return
         self._epochs_done += 1
         self.stats.epochs += 1
+        released = self._released_through
         for request, ok, result in outcomes:
-            already_released = request.tid in self._committed_tids
-            self._committed_tids.add(request.tid)
             if ok:
                 self.stats.committed += 1
             else:
                 self.stats.aborted += 1
-            if request.future is not None and not already_released:
+            if request.future is not None and request.tid > released:
                 if ok:
                     request.future.try_succeed(result)
                 else:
                     request.future.try_fail(result)
+        # The batch is a contiguous run of the tid-ordered log.
+        self._released_through = max(released, batch[-1].tid)
         if not replay and self._epochs_done % self.checkpoint_every == 0:
-            yield from self._checkpoint()
+            yield from self._checkpoint(incarnation)
 
-    def _execute_one(self, request: _Request) -> Generator:
+    def _execute_one(self, request: _Request, incarnation: int) -> Generator:
         ctx = TxnContext(self, request.key)
         fn = self._functions[request.fn_name]
         try:
@@ -310,57 +375,158 @@ class TransactionalDataflow:
             return (request, False, abort)
         except Exception as exc:  # noqa: BLE001 - aborts the transaction
             return (request, False, exc)
-        self._install(ctx._buffer, ctx._deleted)
+        if self._incarnation == incarnation:  # else the engine crashed under us
+            self._install(ctx._buffer, ctx._deleted)
         return (request, True, result)
 
     # -- durability --------------------------------------------------------------------
 
-    def _checkpoint(self) -> Generator:
-        snapshot = {
-            "state": [dict(partition) for partition in self._state],
-            "log_position": len(self._input_log) - len(self._pending),
-            "committed_tids": set(self._committed_tids),
+    def _checkpoint(self, incarnation: int) -> Generator:
+        """Upload the keys written since the last checkpoint, on the epoch path."""
+        position = self._log_base + len(self._input_log) - len(self._pending)
+        delta = {
+            "puts": [
+                {key: state[key] for key in dirty if key in state}
+                for state, dirty in zip(self._state, self._dirty)
+            ],
+            "deletes": [
+                [key for key in dirty if key not in state]
+                for state, dirty in zip(self._state, self._dirty)
+            ],
+            "log_position": position,
+            "released_through": self._released_through,
             "epochs_done": self._epochs_done,
         }
-        size = sum(len(p) for p in snapshot["state"]) + 1
+        keys = sum(len(dirty) for dirty in self._dirty)
+        self._dirty = self._blank_partitions()
         yield from self.checkpoint_store.put(
-            "txn-dataflow", "latest", snapshot, size=size
+            _BUCKET, _object_name("delta", position), delta, size=keys + 1
         )
-        self._checkpointed_through = snapshot["log_position"]
+        if self._incarnation != incarnation:
+            return
+        self._chain.append(position)
+        self._truncate_log(position)
         self.stats.checkpoints += 1
+        self.stats.checkpoint_keys += keys
+        if len(self._chain) > _COMPACT_AFTER and not self._compacting:
+            self._compacting = True
+            self.env.process(
+                self._compact(incarnation), label="txn-dataflow.compaction"
+            )
+
+    def _truncate_log(self, position: int) -> None:
+        """Drop the log below ``position``, which a durable checkpoint covers."""
+        covered = position - self._log_base
+        if covered > 0:
+            del self._input_log[:covered]
+            self._log_base = position
+            self.stats.log_truncated += covered
+
+    def _restore(self, store: ObjectStoreServer) -> Generator:
+        """Read the newest base and fold every delta above it, in order.
+
+        Returns ``(image, folded, names)``: a private copy of the restored
+        image, the positions of the deltas folded into it, and the listing.
+        Folding a delta twice is harmless: it carries values, not changes.
+        """
+        names = yield from store.list(_BUCKET)
+        image = {
+            "state": self._blank_partitions(),
+            "log_position": 0,
+            "released_through": 0,
+            "epochs_done": 0,
+        }
+        bases = [name for name in names if name.startswith("base-")]
+        if bases:
+            base = yield from store.get(_BUCKET, bases[-1])
+            image = dict(base, state=[dict(partition) for partition in base["state"]])
+        folded = []
+        for name in names:
+            if not name.startswith("delta-"):
+                continue
+            if _position_of(name) <= image["log_position"]:
+                continue  # already in the base; its deletion had not landed yet
+            delta = yield from store.get(_BUCKET, name)
+            for state, puts, deletes in zip(
+                image["state"], delta["puts"], delta["deletes"]
+            ):
+                state.update(puts)
+                for key in deletes:
+                    state.pop(key, None)
+            for field_name in ("log_position", "released_through", "epochs_done"):
+                image[field_name] = delta[field_name]
+            folded.append(delta["log_position"])
+        return image, folded, names
+
+    def _compact(self, incarnation: int) -> Generator:
+        """Fold the delta chain into a new base, off the epoch path.
+
+        The new base is durable before anything it covers is deleted, so a
+        crash at any point leaves a restorable set of objects.
+        """
+        store = self._compaction_store
+        while len(self._chain) > _COMPACT_AFTER:
+            image, _folded, names = yield from self._restore(store)
+            if self._incarnation != incarnation:
+                return
+            position = image["log_position"]
+            base = _object_name("base", position)
+            size = sum(len(partition) for partition in image["state"]) + 1
+            yield from store.put(_BUCKET, base, image, size=size)
+            if self._incarnation != incarnation:
+                return
+            covered = [
+                name for name in names
+                if name != base and _position_of(name) <= position
+            ]
+            yield from store.delete_many(_BUCKET, covered)
+            if self._incarnation != incarnation:
+                return
+            self._chain = [p for p in self._chain if p > position]
+            self.stats.compactions += 1
+        self._compacting = False
 
     def crash(self) -> None:
         """Lose all volatile state; the input log and checkpoints survive.
 
         Client futures for unreleased transactions stay pending until
-        recovery replays them.
+        recovery replays them.  Epochs, uploads and compactions in flight
+        belong to the dead incarnation and abandon themselves.
         """
         self._running = False
         self._generation += 1
-        self._state = [{} for _ in range(self.num_partitions)]
+        self._incarnation += 1
+        self._state = self._blank_partitions()
+        self._dirty = self._blank_partitions()
         self._pending = []
-        self._committed_tids = set()
+        self._released_through = 0
         self._epochs_done = 0
+        self._chain = []
+        self._compacting = False
 
     def recover(self) -> Generator:
-        """Restore the snapshot, replay the input log deterministically."""
+        """Restore base + deltas, replay the input-log suffix deterministically."""
         self.stats.recoveries += 1
-        exists = yield from self.checkpoint_store.exists("txn-dataflow", "latest")
-        position = 0
-        if exists:
-            snapshot = yield from self.checkpoint_store.get("txn-dataflow", "latest")
-            self._state = [dict(partition) for partition in snapshot["state"]]
-            self._committed_tids = set(snapshot["committed_tids"])
-            self._epochs_done = snapshot["epochs_done"]
-            position = snapshot["log_position"]
-        # Seed the tid allocator past everything the snapshot and input log
-        # have seen: a fresh id colliding with a recovered committed tid
-        # would trip the exactly-once dedup and silently drop a release.
-        seen = set(self._committed_tids)
-        seen.update(request.tid for request in self._input_log)
-        if seen:
-            self.env.reseed_counter("dataflow-tid", max(seen))
-        replayable = self._input_log[position:]
+        incarnation = self._incarnation
+        image, folded, _names = yield from self._restore(self.checkpoint_store)
+        if self._incarnation != incarnation:
+            return  # crashed again mid-restore; that crash's recovery takes over
+        self._state = image["state"]
+        self._released_through = image["released_through"]
+        self._epochs_done = image["epochs_done"]
+        self._chain = folded
+        # A delta can be durable without the crashed incarnation having
+        # lived to truncate the log below it.
+        self._truncate_log(image["log_position"])
+        # Seed the tid allocator past everything the result log and input
+        # log have seen: a fresh id at or below the recovered high-water
+        # mark would trip the exactly-once dedup and silently drop a release.
+        floor = max(
+            [self._released_through] + [request.tid for request in self._input_log]
+        )
+        if floor:
+            self.env.reseed_counter("dataflow-tid", floor)
+        replayable = list(self._input_log)
         # Submits that arrived during downtime sit in _pending *and* in the
         # replayable log suffix; replay covers them, so drop the pending
         # copies or the epoch loop would apply their effects a second time.
@@ -368,6 +534,8 @@ class TransactionalDataflow:
         self.stats.replayed += len(replayable)
         if replayable:
             yield from self._run_epoch(replayable, replay=True)
+            if self._incarnation != incarnation:
+                return
         self._running = True
         self._generation += 1
         self.env.process(self._epoch_loop(self._generation), label="txn-dataflow.epochs")

@@ -11,6 +11,7 @@ benchmarks can assert on the mechanics, not just the mapping semantics.
 from __future__ import annotations
 
 import bisect
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -26,8 +27,11 @@ class BloomFilter:
         self._num_hashes = max(1, int(bits_per_key * 0.69))
 
     def _positions(self, key: Any) -> Iterator[int]:
-        h1 = hash(("bloom-a", key))
-        h2 = hash(("bloom-b", key)) | 1
+        # Salted CRC32 of repr(key), as repro.cluster.hashing does: builtin
+        # hash() of a str varies with PYTHONHASHSEED, and so did the filter.
+        text = repr(key).encode("utf-8")
+        h1 = zlib.crc32(b"bloom-a|" + text)
+        h2 = zlib.crc32(b"bloom-b|" + text) | 1
         for i in range(self._num_hashes):
             yield (h1 + i * h2) % self._num_bits
 

@@ -75,12 +75,23 @@ class ObjectStoreServer:
         store: Optional[ObjectStore] = None,
         latency: Optional[Sampler] = None,
         transfer_ms_per_unit: float = 0.01,
+        stream: str = "object-store",
     ) -> None:
         self.env = env
         self.store = store if store is not None else ObjectStore()
         self._latency = latency or Latency.object_store()
         self._transfer = transfer_ms_per_unit
-        self._rng = env.stream("object-store")
+        self._rng = env.stream(stream)
+
+    def client(self, stream: str) -> "ObjectStoreServer":
+        """A second client of the same store, same cost model, own RNG stream.
+
+        Background work (compaction, garbage collection) draws its request
+        latencies here so it never shifts the foreground client's draws.
+        """
+        return ObjectStoreServer(
+            self.env, self.store, self._latency, self._transfer, stream=stream
+        )
 
     def put(self, bucket: str, key: str, obj: Any, size: int = 1) -> Generator:
         """Store an object, charging request + transfer latency."""
@@ -99,3 +110,9 @@ class ObjectStoreServer:
     def list(self, bucket: str, prefix: str = "") -> Generator:
         yield self.env.timeout(self._latency(self._rng))
         return self.store.list(bucket, prefix)
+
+    def delete_many(self, bucket: str, keys: list[str]) -> Generator:
+        """Delete a batch of objects in one request (S3 ``DeleteObjects``)."""
+        yield self.env.timeout(self._latency(self._rng))
+        for key in keys:
+            self.store.delete(bucket, key)

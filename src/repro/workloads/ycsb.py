@@ -8,7 +8,9 @@ zipfian generator so that contention is tunable via ``theta``.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Optional
 
 
@@ -37,6 +39,7 @@ class ZipfianGenerator:
                 self._small_cdf.append(acc)
             return
         self._small_cdf = None
+        self._second = 1.0 + 0.5 ** theta  # u * zetan below this draws item 1
         self._alpha = 1.0 / (1.0 - theta)
         zeta2 = sum(1.0 / (i ** theta) for i in range(1, min(3, n + 1)))
         self._eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - zeta2 / self._zetan)
@@ -51,7 +54,7 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._second:
             return 1
         return int(self.n * ((self._eta * u) - self._eta + 1) ** self._alpha)
 
@@ -124,9 +127,13 @@ class YcsbWorkload:
     def operations(self, rng: random.Random, count: int) -> Iterator[YcsbOp]:
         """Generate ``count`` operations according to the mix."""
         kinds = list(self._fractions)
-        weights = [self._fractions[k] for k in kinds]
+        # rng.choices(kinds, weights=...) re-accumulates the weights on every
+        # call; this is its body with that hoisted: one random() per op.
+        cumulative = list(accumulate(self._fractions.values()))
+        total = cumulative[-1] + 0.0
+        last = len(kinds) - 1
         for _ in range(count):
-            kind = rng.choices(kinds, weights=weights)[0]
+            kind = kinds[bisect(cumulative, rng.random() * total, 0, last)]
             if kind == "insert":
                 self._insert_counter += 1
                 yield YcsbOp(

@@ -93,6 +93,30 @@ def test_unknown_runtime_rejected():
         bind("mainframe", env, spec)
 
 
+@pytest.mark.parametrize("runtime", registered_runtimes())
+def test_access_sets_are_evaluated_once_per_execute(runtime):
+    """``reads``/``writes`` run once per op, however many contexts it needs."""
+    spec, workload = make_app("ledger")
+    handler = spec.handlers["posting"]
+    calls = {"reads": 0, "writes": 0}
+
+    def counted(name, fn):
+        def wrapper(op):
+            calls[name] += 1
+            return fn(op)
+        return wrapper
+
+    spec.handlers["posting"] = HandlerSpec(
+        handler.name, handler.body,
+        counted("reads", handler.reads), counted("writes", handler.writes),
+    )
+    env = Environment(seed=5)
+    binder = bind(runtime, env, spec)
+    done = drive(env, binder, list(workload.operations(env.stream("ops"), OPS)))
+    assert len(done) == OPS
+    assert calls == {"reads": OPS, "writes": OPS}
+
+
 def test_undeclared_access_rejected():
     """The kernel refuses reads/writes outside the declared key sets."""
 
@@ -114,21 +138,25 @@ def test_undeclared_access_rejected():
         initial_rows=workload.initial_rows(),
         kind="invoice",
     )
-    env = Environment(seed=2)
-    binder = bind("db", env, sneaky)
-    op = next(iter(workload.operations(env.stream("ops"), 1)))
+    for runtime in registered_runtimes():
+        env = Environment(seed=2)
+        binder = bind(runtime, env, sneaky)
+        op = next(iter(workload.operations(env.stream("ops"), 1)))
+        failures = []
 
-    failures = []
+        def run():
+            try:
+                yield from binder.execute(op)
+            except Exception as exc:  # noqa: BLE001 - the actor binder wraps it
+                while exc is not None and not isinstance(exc, UndeclaredAccess):
+                    exc = exc.__cause__
+                failures.append(exc)
 
-    def run():
-        try:
-            yield from binder.execute(op)
-        except UndeclaredAccess as exc:
-            failures.append(exc)
-
-    env.run_until(env.process(binder.setup()))
-    env.run_until(env.process(run()))
-    assert failures, "undeclared read must raise UndeclaredAccess"
+        env.run_until(env.process(binder.setup()))
+        env.run_until(env.process(run()))
+        assert failures and failures[0] is not None, (
+            f"{runtime}: undeclared read must raise UndeclaredAccess"
+        )
 
 
 def _gapped_spec(poison_op_id):

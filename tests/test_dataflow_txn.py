@@ -241,24 +241,25 @@ class TestExactlyOnceRecovery:
 
     def test_recovered_engine_never_reissues_committed_tids(self, env):
         # A recovered instance whose env lost the tid counter must seed it
-        # past the snapshot's committed_tids, or the exactly-once dedup
-        # would swallow the release of a fresh transaction.
+        # past the recovered result log, or the exactly-once dedup would
+        # swallow the release of a fresh transaction.
         engine = make_engine(env, epoch_interval=5.0, checkpoint_every=1)
         engine.start()
-        engine.submit("deposit", "a", 10, keys=["a"])
+        for _ in range(3):
+            engine.submit("deposit", "a", 10, keys=["a"])
         env.run(until=50)
-        committed_before = set(engine._committed_tids)
-        assert committed_before
         engine.crash()
         # Simulate a fresh-process recovery: the counter state is gone.
-        env._counters.pop("dataflow-tid", None)
+        issued_before = env._counters.pop("dataflow-tid")
+        assert issued_before == 3
         run(env, engine.recover())
         fut = engine.submit("deposit", "b", 7, keys=["b"])
         env.run(until=100)
+        # Released, applied once, and numbered above every recovered tid.
         assert fut.done and fut.result() == 7
         assert engine.state_of("b") == 7
-        new_tid = max(engine._committed_tids)
-        assert new_tid > max(committed_before)
+        assert engine.state_of("a") == 30
+        assert env._counters["dataflow-tid"] > issued_before
 
 
 class TestCosts:
@@ -284,3 +285,234 @@ class TestCosts:
         env.run(until=100)
         assert engine.stats.committed == 40
         assert engine.stats.epochs <= 3
+
+
+# -- bounded state: delta checkpoints, log truncation, compaction -------------
+
+
+class RecordingStore(ObjectStore):
+    """Remembers what was written and deleted, and when (virtual time)."""
+
+    def __init__(self, env):
+        super().__init__()
+        self.env = env
+        self.puts = []  # (time, key, size)
+        self.deletes = []  # (time, key)
+
+    def put(self, bucket, key, obj, size=1):
+        super().put(bucket, key, obj, size=size)
+        self.puts.append((self.env.now, key, size))
+
+    def delete(self, bucket, key):
+        self.deletes.append((self.env.now, key))
+        return super().delete(bucket, key)
+
+    def delta_sizes(self, since=0.0):
+        return [
+            size for at, key, size in self.puts
+            if key.startswith("delta-") and at >= since
+        ]
+
+    def interval_submits(self):
+        """Postings arriving in the longest gap between two delta uploads."""
+        times = [0.0] + [at for at, key, _ in self.puts if key.startswith("delta-")]
+        gap = max(later - earlier for earlier, later in zip(times, times[1:]))
+        return PER_EPOCH * (int(gap / 5.0) + 1)
+
+    def durable_position(self):
+        """Highest input-log position any stored checkpoint object covers."""
+        return max(
+            (int(key.rpartition("-")[2]) for key in self.list("txn-dataflow")),
+            default=0,
+        )
+
+
+PER_EPOCH = 4  # postings submitted per epoch interval
+CHECKPOINT_EVERY = 3
+KEYS_PER_POSTING = 4  # src, dst, the posting row, one deleted posting row
+
+
+def ledger_engine(seed=61):
+    """An engine whose state grows by one key per transaction, like the ledger."""
+    env = Environment(seed=seed)
+    store = RecordingStore(env)
+    engine = make_engine(
+        env,
+        checkpoint_every=CHECKPOINT_EVERY,
+        checkpoint_store=ObjectStoreServer(env, store, latency=Latency.constant(2.0)),
+    )
+
+    @engine.function("post")
+    def post(ctx, key, payload):
+        balance = ctx.get(key, 0)
+        if balance < payload["amount"]:
+            raise TxnAbort("insufficient funds")
+        ctx.put(key, balance - payload["amount"])
+        yield from ctx.call("deposit", payload["dst"], payload["amount"])
+        ctx.put(f"posting/{payload['n']}", dict(payload))
+        if payload["n"] % 7 == 0:
+            ctx.delete(f"posting/{payload['n'] - 5}")
+        return payload["n"]
+
+    return env, store, engine
+
+
+def submit_time(n):
+    return 1.0 + 5.0 * (n // PER_EPOCH)
+
+
+def quiesce(env, count):
+    """Run until every one of ``count`` postings has long since committed."""
+    env.run(until=submit_time(count) + 300.0)
+
+
+def submit_postings(env, engine, count):
+    """``PER_EPOCH`` postings per epoch interval from t=1; returns the futures."""
+    accounts = [f"acct-{i}" for i in range(6)]
+    futures = []
+
+    def submit(n):
+        src, dst = accounts[n % 6], accounts[(n * 5 + 1) % 6]
+        amount = 10_000 if n % 12 == 5 else 3  # every twelfth aborts
+        futures.append(engine.submit(
+            "post", src, {"n": n, "dst": dst, "amount": amount},
+            keys=[src, dst, f"posting/{n}", f"posting/{n - 5}"],
+        ))
+
+    for account in accounts[:5]:
+        engine.submit("deposit", account, 50, keys=[account])
+    for n in range(count):
+        env.schedule(submit_time(n), submit, n)
+    return futures
+
+
+def outcomes(futures):
+    return [
+        repr(future.exception()) if future.failed else future.result()
+        for future in futures
+    ]
+
+
+class TestBoundedState:
+    def test_checkpoint_bytes_and_log_are_flat_in_history(self):
+        env, store, engine = ledger_engine()
+        engine.start()
+        n = 200
+        futures = submit_postings(env, engine, 8 * n)
+        env.run(until=submit_time(n))
+        # One checkpoint interval's submits bound the upload and the log
+        # (which also holds the epoch in flight), whatever the history.
+        interval = store.interval_submits()
+        bound = KEYS_PER_POSTING * interval + 1
+        assert engine.stats.committed + engine.stats.aborted > n - 2 * interval
+        early = store.delta_sizes()
+        assert early and max(early) <= bound
+        assert len(engine._input_log) <= 2 * interval
+        mark, early_state = env.now, len(engine.all_state())
+        quiesce(env, 8 * n)
+        assert all(future.done for future in futures)
+        late = store.delta_sizes(since=mark)
+        # Eight times the history, several times the state, the same upload.
+        assert len(engine.all_state()) > 5 * early_state > bound
+        assert len(late) > 4 * len(early)
+        assert store.interval_submits() == interval
+        assert max(late) <= bound
+        assert len(engine._input_log) <= 2 * interval
+        stats = engine.stats
+        assert stats.checkpoint_keys == sum(store.delta_sizes()) - stats.checkpoints
+        assert stats.log_truncated + len(engine._input_log) == stats.submitted
+
+    def test_compaction_bounds_the_delta_chain(self):
+        env, store, engine = ledger_engine()
+        engine.start()
+        submit_postings(env, engine, 1200)
+        quiesce(env, 1200)
+        assert engine.stats.compactions >= 3
+        names = store.list("txn-dataflow")
+        assert len([name for name in names if name.startswith("base-")]) == 1
+        deltas = [name for name in names if name.startswith("delta-")]
+        assert len(deltas) < engine.stats.checkpoints / 3
+        # A base is durable before anything it covers is deleted.
+        base_put = {key: at for at, key, _size in store.puts if key.startswith("base-")}
+        for at, key in store.deletes:
+            covered_by = [
+                put_at for base, put_at in base_put.items()
+                if int(base.rpartition("-")[2]) >= int(key.rpartition("-")[2])
+            ]
+            assert covered_by and min(covered_by) <= at
+
+
+class TestRecoveryEquivalence:
+    COUNT = 480
+    DOWNTIME = 12.0
+
+    def reference(self):
+        env, store, engine = ledger_engine()
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        quiesce(env, self.COUNT)
+        return store, engine.all_state(), outcomes(futures)
+
+    def crashed_run(self, crash_at):
+        env, store, engine = ledger_engine()
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        seen = {}
+
+        def crash():
+            engine.crash()
+            seen["durable"] = store.durable_position()
+
+        def recover():
+            yield from engine.recover()
+            seen["submitted"] = engine.stats.submitted
+
+        env.schedule(crash_at, crash)
+        env.schedule(crash_at + self.DOWNTIME, lambda: env.process(recover()))
+        quiesce(env, self.COUNT)
+        return engine, futures, seen
+
+    def test_crash_at_any_instant_recovers_the_uncrashed_run(self):
+        store, state, released = self.reference()
+        first_delta = min(at for at, key, _ in store.puts if key.startswith("delta-"))
+        first_base = min(at for at, key, _ in store.puts if key.startswith("base-"))
+        ninth_delta = sorted(
+            at for at, key, _ in store.puts if key.startswith("delta-")
+        )[8]
+        last_submit = submit_time(self.COUNT)
+        instants = {
+            "before the first checkpoint": first_delta - 3.0,
+            "upload in flight": first_delta - 0.5,
+            "mid-epoch": 6.05,
+            "between deltas": first_delta + 4.0,
+            "compactor reading": ninth_delta + 7.0,
+            "base upload in flight": first_base - 0.5,
+            "base durable, deltas not yet deleted": first_base + 1.0,
+            "late in the run": last_submit - 40.0,
+        }
+        assert first_delta - 3.0 > 1.0 and first_base > ninth_delta + 7.0
+        for label, crash_at in instants.items():
+            engine, futures, seen = self.crashed_run(crash_at)
+            assert engine.all_state() == state, label
+            assert outcomes(futures) == released, label
+            assert engine.stats.recoveries == 1
+            # Replay covers only what no durable checkpoint does ...
+            assert engine.stats.replayed <= seen["submitted"] - seen["durable"], label
+        # ... which late in a run is one checkpoint interval plus the
+        # downtime's submits, not the history.
+        downtime_submits = PER_EPOCH * (int(self.DOWNTIME / 5.0) + 1)
+        assert engine.stats.replayed <= 2 * store.interval_submits() + downtime_submits
+        assert seen["durable"] > self.COUNT / 2
+
+    def test_second_crash_during_recovery(self):
+        _store, state, released = self.reference()
+        env, store, engine = ledger_engine()
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        for at in (150.0, 153.0):  # the second lands mid-restore of the first
+            env.schedule(at, engine.crash)
+            env.schedule(at + 1.0, lambda: env.process(engine.recover()))
+        quiesce(env, self.COUNT)
+        assert engine.all_state() == state
+        assert outcomes(futures) == released
+        assert engine.stats.recoveries == 2
