@@ -1,21 +1,55 @@
 """The microservice binder: one service per entity, three coordination modes.
 
 Each entity becomes a service owning its own database (database-per-
-service, §3.3).  The handler body runs at the coordinator edge: reads go
-over RPC (returning the row *and* its version), writes are buffered, and
+service, §3.3).  The handler body runs at the coordinator edge against
+rows fetched over RPC (each with its version), writes are buffered, and
 the commit discipline is the mode:
 
-- ``"2pc"`` (sound) — optimistic two-phase commit: every touched service
-  re-reads the coordinator's read set inside a serializable local
-  transaction, validates the versions, applies that service's writes,
-  and durably *prepares*; the decision round commits (or aborts) every
-  participant.  Locks are held from prepare to decision — exactly the
-  §4.2 blocking cost — and a validation conflict retries the whole
-  handler with fresh reads.
-- ``"saga"`` — apply each service's writes as independent local
-  transactions; on failure, compensate the already-applied services
-  (the spec's ``compensate`` body when given, else pre-image restore).
-  Eventually consistent, non-blocking, honest about its window.
+- ``"2pc"`` (sound) — optimistic two-phase commit in **three sequential
+  rounds**, each one scatter-gather over every service it concerns
+  (:meth:`MicroserviceApp.gather`), so a commit costs three round trips
+  however many services it touches — the bound of Didona et al. is in
+  sequential message delays, not in messages:
+
+  1. *read* — the handler's declared read set is fetched at once, before
+     the body runs; the body then reads from that cache (a key declared
+     only as a write but read by the body is fetched when first read);
+  2. *prepare* — every touched service, at once, re-reads the
+     coordinator's read set inside a serializable local transaction,
+     validates the versions, applies that service's writes (reusing the
+     versions it has just validated) and durably *prepares*.  Read-only
+     participants prepare too — the validation inside their prepared
+     transaction is what closes the cross-service read-skew window;
+  3. *decide* — ``commit_txn`` (or ``abort_txn``) goes to every
+     participant at once, and to *all* of them before any delivery
+     failure is raised: a participant that never hears the decision
+     stays prepared, holding its locks.
+
+  Locks are held from prepare to decision — exactly the §4.2 blocking
+  cost — and a conflict retries the whole handler with fresh reads after
+  a jittered backoff.
+
+  **No-wait prepare.**  Preparing the services one after another in
+  sorted order is what used to make this deadlock-free; preparing them
+  all at once would let two transactions each hold one service and wait
+  for the other.  So a prepare never waits for another coordinated
+  transaction.  Each service keeps a *claim table*: key -> the undecided
+  transaction whose prepare reads or writes it.  A prepare takes all its
+  claims synchronously on arrival, or, if any key is already claimed,
+  answers ``"conflict"`` at once and touches nothing.  Claims are
+  released when the transaction is decided there (``commit_txn`` /
+  ``abort_txn``) and on every path on which its prepare does not end
+  prepared (version conflict, body exception, a crash of the service
+  mid-prepare).  A claim holder therefore waits on nothing but its own
+  database and its coordinator's decision, the waits-for graph between
+  coordinated transactions has no edges, and no participant order is
+  needed.
+
+- ``"saga"`` — after the same read round, apply each service's writes as
+  independent local transactions, one after another; on failure,
+  compensate the already-applied services (the spec's ``compensate``
+  body when given, else pre-image restore).  Eventually consistent,
+  non-blocking, honest about its window.
 - ``"none"`` (unsound control) — the fire-and-hope anti-pattern: apply
   services sequentially with no cleanup, so a mid-flight crash tears
   the application across services.  The invariants must catch it.
@@ -36,10 +70,17 @@ class _OccConflict(Exception):
     """A prepare-time version validation failed (retry with fresh reads)."""
 
 
-def _apply_writes(db, txn, table: str, writes: list) -> Generator:
-    """Install buffered writes, bumping each row's version."""
+def _apply_writes(db, txn, table: str, writes: list, known: dict) -> Generator:
+    """Install buffered writes, bumping each row's version.
+
+    ``known`` maps keys this transaction has already read to their rows;
+    only the others are fetched.
+    """
     for key, row in writes:
-        current = yield from db.get(txn, table, key)
+        if key in known:
+            current = known[key]
+        else:
+            current = yield from db.get(txn, table, key)
         if row is None:
             if current is not None:
                 yield from db.delete(txn, table, key)
@@ -52,10 +93,11 @@ class _MicroCtx(KernelContext):
     """Coordinator-side context: RPC reads with versions, buffered writes."""
 
     def __init__(self, env, op, handler, access, binder: "MicroserviceBinder",
-                 attempt: int) -> None:
+                 txn_id: str) -> None:
         super().__init__(env, op, handler, access)
         self.binder = binder
-        self.attempt = attempt
+        #: names this execution in every idempotency key it sends
+        self.txn_id = txn_id
         #: (entity, key) -> row-or-None as first read (the OCC pre-image)
         self.read_rows: dict[tuple, Optional[dict]] = {}
         #: (entity, key) -> version observed at first read
@@ -63,22 +105,31 @@ class _MicroCtx(KernelContext):
         #: (entity, key) -> row-or-None (None = delete), in write order
         self.writes: dict[tuple, Optional[dict]] = {}
 
+    def _read_request(self, entity: str, key: Hashable) -> tuple:
+        return entity, "read", {"key": key}, f"{self.txn_id}/r/{entity}/{key}"
+
+    def _record_read(self, ref: tuple, reply: dict) -> None:
+        self.read_rows[ref] = reply["row"]
+        self.read_versions[ref] = reply["version"]
+
+    def prefetch(self, refs: tuple) -> Generator:
+        """The read round: fetch ``refs`` from their services all at once."""
+        outcomes = yield from self.binder.gather(
+            [self._read_request(entity, key) for entity, key in refs]
+        )
+        for ref, outcome in zip(refs, outcomes):
+            self._record_read(ref, outcome.result())
+
     def _get(self, entity: str, key: Hashable) -> Generator:
         ref = (entity, key)
         if ref in self.writes:  # read-your-writes
             row = self.writes[ref]
             return dict(row) if row is not None else None
-        if ref in self.read_rows:
-            row = self.read_rows[ref]
-            return dict(row) if row is not None else None
-        op_id = getattr(self.op, "op_id", id(self.op))
-        reply = yield from self.binder.request(
-            entity, "read", {"key": key},
-            f"{op_id}#{self.attempt}/r/{entity}/{key}",
-        )
-        self.read_rows[ref] = reply["row"]
-        self.read_versions[ref] = reply["version"]
-        return dict(reply["row"]) if reply["row"] is not None else None
+        if ref not in self.read_rows:  # readable, but not a declared read
+            reply = yield from self.binder.request(*self._read_request(entity, key))
+            self._record_read(ref, reply)
+        row = self.read_rows[ref]
+        return dict(row) if row is not None else None
 
     def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
         self.writes[(entity, key)] = dict(row)
@@ -149,6 +200,10 @@ class MicroserviceBinder(Binder):
             env, shared_database=shared_database, dedup_requests=True
         )
         self._rng = env.stream(f"micro-binder-{spec.name}")
+        #: per service: txn_id -> (prepared local transaction, claimed keys),
+        #: and the claim table key -> txn_id (see the module docstring)
+        self.prepared: dict[str, dict] = {}
+        self.claims: dict[str, dict] = {}
         for entity in spec.entities.values():
             self.app.add_service(self._entity_service(entity))
 
@@ -163,7 +218,16 @@ class MicroserviceBinder(Binder):
             db.load(table, seed_rows)
 
         service = Microservice(table, init_db=init_db)
-        prepared: dict[str, object] = {}
+        #: txn_id -> (prepared local transaction, the keys it claimed)
+        prepared: dict[str, tuple] = {}
+        #: key -> txn_id of the undecided transaction preparing it
+        claims: dict[Hashable, str] = {}
+        self.prepared[table] = prepared
+        self.claims[table] = claims
+
+        def release(keys) -> None:
+            for key in keys:
+                del claims[key]
 
         @service.handler("read")
         def read(ctx, payload):
@@ -181,7 +245,7 @@ class MicroserviceBinder(Binder):
         @service.handler("apply")
         def apply(ctx, payload):
             def body(txn):
-                yield from _apply_writes(ctx.db, txn, table, payload["writes"])
+                yield from _apply_writes(ctx.db, txn, table, payload["writes"], {})
                 return "applied"
 
             result = yield from with_txn(ctx, body)
@@ -189,36 +253,61 @@ class MicroserviceBinder(Binder):
 
         @service.handler("prepare")
         def prepare(ctx, payload):
-            if payload["txn_id"] in prepared:
+            txn_id = payload["txn_id"]
+            if txn_id in prepared:
                 return "prepared"  # redelivered phase-1 request
+            keys = dict.fromkeys(
+                key for key, _ in payload["reads"] + payload["writes"]
+            )
+            # No-wait: between this check and the last claim nothing yields,
+            # so two prepares can never each hold part of what the other
+            # needs.
+            if not claims.keys().isdisjoint(keys):
+                return "conflict"
+            for key in keys:
+                claims[key] = txn_id
 
             def body(txn):
+                validated = {}
                 for key, version in payload["reads"]:
                     row = yield from ctx.db.get(txn, table, key)
                     current = 0 if row is None else row.get("_v", 0)
                     if current != version:
                         raise _OccConflict(f"{table}/{key}")
-                yield from _apply_writes(ctx.db, txn, table, payload["writes"])
+                    validated[key] = row
+                yield from _apply_writes(
+                    ctx.db, txn, table, payload["writes"], validated
+                )
 
             try:
                 txn = yield from with_prepared_txn(ctx, body)
             except _OccConflict:
+                release(keys)
                 return "conflict"
-            prepared[payload["txn_id"]] = txn
+            except BaseException:  # incl. Interrupted: the service crashed
+                release(keys)
+                raise
+            prepared[txn_id] = (txn, keys)
             return "prepared"
 
         @service.handler("commit_txn")
         def commit_txn(ctx, payload):
-            txn = prepared.pop(payload["txn_id"], None)
-            if txn is not None:
-                yield from ctx.db.commit_prepared(txn)
+            txn, keys = prepared.pop(payload["txn_id"], (None, ()))
+            try:
+                if txn is not None:
+                    yield from ctx.db.commit_prepared(txn)
+            finally:
+                release(keys)
             return "committed"
 
         @service.handler("abort_txn")
         def abort_txn(ctx, payload):
-            txn = prepared.pop(payload["txn_id"], None)
-            if txn is not None:
-                yield from ctx.db.abort_prepared(txn)
+            txn, keys = prepared.pop(payload["txn_id"], (None, ()))
+            try:
+                if txn is not None:
+                    yield from ctx.db.abort_prepared(txn)
+            finally:
+                release(keys)
             return "aborted"
 
         return service
@@ -233,6 +322,14 @@ class MicroserviceBinder(Binder):
         )
         return result
 
+    def gather(self, requests: list, retries: int = 2) -> Generator:
+        """One round: ``(service, method, payload, key)`` requests sent at
+        once; returns their outcomes in request order."""
+        outcomes = yield from self.app.gather(
+            requests, timeout=self.request_timeout, retries=retries
+        )
+        return outcomes
+
     # -- lifecycle ----------------------------------------------------------
 
     def setup(self) -> Generator:
@@ -244,10 +341,12 @@ class MicroserviceBinder(Binder):
         access = handler.access(op)
         op_id = getattr(op, "op_id", id(op))
         for attempt in range(self.attempts):
-            ctx = _MicroCtx(self.env, op, handler, access, self, attempt)
+            txn_id = f"{op_id}#{attempt}"
+            ctx = _MicroCtx(self.env, op, handler, access, self, txn_id)
+            yield from ctx.prefetch(access.reads)
             result = yield from handler.body(ctx, op)
             if self.mode == "2pc":
-                outcome = yield from self._commit_2pc(f"{op_id}#{attempt}", ctx)
+                outcome = yield from self._commit_2pc(txn_id, ctx)
                 if outcome == "committed":
                     self.record_effect(op)
                     return result
@@ -257,9 +356,7 @@ class MicroserviceBinder(Binder):
                     2.0 * (attempt + 1) * self._rng.uniform(0.5, 1.5)
                 )
                 continue
-            yield from self._apply_groups(
-                f"{op_id}#{attempt}", handler, op, access, ctx
-            )
+            yield from self._apply_groups(txn_id, handler, op, access, ctx)
             self.record_effect(op)
             return result
         raise RuntimeError(f"{op_id}: validation retries exhausted")
@@ -267,47 +364,52 @@ class MicroserviceBinder(Binder):
     # -- 2PC ----------------------------------------------------------------
 
     def _commit_2pc(self, txn_id: str, ctx: _MicroCtx) -> Generator:
-        """Phase 1 prepares (validate + stage) every touched service; phase
-        2 delivers the decision.  Read-only participants prepare too — the
-        validation inside their prepared transaction is what closes the
-        cross-service read-skew window."""
-        # Sorted participant order: concurrent transactions prepare the
-        # services in the same sequence, so they block rather than deadlock.
-        entities = sorted(ctx.touched_entities())
-        prepared: list[str] = []
-        try:
-            for entity in entities:
-                status = yield from self.request(
-                    entity, "prepare",
-                    {"txn_id": txn_id,
-                     "writes": ctx.entity_writes(entity),
-                     "reads": ctx.entity_reads(entity)},
-                    f"{txn_id}/p/{entity}",
-                )
-                if status == "conflict":
-                    yield from self._decide(txn_id, prepared, "abort_txn")
-                    return "conflict"
-                prepared.append(entity)
-        except Exception:
-            # Phase-1 outcome on the failed participant is unknown, but no
-            # commit decision exists yet, so abort is always safe; push it
-            # to every possibly-prepared participant.
-            yield from self._decide(txn_id, entities, "abort_txn")
-            raise
-        try:
-            yield from self._decide(txn_id, prepared, "commit_txn")
-        except Exception as exc:
-            raise AppUncertain(
-                f"{txn_id}: commit decision undeliverable: {exc!r}"
-            ) from exc
-        return "committed"
+        """The prepare round, then the decision round (module docstring)."""
+        entities = ctx.touched_entities()
+        outcomes = yield from self.gather([
+            (entity, "prepare",
+             {"txn_id": txn_id,
+              "writes": ctx.entity_writes(entity),
+              "reads": ctx.entity_reads(entity)},
+             f"{txn_id}/p/{entity}")
+            for entity in entities
+        ])
+        failure = next((o.error for o in outcomes if o.error is not None), None)
+        if failure is None and all(o.value == "prepared" for o in outcomes):
+            undelivered = yield from self._decide(txn_id, entities, "commit_txn")
+            if undelivered is not None:
+                raise AppUncertain(
+                    f"{txn_id}: commit decision undeliverable: {undelivered!r}"
+                ) from undelivered
+            return "committed"
+        # No commit decision exists, so abort is always safe.  It goes to
+        # every participant that may hold a prepared transaction: all but
+        # those that answered "conflict" (a failed request's outcome on its
+        # participant is unknown).
+        undelivered = yield from self._decide(
+            txn_id,
+            [e for e, o in zip(entities, outcomes) if o.value != "conflict"],
+            "abort_txn",
+        )
+        if failure is not None:
+            raise failure
+        if undelivered is not None:
+            raise undelivered
+        return "conflict"
 
     def _decide(self, txn_id: str, entities: list[str], decision: str) -> Generator:
-        for entity in entities:
-            yield from self.request(
-                entity, decision, {"txn_id": txn_id},
-                f"{txn_id}/{decision}/{entity}", retries=4,
-            )
+        """Deliver ``decision`` to every participant at once.
+
+        Returns the first delivery error, or ``None`` — only after every
+        participant has been tried, so an unreachable one never leaves the
+        reachable ones prepared.
+        """
+        outcomes = yield from self.gather(
+            [(entity, decision, {"txn_id": txn_id}, f"{txn_id}/{decision}/{entity}")
+             for entity in entities],
+            retries=4,
+        )
+        return next((o.error for o in outcomes if o.error is not None), None)
 
     # -- saga / uncoordinated ----------------------------------------------
 
@@ -332,7 +434,9 @@ class MicroserviceBinder(Binder):
     def _compensate(self, txn_id: str, handler: HandlerSpec, op: Any,
                     access: OpAccess, ctx: _MicroCtx, applied: list[str]) -> Generator:
         if handler.compensate is not None:
-            undo_ctx = _MicroCtx(self.env, op, handler, access, self, 0)
+            undo_ctx = _MicroCtx(
+                self.env, op, handler, access, self, f"{txn_id}/undo"
+            )
             yield from handler.compensate(undo_ctx, op)
             groups = [
                 (entity, undo_ctx.entity_writes(entity))

@@ -42,6 +42,9 @@ class OpAccess(NamedTuple):
 
     #: reads before writes, de-duplicated
     declared: tuple[KeyRef, ...]
+    #: the declared read set alone, de-duplicated, in declaration order —
+    #: what a binder may fetch before the body runs
+    reads: tuple[KeyRef, ...]
     readable: frozenset
     writable: frozenset
 
@@ -84,8 +87,9 @@ class HandlerSpec:
     def access(self, op: Any) -> OpAccess:
         """Evaluate ``reads`` and ``writes`` for ``op``, once."""
         writes = tuple(self.writes(op))
-        declared = tuple(dict.fromkeys((*self.reads(op), *writes)))
-        return OpAccess(declared, frozenset(declared), frozenset(writes))
+        reads = tuple(dict.fromkeys(self.reads(op)))
+        declared = tuple(dict.fromkeys((*reads, *writes)))
+        return OpAccess(declared, reads, frozenset(declared), frozenset(writes))
 
 
 class AppSpec:

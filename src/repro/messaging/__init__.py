@@ -19,8 +19,10 @@ from repro.messaging.broker import Broker, Consumer, GroupMember, Record
 from repro.messaging.idempotency import Deduplicator, IdempotencyStore
 from repro.messaging.outbox import OutboxRelay, TransactionalOutbox
 from repro.messaging.rpc import (
+    RpcCall,
     RpcClient,
     RpcError,
+    RpcOutcome,
     RpcRejected,
     RpcRemoteError,
     RpcServer,
@@ -35,8 +37,10 @@ __all__ = [
     "IdempotencyStore",
     "OutboxRelay",
     "Record",
+    "RpcCall",
     "RpcClient",
     "RpcError",
+    "RpcOutcome",
     "RpcRejected",
     "RpcRemoteError",
     "RpcServer",

@@ -11,7 +11,7 @@ the benchmarks reproduce the double-charge anomalies the paper warns about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.flow import AdmissionController, RetryBudget, PRIORITY_NORMAL
 from repro.messaging.idempotency import IdempotencyStore
@@ -120,6 +120,77 @@ class _ReplyBatch:
 
     def __init__(self, replies: list[_Reply]) -> None:
         self.replies = replies
+
+
+class RpcCall:
+    """One logical call handed to :meth:`RpcClient.gather`.
+
+    The public fields are the arguments of :meth:`RpcClient.call` with the
+    same meaning and defaults.  The underscored fields are the state of the
+    call's current attempt, owned by the client; a call object is sent once.
+    """
+
+    __slots__ = (
+        "dst", "method", "payload", "timeout", "retries", "idempotency_key",
+        "deadline", "retry_budget", "priority",
+        "_span", "_attempt_span", "_attempts", "_request_id", "_reply",
+        "_wait", "_sent_at",
+    )
+
+    def __init__(
+        self,
+        dst: str,
+        method: str,
+        payload: Any = None,
+        timeout: float = 20.0,
+        retries: int = 3,
+        idempotency_key: Optional[str] = None,
+        deadline: Optional[float] = None,
+        retry_budget: Optional[RetryBudget] = None,
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        self.dst = dst
+        self.method = method
+        self.payload = payload
+        self.timeout = timeout
+        self.retries = retries
+        self.idempotency_key = idempotency_key
+        self.deadline = deadline
+        self.retry_budget = retry_budget
+        self.priority = priority
+        self._span: Any = NULL_SPAN
+        self._attempt_span: Any = NULL_SPAN
+        self._attempts = 0
+        #: the live attempt: its request id, reply future, how long it may
+        #: wait and when it was sent
+        self._request_id = 0
+        self._reply: Any = None
+        self._wait = 0.0
+        self._sent_at = 0.0
+
+    def __repr__(self) -> str:
+        return f"<RpcCall {self.dst}.{self.method} attempts={self._attempts}>"
+
+
+class RpcOutcome:
+    """How one call of a :meth:`RpcClient.gather` ended: a value or an error."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self) -> None:
+        self.value: Any = None
+        self.error: Optional[RpcError] = None
+
+    def result(self) -> Any:
+        """The handler's result, raising the call's :class:`RpcError` if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+    def __repr__(self) -> str:
+        if self.error is not None:
+            return f"<RpcOutcome error={self.error!r}>"
+        return f"<RpcOutcome value={self.value!r}>"
 
 
 @dataclass
@@ -442,66 +513,165 @@ class RpcClient:
         """
         env = self.network.env
         tracer = env.tracer
-        traced = tracer.enabled
+        call = RpcCall(
+            dst, method, payload, timeout, retries, idempotency_key,
+            deadline, retry_budget, priority,
+        )
         self.stats.calls += 1
-        span = tracer.begin("rpc.call", dst=dst, method=method) if traced else NULL_SPAN
-        attempts = 0
+        if tracer.enabled:
+            call._span = tracer.begin("rpc.call", dst=dst, method=method)
         try:
-            while attempts <= retries:
-                if deadline is not None and env.now >= deadline:
-                    break  # out of time — fall through to RpcTimeout
-                if attempts > 0:
-                    if retry_budget is not None and not retry_budget.try_spend():
-                        self.stats.budget_stopped += 1
-                        span.annotate(outcome="budget-exhausted")
-                        break
-                    self.stats.retries += 1
-                attempts += 1
-                request_id = env.next_id("rpc-request")
-                request = _Request(
-                    request_id=request_id,
-                    method=method,
-                    payload=payload,
-                    reply_to=self.node.name,
-                    reply_port=self._reply_port,
-                    idempotency_key=idempotency_key,
-                    trace_parent=span.span_id if traced else None,
-                    deadline=deadline,
-                    priority=priority,
+            while self._send_attempt(call):
+                index, value = yield any_of(
+                    env, [call._reply, env.timeout(call._wait, "timeout")]
                 )
-                attempt_span = (
-                    tracer.begin("rpc.attempt", attempt=attempts)
-                    if traced
-                    else NULL_SPAN
-                )
-                fut = env.future(label=f"rpc:{dst}.{method}#{request_id}")
-                self._pending[request_id] = fut
-                if self.local_fast_path and dst == self.node.name:
-                    self.network.send_local(dst, self.service, request)
-                else:
-                    self.network.send(self.node.name, dst, self.service, request)
-                wait = timeout
-                if deadline is not None:
-                    wait = min(wait, deadline - env.now)
-                winner = yield any_of(env, [fut, env.timeout(wait, "timeout")])
-                index, value = winner
                 if index == 0:
-                    tracer.end(attempt_span, outcome="reply")
-                    reply: _Reply = value
-                    span.annotate(attempts=attempts)
-                    if reply.ok:
-                        if retry_budget is not None:
-                            retry_budget.on_success()
-                        return reply.value
-                    if reply.code == "rejected":
-                        self.stats.rejected += 1
-                        span.annotate(outcome="rejected")
-                        raise RpcRejected(dst, method, reply.value)
-                    raise RpcRemoteError(dst, method, reply.value)
-                tracer.end(attempt_span, outcome="timeout")
-                self._pending.pop(request_id, None)
-            self.stats.timeouts += 1
-            span.annotate(attempts=attempts, outcome="timeout")
-            raise RpcTimeout(dst, method, attempts)
+                    return self._settle(call, value)
+                self._abandon_attempt(call)
+            raise self._give_up(call)
         finally:
-            tracer.end(span)
+            tracer.end(call._span)
+
+    def gather(self, calls: Sequence[RpcCall]) -> Generator:
+        """Scatter-gather: send every call, then collect the replies.
+
+        All first attempts leave in call order before anything is awaited,
+        so N independent calls cost one round trip of virtual time, not N.
+        Replies are collected *in call order* by the calling process itself
+        — no process, combinator or callback per call: a reply that landed
+        while an earlier call was being awaited is picked up without a
+        single extra event.  Each call keeps the full :meth:`call`
+        discipline on its own clock: its timeout runs from *its* send (a
+        retry is issued when the collector reaches a call and finds it
+        overdue), retries reuse its idempotency key, and its deadline,
+        retry budget and priority apply to it alone.
+
+        Returns one :class:`RpcOutcome` per call, in call order; a failed
+        call (:class:`RpcError`) is reported in its outcome and never hides
+        or cuts short the others.  When tracing is on every call gets the
+        same ``rpc.call``/``rpc.attempt`` spans as :meth:`call`, as
+        siblings; a call's span ends when its outcome is collected.
+        """
+        env = self.network.env
+        tracer = env.tracer
+        traced = tracer.enabled
+        sent = []
+        for call in calls:
+            if call._attempts:
+                raise ValueError(f"{call!r} was already sent: an RpcCall is single-use")
+            self.stats.calls += 1
+            if traced:
+                call._span = tracer.start("rpc.call", dst=call.dst, method=call.method)
+            sent.append(self._send_attempt(call))
+        outcomes = []
+        try:
+            for call, live in zip(calls, sent):
+                outcome = RpcOutcome()
+                try:
+                    while live:
+                        reply = call._reply
+                        if not reply.done:
+                            remaining = call._wait - (env.now - call._sent_at)
+                            if remaining > 0.0:
+                                yield any_of(env, [reply, env.timeout(remaining, "timeout")])
+                        if reply.done:
+                            outcome.value = self._settle(call, reply.result())
+                            break
+                        self._abandon_attempt(call)
+                        live = self._send_attempt(call)
+                    else:
+                        raise self._give_up(call)
+                except RpcError as exc:
+                    outcome.error = exc
+                tracer.end(call._span)
+                outcomes.append(outcome)
+        except BaseException:
+            # Interrupted mid-gather (this node crashed): leave no span open.
+            for call in calls:
+                tracer.end(call._span)
+            raise
+        return outcomes
+
+    # -- one attempt: shared by call() and gather() ---------------------------
+
+    def _send_attempt(self, call: RpcCall) -> bool:
+        """Send ``call``'s next attempt; ``False`` when it has none left
+        (retries, deadline or retry budget spent)."""
+        env = self.network.env
+        tracer = env.tracer
+        deadline = call.deadline
+        if call._attempts > call.retries:
+            return False
+        if deadline is not None and env.now >= deadline:
+            return False  # out of time
+        if call._attempts > 0:
+            budget = call.retry_budget
+            if budget is not None and not budget.try_spend():
+                self.stats.budget_stopped += 1
+                call._span.annotate(outcome="budget-exhausted")
+                return False
+            self.stats.retries += 1
+        call._attempts += 1
+        traced = tracer.enabled
+        dst = call.dst
+        request_id = env.next_id("rpc-request")
+        request = _Request(
+            request_id=request_id,
+            method=call.method,
+            payload=call.payload,
+            reply_to=self.node.name,
+            reply_port=self._reply_port,
+            idempotency_key=call.idempotency_key,
+            trace_parent=call._span.span_id if traced else None,
+            deadline=deadline,
+            priority=call.priority,
+        )
+        if traced:
+            context = tracer.current
+            call._attempt_span = tracer.begin(
+                "rpc.attempt", parent=call._span, attempt=call._attempts
+            )
+        reply = env.future(label=f"rpc:{dst}.{call.method}#{request_id}")
+        self._pending[request_id] = reply
+        if self.local_fast_path and dst == self.node.name:
+            self.network.send_local(dst, self.service, request)
+        else:
+            self.network.send(self.node.name, dst, self.service, request)
+        if traced:
+            # The attempt span stays open until its reply or timeout, but is
+            # the context only of its own send: a gather's sibling calls are
+            # not its children.
+            tracer.current = context
+        wait = call.timeout
+        if deadline is not None:
+            wait = min(wait, deadline - env.now)
+        call._request_id = request_id
+        call._reply = reply
+        call._wait = wait
+        call._sent_at = env.now
+        return True
+
+    def _settle(self, call: RpcCall, reply: _Reply) -> Any:
+        """Turn the reply to ``call``'s live attempt into a value or raise."""
+        self.network.env.tracer.end(call._attempt_span, outcome="reply")
+        span = call._span
+        span.annotate(attempts=call._attempts)
+        if reply.ok:
+            if call.retry_budget is not None:
+                call.retry_budget.on_success()
+            return reply.value
+        if reply.code == "rejected":
+            self.stats.rejected += 1
+            span.annotate(outcome="rejected")
+            raise RpcRejected(call.dst, call.method, reply.value)
+        raise RpcRemoteError(call.dst, call.method, reply.value)
+
+    def _abandon_attempt(self, call: RpcCall) -> None:
+        """``call``'s live attempt timed out: stop listening for its reply."""
+        self.network.env.tracer.end(call._attempt_span, outcome="timeout")
+        self._pending.pop(call._request_id, None)
+
+    def _give_up(self, call: RpcCall) -> RpcTimeout:
+        self.stats.timeouts += 1
+        call._span.annotate(attempts=call._attempts, outcome="timeout")
+        return RpcTimeout(call.dst, call.method, call._attempts)

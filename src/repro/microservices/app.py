@@ -15,13 +15,13 @@ replacement reconnects to the same database).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.db.server import DatabaseServer
 from repro.flow import AdmissionController, PRIORITY_NORMAL, RetryBudget
 from repro.messaging.broker import Broker
 from repro.messaging.idempotency import IdempotencyStore
-from repro.messaging.rpc import RpcClient, RpcServer
+from repro.messaging.rpc import RpcCall, RpcClient, RpcServer
 from repro.microservices.service import Microservice, ServiceContext
 from repro.net.latency import Latency, Sampler
 from repro.net.network import Network
@@ -159,6 +159,33 @@ class MicroserviceApp:
             priority=priority,
         )
         return result
+
+    def gather(
+        self,
+        requests: Iterable[tuple[str, str, Any, Optional[str]]],
+        timeout: float = 50.0,
+        retries: int = 2,
+        deadline: Optional[float] = None,
+        retry_budget: Optional[RetryBudget] = None,
+        priority: int = PRIORITY_NORMAL,
+    ) -> Generator:
+        """Several client requests in one round trip (scatter-gather).
+
+        ``requests`` are ``(service, method, payload, idempotency_key)``
+        tuples; the remaining arguments apply to each request as in
+        :meth:`request`.  All are sent before any reply is awaited; returns
+        one :class:`~repro.messaging.rpc.RpcOutcome` per request, in
+        request order, so one failed request never hides the others (see
+        :meth:`RpcClient.gather <repro.messaging.rpc.RpcClient.gather>`).
+        """
+        outcomes = yield from self._client_rpc.gather([
+            RpcCall(
+                self._service_nodes[service], method, payload, timeout, retries,
+                key, deadline, retry_budget, priority,
+            )
+            for service, method, payload, key in requests
+        ])
+        return outcomes
 
     # -- operations ------------------------------------------------------------------
 

@@ -10,7 +10,9 @@ Two guarantees the observability subsystem must hold:
 
 from repro.db import DatabaseServer, IsolationLevel
 from repro.harness import WorkloadDriver
-from repro.obs import Tracer
+from repro.messaging import IdempotencyStore, RpcCall, RpcClient, RpcServer
+from repro.net import Network
+from repro.obs import Tracer, chrome_trace_json
 from repro.sim import Environment
 from repro.workloads import OpenLoop
 
@@ -81,3 +83,50 @@ def test_tracing_disabled_leaves_metrics_unchanged():
     assert summary_tuples(traced) == summary_tuples(untraced)
     assert traced.throughput == untraced.throughput
     assert traced.p(99) == untraced.p(99)
+
+
+def run_gathered_round(seed):
+    """One scatter-gather of three calls (one of them retried) under tracing."""
+    env = Environment(seed=seed, tracer=Tracer())
+    net = Network(env)
+    net.add_node("client")
+    net.add_node("server")
+    server = RpcServer(net, net.node("server"), dedup_store=IdempotencyStore())
+
+    def work(payload):
+        yield env.timeout(payload)
+        return payload
+
+    server.register("work", work)
+    client = RpcClient(net, net.node("client"))
+
+    def flow():
+        outcomes = yield from client.gather([
+            RpcCall("server", "work", 3.0),
+            # times out once; the retry piggybacks on the execution in flight
+            RpcCall("server", "work", 9.0, timeout=6.0, idempotency_key="slow"),
+            RpcCall("server", "work", 1.0),
+        ])
+        return [outcome.result() for outcome in outcomes]
+
+    assert env.run_until(env.process(flow())) == [3.0, 9.0, 1.0]
+    env.run()
+    return env.tracer
+
+
+def test_gathered_round_traces_one_call_span_per_call_deterministically():
+    first = run_gathered_round(seed=101)
+    second = run_gathered_round(seed=101)
+    assert chrome_trace_json(first) == chrome_trace_json(second)  # byte-identical
+
+    calls = first.find("rpc.call")
+    assert [span.tags["method"] for span in calls] == ["work"] * 3
+    assert all(span.finished for span in calls)
+    assert len({span.parent_id for span in calls}) == 1  # siblings, not nested
+    attempts = first.find("rpc.attempt")
+    assert [span.parent_id for span in attempts] == [
+        calls[0].span_id, calls[1].span_id, calls[2].span_id, calls[1].span_id,
+    ]
+    # every wire message hangs off the attempt that sent it
+    requests = [s for s in first.find("net.msg") if s.tags["dst"] == "server"]
+    assert [s.parent_id for s in requests] == [a.span_id for a in attempts]
