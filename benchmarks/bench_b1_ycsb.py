@@ -16,7 +16,7 @@ Expected shape:
 
 from repro.db import DatabaseServer, IsolationLevel
 from repro.db.errors import TransactionAborted
-from repro.harness import WorkloadDriver, format_rows, run_cells
+from repro.harness import WorkloadDriver, format_rows
 from repro.sim import Environment
 from repro.workloads import ClosedLoop, YcsbWorkload
 
@@ -107,9 +107,7 @@ def run_one(mix, level_name, isolation, seed):
 
 
 #: Every cell of the matrix: (mix, level_name, isolation, seed).  Cells are
-#: independent simulations, each a pure function of its seed — which is what
-#: lets ``run_all(workers=N)`` fan them out to real cores with byte-identical
-#: results (the golden-equivalence suite holds it to that).
+#: independent simulations, each a pure function of its seed.
 CELLS = [
     (mix, level_name, isolation, 181 + index)
     for mix in ("C", "A", "F")
@@ -117,10 +115,8 @@ CELLS = [
 ]
 
 
-def run_all(workers: int = 0, pool=None):
-    return run_cells(
-        [(run_one, cell) for cell in CELLS], workers=workers, pool=pool
-    )
+def run_all():
+    return [run_one(*cell) for cell in CELLS]
 
 
 def test_b1_ycsb_isolation_matrix(benchmark):

@@ -21,7 +21,7 @@ zero.
 """
 
 from repro.apps import DbTpcc, StyxTpcc, WorkflowTpcc
-from repro.harness import WorkloadDriver, format_rows, run_cells
+from repro.harness import WorkloadDriver, format_rows
 from repro.sim import Environment
 from repro.workloads import ClosedLoop, TpccLite
 
@@ -58,8 +58,7 @@ def run_impl(name, factory, warehouses, seed):
     return result
 
 
-#: Cells of the matrix: (name, factory, warehouses, seed).  The factories
-#: are module-level classes, so cells pickle cleanly to worker processes.
+#: Cells of the matrix: (name, factory, warehouses, seed).
 CELLS = [
     (name, factory, warehouses, seed)
     for warehouses in (1, 4)
@@ -71,10 +70,8 @@ CELLS = [
 ]
 
 
-def run_all(workers: int = 0, pool=None):
-    return run_cells(
-        [(run_impl, cell) for cell in CELLS], workers=workers, pool=pool
-    )
+def run_all():
+    return [run_impl(*cell) for cell in CELLS]
 
 
 def test_c10_tpcc(benchmark):

@@ -22,7 +22,7 @@ from repro.apps import ActorBank, DbBank, FaasBank, TxnDataflowBank
 from repro.apps.banking import DurableWorkflowBank
 from repro.db import IsolationLevel
 from repro.sim import Environment
-from repro.harness import format_results, run_cells
+from repro.harness import format_results
 from repro.workloads import TransferWorkload
 
 from benchmarks.common import report, run_transfers
@@ -45,9 +45,7 @@ BUILDERS = [
 
 
 def run_one(index):
-    """One paradigm build end to end — module-level so cells can fan out
-    to worker processes (the builder lambdas themselves never cross the
-    process boundary, only the index does)."""
+    """One paradigm build end to end."""
     label, build = BUILDERS[index]
     env = Environment(seed=1000 + index)
     workload = TransferWorkload(num_accounts=40, theta=0.7)
@@ -58,11 +56,8 @@ def run_one(index):
                          clients=CLIENTS, setup=needs_setup)
 
 
-def run_all(workers: int = 0, pool=None):
-    return run_cells(
-        [(run_one, (index,)) for index in range(len(BUILDERS))],
-        workers=workers, pool=pool,
-    )
+def run_all():
+    return [run_one(index) for index in range(len(BUILDERS))]
 
 
 def test_c1_paradigm_comparison(benchmark):

@@ -27,8 +27,8 @@ def affinity_cpus() -> int:
     """CPUs this process may actually run on.
 
     ``os.cpu_count()`` reports the machine; containers and ``taskset`` can
-    pin the runner to fewer cores, and parallel-speedup numbers are only
-    comparable between hosts with the same *effective* core count.
+    pin the runner to fewer cores; recorded beside every result set so a
+    reader can tell a noisy shared runner from the baseline host.
     """
     try:
         return len(os.sched_getaffinity(0))

@@ -1,23 +1,15 @@
-"""Wall-clock benchmarks for the queue-oriented parallel execution layer.
+"""Wall-clock benchmarks for the queue-oriented execution layer.
 
-Three views, one per phase of the epoch cycle (see ``repro.parallel``):
+Two views of the epoch cycle (see ``repro.parallel``):
 
 - **planning** — ``parallel_plan_txns_per_sec`` times :func:`plan_epoch`
-  alone (queues + rounds over an already-sequenced batch), because QueCC's
-  planner is a serial stage and must stay cheap for the parallel phase to
-  ever pay off;
-- **epoch execution** — a CPU-bearing spec mix (``kv.rmw``/``kv.transfer``
-  with ``spin`` work) run through :class:`EpochExecutor` at ``workers=0``
-  (the inline reference) and ``workers=2``, with the speedup and the
-  pickled bytes per transaction reported.  Both runs must land the engine
-  in the same state — asserted here, not just in the test suite;
-- **end to end** — the real B1 claim suite via ``run_all(workers=...)``
-  against a warm pool, the number the ISSUE's >=1.7x target refers to.
-
-On hosts where the runner sees fewer cores than the committed baseline
-host, the ``*_w2_*`` and ``*_speedup`` numbers measure process overhead,
-not parallelism — ``scripts/perfcheck.py`` skips gating them (with a
-warning) in that case.
+  alone (queues + rounds over an already-sequenced batch): QueCC's planner
+  is a serial stage in front of everything else and must stay cheap;
+- **epoch execution** — ``parallel_epoch_w0_txns_per_sec`` runs a
+  CPU-bearing spec mix (``kv.rmw``/``kv.transfer`` with ``spin`` work)
+  through :class:`EpochExecutor`: plan → in-process execution → TID-ordered
+  merge.  (The ``w0`` in the key is historical — it keeps the committed
+  baseline gating the same measurement.)
 """
 
 from __future__ import annotations
@@ -49,32 +41,26 @@ def _submit_mix(executor, txns, accounts, cross_every, work):
             ))
 
 
-def _epoch_run(workers, *, shards, txns, epochs, accounts, cross_every, work):
-    """Run the mix through a fresh engine; returns (elapsed, bytes, state)."""
+def _epoch_run(*, shards, txns, epochs, accounts, cross_every, work):
+    """Run the mix through a fresh engine; returns the elapsed seconds."""
     from repro.db import Database
     from repro.parallel import EpochExecutor
     from repro.sim import Environment
 
     env = Environment(seed=7)
-    db = Database(env, name=f"parallel-perf-w{workers}")
+    db = Database(env, name="parallel-perf")
     db.create_table("kv", primary_key="id")
     db.load("kv", [{"id": f"acct-{i}", "balance": 0} for i in range(accounts)])
-    with EpochExecutor(db, num_shards=shards, workers=workers) as executor:
-        # One untimed warm-up epoch: pool start-up and first-touch costs
-        # are paid once per process lifetime, not per epoch.
-        _submit_mix(executor, min(txns, 32), accounts, cross_every, work=0)
+    executor = EpochExecutor(db, num_shards=shards)
+    # One untimed warm-up epoch: first-touch costs are paid once per
+    # process lifetime, not per epoch.
+    _submit_mix(executor, min(txns, 32), accounts, cross_every, work=0)
+    executor.flush()
+    start = time.perf_counter()
+    for _ in range(epochs):
+        _submit_mix(executor, txns, accounts, cross_every, work)
         executor.flush()
-        shipped = 0
-        start = time.perf_counter()
-        for _ in range(epochs):
-            _submit_mix(executor, txns, accounts, cross_every, work)
-            result = executor.flush()
-            shipped += result.bytes_sent + result.bytes_received
-        elapsed = time.perf_counter() - start
-    state = sorted(
-        (row["id"], row["balance"]) for row in db.all_rows("kv")
-    )
-    return elapsed, shipped, state
+    return time.perf_counter() - start
 
 
 def _plan_run(*, txns, shards, accounts, cross_every, reps):
@@ -109,9 +95,6 @@ def _plan_run(*, txns, shards, accounts, cross_every, reps):
 
 
 def run(smoke: bool = False) -> dict:
-    from benchmarks import bench_b1_ycsb
-    from repro.parallel import WorkerPool
-
     metrics: dict[str, float] = {}
 
     plan_scale = dict(txns=500, reps=2) if smoke else dict(txns=4000, reps=5)
@@ -123,36 +106,9 @@ def run(smoke: bool = False) -> dict:
         dict(txns=120, epochs=1, work=60)
         if smoke else dict(txns=600, epochs=3, work=400)
     )
-    shape = dict(shards=8, accounts=64, cross_every=16, **epoch_scale)
+    elapsed = _epoch_run(shards=8, accounts=64, cross_every=16, **epoch_scale)
     total = epoch_scale["txns"] * epoch_scale["epochs"]
-    w0_elapsed, _, w0_state = _epoch_run(0, **shape)
-    w2_elapsed, shipped, w2_state = _epoch_run(2, **shape)
-    assert w0_state == w2_state, "workers=2 diverged from the inline reference"
-    metrics["parallel_epoch_w0_txns_per_sec"] = round(total / w0_elapsed)
-    metrics["parallel_epoch_w2_txns_per_sec"] = round(total / w2_elapsed)
-    metrics["parallel_epoch_speedup"] = round(w0_elapsed / w2_elapsed, 3)
-    metrics["parallel_epoch_bytes_per_txn"] = round(shipped / total)
-
-    # End to end: the B1 claim suite itself, single-process vs a warm pool.
-    b1_reps = 1 if smoke else 2
-    start = time.perf_counter()
-    for _ in range(b1_reps):
-        results = bench_b1_ycsb.run_all(workers=0)
-    w0_elapsed = time.perf_counter() - start
-    with WorkerPool(2) as pool:
-        pool.map_calls([(int, ("1",))] * 2)  # warm both pipes
-        start = time.perf_counter()
-        for _ in range(b1_reps):
-            bench_b1_ycsb.run_all(workers=2, pool=pool)
-        w2_elapsed = time.perf_counter() - start
-    txns = sum(
-        sum(r.count for r in result.metrics.recorders().values())
-        for result in results
-    ) * b1_reps
-    metrics["parallel_b1_w0_wall_sec"] = round(w0_elapsed, 4)
-    metrics["parallel_b1_w2_wall_sec"] = round(w2_elapsed, 4)
-    metrics["parallel_b1_speedup"] = round(w0_elapsed / w2_elapsed, 3)
-    metrics["parallel_b1_w2_txns_per_sec"] = round(txns / w2_elapsed)
+    metrics["parallel_epoch_w0_txns_per_sec"] = round(total / elapsed)
     return metrics
 
 

@@ -38,9 +38,3 @@ def test_parallel_smoke():
     metrics = bench_parallel.run(smoke=True)
     assert metrics["parallel_plan_txns_per_sec"] > 0
     assert metrics["parallel_epoch_w0_txns_per_sec"] > 0
-    assert metrics["parallel_epoch_w2_txns_per_sec"] > 0
-    assert metrics["parallel_epoch_bytes_per_txn"] > 0
-    # Speedups are host-dependent (sub-1x on one core); positivity is the
-    # portable claim — equivalence is asserted inside run() itself.
-    assert metrics["parallel_epoch_speedup"] > 0
-    assert metrics["parallel_b1_speedup"] > 0

@@ -105,17 +105,6 @@ def collect(smoke: bool, only: str | None = None) -> dict:
     return metrics
 
 
-def multicore_dependent(name: str) -> bool:
-    """Metrics that only mean "parallelism" when real cores back the pool.
-
-    On a runner with fewer effective cores than the baseline host these
-    measure process overhead instead, so the gate skips them (loudly).
-    """
-    return name.startswith("parallel_") and (
-        name.endswith("_speedup") or "_w2_" in name
-    )
-
-
 def compare(metrics: dict, baseline_metrics: dict, skip: set | None = None) -> list[str]:
     """Return a list of regression descriptions (empty = pass)."""
     regressions = []
@@ -184,7 +173,6 @@ def main(argv=None) -> int:
     from benchmarks.perf import (
         BASELINE_JSON,
         BENCH_JSON,
-        affinity_cpus,
         host_info,
         load_baseline,
         tracing_mode,
@@ -283,21 +271,6 @@ def main(argv=None) -> int:
         )
     baseline_metrics = baseline.get("metrics", {})
     skip = {name for name in baseline_metrics if name not in fresh}
-    baseline_host = baseline.get("host", {})
-    baseline_cores = baseline_host.get("cpus_affinity") or baseline_host.get("cpus")
-    current_cores = affinity_cpus()
-    if baseline_cores and current_cores < baseline_cores:
-        undersized = {
-            name for name in baseline_metrics
-            if multicore_dependent(name) and name in fresh
-        }
-        for name in sorted(undersized):
-            print(
-                f"[perfcheck] WARNING: skipping {name}: runner sees "
-                f"{current_cores} core(s), baseline host had {baseline_cores} "
-                "— parallel speedups are not comparable"
-            )
-        skip |= undersized
     regressions = compare(metrics, baseline_metrics, skip=skip)
     if regressions:
         print(f"[perfcheck] FAIL: {len(regressions)} metric(s) regressed >20%:")

@@ -37,16 +37,6 @@ all are proven behaviour-preserving by the golden-equivalence suite:
   object itself instead of a defensive ``dict()`` copy.  Committed rows
   are frozen as :class:`Row` at install time; callers must not mutate
   returned rows (mutation raises ``TypeError``).
-
-A fourth, **off by default**: load-adaptive windows (``adaptive=True``).
-A :class:`repro.flow.LoadSignal` (the same EWMA fold the cluster
-rebalancer uses) tracks commit rate; past a knee, the group-commit fsync
-callback is scheduled ``flush_window_ms`` into the future instead of at
-end-of-instant — commits from *several* instants share one fsync — and
-the inline GC chain threshold stretches up to 4x so version pruning is
-deferred off the hot path.  Commit acknowledgements stay synchronous
-either way, so results and result tables are identical with the flag on
-or off; only fsync count and barrier timing change.
 """
 
 from __future__ import annotations
@@ -66,7 +56,6 @@ from repro.db.errors import (
     WriteConflict,
 )
 from repro.db.locks import LockManager, LockMode
-from repro.flow import LoadSignal
 from repro.sim import Environment
 from repro.sim.events import any_of
 from repro.storage.wal import WriteAheadLog
@@ -274,8 +263,6 @@ class DbStats:
     gc_passes: int = 0
     #: retained version tuples across all tables (gauge)
     live_versions: int = 0
-    #: group fsyncs deferred past end-of-instant by the adaptive window
-    adaptive_deferrals: int = 0
     #: replicated-apply acks refused because the proposal term was fenced
     fenced_acks: int = 0
     #: replicated commands (commit/prepare/decide entries) applied
@@ -320,9 +307,6 @@ class Database:
         gc_chain_threshold: int = 8,
         group_commit: bool = True,
         copy_reads: bool = False,
-        adaptive: bool = False,
-        flush_window_ms: float = 2.0,
-        load_knee: float = 8.0,
         lock_wait_timeout_ms: Optional[float] = None,
         fast_grants: bool = True,
     ) -> None:
@@ -336,7 +320,8 @@ class Database:
         self._active: dict[int, Transaction] = {}
         self._in_doubt: dict[int, dict[tuple[str, Hashable], Optional[dict]]] = {}
         self._gc = gc
-        self._gc_chain_threshold = max(1, gc_chain_threshold)
+        #: chain length past which a commit prunes inline; 0 = never
+        self._gc_chain_threshold = max(1, gc_chain_threshold) if gc else 0
         #: uncontended lock-acquire fast path: an already-granted lock is
         #: consumed without suspending the process (no ready-queue round
         #: trip).  ``False`` is the reference mode that always yields.
@@ -348,24 +333,12 @@ class Database:
         self._elide_readonly_commits = fast_grants
         self._group_commit = group_commit
         self._copy_reads = copy_reads
-        self._adaptive = adaptive
         if lock_wait_timeout_ms is not None and lock_wait_timeout_ms <= 0:
             raise ValueError("lock_wait_timeout_ms must be positive")
         #: bounded lock waits (None = wait forever, rely on local deadlock
         #: detection).  Sharded deployments set this: a waits-for cycle
         #: spanning shards is invisible to any one shard's lock manager.
         self._lock_wait_timeout_ms = lock_wait_timeout_ms
-        if flush_window_ms < 0:
-            raise ValueError("flush_window_ms must be non-negative")
-        if load_knee <= 0:
-            raise ValueError("load_knee must be positive")
-        self._flush_window_ms = flush_window_ms
-        self._load_knee = load_knee
-        #: commit-rate signal; only fed (and only read) in adaptive mode, so
-        #: the default engine keeps an untouched event schedule.
-        self.load_signal: Optional[LoadSignal] = (
-            LoadSignal(env, window_ms=10.0, alpha=0.5) if adaptive else None
-        )
         self._group: Optional[_CommitGroup] = None
         #: highest replication term observed (fencing token watermark)
         self._fence = 0
@@ -689,61 +662,19 @@ class Database:
             wal.append("write", (txn.tid, table, key, row))
         last_lsn = wal.append(decision, (txn.tid,))
         if decision == "commit" and self._group_commit:
-            if self.load_signal is not None:
-                self.load_signal.record()
             group = self._group
             if group is None:
                 group = _CommitGroup(
                     self.env.future(label=f"{self.name}.group-flush")
                 )
                 self._group = group
-                delay = self._flush_delay()
-                if delay > 0.0:
-                    self.stats.adaptive_deferrals += 1
-                self.env.schedule(delay, self._flush_group, group)
+                self.env.schedule(0.0, self._flush_group, group)
             group.size += 1
             group.last_lsn = last_lsn
         else:
             # Prepares (2PC votes) and reference mode fsync synchronously:
             # a vote must be durable before it reaches the coordinator.
             self._flush_wal()
-
-    def _flush_delay(self) -> float:
-        """How far past end-of-instant the next group fsync may wait.
-
-        Zero below the load knee (identical scheduling to the non-adaptive
-        engine, including in adaptive mode at low load); above it, the
-        window opens linearly and saturates at ``flush_window_ms`` by 4x
-        the knee — the busier the engine, the more commits each physical
-        fsync absorbs.
-        """
-        if self.load_signal is None:
-            return 0.0
-        load = self.load_signal.load()
-        knee = self._load_knee
-        if load <= knee:
-            return 0.0
-        fraction = min(1.0, (load - knee) / (3.0 * knee))
-        return self._flush_window_ms * fraction
-
-    def _effective_gc_threshold(self) -> int:
-        """Inline-GC chain threshold, stretched up to 4x under load.
-
-        Pruning on the commit path is pure overhead while a burst is in
-        progress; deferring it (longer chains tolerated, caught up by the
-        next explicit :meth:`gc` pass or calmer commits) trades transient
-        memory for commit latency exactly when latency matters.
-        """
-        if not self._gc:
-            return 0
-        base = self._gc_chain_threshold
-        if self.load_signal is None:
-            return base
-        load = self.load_signal.load()
-        knee = self._load_knee
-        if load <= knee:
-            return base
-        return int(base * min(4.0, load / knee))
 
     def _flush_group(self, group: _CommitGroup) -> None:
         """End-of-instant callback: one fsync for every commit that joined."""
@@ -783,7 +714,7 @@ class Database:
         self._commit_seq += 1
         seq = self._commit_seq
         retained = len(writes)
-        threshold = self._effective_gc_threshold()
+        threshold = self._gc_chain_threshold
         horizon = -1
         for (table, key), row in writes.items():
             tbl = self._table(table)
@@ -807,13 +738,10 @@ class Database:
         if txn.writes or not self._elide_readonly_commits:
             self._log_writes(txn, "commit")
             self._install(txn.writes)
-        else:
-            # Read-only: nothing to redo, so the commit record and its
-            # share of the group fsync are pure overhead.  The commit
-            # sequence does not advance either — no version was installed,
-            # and every visibility check compares seq *order*, not values.
-            if self._group_commit and self.load_signal is not None:
-                self.load_signal.record()
+        # A read-only transaction has nothing to redo, so the commit record
+        # and its share of the group fsync are pure overhead.  The commit
+        # sequence does not advance either — no version was installed, and
+        # every visibility check compares seq *order*, not values.
         txn.status = TxnStatus.COMMITTED
         self._finish(txn)
         self.stats.committed += 1

@@ -33,12 +33,12 @@ class DatabaseServer:
         Sampler for the client's round trip to the database; charged once
         per operation, as for a remote (external-state) database.
 
-    The keyword-only ``gc``/``group_commit``/``copy_reads`` flags pass
-    through to the underlying :class:`~repro.db.engine.Database` (storage
-    fast paths and their reference modes), as do ``adaptive`` and
-    ``flush_window_ms`` (the load-adaptive group-commit/GC windows) and
-    ``fast_grants`` (consume already-granted pool connections and locks
-    without a suspension round trip; ``False`` is the reference mode).
+    Any further keyword goes verbatim to the underlying
+    :class:`~repro.db.engine.Database`, the one place that names, defaults
+    and validates the engine options.  The server itself honours the
+    engine's ``fast_grants``: an already-granted pool connection is
+    consumed without a suspension round trip (``False`` is the reference
+    mode).
     """
 
     def __init__(
@@ -49,25 +49,11 @@ class DatabaseServer:
         op_service_time: Optional[Sampler] = None,
         network_rtt: Optional[Sampler] = None,
         *,
-        gc: bool = True,
-        group_commit: bool = True,
-        copy_reads: bool = False,
-        adaptive: bool = False,
-        flush_window_ms: float = 2.0,
-        fast_grants: bool = True,
         follower: bool = False,
+        **engine_options: Any,
     ) -> None:
         self.env = env
-        self.engine = Database(
-            env,
-            name=name,
-            gc=gc,
-            group_commit=group_commit,
-            copy_reads=copy_reads,
-            adaptive=adaptive,
-            flush_window_ms=flush_window_ms,
-            fast_grants=fast_grants,
-        )
+        self.engine = Database(env, name=name, **engine_options)
         self.name = name
         #: follower mode: the server is a read replica — interactive
         #: transactions are refused, state advances only through
@@ -78,7 +64,6 @@ class DatabaseServer:
         self._service = op_service_time or Latency.local_disk()
         self._rtt = network_rtt or Latency.intra_zone()
         self._rng = env.stream(f"dbserver:{name}")
-        self._fast_grants = fast_grants
 
     # -- schema (instant, setup-time) -----------------------------------------
 
@@ -126,7 +111,7 @@ class DatabaseServer:
             )
         grant = self._pool.acquire()
         if grant.done:
-            if not self._fast_grants:
+            if not self.engine._fast_grants:
                 yield grant
         else:
             # Pool exhausted: surface the queueing delay as its own span —

@@ -290,14 +290,8 @@ class ShardedDatabase:
         copy_ms_per_row: float = 0.05,
         drain_timeout_ms: float = 500.0,
         *,
-        gc: bool = True,
-        group_commit: bool = True,
-        copy_reads: bool = False,
-        adaptive: bool = False,
-        flush_window_ms: float = 2.0,
-        lock_wait_timeout_ms: Optional[float] = None,
-        fast_grants: bool = True,
         replication: Optional[ReplicationConfig] = None,
+        **engine_options: Any,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -315,14 +309,10 @@ class ShardedDatabase:
         self.copy_ms_per_row = copy_ms_per_row
         self.drain_timeout_ms = drain_timeout_ms
         self.replication = replication
-        #: storage fast-path flags, applied to every shard engine (including
-        #: replacement engines built during live migration)
-        self.engine_options = {
-            "gc": gc, "group_commit": group_commit, "copy_reads": copy_reads,
-            "adaptive": adaptive, "flush_window_ms": flush_window_ms,
-            "lock_wait_timeout_ms": lock_wait_timeout_ms,
-            "fast_grants": fast_grants,
-        }
+        #: :class:`~repro.db.engine.Database` keywords, passed verbatim to
+        #: every shard engine (including migration replacements and replica
+        #: factories); ``Database`` names, defaults and validates them
+        self.engine_options = engine_options
         if replication is None:
             self.shards = [
                 Database(env, name=f"{name}/shard{i}", **self.engine_options)

@@ -18,9 +18,9 @@ through broker → service → database:
   shed work never reaches the expensive resource.
 - :class:`LoadSignal` — a virtual-time-windowed EWMA of operation rate,
   the same fold (``alpha * window + (1 - alpha) * ewma``) the cluster
-  rebalancer's :class:`~repro.cluster.stats.ShardStats` uses, so the
-  database's adaptive group-commit window and the shard rebalancer react
-  to one consistent notion of load.
+  rebalancer's :class:`~repro.cluster.stats.ShardStats` uses, so any
+  component that measures its own rate and the shard rebalancer react to
+  one consistent notion of load.
 
 See ``docs/OVERLOAD.md`` for the full design and ``benchmarks/
 bench_c15_overload.py`` for the overload ramp that motivates it.

@@ -4,9 +4,8 @@ One smoothing formula for the whole stack: the fold is *identical* to the
 cluster rebalancer's :class:`repro.cluster.stats.ShardStats`
 (``load = alpha * window + (1 - alpha) * load`` at every window roll, and
 the live read includes ``alpha * window`` so cold starts see data), so the
-database's adaptive group-commit window, the admission controller's
-introspection, and shard rebalancing all react to the same notion of
-"load".  Windows roll lazily off the virtual clock — no background
+admission controller's introspection and shard rebalancing react to the
+same notion of "load".  Windows roll lazily off the virtual clock — no background
 process, no events, therefore zero effect on simulated behaviour: a
 consumer that never reads the signal leaves the event schedule
 byte-identical.

@@ -8,7 +8,7 @@ prints both a performance row *and* a correctness row, per the paper's
 §5.3 critique of performance-only benchmarks.
 """
 
-from repro.harness.driver import RunResult, WorkloadDriver, run_cells
+from repro.harness.driver import RunResult, WorkloadDriver
 from repro.harness.report import (
     format_results,
     format_rows,
@@ -21,7 +21,6 @@ __all__ = [
     "WorkloadDriver",
     "format_results",
     "format_rows",
-    "run_cells",
     "save_result_traces",
     "save_trace",
 ]

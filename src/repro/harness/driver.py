@@ -15,40 +15,6 @@ from repro.transactions.anomalies import AnomalyReport, EffectLedger, Invariant
 Executor = Callable[[Any], Generator]
 
 
-def run_cells(
-    cells: Iterable[tuple[Callable, tuple]],
-    workers: int = 0,
-    pool: Any = None,
-) -> list:
-    """Run independent benchmark cells, optionally on real cores.
-
-    Each cell is ``(fn, args)`` with ``fn`` a module-level callable that
-    builds its own :class:`~repro.sim.Environment` and returns a picklable
-    result (a :class:`RunResult` qualifies).  Cells share no state, and
-    each is a pure function of its seed, so where they run cannot change
-    what they return — ``workers=0`` (the single-process reference) and
-    ``workers=N`` (a :class:`repro.parallel.WorkerPool` fan-out) must be
-    byte-identical, which the golden-equivalence suite asserts against the
-    B1/C1/C10 claim suites.  Results always return in cell order.
-
-    Pass ``pool`` to reuse an existing warm pool (the perf bench amortizes
-    worker start-up across repetitions this way); it is left open.
-    """
-    cells = list(cells)
-    if workers <= 0 or len(cells) <= 1:
-        return [fn(*args) for fn, args in cells]
-    from repro.parallel import WorkerPool
-
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(min(workers, len(cells)))
-    try:
-        return pool.map_calls([(fn, args) for fn, args in cells])
-    finally:
-        if own_pool:
-            pool.close()
-
-
 def _kind_of(op: Any) -> str:
     return getattr(op, "kind", type(op).__name__)
 

@@ -186,25 +186,6 @@ class Tracer:
         finally:
             self.end(span)
 
-    # -- pickling -----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle as a *detached* tracer: spans survive, the clock does not.
-
-        The clock is a bound method of the owning environment — dragging a
-        whole simulation across a process boundary is never what a caller
-        shipping results home wants.  A restored tracer is read-only
-        (export/inspection); its clock is pinned at 0.0.
-        """
-        state = self.__dict__.copy()
-        state["clock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.clock is None:
-            self.clock = lambda: 0.0
-
     # -- inspection ---------------------------------------------------------
 
     def roots(self) -> list[Span]:

@@ -1,27 +1,20 @@
-"""Queue-oriented deterministic parallel execution (QueCC-style).
+"""Queue-oriented deterministic execution (QueCC-style).
 
-The single-threaded simulation kernel is the repository's hard speed
-ceiling; this package is the multi-core unlock.  Following "A
-Queue-oriented Transaction Processing Paradigm" (QueCC, see PAPERS.md), it
-splits deterministic transaction processing into a **planning phase** — a
-sequencer epoch is partitioned into per-shard execution queues, with
-cross-shard transactions becoming multi-queue entries settled at
-deterministic rendezvous points — and an **execution phase** that drains
-independent queues on real cores (OS worker processes; pickled snapshot
-slices in, write deltas out) with zero shared-lock coordination, before a
-**merge phase** re-applies every result into the authoritative engines in
-the sequencer's seeded total order.
+Following "A Queue-oriented Transaction Processing Paradigm" (QueCC, see
+PAPERS.md), deterministic transaction processing is split into a
+**planning phase** — a sequencer epoch is partitioned into per-shard
+execution queues, with cross-shard transactions becoming multi-queue
+entries settled at deterministic rendezvous points — an **execution
+phase** that drains each round's independent queues with zero shared-lock
+coordination, because the plan already encodes every conflict, and a
+**merge phase** that re-applies every result into the authoritative
+engines in the sequencer's seeded total order.
 
-The governing invariant is golden equivalence: ``workers=N`` must produce
-byte-identical engine state, result tables, and trace exports to the
-``workers=0`` single-threaded reference (``tests/test_golden_equivalence``
-and ``tests/test_parallel``).  Parallelism may buy wall-clock time only —
-never a different answer.
-
-The :class:`WorkerPool` is also the substrate for coarse-grained
-parallelism over independent benchmark cells
-(:func:`repro.harness.run_cells`): whole deterministic simulations fan out
-to worker processes and their results merge back in cell order.
+The governing invariant is serial equivalence: a planned epoch must leave
+the engines in exactly the state that applying the same procedures one by
+one in TID order would (``tests/test_parallel``).  The queues execute in
+the calling process; docs/PERFORMANCE.md § "Parallel execution" records
+why no OS-process pool drains them.
 """
 
 from repro.parallel.executor import EpochExecutor, EpochResult
@@ -32,12 +25,6 @@ from repro.parallel.plan import (
     Round,
     TxnSpec,
     plan_epoch,
-)
-from repro.parallel.pool import (
-    PoolStats,
-    WorkerError,
-    WorkerPool,
-    preferred_start_method,
 )
 from repro.parallel.procs import (
     PROC_REGISTRY,
@@ -55,18 +42,14 @@ __all__ = [
     "EpochResult",
     "PlanStats",
     "PlannedTxn",
-    "PoolStats",
     "PROC_REGISTRY",
     "Round",
     "TxnSpec",
     "TxnView",
     "UndeclaredKey",
     "UnknownProcedure",
-    "WorkerError",
-    "WorkerPool",
     "execute_entries",
     "plan_epoch",
-    "preferred_start_method",
     "procedure",
     "spin",
 ]

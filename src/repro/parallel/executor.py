@@ -1,18 +1,13 @@
-"""The execution phase: run planned queues on real cores, merge in order.
+"""The execution phase: run planned queues in process, merge in order.
 
 One :class:`EpochExecutor` drives the full queue-oriented cycle per epoch:
 
 1. **snapshot** — export the authoritative engine's committed rows and
-   slice them per shard (pickled to the owning worker; the whole slice
-   crosses the process boundary, which is the honest cost of
-   shared-nothing execution and is visible in :class:`EpochResult`'s byte
-   counters);
-2. **execute** — each round's per-shard queues run concurrently on the
-   worker processes (``workers=0`` runs the *identical* kernel inline —
-   the permanent single-threaded reference the golden-equivalence suite
-   compares against); cross-shard transactions settle at each round's
-   rendezvous barrier on the coordinator, in TID order, and their writes
-   are patched to the owning workers with the next dispatch;
+   slice them per shard;
+2. **execute** — each round's per-shard queues run one after another
+   through :func:`~repro.parallel.procs.execute_entries`; cross-shard
+   transactions settle at each round's rendezvous barrier, in TID order,
+   through a view that routes every access to the owning shard's store;
 3. **merge** — every transaction's recorded writes are applied back into
    the authoritative engine(s) in the sequencer's seeded total (TID)
    order, one commit sequence per transaction, so the resulting state is
@@ -21,25 +16,24 @@ One :class:`EpochExecutor` drives the full queue-oriented cycle per epoch:
 Works against a single :class:`~repro.db.engine.Database` (logical shards
 via the cluster hash) or a :class:`~repro.db.sharding.ShardedDatabase`
 (planning follows its live router, merging lands in each shard's own
-engine).  Shard → worker assignment can follow a
-:class:`~repro.cluster.PlacementDirectory`, so the same placement layer
-that routes live traffic also routes queue execution.
+engine).  Everything runs in the calling process: docs/PERFORMANCE.md
+("Why there is no worker pool") has the measurements that retired the
+OS-process variant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster import stable_hash
 from repro.parallel.plan import EpochPlan, TxnSpec, plan_epoch
-from repro.parallel.pool import WorkerPool
-from repro.parallel.procs import TxnView, execute_entries, resolve
+from repro.parallel.procs import execute_entries
 from repro.transactions.sequencer import SequencedTxn, Sequencer
 
 
 class _MultiStore:
-    """A cross-shard view over the coordinator's per-shard stores.
+    """A cross-shard view over the executor's per-shard stores.
 
     Rendezvous transactions read and write through this: every access
     routes to the owning shard's store, so their effects are indistinguishable
@@ -72,34 +66,20 @@ class EpochResult:
     cross_shard: int
     #: committed write batches installed into authoritative engines
     applied: int
-    #: pickled bytes shipped to / received from workers for this epoch
-    bytes_sent: int = 0
-    bytes_received: int = 0
     plan: Optional[EpochPlan] = None
 
 
 class EpochExecutor:
-    """Deterministic parallel execution of sequencer epochs (see module doc).
-
-    ``workers=0`` (the default) is the single-threaded reference: the same
-    planning, the same execution kernel, the same merge — minus the
-    processes.  ``workers=N`` runs shard queues on ``N`` OS processes.
-    """
+    """Deterministic queue-oriented execution of sequencer epochs (see module doc)."""
 
     def __init__(
         self,
         db: Any,
         *,
         num_shards: Optional[int] = None,
-        workers: int = 0,
         shard_of: Optional[Callable[[Hashable], int]] = None,
-        placement: Any = None,
-        modules: Sequence[str] = (),
         epoch_size: Optional[int] = None,
-        start_method: Optional[str] = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.db = db
         self._sharded = hasattr(db, "export_shard_snapshot")
         if self._sharded:
@@ -112,31 +92,8 @@ class EpochExecutor:
             self._shard_of = shard_of or (
                 lambda key: stable_hash(key) % num_shards
             )
-        self.workers = workers
         self.sequencer = Sequencer(epoch_size=epoch_size)
-        self._placement = placement
-        self._pool: Optional[WorkerPool] = None
-        if workers > 0:
-            self._pool = WorkerPool(workers, start_method=start_method)
-            self._pool.import_modules(tuple(modules))
         self.epochs_run = 0
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "EpochExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    @property
-    def pool_stats(self):
-        return self._pool.stats if self._pool is not None else None
 
     # -- submission convenience ----------------------------------------------
 
@@ -149,13 +106,6 @@ class EpochExecutor:
         return self.run_epoch(self.sequencer.cut_epoch())
 
     # -- the epoch cycle -----------------------------------------------------
-
-    def _worker_of(self, shard: int) -> int:
-        if self._placement is not None:
-            nodes = sorted(set(self._placement.owners().values()))
-            node = self._placement.owner_of(shard)
-            return nodes.index(node) % self.workers
-        return shard % self.workers
 
     def _export_stores(self) -> dict[int, dict]:
         stores: dict[int, dict] = {shard: {} for shard in range(self.num_shards)}
@@ -172,60 +122,15 @@ class EpochExecutor:
         plan = plan_epoch(
             batch, num_shards=self.num_shards, shard_of=self._shard_of
         )
-        pool = self._pool
-        sent0 = pool.stats.bytes_sent if pool else 0
-        received0 = pool.stats.bytes_received if pool else 0
         stores = self._export_stores()
         multi = _MultiStore(stores, self._shard_of)
         txn_writes: list[tuple[int, list]] = []
-
-        if pool is not None and batch:
-            per_worker: dict[int, dict[int, dict]] = {}
-            for shard, store in stores.items():
-                per_worker.setdefault(self._worker_of(shard), {})[shard] = store
-            pool.request(
-                {w: ("snapshot", slices) for w, slices in per_worker.items()}
-            )
-
-        #: rendezvous writes awaiting shipment to each shard's worker
-        patches: dict[int, list] = {}
         for rnd in plan.rounds:
-            if rnd.local:
-                if pool is not None:
-                    tasks: dict[int, list] = {}
-                    for shard in sorted(rnd.local):
-                        tasks.setdefault(self._worker_of(shard), []).append(
-                            (shard, patches.pop(shard, []), rnd.local[shard])
-                        )
-                    replies = pool.request(
-                        {w: ("exec", batch_) for w, batch_ in tasks.items()}
-                    )
-                    for worker in sorted(replies):
-                        for shard, results in replies[worker]:
-                            store = stores[shard]
-                            for tid, writes in results:
-                                for ref, row in writes:
-                                    if row is None:
-                                        store.pop(ref, None)
-                                    else:
-                                        store[ref] = row
-                                txn_writes.append((tid, writes))
-                else:
-                    for shard in sorted(rnd.local):
-                        txn_writes.extend(
-                            execute_entries(stores[shard], rnd.local[shard])
-                        )
-            for entry in rnd.rendezvous:
-                ctx = TxnView(multi, frozenset(entry.spec.keys))
-                resolve(entry.spec.proc)(ctx, *entry.spec.args)
-                txn_writes.append((entry.tid, ctx.writes))
-                if pool is not None:
-                    for ref, row in ctx.writes:
-                        patches.setdefault(self._shard_of(ref[1]), []).append(
-                            (ref, row)
-                        )
-        # Unshipped patches are dropped deliberately: worker slices are
-        # rebuilt from the authoritative snapshot at the next epoch.
+            for shard in sorted(rnd.local):
+                txn_writes.extend(
+                    execute_entries(stores[shard], rnd.local[shard])
+                )
+            txn_writes.extend(execute_entries(multi, rnd.rendezvous))
 
         txn_writes.sort(key=lambda item: item[0])  # the seeded total order
         applied = self._merge(txn_writes, plan.epoch)
@@ -236,8 +141,6 @@ class EpochExecutor:
             rounds=plan.stats.rounds,
             cross_shard=plan.stats.cross_shard,
             applied=applied,
-            bytes_sent=(pool.stats.bytes_sent - sent0) if pool else 0,
-            bytes_received=(pool.stats.bytes_received - received0) if pool else 0,
             plan=plan,
         )
 

@@ -15,7 +15,7 @@ placement directory's rings use), and cross-shard transactions become
 **multi-queue entries with deterministic rendezvous points**: the planner
 slices the epoch into *rounds* — independent per-shard queue segments
 followed by the cross-shard transactions that must observe all of them —
-so the executor can run each round's queues on real cores and settle the
+so the executor can run each round's queues independently and settle the
 rendezvous transactions at the barrier, in TID order.
 """
 
@@ -38,8 +38,8 @@ class TxnSpec:
 
     ``keys`` lists every ``(table, key)`` the procedure may touch; the
     planner derives queue membership from it and the execution context
-    enforces it.  Everything must be picklable — specs cross process
-    boundaries.
+    enforces it.  A spec is plain data (a registered name, never a
+    closure), so a plan can be logged, compared and replayed.
     """
 
     proc: str
@@ -65,9 +65,9 @@ class PlannedTxn:
 class Round:
     """One barrier-free slice of an epoch.
 
-    ``local`` queues contain only single-shard transactions and may run
-    concurrently (their key sets are disjoint across shards by
-    construction); ``rendezvous`` holds the cross-shard transactions that
+    ``local`` queues contain only single-shard transactions and are
+    independent of each other (their key sets are disjoint across shards
+    by construction); ``rendezvous`` holds the cross-shard transactions that
     execute — serially, in TID order — once every local queue of the round
     has drained.
     """

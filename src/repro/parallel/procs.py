@@ -1,12 +1,9 @@
-"""Deterministic stored procedures: the only code workers execute.
+"""Deterministic stored procedures: the only code planned queues execute.
 
-Queue-oriented execution ships *transaction descriptors*, never closures:
+Queue-oriented execution plans *transaction descriptors*, never closures:
 a :class:`~repro.parallel.plan.TxnSpec` names a procedure registered here
-plus its (picklable) arguments and its declared key set.  Workers resolve
-the name in their own process — under the ``fork`` start method the
-registry is inherited, under ``spawn`` the executor ships the module names
-to import — so the bytes crossing the process boundary stay small and the
-execution is a pure function of ``(snapshot slice, queue)``.
+plus its arguments and its declared key set, so execution is a pure
+function of ``(snapshot slice, queue)``.
 
 Procedures must be deterministic: no wall clock, no unseeded randomness,
 no iteration over unordered containers whose order leaks into writes.
@@ -25,7 +22,7 @@ PROC_REGISTRY: dict[str, Callable] = {}
 
 
 class UnknownProcedure(KeyError):
-    """A spec named a procedure the executing process never registered."""
+    """A spec named a procedure that was never registered."""
 
 
 class UndeclaredKey(RuntimeError):
@@ -49,8 +46,8 @@ def resolve(name: str) -> Callable:
         return PROC_REGISTRY[name]
     except KeyError:
         raise UnknownProcedure(
-            f"procedure {name!r} is not registered in this process; "
-            "pass its defining module via EpochExecutor(modules=...)"
+            f"procedure {name!r} is not registered; import the module "
+            "that defines it before running the epoch"
         ) from None
 
 
@@ -181,9 +178,9 @@ def _kv_transfer(
 def execute_entries(store: Any, entries: list) -> list:
     """Run planned transactions serially, in queue order, against a store.
 
-    The single execution kernel shared by the inline (``workers=0``)
-    reference path and the worker processes — equivalence between the two
-    is structural, not coincidental.  Returns ``(tid, writes)`` per entry.
+    The single execution kernel: local queues run it against their
+    shard's store, rendezvous transactions against the cross-shard view.
+    Returns ``(tid, writes)`` per entry.
     """
     out = []
     for entry in entries:

@@ -558,79 +558,3 @@ class TestXa:
 
         with pytest.raises(WriteConflict):
             run(env, conflicting())
-
-
-class TestAdaptiveFlushWindow:
-    """Load-adaptive group-commit/GC windows (``adaptive=True``)."""
-
-    def _hammer(self, env, db, commits=150):
-        def writer():
-            for i in range(commits):
-                txn = db.begin(SI)
-                yield from db.put(txn, "t", f"k{i % 8}", {"id": f"k{i % 8}", "v": i})
-                yield from db.commit(txn)
-
-        run(env, writer())
-
-    def test_reference_mode_has_no_signal_and_never_defers(self, env):
-        db = Database(env)
-        db.create_table("t", primary_key="id")
-        self._hammer(env, db)
-        assert db.load_signal is None
-        assert db.stats.adaptive_deferrals == 0
-
-    def test_sustained_load_defers_group_flushes(self, env):
-        # fast_grants=False: with the uncontended-grant fast path on, this
-        # no-timeout hammer loop runs in a single virtual instant and all
-        # commits legitimately share one group, so deferral never triggers.
-        db = Database(env, adaptive=True, flush_window_ms=2.0, load_knee=2.0,
-                      fast_grants=False)
-        db.create_table("t", primary_key="id")
-        self._hammer(env, db)
-        assert db.stats.adaptive_deferrals > 0
-        assert db.load_signal.load() > 2.0
-
-    def test_flush_delay_zero_below_knee_capped_above(self, env):
-        db = Database(env, adaptive=True, flush_window_ms=2.0, load_knee=8.0)
-        assert db._flush_delay() == 0.0  # idle: identical to reference
-        for _ in range(500):  # far past 4x the knee
-            db.load_signal.record()
-        assert db._flush_delay() == pytest.approx(2.0)  # saturates at window
-
-    def test_gc_threshold_stretches_under_load(self, env):
-        db = Database(env, adaptive=True, load_knee=4.0)
-        base = db._gc_chain_threshold
-        assert db._effective_gc_threshold() == base  # idle
-        for _ in range(400):
-            db.load_signal.record()
-        stretched = db._effective_gc_threshold()
-        assert stretched == 4 * base  # caps at 4x
-
-    def test_adaptive_commits_ack_synchronously(self, env):
-        """The golden contract: deferring the fsync must not delay the ack."""
-        plain = Database(env, name="plain")
-        plain.create_table("t", primary_key="id")
-        env2 = Environment(seed=2)
-        adaptive = Database(env2, name="adaptive", adaptive=True, load_knee=0.5)
-        adaptive.create_table("t", primary_key="id")
-
-        def timeline(database, environment):
-            acks = []
-
-            def writer():
-                for i in range(40):
-                    txn = database.begin(SI)
-                    yield from database.put(txn, "t", "k", {"id": "k", "v": i})
-                    yield from database.commit(txn)
-                    acks.append(environment.now)
-
-            environment.run_until(environment.process(writer()))
-            return acks
-
-        assert timeline(plain, env) == timeline(adaptive, env2)
-
-    def test_invalid_adaptive_parameters(self, env):
-        with pytest.raises(ValueError):
-            Database(env, adaptive=True, flush_window_ms=-1.0)
-        with pytest.raises(ValueError):
-            Database(env, adaptive=True, load_knee=0.0)

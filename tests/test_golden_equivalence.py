@@ -42,10 +42,10 @@ def _force_storage_modes(monkeypatch, optimized):
     monkeypatch.setattr(Database, "__init__", patched)
 
 
-def _b1_table(workers=0):
+def _b1_table():
     from benchmarks import bench_b1_ycsb
 
-    results = bench_b1_ycsb.run_all(workers=workers)
+    results = bench_b1_ycsb.run_all()
     return format_rows(
         ["mix/level", "ops/s", "p50 ms", "p99 ms", "lost updates"],
         [[r.label, f"{r.throughput:.0f}", f"{r.p(50):.2f}",
@@ -53,27 +53,14 @@ def _b1_table(workers=0):
     )
 
 
-def _c1_table(workers=0):
+def _c1_table():
     from benchmarks import bench_c1_paradigms
 
-    results = bench_c1_paradigms.run_all(workers=workers)
+    results = bench_c1_paradigms.run_all()
     return format_rows(
         ["paradigm", "ops/s", "p50 ms", "p99 ms"],
         [[r.label, f"{r.throughput:.0f}", f"{r.p(50):.2f}", f"{r.p(99):.2f}"]
          for r in results],
-    )
-
-
-def _c10_table(workers=0):
-    from benchmarks import bench_c10_tpcc
-
-    results = bench_c10_tpcc.run_all(workers=workers)
-    return format_rows(
-        ["build", "ops/s", "p50 ms", "p99 ms", "conflicts", "aborts",
-         "anomalies"],
-        [[r.label, f"{r.throughput:.0f}", f"{r.p(50):.1f}", f"{r.p(99):.1f}",
-          r.extra.get("conflicts"), r.extra.get("aborts"),
-          r.anomalies.summary()] for r in results],
     )
 
 
@@ -131,57 +118,19 @@ def test_trace_export_identical_across_storage_modes(monkeypatch):
     assert optimized == reference
 
 
-def _force_adaptive(monkeypatch, adaptive):
-    """Route every Database construction through ``adaptive=``."""
-    original = Database.__init__
-
-    def patched(self, env, name="db", **kwargs):
-        kwargs.update(adaptive=adaptive)
-        original(self, env, name, **kwargs)
-
-    monkeypatch.setattr(Database, "__init__", patched)
-
-
-@pytest.mark.parametrize("table_fn", [_b1_table, _c1_table],
-                         ids=["B1", "C1"])
-def test_result_tables_identical_across_adaptive_modes(monkeypatch, table_fn):
-    """Load-adaptive flush/GC windows move durability timing only: commit
-    acks stay synchronous, so client-visible results must not change.
-    (Traces are exempt: group-flush event timestamps legitimately shift.)"""
-    _force_adaptive(monkeypatch, True)
-    adaptive = table_fn()
-    _force_adaptive(monkeypatch, False)
-    reference = table_fn()
-    assert adaptive == reference
-
-
-def test_adaptive_mode_defaults_off():
-    """The golden contract requires the flag to be opt-in."""
-    db = Database(Environment(seed=1))
-    assert db.load_signal is None
-
-
 # -- grant fast path (uncontended lock/pool acquires skip the kernel) ---------
 
 
 def _force_fast_grants(monkeypatch, value):
-    """Route every Database and DatabaseServer through ``fast_grants=``."""
-    from repro.db.server import DatabaseServer
+    """Route every Database through ``fast_grants=`` (a DatabaseServer
+    reads the flag back from its engine, so it follows)."""
+    original = Database.__init__
 
-    original_db = Database.__init__
-
-    def patched_db(self, env, name="db", **kwargs):
+    def patched(self, env, name="db", **kwargs):
         kwargs["fast_grants"] = value
-        original_db(self, env, name, **kwargs)
+        original(self, env, name, **kwargs)
 
-    monkeypatch.setattr(Database, "__init__", patched_db)
-    original_server = DatabaseServer.__init__
-
-    def patched_server(self, env, name="db", *args, **kwargs):
-        kwargs["fast_grants"] = value
-        original_server(self, env, name, *args, **kwargs)
-
-    monkeypatch.setattr(DatabaseServer, "__init__", patched_server)
+    monkeypatch.setattr(Database, "__init__", patched)
 
 
 @pytest.mark.parametrize("table_fn", [_b1_table, _c1_table],
@@ -204,29 +153,3 @@ def test_trace_export_identical_across_grant_modes(monkeypatch):
     _force_fast_grants(monkeypatch, False)
     reference = _traced_transfer_json()
     assert fast == reference
-
-
-# -- parallel execution (repro.parallel): where cells run is invisible --------
-
-
-@pytest.mark.parametrize("table_fn", [_b1_table, _c1_table, _c10_table],
-                         ids=["B1", "C1", "C10"])
-def test_result_tables_identical_across_worker_counts(table_fn):
-    """``run_all(workers=2)`` fans benchmark cells out to OS worker
-    processes; each cell is a pure function of its seed, so the result
-    tables must be byte-identical to the single-process reference."""
-    assert table_fn(workers=0) == table_fn(workers=2)
-
-
-def test_trace_export_identical_through_workers():
-    """A traced run shipped home from a worker process must export the
-    same Chrome trace JSON as one produced inline — span ids, virtual
-    timestamps, and tags all cross the pickle boundary intact."""
-    from repro.harness import run_cells
-
-    inline = _traced_transfer_json()
-    via_workers = run_cells(
-        [(_traced_transfer_json, ()), (_traced_transfer_json, ())],
-        workers=2,
-    )
-    assert via_workers == [inline, inline]

@@ -377,11 +377,79 @@ def test_cluster_binder_defaults_to_reference_grants():
     assert errors == []
 
 
-def test_sharded_database_threads_fast_grants_to_engines():
-    from repro.db import ShardedDatabase
+#: One non-default value per ``Database`` option; the first test below
+#: fails when ``Database`` grows an option this table does not name.
+_ENGINE_OPTIONS = {
+    "gc": False,
+    "gc_chain_threshold": 3,
+    "group_commit": False,
+    "copy_reads": True,
+    "lock_wait_timeout_ms": 125.0,
+    "fast_grants": False,
+}
+
+
+def _engine_option(engine, option):
+    return getattr(engine, f"_{option}")
+
+
+def test_engine_option_table_names_every_database_option():
+    import inspect
+
+    from repro.db import Database
+
+    declared = {
+        name for name, param in
+        inspect.signature(Database.__init__).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
+    assert declared == set(_ENGINE_OPTIONS)
+
+
+@pytest.mark.parametrize("option", sorted(_ENGINE_OPTIONS))
+def test_engine_options_reach_every_engine(option):
+    """``DatabaseServer`` and ``ShardedDatabase`` declare no engine flag
+    of their own: whatever ``Database`` accepts reaches every engine they
+    build — shard engines, a migration's replacement engine, and every
+    replica a group factory creates — and defaults stay ``Database``'s."""
+    from repro.db import Database, DatabaseServer, ShardedDatabase
+
+    value = _ENGINE_OPTIONS[option]
+    opts = {option: value}
+    env = Environment(seed=3)
+    default = _engine_option(Database(env), option)
+    assert default != value
+
+    assert _engine_option(DatabaseServer(env, **opts).engine, option) == value
+    assert _engine_option(DatabaseServer(env).engine, option) == default
+
+    plain = ShardedDatabase(env, num_shards=2, num_nodes=2)
+    assert [_engine_option(e, option) for e in plain.shards] == [default] * 2
+
+    sharded = ShardedDatabase(env, num_shards=2, num_nodes=2, name="opt", **opts)
+    assert sharded.engine_options == opts
+    before = sharded.shards[0]
+    run(env, sharded.migrate_shard(0, sharded.nodes[1]))
+    assert sharded.shards[0] is not before  # the replacement engine
+    assert [_engine_option(e, option) for e in sharded.shards] == [value] * 2
+
+    replicated = ShardedDatabase(
+        env, num_shards=1, num_nodes=3, name="repl",
+        replication=ReplicationConfig(), **opts,
+    )
+    replicas = replicated._groups[0].engines()
+    assert len(replicas) == 3
+    assert [_engine_option(e, option) for e in replicas] == [value] * 3
+
+
+@pytest.mark.parametrize("replication", [None, ReplicationConfig()],
+                         ids=["unreplicated", "replicated"])
+def test_unknown_engine_option_is_rejected_at_construction(replication):
+    from repro.db import DatabaseServer, ShardedDatabase
 
     env = Environment(seed=3)
-    fast = ShardedDatabase(env, num_shards=2)
-    assert all(eng._fast_grants is True for eng in fast.shards)
-    ref = ShardedDatabase(env, num_shards=2, name="ref", fast_grants=False)
-    assert all(eng._fast_grants is False for eng in ref.shards)
+    with pytest.raises(TypeError):
+        ShardedDatabase(env, num_shards=3, num_nodes=3,
+                        replication=replication, no_such_flag=True)
+    with pytest.raises(TypeError):
+        DatabaseServer(env, no_such_flag=True)

@@ -1,31 +1,28 @@
-"""Queue-oriented parallel execution: planner, pool, executor, equivalence.
+"""Queue-oriented execution: planner, procedures, executor, serial oracle.
 
 The contract under test is the one ``repro.parallel`` states: planning is
 a pure function of the sequenced batch (hash-seed- and platform-stable),
-execution with ``workers=N`` lands the authoritative engines in exactly
-the state the inline ``workers=0`` reference produces, and every failure
-a worker raises surfaces in the coordinator.
+and a planned epoch lands the authoritative engines in exactly the state
+that applying the same procedures one by one in TID order would.
 """
 
-import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db import Database, ShardedDatabase
-from repro.harness import run_cells
-from repro.obs import Tracer
 from repro.parallel import (
+    PROC_REGISTRY,
     EpochExecutor,
     TxnSpec,
     TxnView,
     UndeclaredKey,
     UnknownProcedure,
-    WorkerError,
-    WorkerPool,
     execute_entries,
     plan_epoch,
+    procedure,
     spin,
 )
 from repro.sim import Environment
@@ -35,6 +32,10 @@ from repro.transactions.sequencer import partition_queues
 
 def _rmw(key, **kw):
     return TxnSpec(proc="kv.rmw", args=("kv", key), keys=(("kv", key),), **kw)
+
+
+def _read(key):
+    return TxnSpec(proc="kv.read", args=("kv", key), keys=(("kv", key),))
 
 
 def _transfer(src, dst, amount=1):
@@ -207,48 +208,6 @@ class TestProcs:
         assert spin(1000, salt=7) != spin(1000, salt=8)
 
 
-# -- the worker pool ---------------------------------------------------------
-
-
-class TestWorkerPool:
-    def test_map_calls_preserves_task_order(self):
-        with WorkerPool(2) as pool:
-            results = pool.map_calls([(_square, (i,)) for i in range(7)])
-        assert results == [i * i for i in range(7)]
-
-    def test_worker_error_carries_remote_traceback(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(WorkerError, match="boom"):
-                pool.map_calls([(_explode, ())])
-
-    def test_pool_survives_a_failed_task(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(WorkerError):
-                pool.map_calls([(_explode, ())])
-            assert pool.map_calls([(_square, (3,))]) == [9]
-
-    def test_serialization_is_accounted(self):
-        with WorkerPool(1) as pool:
-            pool.map_calls([(_square, (2,))])
-            assert pool.stats.bytes_sent > 0
-            assert pool.stats.bytes_received > 0
-            assert pool.stats.tasks == 1
-
-    def test_close_is_idempotent(self):
-        pool = WorkerPool(1)
-        pool.close()
-        pool.close()
-        assert pool.workers == 0
-
-
-def _square(x):
-    return x * x
-
-
-def _explode():
-    raise ValueError("boom")
-
-
 # -- the epoch executor -------------------------------------------------------
 
 
@@ -272,57 +231,111 @@ def _engine_state(db):
     )
 
 
-def _run_on_database(workers, specs, accounts=24):
+@procedure("tests.noop")
+def _noop(ctx):
+    """Declares and touches nothing: the planner's zero-key case."""
+
+
+@procedure("tests.rotate")
+def _rotate(ctx, table, keys):
+    """Delete the first declared row, bump the rest: a transaction that
+    spans as many shards as it has keys and merges a deletion."""
+    ctx.delete(table, keys[0])
+    for key in keys[1:]:
+        row = ctx.get(table, key) or {"id": key, "counter": 0}
+        ctx.put(table, key, {**row, "counter": row.get("counter", 0) + 1})
+
+
+def _rotate_spec(keys):
+    return TxnSpec(proc="tests.rotate", args=("kv", tuple(keys)),
+                   keys=tuple(("kv", key) for key in keys))
+
+
+def _serial_oracle(rows, specs):
+    """Apply ``specs`` one by one in TID (= submission) order on a plain
+    dict — no planner, no shards, no merge.  Returns the final state and
+    each transaction's recorded writes."""
+    store = {("kv", row["id"]): dict(row) for row in rows}
+    writes = []
+    for spec in specs:
+        ctx = TxnView(store, frozenset(spec.keys))
+        PROC_REGISTRY[spec.proc](ctx, *spec.args)
+        writes.append(ctx.writes)
+    state = sorted((ref[1], sorted(row.items())) for ref, row in store.items())
+    return state, writes
+
+
+def _assert_planned_equals_serial(sharded, specs, rows):
     env = Environment(seed=3)
-    db = Database(env, name=f"exec-w{workers}")
+    if sharded:
+        db = ShardedDatabase(env, num_shards=3, name="shexec")
+        engines, engine_of, executor_args = db.shards, db.router.shard_of, {}
+    else:
+        db = Database(env, name="exec")
+        engines, engine_of, executor_args = [db], lambda key: 0, {"num_shards": 4}
     db.create_table("kv", primary_key="id")
-    db.load("kv", [{"id": f"acct-{i}", "counter": 0, "balance": 0}
-                   for i in range(accounts)])
-    with EpochExecutor(db, num_shards=4, workers=workers) as executor:
-        for spec in specs:
-            executor.submit(spec)
-        result = executor.flush()
-    return db, result
+    db.load("kv", rows)
+    before = sum(engine._commit_seq for engine in engines)
+    executor = EpochExecutor(db, **executor_args)
+    for spec in specs:
+        executor.submit(spec)
+    result = executor.flush()
+
+    state, writes = _serial_oracle(rows, specs)
+    assert _engine_state(db) == state
+    # One commit sequence per transaction on every engine it wrote.
+    commits = sum(len({engine_of(ref[1]) for ref, _row in w}) for w in writes)
+    assert result.applied == commits
+    assert sum(engine._commit_seq for engine in engines) - before == commits
+    assert result.txns == len(specs)
+
+
+_KEYS = [f"acct-{i}" for i in range(6)]  # few keys: every one is hot
+_key = st.sampled_from(_KEYS)
+
+
+def _distinct_keys(lo, hi):
+    return st.lists(_key, min_size=lo, max_size=hi, unique=True)
+
+
+_spec = st.one_of(
+    _key.map(_rmw),
+    _distinct_keys(2, 2).map(lambda pair: _transfer(*pair)),
+    _distinct_keys(1, 4).map(_rotate_spec),
+    _key.map(_read),
+    st.just(TxnSpec(proc="tests.noop")),
+)
 
 
 class TestEpochExecutor:
-    def test_inline_and_workers_agree_on_database(self):
-        specs = _spec_mix()
-        db0, r0 = _run_on_database(0, specs)
-        db2, r2 = _run_on_database(2, specs)
-        assert _engine_state(db0) == _engine_state(db2)
-        assert db0._commit_seq == db2._commit_seq
-        assert r0.applied == r2.applied
-        assert r2.bytes_sent > 0 and r2.bytes_received > 0
-        assert r0.bytes_sent == 0
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["database", "sharded_database"])
+    def test_planned_execution_equals_serial(self, sharded):
+        rows = [{"id": f"acct-{i}", "counter": 0, "balance": 0}
+                for i in range(24)]
+        _assert_planned_equals_serial(sharded, _spec_mix(), rows)
 
-    def test_inline_and_workers_agree_on_sharded_database(self):
-        specs = _spec_mix(n=80)
-        states = {}
-        for workers in (0, 2):
-            env = Environment(seed=4)
-            db = ShardedDatabase(env, num_shards=3, name=f"shexec-w{workers}")
-            db.create_table("kv", primary_key="id")
-            db.load("kv", [{"id": f"acct-{i}", "counter": 0, "balance": 0}
-                           for i in range(24)])
-            with EpochExecutor(db, workers=workers) as executor:
-                for spec in specs:
-                    executor.submit(spec)
-                executor.flush()
-            states[workers] = _engine_state(db)
-        assert states[0] == states[2]
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["database", "sharded_database"])
+    @settings(max_examples=40, deadline=None)
+    @given(specs=st.lists(_spec, max_size=30),
+           loaded=st.sets(_key))
+    def test_generated_mix_equals_serial(self, sharded, specs, loaded):
+        rows = [{"id": key, "counter": 0, "balance": 0}
+                for key in sorted(loaded)]
+        _assert_planned_equals_serial(sharded, specs, rows)
 
     def test_multiple_epochs_accumulate(self):
         env = Environment(seed=5)
         db = Database(env, name="epochs")
         db.create_table("kv", primary_key="id")
         db.load("kv", [{"id": "a", "counter": 0}])
-        with EpochExecutor(db, num_shards=2, workers=0) as executor:
-            for _ in range(2):
-                for _ in range(3):
-                    executor.submit(_rmw("a"))
-                executor.flush()
-            assert executor.epochs_run == 2
+        executor = EpochExecutor(db, num_shards=2)
+        for _ in range(2):
+            for _ in range(3):
+                executor.submit(_rmw("a"))
+            executor.flush()
+        assert executor.epochs_run == 2
         (row,) = db.all_rows("kv")
         assert row["counter"] == 6
 
@@ -330,12 +343,12 @@ class TestEpochExecutor:
         env = Environment(seed=6)
         db = Database(env, name="recov")
         db.create_table("kv", primary_key="id")
-        with EpochExecutor(db, num_shards=2, workers=0) as executor:
-            executor.submit(TxnSpec(
-                proc="kv.put", args=("kv", "k1", {"id": "k1", "v": 7}),
-                keys=(("kv", "k1"),),
-            ))
-            executor.flush()
+        executor = EpochExecutor(db, num_shards=2)
+        executor.submit(TxnSpec(
+            proc="kv.put", args=("kv", "k1", {"id": "k1", "v": 7}),
+            keys=(("kv", "k1"),),
+        ))
+        executor.flush()
         db.crash()
         db.recover()
         (row,) = db.all_rows("kv")
@@ -347,71 +360,36 @@ class TestEpochExecutor:
         db.create_table("kv", primary_key="id")
         db.load("kv", [{"id": "a", "counter": 0}])
         before = db._commit_seq
-        with EpochExecutor(db, num_shards=2, workers=0) as executor:
-            executor.submit(TxnSpec(proc="kv.read", args=("kv", "a"),
-                                    keys=(("kv", "a"),)))
-            result = executor.flush()
+        executor = EpochExecutor(db, num_shards=2)
+        executor.submit(_read("a"))
+        result = executor.flush()
         assert result.applied == 0
         assert db._commit_seq == before
 
-    def test_undeclared_key_surfaces_from_worker(self):
+    def test_undeclared_key_leaves_engine_untouched(self):
         env = Environment(seed=9)
         db = Database(env, name="undeclared")
         db.create_table("kv", primary_key="id")
-        with EpochExecutor(db, num_shards=1, workers=1) as executor:
-            # Declares only "a" but transfers between "a" and "b".
-            executor.submit(TxnSpec(
-                proc="kv.transfer", args=("kv", "a", "b", 1),
-                keys=(("kv", "a"), ("kv", "b")),
-            ))
-            executor.submit(TxnSpec(
-                proc="kv.transfer", args=("kv", "a", "b", 1),
-                keys=(("kv", "a"),),
-            ))
-            with pytest.raises((WorkerError, UndeclaredKey)):
-                executor.flush()
+        db.load("kv", [{"id": "a", "balance": 5}, {"id": "b", "balance": 5}])
+        state, seq, lsn = _engine_state(db), db._commit_seq, db.wal.last_lsn
+        executor = EpochExecutor(db, num_shards=1)
+        executor.submit(TxnSpec(
+            proc="kv.transfer", args=("kv", "a", "b", 1),
+            keys=(("kv", "a"), ("kv", "b")),
+        ))
+        # Declares only "a" but transfers between "a" and "b".
+        executor.submit(TxnSpec(
+            proc="kv.transfer", args=("kv", "a", "b", 1),
+            keys=(("kv", "a"),),
+        ))
+        with pytest.raises(UndeclaredKey):
+            executor.flush()
+        # Not even the well-formed first transfer was merged.
+        assert _engine_state(db) == state
+        assert (db._commit_seq, db.wal.last_lsn) == (seq, lsn)
 
     def test_requires_shard_count_for_single_engine(self):
         env = Environment(seed=10)
         db = Database(env, name="noshards")
         with pytest.raises(ValueError):
             EpochExecutor(db)
-
-
-# -- run_cells and result pickling -------------------------------------------
-
-
-def _tiny_cell(seed):
-    env = Environment(seed=seed)
-    db = Database(env, name=f"cell-{seed}")
-    db.create_table("kv", primary_key="id")
-    db.load("kv", [{"id": "a", "counter": seed}])
-    return sorted((r["id"], r["counter"]) for r in db.all_rows("kv"))
-
-
-class TestRunCells:
-    def test_workers_zero_runs_inline(self):
-        cells = [(_tiny_cell, (s,)) for s in (1, 2, 3)]
-        assert run_cells(cells) == [_tiny_cell(1), _tiny_cell(2), _tiny_cell(3)]
-
-    def test_worker_results_match_inline_in_cell_order(self):
-        cells = [(_tiny_cell, (s,)) for s in (5, 6, 7, 8)]
-        assert run_cells(cells, workers=2) == run_cells(cells)
-
-    def test_warm_pool_is_reused_and_left_open(self):
-        cells = [(_tiny_cell, (s,)) for s in (1, 2)]
-        with WorkerPool(2) as pool:
-            first = run_cells(cells, workers=2, pool=pool)
-            second = run_cells(cells, workers=2, pool=pool)
-            assert first == second
-            assert pool.workers == 2
-
-
-def test_tracer_pickles_detached():
-    env = Environment(seed=11, tracer=Tracer())
-    span = env.tracer.begin("op:x")
-    env.tracer.end(span)
-    clone = pickle.loads(pickle.dumps(env.tracer))
-    assert len(clone) == 1
-    assert clone.spans[0].name == "op:x"
-    assert clone.clock() == 0.0
