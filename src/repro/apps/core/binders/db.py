@@ -5,6 +5,21 @@ local (or distributed) transaction via the shared retry discipline.
 ``transaction_per_step=True`` honors a handler's ``steps`` split —
 running each step as its *own* transaction — which is exactly the
 unsound allocate-then-insert pattern the gap-free oracle must catch.
+
+The sharded binder never lets the body choose its lock order.  Before
+the body runs, one lock-and-fetch round
+(:meth:`~repro.db.sharding.ShardedDatabase.lock_and_fetch`) takes every
+declared key — shards in ascending id, one round trip each, keys in
+``(table, repr(key))`` order inside a shard, X for declared writes and S
+for read-only keys — and returns the rows.  The body then reads those
+rows (overlaid with its own writes) and buffers its writes, issuing no
+round trip; the writes ride on each shard's commit message (the
+one-phase commit, the 2PC prepare, or the replicated stage).  Because
+:class:`~repro.apps.core.base.KernelContext` rejects any key outside the
+declared sets, every lock a transaction takes is in that one global
+order, so no waits-for cycle can form — across shards included, where
+no single lock manager could see it.  Deadlock freedom holds by
+construction, with no lock-wait timeout.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ SER = IsolationLevel.SERIALIZABLE
 
 
 class _TableCtx(KernelContext):
-    """Entity access over one open (possibly distributed) transaction."""
+    """Entity access over one open transaction on the monolith server."""
 
     def __init__(self, env, op, handler, access, db, txn, scratch=None) -> None:
         super().__init__(env, op, handler, access, scratch)
@@ -40,6 +55,37 @@ class _TableCtx(KernelContext):
 
     def _delete(self, entity: str, key: Hashable) -> Generator:
         yield from self.db.delete(self.txn, entity, key)
+
+
+class _FetchedCtx(KernelContext):
+    """Entity access over rows locked and fetched before the body ran.
+
+    Reads see the fetched rows overlaid with the body's own writes; writes
+    buffer here until they ride on the commit messages, so the body
+    itself issues no round trip.
+    """
+
+    def __init__(self, env, op, handler, access, rows, scratch) -> None:
+        super().__init__(env, op, handler, access, scratch)
+        self.rows = rows
+        #: (entity, key) -> row, or None for a delete
+        self.writes: dict[tuple, Optional[dict]] = {}
+
+    def _get(self, entity: str, key: Hashable) -> Generator:
+        ref = (entity, key)
+        row = self.writes[ref] if ref in self.writes else self.rows[ref]
+        return dict(row) if row is not None else None
+        yield  # pragma: no cover
+
+    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
+        self.writes[(entity, key)] = row
+        return
+        yield  # pragma: no cover
+
+    def _delete(self, entity: str, key: Hashable) -> Generator:
+        self.writes[(entity, key)] = None
+        return
+        yield  # pragma: no cover
 
 
 @register_binder
@@ -115,7 +161,10 @@ class ShardedDbBinder(Binder):
     """One app on the sharded (optionally quorum-replicated) database.
 
     Rows route by key across shards; cross-entity handlers become 2PC
-    across the touched shards, and with replication enabled each shard
+    across the touched shards.  Each attempt locks and fetches the
+    op's declared keys in global order before the body runs and ships
+    the body's writes with the commit messages (module docstring), so
+    attempts never deadlock.  With replication enabled each shard
     is a quorum group with fenced leadership — so the binder surfaces
     the cluster's full outcome vocabulary: clean aborts retry, lost
     leadership retries after re-election, and an undeliverable commit
@@ -139,19 +188,6 @@ class ShardedDbBinder(Binder):
         self.transaction_per_step = transaction_per_step
         self.sound = not transaction_per_step
         if db is None:
-            # Handler bodies dictate key-access order, so two cross-shard
-            # transactions can close a waits-for cycle no single shard's
-            # lock manager can see; bounded lock waits break such cycles
-            # into definite aborts the retry loop absorbs.
-            db_opts.setdefault("lock_wait_timeout_ms", 300.0)
-            # Reference-mode grants, deliberately: synchronous (fast-path)
-            # grants let a deadlock-victim retry re-take its first lock in
-            # the same instant it restarts, which can phase-lock one
-            # operation into closing — and losing — the same cross-shard
-            # cycle on every attempt until its retries exhaust.  The
-            # kernel round-trip per grant is what lets a competing waiter
-            # slip in and break the lockstep.
-            db_opts.setdefault("fast_grants", False)
             db = ShardedDatabase(
                 env, num_shards=num_shards, name=f"{spec.name}-cluster",
                 **db_opts,
@@ -187,9 +223,12 @@ class ShardedDbBinder(Binder):
         for attempt in range(self.retries):
             txn = self.db.begin(SER)
             try:
-                ctx = _TableCtx(self.env, op, handler, access, self.db, txn, scratch)
+                rows = yield from self.db.lock_and_fetch(
+                    txn, access.declared, access.writable
+                )
+                ctx = _FetchedCtx(self.env, op, handler, access, rows, scratch)
                 result = yield from body(ctx, op)
-                yield from self.db.commit(txn)
+                yield from self.db.commit(txn, ctx.writes)
                 return result
             except TransactionAborted:
                 self.db.abort(txn)

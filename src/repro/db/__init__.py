@@ -20,7 +20,6 @@ from repro.db.errors import (
     DeadlockAbort,
     DuplicateKey,
     FencedOut,
-    LockTimeout,
     TransactionAborted,
     TransactionError,
     WriteConflict,
@@ -39,7 +38,6 @@ __all__ = [
     "IsolationLevel",
     "LockManager",
     "LockMode",
-    "LockTimeout",
     "Row",
     "ShardedDatabase",
     "Transaction",

@@ -44,23 +44,28 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Hashable, Iterable, KeysView, Optional
+from typing import (
+    Any, Callable, Container, Generator, Hashable, Iterable, KeysView, Optional,
+)
 
 from repro.db.errors import (
     DuplicateKey,
     FencedOut,
     InvalidTransactionState,
-    LockTimeout,
     NoSuchTable,
     TransactionAborted,
     WriteConflict,
 )
 from repro.db.locks import LockManager, LockMode
 from repro.sim import Environment
-from repro.sim.events import any_of
 from repro.storage.wal import WriteAheadLog
 
 _DELETED = None  # a version with row=None is a deletion marker
+
+
+def _lock_order(ref: tuple[str, Hashable]) -> tuple[str, str]:
+    """The one order :meth:`Database.lock_and_fetch` acquires rows in."""
+    return ref[0], repr(ref[1])
 
 
 class Row(dict):
@@ -307,7 +312,6 @@ class Database:
         gc_chain_threshold: int = 8,
         group_commit: bool = True,
         copy_reads: bool = False,
-        lock_wait_timeout_ms: Optional[float] = None,
         fast_grants: bool = True,
     ) -> None:
         self.env = env
@@ -333,12 +337,6 @@ class Database:
         self._elide_readonly_commits = fast_grants
         self._group_commit = group_commit
         self._copy_reads = copy_reads
-        if lock_wait_timeout_ms is not None and lock_wait_timeout_ms <= 0:
-            raise ValueError("lock_wait_timeout_ms must be positive")
-        #: bounded lock waits (None = wait forever, rely on local deadlock
-        #: detection).  Sharded deployments set this: a waits-for cycle
-        #: spanning shards is invisible to any one shard's lock manager.
-        self._lock_wait_timeout_ms = lock_wait_timeout_ms
         self._group: Optional[_CommitGroup] = None
         #: highest replication term observed (fencing token watermark)
         self._fence = 0
@@ -413,22 +411,7 @@ class Database:
                     tid=txn.tid,
                 )
                 try:
-                    if self._lock_wait_timeout_ms is None:
-                        yield grant
-                    else:
-                        winner = yield any_of(self.env, [
-                            grant,
-                            self.env.timeout(
-                                self._lock_wait_timeout_ms, "lock-timeout"
-                            ),
-                        ])
-                        if winner[0] == 1:
-                            raise LockTimeout(
-                                txn.tid, resource, self._lock_wait_timeout_ms
-                            )
-                except LockTimeout:
-                    span.annotate(outcome="timeout")
-                    raise
+                    yield grant
                 except TransactionAborted:
                     span.annotate(outcome="deadlock")
                     raise
@@ -626,6 +609,57 @@ class Database:
         self._table(table)
         yield from self._write_locks(txn, table, key)
         txn.writes[(table, key)] = _DELETED
+        self.stats.writes += 1
+
+    # -- declared access: lock everything first, in one order --------------------
+
+    def lock_and_fetch(
+        self,
+        txn: Transaction,
+        refs: Iterable[tuple[str, Hashable]],
+        writable: Container[tuple[str, Hashable]],
+    ) -> Generator:
+        """Lock every ``(table, key)`` in ``refs`` and return their rows.
+
+        Locks are taken in ``(table, repr(key))`` order: IX+X for refs in
+        ``writable``, IS+S for the rest.  Taking X up front means a later
+        write needs no S→X upgrade, and two transactions that both lock
+        through here acquire in the same order, so they cannot close a
+        waits-for cycle.  Returns ``{(table, key): row or None}``: the
+        transaction's own buffered write if it has one, else the latest
+        committed row.
+        """
+        txn.require(TxnStatus.ACTIVE)
+        rows: dict[tuple[str, Hashable], Optional[dict]] = {}
+        writes = txn.writes
+        for ref in sorted(refs, key=_lock_order):
+            table, key = ref
+            tbl = self._table(table)
+            if ref in writable:
+                yield from self._write_locks(txn, table, key)
+            else:
+                txn.reads.add(ref)
+                yield from self._lock(txn, ("table", table), LockMode.IS)
+                yield from self._lock(txn, ("row", table, key), LockMode.S)
+            self.stats.reads += 1
+            rows[ref] = self._out(writes[ref] if ref in writes else tbl.latest(key))
+        return rows
+
+    def buffer_write(
+        self, txn: Transaction, table: str, key: Hashable, row: Optional[dict]
+    ) -> None:
+        """Buffer a put (``row``) or delete (``None``) whose X lock
+        :meth:`lock_and_fetch` already took; raises if it did not."""
+        txn.require(TxnStatus.ACTIVE)
+        tbl = self._table(table)
+        if self.locks.holders(("row", table, key)).get(txn.tid) is not LockMode.X:
+            raise InvalidTransactionState(
+                f"txn {txn.tid} holds no X lock on {table}[{key!r}]"
+            )
+        if row is not None:
+            row = dict(row)
+            row.setdefault(tbl.primary_key, key)
+        txn.writes[(table, key)] = row
         self.stats.writes += 1
 
     # -- commit / abort ---------------------------------------------------------

@@ -24,24 +24,6 @@ class DeadlockAbort(TransactionAborted):
         self.cycle = cycle
 
 
-class LockTimeout(TransactionAborted):
-    """Aborted after waiting too long for a lock.
-
-    A per-shard lock manager only sees its own waits-for graph, so a
-    cycle spanning shards is invisible to local deadlock detection; a
-    bounded lock wait converts that silent stall into a definite clean
-    abort the caller can retry — the classic distributed-deadlock
-    avoidance every sharded DBMS ships.
-    """
-
-    def __init__(self, tid: int, resource: object, waited_ms: float) -> None:
-        super().__init__(
-            tid, f"lock wait on {resource!r} exceeded {waited_ms}ms"
-        )
-        self.resource = resource
-        self.waited_ms = waited_ms
-
-
 class WriteConflict(TransactionAborted):
     """Snapshot-isolation first-committer-wins validation failed."""
 

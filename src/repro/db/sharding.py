@@ -30,7 +30,7 @@ migrations) is byte-identical to the pre-cluster implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Hashable, Optional
+from typing import Any, Container, Generator, Hashable, Iterable, Optional
 
 from repro.cluster import (
     ClusterError,
@@ -543,13 +543,18 @@ class ShardedDatabase:
         return DistributedTransaction(isolation=isolation)
 
     def _branch(self, txn: DistributedTransaction, key: Hashable) -> Generator:
-        """Resolve the shard for ``key`` and open its branch if needed.
+        """Resolve the shard for ``key`` and open its branch if needed."""
+        shard = self.router.shard_of(key)
+        yield from self._open_branch(txn, shard)
+        return shard
+
+    def _open_branch(self, txn: DistributedTransaction, shard: int) -> Generator:
+        """Open ``txn``'s branch on ``shard`` unless it already has one.
 
         Opening a branch on a migrating shard waits out the migration bar
         (drain + copy); operations on branches opened *before* the bar
         proceed, which is what lets in-flight transactions drain.
         """
-        shard = self.router.shard_of(key)
         if shard not in txn.branches:
             while True:
                 while shard in self._barriers:
@@ -570,7 +575,6 @@ class ShardedDatabase:
             self._active_branches[shard] = self._active_branches.get(shard, 0) + 1
         elif self.replication is not None:
             self._check_replica(txn, shard)
-        return shard
 
     def _check_replica(self, txn: DistributedTransaction, shard: int) -> None:
         """Refuse further work on a branch whose leader was deposed.
@@ -641,8 +645,57 @@ class ShardedDatabase:
         yield from self._hop(shard)
         yield from txn.engines[shard].delete(txn.branches[shard], table, key)
 
-    def commit(self, txn: DistributedTransaction) -> Generator:
-        """One-phase commit if local, else 2PC across touched shards."""
+    def lock_and_fetch(
+        self,
+        txn: DistributedTransaction,
+        refs: Iterable[tuple[str, Hashable]],
+        writable: Container[tuple[str, Hashable]],
+    ) -> Generator:
+        """Lock every ``(table, key)`` in ``refs`` up front; return their rows.
+
+        One round per touched shard, in ascending shard id: open the
+        branch, one :meth:`_hop`, then the shard engine locks its keys in
+        ``(table, repr(key))`` order (:meth:`Database.lock_and_fetch`) —
+        X for refs in ``writable``, S for the rest.  Every transaction
+        that locks through here acquires in the one global order
+        ``(shard, table, repr(key))``, so none can close a waits-for
+        cycle, across shards included, where no single shard's lock
+        manager could see it.  Returns ``{(table, key): row or None}``.
+        """
+        by_shard: dict[int, list[tuple[str, Hashable]]] = {}
+        shard_of = self.router.shard_of
+        for ref in refs:
+            by_shard.setdefault(shard_of(ref[1]), []).append(ref)
+        rows: dict[tuple[str, Hashable], Optional[dict]] = {}
+        for shard in sorted(by_shard):
+            yield from self._open_branch(txn, shard)
+            yield from self._hop(shard)
+            fetched = yield from txn.engines[shard].lock_and_fetch(
+                txn.branches[shard], by_shard[shard], writable
+            )
+            rows.update(fetched)
+        return rows
+
+    def commit(
+        self,
+        txn: DistributedTransaction,
+        writes: Optional[dict[tuple[str, Hashable], Optional[dict]]] = None,
+    ) -> Generator:
+        """One-phase commit if local, else 2PC across touched shards.
+
+        ``writes`` — ``{(table, key): row, or None to delete}`` over keys
+        :meth:`lock_and_fetch` locked exclusively — travel inside each
+        shard's commit message (the one-phase commit, the prepare, or the
+        replicated stage), so buffering them costs no hop of its own.
+        """
+        if writes:
+            shard_of = self.router.shard_of
+            for (table, key), row in writes.items():
+                shard = shard_of(key)
+                if self.replication is not None:
+                    # a deposed leader's lock table is gone: fail definitely
+                    self._check_replica(txn, shard)
+                txn.engines[shard].buffer_write(txn.branches[shard], table, key, row)
         if self.replication is not None:
             yield from self._commit_replicated(txn)
             return

@@ -337,15 +337,15 @@ def test_unknown_method_reply_leaves_server_state_clean():
     assert server._executed_keys == set()
 
 
-# -- fast-grant boundary: cross-shard 2PC keeps reference grants --------------
+# -- cross-shard 2PC on fast grants, deadlock-free by ordered locking ---------
 
 
-def test_cluster_binder_defaults_to_reference_grants():
-    """ShardedDbBinder pins ``fast_grants=False``: synchronous grants let a
-    deadlock-victim retry re-take its first lock in the instant it restarts,
-    phase-locking one op into losing the same cross-shard cycle until its
-    retries exhaust (seen as 16 consecutive DeadlockAborts on the C17
-    invoicing workload, seed 11)."""
+def test_cluster_binder_is_deadlock_free_on_fast_grants():
+    """ShardedDbBinder keeps the engines' default fast grants and needs no
+    lock-wait timeout: it locks each op's declared keys in one global
+    order, so the C17 invoicing workload (seed 11) — where body-order
+    locking once phase-locked an op into 16 consecutive cross-shard
+    deadlocks — runs with no client-visible error and no deadlock."""
     from repro.apps.core import bind
     from repro.apps.invoicing import invoicing_spec
     from repro.workloads.invoicing import InvoicingWorkload
@@ -353,7 +353,7 @@ def test_cluster_binder_defaults_to_reference_grants():
     env = Environment(seed=11)
     binder = bind("cluster", env, invoicing_spec(InvoicingWorkload()),
                   num_shards=2)
-    assert all(eng._fast_grants is False for eng in binder.db.shards)
+    assert all(eng._fast_grants is True for eng in binder.db.shards)
 
     ops = list(InvoicingWorkload().operations(env.stream("ops:invoicing"), 40))
     errors = []
@@ -375,6 +375,7 @@ def test_cluster_binder_defaults_to_reference_grants():
 
     assert run(env, driver()) is True
     assert errors == []
+    assert all(eng.locks.stats.deadlocks == 0 for eng in binder.db.shards)
 
 
 #: One non-default value per ``Database`` option; the first test below
@@ -384,7 +385,6 @@ _ENGINE_OPTIONS = {
     "gc_chain_threshold": 3,
     "group_commit": False,
     "copy_reads": True,
-    "lock_wait_timeout_ms": 125.0,
     "fast_grants": False,
 }
 
