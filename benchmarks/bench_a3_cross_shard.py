@@ -3,9 +3,11 @@
 Design context (§5.2: cross-engine/lower-level transactions; §4.2: the
 price of distributed commit): a sharded database commits single-shard
 transactions in one phase and cross-shard transactions with 2PC.  The
-classic curve: throughput degrades smoothly as the fraction of
-transactions that touch two shards rises, because each such transaction
-pays prepare+commit round trips *and* holds locks across them.
+classic curve: latency rises with the fraction of transactions that
+touch two shards, because each such transaction pays a prepare round and
+a decision round where a local commit pays one round trip, and holds its
+locks across both.  Each round goes to every participant at once, so the
+price is exactly one extra round trip, however many shards are touched.
 
 Sweep: transfer workload with the destination forced to the source's
 shard (0%) or to another shard (25/50/100%).
@@ -26,6 +28,7 @@ OPS = 120
 CLIENTS = 6
 ACCOUNTS = 64
 SHARDS = 4
+RTT_MS = 3.0
 
 
 def make_ops(env, fraction, count):
@@ -52,7 +55,7 @@ def make_ops(env, fraction, count):
 
 def run_fraction(fraction, seed):
     env = Environment(seed=seed)
-    sharded = ShardedDatabase(env, num_shards=SHARDS, rtt_ms=3.0)
+    sharded = ShardedDatabase(env, num_shards=SHARDS, rtt_ms=RTT_MS)
     sharded.create_table("accounts", primary_key="id")
     sharded.load("accounts", [
         {"id": f"acct-{i:05d}", "balance": 1000} for i in range(ACCOUNTS)
@@ -106,9 +109,10 @@ def test_a3_cross_shard_fraction_sweep(benchmark):
     )
     assert all(r.extra["conserved"] for r in results)
     by_label = {r.label: r for r in results}
-    # Atomic everywhere, but throughput decays monotonically-ish with the
-    # cross-shard fraction, and the all-local case clearly beats all-2PC.
-    assert (by_label["0% cross-shard"].throughput
-            > 1.3 * by_label["100% cross-shard"].throughput)
-    assert by_label["0% cross-shard"].p(50) < by_label["100% cross-shard"].p(50)
+    # Atomic everywhere; the median all-2PC transfer pays exactly the one
+    # round trip 2PC adds over a one-phase commit, and all-local still
+    # out-commits all-2PC.
+    local, cross = by_label["0% cross-shard"], by_label["100% cross-shard"]
+    assert abs(cross.p(50) - local.p(50) - RTT_MS) < 1e-9
+    assert local.throughput > cross.throughput
     assert by_label["100% cross-shard"].extra["2pc_commits"] >= OPS * 0.9

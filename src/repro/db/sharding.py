@@ -7,6 +7,14 @@ commit locally, and cross-shard transactions run 2PC over the shards' XA
 interface.  This is the "cross-engine transactions ... at a lower level
 than the application" design the paper points to as promising (§5.2).
 
+What a commit costs is its sequential message delays, not its messages:
+a one-phase commit is one round trip, and 2PC is two however many shards
+it touches — every shard's prepare goes out in one round and every
+decision in the next (under replication, every group's ``prepare`` or
+``decide`` log entry is proposed before any quorum ack is awaited).  Only
+:meth:`ShardedDatabase.lock_and_fetch` visits shards one after another,
+because its ascending shard order is what makes it deadlock-free.
+
 Placement and elasticity:
 
 - routing is key → shard (``ModHashRing``, the historical crc32 formula)
@@ -30,7 +38,15 @@ migrations) is byte-identical to the pre-cluster implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Container, Generator, Hashable, Iterable, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Container,
+    Generator,
+    Hashable,
+    Iterable,
+    Optional,
+)
 
 from repro.cluster import (
     ClusterError,
@@ -52,6 +68,9 @@ from repro.replication.errors import (
     ReplicaUnavailable,
 )
 from repro.sim import Environment, Future, Semaphore, any_of
+
+if TYPE_CHECKING:
+    from repro.replication.group import Proposal
 
 #: Effectively-unbounded deadline for 2PC decision entries: a decided
 #: transaction's outcome must reach every participant group no matter how
@@ -274,8 +293,9 @@ class ShardedDatabase:
     The API mirrors :class:`~repro.db.engine.Database`; rows are routed by
     primary key.  ``commit`` runs one-phase for single-shard transactions
     and prepare/commit over every touched shard otherwise, charging
-    ``rtt_ms`` per coordinator-to-shard message so the cost of the extra
-    round trips is visible.
+    ``rtt_ms`` per round — one for a local commit, one for all prepares
+    plus one for all decisions under 2PC — so the extra round trip is
+    visible.
     """
 
     def __init__(
@@ -683,6 +703,12 @@ class ShardedDatabase:
     ) -> Generator:
         """One-phase commit if local, else 2PC across touched shards.
 
+        A one-phase commit is one round trip.  2PC is two: one carries
+        every shard's prepare, the next every decision (or, when a
+        prepare fails, the abort).  Once the locks are held the shards
+        are independent, so neither round waits for one shard before
+        messaging the next.
+
         ``writes`` — ``{(table, key): row, or None to delete}`` over keys
         :meth:`lock_and_fetch` locked exclusively — travel inside each
         shard's commit message (the one-phase commit, the prepare, or the
@@ -710,16 +736,18 @@ class ShardedDatabase:
                 txn.status = "committed"
                 self.stats.single_shard_commits += 1
                 return
-            # Phase 1: prepare every branch (each is a round trip + log flush).
+            # Phase 1: every prepare goes out at once — one round trip,
+            # then each shard's vote (a synchronous log flush).
+            shards = txn.shards_touched
+            yield self.env.timeout(self.rtt_ms)
             prepared: list[int] = []
             try:
-                for index in txn.shards_touched:
-                    yield self.env.timeout(self.rtt_ms)
+                for index in shards:
                     yield from txn.engines[index].prepare(txn.branches[index])
                     prepared.append(index)
             except Exception:
-                for index in txn.shards_touched:
-                    yield self.env.timeout(self.rtt_ms)
+                yield self.env.timeout(self.rtt_ms)
+                for index in shards:
                     branch = txn.branches[index]
                     if index in prepared:
                         txn.engines[index].abort_prepared(branch)
@@ -728,9 +756,9 @@ class ShardedDatabase:
                 txn.status = "aborted"
                 self.stats.distributed_aborts += 1
                 raise
-            # Phase 2: commit decision to every branch.
-            for index in txn.shards_touched:
-                yield self.env.timeout(self.rtt_ms)
+            # Phase 2: the commit decision reaches every shard in one round.
+            yield self.env.timeout(self.rtt_ms)
+            for index in shards:
                 txn.engines[index].commit_prepared(txn.branches[index])
             txn.status = "committed"
             self.stats.distributed_commits += 1
@@ -747,10 +775,14 @@ class ShardedDatabase:
         :class:`NotLeader` (clean abort) before proposing and an
         *uncertain* outcome after (the log settles the branch: apply,
         truncate-discard, or crash).  Cross-shard transactions run 2PC
-        where both phases are log entries: ``prepare`` per touched shard,
+        where both phases are log entries: ``prepare`` per write shard,
         then an idempotent ``decide`` retried through whichever leader
         emerges until it lands, because a torn decision is an atomicity
-        violation the conservation oracle would catch.
+        violation the conservation oracle would catch.  Each phase is one
+        round: a round trip, then every group's entry is proposed
+        (:meth:`ReplicaGroup.start`) before any ack is awaited, and the
+        acks are collected in shard order.  Read-only branches hold no
+        writes to replicate; they are released in the decision round.
         """
         if not txn.branches:
             txn.status = "committed"
@@ -795,27 +827,29 @@ class ShardedDatabase:
                 index for index in txn.shards_touched
                 if txn.branches[index].writes
             ]
-            proposed: list[int] = []
+            prepares: list[tuple[int, Proposal]] = []
             try:
+                # Phase 1: one round trip, then every write shard's
+                # prepare is proposed, pinned to its branch's leader,
+                # before any acknowledgement is awaited.
+                if write_shards:
+                    yield self.env.timeout(self.rtt_ms)
                 for index in write_shards:
                     engine = txn.engines[index]
-                    yield self.env.timeout(self.rtt_ms)
                     self._check_replica(txn, index)
                     writes = engine.stage_replicated(
                         txn.branches[index], gid, prepared=True
                     )
                     try:
-                        yield from self._groups[index].replicate(
+                        proposal = self._groups[index].start(
                             ("prepare", gid, writes),
                             replica=txn.replicas[index],
                         )
                     except (NotLeader, NoLeader):
                         engine.discard_replicated(gid)
                         raise
-                    except (ReplicationError, FencedOut):
-                        proposed.append(index)
-                        raise
-                    proposed.append(index)
+                    prepares.append((index, proposal))
+                yield from self._collect(prepares)
             except Exception:
                 # An abort decision is always safe while no commit
                 # decision replicated: shards whose prepare did (or will)
@@ -825,39 +859,59 @@ class ShardedDatabase:
                 # staged branches while the decides are in flight.
                 txn.status = "aborted"
                 self.stats.distributed_aborts += 1
-                for index in proposed:
+                proposed = [index for index, _ in prepares]
+                if proposed:
                     yield self.env.timeout(self.rtt_ms)
-                    yield from self._groups[index].replicate(
-                        ("decide", gid, False),
-                        retry=True, timeout=_DECIDE_TIMEOUT_MS,
-                    )
+                    yield from self._collect(self._start_decides(proposed, gid, False))
                 for index, branch in txn.branches.items():
                     if index not in proposed:
                         txn.engines[index].abort(branch)
                 raise
             # Phase 2: the decision is now determined — drive it to every
-            # participant group no matter how leadership churns.
+            # participant group no matter how leadership churns.  The
+            # read-only branches are released in the same round.
             txn.status = "uncertain"
-            for index in write_shards:
-                yield self.env.timeout(self.rtt_ms)
-                applied = yield from self._groups[index].replicate(
-                    ("decide", gid, True),
-                    retry=True, timeout=_DECIDE_TIMEOUT_MS,
-                )
-                txn.applied[index] = applied
+            yield self.env.timeout(self.rtt_ms)
+            decides = self._start_decides(write_shards, gid, True)
             for index in txn.shards_touched:
                 branch = txn.branches[index]
                 if not branch.writes:
-                    yield self.env.timeout(self.rtt_ms)
-                    try:
-                        yield from txn.engines[index].commit(branch)
-                    except Exception:
-                        pass  # read-only branch on a dead replica
+                    yield from txn.engines[index].commit(branch)
+            txn.applied.update((yield from self._collect(decides)))
             txn.status = "committed"
             self.stats.distributed_commits += 1
         finally:
             if txn.status != "active":
                 self._close_branches(txn)
+
+    def _start_decides(
+        self, shards: list[int], gid: Hashable, decision: bool
+    ) -> list[tuple[int, Proposal]]:
+        """Propose the idempotent ``decide`` entry to every shard's group
+        at once, each re-proposed through whichever leader emerges."""
+        return [
+            (index, self._groups[index].start(
+                ("decide", gid, decision), retry=True, timeout=_DECIDE_TIMEOUT_MS,
+            ))
+            for index in shards
+        ]
+
+    def _collect(self, started: list[tuple[int, Proposal]]) -> Generator:
+        """Await started proposals in shard order, inside the calling
+        process; returns ``{shard: applied log index}``.  An ack that
+        landed while an earlier one was awaited is taken without an
+        event; anything else gets :meth:`ReplicaGroup.wait`'s full
+        discipline on the proposal's own deadline."""
+        applied: dict[int, int] = {}
+        for index, proposal in started:
+            ack = proposal.ack
+            if ack is not None and ack.done:
+                status, value = ack.result()
+                if status == "ok":
+                    applied[index] = value
+                    continue
+            applied[index] = yield from self._groups[index].wait(proposal)
+        return applied
 
     def abort(self, txn: DistributedTransaction) -> None:
         if txn.status != "active":

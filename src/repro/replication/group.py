@@ -5,7 +5,9 @@ nodes, bootstraps a deterministic initial leader (replica 0 at term 1 —
 no startup election, so seeded runs are reproducible), and exposes the
 operations the sharded database and the benchmarks need:
 
-- :meth:`replicate` — propose a command and await the quorum ack;
+- :meth:`replicate` — propose a command and await the quorum ack, or
+  its two halves :meth:`start` / :meth:`wait`, so a coordinator can put
+  one command in flight on every group before it waits on any;
 - :meth:`leader_read` / :meth:`follower_read` — linearizable vs
   bounded-stale reads, the latter honouring read-your-writes via
   :class:`Session` tokens;
@@ -44,6 +46,32 @@ class Session:
     def observe(self, index: Optional[int]) -> None:
         if index is not None and index > self.min_index:
             self.min_index = index
+
+
+class Proposal:
+    """A command :meth:`ReplicaGroup.start` proposed and nobody has yet
+    waited out: the ack future of its latest attempt (``None`` while no
+    leader could take it), the replica that attempt went to, and the
+    deadline fixed when it started."""
+
+    __slots__ = (
+        "command", "replica", "pinned", "deadline", "retry", "proposed", "ack",
+    )
+
+    def __init__(
+        self,
+        command: tuple[Any, ...],
+        replica: Optional[Replica],
+        deadline: float,
+        retry: bool,
+    ) -> None:
+        self.command = command
+        self.replica = replica
+        self.pinned = replica is not None
+        self.deadline = deadline
+        self.retry = retry
+        self.proposed = False
+        self.ack: Any = None
 
 
 class ReplicaGroup:
@@ -161,42 +189,83 @@ class ReplicaGroup:
         re-proposal through a different leader's state.  ``retry=True``
         is only safe for idempotent commands (2PC decides): on truncation
         or uncertainty the command is re-proposed through the current
-        leader until the deadline.
+        leader until the deadline.  Exactly :meth:`start` then
+        :meth:`wait`.
         """
-        deadline = self.env.now + (
-            timeout if timeout is not None else self.config.commit_timeout_ms
+        return (yield from self.wait(self.start(command, replica, timeout, retry)))
+
+    def start(
+        self,
+        command: tuple[Any, ...],
+        replica: Optional[Replica] = None,
+        timeout: Optional[float] = None,
+        retry: bool = False,
+    ) -> Proposal:
+        """First half of :meth:`replicate`: propose now, without yielding.
+
+        Returns the pending :class:`Proposal`; its deadline runs from
+        this instant.  A pinned, non-retrying proposal whose leader was
+        deposed raises :class:`NotLeader` here, so a caller that starts
+        several proposals learns every definite failure before it waits.
+        With no leader to propose through, the proposal stays unsent and
+        :meth:`wait` keeps looking for one.
+        """
+        proposal = Proposal(
+            command,
+            replica,
+            self.env.now + (
+                timeout if timeout is not None else self.config.commit_timeout_ms
+            ),
+            retry,
         )
-        pinned = replica is not None
-        proposed = False
+        self._propose(proposal)
+        return proposal
+
+    def _propose(self, proposal: Proposal) -> None:
+        """One synchronous attempt: sets ``proposal.ack``, or leaves it
+        ``None`` when no leader can take the command right now."""
         while True:
-            target = replica
+            target = proposal.replica
             if target is not None and (
                 target.role != "leader" or not target.node.alive
             ):
-                if pinned and not retry:
+                if proposal.pinned and not proposal.retry:
                     raise NotLeader(self.name, target.node.name, target.leader_hint)
                 target = None
             if target is None:
                 target = self.leader_replica()
             if target is None:
-                if self.env.now >= deadline:
-                    if proposed:
+                if self.env.now >= proposal.deadline:
+                    if proposal.proposed:
                         raise ReplicationUncertain(
                             f"{self.name}: proposal outcome unknown (no leader)"
                         )
                     raise NoLeader(self.name)
-                yield self.env.timeout(self.config.heartbeat_ms)
-                continue
+                proposal.ack = None
+                return
             try:
-                ack = target.propose(command)
+                proposal.ack = target.propose(proposal.command)
             except NotLeader:
-                if pinned and not retry:
+                if proposal.pinned and not proposal.retry:
                     raise
-                replica = None
+                proposal.replica = None
                 continue
-            proposed = True
-            replica = target
-            remaining = deadline - self.env.now
+            proposal.proposed = True
+            proposal.replica = target
+            return
+
+    def wait(self, proposal: Proposal) -> Generator:
+        """Second half of :meth:`replicate`: await ``proposal``'s quorum
+        acknowledgement, re-proposing a retrying command on truncation or
+        uncertainty until its deadline; returns the applied log index."""
+        while True:
+            ack = proposal.ack
+            if ack is None:
+                yield self.env.timeout(self.config.heartbeat_ms)
+                self._propose(proposal)
+                continue
+            target = proposal.replica
+            remaining = proposal.deadline - self.env.now
             if remaining <= 0:
                 raise QuorumTimeout(self.name, target.log.last_index)
             winner = yield any_of(
@@ -207,11 +276,12 @@ class ReplicaGroup:
             status, value = winner[1]
             if status == "ok":
                 return value
-            if retry and isinstance(value, ReplicationUncertain):
-                replica = None
-                if self.env.now >= deadline:
+            if proposal.retry and isinstance(value, ReplicationUncertain):
+                proposal.replica = None
+                if self.env.now >= proposal.deadline:
                     raise value
                 yield self.env.timeout(self.config.heartbeat_ms)
+                self._propose(proposal)
                 continue
             raise value
 
@@ -285,4 +355,4 @@ class ReplicaGroup:
         return f"<ReplicaGroup {self.name} leader={leader} x{self.config.factor}>"
 
 
-__all__ = ["ReplicaGroup", "Session"]
+__all__ = ["Proposal", "ReplicaGroup", "Session"]

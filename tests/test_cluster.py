@@ -462,8 +462,9 @@ class TestClusterChaos:
     def test_flip_without_drain_is_caught(self):
         """The broken scenario variant (ownership flips from a stale
         snapshot with no drain) must trip the conservation oracle under
-        the same schedules the sound variant survives."""
-        sound = run_trial("cluster", seed=1)
-        broken = run_trial("cluster", seed=1, broken=True)
-        assert not sound.violations
-        assert broken.violations
+        some schedule of a sweep the sound variant survives on every
+        seed.  Which seeds catch it depends on how long commits hold
+        their locks, so the test sweeps rather than pinning one."""
+        seeds = range(1, 9)
+        assert not [s for s in seeds if run_trial("cluster", seed=s).violations]
+        assert [s for s in seeds if run_trial("cluster", seed=s, broken=True).violations]

@@ -161,27 +161,33 @@ class TestShardedDatabase:
         assert sdb.read_latest("accounts", dst)["balance"] == 130
         assert sdb.stats.distributed_commits == 1
 
-    def test_cross_shard_commit_costs_more_round_trips(self, env, sdb):
-        src, dst = self._find_cross_shard_pair(sdb)
+    def test_commit_costs_one_round_trip_per_phase(self, env):
+        """Under constant latency a local commit is one round trip and a
+        cross-shard commit two — one for all prepares, one for all
+        decisions — however many shards it touches."""
+        rtt = 2.5
+        sdb = ShardedDatabase(env, num_shards=4, rtt_ms=rtt)
+        sdb.create_table("accounts", primary_key="id")
+        by_shard = {}
+        for i in range(20):
+            by_shard.setdefault(shard_of(f"acct-{i}", 4), f"acct-{i}")
+        keys = [by_shard[shard] for shard in sorted(by_shard)]
+        sdb.load("accounts", [{"id": key, "balance": 100} for key in keys])
 
-        def local_flow():
+        def commit_cost(touched):
             txn = sdb.begin(SER)
-            yield from sdb.put(txn, "accounts", src, {"id": src, "balance": 1})
+            for key in touched:
+                yield from sdb.put(txn, "accounts", key, {"id": key, "balance": 1})
             start = env.now
             yield from sdb.commit(txn)
+            assert txn.status == "committed"
             return env.now - start
 
-        def dist_flow():
-            txn = sdb.begin(SER)
-            yield from sdb.put(txn, "accounts", src, {"id": src, "balance": 1})
-            yield from sdb.put(txn, "accounts", dst, {"id": dst, "balance": 1})
-            start = env.now
-            yield from sdb.commit(txn)
-            return env.now - start
-
-        local_cost = run(env, local_flow())
-        dist_cost = run(env, dist_flow())
-        assert dist_cost >= 3 * local_cost  # prepare+commit x 2 shards vs 1 msg
+        assert run(env, commit_cost(keys[:1])) == rtt
+        assert run(env, commit_cost(keys[:2])) == 2 * rtt
+        assert run(env, commit_cost(keys[:3])) == 2 * rtt
+        assert sdb.stats.single_shard_commits == 1
+        assert sdb.stats.distributed_commits == 2
 
     def test_abort_rolls_back_all_branches(self, env, sdb):
         src, dst = self._find_cross_shard_pair(sdb)

@@ -22,7 +22,7 @@ from repro.chaos import run_trial
 from repro.cluster import ClusterError, Rebalancer
 from repro.core.faults import FaultPlan, FaultPlanError
 from repro.db import FencedOut, IsolationLevel, ShardedDatabase
-from repro.db.engine import Database
+from repro.db.engine import Database, TxnStatus
 from repro.db.errors import InvalidTransactionState
 from repro.db.server import DatabaseServer
 from repro.db.sharding import shard_of
@@ -31,6 +31,7 @@ from repro.replication import (
     NoLeader,
     QuorumTimeout,
     ReplicaGroup,
+    ReplicaUnavailable,
     ReplicationConfig,
     Session,
 )
@@ -360,10 +361,10 @@ print(hashlib.sha256(repr((trace, state)).encode()).hexdigest())
 
 
 class TestReplicatedShardedDatabase:
-    def _make_db(self, env, num_shards=2, num_nodes=3, **kwargs):
+    def _make_db(self, env, num_shards=2, num_nodes=3, replication=None, **kwargs):
         db = ShardedDatabase(
             env, num_shards=num_shards, num_nodes=num_nodes, name="bank",
-            rtt_ms=1.0, replication=ReplicationConfig(), **kwargs,
+            rtt_ms=1.0, replication=replication or ReplicationConfig(), **kwargs,
         )
         db.create_table("accounts")
         return db
@@ -418,6 +419,137 @@ class TestReplicatedShardedDatabase:
         for shard in (0, 1):
             for engine in db.replica_group(shard).engines():
                 assert engine.in_doubt() == []  # no torn prepares left
+
+    def _load_one_per_shard(self, db, shards):
+        keys = [key_on(shard, db.num_shards) for shard in shards]
+        db.load("accounts", [{"id": k, "balance": 100} for k in keys])
+        return [("accounts", k) for k in keys]
+
+    def _moved(self, rows, deltas):
+        return {
+            ref: {"id": ref[1], "balance": rows[ref]["balance"] + delta}
+            for ref, delta in deltas.items()
+        }
+
+    @pytest.mark.parametrize(
+        "factor, fencing, expected",
+        [
+            (3, True, [(3.813778, 66), (2.950343, 31), (3.134485, 28)]),
+            (1, True, [(1.0, 7), (1.0, 7), (1.0, 7)]),
+            (3, False, [(1.0, 27), (1.0, 11), (1.0, 14)]),
+        ],
+    )
+    def test_single_shard_commit_schedule_is_pinned(self, factor, fencing, expected):
+        """``replicate()`` is ``start()`` then ``wait()``: a single-shard
+        commit costs exactly the virtual time and kernel events it did
+        as one loop (numbers recorded from that implementation)."""
+        env = Environment(seed=9)
+        db = self._make_db(
+            env, replication=ReplicationConfig(factor=factor, fencing=fencing)
+        )
+        k1 = key_on(0, 2)
+        k2 = key_on(0, 2, start=k1 + 1)
+        db.load("accounts", [{"id": k, "balance": 100} for k in (k1, k2)])
+        refs = [("accounts", k1), ("accounts", k2)]
+        costs = []
+        for _ in range(3):
+            txn = db.begin(SER)
+            rows = run(env, db.lock_and_fetch(txn, refs, set(refs)))
+            start, events = env.now, env.events_executed
+            run(env, db.commit(txn, self._moved(rows, {refs[0]: -1})))
+            costs.append((round(env.now - start, 6), env.events_executed - events))
+        assert costs == expected
+
+    def test_2pc_proposes_every_shard_before_awaiting_any_ack(self, monkeypatch):
+        """Each phase is one round: every write shard's ``prepare`` (then
+        ``decide``) entry is proposed at one virtual instant, and only
+        then does the coordinator wait on an acknowledgement."""
+        env = Environment(seed=20)
+        db = self._make_db(env, num_shards=3)
+        refs = self._load_one_per_shard(db, range(3))
+        trace = []
+        for shard in range(3):
+            group = db.replica_group(shard)
+            for replica in group.replicas:
+                def propose(command, shard=shard, inner=replica.propose):
+                    trace.append(("propose", command[0], shard, env.now))
+                    return inner(command)
+                monkeypatch.setattr(replica, "propose", propose)
+
+            def wait(proposal, shard=shard, inner=group.wait):
+                trace.append(("wait", proposal.command[0], shard, env.now))
+                return (yield from inner(proposal))
+            monkeypatch.setattr(group, "wait", wait)
+
+        txn = db.begin(SER)
+        rows = run(env, db.lock_and_fetch(txn, refs, set(refs)))
+        run(env, db.commit(txn, self._moved(rows, dict(zip(refs, (-10, 5, 5))))))
+        assert txn.status == "committed" and set(txn.applied) == {0, 1, 2}
+
+        instants = []
+        for kind in ("prepare", "decide"):
+            steps = [step for step in trace if step[1] == kind]
+            proposals = [step for step in steps if step[0] == "propose"]
+            assert [step[2] for step in proposals] == [0, 1, 2]
+            assert len({step[3] for step in proposals}) == 1
+            first_wait = next(i for i, step in enumerate(steps) if step[0] == "wait")
+            assert first_wait == 3  # all three proposed before any wait
+            instants.append(proposals[0][3])
+        assert instants[0] < instants[1]
+        assert sum(r["balance"] for r in db.all_rows("accounts")) == 300
+
+    def test_leader_lost_before_prepare_aborts_every_proposed_shard(self):
+        """Shard 1's leader crashes during the prepare round trip, after
+        shard 0's prepare could be proposed: the caller gets a definite
+        failure, shard 0 receives the abort decide, nothing stays in
+        doubt anywhere and no money moves."""
+        env = Environment(seed=22)
+        db = self._make_db(env)
+        refs = self._load_one_per_shard(db, (0, 1))
+        txn = db.begin(SER)
+        rows = run(env, db.lock_and_fetch(txn, refs, set(refs)))
+        node = txn.replicas[1].node
+
+        def commit():
+            env.schedule(db.rtt_ms / 2, node.crash, "test")
+            try:
+                yield from db.commit(txn, self._moved(rows, dict(zip(refs, (-10, 10)))))
+            except ReplicaUnavailable as exc:
+                return exc
+            return None
+
+        assert isinstance(run(env, commit()), ReplicaUnavailable)
+        assert txn.status == "aborted"
+        leader0 = db.replica_group(0).leader_replica()
+        decides = [
+            entry.command for entry in leader0.log.entries
+            if entry.command[0] == "decide"
+        ]
+        assert [command[2] for command in decides] == [False]
+        node.restart()
+        env.run(until=env.now + 500.0)
+        for shard in (0, 1):
+            for engine in db.replica_group(shard).engines():
+                assert engine.in_doubt() == []
+        assert sum(r["balance"] for r in db.all_rows("accounts")) == 200
+        assert db.read_latest(*refs[0])["balance"] == 100
+
+    def test_read_only_branch_on_crashed_replica_still_commits(self):
+        """The read-only branch's replica crashes mid-commit.  Releasing a
+        read-only branch on a crashed engine raises nothing — its lock
+        table is already gone — so the decided transaction commits."""
+        env = Environment(seed=21)
+        db = self._make_db(env)
+        refs = self._load_one_per_shard(db, (0, 1))
+        txn = db.begin(SER)
+        rows = run(env, db.lock_and_fetch(txn, refs, {refs[0]}))
+        node = txn.replicas[1].node
+        env.schedule(db.rtt_ms / 2, node.crash, "test")
+        run(env, db.commit(txn, self._moved(rows, {refs[0]: -10})))
+        assert not node.alive
+        assert txn.status == "committed"
+        assert txn.branches[1].status is TxnStatus.COMMITTED
+        assert db.read_latest(*refs[0])["balance"] == 90
 
     def test_unreplicated_mode_is_unchanged(self):
         env = Environment(seed=11)
