@@ -74,9 +74,9 @@ class KernelContext:
     All accessors are generators (``yield from ctx.get(...)``) so one
     handler body runs unchanged whether the binder's backend answers from
     a local transaction, an RPC, an actor mailbox, or a workflow step.
-    Every access is checked against the handler's declared sets — the
-    :mod:`repro.parallel.procs` discipline: an access the binder cannot
-    see up front is an access it cannot route, lock, or partition.
+    Every access is checked against the handler's declared sets: an
+    access the binder cannot see up front is an access it cannot route,
+    lock, or partition.
     """
 
     def __init__(
@@ -155,16 +155,7 @@ def registered_runtimes() -> list[str]:
 
 
 def bind(runtime: str, env, spec: AppSpec, **opts) -> "Binder":
-    """Deploy ``spec`` onto ``runtime``.
-
-    An app may ship a hand-tuned native implementation for a runtime
-    (``spec.native_binders``); it wins over the generic binder so the
-    kernel can absorb existing apps without perturbing their committed
-    golden results.
-    """
-    factory = spec.native_binders.get(runtime)
-    if factory is not None:
-        return factory(env, spec, **opts)
+    """Deploy ``spec`` onto ``runtime``."""
     try:
         cls = _BINDERS[runtime]
     except KeyError:

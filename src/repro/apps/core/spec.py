@@ -7,8 +7,8 @@ stated once and independent of any runtime:
   runtime may partition, replicate, or turn into an actor/service);
 - **handlers** — the stored procedures, written as generators against a
   :class:`~repro.apps.core.base.KernelContext` with *declared* read/write
-  key sets (the same discipline :mod:`repro.parallel.procs` enforces:
-  an access the planner cannot see is an access it cannot make safe);
+  key sets (an access the planner cannot see is an access it cannot
+  make safe);
 - **invariants** — first-class correctness statements (conservation,
   gap-free sequences, capacity bounds, causal audit consistency) attached
   to the application, not to any runtime or benchmark.
@@ -122,10 +122,6 @@ class AppSpec:
         self.effect_entity = effect_entity
         if effect_entity is not None and effect_entity not in self.entities:
             raise ValueError(f"effect_entity {effect_entity!r} is not an entity")
-        #: runtime name -> factory(env, spec, **opts); lets an app keep a
-        #: hand-tuned implementation for a runtime while the kernel still
-        #: owns the spec, the ledger, and the oracle compilation.
-        self.native_binders: dict[str, Callable] = {}
 
     def entity(self, name: str) -> EntitySpec:
         return self.entities[name]

@@ -107,21 +107,6 @@ class _Reply:
         self.code = code
 
 
-class _ReplyBatch:
-    """Several replies to the same destination coalesced into one envelope.
-
-    Produced only by servers with ``coalesce_replies=True``: replies issued
-    within the same virtual instant to one (node, port) share a single
-    network message — one latency sample, one delivery event — instead of
-    one message each.
-    """
-
-    __slots__ = ("replies",)
-
-    def __init__(self, replies: list[_Reply]) -> None:
-        self.replies = replies
-
-
 class RpcCall:
     """One logical call handed to :meth:`RpcClient.gather`.
 
@@ -227,16 +212,6 @@ class RpcServer:
     (reply code ``"rejected"`` → the client raises :class:`RpcRejected`),
     and requests whose propagated deadline already passed are dropped
     unexecuted — the two server-side overload defenses of ``repro.flow``.
-
-    ``coalesce_replies=True`` batches replies issued within one virtual
-    instant to the same (node, port) into a single network message (a
-    :class:`_ReplyBatch` the client pump unpacks).  Off by default: fewer
-    wire messages also means fewer latency samples, so coalescing changes
-    reply timing and is an opt-in trade, not a golden-equivalent fast path.
-
-    ``local_fast_path=True`` hands replies addressed to this server's own
-    node directly to the local port, skipping network dispatch entirely
-    (the loopback half of the client-side same-node shortcut).
     """
 
     def __init__(
@@ -246,28 +221,21 @@ class RpcServer:
         service: str = "rpc",
         dedup_store: Optional[IdempotencyStore] = None,
         admission: Optional[AdmissionController] = None,
-        *,
-        coalesce_replies: bool = False,
-        local_fast_path: bool = False,
     ) -> None:
         self.network = network
         self.node = node
         self.service = service
         self.dedup = dedup_store
         self.admission = admission
-        self.coalesce_replies = coalesce_replies
-        self.local_fast_path = local_fast_path
         self._handlers: dict[str, Callable[[Any], Generator]] = {}
         self.stats = RpcStats()
         self._executed_keys: set[str] = set()
         self._inflight: dict[str, Any] = {}  # idempotency key -> Future
-        self._reply_buffer: dict[tuple[str, str], list[_Reply]] = {}
         self.node.on_restart(lambda _node: self._on_restart())
         self._start()
 
     def _on_restart(self) -> None:
         self._inflight = {}  # in-flight executions died with the node
-        self._reply_buffer = {}  # buffered replies died with the node
         self._start()
 
     def register(self, method: str, handler: Callable[[Any], Generator]) -> None:
@@ -392,56 +360,19 @@ class RpcServer:
     def _reply(
         self, request: _Request, ok: bool, value: Any, code: Optional[str] = None
     ) -> None:
-        reply = _Reply(request.request_id, ok, value, code)
-        if self.coalesce_replies:
-            key = (request.reply_to, request.reply_port)
-            buffered = self._reply_buffer.get(key)
-            if buffered is not None:
-                buffered.append(reply)
-                return
-            self._reply_buffer[key] = [reply]
-            # Flush after every handler that can finish at this instant has
-            # finished: call_soon runs behind all currently-ready events.
-            self.network.env.call_soon(self._flush_replies, key)
-            return
-        self._send_reply(request.reply_to, request.reply_port, reply)
-
-    def _flush_replies(self, key: tuple[str, str]) -> None:
-        replies = self._reply_buffer.pop(key, None)
-        if not replies:
-            return  # node restarted between buffer and flush
-        payload: Any = replies[0] if len(replies) == 1 else _ReplyBatch(replies)
-        self._send_reply(key[0], key[1], payload)
-
-    def _send_reply(self, dst: str, port: str, payload: Any) -> None:
-        if self.local_fast_path and dst == self.node.name:
-            self.network.send_local(dst, port, payload)
-            return
-        self.network.send(self.node.name, dst, port, payload)
+        self.network.send(
+            self.node.name, request.reply_to, request.reply_port,
+            _Reply(request.request_id, ok, value, code),
+        )
 
 
 class RpcClient:
-    """Issues calls from a node, with timeout/retry and reply matching.
+    """Issues calls from a node, with timeout/retry and reply matching."""
 
-    ``local_fast_path=True`` sends requests addressed to this client's own
-    node straight to the local service port, skipping network dispatch
-    (no latency sample, no loss/duplication/partition).  Off by default:
-    it changes call timing, so it is an opt-in optimization for
-    colocated-tier topologies, not a golden-equivalent fast path.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        node: Node,
-        service: str = "rpc",
-        *,
-        local_fast_path: bool = False,
-    ) -> None:
+    def __init__(self, network: Network, node: Node, service: str = "rpc") -> None:
         self.network = network
         self.node = node
         self.service = service
-        self.local_fast_path = local_fast_path
         self.stats = RpcStats()
         self._pending: dict[int, Any] = {}
         self._reply_port = f"{service}-replies"
@@ -467,14 +398,10 @@ class RpcClient:
         def pump(env: Environment) -> Generator:
             while True:
                 message = yield inbox.get()
-                payload = message.payload
-                replies = (
-                    payload.replies if type(payload) is _ReplyBatch else (payload,)
-                )
-                for reply in replies:
-                    fut = self._pending.pop(reply.request_id, None)
-                    if fut is not None:
-                        fut.try_succeed(reply)
+                reply = message.payload
+                fut = self._pending.pop(reply.request_id, None)
+                if fut is not None:
+                    fut.try_succeed(reply)
 
         self.node.spawn(pump(self.network.env), label=f"{self._reply_port}.pump")
 
@@ -633,10 +560,7 @@ class RpcClient:
             )
         reply = env.future(label=f"rpc:{dst}.{call.method}#{request_id}")
         self._pending[request_id] = reply
-        if self.local_fast_path and dst == self.node.name:
-            self.network.send_local(dst, self.service, request)
-        else:
-            self.network.send(self.node.name, dst, self.service, request)
+        self.network.send(self.node.name, dst, self.service, request)
         if traced:
             # The attempt span stays open until its reply or timeout, but is
             # the context only of its own send: a gather's sibling calls are

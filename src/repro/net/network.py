@@ -222,8 +222,9 @@ class Network:
         ``node_name``, skipping latency sampling and fault injection.
 
         A process talking to itself does not traverse the fabric, so the
-        message cannot be lost, duplicated, partitioned, or delayed — the
-        RPC same-node fast path relies on exactly that.  Still counted in
+        message cannot be lost, duplicated, partitioned, or delayed.  No
+        runtime sends this way; ``benchmarks/suite/layers.py`` still counts
+        it as a network boundary beside :meth:`send`.  Still counted in
         ``stats`` (sent + delivered, or dropped_dead when the node is down)
         so conservation assertions keep holding.
         """

@@ -1,24 +1,28 @@
 """The execution phase: run planned queues in process, merge in order.
 
-One :class:`EpochExecutor` drives the full queue-oriented cycle per epoch:
+One :class:`EpochExecutor` drives the full queue-oriented cycle per epoch
+for one :class:`~repro.apps.core.spec.AppSpec`:
 
 1. **snapshot** — export the authoritative engine's committed rows and
    slice them per shard;
-2. **execute** — each round's per-shard queues run one after another
-   through :func:`~repro.parallel.procs.execute_entries`; cross-shard
-   transactions settle at each round's rendezvous barrier, in TID order,
-   through a view that routes every access to the owning shard's store;
+2. **execute** — each round's per-shard queues run one after another, each
+   transaction's handler body through
+   :func:`~repro.apps.core.reference.run_op` (the app kernel's declared-
+   access checks, no simulator); cross-shard transactions settle at each
+   round's rendezvous barrier, in TID order, through a view that routes
+   every access to the owning shard's store;
 3. **merge** — every transaction's recorded writes are applied back into
    the authoritative engine(s) in the sequencer's seeded total (TID)
    order, one commit sequence per transaction, so the resulting state is
    byte-identical to serial execution.
 
-Works against a single :class:`~repro.db.engine.Database` (logical shards
-via the cluster hash) or a :class:`~repro.db.sharding.ShardedDatabase`
-(planning follows its live router, merging lands in each shard's own
-engine).  Everything runs in the calling process: docs/PERFORMANCE.md
-("Why there is no worker pool") has the measurements that retired the
-OS-process variant.
+Entities map to tables of the same name (the caller creates and loads
+them).  Works against a single :class:`~repro.db.engine.Database` (logical
+shards via the cluster hash) or a
+:class:`~repro.db.sharding.ShardedDatabase` (planning follows its live
+router, merging lands in each shard's own engine).  Everything runs in the
+calling process: docs/PERFORMANCE.md ("Why there is no worker pool") has
+the measurements that retired the OS-process variant.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
+from repro.apps.core.reference import run_op
+from repro.apps.core.spec import AppSpec
 from repro.cluster import stable_hash
-from repro.parallel.plan import EpochPlan, TxnSpec, plan_epoch
-from repro.parallel.procs import execute_entries
+from repro.parallel.plan import EpochPlan, PlannedTxn, plan_epoch
 from repro.transactions.sequencer import SequencedTxn, Sequencer
 
 
@@ -75,12 +80,14 @@ class EpochExecutor:
     def __init__(
         self,
         db: Any,
+        spec: AppSpec,
         *,
         num_shards: Optional[int] = None,
         shard_of: Optional[Callable[[Hashable], int]] = None,
         epoch_size: Optional[int] = None,
     ) -> None:
         self.db = db
+        self.spec = spec
         self._sharded = hasattr(db, "export_shard_snapshot")
         if self._sharded:
             self.num_shards = len(db.shards)
@@ -97,9 +104,11 @@ class EpochExecutor:
 
     # -- submission convenience ----------------------------------------------
 
-    def submit(self, spec: TxnSpec) -> SequencedTxn:
-        """Order a transaction into the executor's current epoch."""
-        return self.sequencer.submit(spec)
+    def submit(self, op: Any) -> SequencedTxn:
+        """Order an op into the current epoch; its declared access is
+        evaluated here, once."""
+        handler = self.spec.handler_for(op)
+        return self.sequencer.submit((op, handler, handler.access(op)))
 
     def flush(self) -> EpochResult:
         """Cut the current epoch and run it end to end."""
@@ -127,10 +136,8 @@ class EpochExecutor:
         txn_writes: list[tuple[int, list]] = []
         for rnd in plan.rounds:
             for shard in sorted(rnd.local):
-                txn_writes.extend(
-                    execute_entries(stores[shard], rnd.local[shard])
-                )
-            txn_writes.extend(execute_entries(multi, rnd.rendezvous))
+                _execute(stores[shard], rnd.local[shard], txn_writes)
+            _execute(multi, rnd.rendezvous, txn_writes)
 
         txn_writes.sort(key=lambda item: item[0])  # the seeded total order
         applied = self._merge(txn_writes, plan.epoch)
@@ -161,3 +168,10 @@ class EpochExecutor:
                 shard, per_shard[shard], epoch=epoch
             )
         return applied
+
+
+def _execute(store: Any, entries: list[PlannedTxn], out: list) -> None:
+    """Run planned transactions serially, in queue order, on ``store``."""
+    for entry in entries:
+        _result, writes = run_op(entry.handler, entry.op, entry.access, store)
+        out.append((entry.tid, writes))

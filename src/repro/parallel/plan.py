@@ -9,56 +9,38 @@ conflict.
 
 Here the total order is the seeded Calvin-style order of
 :class:`repro.transactions.sequencer.Sequencer` (TID order within an
-epoch), key → shard routing goes through the cluster layer's platform-
-stable hash (:func:`repro.cluster.stable_hash`, the same formula the
-placement directory's rings use), and cross-shard transactions become
-**multi-queue entries with deterministic rendezvous points**: the planner
-slices the epoch into *rounds* — independent per-shard queue segments
-followed by the cross-shard transactions that must observe all of them —
-so the executor can run each round's queues independently and settle the
-rendezvous transactions at the barrier, in TID order.
+epoch), a transaction is one application op with its
+:class:`~repro.apps.core.spec.HandlerSpec` and declared
+:class:`~repro.apps.core.spec.OpAccess`, key → shard routing goes through
+the cluster layer's platform-stable hash (:func:`repro.cluster.stable_hash`,
+the same formula the placement directory's rings use), and cross-shard
+transactions become **multi-queue entries with deterministic rendezvous
+points**: the planner slices the epoch into *rounds* — independent
+per-shard queue segments followed by the cross-shard transactions that
+must observe all of them — so the executor can run each round's queues
+independently and settle the rendezvous transactions at the barrier, in
+TID order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, NamedTuple, Optional
 
+from repro.apps.core.spec import HandlerSpec, OpAccess
 from repro.cluster import stable_hash
-from repro.transactions.sequencer import (
-    SequencedTxn,
-    partition_conflicts,
-    partition_queues,
-)
+from repro.transactions.sequencer import SequencedTxn, partition_conflicts
 
 
-@dataclass(frozen=True)
-class TxnSpec:
-    """A declarative transaction: procedure + args + declared key set.
-
-    ``keys`` lists every ``(table, key)`` the procedure may touch; the
-    planner derives queue membership from it and the execution context
-    enforces it.  A spec is plain data (a registered name, never a
-    closure), so a plan can be logged, compared and replayed.
-    """
-
-    proc: str
-    args: tuple = ()
-    keys: tuple = ()
-
-
-@dataclass(frozen=True)
-class PlannedTxn:
-    """A transaction with its plan-time routing decision attached."""
+class PlannedTxn(NamedTuple):
+    """One sequenced op with its plan-time routing decision attached."""
 
     tid: int
-    spec: TxnSpec
+    op: Any
+    handler: HandlerSpec
+    access: OpAccess
     #: sorted shard ids owning at least one declared key
     shards: tuple
-
-    @property
-    def cross_shard(self) -> bool:
-        return len(self.shards) != 1
 
 
 @dataclass
@@ -74,9 +56,6 @@ class Round:
 
     local: dict[int, list[PlannedTxn]] = field(default_factory=dict)
     rendezvous: list[PlannedTxn] = field(default_factory=list)
-
-    def txn_count(self) -> int:
-        return sum(len(q) for q in self.local.values()) + len(self.rendezvous)
 
 
 @dataclass
@@ -99,13 +78,11 @@ class EpochPlan:
 
     epoch: int
     num_shards: int
-    #: shard -> full queue (cross-shard txns appear in every owning queue)
+    #: shard -> full queue in TID order, ascending shard id (a cross-shard
+    #: txn appears in every owning queue exactly once)
     queues: dict[int, list[PlannedTxn]]
     rounds: list[Round]
     stats: PlanStats
-
-    def txn_count(self) -> int:
-        return self.stats.txns
 
 
 def plan_epoch(
@@ -118,60 +95,52 @@ def plan_epoch(
     """Partition one sequencer epoch into per-shard queues and rounds.
 
     ``batch`` is the output of :meth:`Sequencer.cut_epoch` whose payloads
-    are :class:`TxnSpec`s.  ``shard_of`` maps a *row key* to a shard id and
-    defaults to the cluster layer's stable hash — pass
-    ``sharded_db.router.shard_of`` to plan against a live placement.
+    are ``(op, handler, access)`` triples
+    (:meth:`~repro.parallel.EpochExecutor.submit` builds them).
+    ``shard_of`` maps a *row key* to a shard id and defaults to the
+    cluster layer's stable hash — pass ``sharded_db.router.shard_of`` to
+    plan against a live placement.  Shards are routed, never iterated from
+    an unordered set, so the plan is independent of ``PYTHONHASHSEED``.
     """
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
     route = shard_of or (lambda key: stable_hash(key) % num_shards)
 
-    def keys_of(spec: TxnSpec) -> set:
-        return set(spec.keys)
-
-    queue_view = partition_queues(
-        batch, keys_of, lambda ref: route(ref[1])
-    )
-
-    planned: dict[int, PlannedTxn] = {}
+    queues: dict[int, list[PlannedTxn]] = {}
     stats = PlanStats(txns=len(batch))
     rounds: list[Round] = []
     current = Round()
     for txn in batch:  # TID order
-        spec = txn.payload
-        shards: list[int] = []
-        for table, key in spec.keys:
-            shard = route(key)
-            if shard not in shards:
-                shards.append(shard)
-        shards.sort()
-        entry = PlannedTxn(tid=txn.tid, spec=spec, shards=tuple(shards))
-        planned[txn.tid] = entry
-        if len(entry.shards) == 1:
+        op, handler, access = txn.payload
+        shards = tuple(sorted({route(key) for _entity, key in access.declared}))
+        entry = PlannedTxn(txn.tid, op, handler, access, shards)
+        for shard in shards:
+            queues.setdefault(shard, []).append(entry)
+        if len(shards) == 1:
             stats.single_shard += 1
             # A local txn ordered after a rendezvous txn belongs to the
             # next round: within a round, locals precede the barrier.
             if current.rendezvous:
                 rounds.append(current)
                 current = Round()
-            current.local.setdefault(entry.shards[0], []).append(entry)
+            current.local.setdefault(shards[0], []).append(entry)
         else:
+            # Zero declared keys cannot be proven independent of anything:
+            # such a txn settles at the barrier too.
             stats.cross_shard += 1
             current.rendezvous.append(entry)
     if current.local or current.rendezvous:
         rounds.append(current)
 
-    queues = {
-        shard: [planned[txn.tid] for txn in queue]
-        for shard, queue in queue_view.items()
-    }
     stats.rounds = len(rounds)
     stats.max_queue = max((len(q) for q in queues.values()), default=0)
-    stats.waves = len(partition_conflicts(batch, keys_of))
+    stats.waves = len(partition_conflicts(
+        batch, lambda payload: set(payload[2].declared)
+    ))
     return EpochPlan(
         epoch=batch[0].epoch if epoch is None and batch else (epoch or 0),
         num_shards=num_shards,
-        queues=queues,
+        queues={shard: queues[shard] for shard in sorted(queues)},
         rounds=rounds,
         stats=stats,
     )

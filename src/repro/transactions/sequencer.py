@@ -94,38 +94,3 @@ def partition_conflicts(
             waves[target].append(txn)
             wave_keys[target] |= keys
     return waves
-
-
-def partition_queues(
-    batch: list[SequencedTxn],
-    keys_of: Callable[[Any], set[Hashable]],
-    shard_of: Callable[[Hashable], int],
-) -> dict[int, list[SequencedTxn]]:
-    """Partition an epoch into *per-shard execution queues* (QueCC-style).
-
-    Each transaction is appended — in TID order — to the queue of every
-    shard owning one of its keys: a single-shard transaction lands in
-    exactly one queue, a cross-shard transaction appears in **every**
-    owning queue exactly once (it is the same object, so queue executors
-    can rendezvous on identity).  Because ``shard_of`` is a pure function
-    of the key, two transactions sharing a key always share every queue
-    that key routes to, so executing each queue serially in TID order is
-    equivalent to the global TID order — the planning half of the
-    queue-oriented execution paradigm (:mod:`repro.parallel`).
-
-    The returned dict's iteration order is ascending shard id, and queue
-    membership is independent of ``PYTHONHASHSEED`` (keys are routed, never
-    iterated from an unordered set).
-    """
-    queues: dict[int, list[SequencedTxn]] = {}
-    for txn in batch:  # batch is in TID order
-        shards = []
-        seen: set[int] = set()
-        for key in keys_of(txn.payload):
-            shard = shard_of(key)
-            if shard not in seen:
-                seen.add(shard)
-                shards.append(shard)
-        for shard in sorted(shards):
-            queues.setdefault(shard, []).append(txn)
-    return {shard: queues[shard] for shard in sorted(queues)}

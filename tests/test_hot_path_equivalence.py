@@ -3,9 +3,9 @@
 Every optimization added by the hot-path pass keeps a reference mode; the
 bar here matches the flag's contract:
 
-- opt-in *timing-changing* paths (reply coalescing, same-node shortcut,
-  append-window piggybacking) must produce the **same outcomes and final
-  state** as their reference mode, with strictly less wire traffic;
+- the opt-in *timing-changing* path (append-window piggybacking) must
+  produce the **same outcomes and final state** as its reference mode,
+  with strictly less wire traffic;
 - span sampling must keep **whole trees** and leave ``sample_every=1``
   exports byte-identical to the default;
 - the read paths audited in the bugfix sweep must never mutate shared
@@ -25,151 +25,7 @@ def run(env, gen, label="test"):
     return env.run_until(env.process(gen, label=label))
 
 
-# -- reply coalescing ---------------------------------------------------------
-
-
-def _coalesce_scenario(coalesce: bool):
-    env = Environment(seed=7)
-    net = Network(env)
-    net.add_node("server")
-    client_node = net.add_node("client")
-    server = RpcServer(
-        net, net.node("server"), service="svc", coalesce_replies=coalesce
-    )
-    gate = env.future(label="gate")
-
-    def handler(payload):
-        # Every in-flight handler resumes in the same virtual instant when
-        # the gate opens, so all replies are issued together.
-        yield gate
-        return payload * 2
-
-    server.register("work", handler)
-    client = RpcClient(net, client_node, service="svc")
-    results = []
-
-    def one_call(i):
-        value = yield from client.call("server", "work", i, timeout=500.0)
-        results.append((i, value))
-
-    for i in range(6):
-        env.process(one_call(i), label=f"call{i}")
-
-    def opener(env):
-        yield env.timeout(50.0)
-        gate.succeed(None)
-
-    env.process(opener(env), label="opener")
-    env.run(until=1_000.0)
-    return results, net.stats.sent, net.stats.delivered
-
-
-def test_coalesced_replies_same_outcomes_fewer_messages():
-    reference, ref_sent, ref_delivered = _coalesce_scenario(False)
-    coalesced, fast_sent, fast_delivered = _coalesce_scenario(True)
-    expected = [(i, i * 2) for i in range(6)]
-    assert sorted(reference) == expected
-    assert sorted(coalesced) == expected
-    # Six simultaneous replies leave as one batch envelope instead of six.
-    assert fast_sent < ref_sent
-    assert fast_delivered < ref_delivered
-
-
-def test_coalescing_defaults_off():
-    env = Environment(seed=1)
-    net = Network(env)
-    net.add_node("n")
-    server = RpcServer(net, net.node("n"))
-    assert server.coalesce_replies is False
-    assert server.local_fast_path is False
-
-
-def test_coalesced_error_replies_still_arrive():
-    env = Environment(seed=3)
-    net = Network(env)
-    net.add_node("server")
-    client_node = net.add_node("client")
-    server = RpcServer(
-        net, net.node("server"), service="svc", coalesce_replies=True
-    )
-
-    def boom(payload):
-        raise ValueError("nope")
-        yield  # pragma: no cover - generator protocol only
-
-    server.register("boom", boom)
-    client = RpcClient(net, client_node, service="svc")
-
-    def caller(env):
-        with pytest.raises(RpcRemoteError):
-            yield from client.call("server", "boom", None, retries=0)
-        return True
-
-    assert run(env, caller(env)) is True
-
-
-# -- same-node shortcut -------------------------------------------------------
-
-
-def _loopback_scenario(fast: bool):
-    env = Environment(seed=11)
-    net = Network(env)
-    node = net.add_node("app")
-    server = RpcServer(
-        net, node, service="svc",
-        coalesce_replies=False, local_fast_path=fast,
-    )
-    state = {"count": 0}
-
-    def bump(payload):
-        state["count"] += payload
-        return state["count"]
-        yield  # pragma: no cover - generator protocol only
-
-    server.register("bump", bump)
-    client = RpcClient(net, node, service="svc", local_fast_path=fast)
-
-    def caller(env):
-        values = []
-        for i in range(8):
-            values.append((yield from client.call("app", "bump", i + 1)))
-        return values
-
-    values = run(env, caller(env))
-    return values, state["count"], client.stats
-
-
-def test_same_node_shortcut_same_results_and_state():
-    ref_values, ref_state, ref_stats = _loopback_scenario(False)
-    fast_values, fast_state, fast_stats = _loopback_scenario(True)
-    assert fast_values == ref_values == [1, 3, 6, 10, 15, 21, 28, 36]
-    assert fast_state == ref_state == 36
-    assert fast_stats.calls == ref_stats.calls == 8
-    assert fast_stats.timeouts == ref_stats.timeouts == 0
-
-
-def test_same_node_shortcut_skips_latency():
-    """Loopback calls finish in zero virtual time (no latency samples)."""
-    env = Environment(seed=12)
-    net = Network(env)
-    node = net.add_node("app")
-    server = RpcServer(net, node, service="svc", local_fast_path=True)
-
-    def echo(payload):
-        return payload
-        yield  # pragma: no cover - generator protocol only
-
-    server.register("echo", echo)
-    client = RpcClient(net, node, service="svc", local_fast_path=True)
-
-    def caller(env):
-        value = yield from client.call("app", "echo", 42)
-        return (value, env.now)
-
-    value, finished_at = run(env, caller(env))
-    assert value == 42
-    assert finished_at == 0.0
-    assert net.stats.sent == net.stats.delivered == 2  # request + reply
+# -- loopback delivery --------------------------------------------------------
 
 
 def test_send_local_dead_node_counts_dropped():

@@ -1,54 +1,125 @@
-"""Queue-oriented execution: planner, procedures, executor, serial oracle.
+"""Queue-oriented execution: planner, handlers, executor, serial oracle.
 
 The contract under test is the one ``repro.parallel`` states: planning is
 a pure function of the sequenced batch (hash-seed- and platform-stable),
 and a planned epoch lands the authoritative engines in exactly the state
-that applying the same procedures one by one in TID order would.
+that running the same app ops one by one in TID order on a plain dict
+(:func:`repro.apps.core.reference.run_op`) would.
 """
 
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.core import AppSpec, EntitySpec, HandlerSpec, UndeclaredAccess
+from repro.apps.core.reference import ReferenceContext, run_op
 from repro.db import Database, ShardedDatabase
-from repro.parallel import (
-    PROC_REGISTRY,
-    EpochExecutor,
-    TxnSpec,
-    TxnView,
-    UndeclaredKey,
-    UnknownProcedure,
-    execute_entries,
-    plan_epoch,
-    procedure,
-    spin,
-)
+from repro.parallel import EpochExecutor, plan_epoch
 from repro.sim import Environment
 from repro.transactions import Sequencer
-from repro.transactions.sequencer import partition_queues
 
 
-def _rmw(key, **kw):
-    return TxnSpec(proc="kv.rmw", args=("kv", key), keys=(("kv", key),), **kw)
+@dataclass(frozen=True)
+class KvOp:
+    """One op of the test app: ``kind`` names its handler."""
+
+    kind: str
+    keys: tuple = ()
+    amount: int = 1
+
+
+def _rmw_body(ctx, op):
+    key = op.keys[0]
+    row = (yield from ctx.get("kv", key)) or {"id": key, "counter": 0}
+    value = row.get("counter", 0) + 1
+    yield from ctx.put("kv", key, {**row, "counter": value})
+    return value
+
+
+def _transfer_body(ctx, op):
+    """Move ``amount`` between two rows — the canonical cross-shard txn."""
+    src, dst = op.keys
+    src_row = (yield from ctx.get("kv", src)) or {"id": src, "balance": 0}
+    dst_row = (yield from ctx.get("kv", dst)) or {"id": dst, "balance": 0}
+    src_balance = src_row.get("balance", 0) - op.amount
+    dst_balance = dst_row.get("balance", 0) + op.amount
+    yield from ctx.put("kv", src, {**src_row, "balance": src_balance})
+    yield from ctx.put("kv", dst, {**dst_row, "balance": dst_balance})
+
+
+def _rotate_body(ctx, op):
+    """Delete the first declared row, bump the rest: a transaction that
+    spans as many shards as it has keys and merges a deletion."""
+    yield from ctx.delete("kv", op.keys[0])
+    for key in op.keys[1:]:
+        row = (yield from ctx.get("kv", key)) or {"id": key, "counter": 0}
+        yield from ctx.put("kv", key, {**row, "counter": row.get("counter", 0) + 1})
+
+
+def _read_body(ctx, op):
+    row = yield from ctx.get("kv", op.keys[0])
+    return row
+
+
+def _noop_body(ctx, op):
+    """Declares and touches nothing: the planner's zero-key case."""
+    return None
+    yield  # pragma: no cover
+
+
+def _first(op):
+    return [("kv", op.keys[0])]
+
+
+def _every(op):
+    return [("kv", key) for key in op.keys]
+
+
+def _nothing(op):
+    return []
+
+
+KV = AppSpec(
+    name="kv",
+    entities=[EntitySpec("kv")],
+    handlers=[
+        HandlerSpec("rmw", _rmw_body, _first, _first),
+        HandlerSpec("transfer", _transfer_body, _every, _every),
+        HandlerSpec("rotate", _rotate_body, _every, _every),
+        HandlerSpec("read", _read_body, _first, _nothing),
+        HandlerSpec("noop", _noop_body, _nothing, _nothing),
+        # Declares only the source but transfers between both keys.
+        HandlerSpec("leaky", _transfer_body, _first, _first),
+    ],
+)
+
+
+def _rmw(key):
+    return KvOp("rmw", (key,))
 
 
 def _read(key):
-    return TxnSpec(proc="kv.read", args=("kv", key), keys=(("kv", key),))
+    return KvOp("read", (key,))
 
 
 def _transfer(src, dst, amount=1):
-    return TxnSpec(
-        proc="kv.transfer",
-        args=("kv", src, dst, amount),
-        keys=(("kv", src), ("kv", dst)),
-    )
+    return KvOp("transfer", (src, dst), amount)
 
 
-def _sequence(specs):
+def _rotate(keys):
+    return KvOp("rotate", tuple(keys))
+
+
+def _sequence(ops):
+    """Sequence ``ops`` as :meth:`EpochExecutor.submit` would."""
     sequencer = Sequencer()
-    return [sequencer.submit(spec) for spec in specs]
+    for op in ops:
+        handler = KV.handler_for(op)
+        sequencer.submit((op, handler, handler.access(op)))
+    return sequencer.cut_epoch()
 
 
 # -- planning ----------------------------------------------------------------
@@ -113,38 +184,41 @@ class TestPlanEpoch:
     def test_zero_key_txn_is_rendezvous(self):
         # No declared keys means the planner cannot prove independence:
         # it lands at the barrier, not in an arbitrary queue.
-        batch = _sequence([TxnSpec(proc="kv.read", args=("kv", "x"))])
+        batch = _sequence([KvOp("noop")])
         plan = plan_epoch(batch, num_shards=4)
         assert plan.rounds[0].rendezvous[0].tid == batch[0].tid
 
     def test_partition_queues_sorted_and_complete(self):
         batch = _sequence([_transfer("a", "b"), _rmw("c")])
-        queues = partition_queues(
-            batch,
-            keys_of=lambda spec: set(spec.keys),
-            shard_of=lambda ref: {"a": 2, "b": 0, "c": 1}[ref[1]],
-        )
-        assert list(queues) == sorted(queues)
-        assert [t.tid for t in queues[0]] == [1]
-        assert [t.tid for t in queues[2]] == [1]
-        assert [t.tid for t in queues[1]] == [2]
+        plan = plan_epoch(batch, num_shards=3,
+                          shard_of=lambda key: {"a": 2, "b": 0, "c": 1}[key])
+        assert list(plan.queues) == sorted(plan.queues)
+        assert [t.tid for t in plan.queues[0]] == [1]
+        assert [t.tid for t in plan.queues[2]] == [1]
+        assert [t.tid for t in plan.queues[1]] == [2]
 
 
 _HASHSEED_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.parallel import TxnSpec, plan_epoch
+from repro.apps.core import HandlerSpec
+from repro.parallel import plan_epoch
 from repro.transactions import Sequencer
 
+
+def body(ctx, keys):
+    return None
+    yield
+
+
+handler = HandlerSpec("h", body, reads=lambda keys: keys, writes=lambda keys: ())
 sequencer = Sequencer()
 for i in range(40):
     if i % 5 == 4:
-        keys = (("kv", f"k{{i}}"), ("kv", f"k{{(i * 7) % 40}}"), ("kv", "hot"))
-        spec = TxnSpec(proc="kv.read", args=("kv", "hot"), keys=tuple(set(keys)))
+        keys = tuple({{("kv", f"k{{i}}"), ("kv", f"k{{(i * 7) % 40}}"), ("kv", "hot")}})
     else:
-        spec = TxnSpec(proc="kv.rmw", args=("kv", f"k{{i}}"),
-                       keys=(("kv", f"k{{i}}"),))
-    sequencer.submit(spec)
+        keys = (("kv", f"k{{i}}"),)
+    sequencer.submit((keys, handler, handler.access(keys)))
 plan = plan_epoch(sequencer.cut_epoch(), num_shards=5)
 digest = [
     (shard, [t.tid for t in queue]) for shard, queue in plan.queues.items()
@@ -152,6 +226,7 @@ digest = [
 digest.append(("rounds", [
     (sorted(r.local), [t.tid for t in r.rendezvous]) for r in plan.rounds
 ]))
+digest.append(("waves", plan.stats.waves))
 print(digest)
 """
 
@@ -177,95 +252,104 @@ def test_plan_is_hash_seed_invariant(tmp_path):
     assert len(digests) == 1
 
 
-# -- procedures and the execution kernel -------------------------------------
+# -- handlers and the reference run ------------------------------------------
 
 
 class TestProcs:
     def test_undeclared_access_raises(self):
-        ctx = TxnView({}, frozenset({("kv", "a")}))
-        with pytest.raises(UndeclaredKey):
-            ctx.get("kv", "b")
-        with pytest.raises(UndeclaredKey):
-            ctx.put("kv", "b", {"id": "b"})
+        op = _rmw("a")
+        handler = KV.handler_for(op)
+        ctx = ReferenceContext(op, handler, handler.access(op), {})
+        with pytest.raises(UndeclaredAccess):
+            next(ctx.get("kv", "b"))
+        with pytest.raises(UndeclaredAccess):
+            next(ctx.put("kv", "b", {"id": "b"}))
 
     def test_unknown_procedure(self):
-        entries = _sequence([TxnSpec(proc="no.such.proc",
-                                     keys=(("kv", "a"),))])
-        plan = plan_epoch(entries, num_shards=1)
-        with pytest.raises(UnknownProcedure):
-            execute_entries({}, plan.queues[0])
+        # An op no handler serves is refused at submit, before it takes a TID.
+        executor = EpochExecutor(Database(Environment(seed=1)), KV, num_shards=1)
+        with pytest.raises(KeyError):
+            executor.submit(KvOp("no.such.proc", ("a",)))
+        assert executor.sequencer.pending_count == 0
 
     def test_later_txns_see_earlier_writes(self):
         batch = _sequence([_rmw("a"), _rmw("a"), _rmw("a")])
         plan = plan_epoch(batch, num_shards=1)
         store = {}
-        results = execute_entries(store, plan.queues[0])
-        assert [tid for tid, _writes in results] == [1, 2, 3]
+        results = [run_op(t.handler, t.op, t.access, store) for t in plan.queues[0]]
+        assert [result for result, _writes in results] == [1, 2, 3]
         assert store[("kv", "a")]["counter"] == 3
 
     def test_spin_is_deterministic(self):
+        from benchmarks.perf.bench_parallel import spin
+
         assert spin(1000, salt=7) == spin(1000, salt=7)
         assert spin(1000, salt=7) != spin(1000, salt=8)
+
+
+def test_yielding_handler_fails_loudly():
+    """A body that waits on a simulator event cannot run without one: the
+    epoch fails instead of dropping the rest of the body."""
+    env = Environment(seed=4)
+
+    def stall(ctx, op):
+        yield env.timeout(1.0)
+        yield from ctx.put("kv", op.keys[0], {"id": op.keys[0], "counter": 9})
+
+    spec = AppSpec("stall", [EntitySpec("kv")],
+                   [HandlerSpec("stall", stall, _first, _first)])
+    db = Database(env, name="stall")
+    db.create_table("kv", primary_key="id")
+    executor = EpochExecutor(db, spec, num_shards=1)
+    executor.submit(KvOp("stall", ("a",)))
+    with pytest.raises(RuntimeError, match="yielded"):
+        executor.flush()
+    assert db.all_rows("kv") == []
 
 
 # -- the epoch executor -------------------------------------------------------
 
 
-def _spec_mix(n=120, accounts=24, cross_every=6):
-    specs = []
+def _op_mix(n=120, accounts=24, cross_every=6):
+    ops = []
     for i in range(n):
         if i % cross_every == cross_every - 1:
             src = f"acct-{(i * 5 + 2) % accounts}"
             dst = f"acct-{(i * 7 + 3) % accounts}"
             if src == dst:
                 dst = f"acct-{(i * 7 + 4) % accounts}"
-            specs.append(_transfer(src, dst))
+            ops.append(_transfer(src, dst))
         else:
-            specs.append(_rmw(f"acct-{(i * 13 + 1) % accounts}"))
-    return specs
+            ops.append(_rmw(f"acct-{(i * 13 + 1) % accounts}"))
+    return ops
 
 
-def _engine_state(db):
+def _engine_state(db, table="kv"):
     return sorted(
-        (row["id"], sorted(row.items())) for row in db.all_rows("kv")
+        (repr(row["id"]), sorted(row.items())) for row in db.all_rows(table)
     )
 
 
-@procedure("tests.noop")
-def _noop(ctx):
-    """Declares and touches nothing: the planner's zero-key case."""
+def _store_state(store, table="kv"):
+    return sorted(
+        (repr(ref[1]), sorted(row.items()))
+        for ref, row in store.items() if ref[0] == table
+    )
 
 
-@procedure("tests.rotate")
-def _rotate(ctx, table, keys):
-    """Delete the first declared row, bump the rest: a transaction that
-    spans as many shards as it has keys and merges a deletion."""
-    ctx.delete(table, keys[0])
-    for key in keys[1:]:
-        row = ctx.get(table, key) or {"id": key, "counter": 0}
-        ctx.put(table, key, {**row, "counter": row.get("counter", 0) + 1})
-
-
-def _rotate_spec(keys):
-    return TxnSpec(proc="tests.rotate", args=("kv", tuple(keys)),
-                   keys=tuple(("kv", key) for key in keys))
-
-
-def _serial_oracle(rows, specs):
-    """Apply ``specs`` one by one in TID (= submission) order on a plain
-    dict — no planner, no shards, no merge.  Returns the final state and
-    each transaction's recorded writes."""
-    store = {("kv", row["id"]): dict(row) for row in rows}
+def _serial_oracle(spec, store, ops):
+    """Run ``ops`` one by one in TID (= submission) order on the plain dict
+    ``store`` — no planner, no shards, no merge.  Returns each op's
+    recorded writes."""
     writes = []
-    for spec in specs:
-        ctx = TxnView(store, frozenset(spec.keys))
-        PROC_REGISTRY[spec.proc](ctx, *spec.args)
-        writes.append(ctx.writes)
-    state = sorted((ref[1], sorted(row.items())) for ref, row in store.items())
-    return state, writes
+    for op in ops:
+        handler = spec.handler_for(op)
+        _result, op_writes = run_op(handler, op, handler.access(op), store)
+        writes.append(op_writes)
+    return writes
 
 
-def _assert_planned_equals_serial(sharded, specs, rows):
+def _assert_planned_equals_serial(sharded, ops, rows):
     env = Environment(seed=3)
     if sharded:
         db = ShardedDatabase(env, num_shards=3, name="shexec")
@@ -276,18 +360,19 @@ def _assert_planned_equals_serial(sharded, specs, rows):
     db.create_table("kv", primary_key="id")
     db.load("kv", rows)
     before = sum(engine._commit_seq for engine in engines)
-    executor = EpochExecutor(db, **executor_args)
-    for spec in specs:
-        executor.submit(spec)
+    executor = EpochExecutor(db, KV, **executor_args)
+    for op in ops:
+        executor.submit(op)
     result = executor.flush()
 
-    state, writes = _serial_oracle(rows, specs)
-    assert _engine_state(db) == state
+    store = {("kv", row["id"]): dict(row) for row in rows}
+    writes = _serial_oracle(KV, store, ops)
+    assert _engine_state(db) == _store_state(store)
     # One commit sequence per transaction on every engine it wrote.
     commits = sum(len({engine_of(ref[1]) for ref, _row in w}) for w in writes)
     assert result.applied == commits
     assert sum(engine._commit_seq for engine in engines) - before == commits
-    assert result.txns == len(specs)
+    assert result.txns == len(ops)
 
 
 _KEYS = [f"acct-{i}" for i in range(6)]  # few keys: every one is hot
@@ -298,12 +383,12 @@ def _distinct_keys(lo, hi):
     return st.lists(_key, min_size=lo, max_size=hi, unique=True)
 
 
-_spec = st.one_of(
+_op = st.one_of(
     _key.map(_rmw),
     _distinct_keys(2, 2).map(lambda pair: _transfer(*pair)),
-    _distinct_keys(1, 4).map(_rotate_spec),
+    _distinct_keys(1, 4).map(_rotate),
     _key.map(_read),
-    st.just(TxnSpec(proc="tests.noop")),
+    st.just(KvOp("noop")),
 )
 
 
@@ -313,24 +398,53 @@ class TestEpochExecutor:
     def test_planned_execution_equals_serial(self, sharded):
         rows = [{"id": f"acct-{i}", "counter": 0, "balance": 0}
                 for i in range(24)]
-        _assert_planned_equals_serial(sharded, _spec_mix(), rows)
+        _assert_planned_equals_serial(sharded, _op_mix(), rows)
 
     @pytest.mark.parametrize("sharded", [False, True],
                              ids=["database", "sharded_database"])
     @settings(max_examples=40, deadline=None)
-    @given(specs=st.lists(_spec, max_size=30),
+    @given(ops=st.lists(_op, max_size=30),
            loaded=st.sets(_key))
-    def test_generated_mix_equals_serial(self, sharded, specs, loaded):
+    def test_generated_mix_equals_serial(self, sharded, ops, loaded):
         rows = [{"id": key, "counter": 0, "balance": 0}
                 for key in sorted(loaded)]
-        _assert_planned_equals_serial(sharded, specs, rows)
+        _assert_planned_equals_serial(sharded, ops, rows)
+
+    def test_ledger_spec_on_sharded_database(self):
+        """The unmodified ledger app runs through an epoch on a 3-shard
+        cluster, matches the serial oracle and keeps its three invariants."""
+        from repro.apps.ledger import ledger_spec
+        from repro.workloads import TransferWorkload
+
+        env = Environment(seed=12)
+        workload = TransferWorkload(num_accounts=12, theta=0.9)
+        spec = ledger_spec(workload)
+        db = ShardedDatabase(env, num_shards=3, name="ledger-epoch")
+        for entity in spec.entities.values():
+            db.create_table(entity.name, primary_key=entity.key)
+        db.load("accounts", workload.initial_rows())
+        ops = list(workload.operations(env.stream("ops:ledger-epoch"), 60))
+        executor = EpochExecutor(db, spec)
+        for op in ops:
+            executor.submit(op)
+        result = executor.flush()
+        assert result.txns == 60 and result.cross_shard > 0
+
+        store = {("accounts", row["id"]): row for row in workload.initial_rows()}
+        _serial_oracle(spec, store, ops)
+        for entity in spec.entities:
+            assert _engine_state(db, entity) == _store_state(store, entity)
+        state = {entity: db.all_rows(entity) for entity in spec.entities}
+        assert len(spec.invariants) == 3
+        for invariant in spec.invariants:
+            assert invariant.check(state) == [], invariant.name
 
     def test_multiple_epochs_accumulate(self):
         env = Environment(seed=5)
         db = Database(env, name="epochs")
         db.create_table("kv", primary_key="id")
         db.load("kv", [{"id": "a", "counter": 0}])
-        executor = EpochExecutor(db, num_shards=2)
+        executor = EpochExecutor(db, KV, num_shards=2)
         for _ in range(2):
             for _ in range(3):
                 executor.submit(_rmw("a"))
@@ -343,16 +457,13 @@ class TestEpochExecutor:
         env = Environment(seed=6)
         db = Database(env, name="recov")
         db.create_table("kv", primary_key="id")
-        executor = EpochExecutor(db, num_shards=2)
-        executor.submit(TxnSpec(
-            proc="kv.put", args=("kv", "k1", {"id": "k1", "v": 7}),
-            keys=(("kv", "k1"),),
-        ))
+        executor = EpochExecutor(db, KV, num_shards=2)
+        executor.submit(_rmw("k1"))
         executor.flush()
         db.crash()
         db.recover()
         (row,) = db.all_rows("kv")
-        assert row["v"] == 7
+        assert row == {"id": "k1", "counter": 1}
 
     def test_read_only_txns_consume_no_commit_seq(self):
         env = Environment(seed=8)
@@ -360,7 +471,7 @@ class TestEpochExecutor:
         db.create_table("kv", primary_key="id")
         db.load("kv", [{"id": "a", "counter": 0}])
         before = db._commit_seq
-        executor = EpochExecutor(db, num_shards=2)
+        executor = EpochExecutor(db, KV, num_shards=2)
         executor.submit(_read("a"))
         result = executor.flush()
         assert result.applied == 0
@@ -372,17 +483,10 @@ class TestEpochExecutor:
         db.create_table("kv", primary_key="id")
         db.load("kv", [{"id": "a", "balance": 5}, {"id": "b", "balance": 5}])
         state, seq, lsn = _engine_state(db), db._commit_seq, db.wal.last_lsn
-        executor = EpochExecutor(db, num_shards=1)
-        executor.submit(TxnSpec(
-            proc="kv.transfer", args=("kv", "a", "b", 1),
-            keys=(("kv", "a"), ("kv", "b")),
-        ))
-        # Declares only "a" but transfers between "a" and "b".
-        executor.submit(TxnSpec(
-            proc="kv.transfer", args=("kv", "a", "b", 1),
-            keys=(("kv", "a"),),
-        ))
-        with pytest.raises(UndeclaredKey):
+        executor = EpochExecutor(db, KV, num_shards=1)
+        executor.submit(_transfer("a", "b"))
+        executor.submit(KvOp("leaky", ("a", "b")))
+        with pytest.raises(UndeclaredAccess):
             executor.flush()
         # Not even the well-formed first transfer was merged.
         assert _engine_state(db) == state
@@ -392,4 +496,4 @@ class TestEpochExecutor:
         env = Environment(seed=10)
         db = Database(env, name="noshards")
         with pytest.raises(ValueError):
-            EpochExecutor(db)
+            EpochExecutor(db, KV)

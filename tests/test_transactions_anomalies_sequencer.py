@@ -11,7 +11,9 @@ from repro.transactions import (
     PredicateInvariant,
     Sequencer,
 )
-from repro.transactions.sequencer import partition_conflicts, partition_queues
+from repro.apps.core import HandlerSpec
+from repro.parallel import plan_epoch
+from repro.transactions.sequencer import partition_conflicts
 
 
 class TestInvariants:
@@ -182,39 +184,56 @@ class TestPartitionConflicts:
                     assert wave_index[first.tid] < wave_index[second.tid]
 
 
+def _touch_nothing(ctx, keys):
+    return None
+    yield  # pragma: no cover
+
+
+#: an op here is just its key set, declared as ``("kv", key)`` reads
+_KEYS_HANDLER = HandlerSpec(
+    "keys", _touch_nothing,
+    reads=lambda keys: [("kv", key) for key in sorted(keys, key=repr)],
+    writes=lambda keys: [],
+)
+
+
 class TestPartitionQueues:
-    """The planner-facing sibling of partition_conflicts (queue view)."""
+    """The queue view of the epoch planner, beside partition_conflicts."""
 
     def _mk_batch(self, key_sets):
         seq = Sequencer()
-        return [seq.submit(frozenset(keys)) for keys in key_sets]
+        for keys in key_sets:
+            keys = frozenset(keys)
+            seq.submit((keys, _KEYS_HANDLER, _KEYS_HANDLER.access(keys)))
+        return seq.cut_epoch()
+
+    def _queues(self, batch, shard_of, num_shards=8):
+        return plan_epoch(batch, num_shards=num_shards, shard_of=shard_of).queues
 
     def test_empty_epoch_yields_no_queues(self):
-        assert partition_queues([], keys_of=set, shard_of=lambda k: 0) == {}
+        assert self._queues([], shard_of=lambda k: 0) == {}
         assert partition_conflicts([], keys_of=set) == []
 
     def test_single_hot_key_fills_one_queue_in_tid_order(self):
         batch = self._mk_batch([{"hot"}] * 5)
-        queues = partition_queues(batch, keys_of=set,
-                                  shard_of=lambda k: hash(k) % 4)
+        queues = self._queues(batch, shard_of=lambda k: hash(k) % 4)
         (queue,) = queues.values()
         assert [t.tid for t in queue] == [t.tid for t in batch]
         # ... and the wave view degenerates to fully serial.
-        assert len(partition_conflicts(batch, keys_of=set)) == len(batch)
+        keys_of = lambda payload: set(payload[0])
+        assert len(partition_conflicts(batch, keys_of=keys_of)) == len(batch)
 
     def test_cross_shard_txn_lands_in_every_owning_queue_exactly_once(self):
         shard_of = lambda key: {"a": 0, "b": 1, "c": 2}[key]
         batch = self._mk_batch([{"a", "b"}, {"c"}, {"a", "b", "c"}])
-        queues = partition_queues(batch, keys_of=set, shard_of=shard_of)
+        queues = self._queues(batch, shard_of=shard_of)
         for shard in (0, 1):
             assert [t.tid for t in queues[shard]] == [1, 3]
         assert [t.tid for t in queues[2]] == [2, 3]
 
     def test_queue_keys_are_sorted_shards(self):
         batch = self._mk_batch([{"b"}, {"a"}])
-        queues = partition_queues(
-            batch, keys_of=set, shard_of=lambda key: {"a": 0, "b": 7}[key]
-        )
+        queues = self._queues(batch, shard_of=lambda key: {"a": 0, "b": 7}[key])
         assert list(queues) == [0, 7]
 
     @settings(max_examples=40, deadline=None)
@@ -227,7 +246,7 @@ class TestPartitionQueues:
     def test_queues_cover_batch_and_preserve_tid_order(self, key_sets, num_shards):
         batch = self._mk_batch(key_sets)
         shard_of = lambda key: key % num_shards
-        queues = partition_queues(batch, keys_of=set, shard_of=shard_of)
+        queues = self._queues(batch, shard_of=shard_of, num_shards=num_shards)
         for shard, queue in queues.items():
             tids = [t.tid for t in queue]
             # TID (total) order within every queue, no duplicates.
@@ -235,9 +254,10 @@ class TestPartitionQueues:
             assert len(tids) == len(set(tids))
             # Only owners: every queued txn has a key on this shard.
             for txn in queue:
-                assert any(shard_of(k) == shard for k in txn.payload)
+                assert any(shard_of(k) == shard for k in txn.op)
         # Every txn appears in exactly the queues of its owning shards.
         for txn in batch:
-            owners = {shard_of(k) for k in txn.payload}
-            queued = {s for s, q in queues.items() if txn in q}
+            owners = {shard_of(k) for k in txn.payload[0]}
+            queued = {s for s, q in queues.items()
+                      if txn.tid in [t.tid for t in q]}
             assert queued == owners
