@@ -1,8 +1,7 @@
 """The load-aware rebalancer: watches shard stats, plans live migrations.
 
-A control loop in the spirit of the autoscaler (``repro.microservices``),
-but for *stateful* capacity: every ``interval`` it rolls the shard-stats
-window, computes per-node load as the sum of its shards' smoothed loads,
+A control loop for *stateful* capacity: every ``interval`` it rolls the
+shard-stats window, computes per-node load as the sum of its shards' smoothed loads,
 and — if the hottest node carries more than ``imbalance_factor`` times
 the coldest node's load — migrates the hottest movable shard from the
 hottest node to the coldest, through the live-migration protocol

@@ -11,8 +11,8 @@ provides:
   intention locks and deadlock detection),
 - a write-ahead log with redo recovery (deferred updates, so undo is not
   needed — an "ARIES-lite"),
-- an XA-style participant interface (prepare / commit / rollback) used by
-  the 2PC coordinator in :mod:`repro.transactions`,
+- an XA-style participant interface (prepare / commit / rollback,
+  in-doubt recovery) used by the cross-shard 2PC,
 - hash-sharding with cross-shard two-phase commit.
 """
 

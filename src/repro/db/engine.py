@@ -61,6 +61,8 @@ from repro.sim import Environment
 from repro.storage.wal import WriteAheadLog
 
 _DELETED = None  # a version with row=None is a deletion marker
+#: chain length past which a commit prunes the key's chain inline (``gc=True``)
+GC_CHAIN_THRESHOLD = 8
 
 
 def _lock_order(ref: tuple[str, Hashable]) -> tuple[str, str]:
@@ -309,7 +311,6 @@ class Database:
         name: str = "db",
         *,
         gc: bool = True,
-        gc_chain_threshold: int = 8,
         group_commit: bool = True,
         copy_reads: bool = False,
         fast_grants: bool = True,
@@ -325,7 +326,7 @@ class Database:
         self._in_doubt: dict[int, dict[tuple[str, Hashable], Optional[dict]]] = {}
         self._gc = gc
         #: chain length past which a commit prunes inline; 0 = never
-        self._gc_chain_threshold = max(1, gc_chain_threshold) if gc else 0
+        self._gc_chain_threshold = GC_CHAIN_THRESHOLD if gc else 0
         #: uncontended lock-acquire fast path: an already-granted lock is
         #: consumed without suspending the process (no ready-queue round
         #: trip).  ``False`` is the reference mode that always yields.
@@ -836,7 +837,7 @@ class Database:
         """Retained versions across all tables (tests cross-check the gauge)."""
         return sum(tbl.version_count() for tbl in self._tables.values())
 
-    # -- XA participant interface (used by 2PC coordinators) ----------------------
+    # -- XA participant interface (used by cross-shard 2PC) -----------------------
 
     def prepare(self, txn: Transaction) -> Generator:
         """Phase one: validate and make the writes durable; keep locks."""

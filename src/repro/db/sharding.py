@@ -54,9 +54,9 @@ from repro.cluster import (
     ModHashRing,
     PlacementDirectory,
     Router,
+    ShardStats,
     stable_hash,
 )
-from repro.cluster import ShardStats as ClusterShardStats
 from repro.cluster.migration import migrate_shard as _run_migration
 from repro.db.engine import Database, IsolationLevel, Transaction
 from repro.db.errors import FencedOut
@@ -113,7 +113,9 @@ class DistributedTransaction:
 
 
 @dataclass
-class ShardStats:
+class ShardedDbStats:
+    """Commit outcomes of one :class:`ShardedDatabase`, by shard count."""
+
     single_shard_commits: int = 0
     distributed_commits: int = 0
     distributed_aborts: int = 0
@@ -338,11 +340,11 @@ class ShardedDatabase:
                 Database(env, name=f"{name}/shard{i}", **self.engine_options)
                 for i in range(num_shards)
             ]
-        self.stats = ShardStats()
+        self.stats = ShardedDbStats()
         # -- cluster placement ------------------------------------------------
         self.directory = PlacementDirectory(env)
         self.router = Router(ModHashRing(num_shards), self.directory)
-        self.shard_stats = ClusterShardStats(num_shards)
+        self.shard_stats = ShardStats(num_shards)
         self.migration_stats = MigrationStats()
         self.nodes: list[str] = []
         self._gates: dict[str, Semaphore] = {}

@@ -1,4 +1,4 @@
-"""End-to-end flow control: credits, retry budgets, admission, load signals.
+"""End-to-end flow control: credits, retry budgets, admission.
 
 Paper §3 argues that the microservice era's reliability features are
 double-edged: timeouts + retries *amplify* load exactly when the system can
@@ -6,9 +6,9 @@ least afford it, and buffering brokers hide overload until latency has
 already collapsed.  This package is the defense layer the stack threads
 through broker → service → database:
 
-- :class:`CreditGate` — a bounded credit counter with FIFO waiters; the
-  producer-side primitive behind bounded broker partitions (a producer
-  blocks instead of growing the log without bound).
+- :class:`CreditGate` — a bounded credit counter with FIFO waiters: a
+  producer blocks instead of growing a queue without bound.  No runtime
+  holds one yet; it is the primitive for bounding binder ingress.
 - :class:`RetryBudget` — a token bucket shared by a client's retry loops: a
   retry spends a token, a success refunds a fraction.  When the bucket is
   dry the client stops retrying — the circuit that prevents retry storms.
@@ -16,11 +16,6 @@ through broker → service → database:
   priority classes: low-priority work is rejected first (with the distinct
   :class:`AdmissionRejected`), and rejection is cheap by construction —
   shed work never reaches the expensive resource.
-- :class:`LoadSignal` — a virtual-time-windowed EWMA of operation rate,
-  the same fold (``alpha * window + (1 - alpha) * ewma``) the cluster
-  rebalancer's :class:`~repro.cluster.stats.ShardStats` uses, so any
-  component that measures its own rate and the shard rebalancer react to
-  one consistent notion of load.
 
 See ``docs/OVERLOAD.md`` for the full design and ``benchmarks/
 bench_c15_overload.py`` for the overload ramp that motivates it.
@@ -36,14 +31,12 @@ from repro.flow.admission import (
 )
 from repro.flow.budget import RetryBudget
 from repro.flow.credits import CreditGate
-from repro.flow.signal import LoadSignal
 
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "AdmissionStats",
     "CreditGate",
-    "LoadSignal",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",

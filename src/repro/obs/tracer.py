@@ -32,8 +32,7 @@ _CURRENT = object()
 class Span:
     """One named interval of virtual time in the causal tree."""
 
-    __slots__ = ("span_id", "parent_id", "name", "start", "end", "tags", "_prev",
-                 "sampled")
+    __slots__ = ("span_id", "parent_id", "name", "start", "end", "tags", "_prev")
 
     def __init__(
         self,
@@ -42,7 +41,6 @@ class Span:
         name: str,
         start: float,
         tags: dict[str, Any],
-        sampled: bool = True,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -51,9 +49,6 @@ class Span:
         self.end: Optional[float] = None
         self.tags = tags
         self._prev: Optional["Span"] = None  # current span to restore on end
-        #: whether the span is retained (span sampling keeps whole root
-        #: trees: an unsampled root's descendants are all unsampled too)
-        self.sampled = sampled
 
     @property
     def finished(self) -> bool:
@@ -85,30 +80,15 @@ class Tracer:
     - :meth:`start` — open a *detached* span (e.g. a message in flight)
       that never becomes current and is ended elsewhere;
     - :meth:`event` — record an instantaneous marker.
-
-    ``sample_every=N`` keeps only every Nth *root tree*: an unsampled
-    root's entire subtree is dropped (context propagation still works, so
-    nesting inside a dropped tree stays correct), while span ids and clock
-    reads are unaffected for the retained trees.  The default ``1``
-    records everything — sampling is opt-in because the golden suite
-    asserts byte-identical full exports.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        sample_every: int = 1,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.spans: list[Span] = []
         self.current: Optional[Span] = None
         self._ids = itertools.count(1)
-        self.sample_every = sample_every
-        self._roots_seen = 0
 
     # -- recording ----------------------------------------------------------
 
@@ -119,35 +99,16 @@ class Tracer:
         (a new root), an ``int`` span id (cross-process causal link), or a
         :class:`Span`.
         """
-        sampled = True
         if parent is _CURRENT:
             current = self.current
-            if current is not None:
-                parent_id = current.span_id
-                sampled = current.sampled
-            else:
-                parent_id = None
-                sampled = self._sample_root()
+            parent_id = current.span_id if current is not None else None
         elif isinstance(parent, Span):
             parent_id = parent.span_id
-            sampled = parent.sampled
         else:
             parent_id = parent
-            if parent_id is None:
-                sampled = self._sample_root()
-            # An int parent is a cross-process link to a span this tracer
-            # cannot see; treat it as sampled (never drop a linked child).
-        span = Span(next(self._ids), parent_id, name, self.clock(), tags, sampled)
-        if sampled:
-            self.spans.append(span)
+        span = Span(next(self._ids), parent_id, name, self.clock(), tags)
+        self.spans.append(span)
         return span
-
-    def _sample_root(self) -> bool:
-        if self.sample_every == 1:
-            return True
-        index = self._roots_seen
-        self._roots_seen = index + 1
-        return index % self.sample_every == 0
 
     def begin(self, name: str, parent: Any = _CURRENT, **tags: Any) -> Span:
         """Open a span and make it the current context."""

@@ -7,14 +7,20 @@ management"):
 
 - :mod:`repro.transactions.sagas` — orchestrated sagas with compensations
   (the BASE/eventual-consistency status quo of microservices);
-- :mod:`repro.transactions.twopc` — a two-phase-commit coordinator over
-  XA-style participants (the blocking alternative microservices avoid);
+- :mod:`repro.transactions.choreography` — event-driven choreographies and
+  their monitor (the saga variant without an orchestrator);
 - :mod:`repro.transactions.causal` — vector clocks and a causally
   consistent replicated store (the Antipode direction);
 - :mod:`repro.transactions.anomalies` — invariant checkers and the effect
   ledger that counts lost/duplicated/phantom effects after every run;
 - :mod:`repro.transactions.sequencer` — a deterministic transaction
   sequencer (the Calvin-style substrate of the Styx-like dataflow).
+
+Two-phase commit, the blocking alternative microservices avoid, lives with
+the runtimes that measure it: ``ShardedDatabase.commit``
+(:mod:`repro.db.sharding`), the microservice binder's ``2pc`` mode
+(:mod:`repro.apps.core.binders.micro`) and the actor transaction
+coordinator (:mod:`repro.actors.transactions`).
 """
 
 from repro.transactions.anomalies import (
@@ -28,8 +34,6 @@ from repro.transactions.anomalies import (
 )
 from repro.transactions.causal import CausalStore, VectorClock
 from repro.transactions.choreography import ChoreographyMonitor, Reactor
-from repro.transactions.constraints import ConstraintMonitor, OnlineViolation
-from repro.transactions.cross_engine import KvTxnConflict, TransactionalKv
 from repro.transactions.sagas import (
     Saga,
     SagaAborted,
@@ -39,18 +43,13 @@ from repro.transactions.sagas import (
     SagaStuck,
 )
 from repro.transactions.sequencer import Sequencer
-from repro.transactions.twopc import TwoPhaseCommit, TwoPhaseOutcome
 
 __all__ = [
     "AnomalyReport",
     "CausalStore",
     "ChoreographyMonitor",
     "ConservationInvariant",
-    "ConstraintMonitor",
-    "KvTxnConflict",
-    "OnlineViolation",
     "Reactor",
-    "TransactionalKv",
     "EffectLedger",
     "Invariant",
     "NonNegativeInvariant",
@@ -62,8 +61,6 @@ __all__ = [
     "SagaStep",
     "SagaStuck",
     "Sequencer",
-    "TwoPhaseCommit",
-    "TwoPhaseOutcome",
     "VectorClock",
     "Violation",
 ]

@@ -1,9 +1,8 @@
 """Tests for repro.flow and its integration into RPC, retries, and the broker.
 
 Covers the overload-protection stack end to end: retry budgets,
-priority-class admission control, credit gates, the EWMA load signal,
-deadline propagation, the client-restart pending-call regression, and
-bounded broker partitions.
+priority-class admission control, credit gates, deadline propagation, the
+client-restart pending-call regression, and bounded broker partitions.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from repro.flow import (
     AdmissionController,
     AdmissionRejected,
     CreditGate,
-    LoadSignal,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
@@ -20,7 +18,6 @@ from repro.flow import (
 )
 from repro.messaging import Broker, RpcError, RpcRejected, RpcTimeout
 from repro.messaging.rpc import RpcClient, RpcServer
-from repro.microservices import RetryBudgetExhausted, RetryPolicy
 from repro.net import Latency, Network
 from repro.sim import Environment
 
@@ -144,41 +141,6 @@ class TestCreditGate:
         gate = CreditGate(env, 1)
         with pytest.raises(RuntimeError):
             gate.release()
-
-
-class TestLoadSignal:
-    def test_cold_signal_reads_live_window(self, env):
-        signal = LoadSignal(env, window_ms=10.0, alpha=0.5)
-        assert signal.load() == 0.0
-        signal.record()
-        signal.record()
-        assert signal.load() == pytest.approx(1.0)  # alpha * live window
-
-    def test_idle_windows_decay_signal(self, env):
-        signal = LoadSignal(env, window_ms=10.0, alpha=0.5)
-        for _ in range(8):
-            signal.record()
-
-        def flow():
-            yield env.timeout(10.0)
-            after_roll = signal.load()
-            yield env.timeout(50.0)
-            return after_roll, signal.load()
-
-        after_roll, after_idle = run(env, flow())
-        assert after_roll == pytest.approx(4.0)  # 8 ops folded at alpha=0.5
-        assert after_idle < 0.2  # five idle windows ≈ signal gone
-
-    def test_steady_rate_converges(self, env):
-        signal = LoadSignal(env, window_ms=10.0, alpha=0.5)
-
-        def flow():
-            for _ in range(200):
-                signal.record()
-                yield env.timeout(1.0)
-            return signal.load()
-
-        assert run(env, flow()) == pytest.approx(10.0, rel=0.15)
 
 
 def make_slow_server(net, admission=None, service_ms=10.0):
@@ -379,72 +341,6 @@ class TestRpcClientRestart:
             return (yield from client.call("server", "slow", timeout=50))
 
         assert run(env, flow()) == "done"
-
-
-class TestRetryPolicyDelay:
-    def test_jitter_never_exceeds_max_delay(self, env):
-        """Regression: jitter was applied after the cap, so a capped delay
-        could exceed ``max_delay`` by up to the jitter fraction."""
-        policy = RetryPolicy(max_attempts=8, base_delay=10.0, factor=3.0,
-                             max_delay=60.0, jitter=0.2)
-        rng = env.stream("jitter-test")
-        for attempt in range(1, 50):
-            assert policy.delay(attempt, rng) <= policy.max_delay
-
-    def test_jitter_spreads_below_cap(self, env):
-        policy = RetryPolicy(base_delay=10.0, max_delay=60.0, jitter=0.2)
-        rng = env.stream("jitter-test")
-        delays = {round(policy.delay(1, rng), 6) for _ in range(20)}
-        assert len(delays) > 1  # jitter still applies below the cap
-        assert all(8.0 <= d <= 12.0 for d in delays)
-
-    def test_per_call_substream_isolation(self):
-        """Regression: concurrent ``run`` calls shared one RNG stream, so
-        one caller's jitter draws depended on the other's schedule."""
-        policy = RetryPolicy(max_attempts=3, base_delay=5.0, jitter=0.5)
-
-        def failing(env, log, fail_times):
-            def attempt():
-                log.append("try")
-                yield env.timeout(0.1)
-                if log.count("try") <= fail_times:
-                    raise ValueError("transient")
-                return "ok"
-
-            return attempt
-
-        def trial(interleaved):
-            env = Environment(seed=99)
-            done = {}
-
-            def tracked(name, log):
-                yield from policy.run(env, failing(env, log, 2))
-                done[name] = env.now
-
-            env.process(tracked("a", []))
-            if interleaved:
-                env.process(tracked("b", []))
-            env.run()
-            return done["a"]
-
-        # Caller A's finish time must not depend on whether B also ran.
-        assert trial(interleaved=False) == trial(interleaved=True)
-
-    def test_budget_exhausted_raises_typed_error(self, env):
-        policy = RetryPolicy(max_attempts=5, base_delay=1.0, jitter=0.0)
-        budget = RetryBudget(capacity=1.0, refund=0.0)
-
-        def always_fails():
-            yield env.timeout(0.1)
-            raise ValueError("transient")
-
-        def flow():
-            yield from policy.run(env, always_fails, budget=budget)
-
-        with pytest.raises(RetryBudgetExhausted) as excinfo:
-            run(env, flow())
-        assert isinstance(excinfo.value.last_error, ValueError)
-        assert budget.spent == 1  # one budgeted retry, then fail fast
 
 
 class TestBoundedBroker:

@@ -6,8 +6,6 @@ bar here matches the flag's contract:
 - the opt-in *timing-changing* path (append-window piggybacking) must
   produce the **same outcomes and final state** as its reference mode,
   with strictly less wire traffic;
-- span sampling must keep **whole trees** and leave ``sample_every=1``
-  exports byte-identical to the default;
 - the read paths audited in the bugfix sweep must never mutate shared
   state as a side effect of being asked a question.
 """
@@ -16,7 +14,6 @@ import pytest
 
 from repro.messaging.rpc import RpcClient, RpcRemoteError, RpcServer
 from repro.net import Network
-from repro.obs import Tracer, chrome_trace_json
 from repro.replication import ReplicaGroup, ReplicationConfig
 from repro.sim import Environment
 
@@ -37,53 +34,6 @@ def test_send_local_dead_node_counts_dropped():
     net.send_local("app", "p", "payload")
     assert net.stats.dropped_dead == 1
     assert net.stats.delivered == 0
-
-
-# -- span sampling ------------------------------------------------------------
-
-
-def _traced_run(tracer):
-    from repro.apps import DbBank
-    from repro.harness import WorkloadDriver
-    from repro.workloads import ClosedLoop, TransferWorkload
-
-    env = Environment(seed=77, tracer=tracer)
-    workload = TransferWorkload(num_accounts=20, theta=0.7)
-    bank = DbBank(env, workload)
-    ops = list(workload.operations(env.stream("ops:sampling"), 64))
-    driver = WorkloadDriver(env, label="sampling")
-    driver.ledger = bank.ledger
-    arrival = ClosedLoop(clients=4, ops_per_client=16, think_time_ms=2.0)
-    env.run_until(env.process(driver.run(ops, bank.execute, arrival)))
-    return tracer
-
-
-def test_sample_every_1_export_identical_to_default():
-    full = chrome_trace_json(_traced_run(Tracer()))
-    explicit = chrome_trace_json(_traced_run(Tracer(sample_every=1)))
-    assert full == explicit
-
-
-def test_sampling_keeps_whole_trees():
-    """With sample_every=2 every retained span's parent is retained too —
-    sampling drops whole root trees, never interior edges."""
-    tracer = _traced_run(Tracer(sample_every=2))
-    assert tracer.spans
-    retained_ids = {span.span_id for span in tracer.spans}
-    for span in tracer.spans:
-        if span.parent_id is not None:
-            assert span.parent_id in retained_ids
-
-
-def test_sampling_halves_roots():
-    full_roots = len(_traced_run(Tracer()).roots())
-    sampled_roots = len(_traced_run(Tracer(sample_every=2)).roots())
-    assert sampled_roots == (full_roots + 1) // 2
-
-
-def test_sample_every_validates():
-    with pytest.raises(ValueError):
-        Tracer(sample_every=0)
 
 
 # -- replication append piggybacking ------------------------------------------
@@ -238,7 +188,6 @@ def test_cluster_binder_is_deadlock_free_on_fast_grants():
 #: fails when ``Database`` grows an option this table does not name.
 _ENGINE_OPTIONS = {
     "gc": False,
-    "gc_chain_threshold": 3,
     "group_commit": False,
     "copy_reads": True,
     "fast_grants": False,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import IsolationLevel
-from repro.microservices import Microservice, MicroserviceApp, RetryPolicy
+from repro.microservices import Microservice, MicroserviceApp
 from repro.sim import Environment
 from repro.transactions import Saga, SagaOrchestrator, SagaStep
 
@@ -201,47 +201,3 @@ class TestSagaIntegration:
         assert outcome.status == "compensated"
         stock = run(env, app.request("inventory", "peek", {"item": "widget"}))
         assert stock["quantity"] == 10
-
-
-class TestRetryPolicy:
-    def test_retries_until_success(self, env):
-        policy = RetryPolicy(max_attempts=5, base_delay=1.0, jitter=0.0)
-        attempts = {"n": 0}
-
-        def flaky():
-            attempts["n"] += 1
-            yield env.timeout(1)
-            if attempts["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        result = run(env, policy.run(env, flaky))
-        assert result == "ok"
-        assert attempts["n"] == 3
-
-    def test_exhausted_reraises(self, env):
-        policy = RetryPolicy(max_attempts=2, base_delay=1.0, jitter=0.0)
-
-        def always_fails():
-            yield env.timeout(1)
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RuntimeError, match="permanent"):
-            run(env, policy.run(env, always_fails))
-
-    def test_backoff_grows_exponentially(self, env):
-        policy = RetryPolicy(max_attempts=4, base_delay=2.0, factor=3.0, jitter=0.0)
-        rng = env.stream("x")
-        assert policy.delay(1, rng) == 2.0
-        assert policy.delay(2, rng) == 6.0
-        assert policy.delay(3, rng) == 18.0
-
-    def test_delay_capped(self, env):
-        policy = RetryPolicy(base_delay=50.0, factor=10.0, max_delay=60.0, jitter=0.0)
-        assert policy.delay(3, env.stream("x")) == 60.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)

@@ -12,6 +12,7 @@ every reader.
 import pytest
 
 from repro.db import Database, IsolationLevel, Row
+from repro.db.engine import GC_CHAIN_THRESHOLD
 from repro.obs import Tracer
 from repro.sim import Environment
 
@@ -44,11 +45,11 @@ def write_balance(db, key, value):
 class TestVersionChainGc:
     def test_hot_key_chain_is_bounded(self):
         env = Environment()
-        db = make_db(env, gc_chain_threshold=8)
+        db = make_db(env)
         for i in range(200):
             run(env, write_balance(db, "alice", i))
         chain = db._tables["accounts"].versions["alice"]
-        assert len(chain) <= 9  # threshold + the newly installed version
+        assert len(chain) <= GC_CHAIN_THRESHOLD + 1  # + the newly installed version
         assert db.stats.gc_pruned_versions > 150
         assert db.read_latest("accounts", "alice")["balance"] == 199
 

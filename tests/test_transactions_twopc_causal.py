@@ -1,4 +1,4 @@
-"""Tests for the 2PC coordinator, vector clocks, and the causal store."""
+"""Tests for 2PC participant recovery, vector clocks, and the causal store."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database, IsolationLevel
 from repro.sim import Environment
-from repro.transactions import CausalStore, TwoPhaseCommit, VectorClock
+from repro.transactions import CausalStore, VectorClock
 
 SER = IsolationLevel.SERIALIZABLE
 
@@ -25,111 +25,6 @@ def make_bank(env, name):
     db.create_table("accounts", primary_key="id")
     db.load("accounts", [{"id": "acct", "balance": 100}])
     return db
-
-
-class TestTwoPhaseCommit:
-    def test_commit_applies_on_all_participants(self, env):
-        db_a, db_b = make_bank(env, "a"), make_bank(env, "b")
-        coordinator = TwoPhaseCommit(env)
-
-        def flow():
-            txn_a = db_a.begin(SER)
-            txn_b = db_b.begin(SER)
-            yield from db_a.update(txn_a, "accounts", "acct", {"balance": 50})
-            yield from db_b.update(txn_b, "accounts", "acct", {"balance": 150})
-            outcome = yield from coordinator.run([(db_a, txn_a), (db_b, txn_b)])
-            return outcome
-
-        outcome = run(env, flow())
-        assert outcome.decision == "committed"
-        assert db_a.read_latest("accounts", "acct")["balance"] == 50
-        assert db_b.read_latest("accounts", "acct")["balance"] == 150
-
-    def test_prepare_failure_aborts_everyone(self, env):
-        db_a, db_b = make_bank(env, "a"), make_bank(env, "b")
-        coordinator = TwoPhaseCommit(env)
-
-        class FailingParticipant:
-            def prepare(self, txn):
-                yield env.timeout(1)
-                raise RuntimeError("disk full")
-
-            def abort(self, txn):
-                yield env.timeout(1)
-
-        def flow():
-            txn_a = db_a.begin(SER)
-            yield from db_a.update(txn_a, "accounts", "acct", {"balance": 0})
-            outcome = yield from coordinator.run(
-                [(db_a, txn_a), (FailingParticipant(), None)]
-            )
-            return outcome
-
-        outcome = run(env, flow())
-        assert outcome.decision == "aborted"
-        assert outcome.failed_participant == 1
-        assert db_a.read_latest("accounts", "acct")["balance"] == 100
-        assert db_a.in_doubt() == []
-
-    def test_coordinator_crash_leaves_in_doubt_and_blocks(self, env):
-        """The blocking problem: in-doubt participants hold their locks."""
-        db_a = make_bank(env, "a")
-        coordinator = TwoPhaseCommit(env)
-        blocked_reader_progress = []
-
-        def flow():
-            txn = db_a.begin(SER)
-            yield from db_a.update(txn, "accounts", "acct", {"balance": 0})
-            outcome = yield from coordinator.run([(db_a, txn)], crash_before_decision=True)
-            return outcome
-
-        def reader():
-            yield env.timeout(2)
-            txn = db_a.begin(SER)
-            row = yield from db_a.get(txn, "accounts", "acct")
-            yield from db_a.commit(txn)
-            blocked_reader_progress.append((env.now, row["balance"]))
-
-        outcome_proc = env.process(flow())
-        env.process(reader())
-        env.run(until=100)
-        outcome = outcome_proc.result()
-        assert outcome.decision == "in_doubt"
-        assert blocked_reader_progress == []  # reader still blocked at t=100
-
-        run(env, coordinator.recover(outcome.xid, commit=True))
-        env.run()
-        assert blocked_reader_progress[0][1] == 0  # unblocked, sees commit
-
-    def test_recover_abort(self, env):
-        db_a = make_bank(env, "a")
-        coordinator = TwoPhaseCommit(env)
-
-        def flow():
-            txn = db_a.begin(SER)
-            yield from db_a.update(txn, "accounts", "acct", {"balance": 0})
-            return (yield from coordinator.run([(db_a, txn)], crash_before_decision=True))
-
-        outcome = run(env, flow())
-        assert run(env, coordinator.recover(outcome.xid, commit=False))
-        assert db_a.read_latest("accounts", "acct")["balance"] == 100
-
-    def test_recover_unknown_xid(self, env):
-        coordinator = TwoPhaseCommit(env)
-        assert not run(env, coordinator.recover(999))
-
-    def test_decision_delay_charged(self, env):
-        db_a = make_bank(env, "a")
-        coordinator = TwoPhaseCommit(env, decision_delay=25.0)
-
-        def flow():
-            txn = db_a.begin(SER)
-            yield from db_a.update(txn, "accounts", "acct", {"balance": 0})
-            outcome = yield from coordinator.run([(db_a, txn)])
-            return outcome
-
-        outcome = run(env, flow())
-        assert outcome.total_duration >= 25.0
 
 
 class TestParticipantFailureWindow:
@@ -196,30 +91,21 @@ class TestParticipantFailureWindow:
         assert db.read_latest("accounts", "acct")["balance"] == 0
 
     def test_coordinator_and_participant_both_crash(self, env):
-        """The worst window: coordinator dies before the decision AND the
-        participant restarts while prepared.  Recovery on both sides must
-        still land the commit exactly once."""
+        """The worst window: the coordinator dies before deciding AND the
+        participant restarts while prepared.  Nobody delivers the decision
+        until the test does; the participant must block throughout, then
+        land the commit exactly once even if the decision arrives twice."""
         db = make_bank(env, "a")
-        coordinator = TwoPhaseCommit(env)
-
-        def flow():
-            txn = db.begin(SER)
-            yield from db.update(txn, "accounts", "acct", {"balance": 0})
-            return (yield from coordinator.run([(db, txn)],
-                                               crash_before_decision=True))
-
-        outcome = run(env, flow())
-        assert outcome.decision == "in_doubt"
-        db.crash()
-        db.recover()
-        assert len(db.in_doubt()) == 1
+        zombie = self._prepare_zombie(env, db)
         committed = []
         env.process(self._deposit(env, db, 5, committed))
         env.run(until=100)
-        assert committed == []  # blocked through both failures
-        assert run(env, coordinator.recover(outcome.xid, commit=True))
+        assert committed == []  # blocked: no decision has been delivered
+        db.resolve_in_doubt(zombie.tid, commit=True)
         env.run(until=200)
         assert committed
+        db.resolve_in_doubt(zombie.tid, commit=True)  # a recovered coordinator resends
+        assert db.in_doubt() == []
         assert db.read_latest("accounts", "acct")["balance"] == 5
 
 
