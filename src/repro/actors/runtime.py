@@ -18,10 +18,15 @@ from typing import Any, Generator, Optional, Type
 
 from repro.actors.actor import Actor, ActorError
 from repro.cluster import PlacementDirectory, rendezvous_owner
-from repro.messaging.rpc import RpcClient, RpcServer, RpcTimeout
+from repro.messaging.rpc import RpcCall, RpcClient, RpcError, RpcServer, RpcTimeout
 from repro.net.latency import Latency, Sampler
 from repro.net.network import Network
 from repro.sim import Environment, Lock
+
+
+def _payload(actor_type: str, key: str, method: str, args: tuple) -> dict:
+    """The ``invoke`` request a silo serves."""
+    return {"actor_type": actor_type, "key": key, "method": method, "args": list(args)}
 
 
 class StateStorageProvider:
@@ -40,9 +45,21 @@ class StateStorageProvider:
         self.saves = 0
 
     def save(self, actor_type: str, key: str, state: dict) -> Generator:
-        yield self.env.timeout(self._latency(self._rng))
-        self._data[(actor_type, key)] = dict(state)
-        self.saves += 1
+        yield from self.save_many([(actor_type, key, state)])
+
+    def save_many(self, items: list[tuple[str, str, dict]]) -> Generator:
+        """``(actor_type, key, state)`` writes issued concurrently.
+
+        One latency draw per item, in item order, then one wait of the
+        slowest: the batch costs one provider round trip, not one each.
+        """
+        if not items:
+            return
+        latency, rng = self._latency, self._rng
+        yield self.env.timeout(max([latency(rng) for _ in items]))
+        for actor_type, key, state in items:
+            self._data[(actor_type, key)] = dict(state)
+        self.saves += len(items)
 
     def load(self, actor_type: str, key: str) -> Generator:
         yield self.env.timeout(self._latency(self._rng))
@@ -275,15 +292,17 @@ class ActorRuntime:
     ) -> Generator:
         self.stats.calls += 1
         rpc = self._silo_rpc.get(via, self._client_rpc) if via else self._client_rpc
-        payload = {
-            "actor_type": actor_type,
-            "key": key,
-            "method": method,
-            "args": list(args),
-        }
+        result = yield from self._deliver(
+            rpc, _payload(actor_type, key, method, args), timeout, retries
+        )
+        return result
+
+    def _deliver(self, rpc: RpcClient, payload: dict, timeout: float,
+                 retries: int) -> Generator:
+        """Place and invoke ``payload``, re-placing after each timeout."""
         attempts = 0
         while True:
-            silo = self.place(actor_type, key)
+            silo = self.place(payload["actor_type"], payload["key"])
             try:
                 result = yield from rpc.call(
                     silo.node.name, "invoke", payload,
@@ -297,6 +316,43 @@ class ActorRuntime:
                     raise
                 # Re-resolve placement: the silo may have died; the actor
                 # will be re-activated elsewhere (failure transparency).
+
+    def gather(self, requests: list[tuple[str, str, str, tuple]], timeout: float,
+               retries: int) -> Generator:
+        """One round: ``(actor_type, key, method, args)`` calls sent at once.
+
+        Every first attempt leaves before any reply is awaited
+        (:meth:`RpcClient.gather <repro.messaging.rpc.RpcClient.gather>`),
+        so N calls to N actors cost one round trip.  A call whose first
+        attempt times out gets its remaining ``retries`` through the same
+        re-placing loop as a single call.  Returns one
+        :class:`~repro.messaging.rpc.RpcOutcome` per request, in request
+        order; a failed call (``RpcError``, or ``ActorError`` once no silo
+        is alive) never hides the others.  Raises ``ActorError`` without
+        sending anything when no silo is alive at the start.
+        """
+        self.stats.calls += len(requests)
+        rpc = self._client_rpc
+        payloads = [_payload(*request) for request in requests]
+        outcomes = yield from rpc.gather([
+            RpcCall(self.place(payload["actor_type"], payload["key"]).node.name,
+                    "invoke", payload, timeout, 0)
+            for payload in payloads
+        ])
+        for payload, outcome in zip(payloads, outcomes):
+            if not isinstance(outcome.error, RpcTimeout):
+                continue
+            if retries == 0:
+                self.stats.dropped_calls += 1
+                continue
+            try:
+                outcome.value = yield from self._deliver(
+                    rpc, payload, timeout, retries - 1
+                )
+                outcome.error = None
+            except (RpcError, ActorError) as exc:
+                outcome.error = exc
+        return outcomes
 
     # -- reminders -------------------------------------------------------------------
 

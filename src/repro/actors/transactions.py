@@ -6,12 +6,17 @@ copies of their state, durably prepares each tentative version in the
 storage provider, then commits in a second phase — 2PC with the actors as
 participants.
 
-The performance penalty the paper cites falls out of the mechanics: per
-participating actor the transaction pays an exclusive lock (blocking other
-transactions on that actor), one provider round trip at prepare and another
-at commit, and two extra coordinator messages — versus a plain actor call's
-single message and zero mandatory provider trips.  Benchmark C3 measures
-the resulting factor.
+Every phase reaches all of its participants at once, so the cost is counted
+in sequential rounds per transaction, not in trips per actor (the bound of
+Didona et al. is in sequential message delays).  The performance penalty
+the paper cites is still there: an exclusive lock on every declared actor,
+held from before the first round to the end of the last (blocking other
+transactions on it); writes that stay tentative, so they cost a round of
+their own after the reads; one durable prepare round to the provider; and
+the commit round, in which each participant saves its final version and
+deletes its prepare record — versus a plain actor call's single message
+and zero mandatory provider trips.  Benchmark C3 measures the resulting
+factor.
 
 Locks are acquired in sorted actor order, so transactions cannot deadlock
 (they may still block).  A lock wait beyond ``lock_timeout`` aborts the
@@ -21,9 +26,11 @@ transaction, as Orleans' lock-timeout policy does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
+from repro.actors.actor import ActorError
 from repro.actors.runtime import ActorRuntime
+from repro.messaging.rpc import RpcTimeout
 from repro.sim import Environment, Lock, any_of
 
 
@@ -40,16 +47,6 @@ class CommitUncertain(TransactionFailed):
     """
 
 
-@dataclass(frozen=True)
-class TxnOp:
-    """One (actor, method, args) participant operation."""
-
-    actor_type: str
-    key: str
-    method: str
-    args: tuple
-
-
 @dataclass
 class ActorTxnStats:
     committed: int = 0
@@ -61,11 +58,12 @@ class ActorTxnStats:
 class TxnSession:
     """A dynamic transaction's participant surface (see ``execute_dynamic``).
 
-    Each :meth:`call` dispatches one method against the target actor's
-    tentative state (the same ``txn_execute`` participant protocol the
-    static path uses) and records the op for the prepare/commit phases.
-    Only actors declared in the transaction's ident set may be called —
-    their locks are held; touching anything else would be unserialized.
+    :meth:`call_many` runs one round of methods, each against its target
+    actor's tentative state (the ``txn_execute`` participant protocol), and
+    records every touched actor for the prepare/commit phases; :meth:`call`
+    is a round of one.  Only actors declared in the transaction's ident set
+    may be called — their locks are held; touching anything else would be
+    unserialized.
     """
 
     def __init__(self, coordinator: "ActorTransactionCoordinator", txn_id: int,
@@ -73,31 +71,64 @@ class TxnSession:
         self._coordinator = coordinator
         self.txn_id = txn_id
         self._declared = frozenset(idents)
-        self.ops: list[TxnOp] = []
+        #: ops sent so far: the next op's index, the participants' dedup key
+        self._op_count = 0
+        #: touched actor -> its latest tentative state
         self._tentative: dict[tuple[str, str], dict] = {}
 
     def call(self, actor_type: str, key: str, method: str, args: tuple = ()) -> Generator:
-        ident = (actor_type, key)
-        if ident not in self._declared:
+        results = yield from self.call_many([(actor_type, key, method, args)])
+        return results[0]
+
+    def call_many(self, calls: list[tuple[str, str, str, tuple]]) -> Generator:
+        """One round of ``(actor_type, key, method, args)`` participant ops.
+
+        Every op is sent before any reply is awaited; returns the results
+        in call order.  Ops of one round carry no order among themselves,
+        so a round touches each actor at most once.  If an op failed, the
+        first failure raises, but only after every op that succeeded is
+        recorded: its actor then holds tentative state under this
+        transaction, so it is prepared and committed like any other
+        touched actor, even when a driver catches the error and goes on.
+        """
+        idents = [(actor_type, key) for actor_type, key, _method, _args in calls]
+        for ident in idents:
+            if ident not in self._declared:
+                raise TransactionFailed(
+                    f"txn {self.txn_id}: {ident} not in the declared actor set"
+                )
+        if len(set(idents)) < len(idents):
             raise TransactionFailed(
-                f"txn {self.txn_id}: {ident} not in the declared actor set"
+                f"txn {self.txn_id}: one round calls an actor twice"
             )
-        result = yield from self._coordinator.runtime._dispatch(
-            actor_type, key, "txn_execute",
-            ({"method": method, "args": list(args),
-              "txn_id": self.txn_id, "op_index": len(self.ops)},),
+        base = self._op_count
+        self._op_count += len(calls)
+        outcomes = yield from self._coordinator.runtime.gather(
+            [(actor_type, key, "txn_execute",
+              ({"method": method, "args": list(args),
+                "txn_id": self.txn_id, "op_index": base + index},))
+             for index, (actor_type, key, method, args) in enumerate(calls)],
             timeout=50.0, retries=1,
         )
-        self.ops.append(TxnOp(actor_type, key, method, tuple(args)))
-        self._tentative[ident] = result["tentative_state"]
-        return result["result"]
+        for ident, outcome in zip(idents, outcomes):
+            if outcome.error is None:
+                self._tentative[ident] = outcome.value["tentative_state"]
+        return [outcome.result()["result"] for outcome in outcomes]
+
+    @property
+    def participants(self) -> list[tuple[str, str]]:
+        """Every actor an op touched, in sorted order."""
+        return sorted(self._tentative)
 
     def prepare(self) -> Generator:
-        """Durably prepare every touched actor's tentative version."""
-        for (actor_type, key), state in self._tentative.items():
-            yield from self._coordinator.runtime.provider.save(
-                actor_type, f"{key}#prepare-{self.txn_id}", state
-            )
+        """Durably prepare every touched actor's tentative version, in one
+        provider round.  The record doubles as the commit-phase recovery
+        path: a re-activated participant that lost its volatile tentative
+        copy reloads it from here (see ``txn_commit``)."""
+        yield from self._coordinator.runtime.provider.save_many([
+            (actor_type, f"{key}#prepare-{self.txn_id}", state)
+            for (actor_type, key), state in self._tentative.items()
+        ])
 
 
 class ActorTransactionCoordinator:
@@ -125,38 +156,24 @@ class ActorTransactionCoordinator:
     def execute(self, ops: list[tuple[str, str, str, tuple]]) -> Generator:
         """Run ``[(actor_type, key, method, args), ...]`` atomically.
 
-        Returns the list of per-op results in input order.  Raises
-        :class:`TransactionFailed` on lock timeout or any method error;
-        in that case no actor's durable state changed.
+        The ops are opaque methods, so they run one after another in list
+        order; prepare and commit are the same rounds as
+        :meth:`execute_dynamic`'s.  Returns the list of per-op results in
+        input order.  Raises :class:`TransactionFailed` on lock timeout or
+        any method error; in that case no actor's durable state changed.
         """
-        txn_id = self.env.next_id("actor-txn")
-        ops = [TxnOp(t, k, m, tuple(a)) for t, k, m, a in ops]
-        # Ordered acquisition prevents deadlock among transactions.
-        idents = sorted({(op.actor_type, op.key) for op in ops})
-        held: list[Lock] = []
-        try:
-            yield from self._acquire(txn_id, idents, held)
-            results = yield from self._execute_and_prepare(txn_id, ops)
-            try:
-                yield from self._commit(txn_id, ops)
-            except Exception as exc:
-                raise CommitUncertain(
-                    f"txn {txn_id}: commit decision undeliverable: {exc!r}"
-                ) from exc
-            self.stats.committed += 1
+
+        def in_order(session: TxnSession) -> Generator:
+            results = []
+            for actor_type, key, method, args in ops:
+                result = yield from session.call(actor_type, key, method, tuple(args))
+                results.append(result)
             return results
-        except CommitUncertain:
-            self.stats.commit_uncertain += 1
-            raise
-        except TransactionFailed:
-            self.stats.aborted += 1
-            raise
-        except Exception as exc:  # noqa: BLE001 - any failure aborts
-            self.stats.aborted += 1
-            raise TransactionFailed(f"txn {txn_id}: {exc!r}") from exc
-        finally:
-            for lock in held:
-                lock.release()
+
+        results = yield from self.execute_dynamic(
+            [(actor_type, key) for actor_type, key, _method, _args in ops], in_order
+        )
+        return results
 
     def execute_dynamic(self, idents: list[tuple[str, str]], driver) -> Generator:
         """Run a *driver* generator atomically over a declared actor set.
@@ -164,13 +181,14 @@ class ActorTransactionCoordinator:
         Where :meth:`execute` takes a static op list, this takes the set of
         ``(actor_type, key)`` participants up front (the declared-key
         discipline) plus ``driver(session)`` — a generator that interleaves
-        arbitrary logic with :meth:`TxnSession.call` participant operations,
-        so a stored procedure can *read* several actors before deciding what
-        to write.  Locks on every declared ident are held throughout, so the
-        interleaving is serializable; prepare and commit then follow the
-        same two phases (and the same failure taxonomy) as :meth:`execute`.
+        arbitrary logic with :class:`TxnSession` participant rounds, so a
+        stored procedure can *read* several actors before deciding what to
+        write.  Locks on every declared ident are held throughout, so the
+        interleaving is serializable; then one prepare round and one commit
+        round.
         """
         txn_id = self.env.next_id("actor-txn")
+        # Ordered acquisition prevents deadlock among transactions.
         idents = sorted(set(idents))
         held: list[Lock] = []
         try:
@@ -179,7 +197,7 @@ class ActorTransactionCoordinator:
             result = yield from driver(session)
             yield from session.prepare()
             try:
-                yield from self._commit(txn_id, session.ops)
+                yield from self._commit(txn_id, session.participants)
             except Exception as exc:
                 raise CommitUncertain(
                     f"txn {txn_id}: commit decision undeliverable: {exc!r}"
@@ -203,68 +221,63 @@ class ActorTransactionCoordinator:
 
     def _acquire(self, txn_id: int, idents: list[tuple[str, str]],
                  held: list[Lock]) -> Generator:
-        """Acquire every ident's transaction lock (sorted, so no deadlock)."""
+        """Acquire every ident's transaction lock (sorted, so no deadlock).
+
+        A free lock is granted on the spot; only a contended one races its
+        grant against ``lock_timeout``.
+        """
         for ident in idents:
             lock = self._lock_for(*ident)
             acquired = lock.acquire()
-            winner = yield any_of(
-                self.env, [acquired, self.env.timeout(self.lock_timeout, "timeout")]
-            )
-            if winner[0] == 1:
-                # Timed out; if the grant races in later, give it back.
-                acquired.add_done_callback(lambda _f, l=lock: l.release())
-                self.stats.lock_timeouts += 1
-                raise TransactionFailed(f"txn {txn_id}: lock timeout on {ident}")
+            if not acquired.done:
+                winner = yield any_of(
+                    self.env, [acquired, self.env.timeout(self.lock_timeout, "timeout")]
+                )
+                if winner[0] == 1:
+                    # Timed out; if the grant races in later, give it back.
+                    acquired.add_done_callback(lambda _f, l=lock: l.release())
+                    self.stats.lock_timeouts += 1
+                    raise TransactionFailed(f"txn {txn_id}: lock timeout on {ident}")
             held.append(lock)
 
-    def _execute_and_prepare(self, txn_id: int, ops: list[TxnOp]) -> Generator:
-        """Execute each op against tentative state; durably prepare it."""
-        results = []
-        tentative: dict[tuple[str, str], dict] = {}
-        for op_index, op in enumerate(ops):
-            result = yield from self.runtime._dispatch(
-                op.actor_type, op.key, "txn_execute",
-                ({"method": op.method, "args": list(op.args),
-                  "txn_id": txn_id, "op_index": op_index},),
-                timeout=50.0, retries=1,
-            )
-            results.append(result["result"])
-            tentative[(op.actor_type, op.key)] = result["tentative_state"]
-        # Prepare: persist each tentative version (one provider trip each).
-        # The record doubles as the commit-phase recovery path: a
-        # re-activated participant that lost its volatile tentative copy
-        # reloads it from here (see ``txn_commit``).
-        for (actor_type, key), state in tentative.items():
-            yield from self.runtime.provider.save(
-                actor_type, f"{key}#prepare-{txn_id}", state
-            )
-        return results
-
-    def _commit(self, txn_id: int, ops: list[TxnOp]) -> Generator:
-        """Second phase: install tentative state, persist final version.
+    def _commit(self, txn_id: int, participants: list[tuple[str, str]]) -> Generator:
+        """Second phase: every participant installs and persists its
+        tentative state, all in one round.
 
         Once every participant prepared, the decision is commit; it must
-        reach each participant even across silo crashes, so the dispatch
-        retries hard (the durable prepare record makes redelivery safe).
+        reach each participant even across silo crashes, so a participant
+        whose delivery failed is retried (the durable prepare record makes
+        redelivery safe), up to ``commit_attempts`` rounds apart by
+        ``lock_timeout / 4``.  The first error is raised only after every
+        participant has been tried, so an unreachable one never keeps the
+        reachable ones from installing.
         """
-        from repro.actors.runtime import ActorError
-        from repro.messaging.rpc import RpcTimeout
-
-        for ident in sorted({(op.actor_type, op.key) for op in ops}):
-            actor_type, key = ident
-            attempts = 0
-            while True:
-                try:
-                    yield from self.runtime._dispatch(
-                        actor_type, key, "txn_commit",
-                        ({"txn_id": txn_id},), timeout=50.0, retries=2,
-                    )
-                    break
-                except (RpcTimeout, ActorError):
-                    attempts += 1
-                    if attempts >= self.commit_attempts:
-                        raise
-                    yield self.env.timeout(self.lock_timeout / 4)
+        request = ({"txn_id": txn_id},)
+        pending = participants
+        first_error: Optional[Exception] = None
+        for attempt in range(1, self.commit_attempts + 1):
+            try:
+                outcomes = yield from self.runtime.gather(
+                    [(actor_type, key, "txn_commit", request) for actor_type, key in pending],
+                    timeout=50.0, retries=2,
+                )
+                errors = [outcome.error for outcome in outcomes]
+            except ActorError as exc:  # no silo alive: nothing was sent
+                errors = [exc] * len(pending)
+            retry = []
+            for ident, error in zip(pending, errors):
+                if error is None:
+                    continue
+                if isinstance(error, (RpcTimeout, ActorError)) and attempt < self.commit_attempts:
+                    retry.append(ident)
+                elif first_error is None:
+                    first_error = error
+            if not retry:
+                break
+            pending = retry
+            yield self.env.timeout(self.lock_timeout / 4)
+        if first_error is not None:
+            raise first_error
 
 
 def transactional(cls):

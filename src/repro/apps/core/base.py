@@ -7,7 +7,9 @@ Three pieces every runtime shares:
   thread one by hand);
 - :class:`KernelContext` — the access-checked generator protocol a
   handler body runs against (``get``/``put``/``delete`` over
-  ``(entity, key)``), enforcing the spec's declared read/write sets;
+  ``(entity, key)``), enforcing the spec's declared read/write sets, and
+  :class:`BufferedContext`, the variant that buffers writes behind a
+  read-your-writes overlay until the binder ships them;
 - :class:`Binder` — the deployment adapter: takes one
   :class:`~repro.apps.core.spec.AppSpec` and runs it on a concrete
   runtime, exposing the uniform ``setup() / execute(op) / snapshot() /
@@ -26,6 +28,7 @@ __all__ = [
     "AppFailure",
     "AppUncertain",
     "Binder",
+    "BufferedContext",
     "KernelApp",
     "KernelContext",
     "UndeclaredAccess",
@@ -138,6 +141,44 @@ class KernelContext:
 
     def _delete(self, entity: str, key: Hashable) -> Generator:
         raise NotImplementedError
+
+
+class BufferedContext(KernelContext):
+    """A context whose writes buffer behind a read-your-writes overlay.
+
+    ``put``/``delete`` only record into :attr:`writes`, which the binder
+    ships after the body returns; ``get`` answers from that overlay and
+    otherwise from the :meth:`_fetch` hook, the one thing a binder
+    supplies.  Reads return copies, so the body never aliases a row.
+    """
+
+    def __init__(self, env, op, handler, access, scratch=None) -> None:
+        super().__init__(env, op, handler, access, scratch)
+        #: (entity, key) -> row, or None for a delete, in write order
+        self.writes: dict[tuple, Optional[dict]] = {}
+
+    def _fetch(self, ref: KeyRef) -> Generator:
+        """The row-or-None at ``ref`` that the body has not written."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def _get(self, entity: str, key: Hashable) -> Generator:
+        ref = (entity, key)
+        if ref in self.writes:
+            row = self.writes[ref]
+        else:
+            row = yield from self._fetch(ref)
+        return dict(row) if row is not None else None
+
+    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
+        self.writes[(entity, key)] = row
+        return
+        yield  # pragma: no cover
+
+    def _delete(self, entity: str, key: Hashable) -> Generator:
+        self.writes[(entity, key)] = None
+        return
+        yield  # pragma: no cover
 
 
 #: runtime name -> Binder subclass.

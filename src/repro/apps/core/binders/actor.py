@@ -1,16 +1,20 @@
 """The actor binder: every (entity, key) row lives in a virtual actor.
 
 ``mode="transaction"`` (sound) runs each handler through the
-Orleans-style coordinator's dynamic path: locks on the declared actor
-set, reads and writes against tentative state, durable prepare, commit —
-ACID at the documented §4.2 performance penalty.  ``mode="plain"``
-(unsound control) runs the same handler but applies each buffered write
-as an independent actor call: atomic per actor, torn across them.
+Orleans-style coordinator's dynamic path in four rounds, each one
+reaching every actor it concerns at once: with locks held on the whole
+declared actor set, the declared reads are fetched (*read*), the body
+runs on them with its writes buffered behind a read-your-writes overlay,
+the buffered writes are applied to tentative state (*write*), then
+durable *prepare* and *commit* — ACID at the documented §4.2 performance
+penalty.  ``mode="plain"`` (unsound control) runs the same handler but
+applies each buffered write as an independent actor call: atomic per
+actor, torn across them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Hashable
+from typing import Any, Generator, Optional
 
 from repro.actors import (
     Actor,
@@ -24,7 +28,7 @@ from repro.actors import (
 from repro.apps.core.base import (
     AppUncertain,
     Binder,
-    KernelContext,
+    BufferedContext,
     register_binder,
     storage_key,
 )
@@ -67,58 +71,56 @@ class KernelEntityActor(Actor):
         return True
 
 
-class _ActorTxnCtx(KernelContext):
-    """Handler context over a dynamic coordinator session."""
+def _row_op(ref: tuple, method: str, args: tuple = ()) -> tuple:
+    """The participant op on ``ref``'s row actor."""
+    entity, key = ref
+    return "KernelEntityActor", storage_key(entity, key), method, args
+
+
+class _ActorTxnCtx(BufferedContext):
+    """Handler context over a dynamic coordinator session, in rounds.
+
+    :meth:`prefetch` reads the declared read set in one round before the
+    body runs; the body reads those rows overlaid with its own buffered
+    writes, and :meth:`flush` ships every write in one round after it
+    returns.  A key declared only as a write but read by the body costs
+    one call when first read.
+    """
 
     def __init__(self, env, op, handler, access, session: TxnSession) -> None:
         super().__init__(env, op, handler, access)
         self.session = session
+        #: (entity, key) -> row-or-None as read
+        self.rows: dict[tuple, Optional[dict]] = {}
 
-    def _get(self, entity: str, key: Hashable) -> Generator:
-        row = yield from self.session.call(
-            "KernelEntityActor", storage_key(entity, key), "k_get"
-        )
-        return row
+    def prefetch(self, refs: tuple) -> Generator:
+        rows = yield from self.session.call_many([_row_op(ref, "k_get") for ref in refs])
+        self.rows.update(zip(refs, rows))
 
-    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
-        yield from self.session.call(
-            "KernelEntityActor", storage_key(entity, key), "k_set", (dict(row),)
-        )
+    def flush(self) -> Generator:
+        yield from self.session.call_many([
+            _row_op(ref, "k_delete") if row is None else _row_op(ref, "k_set", (row,))
+            for ref, row in self.writes.items()
+        ])
 
-    def _delete(self, entity: str, key: Hashable) -> Generator:
-        yield from self.session.call(
-            "KernelEntityActor", storage_key(entity, key), "k_delete"
-        )
+    def _fetch(self, ref: tuple) -> Generator:
+        if ref not in self.rows:  # readable, but not a declared read
+            self.rows[ref] = yield from self.session.call(*_row_op(ref, "k_get"))
+        return self.rows[ref]
 
 
-class _PlainActorCtx(KernelContext):
+class _PlainActorCtx(BufferedContext):
     """Uncoordinated context: direct reads, buffered writes."""
 
     def __init__(self, env, op, handler, access, runtime: ActorRuntime) -> None:
         super().__init__(env, op, handler, access)
         self.actors = runtime
-        #: (entity, key) -> row-or-None, in write order
-        self.writes: dict[tuple, Any] = {}
 
-    def _get(self, entity: str, key: Hashable) -> Generator:
-        ref = (entity, key)
-        if ref in self.writes:
-            row = self.writes[ref]
-            return dict(row) if row is not None else None
+    def _fetch(self, ref: tuple) -> Generator:
         row = yield from self.actors.ref(
-            "KernelEntityActor", storage_key(entity, key)
+            "KernelEntityActor", storage_key(*ref)
         ).call("k_get", retries=2)
         return row
-
-    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
-        self.writes[(entity, key)] = dict(row)
-        return
-        yield  # pragma: no cover
-
-    def _delete(self, entity: str, key: Hashable) -> Generator:
-        self.writes[(entity, key)] = None
-        return
-        yield  # pragma: no cover
 
 
 @register_binder
@@ -167,7 +169,9 @@ class ActorBinder(Binder):
 
             def driver(session):
                 ctx = _ActorTxnCtx(self.env, op, handler, access, session)
+                yield from ctx.prefetch(access.reads)
                 result = yield from handler.body(ctx, op)
+                yield from ctx.flush()
                 return result
 
             # Lock timeouts and participant failures surface as

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Generator, Hashable, Optional
 
-from repro.apps.core.base import AppUncertain, Binder, KernelContext, register_binder
+from repro.apps.core.base import (
+    AppUncertain,
+    Binder,
+    BufferedContext,
+    KernelContext,
+    register_binder,
+)
 from repro.apps.core.retry import with_txn
 from repro.apps.core.spec import AppSpec, HandlerSpec, OpAccess
 from repro.db import DatabaseServer, IsolationLevel
@@ -57,7 +63,7 @@ class _TableCtx(KernelContext):
         yield from self.db.delete(self.txn, entity, key)
 
 
-class _FetchedCtx(KernelContext):
+class _FetchedCtx(BufferedContext):
     """Entity access over rows locked and fetched before the body ran.
 
     Reads see the fetched rows overlaid with the body's own writes; writes
@@ -68,23 +74,9 @@ class _FetchedCtx(KernelContext):
     def __init__(self, env, op, handler, access, rows, scratch) -> None:
         super().__init__(env, op, handler, access, scratch)
         self.rows = rows
-        #: (entity, key) -> row, or None for a delete
-        self.writes: dict[tuple, Optional[dict]] = {}
 
-    def _get(self, entity: str, key: Hashable) -> Generator:
-        ref = (entity, key)
-        row = self.writes[ref] if ref in self.writes else self.rows[ref]
-        return dict(row) if row is not None else None
-        yield  # pragma: no cover
-
-    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
-        self.writes[(entity, key)] = row
-        return
-        yield  # pragma: no cover
-
-    def _delete(self, entity: str, key: Hashable) -> Generator:
-        self.writes[(entity, key)] = None
-        return
+    def _fetch(self, ref: tuple) -> Generator:
+        return self.rows[ref]
         yield  # pragma: no cover
 
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Hashable, Optional
 
-from repro.apps.core.base import AppUncertain, Binder, KernelContext, register_binder
+from repro.apps.core.base import AppUncertain, Binder, BufferedContext, register_binder
 from repro.apps.core.retry import with_prepared_txn, with_txn
 from repro.apps.core.spec import AppSpec, EntitySpec, HandlerSpec, OpAccess
 from repro.microservices import Microservice
@@ -89,7 +89,7 @@ def _apply_writes(db, txn, table: str, writes: list, known: dict) -> Generator:
         yield from db.put(txn, table, key, dict(row, _v=version + 1))
 
 
-class _MicroCtx(KernelContext):
+class _MicroCtx(BufferedContext):
     """Coordinator-side context: RPC reads with versions, buffered writes."""
 
     def __init__(self, env, op, handler, access, binder: "MicroserviceBinder",
@@ -102,8 +102,6 @@ class _MicroCtx(KernelContext):
         self.read_rows: dict[tuple, Optional[dict]] = {}
         #: (entity, key) -> version observed at first read
         self.read_versions: dict[tuple, int] = {}
-        #: (entity, key) -> row-or-None (None = delete), in write order
-        self.writes: dict[tuple, Optional[dict]] = {}
 
     def _read_request(self, entity: str, key: Hashable) -> tuple:
         return entity, "read", {"key": key}, f"{self.txn_id}/r/{entity}/{key}"
@@ -120,26 +118,11 @@ class _MicroCtx(KernelContext):
         for ref, outcome in zip(refs, outcomes):
             self._record_read(ref, outcome.result())
 
-    def _get(self, entity: str, key: Hashable) -> Generator:
-        ref = (entity, key)
-        if ref in self.writes:  # read-your-writes
-            row = self.writes[ref]
-            return dict(row) if row is not None else None
+    def _fetch(self, ref: tuple) -> Generator:
         if ref not in self.read_rows:  # readable, but not a declared read
-            reply = yield from self.binder.request(*self._read_request(entity, key))
+            reply = yield from self.binder.request(*self._read_request(*ref))
             self._record_read(ref, reply)
-        row = self.read_rows[ref]
-        return dict(row) if row is not None else None
-
-    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
-        self.writes[(entity, key)] = dict(row)
-        return
-        yield  # pragma: no cover
-
-    def _delete(self, entity: str, key: Hashable) -> Generator:
-        self.writes[(entity, key)] = None
-        return
-        yield  # pragma: no cover
+        return self.read_rows[ref]
 
     def touched_entities(self) -> list[str]:
         """Entities with reads or writes, in first-touch order."""

@@ -7,10 +7,13 @@ from repro.actors import (
     ActorError,
     ActorRuntime,
     ActorTransactionCoordinator,
+    CommitUncertain,
+    StateStorageProvider,
     TransactionFailed,
     transactional,
 )
-from repro.messaging import RpcTimeout
+from repro.messaging import RpcRemoteError, RpcTimeout
+from repro.net import Latency
 from repro.sim import Environment
 
 
@@ -397,3 +400,217 @@ class TestActorTransactions:
         plain_cost = run(env, plain())
         txn_cost = run(env, txn())
         assert txn_cost > 2 * plain_cost
+
+    def test_commit_reaches_every_participant_before_raising(self, env, runtime):
+        """An undeliverable commit to one participant must not keep the
+        others from installing: ``a`` (first in sorted order) is cut off
+        from the client once every prepare record is durable, ``b`` still
+        commits, and only then is the uncertainty raised."""
+        coordinator = ActorTransactionCoordinator(runtime)
+        silo_a = runtime.place("BankAccount", "a").name
+        assert runtime.place("BankAccount", "b").name != silo_a
+        save_many = runtime.provider.save_many
+
+        def save_then_partition(items):
+            del runtime.provider.save_many  # the prepare round only
+            yield from save_many(items)
+            runtime.net.partition(["actor-client"], [silo_a])
+
+        def flow():
+            yield from runtime.ref("BankAccount", "a").call("deposit", 100)
+            yield from runtime.ref("BankAccount", "b").call("deposit", 100)
+            runtime.provider.save_many = save_then_partition
+            yield from coordinator.execute([
+                ("BankAccount", "a", "txn_withdraw", (30,)),
+                ("BankAccount", "b", "txn_deposit", (30,)),
+            ])
+
+        with pytest.raises(CommitUncertain):
+            run(env, flow())
+        assert runtime.provider.peek("BankAccount", "b")["balance"] == 130
+        assert runtime.provider.peek("BankAccount", "a")["balance"] == 100
+        # a's decision is still recoverable from its prepare record.
+        prepared = [key for (_t, key) in runtime.provider._data if "#prepare-" in key]
+        assert prepared == ["a#prepare-1"]
+        assert coordinator.stats.commit_uncertain == 1
+
+    def test_a_failed_op_does_not_drop_the_rest_of_its_round(self, env, runtime):
+        """In a two-op round ``a``'s withdrawal fails and ``b``'s deposit
+        succeeds.  The round raises ``a``'s error, but ``b``'s tentative
+        state is recorded first: a driver that catches the error and calls
+        no actor again still commits ``b``'s deposit, and ``b`` keeps no
+        prepare record."""
+        coordinator = ActorTransactionCoordinator(runtime)
+
+        def driver(session):
+            with pytest.raises(RpcRemoteError):
+                yield from session.call_many([
+                    ("BankAccount", "a", "txn_withdraw", (500,)),
+                    ("BankAccount", "b", "txn_deposit", (30,)),
+                ])
+            return "caught"
+
+        def flow():
+            yield from runtime.ref("BankAccount", "a").call("deposit", 100)
+            yield from runtime.ref("BankAccount", "b").call("deposit", 100)
+            result = yield from coordinator.execute_dynamic(
+                [("BankAccount", "a"), ("BankAccount", "b")], driver
+            )
+            return result
+
+        assert run(env, flow()) == "caught"
+        assert runtime.provider.peek("BankAccount", "a")["balance"] == 100
+        assert runtime.provider.peek("BankAccount", "b")["balance"] == 130
+        assert not [key for (_t, key) in runtime.provider._data if "#prepare-" in key]
+        assert coordinator.stats.committed == 1
+
+
+def _constant_runtime(env, net_ms, store_ms):
+    runtime = ActorRuntime(
+        env, num_silos=3,
+        provider=StateStorageProvider(env, latency=Latency.constant(store_ms)),
+        network_latency=Latency.constant(net_ms),
+    )
+    runtime.register(BankAccount)
+    return runtime
+
+
+class TestRounds:
+    """Each transaction phase reaches every participant in one round."""
+
+    NET_MS = 1.0
+    STORE_MS = 5.0
+
+    def test_two_actor_transaction_costs_four_rounds(self):
+        """Exact virtual time of a read-then-write transfer over two
+        activated actors, network one-way latency ``n``, provider latency
+        ``p``, locks free:
+
+        - read round: both ``txn_execute`` reads out and back, ``2n``;
+        - write round: both tentative writes, ``2n``;
+        - prepare round: both records in one ``save_many``, ``p``;
+        - commit round: ``txn_commit`` out and back, each participant
+          saving its state and deleting its record, ``2n + 2p``.
+
+        Total ``6n + 3p`` = 21 ms at n = 1, p = 5.  Visiting participants
+        one at a time costs ``12n + 6p`` = 42 ms.
+        """
+        env = Environment(seed=31)
+        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        coordinator = ActorTransactionCoordinator(runtime)
+        n, p = self.NET_MS, self.STORE_MS
+
+        def transfer(session):
+            balances = yield from session.call_many([
+                ("BankAccount", "a", "balance", ()),
+                ("BankAccount", "b", "balance", ()),
+            ])
+            assert balances == [100, 100]
+            yield from session.call_many([
+                ("BankAccount", "a", "txn_withdraw", (30,)),
+                ("BankAccount", "b", "txn_deposit", (30,)),
+            ])
+
+        def flow():
+            yield from runtime.ref("BankAccount", "a").call("deposit", 100)
+            yield from runtime.ref("BankAccount", "b").call("deposit", 100)
+            start = env.now
+            yield from coordinator.execute_dynamic(
+                [("BankAccount", "a"), ("BankAccount", "b")], transfer
+            )
+            return env.now - start
+
+        assert run(env, flow()) == 6 * n + 3 * p
+        assert runtime.provider.peek("BankAccount", "a")["balance"] == 70
+        assert runtime.provider.peek("BankAccount", "b")["balance"] == 130
+
+    def test_gather_over_three_silos_costs_one_round_trip(self):
+        env = Environment(seed=31)
+        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        keys = ["a", "b", "d"]
+        assert len({runtime.place("BankAccount", key).name for key in keys}) == 3
+
+        def flow():
+            for key in keys:
+                yield from runtime.ref("BankAccount", key).call("deposit", 1)
+            start = env.now
+            outcomes = yield from runtime.gather(
+                [("BankAccount", key, "balance", ()) for key in keys],
+                timeout=50.0, retries=0,
+            )
+            return env.now - start, [outcome.result() for outcome in outcomes]
+
+        elapsed, balances = run(env, flow())
+        assert balances == [1, 1, 1]
+        assert elapsed == 2 * self.NET_MS
+
+    def test_gather_retries_a_timed_out_call_on_its_new_placement(self):
+        """``a``'s silo dies while its first attempt is in flight: after
+        the timeout ``t`` the call is re-placed and re-activates ``a`` from
+        the provider (``2n + p``), while ``b``'s reply was already in."""
+        env = Environment(seed=31)
+        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        home = runtime.place("BankAccount", "a").name
+        n, p, t = self.NET_MS, self.STORE_MS, 10.0
+
+        def flow():
+            yield from runtime.ref("BankAccount", "a").call("deposit", 7)
+            env.schedule(n / 2, runtime.crash_silo, int(home.split("-")[1]))
+            start = env.now
+            outcomes = yield from runtime.gather(
+                [("BankAccount", "a", "balance", ()), ("BankAccount", "b", "balance", ())],
+                timeout=t, retries=1,
+            )
+            return env.now - start, [outcome.result() for outcome in outcomes]
+
+        elapsed, balances = run(env, flow())
+        assert balances == [7, 0]
+        assert runtime.host_of("BankAccount", "a") != home
+        assert elapsed == t + 2 * n + p
+        assert runtime.stats.dropped_calls == 0
+
+    def test_gather_reports_a_call_out_of_retries_without_hiding_the_others(self):
+        env = Environment(seed=31)
+        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        runtime.net.partition(["actor-client"], [runtime.place("BankAccount", "a").name])
+
+        def flow():
+            outcomes = yield from runtime.gather(
+                [("BankAccount", "a", "balance", ()), ("BankAccount", "b", "balance", ())],
+                timeout=5.0, retries=1,
+            )
+            return outcomes
+
+        lost, found = run(env, flow())
+        assert isinstance(lost.error, RpcTimeout)
+        assert found.result() == 0
+        assert runtime.stats.dropped_calls == 1
+
+    def test_save_many_draws_one_latency_per_item_in_item_order(self):
+        """One draw per item from the provider's own stream, then one wait
+        of the slowest — so two runs of the same seed produce the same
+        history, and the next save takes the next draw."""
+
+        def run_once():
+            env = Environment(seed=9)
+            provider = StateStorageProvider(env, latency=Latency.uniform(1.0, 9.0))
+            history = []
+
+            def flow():
+                yield from provider.save_many(
+                    [("T", f"k{i}", {"v": i}) for i in range(3)]
+                )
+                history.append(env.now)
+                yield from provider.save("T", "k3", {"v": 3})
+                history.append(env.now)
+
+            run(env, flow())
+            return history, provider
+
+        history, provider = run_once()
+        reference = Environment(seed=9).stream("actor-state-store")
+        draws = [reference.uniform(1.0, 9.0) for _ in range(4)]
+        assert history == [max(draws[:3]), max(draws[:3]) + draws[3]]
+        assert [provider.peek("T", f"k{i}") for i in range(4)] == [{"v": i} for i in range(4)]
+        assert provider.saves == 4
+        assert run_once()[0] == history
