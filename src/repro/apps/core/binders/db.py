@@ -9,9 +9,11 @@ unsound allocate-then-insert pattern the gap-free oracle must catch.
 The sharded binder never lets the body choose its lock order.  Before
 the body runs, one lock-and-fetch round
 (:meth:`~repro.db.sharding.ShardedDatabase.lock_and_fetch`) takes every
-declared key — shards in ascending id, one round trip each, keys in
-``(table, repr(key))`` order inside a shard, X for declared writes and S
-for read-only keys — and returns the rows.  The body then reads those
+declared key — shards in ascending id, keys in ``(table, repr(key))``
+order inside a shard, X for declared writes and S for read-only keys —
+and returns the rows.  One round trip reaches every touched shard; a
+shard whose lock is busy ends the round there, and the next round
+re-sends the requests to the shards above it.  The body then reads those
 rows (overlaid with its own writes) and buffers its writes, issuing no
 round trip; the writes ride on each shard's commit message (the
 one-phase commit, the 2PC prepare, or the replicated stage).  Because

@@ -11,9 +11,11 @@ What a commit costs is its sequential message delays, not its messages:
 a one-phase commit is one round trip, and 2PC is two however many shards
 it touches — every shard's prepare goes out in one round and every
 decision in the next (under replication, every group's ``prepare`` or
-``decide`` log entry is proposed before any quorum ack is awaited).  Only
-:meth:`ShardedDatabase.lock_and_fetch` visits shards one after another,
-because its ascending shard order is what makes it deadlock-free.
+``decide`` log entry is proposed before any quorum ack is awaited).
+:meth:`ShardedDatabase.lock_and_fetch` is one round too when no lock is
+busy; its ascending shard order, which is what makes it deadlock-free,
+binds only the waits, so each shard at which it has to wait costs one
+more round.
 
 Placement and elasticity:
 
@@ -624,47 +626,57 @@ class ShardedDatabase:
                 if waiter is not None:
                     waiter.try_succeed(None)
 
-    def _hop(self, shard: int) -> Generator:
-        """Charge the route to the shard's owner: one round trip, plus a
-        forward hop when a cached route went stale, plus the owner's
-        service slot when node capacity is modeled."""
-        route = self.router.resolve_shard(shard)
+    def _round(self, shards: list[int]) -> Generator:
+        """Charge one round reaching every shard in ``shards`` at once.
+
+        One round trip, plus one forward hop when any cached route went
+        stale, plus — when node capacity is modeled — a service slot on
+        every owning node for one ``service_ms`` (slots taken in node-name
+        order, so two rounds cannot each hold a slot the other waits for).
+        Each shard's load is recorded after the charge.  The interactive
+        operations charge a one-shard round per call."""
+        routes = [self.router.resolve_shard(shard) for shard in shards]
         yield self.env.timeout(self.rtt_ms)
-        if route.forwarded:
+        if any(route.forwarded for route in routes):
             yield self.env.timeout(self.rtt_ms)
         if self.service_ms > 0:
-            gate = self._gates[route.node]
-            yield gate.acquire()
+            gates = [self._gates[node] for node in sorted({r.node for r in routes})]
+            held = []
             try:
+                for gate in gates:
+                    yield gate.acquire()
+                    held.append(gate)
                 yield self.env.timeout(self.service_ms)
             finally:
-                gate.release()
-        self.shard_stats.record(shard)
+                for gate in held:
+                    gate.release()
+        for shard in shards:
+            self.shard_stats.record(shard)
 
     def get(self, txn: DistributedTransaction, table: str, key: Hashable) -> Generator:
         shard = yield from self._branch(txn, key)
-        yield from self._hop(shard)
+        yield from self._round([shard])
         return (yield from txn.engines[shard].get(txn.branches[shard], table, key))
 
     def put(self, txn: DistributedTransaction, table: str, key: Hashable, row: dict) -> Generator:
         shard = yield from self._branch(txn, key)
-        yield from self._hop(shard)
+        yield from self._round([shard])
         yield from txn.engines[shard].put(txn.branches[shard], table, key, row)
 
     def insert(self, txn: DistributedTransaction, table: str, row: dict) -> Generator:
         primary_key = self.shards[0]._table(table).primary_key
         shard = yield from self._branch(txn, row[primary_key])
-        yield from self._hop(shard)
+        yield from self._round([shard])
         yield from txn.engines[shard].insert(txn.branches[shard], table, row)
 
     def update(self, txn: DistributedTransaction, table: str, key: Hashable, changes: dict) -> Generator:
         shard = yield from self._branch(txn, key)
-        yield from self._hop(shard)
+        yield from self._round([shard])
         return (yield from txn.engines[shard].update(txn.branches[shard], table, key, changes))
 
     def delete(self, txn: DistributedTransaction, table: str, key: Hashable) -> Generator:
         shard = yield from self._branch(txn, key)
-        yield from self._hop(shard)
+        yield from self._round([shard])
         yield from txn.engines[shard].delete(txn.branches[shard], table, key)
 
     def lock_and_fetch(
@@ -675,27 +687,42 @@ class ShardedDatabase:
     ) -> Generator:
         """Lock every ``(table, key)`` in ``refs`` up front; return their rows.
 
-        One round per touched shard, in ascending shard id: open the
-        branch, one :meth:`_hop`, then the shard engine locks its keys in
-        ``(table, repr(key))`` order (:meth:`Database.lock_and_fetch`) —
-        X for refs in ``writable``, S for the rest.  Every transaction
-        that locks through here acquires in the one global order
-        ``(shard, table, repr(key))``, so none can close a waits-for
-        cycle, across shards included, where no single shard's lock
-        manager could see it.  Returns ``{(table, key): row or None}``.
+        Every touched shard's branch opens first, in ascending shard id
+        (each open waits out a migration bar or a leader election).  Then
+        rounds: one :meth:`_round` carries the request of every shard not
+        yet locked, and the shards lock in ascending id, each engine
+        taking its keys in ``(table, repr(key))`` order
+        (:meth:`Database.lock_and_fetch`) — X for refs in ``writable``, S
+        for the rest.  A shard whose locking had to wait ends the round:
+        the requests to the higher shards count as cancelled (released in
+        the same reply round) and the next round re-sends them.  So the
+        transaction waits at a shard only while it holds locks on lower
+        shards, every acquisition follows the one global order
+        ``(shard, table, repr(key))``, and no waits-for cycle can form,
+        across shards included, where no single shard's lock manager
+        could see it.  Uncontended, that is one round however many shards
+        are touched; each wait adds one.  Returns
+        ``{(table, key): row or None}``.
         """
         by_shard: dict[int, list[tuple[str, Hashable]]] = {}
         shard_of = self.router.shard_of
         for ref in refs:
             by_shard.setdefault(shard_of(ref[1]), []).append(ref)
-        rows: dict[tuple[str, Hashable], Optional[dict]] = {}
-        for shard in sorted(by_shard):
+        pending = sorted(by_shard)
+        for shard in pending:
             yield from self._open_branch(txn, shard)
-            yield from self._hop(shard)
-            fetched = yield from txn.engines[shard].lock_and_fetch(
-                txn.branches[shard], by_shard[shard], writable
-            )
-            rows.update(fetched)
+        rows: dict[tuple[str, Hashable], Optional[dict]] = {}
+        while pending:
+            yield from self._round(pending)
+            for done, shard in enumerate(pending, 1):
+                asked = self.env.now
+                fetched = yield from txn.engines[shard].lock_and_fetch(
+                    txn.branches[shard], by_shard[shard], writable
+                )
+                rows.update(fetched)
+                if self.env.now != asked:
+                    break  # it waited: the next round re-sends the rest
+            pending = pending[done:]
         return rows
 
     def commit(
