@@ -8,7 +8,9 @@ participants.
 
 Every phase reaches all of its participants at once, so the cost is counted
 in sequential rounds per transaction, not in trips per actor (the bound of
-Didona et al. is in sequential message delays).  The performance penalty
+Didona et al. is in sequential message delays).  The prepare and commit
+rounds are :func:`~repro.transactions.commit.two_phase`, with the
+transaction's :class:`TxnSession` as the transport.  The performance penalty
 the paper cites is still there: an exclusive lock on every declared actor,
 held from before the first round to the end of the last (blocking other
 transactions on it); writes that stay tentative, so they cost a round of
@@ -32,6 +34,7 @@ from repro.actors.actor import ActorError
 from repro.actors.runtime import ActorRuntime
 from repro.messaging.rpc import RpcTimeout
 from repro.sim import Environment, Lock, any_of
+from repro.transactions.commit import PREPARED, two_phase
 
 
 class TransactionFailed(Exception):
@@ -120,15 +123,58 @@ class TxnSession:
         """Every actor an op touched, in sorted order."""
         return sorted(self._tentative)
 
-    def prepare(self) -> Generator:
-        """Durably prepare every touched actor's tentative version, in one
-        provider round.  The record doubles as the commit-phase recovery
-        path: a re-activated participant that lost its volatile tentative
-        copy reloads it from here (see ``txn_commit``)."""
-        yield from self._coordinator.runtime.provider.save_many([
-            (actor_type, f"{key}#prepare-{self.txn_id}", state)
-            for (actor_type, key), state in self._tentative.items()
-        ])
+    # -- the two_phase transport (repro.transactions.commit) ---------------
+
+    def prepare(self, participants: list[tuple[str, str]]) -> Generator:
+        """Durably prepare every participant's tentative version, in one
+        provider round; a raise is every participant's vote.  The record
+        doubles as the commit-phase recovery path: a re-activated
+        participant that lost its volatile tentative copy reloads it from
+        here (see ``txn_commit``)."""
+        try:
+            yield from self._coordinator.runtime.provider.save_many([
+                (ident[0], f"{ident[1]}#prepare-{self.txn_id}", self._tentative[ident])
+                for ident in participants
+            ])
+        except Exception as exc:  # noqa: BLE001 - every participant's vote
+            return [exc] * len(participants)
+        return [PREPARED] * len(participants)
+
+    def decide(self, participants: list[tuple[str, str]], commit: bool) -> Generator:
+        """The decision round.
+
+        An abort sends nothing: the tentative state is dropped by the
+        participant's next ``txn_execute``, and the locks by
+        :meth:`ActorTransactionCoordinator.execute_dynamic`.  A commit
+        installs and persists every participant's tentative state in one
+        round, and must reach each one even across silo crashes: a
+        participant whose delivery failed is retried (the durable prepare
+        record makes redelivery safe), up to ``commit_attempts`` rounds
+        apart by ``lock_timeout / 4``.
+        """
+        errors: dict[tuple, Optional[Exception]] = dict.fromkeys(participants)
+        if not commit:
+            return list(errors.values())
+        coordinator = self._coordinator
+        request = ({"txn_id": self.txn_id},)
+        pending = participants
+        for attempt in range(1, coordinator.commit_attempts + 1):
+            try:
+                outcomes = yield from coordinator.runtime.gather(
+                    [(actor_type, key, "txn_commit", request) for actor_type, key in pending],
+                    timeout=50.0, retries=2,
+                )
+                errors.update(zip(pending, [outcome.error for outcome in outcomes]))
+            except ActorError as exc:  # no silo alive: nothing was sent
+                errors.update(dict.fromkeys(pending, exc))
+            pending = [
+                ident for ident in pending
+                if isinstance(errors[ident], (RpcTimeout, ActorError))
+            ]
+            if not pending or attempt == coordinator.commit_attempts:
+                break
+            yield coordinator.env.timeout(coordinator.lock_timeout / 4)
+        return list(errors.values())
 
 
 class ActorTransactionCoordinator:
@@ -184,8 +230,9 @@ class ActorTransactionCoordinator:
         arbitrary logic with :class:`TxnSession` participant rounds, so a
         stored procedure can *read* several actors before deciding what to
         write.  Locks on every declared ident are held throughout, so the
-        interleaving is serializable; then one prepare round and one commit
-        round.
+        interleaving is serializable; then
+        :func:`~repro.transactions.commit.two_phase` over the touched actors
+        (:meth:`TxnSession.prepare`, :meth:`TxnSession.decide`).
         """
         txn_id = self.env.next_id("actor-txn")
         # Ordered acquisition prevents deadlock among transactions.
@@ -195,13 +242,13 @@ class ActorTransactionCoordinator:
             yield from self._acquire(txn_id, idents, held)
             session = TxnSession(self, txn_id, idents)
             result = yield from driver(session)
-            yield from session.prepare()
-            try:
-                yield from self._commit(txn_id, session.participants)
-            except Exception as exc:
+            committed, error = yield from two_phase(session, session.participants)
+            if committed and error is not None:
                 raise CommitUncertain(
-                    f"txn {txn_id}: commit decision undeliverable: {exc!r}"
-                ) from exc
+                    f"txn {txn_id}: commit decision undeliverable: {error!r}"
+                ) from error
+            if error is not None:
+                raise error
             self.stats.committed += 1
             return result
         except CommitUncertain:
@@ -239,45 +286,6 @@ class ActorTransactionCoordinator:
                     self.stats.lock_timeouts += 1
                     raise TransactionFailed(f"txn {txn_id}: lock timeout on {ident}")
             held.append(lock)
-
-    def _commit(self, txn_id: int, participants: list[tuple[str, str]]) -> Generator:
-        """Second phase: every participant installs and persists its
-        tentative state, all in one round.
-
-        Once every participant prepared, the decision is commit; it must
-        reach each participant even across silo crashes, so a participant
-        whose delivery failed is retried (the durable prepare record makes
-        redelivery safe), up to ``commit_attempts`` rounds apart by
-        ``lock_timeout / 4``.  The first error is raised only after every
-        participant has been tried, so an unreachable one never keeps the
-        reachable ones from installing.
-        """
-        request = ({"txn_id": txn_id},)
-        pending = participants
-        first_error: Optional[Exception] = None
-        for attempt in range(1, self.commit_attempts + 1):
-            try:
-                outcomes = yield from self.runtime.gather(
-                    [(actor_type, key, "txn_commit", request) for actor_type, key in pending],
-                    timeout=50.0, retries=2,
-                )
-                errors = [outcome.error for outcome in outcomes]
-            except ActorError as exc:  # no silo alive: nothing was sent
-                errors = [exc] * len(pending)
-            retry = []
-            for ident, error in zip(pending, errors):
-                if error is None:
-                    continue
-                if isinstance(error, (RpcTimeout, ActorError)) and attempt < self.commit_attempts:
-                    retry.append(ident)
-                elif first_error is None:
-                    first_error = error
-            if not retry:
-                break
-            pending = retry
-            yield self.env.timeout(self.lock_timeout / 4)
-        if first_error is not None:
-            raise first_error
 
 
 def transactional(cls):

@@ -21,9 +21,10 @@ the commit discipline is the mode:
      participants prepare too — the validation inside their prepared
      transaction is what closes the cross-service read-skew window;
   3. *decide* — ``commit_txn`` (or ``abort_txn``) goes to every
-     participant at once, and to *all* of them before any delivery
-     failure is raised: a participant that never hears the decision
-     stays prepared, holding its locks.
+     participant at once.  Rounds 2 and 3 are
+     :func:`~repro.transactions.commit.two_phase`, which owns who hears
+     the abort and when an error may surface; a service that answered
+     ``"conflict"`` votes refused.
 
   Locks are held from prepare to decision — exactly the §4.2 blocking
   cost — and a conflict retries the whole handler with fresh reads after
@@ -64,6 +65,7 @@ from repro.apps.core.retry import with_prepared_txn, with_txn
 from repro.apps.core.spec import AppSpec, EntitySpec, HandlerSpec, OpAccess
 from repro.microservices import Microservice
 from repro.sim import Environment
+from repro.transactions.commit import PREPARED, REFUSED, two_phase
 
 
 class _OccConflict(Exception):
@@ -90,7 +92,8 @@ def _apply_writes(db, txn, table: str, writes: list, known: dict) -> Generator:
 
 
 class _MicroCtx(BufferedContext):
-    """Coordinator-side context: RPC reads with versions, buffered writes."""
+    """Coordinator-side context: RPC reads with versions, buffered writes,
+    and the 2PC transport of its transaction's commit."""
 
     def __init__(self, env, op, handler, access, binder: "MicroserviceBinder",
                  txn_id: str) -> None:
@@ -153,6 +156,36 @@ class _MicroCtx(BufferedContext):
             for (e, key) in self.writes
             if e == entity
         ]
+
+    # -- the two_phase transport (repro.transactions.commit) ---------------
+
+    def prepare(self, entities: list[str]) -> Generator:
+        """The prepare round, to every service at once.  A service that
+        answered ``"conflict"`` took no claim: it votes refused."""
+        outcomes = yield from self.binder.gather([
+            (entity, "prepare",
+             {"txn_id": self.txn_id,
+              "writes": self.entity_writes(entity),
+              "reads": self.entity_reads(entity)},
+             f"{self.txn_id}/p/{entity}")
+            for entity in entities
+        ])
+        votes = {"prepared": PREPARED, "conflict": REFUSED}
+        return [
+            outcome.error if outcome.error is not None else votes.get(outcome.value)
+            for outcome in outcomes
+        ]
+
+    def decide(self, entities: list[str], commit: bool) -> Generator:
+        """The decision round, to every service at once, each retried."""
+        decision = "commit_txn" if commit else "abort_txn"
+        outcomes = yield from self.binder.gather(
+            [(entity, decision, {"txn_id": self.txn_id},
+              f"{self.txn_id}/{decision}/{entity}")
+             for entity in entities],
+            retries=4,
+        )
+        return [outcome.error for outcome in outcomes]
 
 
 @register_binder
@@ -273,23 +306,25 @@ class MicroserviceBinder(Binder):
             prepared[txn_id] = (txn, keys)
             return "prepared"
 
+        # A decision forgets its transaction only after the db call returns:
+        # a crash mid-call must leave the entry and its claims for the
+        # redelivered decision, or that decision finds nothing and
+        # acknowledges a commit the db never installed.
         @service.handler("commit_txn")
         def commit_txn(ctx, payload):
-            txn, keys = prepared.pop(payload["txn_id"], (None, ()))
-            try:
-                if txn is not None:
-                    yield from ctx.db.commit_prepared(txn)
-            finally:
+            txn, keys = prepared.get(payload["txn_id"], (None, ()))
+            if txn is not None:
+                yield from ctx.db.commit_prepared(txn)
+                del prepared[payload["txn_id"]]
                 release(keys)
             return "committed"
 
         @service.handler("abort_txn")
         def abort_txn(ctx, payload):
-            txn, keys = prepared.pop(payload["txn_id"], (None, ()))
-            try:
-                if txn is not None:
-                    yield from ctx.db.abort_prepared(txn)
-            finally:
+            txn, keys = prepared.get(payload["txn_id"], (None, ()))
+            if txn is not None:
+                yield from ctx.db.abort_prepared(txn)
+                del prepared[payload["txn_id"]]
                 release(keys)
             return "aborted"
 
@@ -329,7 +364,7 @@ class MicroserviceBinder(Binder):
             yield from ctx.prefetch(access.reads)
             result = yield from handler.body(ctx, op)
             if self.mode == "2pc":
-                outcome = yield from self._commit_2pc(txn_id, ctx)
+                outcome = yield from self._commit_2pc(ctx)
                 if outcome == "committed":
                     self.record_effect(op)
                     return result
@@ -346,53 +381,18 @@ class MicroserviceBinder(Binder):
 
     # -- 2PC ----------------------------------------------------------------
 
-    def _commit_2pc(self, txn_id: str, ctx: _MicroCtx) -> Generator:
-        """The prepare round, then the decision round (module docstring)."""
-        entities = ctx.touched_entities()
-        outcomes = yield from self.gather([
-            (entity, "prepare",
-             {"txn_id": txn_id,
-              "writes": ctx.entity_writes(entity),
-              "reads": ctx.entity_reads(entity)},
-             f"{txn_id}/p/{entity}")
-            for entity in entities
-        ])
-        failure = next((o.error for o in outcomes if o.error is not None), None)
-        if failure is None and all(o.value == "prepared" for o in outcomes):
-            undelivered = yield from self._decide(txn_id, entities, "commit_txn")
-            if undelivered is not None:
-                raise AppUncertain(
-                    f"{txn_id}: commit decision undeliverable: {undelivered!r}"
-                ) from undelivered
-            return "committed"
-        # No commit decision exists, so abort is always safe.  It goes to
-        # every participant that may hold a prepared transaction: all but
-        # those that answered "conflict" (a failed request's outcome on its
-        # participant is unknown).
-        undelivered = yield from self._decide(
-            txn_id,
-            [e for e, o in zip(entities, outcomes) if o.value != "conflict"],
-            "abort_txn",
-        )
-        if failure is not None:
-            raise failure
-        if undelivered is not None:
-            raise undelivered
-        return "conflict"
-
-    def _decide(self, txn_id: str, entities: list[str], decision: str) -> Generator:
-        """Deliver ``decision`` to every participant at once.
-
-        Returns the first delivery error, or ``None`` — only after every
-        participant has been tried, so an unreachable one never leaves the
-        reachable ones prepared.
-        """
-        outcomes = yield from self.gather(
-            [(entity, decision, {"txn_id": txn_id}, f"{txn_id}/{decision}/{entity}")
-             for entity in entities],
-            retries=4,
-        )
-        return next((o.error for o in outcomes if o.error is not None), None)
+    def _commit_2pc(self, ctx: _MicroCtx) -> Generator:
+        """:func:`~repro.transactions.commit.two_phase` over the touched
+        services, with ``ctx`` as the transport; returns ``"committed"``
+        or ``"conflict"`` (a definite abort, safe to retry)."""
+        committed, error = yield from two_phase(ctx, ctx.touched_entities())
+        if committed and error is not None:
+            raise AppUncertain(
+                f"{ctx.txn_id}: commit decision undeliverable: {error!r}"
+            ) from error
+        if error is not None:
+            raise error
+        return "committed" if committed else "conflict"
 
     # -- saga / uncoordinated ----------------------------------------------
 

@@ -60,7 +60,7 @@ from repro.cluster import (
     stable_hash,
 )
 from repro.cluster.migration import migrate_shard as _run_migration
-from repro.db.engine import Database, IsolationLevel, Transaction
+from repro.db.engine import Database, IsolationLevel, Transaction, TxnStatus
 from repro.db.errors import FencedOut
 from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
@@ -70,6 +70,7 @@ from repro.replication.errors import (
     ReplicaUnavailable,
 )
 from repro.sim import Environment, Future, Semaphore, any_of
+from repro.transactions.commit import PREPARED, two_phase
 
 if TYPE_CHECKING:
     from repro.replication.group import Proposal
@@ -289,6 +290,134 @@ class _ReplicatedMover(_ShardedMover):
         db.directory.assign_group(shard, tuple(self.members))
         old_group.stop()
         return rows_moved
+
+
+class _ShardRound:
+    """The :func:`~repro.transactions.commit.two_phase` transport over
+    unreplicated shards: a round is one ``rtt_ms`` charge, then each
+    shard's engine call (the shards' XA interface)."""
+
+    def __init__(self, db: "ShardedDatabase", txn: DistributedTransaction) -> None:
+        self.env, self.rtt_ms, self.txn = db.env, db.rtt_ms, txn
+
+    def prepare(self, shards: list[int]) -> Generator:
+        """Each shard's vote is a synchronous log flush; the first failure
+        ends the round, and the shards after it are never asked."""
+        txn = self.txn
+        yield self.env.timeout(self.rtt_ms)
+        votes: list[Any] = [None] * len(shards)
+        for position, index in enumerate(shards):
+            try:
+                yield from txn.engines[index].prepare(txn.branches[index])
+            except Exception as exc:
+                votes[position] = exc
+                break
+            votes[position] = PREPARED
+        return votes
+
+    def decide(self, shards: list[int], commit: bool) -> Generator:
+        txn = self.txn
+        yield self.env.timeout(self.rtt_ms)
+        errors: list[Optional[Exception]] = []
+        for index in shards:
+            engine, branch = txn.engines[index], txn.branches[index]
+            try:
+                if commit:
+                    engine.commit_prepared(branch)
+                elif branch.status is TxnStatus.PREPARED:
+                    engine.abort_prepared(branch)
+                else:
+                    engine.abort(branch)
+            except Exception as exc:
+                errors.append(exc)
+            else:
+                errors.append(None)
+        return errors
+
+
+class _GroupRound:
+    """The :func:`~repro.transactions.commit.two_phase` transport over
+    replica groups: both phases are log entries.
+
+    A round is one round trip, then every group's entry is proposed
+    (:meth:`ReplicaGroup.start`) before any ack is awaited, and the acks
+    are collected in shard order.  The ``prepare`` entries are pinned to
+    the leader each branch executed on; the idempotent ``decide`` entries
+    are re-proposed through whichever leader emerges until they land,
+    because a torn decision is an atomicity violation the conservation
+    oracle would catch.  Read-only branches hold no writes to replicate;
+    they are settled locally in the decision round.
+    """
+
+    def __init__(self, db: "ShardedDatabase", txn: DistributedTransaction) -> None:
+        self.db, self.txn = db, txn
+        self.gid = ("repl", db.env.next_id("repl-gid"))
+        #: shards whose ``prepare`` entry was proposed: they get a ``decide``
+        self.proposed: list[int] = []
+
+    def prepare(self, shards: list[int]) -> Generator:
+        """A failed round (a deposed leader, a ``NotLeader``/``NoLeader``
+        proposal, a failed ack) is every write shard's vote."""
+        db, txn = self.db, self.txn
+        writing = [index for index in shards if txn.branches[index].writes]
+        started: list[tuple[int, Proposal]] = []
+        try:
+            if writing:
+                yield db.env.timeout(db.rtt_ms)
+            for index in writing:
+                engine = txn.engines[index]
+                db._check_replica(txn, index)
+                writes = engine.stage_replicated(
+                    txn.branches[index], self.gid, prepared=True
+                )
+                try:
+                    started.append((index, db._groups[index].start(
+                        ("prepare", self.gid, writes), replica=txn.replicas[index],
+                    )))
+                except (NotLeader, NoLeader):
+                    engine.discard_replicated(self.gid)
+                    raise
+            yield from db._collect(started)
+            failure = None
+        except Exception as exc:
+            failure = exc
+        self.proposed = [index for index, _ in started]
+        return [
+            failure if failure is not None and index in writing else PREPARED
+            for index in shards
+        ]
+
+    def decide(self, shards: list[int], commit: bool) -> Generator:
+        db, txn = self.db, self.txn
+        # Mark the outcome first so a concurrent abort() won't touch staged
+        # branches while the decides are in flight.  An abort decision is
+        # always safe while no commit decision replicated: shards whose
+        # prepare did (or will) land see the abort; shards where it never
+        # landed settle by truncation-discard or crash.
+        txn.status = "uncertain" if commit else "aborted"
+        proposed = [index for index in shards if index in self.proposed]
+        if commit or proposed:  # an abort no group must log settles locally
+            yield db.env.timeout(db.rtt_ms)
+        decides = [
+            (index, db._groups[index].start(
+                ("decide", self.gid, commit), retry=True, timeout=_DECIDE_TIMEOUT_MS,
+            ))
+            for index in proposed
+        ]
+        errors: dict[int, Exception] = {}
+        for index in shards:
+            if index in proposed:
+                continue
+            engine, branch = txn.engines[index], txn.branches[index]
+            try:
+                if commit:
+                    yield from engine.commit(branch)
+                else:
+                    engine.abort(branch)
+            except Exception as exc:
+                errors[index] = exc
+        txn.applied.update((yield from db._collect(decides, errors)))
+        return [errors.get(index) for index in shards]
 
 
 class ShardedDatabase:
@@ -732,11 +861,14 @@ class ShardedDatabase:
     ) -> Generator:
         """One-phase commit if local, else 2PC across touched shards.
 
-        A one-phase commit is one round trip.  2PC is two: one carries
-        every shard's prepare, the next every decision (or, when a
-        prepare fails, the abort).  Once the locks are held the shards
-        are independent, so neither round waits for one shard before
-        messaging the next.
+        A one-phase commit is one round trip (:meth:`_commit_replicated`
+        under replication).  2PC is :func:`~repro.transactions.commit.two_phase`
+        over :class:`_ShardRound` or, under replication, :class:`_GroupRound`:
+        two rounds, one carrying every shard's prepare and the next every
+        decision.  Once the locks are held the shards are independent, so
+        neither round waits for one shard before messaging the next.  A
+        commit decision that did not reach every shard leaves
+        ``txn.status == "uncertain"`` and raises its first delivery error.
 
         ``writes`` — ``{(table, key): row, or None to delete}`` over keys
         :meth:`lock_and_fetch` locked exclusively — travel inside each
@@ -751,186 +883,93 @@ class ShardedDatabase:
                     # a deposed leader's lock table is gone: fail definitely
                     self._check_replica(txn, shard)
                 txn.engines[shard].buffer_write(txn.branches[shard], table, key, row)
-        if self.replication is not None:
-            yield from self._commit_replicated(txn)
-            return
         if not txn.branches:
             txn.status = "committed"
             return
         try:
             if not txn.is_distributed:
+                if self.replication is not None:
+                    yield from self._commit_replicated(txn)
+                    return
                 (index,) = txn.branches
                 yield self.env.timeout(self.rtt_ms)
                 yield from txn.engines[index].commit(txn.branches[index])
                 txn.status = "committed"
                 self.stats.single_shard_commits += 1
                 return
-            # Phase 1: every prepare goes out at once — one round trip,
-            # then each shard's vote (a synchronous log flush).
-            shards = txn.shards_touched
-            yield self.env.timeout(self.rtt_ms)
-            prepared: list[int] = []
-            try:
-                for index in shards:
-                    yield from txn.engines[index].prepare(txn.branches[index])
-                    prepared.append(index)
-            except Exception:
-                yield self.env.timeout(self.rtt_ms)
-                for index in shards:
-                    branch = txn.branches[index]
-                    if index in prepared:
-                        txn.engines[index].abort_prepared(branch)
-                    else:
-                        txn.engines[index].abort(branch)
+            rounds = _ShardRound if self.replication is None else _GroupRound
+            committed, error = yield from two_phase(
+                rounds(self, txn), txn.shards_touched
+            )
+            if not committed:
                 txn.status = "aborted"
                 self.stats.distributed_aborts += 1
-                raise
-            # Phase 2: the commit decision reaches every shard in one round.
-            yield self.env.timeout(self.rtt_ms)
-            for index in shards:
-                txn.engines[index].commit_prepared(txn.branches[index])
-            txn.status = "committed"
-            self.stats.distributed_commits += 1
+            elif error is None:
+                txn.status = "committed"
+                self.stats.distributed_commits += 1
+            else:
+                txn.status = "uncertain"
+            if error is not None:
+                raise error
         finally:
             if txn.status != "active":
                 self._close_branches(txn)
 
     def _commit_replicated(self, txn: DistributedTransaction) -> Generator:
-        """Commit through the replica groups' logs.
+        """One-phase commit of a single-shard transaction through its
+        replica group's log.
 
-        Single-shard writes replicate one ``commit`` entry and wait for
-        its quorum acknowledgement — pinned to the leader the transaction
-        executed on, so a deposed leader yields a definite
+        The writes replicate as one ``commit`` entry, and the commit waits
+        for its quorum acknowledgement — pinned to the leader the
+        transaction executed on, so a deposed leader yields a definite
         :class:`NotLeader` (clean abort) before proposing and an
         *uncertain* outcome after (the log settles the branch: apply,
-        truncate-discard, or crash).  Cross-shard transactions run 2PC
-        where both phases are log entries: ``prepare`` per write shard,
-        then an idempotent ``decide`` retried through whichever leader
-        emerges until it lands, because a torn decision is an atomicity
-        violation the conservation oracle would catch.  Each phase is one
-        round: a round trip, then every group's entry is proposed
-        (:meth:`ReplicaGroup.start`) before any ack is awaited, and the
-        acks are collected in shard order.  Read-only branches hold no
-        writes to replicate; they are released in the decision round.
+        truncate-discard, or crash).  A read-only branch has nothing to
+        replicate and settles locally.
         """
-        if not txn.branches:
+        (index,) = txn.branches
+        engine = txn.engines[index]
+        branch = txn.branches[index]
+        yield self.env.timeout(self.rtt_ms)
+        if not branch.writes:
+            yield from engine.commit(branch)
             txn.status = "committed"
+            self.stats.single_shard_commits += 1
             return
+        self._check_replica(txn, index)
+        gid = ("repl", self.env.next_id("repl-gid"))
+        writes = engine.stage_replicated(branch, gid)
         try:
-            if not txn.is_distributed:
-                (index,) = txn.branches
-                engine = txn.engines[index]
-                branch = txn.branches[index]
-                yield self.env.timeout(self.rtt_ms)
-                if not branch.writes:
-                    # read-only: nothing to replicate, settle locally
-                    yield from engine.commit(branch)
-                    txn.status = "committed"
-                    self.stats.single_shard_commits += 1
-                    return
-                self._check_replica(txn, index)
-                gid = ("repl", self.env.next_id("repl-gid"))
-                writes = engine.stage_replicated(branch, gid)
-                try:
-                    applied = yield from self._groups[index].replicate(
-                        ("commit", gid, writes), replica=txn.replicas[index]
-                    )
-                except (NotLeader, NoLeader):
-                    # definitely never proposed: unstage and report a
-                    # clean abort (caller's abort() finishes the rollback)
-                    engine.discard_replicated(gid)
-                    raise
-                except (ReplicationError, FencedOut):
-                    # proposed: the log settles the branch (a FencedOut
-                    # entry in fact installed — but the deposed leader
-                    # must not report success it could not verify)
-                    txn.status = "uncertain"
-                    raise
-                txn.applied[index] = applied
-                txn.status = "committed"
-                self.stats.single_shard_commits += 1
-                return
-            # -- replicated 2PC ------------------------------------------
-            gid = ("repl", self.env.next_id("repl-gid"))
-            write_shards = [
-                index for index in txn.shards_touched
-                if txn.branches[index].writes
-            ]
-            prepares: list[tuple[int, Proposal]] = []
-            try:
-                # Phase 1: one round trip, then every write shard's
-                # prepare is proposed, pinned to its branch's leader,
-                # before any acknowledgement is awaited.
-                if write_shards:
-                    yield self.env.timeout(self.rtt_ms)
-                for index in write_shards:
-                    engine = txn.engines[index]
-                    self._check_replica(txn, index)
-                    writes = engine.stage_replicated(
-                        txn.branches[index], gid, prepared=True
-                    )
-                    try:
-                        proposal = self._groups[index].start(
-                            ("prepare", gid, writes),
-                            replica=txn.replicas[index],
-                        )
-                    except (NotLeader, NoLeader):
-                        engine.discard_replicated(gid)
-                        raise
-                    prepares.append((index, proposal))
-                yield from self._collect(prepares)
-            except Exception:
-                # An abort decision is always safe while no commit
-                # decision replicated: shards whose prepare did (or will)
-                # land see the abort next; shards where it never landed
-                # settle by truncation-discard or crash.  Mark the
-                # outcome first so a concurrent abort() won't touch
-                # staged branches while the decides are in flight.
-                txn.status = "aborted"
-                self.stats.distributed_aborts += 1
-                proposed = [index for index, _ in prepares]
-                if proposed:
-                    yield self.env.timeout(self.rtt_ms)
-                    yield from self._collect(self._start_decides(proposed, gid, False))
-                for index, branch in txn.branches.items():
-                    if index not in proposed:
-                        txn.engines[index].abort(branch)
-                raise
-            # Phase 2: the decision is now determined — drive it to every
-            # participant group no matter how leadership churns.  The
-            # read-only branches are released in the same round.
+            applied = yield from self._groups[index].replicate(
+                ("commit", gid, writes), replica=txn.replicas[index]
+            )
+        except (NotLeader, NoLeader):
+            # definitely never proposed: unstage and report a
+            # clean abort (caller's abort() finishes the rollback)
+            engine.discard_replicated(gid)
+            raise
+        except (ReplicationError, FencedOut):
+            # proposed: the log settles the branch (a FencedOut
+            # entry in fact installed — but the deposed leader
+            # must not report success it could not verify)
             txn.status = "uncertain"
-            yield self.env.timeout(self.rtt_ms)
-            decides = self._start_decides(write_shards, gid, True)
-            for index in txn.shards_touched:
-                branch = txn.branches[index]
-                if not branch.writes:
-                    yield from txn.engines[index].commit(branch)
-            txn.applied.update((yield from self._collect(decides)))
-            txn.status = "committed"
-            self.stats.distributed_commits += 1
-        finally:
-            if txn.status != "active":
-                self._close_branches(txn)
+            raise
+        txn.applied[index] = applied
+        txn.status = "committed"
+        self.stats.single_shard_commits += 1
 
-    def _start_decides(
-        self, shards: list[int], gid: Hashable, decision: bool
-    ) -> list[tuple[int, Proposal]]:
-        """Propose the idempotent ``decide`` entry to every shard's group
-        at once, each re-proposed through whichever leader emerges."""
-        return [
-            (index, self._groups[index].start(
-                ("decide", gid, decision), retry=True, timeout=_DECIDE_TIMEOUT_MS,
-            ))
-            for index in shards
-        ]
-
-    def _collect(self, started: list[tuple[int, Proposal]]) -> Generator:
+    def _collect(
+        self,
+        started: list[tuple[int, Proposal]],
+        errors: Optional[dict[int, Exception]] = None,
+    ) -> Generator:
         """Await started proposals in shard order, inside the calling
         process; returns ``{shard: applied log index}``.  An ack that
         landed while an earlier one was awaited is taken without an
         event; anything else gets :meth:`ReplicaGroup.wait`'s full
-        discipline on the proposal's own deadline."""
+        discipline on the proposal's own deadline.  The first failed wait
+        raises, unless ``errors`` is given: then each shard's failure is
+        recorded there and the rest are still awaited."""
         applied: dict[int, int] = {}
         for index, proposal in started:
             ack = proposal.ack
@@ -939,7 +978,12 @@ class ShardedDatabase:
                 if status == "ok":
                     applied[index] = value
                     continue
-            applied[index] = yield from self._groups[index].wait(proposal)
+            try:
+                applied[index] = yield from self._groups[index].wait(proposal)
+            except (ReplicationError, FencedOut) as exc:
+                if errors is None:
+                    raise
+                errors[index] = exc
         return applied
 
     def abort(self, txn: DistributedTransaction) -> None:

@@ -16,11 +16,11 @@ management"):
 - :mod:`repro.transactions.sequencer` — a deterministic transaction
   sequencer (the Calvin-style substrate of the Styx-like dataflow).
 
-Two-phase commit, the blocking alternative microservices avoid, lives with
-the runtimes that measure it: ``ShardedDatabase.commit``
-(:mod:`repro.db.sharding`), the microservice binder's ``2pc`` mode
-(:mod:`repro.apps.core.binders.micro`) and the actor transaction
-coordinator (:mod:`repro.actors.transactions`).
+Two-phase commit, the blocking alternative microservices avoid, is one
+coordinator, :mod:`repro.transactions.commit`, run by the runtimes that
+measure it: ``ShardedDatabase.commit`` (:mod:`repro.db.sharding`), the
+microservice binder's ``2pc`` mode (:mod:`repro.apps.core.binders.micro`)
+and the actor transaction coordinator (:mod:`repro.actors.transactions`).
 """
 
 from repro.transactions.anomalies import (

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.core import AppSpec, EntitySpec, HandlerSpec, bind
 from repro.apps.ledger import ledger_spec
+from repro.chaos import Episode, run_trial
 from repro.messaging import RpcRemoteError, RpcTimeout
 from repro.net import Latency
 from repro.obs import Tracer
@@ -311,3 +312,14 @@ def test_abort_reaches_the_other_participants_when_one_is_unreachable():
         ))
         assert reply == {"row": None, "version": 0}
     assert binder.ledger.applied_count == 0
+
+
+def test_a_crash_mid_decision_does_not_acknowledge_an_uninstalled_commit():
+    """The sound ledger chaos scenario at seed 26, shrunk to its one fault:
+    accounts crashes for 10.6 ms while a ``commit_txn`` handler awaits its
+    db round trip.  The redelivered decision must find the transaction
+    still prepared and install it, not answer "committed" with the db
+    branch left prepared while postings and audit installed."""
+    crash = Episode(kind="crash", start=98.444, duration=10.626, target="accounts")
+    result = run_trial("ledger", 26, episodes=[crash])
+    assert result.violations == []
