@@ -11,11 +11,12 @@ Three scenarios, one per fast path (see the "Storage engine" section of
 - **commit** — many clients committing in the same virtual instants.
   Group commit folds all same-instant commits into one shared fsync;
   the bench reports commit throughput in grouped mode and the raw flush
-  counts for grouped vs. reference (``group_commit=False``) runs.
+  counts for grouped vs. reference (``Environment(fast_path=False)``) runs.
 - **scan** — repeated full-table scans.  Copy elision returns the
   immutable committed rows themselves; the reference mode
-  (``copy_reads=True``) materialises a defensive dict per row.  Both
-  rates are reported so the elision win stays visible in the gate.
+  (``Environment(fast_path=False)``) materialises a defensive dict per
+  row.  Both rates are reported so the elision win stays visible in the
+  gate.
 
 Smoke mode runs the same scenarios at reduced scale (same metric names,
 like ``bench_kernel``); smoke numbers are not comparable to the
@@ -54,12 +55,12 @@ def _run_hotkey(n_txns: int):
     return elapsed, max_chain, db.stats.gc_pruned_versions
 
 
-def _run_commit(clients: int, rounds: int, group_commit: bool):
+def _run_commit(clients: int, rounds: int, fast_path: bool):
     from repro.db import Database, IsolationLevel
     from repro.sim import Environment
 
-    env = Environment(seed=23)
-    db = Database(env, name="perf-commit", group_commit=group_commit)
+    env = Environment(seed=23, fast_path=fast_path)
+    db = Database(env, name="perf-commit")
     db.create_table("t")
     db.load("t", [{"id": k, "v": 0} for k in range(clients)])
 
@@ -78,12 +79,12 @@ def _run_commit(clients: int, rounds: int, group_commit: bool):
     return elapsed, db.stats.flush_count
 
 
-def _run_scan(rows: int, repeats: int, copy_reads: bool):
+def _run_scan(rows: int, repeats: int, fast_path: bool):
     from repro.db import Database, IsolationLevel
     from repro.sim import Environment
 
-    env = Environment(seed=7)
-    db = Database(env, name="perf-scan", copy_reads=copy_reads)
+    env = Environment(seed=7, fast_path=fast_path)
+    db = Database(env, name="perf-scan")
     db.create_table("t")
     db.load("t", [{"id": k, "v": k, "pad": "x" * 32} for k in range(rows)])
 
@@ -113,15 +114,15 @@ def run(smoke: bool = False) -> dict:
     metrics["storage_hotkey_max_chain"] = max_chain
     metrics["storage_hotkey_pruned_versions"] = pruned
 
-    elapsed, grouped_flushes = _run_commit(clients, rounds, group_commit=True)
+    elapsed, grouped_flushes = _run_commit(clients, rounds, fast_path=True)
     metrics["storage_commit_txns_per_sec"] = round(clients * rounds / elapsed)
     metrics["storage_commit_flushes_grouped"] = grouped_flushes
-    _, reference_flushes = _run_commit(clients, rounds, group_commit=False)
+    _, reference_flushes = _run_commit(clients, rounds, fast_path=False)
     metrics["storage_commit_flushes_reference"] = reference_flushes
 
-    elapsed, total_rows = _run_scan(scan_rows, scan_repeats, copy_reads=False)
+    elapsed, total_rows = _run_scan(scan_rows, scan_repeats, fast_path=True)
     metrics["storage_scan_rows_per_sec"] = round(total_rows / elapsed)
-    elapsed, total_rows = _run_scan(scan_rows, scan_repeats, copy_reads=True)
+    elapsed, total_rows = _run_scan(scan_rows, scan_repeats, fast_path=False)
     metrics["storage_scan_copy_rows_per_sec"] = round(total_rows / elapsed)
 
     return metrics

@@ -37,6 +37,7 @@ if REPO_SRC not in sys.path:
     sys.path.insert(0, REPO_SRC)
 
 from repro.chaos import (  # noqa: E402
+    CONTROL_RUNTIMES,
     ChaosConfig,
     ReproArtifact,
     RUNTIMES,
@@ -154,7 +155,8 @@ def main(argv=None) -> int:
                         help="ChaosConfig as a JSON file path or inline JSON")
     parser.add_argument("--broken", action="store_true",
                         help="run the intentionally unsound configuration; "
-                             "exit non-zero if it is NOT detected")
+                             "exit non-zero if it is NOT detected (only "
+                             f"{', '.join(CONTROL_RUNTIMES)} have one)")
     parser.add_argument("--smoke", action="store_true",
                         help="pinned-seed determinism + zero-violation gate")
     parser.add_argument("--replay", metavar="ARTIFACT", default=None,
@@ -166,7 +168,13 @@ def main(argv=None) -> int:
         return replay(args.replay)
 
     budget = load_budget(args.budget) if args.budget else None
-    runtimes = [args.runtime] if args.runtime else list(RUNTIMES)
+    if args.broken and args.runtime not in (None, *CONTROL_RUNTIMES):
+        parser.error(f"--runtime {args.runtime} has no unsound control; "
+                     f"--broken needs one of {', '.join(CONTROL_RUNTIMES)}")
+    if args.runtime:
+        runtimes = [args.runtime]
+    else:
+        runtimes = list(CONTROL_RUNTIMES if args.broken else RUNTIMES)
 
     if args.smoke:
         print(f"chaoscheck: smoke ({len(runtimes)} runtime(s), "

@@ -34,10 +34,11 @@ from repro.chaos.oracles import (
     TransferExactlyOnceOracle,
 )
 from repro.chaos.runner import RUNTIMES, TrialResult, run_trial
-from repro.chaos.scenarios import build_scenario
+from repro.chaos.scenarios import CONTROL_RUNTIMES, build_scenario
 from repro.chaos.shrinker import ReproArtifact, ShrinkReport, shrink
 
 __all__ = [
+    "CONTROL_RUNTIMES",
     "ChaosConfig",
     "ConservationOracle",
     "Episode",

@@ -11,7 +11,8 @@ oracles entitled to judge it.
 actor bank in ``plain`` mode, whose two independent actor calls per
 transfer are atomic per actor but not across them (§4.2's default).  The
 chaos harness must find and shrink that bug; it is the end-to-end test
-that the detector detects.
+that the detector detects.  Scenarios without such a control (dataflow,
+FaaS) refuse ``broken=True`` rather than run their sound configuration.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class Scenario:
     op_timeout = 2000.0
     audit_interval: Optional[float] = None
     default_config = ChaosConfig()
+    #: whether ``broken=True`` selects an unsound control; a scenario
+    #: without one sets ``False`` and :func:`build_scenario` refuses it
+    has_control = True
 
     def __init__(self, env: Environment, broken: bool = False) -> None:
         self.env = env
@@ -212,6 +216,7 @@ class DataflowScenario(Scenario):
     """
 
     name = "dataflow"
+    has_control = False
     audit_interval = 70.0
     default_config = ChaosConfig(
         fault_classes=("crash",),
@@ -272,6 +277,7 @@ class FaasScenario(Scenario):
     """
 
     name = "faas"
+    has_control = False
     audit_interval = 70.0
     default_config = ChaosConfig(
         fault_classes=("crash",),
@@ -1052,6 +1058,12 @@ _SCENARIOS = {
 }
 
 
+#: The runtimes whose ``broken=True`` selects an unsound control.
+CONTROL_RUNTIMES = tuple(
+    name for name, cls in _SCENARIOS.items() if cls.has_control
+)
+
+
 def build_scenario(name: str, env: Environment, broken: bool = False) -> Scenario:
     try:
         cls = _SCENARIOS[name]
@@ -1059,4 +1071,9 @@ def build_scenario(name: str, env: Environment, broken: bool = False) -> Scenari
         raise ValueError(
             f"unknown runtime {name!r}; choose from {sorted(_SCENARIOS)}"
         ) from None
+    if broken and not cls.has_control:
+        raise ValueError(
+            f"runtime {name!r} has no unsound control; broken=True needs "
+            f"one of {list(CONTROL_RUNTIMES)}"
+        )
     return cls(env, broken=broken)

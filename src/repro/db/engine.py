@@ -18,25 +18,32 @@ any database instance a two-phase-commit participant; between prepare and
 the decision the transaction's locks remain held — the blocking window the
 paper blames for 2PC's performance cost (§4.2).
 
-Three storage fast paths ride under the engine's semantics (see
-``docs/PERFORMANCE.md`` § "Storage engine"); each has a reference mode and
-all are proven behaviour-preserving by the golden-equivalence suite:
+Four storage fast paths ride under the engine's semantics (see
+``docs/PERFORMANCE.md`` § "Storage engine").  The environment's
+``fast_path`` switch selects them all at once: on an
+``Environment(fast_path=False)`` the engine runs every reference mode,
+and the golden-equivalence suite proves both produce identical results:
 
-- **version-chain GC** (``gc=True``): versions superseded at-or-below the
-  oldest active snapshot's ``begin_seq`` are pruned, bounding chain length
-  on hot keys.  The newest version at-or-below the horizon is always kept,
-  and keys are never dropped, so heap iteration order is identical with GC
-  on or off.
-- **group commit** (``group_commit=True``): commits landing in the same
-  virtual instant share one WAL ``flush()`` — the physical fsync is
-  deferred to an end-of-instant callback and the whole group rides on one
-  shared flush future (:meth:`Database.flush_barrier`).  A crash before
-  the group fsync loses the *whole* group (prefix-consistent), never an
-  interior subset.
-- **copy elision** (``copy_reads=False``): reads return the committed row
-  object itself instead of a defensive ``dict()`` copy.  Committed rows
-  are frozen as :class:`Row` at install time; callers must not mutate
-  returned rows (mutation raises ``TypeError``).
+- **version-chain GC**: versions superseded at-or-below the oldest active
+  snapshot's ``begin_seq`` are pruned, bounding chain length on hot keys.
+  The newest version at-or-below the horizon is always kept, and keys are
+  never dropped, so heap iteration order is identical with GC on or off.
+- **group commit**: commits landing in the same virtual instant share one
+  WAL ``flush()`` — the physical fsync is deferred to an end-of-instant
+  callback and the whole group rides on one shared flush future
+  (:meth:`Database.flush_barrier`).  A crash before the group fsync loses
+  the *whole* group (prefix-consistent), never an interior subset.
+- **copy elision**: reads return the committed row object itself instead
+  of a defensive ``dict()`` copy.  Committed rows are frozen as
+  :class:`Row` at install time; callers must not mutate returned rows
+  (mutation raises ``TypeError``).
+- **read-only commit elision**: a transaction with no writes has no redo
+  to log, so its commit record, group-flush membership and fsync are
+  skipped.
+
+An already-granted lock is consumed without suspending the process; that
+is the model, not a fast path (yielding a done grant hands the turn to
+every other process ready at the same instant, a different schedule).
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from repro.sim import Environment
 from repro.storage.wal import WriteAheadLog
 
 _DELETED = None  # a version with row=None is a deletion marker
-#: chain length past which a commit prunes the key's chain inline (``gc=True``)
+#: chain length past which a commit prunes the key's chain inline
 GC_CHAIN_THRESHOLD = 8
 
 
@@ -299,22 +306,12 @@ class Database:
         yield from db.put(txn, "accounts", "alice", {**row, "balance": 0})
         yield from db.commit(txn)
 
-    The keyword-only flags select the storage fast paths (see the module
-    docstring); each default is the optimized mode and each ``False``/
-    ``True`` flip is the reference mode the golden-equivalence suite
-    compares against.
+    ``env.fast_path`` selects the storage fast paths (see the module
+    docstring); ``False`` is the reference engine the golden-equivalence
+    suite compares against.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str = "db",
-        *,
-        gc: bool = True,
-        group_commit: bool = True,
-        copy_reads: bool = False,
-        fast_grants: bool = True,
-    ) -> None:
+    def __init__(self, env: Environment, name: str = "db") -> None:
         self.env = env
         self.name = name
         self.locks = LockManager(env)
@@ -324,20 +321,9 @@ class Database:
         self._commit_seq = 0
         self._active: dict[int, Transaction] = {}
         self._in_doubt: dict[int, dict[tuple[str, Hashable], Optional[dict]]] = {}
-        self._gc = gc
+        self._fast_path = env.fast_path
         #: chain length past which a commit prunes inline; 0 = never
-        self._gc_chain_threshold = GC_CHAIN_THRESHOLD if gc else 0
-        #: uncontended lock-acquire fast path: an already-granted lock is
-        #: consumed without suspending the process (no ready-queue round
-        #: trip).  ``False`` is the reference mode that always yields.
-        self._fast_grants = fast_grants
-        #: read-only commit fast path: a transaction with no writes has no
-        #: redo to log, so its commit record, group-flush membership, and
-        #: fsync are elided.  Shares the ``fast_grants`` reference switch
-        #: so ``fast_grants=False`` restores the full reference engine.
-        self._elide_readonly_commits = fast_grants
-        self._group_commit = group_commit
-        self._copy_reads = copy_reads
+        self._gc_chain_threshold = GC_CHAIN_THRESHOLD if env.fast_path else 0
         self._group: Optional[_CommitGroup] = None
         #: highest replication term observed (fencing token watermark)
         self._fence = 0
@@ -394,12 +380,8 @@ class Database:
             grant = self.locks.acquire(txn.tid, resource, mode)
             if grant.done:
                 # Uncontended: the grant resolved synchronously, so there is
-                # nothing to wait for.  Yielding it anyway (reference mode)
-                # parks the process for one ready-queue round trip per
-                # acquire — the single largest event source in B1.
-                if not self._fast_grants:
-                    yield grant
-                elif grant._exc is not None:
+                # nothing to wait for and the process keeps its turn.
+                if grant._exc is not None:
                     yield grant  # deliver the failure via the kernel
             else:
                 # Blocked: the 2PL wait the paper blames for 2PC's cost
@@ -428,7 +410,7 @@ class Database:
         """Hand a row to the caller: a defensive copy only in reference mode."""
         if row is None:
             return None
-        return dict(row) if self._copy_reads else row
+        return row if self._fast_path else dict(row)
 
     def get(self, txn: Transaction, table: str, key: Hashable) -> Generator:
         """Read one row (or ``None``); blocks only under SERIALIZABLE."""
@@ -696,7 +678,7 @@ class Database:
                 writes[(table, key)] = row
             wal.append("write", (txn.tid, table, key, row))
         last_lsn = wal.append(decision, (txn.tid,))
-        if decision == "commit" and self._group_commit:
+        if decision == "commit" and self._fast_path:
             group = self._group
             if group is None:
                 group = _CommitGroup(
@@ -770,7 +752,7 @@ class Database:
         """Validate, log durably, install, and release locks."""
         txn.require(TxnStatus.ACTIVE)
         self._validate(txn)
-        if txn.writes or not self._elide_readonly_commits:
+        if txn.writes or not self._fast_path:
             self._log_writes(txn, "commit")
             self._install(txn.writes)
         # A read-only transaction has nothing to redo, so the commit record
@@ -814,10 +796,9 @@ class Database:
 
         Never collects a version visible to the oldest active snapshot:
         the newest version at-or-below the horizon is always kept.  Returns
-        the number of versions dropped.  No-op in ``gc=False`` reference
-        mode.
+        the number of versions dropped.  No-op in the reference engine.
         """
-        if not self._gc:
+        if not self._fast_path:
             return 0
         horizon = self.gc_horizon()
         dropped = 0

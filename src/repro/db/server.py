@@ -33,12 +33,9 @@ class DatabaseServer:
         Sampler for the client's round trip to the database; charged once
         per operation, as for a remote (external-state) database.
 
-    Any further keyword goes verbatim to the underlying
-    :class:`~repro.db.engine.Database`, the one place that names, defaults
-    and validates the engine options.  The server itself honours the
-    engine's ``fast_grants``: an already-granted pool connection is
-    consumed without a suspension round trip (``False`` is the reference
-    mode).
+    The engine takes its fast-path mode from ``env``.  An already-granted
+    pool connection is consumed without a suspension round trip, as an
+    engine lock is.
     """
 
     def __init__(
@@ -50,10 +47,9 @@ class DatabaseServer:
         network_rtt: Optional[Sampler] = None,
         *,
         follower: bool = False,
-        **engine_options: Any,
     ) -> None:
         self.env = env
-        self.engine = Database(env, name=name, **engine_options)
+        self.engine = Database(env, name=name)
         self.name = name
         #: follower mode: the server is a read replica — interactive
         #: transactions are refused, state advances only through
@@ -110,10 +106,7 @@ class DatabaseServer:
                 "transactions must go to the leader"
             )
         grant = self._pool.acquire()
-        if grant.done:
-            if not self.engine._fast_grants:
-                yield grant
-        else:
+        if not grant.done:
             # Pool exhausted: surface the queueing delay as its own span —
             # the §3.3 performance-isolation contention made visible.
             tracer = self.env.tracer

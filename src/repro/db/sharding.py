@@ -150,9 +150,7 @@ class _ShardedMover:
     def transfer(self, shard: int, source: str, dest: str) -> Generator:
         db = self.db
         old_engine = db.shards[shard]
-        new_engine = Database(
-            db.env, name=f"{db.name}/shard{shard}", **db.engine_options
-        )
+        new_engine = Database(db.env, name=f"{db.name}/shard{shard}")
         rows_moved = 0
         for kind, args in db._schema:
             if kind == "table":
@@ -444,7 +442,6 @@ class ShardedDatabase:
         drain_timeout_ms: float = 500.0,
         *,
         replication: Optional[ReplicationConfig] = None,
-        **engine_options: Any,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -462,14 +459,9 @@ class ShardedDatabase:
         self.copy_ms_per_row = copy_ms_per_row
         self.drain_timeout_ms = drain_timeout_ms
         self.replication = replication
-        #: :class:`~repro.db.engine.Database` keywords, passed verbatim to
-        #: every shard engine (including migration replacements and replica
-        #: factories); ``Database`` names, defaults and validates them
-        self.engine_options = engine_options
         if replication is None:
             self.shards = [
-                Database(env, name=f"{name}/shard{i}", **self.engine_options)
-                for i in range(num_shards)
+                Database(env, name=f"{name}/shard{i}") for i in range(num_shards)
             ]
         self.stats = ShardedDbStats()
         # -- cluster placement ------------------------------------------------
@@ -549,11 +541,7 @@ class ShardedDatabase:
         from repro.replication.group import ReplicaGroup
 
         def factory(node_name: str) -> Database:
-            engine = Database(
-                self.env,
-                name=f"{self.name}/shard{shard}@{node_name}",
-                **self.engine_options,
-            )
+            engine = Database(self.env, name=f"{self.name}/shard{shard}@{node_name}")
             for kind, args in self._schema:
                 if kind == "table":
                     engine.create_table(*args)

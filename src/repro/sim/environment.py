@@ -193,11 +193,15 @@ class Environment:
         on).  Tracing never consumes virtual time, so traced and untraced
         runs produce identical metrics.
     fast_path:
-        When ``True`` (the default), zero-delay events are kept in a FIFO
-        ready queue instead of the heap.  ``False`` forces every event
-        through the heap — the pre-optimization executor, kept as a
-        reference implementation so equivalence stays testable (the golden
-        suite asserts both modes produce byte-identical results).
+        The one reference switch for the whole stack.  When ``True`` (the
+        default), zero-delay events are kept in a FIFO ready queue instead
+        of the heap, and every :class:`~repro.db.engine.Database` built on
+        this environment runs its storage fast paths (version-chain GC,
+        group commit, copy elision, read-only commit elision).  ``False``
+        forces every event through the heap and builds reference engines
+        (every version kept, one fsync per commit, copying reads), so
+        equivalence stays testable: the golden suite asserts both modes
+        produce byte-identical results.
     """
 
     __slots__ = (

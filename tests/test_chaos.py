@@ -11,6 +11,7 @@ import collections
 import pytest
 
 from repro.chaos import (
+    CONTROL_RUNTIMES,
     ChaosConfig,
     ConservationOracle,
     Episode,
@@ -298,6 +299,36 @@ class TestTrials:
         assert restored == artifact
         replayed = restored.replay()
         assert restored.matches(replayed), replayed.summary()
+
+    @pytest.mark.parametrize("runtime", ["dataflow", "faas"])
+    def test_broken_refused_without_an_unsound_control(self, runtime):
+        # Running the sound config under --broken would report a detector
+        # miss that is no miss at all: refuse, naming the runtimes that can.
+        assert runtime not in CONTROL_RUNTIMES
+        with pytest.raises(ValueError, match="no unsound control") as info:
+            run_trial(runtime, SMOKE_SEED, broken=True)
+        assert all(name in str(info.value) for name in CONTROL_RUNTIMES)
+
+    def test_chaoscheck_broken_runs_only_control_runtimes(self, monkeypatch):
+        import importlib.util
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "chaoscheck.py")
+        spec = importlib.util.spec_from_file_location("chaoscheck", path)
+        chaoscheck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(chaoscheck)
+        fuzzed = []
+        monkeypatch.setattr(
+            chaoscheck, "fuzz", lambda runtime, *args: fuzzed.append(runtime) or 0
+        )
+        assert chaoscheck.main(["--broken"]) == 0
+        assert fuzzed == list(CONTROL_RUNTIMES)
+        assert set(RUNTIMES) - set(CONTROL_RUNTIMES) == {"dataflow", "faas"}
+        with pytest.raises(SystemExit) as usage:
+            chaoscheck.main(["--broken", "--runtime", "dataflow"])
+        assert usage.value.code == 2
+        assert fuzzed == list(CONTROL_RUNTIMES)  # nothing ran
 
     def test_artifact_version_gate(self):
         artifact = ReproArtifact(runtime="actor", seed=1, broken=True,

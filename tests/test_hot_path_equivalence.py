@@ -7,7 +7,9 @@ bar here matches the flag's contract:
   produce the **same outcomes and final state** as its reference mode,
   with strictly less wire traffic;
 - the read paths audited in the bugfix sweep must never mutate shared
-  state as a side effect of being asked a question.
+  state as a side effect of being asked a question;
+- the one reference switch, ``Environment(fast_path=False)``, must reach
+  every engine the stack builds.
 """
 
 import pytest
@@ -147,8 +149,8 @@ def test_unknown_method_reply_leaves_server_state_clean():
 
 
 def test_cluster_binder_is_deadlock_free_on_fast_grants():
-    """ShardedDbBinder keeps the engines' default fast grants and needs no
-    lock-wait timeout: it locks each op's declared keys in one global
+    """ShardedDbBinder consumes already-granted locks without yielding and
+    needs no lock-wait timeout: it locks each op's declared keys in one global
     order, so the C17 invoicing workload (seed 11) — where body-order
     locking once phase-locked an op into 16 consecutive cross-shard
     deadlocks — runs with no client-visible error and no deadlock."""
@@ -159,7 +161,6 @@ def test_cluster_binder_is_deadlock_free_on_fast_grants():
     env = Environment(seed=11)
     binder = bind("cluster", env, invoicing_spec(InvoicingWorkload()),
                   num_shards=2)
-    assert all(eng._fast_grants is True for eng in binder.db.shards)
 
     ops = list(InvoicingWorkload().operations(env.stream("ops:invoicing"), 40))
     errors = []
@@ -184,77 +185,80 @@ def test_cluster_binder_is_deadlock_free_on_fast_grants():
     assert all(eng.locks.stats.deadlocks == 0 for eng in binder.db.shards)
 
 
-#: One non-default value per ``Database`` option; the first test below
-#: fails when ``Database`` grows an option this table does not name.
-_ENGINE_OPTIONS = {
-    "gc": False,
-    "group_commit": False,
-    "copy_reads": True,
-    "fast_grants": False,
-}
+def _shows_reference_mode(engine, fast_path):
+    """Probe one storage fast path on ``engine`` by behaviour, not flags:
+    does it copy reads, keep every version, fsync each commit?"""
+    engine.create_table("probe")
+    engine.load("probe", [{"id": 1, "v": 0}])
+    flushes = engine.wal.flush_count
+    read = []
+
+    def body():
+        for v in (1, 2):  # two commits in one virtual instant
+            txn = engine.begin()
+            yield from engine.put(txn, "probe", 1, {"id": 1, "v": v})
+            yield from engine.commit(txn)
+        txn = engine.begin()
+        read.append((yield from engine.get(txn, "probe", 1)))
+        yield from engine.commit(txn)
+
+    run(engine.env, body())
+    if fast_path == "copy_reads":
+        return type(read[0]) is dict  # a fresh copy, not the frozen Row
+    if fast_path == "gc":
+        return engine.gc() == 0 and len(engine._tables["probe"].versions[1]) == 3
+    # group_commit: the two writes and the read-only commit, one fsync each
+    return engine.wal.flush_count - flushes == 3
 
 
-def _engine_option(engine, option):
-    return getattr(engine, f"_{option}")
-
-
-def test_engine_option_table_names_every_database_option():
-    import inspect
-
-    from repro.db import Database
-
-    declared = {
-        name for name, param in
-        inspect.signature(Database.__init__).parameters.items()
-        if param.kind is param.KEYWORD_ONLY
-    }
-    assert declared == set(_ENGINE_OPTIONS)
-
-
-@pytest.mark.parametrize("option", sorted(_ENGINE_OPTIONS))
-def test_engine_options_reach_every_engine(option):
-    """``DatabaseServer`` and ``ShardedDatabase`` declare no engine flag
-    of their own: whatever ``Database`` accepts reaches every engine they
-    build — shard engines, a migration's replacement engine, and every
-    replica a group factory creates — and defaults stay ``Database``'s."""
-    from repro.db import Database, DatabaseServer, ShardedDatabase
-
-    value = _ENGINE_OPTIONS[option]
-    opts = {option: value}
-    env = Environment(seed=3)
-    default = _engine_option(Database(env), option)
-    assert default != value
-
-    assert _engine_option(DatabaseServer(env, **opts).engine, option) == value
-    assert _engine_option(DatabaseServer(env).engine, option) == default
+def _every_engine(env):
+    """One engine from each place the stack builds one."""
+    from repro.chaos.scenarios import build_scenario
+    from repro.db import DatabaseServer, ShardedDatabase
 
     plain = ShardedDatabase(env, num_shards=2, num_nodes=2)
-    assert [_engine_option(e, option) for e in plain.shards] == [default] * 2
+    engines = [DatabaseServer(env).engine, *plain.shards]
+    run(env, plain.migrate_shard(0, plain.nodes[1]))
+    replicated = ShardedDatabase(env, num_shards=1, num_nodes=4, name="repl",
+                                 replication=ReplicationConfig())
+    engines += replicated.replica_group(0).engines()
+    run(env, replicated.migrate_shard(0, replicated.nodes[3]))
+    cluster = build_scenario("cluster", env, broken=True)
+    run(env, cluster._flip_without_drain(0, cluster.db.nodes[1]))
+    # the migration's replacement, the moved group, the unsound flip's engine
+    engines += [plain.shards[0], *replicated.replica_group(0).engines(),
+                cluster.db.shards[0]]
+    assert len({id(engine) for engine in engines}) == 11
+    return engines
 
-    sharded = ShardedDatabase(env, num_shards=2, num_nodes=2, name="opt", **opts)
-    assert sharded.engine_options == opts
-    before = sharded.shards[0]
-    run(env, sharded.migrate_shard(0, sharded.nodes[1]))
-    assert sharded.shards[0] is not before  # the replacement engine
-    assert [_engine_option(e, option) for e in sharded.shards] == [value] * 2
 
-    replicated = ShardedDatabase(
-        env, num_shards=1, num_nodes=3, name="repl",
-        replication=ReplicationConfig(), **opts,
-    )
-    replicas = replicated._groups[0].engines()
-    assert len(replicas) == 3
-    assert [_engine_option(e, option) for e in replicas] == [value] * 3
+@pytest.mark.parametrize("fast_path", ["copy_reads", "gc", "group_commit"])
+def test_engine_options_reach_every_engine(fast_path):
+    """``Environment(fast_path=False)`` is the one reference switch: every
+    engine the stack builds on it — a DatabaseServer's, each shard, a
+    migration's replacement, every replica a group factory builds (also
+    after a replicated migration) and the chaos cluster's unsound flip —
+    runs that storage path in reference mode; the default env builds
+    none in reference mode."""
+    reference = _every_engine(Environment(seed=3, fast_path=False))
+    assert all(_shows_reference_mode(e, fast_path) for e in reference)
+    default = _every_engine(Environment(seed=3))
+    assert not any(_shows_reference_mode(e, fast_path) for e in default)
 
 
 @pytest.mark.parametrize("replication", [None, ReplicationConfig()],
                          ids=["unreplicated", "replicated"])
 def test_unknown_engine_option_is_rejected_at_construction(replication):
-    from repro.db import DatabaseServer, ShardedDatabase
+    """The retired per-engine flags fail loudly instead of being ignored:
+    the reference mode comes from the environment alone."""
+    from repro.db import Database, DatabaseServer, ShardedDatabase
 
     env = Environment(seed=3)
-    with pytest.raises(TypeError):
-        ShardedDatabase(env, num_shards=3, num_nodes=3,
-                        replication=replication, no_such_flag=True)
-    with pytest.raises(TypeError):
-        DatabaseServer(env, no_such_flag=True)
+    for flag in ("gc", "group_commit", "copy_reads", "fast_grants"):
+        with pytest.raises(TypeError):
+            ShardedDatabase(env, num_shards=3, num_nodes=3,
+                            replication=replication, **{flag: False})
+        with pytest.raises(TypeError):
+            DatabaseServer(env, **{flag: False})
+        with pytest.raises(TypeError):
+            Database(env, **{flag: False})

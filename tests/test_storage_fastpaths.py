@@ -1,12 +1,12 @@
 """Storage-engine fast paths: version-chain GC, group commit, copy elision.
 
-Each fast path has a reference mode (``gc=False`` / ``group_commit=False``
-/ ``copy_reads=True``); the golden-equivalence suite proves the modes are
-behaviourally identical on full workloads, and these tests pin the local
-contracts: GC never collects a version the oldest live snapshot can see,
-a crash before the shared group fsync loses the whole group (never an
-interior subset), and committed rows are immutable objects shared with
-every reader.
+Each fast path has a reference mode, selected for the whole stack by
+``Environment(fast_path=False)``; the golden-equivalence suite proves the
+modes are behaviourally identical on full workloads, and these tests pin
+the local contracts: GC never collects a version the oldest live snapshot
+can see, a crash before the shared group fsync loses the whole group
+(never an interior subset), and committed rows are immutable objects
+shared with every reader.
 """
 
 import pytest
@@ -25,8 +25,8 @@ def run(env, gen):
     return env.run_until(env.process(gen))
 
 
-def make_db(env, **flags):
-    db = Database(env, name="fp", **flags)
+def make_db(env):
+    db = Database(env, name="fp")
     db.create_table("accounts")
     db.load("accounts", [{"id": "alice", "balance": 100},
                          {"id": "bob", "balance": 50}])
@@ -54,8 +54,8 @@ class TestVersionChainGc:
         assert db.read_latest("accounts", "alice")["balance"] == 199
 
     def test_reference_mode_keeps_every_version(self):
-        env = Environment()
-        db = make_db(env, gc=False)
+        env = Environment(fast_path=False)
+        db = make_db(env)
         for i in range(50):
             run(env, write_balance(db, "alice", i))
         chain = db._tables["accounts"].versions["alice"]
@@ -143,8 +143,8 @@ class TestGroupCommit:
         assert db.stats.flush_count == db.wal.flush_count
 
     def test_reference_mode_fsyncs_per_commit(self):
-        env = Environment()
-        db = make_db(env, group_commit=False)
+        env = Environment(fast_path=False)
+        db = make_db(env)
         before = db.wal.flush_count
         self._contended_commits(env, db, n=5)
         assert db.wal.flush_count - before == 5
@@ -387,8 +387,8 @@ class TestCopyElision:
                 del row["balance"]
 
     def test_copy_reads_reference_mode_returns_fresh_dicts(self):
-        env = Environment()
-        db = make_db(env, copy_reads=True)
+        env = Environment(fast_path=False)
+        db = make_db(env)
 
         def reads():
             txn = db.begin(RC)
