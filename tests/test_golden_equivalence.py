@@ -6,11 +6,13 @@ commit and copy every read.  These tests run real claim-bench workloads
 in both modes and assert the *formatted result tables*, the C17
 deployments' per-op latencies, end times and final state, and a *Chrome
 trace export* are identical: a fast path may change wall-clock time only,
-never virtual-time behaviour.
+never virtual-time behaviour.  The storage-mode and grant-mode cases
+split the switch in two, so a divergence names the half that caused it.
 """
 
 import pytest
 
+from repro.db.engine import Database
 from repro.harness import WorkloadDriver, format_rows
 from repro.obs import Tracer
 from repro.sim import Environment
@@ -29,6 +31,25 @@ def _force_fast_path(monkeypatch, value):
         _ENV_INIT(self, seed=seed, tracer=tracer, fast_path=value)
 
     monkeypatch.setattr(Environment, "__init__", patched)
+
+
+_DB_INIT = Database.__init__
+
+
+def _force_engine_mode(monkeypatch, value):
+    """Build every Database as if its env had fast_path=``value``, leaving
+    the kernel's own mode alone.  The engine reads the switch only while
+    it is constructed, so flipping it around ``__init__`` is exact."""
+
+    def patched(self, env, name="db"):
+        kernel_mode = env.fast_path
+        env.fast_path = value
+        try:
+            _DB_INIT(self, env, name)
+        finally:
+            env.fast_path = kernel_mode
+
+    monkeypatch.setattr(Database, "__init__", patched)
 
 
 def _b1_table():
@@ -137,3 +158,47 @@ def test_result_tables_identical_across_modes(monkeypatch, run):
 
 def test_trace_export_identical_across_modes(monkeypatch):
     _assert_identical_across_modes(monkeypatch, _traced_transfer_json)
+
+
+# -- each half of the switch on its own ---------------------------------------
+
+
+def _assert_identical_with_one_half_reference(monkeypatch, run, *, kernel, engine):
+    fast = run()
+    _force_fast_path(monkeypatch, kernel)
+    _force_engine_mode(monkeypatch, engine)
+    reference = run()
+    assert fast == reference
+
+
+@pytest.mark.parametrize("run", [_b1_table, _c1_table], ids=["B1", "C1"])
+def test_result_tables_identical_across_storage_modes(monkeypatch, run):
+    """Engines in reference mode (every version kept, one fsync per commit,
+    copying reads, read-only commits not elided) on the fast kernel."""
+    _assert_identical_with_one_half_reference(
+        monkeypatch, run, kernel=True, engine=False
+    )
+
+
+def test_trace_export_identical_across_storage_modes(monkeypatch):
+    _assert_identical_with_one_half_reference(
+        monkeypatch, _traced_transfer_json, kernel=True, engine=False
+    )
+
+
+@pytest.mark.parametrize("run", [_b1_table, _c1_table], ids=["B1", "C1"])
+def test_result_tables_identical_across_grant_modes(monkeypatch, run):
+    """Fast engines on the heap-only kernel.  A grant that is already done
+    is consumed synchronously in both modes (yielding it would hand the
+    turn to other same-instant processes: a different schedule), so the
+    grant path differs only in how the kernel hands a grant resolved
+    later to its waiter: the ready deque, or a heap round trip."""
+    _assert_identical_with_one_half_reference(
+        monkeypatch, run, kernel=False, engine=True
+    )
+
+
+def test_trace_export_identical_across_grant_modes(monkeypatch):
+    _assert_identical_with_one_half_reference(
+        monkeypatch, _traced_transfer_json, kernel=False, engine=True
+    )
