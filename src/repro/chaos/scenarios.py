@@ -442,8 +442,6 @@ class ClusterScenario(Scenario):
         committing against the source engine, then flips to the snapshot:
         every write that landed during the copy window is silently lost.
         """
-        from repro.db.engine import Database
-
         db = self.db
         db.directory.begin_migration(shard, dest)
         try:
@@ -451,16 +449,7 @@ class ClusterScenario(Scenario):
             tables = [args for kind, args in db._schema if kind == "table"]
             snapshot = {name: old_engine.all_rows(name) for name, _pk in tables}
             yield self.env.timeout(25.0)  # the copy window — writes continue
-            new_engine = Database(self.env, name=f"{db.name}/shard{shard}")
-            for kind, args in db._schema:
-                if kind == "table":
-                    new_engine.create_table(*args)
-                else:
-                    new_engine.create_index(*args)
-            for name, rows in snapshot.items():
-                if rows:
-                    new_engine.load(name, rows)
-            db.shards[shard] = new_engine
+            db.shards[shard] = db.new_engine(f"{db.name}/shard{shard}", snapshot)
         except BaseException:
             db.directory.abort_migration(shard)
             raise

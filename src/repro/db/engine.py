@@ -18,6 +18,18 @@ any database instance a two-phase-commit participant; between prepare and
 the decision the transaction's locks remain held — the blocking window the
 paper blames for 2PC's performance cost (§4.2).
 
+Each durable format is written down once.  ``_redo`` appends the
+``write`` records of every path that installs rows (commits, prepares,
+replicated entries, parallel epochs, bulk load); ``_decide`` logs, fsyncs
+and applies the decision on an in-doubt write set (XA phase two,
+:meth:`~Database.resolve_in_doubt`, a replicated ``decide``) and
+``_hold`` re-takes such a set's locks where no open transaction holds
+them.  :meth:`~Database.image` is the checkpoint format:
+:meth:`~Database.checkpoint` logs it, a replica ships it as an
+InstallSnapshot payload, and ``_restore`` reads it back (recovery,
+:meth:`~Database.install_snapshot`).  :meth:`~Database.apply_replicated`
+is the one reader of a replicated log command.
+
 Four storage fast paths ride under the engine's semantics (see
 ``docs/PERFORMANCE.md`` § "Storage engine").  The environment's
 ``fast_path`` switch selects them all at once: on an
@@ -664,20 +676,25 @@ class Database:
         self.stats.flush_count = self.wal.flush_count
         return lsn
 
-    def _log_writes(self, txn: Transaction, decision: str) -> None:
-        """Append the redo records; fsync now, or join the instant's group.
+    def _redo(
+        self, tid: Hashable, writes: dict[tuple[str, Hashable], Optional[dict]]
+    ) -> dict[tuple[str, Hashable], Optional[dict]]:
+        """Append one ``write`` record per row of ``writes``; returns it.
 
-        Rows are frozen (:class:`Row`) here so the WAL record and the heap
-        version installed moments later share one immutable object.
+        Rows are frozen (:class:`Row`) in place, so the WAL record and the
+        heap version installed from ``writes`` share one immutable object.
         """
-        writes = txn.writes
-        wal = self.wal
-        for (table, key), row in writes.items():
+        append = self.wal.append
+        for ref, row in writes.items():
             if row is not None and row.__class__ is not Row:
-                row = Row(row)
-                writes[(table, key)] = row
-            wal.append("write", (txn.tid, table, key, row))
-        last_lsn = wal.append(decision, (txn.tid,))
+                row = writes[ref] = Row(row)
+            append("write", (tid, *ref, row))
+        return writes
+
+    def _log_writes(self, txn: Transaction, decision: str) -> None:
+        """Append the redo records; fsync now, or join the instant's group."""
+        self._redo(txn.tid, txn.writes)
+        last_lsn = self.wal.append(decision, (txn.tid,))
         if decision == "commit" and self._fast_path:
             group = self._group
             if group is None:
@@ -760,7 +777,7 @@ class Database:
         # sequence does not advance either — no version was installed, and
         # every visibility check compares seq *order*, not values.
         txn.status = TxnStatus.COMMITTED
-        self._finish(txn)
+        self._finish(txn.tid)
         self.stats.committed += 1
         return
         yield  # pragma: no cover - generator protocol only
@@ -771,12 +788,12 @@ class Database:
             return
         self.wal.append("abort", (txn.tid,))
         txn.status = TxnStatus.ABORTED
-        self._finish(txn)
+        self._finish(txn.tid)
         self.stats.aborted += 1
 
-    def _finish(self, txn: Transaction) -> None:
-        self.locks.release_all(txn.tid)
-        self._active.pop(txn.tid, None)
+    def _finish(self, tid: Hashable) -> None:
+        self.locks.release_all(tid)
+        self._active.pop(tid, None)
 
     # -- version-chain GC ---------------------------------------------------------
 
@@ -835,22 +852,48 @@ class Database:
     def commit_prepared(self, txn: Transaction) -> None:
         """Phase two, commit decision."""
         txn.require(TxnStatus.PREPARED)
-        self.wal.append("commit", (txn.tid,))
-        self._flush_wal()
-        self._install(self._in_doubt.pop(txn.tid))
-        txn.status = TxnStatus.COMMITTED
-        self._finish(txn)
-        self.stats.committed += 1
+        self._decide(txn.tid, True, txn)
 
     def abort_prepared(self, txn: Transaction) -> None:
         """Phase two, abort decision."""
         txn.require(TxnStatus.PREPARED)
-        self.wal.append("abort", (txn.tid,))
+        self._decide(txn.tid, False, txn)
+
+    def _decide(
+        self, tid: Hashable, commit: bool, txn: Optional[Transaction] = None
+    ) -> None:
+        """Log and fsync the decision on in-doubt set ``tid``, install it
+        on commit, and release the locks its holder kept (``txn`` if it is
+        still open here, else ``tid`` itself).  A set already decided is
+        left alone, so a retried decision is a no-op."""
+        writes = self._in_doubt.pop(tid, None)
+        if writes is None:
+            return
+        self.wal.append("commit" if commit else "abort", (tid,))
         self._flush_wal()
-        self._in_doubt.pop(txn.tid, None)
-        txn.status = TxnStatus.ABORTED
-        self._finish(txn)
-        self.stats.aborted += 1
+        if commit:
+            self._install(writes)
+            self.stats.committed += 1
+        else:
+            self.stats.aborted += 1
+        if txn is not None:
+            txn.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
+            tid = txn.tid
+        self._finish(tid)
+
+    def _hold(
+        self, tid: Hashable, writes: Iterable[tuple[str, Hashable]]
+    ) -> None:
+        """Take a prepared set's IX+X locks under ``tid``.
+
+        Used where no open transaction holds them: after recovery or a
+        snapshot install, and for a prepare applied on a follower.  Keeps
+        later writers off rows the set will install at decision time.
+        """
+        acquire = self.locks.acquire
+        for table, key in writes:
+            acquire(tid, ("table", table), LockMode.IX)
+            acquire(tid, ("row", table, key), LockMode.X)
 
     def in_doubt(self) -> list[int]:
         """Transaction ids prepared but not yet decided (blocking!)."""
@@ -868,26 +911,7 @@ class Database:
         a crash kills every active snapshot reader anyway.
         """
         self.gc()
-        tables: dict[str, dict] = {}
-        for name, tbl in self._tables.items():
-            rows: dict[Hashable, dict] = {}
-            for key in tbl.versions:
-                row = tbl.latest(key)
-                if row is not None:
-                    rows[key] = row
-            tables[name] = {
-                "primary_key": tbl.primary_key,
-                "indexes": [
-                    (column, column in tbl.ordered_indexes)
-                    for column in tbl.indexes
-                ],
-                "rows": rows,
-            }
-        payload = {
-            "tables": tables,
-            "in_doubt": {tid: dict(w) for tid, w in self._in_doubt.items()},
-        }
-        lsn = self.wal.append("checkpoint", payload)
+        lsn = self.wal.append("checkpoint", self.image())
         self._flush_wal()
         dropped = self.wal.truncate(before_lsn=lsn)
         self.env.tracer.event(
@@ -902,12 +926,18 @@ class Database:
         records sit above the durability horizon, so recovery sees none of
         them — the group is lost atomically, never an interior subset.
         """
+        self.wal.crash()
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop every volatile structure: the pending commit group (its
+        barrier waiters learn durability failed), tables, open and staged
+        transactions, in-doubt sets and locks."""
         group = self._group
         if group is not None:
             self._group = None
             group.crashed = True
-            group.future.succeed(None)  # barrier waiters learn durability failed
-        self.wal.crash()
+            group.future.succeed(None)
         self._tables.clear()
         self._active.clear()
         self._in_doubt.clear()
@@ -923,11 +953,8 @@ class Database:
         coordinator (:meth:`resolve_in_doubt`).  A checkpoint record resets
         the slate to its snapshot before the tail replays.
         """
-        self._tables.clear()
-        self._commit_seq = 0
-        self.stats.live_versions = 0
         pending: dict[int, dict[tuple[str, Hashable], Optional[dict]]] = {}
-        self._in_doubt.clear()
+        self._restore({"tables": {}, "in_doubt": {}})
         for record in self.wal.durable_records():
             if record.kind == "create_table":
                 name, primary_key = record.payload
@@ -953,24 +980,8 @@ class Database:
                 (tid,) = record.payload
                 self._in_doubt[tid] = pending.pop(tid, {})
             elif record.kind == "checkpoint":
-                snapshot = record.payload
-                self._tables.clear()
-                self._commit_seq = 0
-                self.stats.live_versions = 0
                 pending.clear()
-                self._in_doubt.clear()
-                restored: dict[tuple[str, Hashable], Optional[dict]] = {}
-                for name, meta in snapshot["tables"].items():
-                    tbl = _Table(name, meta["primary_key"])
-                    self._tables[name] = tbl
-                    for column, ordered in meta["indexes"]:
-                        tbl.create_index(column, ordered=ordered)
-                    for key, row in meta["rows"].items():
-                        restored[(name, key)] = row
-                if restored:
-                    self._install(restored)
-                for tid, writes in snapshot["in_doubt"].items():
-                    self._in_doubt[tid] = dict(writes)
+                self._restore(record.payload)
         # A prepared transaction voted yes: its writes stay latent and its
         # locks stay held until the coordinator's decision.  The lock table
         # died with the crash, so re-acquire here — otherwise a conflicting
@@ -979,20 +990,30 @@ class Database:
         # held compatible locks before the crash, so every grant is
         # immediate against the fresh lock manager.
         for tid, writes in self._in_doubt.items():
-            for table, key in writes:
-                self.locks.acquire(tid, ("table", table), LockMode.IX)
-                self.locks.acquire(tid, ("row", table, key), LockMode.X)
+            self._hold(tid, writes)
+
+    def _restore(self, image: dict) -> None:
+        """Replace the tables, rows and in-doubt sets with ``image``'s
+        (:meth:`image` format); takes no locks."""
+        self._tables.clear()
+        self._in_doubt.clear()
+        self._commit_seq = 0
+        self.stats.live_versions = 0
+        restored: dict[tuple[str, Hashable], Optional[dict]] = {}
+        for name, meta in image["tables"].items():
+            tbl = self._tables[name] = _Table(name, meta["primary_key"])
+            for column, ordered in meta["indexes"]:
+                tbl.create_index(column, ordered=ordered)
+            for key, row in meta["rows"].items():
+                restored[(name, key)] = row
+        if restored:
+            self._install(restored)
+        for tid, writes in image["in_doubt"].items():
+            self._in_doubt[tid] = dict(writes)
 
     def resolve_in_doubt(self, tid: int, commit: bool) -> None:
         """Coordinator's decision for a recovered in-doubt transaction."""
-        writes = self._in_doubt.pop(tid, None)
-        if writes is None:
-            return
-        self.wal.append("commit" if commit else "abort", (tid,))
-        self._flush_wal()
-        if commit:
-            self._install(writes)
-        self.locks.release_all(tid)
+        self._decide(tid, commit)
 
     # -- replication entry points (repro.replication) -------------------------------
 
@@ -1033,79 +1054,56 @@ class Database:
 
     def apply_replicated(
         self,
-        kind: str,
-        gid: Hashable,
-        writes: Optional[tuple] = None,
+        command: tuple,
         *,
         token: Optional[int] = None,
         ack: Optional[Any] = None,
         ack_value: Optional[int] = None,
-        decision: bool = True,
     ) -> None:
         """Apply one committed log entry; the fencing check lives here.
 
-        A committed entry ALWAYS installs — committedness was decided by
-        the quorum, not by this engine — but the *acknowledgement* is
-        refused when the entry's proposal term (``token``) is below the
-        engine's fence: the proposing leader was deposed before it could
-        learn the outcome, so it must not report success
-        (:class:`FencedOut`).  ``token=None`` disables the check (the
-        broken no-fencing variant the chaos oracles catch).
+        ``command`` is the log entry's command: ``("commit", gid,
+        writes)``, ``("prepare", gid, writes)`` or ``("decide", gid,
+        commit)``, with ``writes`` the ``((table, key), row)`` pairs
+        :meth:`stage_replicated` returned.  A committed entry ALWAYS
+        installs — committedness was decided by the quorum, not by this
+        engine — but the *acknowledgement* is refused when the entry's
+        proposal term (``token``) is below the engine's fence: the
+        proposing leader was deposed before it could learn the outcome,
+        so it must not report success (:class:`FencedOut`).
+        ``token=None`` disables the check (the broken no-fencing variant
+        the chaos oracles catch).
 
         Synchronous and WAL-durable per entry, so a replica's
         ``applied_index`` and its engine's recovered state always agree.
         """
-        fenced = token is not None and token < self._fence
-        if kind == "commit":
-            buffered: dict[tuple[str, Hashable], Optional[dict]] = dict(writes)
-            for (table, key), row in buffered.items():
-                self.wal.append("write", (gid, table, key, row))
-            self.wal.append("commit", (gid,))
+        kind, gid, body = command
+        if kind == "decide":
+            # a duplicate decide (idempotent retry) finds nothing to do
+            self._decide(gid, body, self._repl_pending.pop(gid, None))
+        elif kind in ("commit", "prepare"):
+            writes = self._redo(gid, dict(body))
+            self.wal.append(kind, (gid,))
             self._flush_wal()
-            self._install(buffered)
-            self.stats.committed += 1
-            pending = self._repl_pending.pop(gid, None)
-            if pending is not None:
-                pending.status = TxnStatus.COMMITTED
-                self._finish(pending)
-        elif kind == "prepare":
-            buffered = dict(writes)
-            for (table, key), row in buffered.items():
-                self.wal.append("write", (gid, table, key, row))
-            self.wal.append("prepare", (gid,))
-            self._flush_wal()
-            self._in_doubt[gid] = buffered
-            if gid not in self._repl_pending:
-                # Follower apply: no interactive branch holds these locks,
-                # so take them under the gid (recovery-style) to keep
-                # post-failover writers off the in-doubt rows.
-                for table, key in buffered:
-                    self.locks.acquire(gid, ("table", table), LockMode.IX)
-                    self.locks.acquire(gid, ("row", table, key), LockMode.X)
-        elif kind == "decide":
-            buffered = self._in_doubt.pop(gid, None)
-            pending = self._repl_pending.pop(gid, None)
-            if buffered is not None:
-                self.wal.append("commit" if decision else "abort", (gid,))
-                self._flush_wal()
-                if decision:
-                    self._install(buffered)
-                    self.stats.committed += 1
-                else:
-                    self.stats.aborted += 1
+            if kind == "prepare":
+                self._in_doubt[gid] = writes
+                if gid not in self._repl_pending:
+                    # Follower apply: no interactive branch holds these
+                    # locks, so the gid takes them (recovery-style) to
+                    # keep post-failover writers off the in-doubt rows.
+                    self._hold(gid, writes)
+            else:
+                self._install(writes)
+                self.stats.committed += 1
+                pending = self._repl_pending.pop(gid, None)
                 if pending is not None:
-                    pending.status = (
-                        TxnStatus.COMMITTED if decision else TxnStatus.ABORTED
-                    )
-                    self._finish(pending)
-                else:
-                    self.locks.release_all(gid)
-            # else: duplicate decide (idempotent retry) — nothing to do
+                    pending.status = TxnStatus.COMMITTED
+                    self._finish(pending.tid)
         else:
             raise ValueError(f"unknown replicated command kind {kind!r}")
         self.stats.replicated_applies += 1
         if ack is not None:
-            if fenced:
+            if token is not None and token < self._fence:
                 self.stats.fenced_acks += 1
                 ack.try_succeed(("err", FencedOut(gid, token, self._fence)))
             else:
@@ -1119,39 +1117,42 @@ class Database:
         ):
             self.wal.append("abort", (txn.tid,))
             txn.status = TxnStatus.ABORTED
-            self._finish(txn)
+            self._finish(txn.tid)
             self.stats.aborted += 1
         if self._in_doubt.pop(gid, None) is not None:
             self.locks.release_all(gid)
 
-    def snapshot_payload(self) -> dict:
-        """Committed state in checkpoint format, for InstallSnapshot.
+    def image(self) -> dict:
+        """Committed state in the durable checkpoint format.
 
-        Same structure :meth:`checkpoint` logs, but without touching this
-        engine's WAL — the *receiver* makes it durable on install.
+        ``{"tables": {name: {"primary_key", "indexes", "rows"}},
+        "in_doubt": {tid: writes}}``: the schema, the latest committed
+        row per key and the in-doubt write sets.  :meth:`checkpoint` logs
+        it; a replica ships it as an InstallSnapshot payload, which the
+        receiver makes durable (:meth:`install_snapshot`).  Old MVCC
+        versions are not carried over.
         """
-        tables: dict[str, dict] = {}
-        for name, tbl in self._tables.items():
-            rows: dict[Hashable, dict] = {}
-            for key in tbl.versions:
-                row = tbl.latest(key)
-                if row is not None:
-                    rows[key] = row
-            tables[name] = {
-                "primary_key": tbl.primary_key,
-                "indexes": [
-                    (column, column in tbl.ordered_indexes)
-                    for column in tbl.indexes
-                ],
-                "rows": rows,
-            }
         return {
-            "tables": tables,
+            "tables": {
+                name: {
+                    "primary_key": tbl.primary_key,
+                    "indexes": [
+                        (column, column in tbl.ordered_indexes)
+                        for column in tbl.indexes
+                    ],
+                    "rows": {
+                        key: chain[-1][1]
+                        for key, chain in tbl.versions.items()
+                        if chain[-1][1] is not None
+                    },
+                }
+                for name, tbl in self._tables.items()
+            },
             "in_doubt": {tid: dict(w) for tid, w in self._in_doubt.items()},
         }
 
     def install_snapshot(self, payload: dict) -> None:
-        """Replace all state with a leader's snapshot, durably.
+        """Replace all state with a leader's :meth:`image`, durably.
 
         Used when the log alone cannot catch a replica up (compaction, or
         broken-mode divergence below the applied prefix).  The snapshot is
@@ -1160,39 +1161,16 @@ class Database:
         the snapshot does not contain — including writes a broken leader
         applied without quorum — is erased.
         """
-        group = self._group
-        if group is not None:
-            self._group = None
-            group.crashed = True
-            group.future.succeed(None)
-        self._tables.clear()
-        self._active.clear()
-        self._commit_seq = 0
-        self.stats.live_versions = 0
-        self.locks = LockManager(self.env)
-        for gid, txn in list(self._repl_pending.items()):
+        for txn in self._repl_pending.values():
             # Stale staged proposals cannot survive a resync.
-            del self._repl_pending[gid]
             txn.status = TxnStatus.ABORTED
-        self._in_doubt.clear()
+        self._reset()
         lsn = self.wal.append("checkpoint", payload)
         self._flush_wal()
         self.wal.truncate(before_lsn=lsn)
-        restored: dict[tuple[str, Hashable], Optional[dict]] = {}
-        for name, meta in payload["tables"].items():
-            tbl = _Table(name, meta["primary_key"])
-            self._tables[name] = tbl
-            for column, ordered in meta["indexes"]:
-                tbl.create_index(column, ordered=ordered)
-            for key, row in meta["rows"].items():
-                restored[(name, key)] = row
-        if restored:
-            self._install(restored)
-        for tid, writes in payload["in_doubt"].items():
-            self._in_doubt[tid] = dict(writes)
-            for table, key in writes:
-                self.locks.acquire(tid, ("table", table), LockMode.IX)
-                self.locks.acquire(tid, ("row", table, key), LockMode.X)
+        self._restore(payload)
+        for tid, writes in self._in_doubt.items():
+            self._hold(tid, writes)
         self.env.tracer.event(
             "db.install_snapshot", db=self.name, lsn=lsn
         )
@@ -1245,11 +1223,7 @@ class Database:
             if not writes:
                 continue
             wal_tid = ("epoch", epoch, tid)
-            buffered: dict[tuple[str, Hashable], Optional[dict]] = {}
-            for (table, key), row in writes:
-                frozen = row if row is None or row.__class__ is Row else Row(row)
-                self.wal.append("write", (wal_tid, table, key, frozen))
-                buffered[(table, key)] = frozen
+            buffered = self._redo(wal_tid, dict(writes))
             self.wal.append("commit", (wal_tid,))
             self._install(buffered)
             self.stats.committed += 1
@@ -1262,18 +1236,11 @@ class Database:
 
     def load(self, table: str, rows: Iterable[dict]) -> None:
         """Bulk-load committed rows outside any transaction (setup only)."""
-        tbl = self._table(table)
-        self._commit_seq += 1
-        loaded = 0
-        for row in rows:
-            frozen = row if row.__class__ is Row else Row(row)
-            key = frozen[tbl.primary_key]
-            self.wal.append("write", (0, table, key, frozen))
-            tbl.install(key, frozen, self._commit_seq)
-            loaded += 1
+        primary_key = self._table(table).primary_key
+        writes = self._redo(0, {(table, row[primary_key]): row for row in rows})
         self.wal.append("commit", (0,))
         self._flush_wal()
-        self.stats.live_versions += loaded
+        self._install(writes)
 
     def read_latest(self, table: str, key: Hashable) -> Optional[dict]:
         """Dirty read of the latest committed version (metrics/invariants)."""

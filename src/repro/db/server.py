@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Generator, Hashable, Optional
 
 from repro.db.engine import Database, IsolationLevel, Transaction
-from repro.db.errors import InvalidTransactionState
 from repro.net.latency import Latency, Sampler
 from repro.sim import Environment, Semaphore
 
@@ -45,17 +44,10 @@ class DatabaseServer:
         connections: int = 32,
         op_service_time: Optional[Sampler] = None,
         network_rtt: Optional[Sampler] = None,
-        *,
-        follower: bool = False,
     ) -> None:
         self.env = env
         self.engine = Database(env, name=name)
         self.name = name
-        #: follower mode: the server is a read replica — interactive
-        #: transactions are refused, state advances only through
-        #: :meth:`apply_log_suffix` (committed entries from its leader).
-        self.follower = follower
-        self.applied_index = 0
         self._pool = Semaphore(env, connections, label=f"{name}.pool")
         self._service = op_service_time or Latency.local_disk()
         self._rtt = network_rtt or Latency.intra_zone()
@@ -80,9 +72,6 @@ class DatabaseServer:
     # delegating generator frame per operation — the per-op overhead this
     # facade adds is exactly one timeout yield plus two RNG draws.
 
-    def _charge(self) -> Generator:
-        yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
-
     def _traced(self, name: str, gen: Generator, **tags: Any) -> Generator:
         """Run ``gen`` under a causal span (one span per client-visible op)."""
         tracer = self.env.tracer
@@ -100,11 +89,6 @@ class DatabaseServer:
         return gen
 
     def _begin(self, isolation: IsolationLevel) -> Generator:
-        if self.follower:
-            raise InvalidTransactionState(
-                f"{self.name} is a follower replica: interactive "
-                "transactions must go to the leader"
-            )
         grant = self._pool.acquire()
         if not grant.done:
             # Pool exhausted: surface the queueing delay as its own span —
@@ -240,60 +224,6 @@ class DatabaseServer:
         if not self._released(txn):
             txn._conn_released = True  # type: ignore[attr-defined]
             self._pool.release()
-
-    # -- replication (follower mode) -----------------------------------------------
-
-    def promote(self) -> None:
-        """Leave follower mode: the server accepts transactions again."""
-        self.follower = False
-
-    def demote(self) -> None:
-        """Enter follower mode: refuse transactions, serve replica reads."""
-        self.follower = True
-
-    def read_latest(self, table: str, key: Hashable) -> Generator:
-        """Latest-committed read outside any transaction (replica reads).
-
-        Charged like any other operation; available in both modes — on a
-        follower this is the bounded-stale read surface.
-        """
-        yield from self._charge()
-        return self.engine.read_latest(table, key)
-
-    def apply_log_suffix(
-        self, entries: list[tuple[int, int, tuple]], *, fencing: bool = True
-    ) -> Generator:
-        """Apply a committed log suffix ``[(index, term, command), ...]``.
-
-        Entries at or below :attr:`applied_index` are skipped (idempotent
-        catch-up: a leader may re-ship an overlapping suffix after a
-        follower restart).  With ``fencing`` the entry's term is passed as
-        the fencing token, matching the replica apply path.  Returns the
-        number of entries applied.
-        """
-        applied = 0
-        for index, term, command in entries:
-            if index <= self.applied_index:
-                continue
-            yield from self._charge()
-            kind = command[0]
-            token = term if fencing else None
-            if kind == "commit":
-                self.engine.apply_replicated(
-                    "commit", command[1], command[2], token=token
-                )
-            elif kind == "prepare":
-                self.engine.apply_replicated(
-                    "prepare", command[1], command[2], token=token
-                )
-            elif kind == "decide":
-                self.engine.apply_replicated(
-                    "decide", command[1], token=token, decision=command[2]
-                )
-            # "noop" and unknown kinds advance the index without effects
-            self.applied_index = index
-            applied += 1
-        return applied
 
     # -- XA -----------------------------------------------------------------------
 

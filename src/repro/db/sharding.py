@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Container,
     Generator,
     Hashable,
@@ -69,7 +70,7 @@ from repro.replication.errors import (
     ReplicationError,
     ReplicaUnavailable,
 )
-from repro.sim import Environment, Future, Semaphore, any_of
+from repro.sim import Environment, Future, Interrupted, Semaphore, any_of
 from repro.transactions.commit import PREPARED, two_phase
 
 if TYPE_CHECKING:
@@ -78,7 +79,8 @@ if TYPE_CHECKING:
 #: Effectively-unbounded deadline for 2PC decision entries: a decided
 #: transaction's outcome must reach every participant group no matter how
 #: many elections happen in between, or atomicity tears (conservation
-#: violation).  The decide keeps retrying through whichever leader emerges.
+#: violation).  The decide keeps retrying through whichever leader emerges,
+#: even after the coordinator's own process dies (:meth:`_GroupRound.decide`).
 _DECIDE_TIMEOUT_MS = 1e9
 
 
@@ -149,28 +151,29 @@ class _ShardedMover:
 
     def transfer(self, shard: int, source: str, dest: str) -> Generator:
         db = self.db
-        old_engine = db.shards[shard]
-        new_engine = Database(db.env, name=f"{db.name}/shard{shard}")
-        rows_moved = 0
-        for kind, args in db._schema:
-            if kind == "table":
-                new_engine.create_table(*args)
-            else:
-                new_engine.create_index(*args)
+        copied = yield from self._copy(db.shards[shard])
+        db.shards[shard] = db.new_engine(f"{db.name}/shard{shard}", copied)
+        return sum(len(rows) for rows in copied.values())
+
+    def _copy(
+        self, engine: Database, check: Callable[[], None] = lambda: None
+    ) -> Generator:
+        """Stream ``engine``'s rows, table by table; returns ``{table:
+        rows}``.  Each table costs one round trip to open its stream, then
+        a per-row copy cost: the state moves through the storage layer,
+        not by reference.  ``check`` runs after each table's charges."""
+        db = self.db
+        copied: dict[str, list[dict]] = {}
         for kind, args in db._schema:
             if kind != "table":
                 continue
-            table = args[0]
-            rows = old_engine.all_rows(table)
-            # One round trip to open the stream, then a per-row copy cost:
-            # the state moves through the storage layer, not by reference.
+            rows = engine.all_rows(args[0])
             yield db.env.timeout(db.rtt_ms)
             if rows:
                 yield db.env.timeout(db.copy_ms_per_row * len(rows))
-                new_engine.load(table, rows)
-                rows_moved += len(rows)
-        db.shards[shard] = new_engine
-        return rows_moved
+            check()
+            copied[args[0]] = rows
+        return copied
 
     def resume(self, shard: int) -> None:
         barrier = self.db._barriers.pop(shard, None)
@@ -249,16 +252,8 @@ class _ReplicatedMover(_ShardedMover):
         if leader is None or not leader.node.alive:
             raise ClusterError(f"shard {shard} has no leader to copy from")
         start_index = leader.applied_index
-        copied: dict[str, list] = {}
-        rows_moved = 0
-        for kind, args in db._schema:
-            if kind != "table":
-                continue
-            table = args[0]
-            rows = leader.engine.all_rows(table)
-            yield db.env.timeout(db.rtt_ms)
-            if rows:
-                yield db.env.timeout(db.copy_ms_per_row * len(rows))
+
+        def still_leading() -> None:
             if (
                 not leader.node.alive
                 or leader.role != "leader"
@@ -268,8 +263,8 @@ class _ReplicatedMover(_ShardedMover):
                     f"shard {shard} leadership changed mid-copy; "
                     "migration aborted"
                 )
-            copied[table] = rows
-            rows_moved += len(rows)
+
+        copied = yield from self._copy(leader.engine, still_leading)
         for member in self.members:
             node = db.repl_net.nodes.get(member)
             if node is not None and not node.alive:
@@ -287,7 +282,7 @@ class _ReplicatedMover(_ShardedMover):
         db._groups[shard] = new_group
         db.directory.assign_group(shard, tuple(self.members))
         old_group.stop()
-        return rows_moved
+        return sum(len(rows) for rows in copied.values())
 
 
 class _ShardRound:
@@ -414,7 +409,16 @@ class _GroupRound:
                     engine.abort(branch)
             except Exception as exc:
                 errors[index] = exc
-        txn.applied.update((yield from db._collect(decides, errors)))
+        try:
+            txn.applied.update((yield from db._collect(decides, errors)))
+        except Interrupted:
+            # The coordinator's node crashed, but the decision is made:
+            # a detached process keeps collecting the decides, or the
+            # shards they have not reached stay prepared and locked.
+            db.env.process(
+                db._collect(decides, {}), label=f"{db.name}.decide:{self.gid}"
+            )
+            raise
         return [errors.get(index) for index in shards]
 
 
@@ -540,25 +544,14 @@ class ShardedDatabase:
         collides with its retired predecessor's RPC ports."""
         from repro.replication.group import ReplicaGroup
 
-        def factory(node_name: str) -> Database:
-            engine = Database(self.env, name=f"{self.name}/shard{shard}@{node_name}")
-            for kind, args in self._schema:
-                if kind == "table":
-                    engine.create_table(*args)
-                else:
-                    engine.create_index(*args)
-            if preload:
-                for table, rows in preload.items():
-                    if rows:
-                        engine.load(table, rows)
-            return engine
-
         group = ReplicaGroup(
             self.env,
             self.repl_net,
             name=f"{self.name}/s{shard}",
             config=self.replication,
-            engine_factory=factory,
+            engine_factory=lambda node_name: self.new_engine(
+                f"{self.name}/shard{shard}@{node_name}", preload
+            ),
             node_names=list(members),
             service=f"{self.name}-s{shard}g{generation}",
             start_index=start_index,
@@ -567,6 +560,22 @@ class ShardedDatabase:
             lambda node, s=shard, g=group: self._on_group_leader(s, g, node)
         )
         return group
+
+    def new_engine(
+        self, name: str, rows_by_table: Optional[dict[str, list[dict]]] = None
+    ) -> Database:
+        """A fresh shard engine: this database's schema replayed, then
+        ``rows_by_table`` loaded (a migrated or restored shard's rows)."""
+        engine = Database(self.env, name=name)
+        for kind, args in self._schema:
+            if kind == "table":
+                engine.create_table(*args)
+            else:
+                engine.create_index(*args)
+        for table, rows in (rows_by_table or {}).items():
+            if rows:
+                engine.load(table, rows)
+        return engine
 
     def _on_group_leader(self, shard: int, group: Any, node: str) -> None:
         """A replica group elected a new leader: flip the shard's owner.

@@ -146,13 +146,14 @@ class ReplicaGroup:
         return leader.node.name if leader is not None else None
 
     def wait_leader(self, timeout: Optional[float] = None) -> Generator:
-        """Poll until a live leader claims the group; NoLeader on timeout."""
+        """Poll until a live, :attr:`~Replica.servable` leader claims the
+        group; NoLeader on timeout."""
         deadline = self.env.now + (
             timeout if timeout is not None else self.config.leader_wait_ms
         )
         while True:
             leader = self.leader_replica()
-            if leader is not None:
+            if leader is not None and leader.servable:
                 return leader
             if self.env.now >= deadline:
                 raise NoLeader(self.name)

@@ -90,6 +90,8 @@ class Replica:
         self._nudge_pending = False
         self._needs_repair = False
         self._applied_waiters: list[tuple[int, Any]] = []
+        #: last log index before this leader's term-start no-op
+        self._serve_from = 0
 
         self._rng = env.stream(f"repl:{service}:{node.name}")
         self.server = RpcServer(net, node, service=service)
@@ -203,6 +205,7 @@ class Replica:
         self._peer_needs_snapshot.clear()
         # A no-op entry at term start: once it commits, every earlier-term
         # entry in this log is committed too (Raft's current-term rule).
+        self._serve_from = self.log.last_index
         self.log.append(self.term, ("noop",))
         if not self.config.fencing:
             self.commit_index = self.log.last_index
@@ -216,6 +219,17 @@ class Replica:
                 self._replicate_loop(self.term),
                 label=f"{self.service}:{self.node.name}.lead-t{self.term}",
             )
+
+    @property
+    def servable(self) -> bool:
+        """A leader whose engine has applied every earlier-term entry.
+
+        Until then its engine may miss writes a previous leader committed,
+        so a transaction run on it could read them stale and overwrite
+        them.  At bootstrap (and after a migration) the log is fully
+        applied, so a new group's leader is servable at once.
+        """
+        return self.role == "leader" and self.applied_index >= self._serve_from
 
     # -- elections -----------------------------------------------------------
 
@@ -436,7 +450,7 @@ class Replica:
             self.node.name,
             self.applied_index,
             self.log.term_at(self.applied_index),
-            self.engine.snapshot_payload(),
+            self.engine.image(),
             self.commit_index,
         )
         try:
@@ -590,32 +604,17 @@ class Replica:
             command = entry.command
             token = entry.term if fencing else None
             ack = self._acks.pop(index, None)
-            kind = command[0]
-            if kind == "commit":
-                _, gid, writes = command
+            if command[0] != "noop":
                 self.engine.apply_replicated(
-                    "commit", gid, writes, token=token, ack=ack, ack_value=index
+                    command, token=token, ack=ack, ack_value=index
                 )
-            elif kind == "prepare":
-                _, gid, writes = command
-                self.engine.apply_replicated(
-                    "prepare", gid, writes, token=token, ack=ack, ack_value=index
-                )
-            elif kind == "decide":
-                _, gid, decision = command
-                self.engine.apply_replicated(
-                    "decide", gid, decision=decision,
-                    token=token, ack=ack, ack_value=index,
-                )
-            else:  # noop
-                if ack is not None:
-                    fenced = token is not None and token < self.engine.fence_token
-                    if fenced:
-                        ack.try_succeed(("err", NotLeader(
-                            self.group_label, self.node.name
-                        )))
-                    else:
-                        ack.try_succeed(("ok", index))
+            elif ack is not None:
+                if token is not None and token < self.engine.fence_token:
+                    ack.try_succeed(("err", NotLeader(
+                        self.group_label, self.node.name
+                    )))
+                else:
+                    ack.try_succeed(("ok", index))
             self.applied_index = index
         self._notify_applied()
         self._maybe_compact()

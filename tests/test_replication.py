@@ -8,9 +8,9 @@ follower restart, consistency levels (linearizable leader reads,
 bounded-stale follower reads with read-your-writes sessions), the
 replicated :class:`~repro.db.sharding.ShardedDatabase` (single-shard and
 2PC commits, whole-group migration, a migration racing a leader
-election), the ``kill_leader`` fault class, follower-mode
-:class:`~repro.db.server.DatabaseServer`, and hash-seed invariance of
-the whole election/replication path.
+election), the ``kill_leader`` fault class, chaos regressions of the
+replicated-shard commit path, and hash-seed invariance of the whole
+election/replication path.
 """
 
 import subprocess
@@ -19,12 +19,11 @@ import sys
 import pytest
 
 from repro.chaos import run_trial
+from repro.chaos.nemesis import Episode
 from repro.cluster import ClusterError, Rebalancer
 from repro.core.faults import FaultPlan, FaultPlanError
 from repro.db import FencedOut, IsolationLevel, ShardedDatabase
 from repro.db.engine import Database, TxnStatus
-from repro.db.errors import InvalidTransactionState
-from repro.db.server import DatabaseServer
 from repro.db.sharding import shard_of
 from repro.net import Network
 from repro.replication import (
@@ -667,33 +666,6 @@ class TestKillLeaderFault:
         assert net.nodes["n0"].alive
 
 
-class TestFollowerServer:
-    def test_follower_refuses_transactions_and_applies_suffix(self):
-        env = Environment(seed=19)
-        server = DatabaseServer(env, name="replica", follower=True)
-        server.create_table("kv")
-        with pytest.raises(InvalidTransactionState):
-            run(env, server.begin())
-
-        entries = [
-            (1, 1, ("noop",)),
-            (2, 1, ("commit", "g1", ((("kv", "a"), {"id": "a", "value": 1}),))),
-            (3, 1, ("commit", "g2", ((("kv", "b"), {"id": "b", "value": 2}),))),
-        ]
-        assert run(env, server.apply_log_suffix(entries)) == 3
-        assert server.applied_index == 3
-        # Idempotent catch-up: re-shipping an overlapping suffix is a no-op.
-        assert run(env, server.apply_log_suffix(entries)) == 0
-        assert run(env, server.read_latest("kv", "a"))["value"] == 1
-        assert run(env, server.read_latest("kv", "b"))["value"] == 2
-
-        server.promote()
-        txn = run(env, server.begin())
-        run(env, server.put(txn, "kv", "c", {"id": "c", "value": 3}))
-        run(env, server.commit(txn))
-        assert run(env, server.read_latest("kv", "c"))["value"] == 3
-
-
 class TestReplicationChaos:
     def test_sound_trial_is_clean_and_deterministic(self):
         first = run_trial("replication", seed=11)
@@ -707,3 +679,43 @@ class TestReplicationChaos:
         assert result.violations, "no-fencing variant must violate the oracles"
         invariants = {v.invariant for v in result.violations}
         assert invariants & {"conservation", "transfer_exactly_once"}
+
+    def test_a_decided_round_survives_its_coordinator(self):
+        """Invoicing seed 68, shrunk: shard 1 has no leader when the 2PC
+        decision is made, and the app node running the coordinator
+        crashes while the decide still waits for one.  The decide must
+        land anyway, or shard 1 keeps the invoice prepared and its
+        counter locked (a gap in the invoice numbers)."""
+        result = run_trial("invoicing", 68, episodes=[
+            Episode(kind="kill_leader", start=14.953, duration=38.42,
+                    target="shard1"),
+            Episode(kind="crash", start=161.754, duration=10.396,
+                    target="invoicing-app0"),
+        ])
+        assert result.violations == []
+
+    def test_a_new_leader_applies_earlier_terms_before_serving(self):
+        """Replication seed 767: node0 crashes with a transfer's commit
+        entry unapplied and wins the next term.  A transaction it serves
+        before that entry applies reads a stale balance and overwrites
+        the debit (conservation drift +10)."""
+        result = run_trial("replication", 767, episodes=[
+            Episode(kind="crash", start=6.374, duration=45.681,
+                    target="bank/node0"),
+        ])
+        assert result.violations == []
+
+    def test_a_new_leader_serves_no_stale_invoice_counter(self):
+        """Invoicing seed 435, shrunk: the same gap behind a kill-leader
+        and a partition hands out invoice number 8 twice."""
+        cluster = "invoicing-cluster/"
+        result = run_trial("invoicing", 435, episodes=[
+            Episode(kind="crash", start=92.486, duration=65.36,
+                    target=cluster + "node3"),
+            Episode(kind="kill_leader", start=159.076, duration=62.766,
+                    target="shard0"),
+            Episode(kind="partition", start=240.233, duration=36.196,
+                    group_a=(cluster + "node0", cluster + "node2"),
+                    group_b=(cluster + "node1", cluster + "node3")),
+        ])
+        assert result.violations == []
