@@ -2,7 +2,7 @@
 
 Design choice under test (DESIGN.md §4): the Styx-like engine parallelizes
 an epoch by splitting it into conflict-free waves
-(:func:`repro.transactions.sequencer.partition_conflicts`).  This ablation
+(:func:`repro.cluster.plan.conflict_waves`).  This ablation
 disables the optimization by declaring every transaction's key set as one
 shared key (forcing full serialization) and measures the cost at two skew
 levels.

@@ -118,7 +118,7 @@ def _epoch_run(*, shards, txns, epochs, accounts, cross_every, work):
 def _plan_run(*, txns, shards, accounts, cross_every, reps):
     """Time the planning phase alone over one sequenced batch."""
     from repro.parallel import plan_epoch
-    from repro.transactions.sequencer import Sequencer
+    from repro.transactions import Sequencer
 
     spec = _spec()
     sequencer = Sequencer()

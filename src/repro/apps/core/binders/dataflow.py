@@ -102,7 +102,8 @@ class DataflowBinder(Binder):
         handler = self.handler_for(op)
         access = handler.access(op)
         keys = [storage_key(entity, key) for entity, key in access.declared]
-        future = self.engine.submit(handler.name, keys[0], (op, access), keys=keys)
+        root = keys[0] if keys else None  # an empty key set conflicts with nothing
+        future = self.engine.submit(handler.name, root, (op, access), keys=keys)
         result = yield future
         self.record_effect(op)
         return result

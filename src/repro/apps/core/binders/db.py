@@ -1,24 +1,26 @@
 """Database binders: the monolith baseline and the sharded cluster.
 
 Entities map to tables; a handler body runs inside one serializable
-local (or distributed) transaction via the shared retry discipline.
-``transaction_per_step=True`` honors a handler's ``steps`` split —
-running each step as its *own* transaction — which is exactly the
-unsound allocate-then-insert pattern the gap-free oracle must catch.
+local (or distributed) transaction.  ``transaction_per_step=True``
+honors a handler's ``steps`` split — running each step as its *own*
+transaction — which is exactly the unsound allocate-then-insert pattern
+the gap-free oracle must catch.
 
-The sharded binder never lets the body choose its lock order.  Before
-the body runs, one lock-and-fetch round
-(:meth:`~repro.db.sharding.ShardedDatabase.lock_and_fetch`) takes every
-declared key — shards in ascending id, keys in ``(table, repr(key))``
-order inside a shard, X for declared writes and S for read-only keys —
-and returns the rows.  One round trip reaches every touched shard; a
-shard whose lock is busy ends the round there, and the next round
-re-sends the requests to the shards above it.  The body then reads those
-rows (overlaid with its own writes) and buffers its writes, issuing no
-round trip; the writes ride on each shard's commit message (the
-one-phase commit, the 2PC prepare, or the replicated stage).  Because
-:class:`~repro.apps.core.base.KernelContext` rejects any key outside the
-declared sets, every lock a transaction takes is in that one global
+Neither binder lets the body choose its lock order.  Before the body
+runs, one lock-and-fetch request takes every declared key in the global
+order of :mod:`repro.cluster.plan` — partitions ascending, keys in
+``(table, repr(key))`` order inside one, X for declared writes and S for
+read-only keys — and returns the rows: on the monolith
+:meth:`~repro.db.server.DatabaseServer.lock_and_fetch`, one charged
+operation; on the cluster
+:meth:`~repro.db.sharding.ShardedDatabase.lock_and_fetch`, one round
+trip to every touched shard, where a shard whose lock is busy ends the
+round and the next round re-sends the requests to the shards above it.
+The body then reads those rows (overlaid with its own writes) and
+buffers its writes, issuing no request; the writes ride on the commit
+(the one-phase commit, the 2PC prepare, or the replicated stage).
+Because :class:`~repro.apps.core.base.KernelContext` rejects any key
+outside the declared sets, every lock a transaction takes is in that one
 order, so no waits-for cycle can form — across shards included, where
 no single lock manager could see it.  Deadlock freedom holds by
 construction, with no lock-wait timeout.
@@ -26,13 +28,12 @@ construction, with no lock-wait timeout.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Hashable, Optional
+from typing import Any, Generator, Optional
 
 from repro.apps.core.base import (
     AppUncertain,
     Binder,
     BufferedContext,
-    KernelContext,
     register_binder,
 )
 from repro.apps.core.retry import with_txn
@@ -44,33 +45,16 @@ from repro.replication.errors import NoLeader, NotLeader, ReplicationError
 from repro.sim import Environment
 
 SER = IsolationLevel.SERIALIZABLE
-
-
-class _TableCtx(KernelContext):
-    """Entity access over one open transaction on the monolith server."""
-
-    def __init__(self, env, op, handler, access, db, txn, scratch=None) -> None:
-        super().__init__(env, op, handler, access, scratch)
-        self.db = db
-        self.txn = txn
-
-    def _get(self, entity: str, key: Hashable) -> Generator:
-        row = yield from self.db.get(self.txn, entity, key)
-        return dict(row) if row is not None else None
-
-    def _put(self, entity: str, key: Hashable, row: dict) -> Generator:
-        yield from self.db.put(self.txn, entity, key, row)
-
-    def _delete(self, entity: str, key: Hashable) -> Generator:
-        yield from self.db.delete(self.txn, entity, key)
+#: attempts per transaction before an op fails
+_RETRIES = 16
 
 
 class _FetchedCtx(BufferedContext):
     """Entity access over rows locked and fetched before the body ran.
 
     Reads see the fetched rows overlaid with the body's own writes; writes
-    buffer here until they ride on the commit messages, so the body
-    itself issues no round trip.
+    buffer here until they ride on the commit, so the body itself issues
+    no request.
     """
 
     def __init__(self, env, op, handler, access, rows, scratch) -> None:
@@ -84,25 +68,21 @@ class _FetchedCtx(BufferedContext):
 
 @register_binder
 class DbBinder(Binder):
-    """One app on the monolith database server (the §3 baseline)."""
+    """One app on the monolith database server (the §3 baseline).
+
+    Each attempt locks and fetches the op's declared keys in one request
+    before the body runs (module docstring), so attempts never deadlock.
+    """
 
     runtime = "db"
 
     def __init__(
-        self,
-        env: Environment,
-        spec: AppSpec,
-        isolation: IsolationLevel = SER,
-        retries: int = 16,
-        connections: int = 32,
-        transaction_per_step: bool = False,
+        self, env: Environment, spec: AppSpec, transaction_per_step: bool = False
     ) -> None:
         super().__init__(env, spec)
-        self.isolation = isolation
-        self.retries = retries
         self.transaction_per_step = transaction_per_step
         self.sound = not transaction_per_step
-        self.db = DatabaseServer(env, name=f"{spec.name}-db", connections=connections)
+        self.db = DatabaseServer(env, name=f"{spec.name}-db")
         for entity in spec.entities.values():
             self.db.create_table(entity.name, primary_key=entity.key)
         for entity_name, rows in spec.initial_rows.items():
@@ -124,10 +104,8 @@ class DbBinder(Binder):
         result = None
         for body in bodies:
             result = yield from with_txn(
-                self,
-                self._txn_body(handler, op, access, body, scratch),
-                retries=self.retries,
-                isolation=self.isolation,
+                self, self._txn_body(handler, op, access, body, scratch),
+                retries=_RETRIES,
             )
         self.record_effect(op)
         return result
@@ -135,8 +113,13 @@ class DbBinder(Binder):
     def _txn_body(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
                   scratch: dict):
         def run(txn):
-            ctx = _TableCtx(self.env, op, handler, access, self.db, txn, scratch)
+            rows = yield from self.db.lock_and_fetch(
+                txn, access.declared, access.writable
+            )
+            ctx = _FetchedCtx(self.env, op, handler, access, rows, scratch)
             result = yield from body(ctx, op)
+            for (table, key), row in ctx.writes.items():
+                self.db.engine.buffer_write(txn, table, key, row)
             return result
 
         return run
@@ -173,12 +156,10 @@ class ShardedDbBinder(Binder):
         spec: AppSpec,
         db: Optional[ShardedDatabase] = None,
         num_shards: int = 2,
-        retries: int = 16,
         transaction_per_step: bool = False,
         **db_opts,
     ) -> None:
         super().__init__(env, spec)
-        self.retries = retries
         self.transaction_per_step = transaction_per_step
         self.sound = not transaction_per_step
         if db is None:
@@ -214,7 +195,7 @@ class ShardedDbBinder(Binder):
     def _run_txn(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
                  scratch: dict) -> Generator:
         op_id = getattr(op, "op_id", op)
-        for attempt in range(self.retries):
+        for attempt in range(_RETRIES):
             txn = self.db.begin(SER)
             try:
                 rows = yield from self.db.lock_and_fetch(

@@ -17,7 +17,9 @@ they all consult instead:
 - :mod:`~repro.cluster.migration` — the live shard-migration protocol
   (drain → copy → flip → forward), traced via ``repro.obs``;
 - :mod:`~repro.cluster.stats` / :mod:`~repro.cluster.rebalancer` — the
-  load signal and the control loop that moves hot shards to cold nodes.
+  load signal and the control loop that moves hot shards to cold nodes;
+- :mod:`~repro.cluster.plan` — declared-access planning: the one lock
+  order, the sequencer, conflict waves and epoch plans.
 
 See ``docs/CLUSTER.md`` for the protocol and the determinism contract.
 """

@@ -45,16 +45,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Hashable, Optional
 
 from repro.cluster import stable_hash
+from repro.cluster.plan import conflict_waves
 from repro.net.latency import Latency
 from repro.sim import Environment, Future, all_of
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
-from repro.transactions.sequencer import SequencedTxn, Sequencer, partition_conflicts
 
 #: Functions: fn(ctx, key, payload) -> Generator returning the result.
 TxnFunction = Callable[["TxnContext", Hashable, Any], Generator]
-
-#: Transactions with no declared key set serialize behind everything.
-_UNIVERSAL_KEY = object()
 
 _BUCKET = "txn-dataflow"
 #: Deltas allowed above the base before the compactor folds them into it.
@@ -80,7 +77,9 @@ class _Request:
     fn_name: str
     key: Hashable
     payload: Any
-    keys: frozenset
+    #: the declared key set; None for an undeclared transaction, which
+    #: serializes against everything
+    keys: Optional[frozenset]
     future: Optional[Future]  # None after recovery replay
 
 
@@ -237,13 +236,12 @@ class TransactionalDataflow:
         """
         if fn_name not in self._functions:
             raise KeyError(f"no function named {fn_name!r}")
-        declared = frozenset(keys) if keys is not None else frozenset({_UNIVERSAL_KEY})
         request = _Request(
             tid=self.env.next_id("dataflow-tid"),
             fn_name=fn_name,
             key=key,
             payload=payload,
-            keys=declared,
+            keys=frozenset(keys) if keys is not None else None,
             future=self.env.future(label=f"txn:{fn_name}:{key}"),
         )
         self._input_log.append(request)
@@ -304,44 +302,23 @@ class TransactionalDataflow:
                 batch, self._pending = self._pending, []
                 yield from self._run_epoch(batch, replay=False)
 
-    @staticmethod
-    def _conflict_groups(batch: list[_Request]) -> list[list[_Request]]:
-        """Split at undeclared-key txns: they serialize against everything."""
-        groups: list[list[_Request]] = []
-        current: list[_Request] = []
-        for request in batch:
-            if _UNIVERSAL_KEY in request.keys:
-                if current:
-                    groups.append(current)
-                    current = []
-                groups.append([request])
-            else:
-                current.append(request)
-        if current:
-            groups.append(current)
-        return groups
-
     def _run_epoch(self, batch: list[_Request], replay: bool) -> Generator:
         """Execute one epoch: conflict waves, then atomic commit."""
         incarnation = self._incarnation
         outcomes: list[tuple[_Request, bool, Any]] = []
-        for group in self._conflict_groups(batch):
-            sequencer = Sequencer()
-            sequenced = [sequencer.submit(request) for request in group]
-            waves = partition_conflicts(sequenced, keys_of=lambda req: set(req.keys))
-            for wave in waves:
-                self.stats.waves += 1
-                running = [
-                    self.env.process(
-                        self._execute_one(item.payload, incarnation),
-                        label=f"txn-{item.payload.tid}",
-                    )
-                    for item in wave
-                ]
-                results = yield all_of(self.env, running)
-                if self._incarnation != incarnation:
-                    return
-                outcomes.extend(results)
+        for wave in conflict_waves(batch, lambda request: request.keys):
+            self.stats.waves += 1
+            running = [
+                self.env.process(
+                    self._execute_one(request, incarnation),
+                    label=f"txn-{request.tid}",
+                )
+                for request in wave
+            ]
+            results = yield all_of(self.env, running)
+            if self._incarnation != incarnation:
+                return
+            outcomes.extend(results)
         # Epoch commit: flush, record results durably, release futures.
         yield self.env.timeout(self.epoch_commit_ms)
         if self._incarnation != incarnation:

@@ -67,6 +67,7 @@ from typing import (
     Any, Callable, Container, Generator, Hashable, Iterable, KeysView, Optional,
 )
 
+from repro.cluster.plan import key_order
 from repro.db.errors import (
     DuplicateKey,
     FencedOut,
@@ -82,11 +83,6 @@ from repro.storage.wal import WriteAheadLog
 _DELETED = None  # a version with row=None is a deletion marker
 #: chain length past which a commit prunes the key's chain inline
 GC_CHAIN_THRESHOLD = 8
-
-
-def _lock_order(ref: tuple[str, Hashable]) -> tuple[str, str]:
-    """The one order :meth:`Database.lock_and_fetch` acquires rows in."""
-    return ref[0], repr(ref[1])
 
 
 class Row(dict):
@@ -616,7 +612,8 @@ class Database:
     ) -> Generator:
         """Lock every ``(table, key)`` in ``refs`` and return their rows.
 
-        Locks are taken in ``(table, repr(key))`` order: IX+X for refs in
+        Locks are taken in ``(table, repr(key))`` order
+        (:func:`~repro.cluster.plan.key_order`): IX+X for refs in
         ``writable``, IS+S for the rest.  Taking X up front means a later
         write needs no S→X upgrade, and two transactions that both lock
         through here acquire in the same order, so they cannot close a
@@ -627,7 +624,7 @@ class Database:
         txn.require(TxnStatus.ACTIVE)
         rows: dict[tuple[str, Hashable], Optional[dict]] = {}
         writes = txn.writes
-        for ref in sorted(refs, key=_lock_order):
+        for ref in sorted(refs, key=key_order):
             table, key = ref
             tbl = self._table(table)
             if ref in writable:

@@ -9,7 +9,7 @@ costs a round trip.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Hashable, Optional
+from typing import Any, Container, Generator, Hashable, Iterable, Optional
 
 from repro.db.engine import Database, IsolationLevel, Transaction
 from repro.net.latency import Latency, Sampler
@@ -111,6 +111,25 @@ class DatabaseServer:
     def _get(self, txn: Transaction, table: str, key: Hashable) -> Generator:
         yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
         return (yield from self.engine.get(txn, table, key))
+
+    def lock_and_fetch(
+        self,
+        txn: Transaction,
+        refs: Iterable[tuple[str, Hashable]],
+        writable: Container[tuple[str, Hashable]],
+    ) -> Generator:
+        """Lock and read a declared key set in one request, charged as one
+        operation (:meth:`~repro.db.engine.Database.lock_and_fetch`)."""
+        gen = self._lock_and_fetch(txn, refs, writable)
+        if self.env.tracer.enabled:
+            return self._traced("db.lock_and_fetch", gen)
+        return gen
+
+    def _lock_and_fetch(
+        self, txn: Transaction, refs: Iterable, writable: Container
+    ) -> Generator:
+        yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
+        return (yield from self.engine.lock_and_fetch(txn, refs, writable))
 
     def scan(self, txn: Transaction, table: str, predicate=None) -> Generator:
         gen = self._scan(txn, table, predicate)

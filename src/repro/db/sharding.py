@@ -61,6 +61,7 @@ from repro.cluster import (
     stable_hash,
 )
 from repro.cluster.migration import migrate_shard as _run_migration
+from repro.cluster.plan import by_partition
 from repro.db.engine import Database, IsolationLevel, Transaction, TxnStatus
 from repro.db.errors import FencedOut
 from repro.replication.config import ReplicationConfig
@@ -830,11 +831,8 @@ class ShardedDatabase:
         are touched; each wait adds one.  Returns
         ``{(table, key): row or None}``.
         """
-        by_shard: dict[int, list[tuple[str, Hashable]]] = {}
-        shard_of = self.router.shard_of
-        for ref in refs:
-            by_shard.setdefault(shard_of(ref[1]), []).append(ref)
-        pending = sorted(by_shard)
+        by_shard = by_partition(refs, self.router.shard_of)
+        pending = list(by_shard)
         for shard in pending:
             yield from self._open_branch(txn, shard)
         rows: dict[tuple[str, Hashable], Optional[dict]] = {}

@@ -20,8 +20,8 @@ execute in the calling process; docs/PERFORMANCE.md § "Parallel execution"
 records why no OS-process pool drains them.
 """
 
+from repro.cluster.plan import EpochPlan, PlannedTxn, PlanStats, Round, plan_epoch
 from repro.parallel.executor import EpochExecutor, EpochResult
-from repro.parallel.plan import EpochPlan, PlannedTxn, PlanStats, Round, plan_epoch
 
 __all__ = [
     "EpochExecutor",

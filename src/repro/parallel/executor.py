@@ -33,8 +33,7 @@ from typing import Any, Callable, Hashable, Optional
 from repro.apps.core.reference import run_op
 from repro.apps.core.spec import AppSpec
 from repro.cluster import stable_hash
-from repro.parallel.plan import EpochPlan, PlannedTxn, plan_epoch
-from repro.transactions.sequencer import SequencedTxn, Sequencer
+from repro.cluster.plan import EpochPlan, PlannedTxn, SequencedTxn, Sequencer, plan_epoch
 
 
 class _MultiStore:
@@ -84,7 +83,6 @@ class EpochExecutor:
         *,
         num_shards: Optional[int] = None,
         shard_of: Optional[Callable[[Hashable], int]] = None,
-        epoch_size: Optional[int] = None,
     ) -> None:
         self.db = db
         self.spec = spec
@@ -99,7 +97,7 @@ class EpochExecutor:
             self._shard_of = shard_of or (
                 lambda key: stable_hash(key) % num_shards
             )
-        self.sequencer = Sequencer(epoch_size=epoch_size)
+        self.sequencer = Sequencer()
         self.epochs_run = 0
 
     # -- submission convenience ----------------------------------------------

@@ -12,9 +12,10 @@ management"):
 - :mod:`repro.transactions.causal` — vector clocks and a causally
   consistent replicated store (the Antipode direction);
 - :mod:`repro.transactions.anomalies` — invariant checkers and the effect
-  ledger that counts lost/duplicated/phantom effects after every run;
-- :mod:`repro.transactions.sequencer` — a deterministic transaction
-  sequencer (the Calvin-style substrate of the Styx-like dataflow).
+  ledger that counts lost/duplicated/phantom effects after every run.
+
+The deterministic sequencer re-exported here lives with the rest of the
+declared-access planning in :mod:`repro.cluster.plan`.
 
 Two-phase commit, the blocking alternative microservices avoid, is one
 coordinator, :mod:`repro.transactions.commit`, run by the runtimes that
@@ -23,6 +24,7 @@ microservice binder's ``2pc`` mode (:mod:`repro.apps.core.binders.micro`)
 and the actor transaction coordinator (:mod:`repro.actors.transactions`).
 """
 
+from repro.cluster.plan import Sequencer
 from repro.transactions.anomalies import (
     AnomalyReport,
     ConservationInvariant,
@@ -42,7 +44,6 @@ from repro.transactions.sagas import (
     SagaStep,
     SagaStuck,
 )
-from repro.transactions.sequencer import Sequencer
 
 __all__ = [
     "AnomalyReport",

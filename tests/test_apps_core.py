@@ -117,6 +117,26 @@ def test_access_sets_are_evaluated_once_per_execute(runtime):
     assert calls == {"reads": OPS, "writes": OPS}
 
 
+@pytest.mark.parametrize("runtime", registered_runtimes())
+def test_op_with_no_declared_keys_returns_its_result(runtime):
+    """An empty declared key set conflicts with nothing; the body still runs."""
+
+    def body(ctx, op):
+        return f"pong {op.op_id}"
+        yield  # pragma: no cover
+
+    spec = AppSpec(
+        name="ping",
+        entities=[EntitySpec("rows")],
+        handlers=[HandlerSpec("ping", body, lambda op: [], lambda op: [])],
+        kind="ping",
+    )
+    env = Environment(seed=4)
+    binder = bind(runtime, env, spec)
+    ops = [InvoiceOp(f"p-{i}", "c", 1) for i in range(2)]
+    assert drive(env, binder, ops) == [("p-0", "pong p-0"), ("p-1", "pong p-1")]
+
+
 def test_undeclared_access_rejected():
     """The kernel refuses reads/writes outside the declared key sets."""
 

@@ -200,7 +200,7 @@ def test_name_import_reaches_the_defining_module_only():
     walk = _Walk()
     walk._resolve("repro.transactions", "SagaOrchestrator")
     assert "repro.transactions.sagas" in walk.reached
-    assert "repro.transactions.sequencer" not in walk.reached
+    assert "repro.transactions.causal" not in walk.reached
 
 
 def test_submodule_binding_import_reaches_the_binders():

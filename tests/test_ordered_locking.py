@@ -1,4 +1,4 @@
-"""Deadlock freedom of the sharded binder by ordered acquisition.
+"""Deadlock freedom of the lock-based binders by ordered acquisition.
 
 ``ShardedDbBinder`` locks a handler's whole declared key set before the
 body runs — shards in ascending id, keys in ``(table, repr(key))`` order
@@ -8,7 +8,8 @@ every touched shard; a shard whose lock is busy ends the round, and the
 next round re-sends the higher shards' requests, so a transaction waits
 only while holding locks on lower shards.  Every transaction acquires in
 one global order, so a waits-for cycle cannot form, not even across
-shards where no single lock manager could see it.
+shards where no single lock manager could see it.  ``DbBinder`` takes
+the same order on its one engine.
 """
 
 from dataclasses import dataclass
@@ -231,12 +232,14 @@ _PROPERTY_KEYS = [("alpha", key) for key in _keys_on(range(4), 3, 4)]
 _key_sets = st.lists(st.sampled_from(_PROPERTY_KEYS), max_size=5, unique=True)
 
 
+@pytest.mark.parametrize("runtime", ["db", "cluster"])
 @settings(max_examples=30, deadline=None)
 @given(st.lists(
     st.tuples(_key_sets, _key_sets, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
     min_size=2, max_size=12,
 ))
-def test_random_declared_key_sets_commit_first_time_without_deadlock(ops):
+def test_random_declared_key_sets_commit_first_time_without_deadlock(runtime, ops):
+    """Both lock-based binders: one ``begin`` per op, zero deadlocks."""
     def body(ctx, op):
         for entity, key in op.reads:
             yield from ctx.get(entity, key)
@@ -254,7 +257,8 @@ def test_random_declared_key_sets_commit_first_time_without_deadlock(ops):
         kind="keysets",
     )
     env = Environment(seed=9)
-    binder = bind("cluster", env, spec, num_shards=4)
+    opts = {"num_shards": 4} if runtime == "cluster" else {}
+    binder = bind(runtime, env, spec, **opts)
     begins = []
     begin = binder.db.begin
 
@@ -280,7 +284,8 @@ def test_random_declared_key_sets_commit_first_time_without_deadlock(ops):
     run(env, main())
     assert results == [True] * len(ops)
     assert len(begins) == len(ops)
-    assert all(engine.locks.stats.deadlocks == 0 for engine in binder.db.shards)
+    engines = binder.db.shards if runtime == "cluster" else [binder.db.engine]
+    assert all(engine.locks.stats.deadlocks == 0 for engine in engines)
 
 
 def test_body_reads_its_own_buffered_writes():

@@ -1,6 +1,5 @@
 """Tests for invariants, the effect ledger, and the deterministic sequencer."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +11,12 @@ from repro.transactions import (
     Sequencer,
 )
 from repro.apps.core import HandlerSpec
+from repro.cluster.plan import conflict_waves
 from repro.parallel import plan_epoch
-from repro.transactions.sequencer import partition_conflicts
+
+
+def _payload(txn):
+    return txn.payload
 
 
 class TestInvariants:
@@ -114,44 +117,35 @@ class TestSequencer:
         seq.submit("b")
         batch = seq.cut_epoch()
         assert [t.payload for t in batch] == ["a", "b"]
-        assert seq.current_epoch == 1
         assert seq.pending_count == 0
         later = seq.submit("c")
         assert later.epoch == 1
-
-    def test_epoch_full(self):
-        seq = Sequencer(epoch_size=2)
-        seq.submit("a")
-        assert not seq.epoch_full()
-        seq.submit("b")
-        assert seq.epoch_full()
-
-    def test_invalid_epoch_size(self):
-        with pytest.raises(ValueError):
-            Sequencer(epoch_size=0)
 
 
 class TestPartitionConflicts:
     def _mk_batch(self, key_sets):
         seq = Sequencer()
-        return [seq.submit(frozenset(keys)) for keys in key_sets]
+        return [
+            seq.submit(None if keys is None else frozenset(keys))
+            for keys in key_sets
+        ]
 
     def test_disjoint_txns_share_a_wave(self):
         batch = self._mk_batch([{"a"}, {"b"}, {"c"}])
-        waves = partition_conflicts(batch, keys_of=set)
+        waves = conflict_waves(batch, _payload)
         assert len(waves) == 1
         assert len(waves[0]) == 3
 
     def test_conflicting_txns_split_into_ordered_waves(self):
         batch = self._mk_batch([{"a"}, {"a"}, {"a"}])
-        waves = partition_conflicts(batch, keys_of=set)
+        waves = conflict_waves(batch, _payload)
         assert [len(w) for w in waves] == [1, 1, 1]
         tids = [w[0].tid for w in waves]
         assert tids == sorted(tids)
 
     def test_mixed_case(self):
         batch = self._mk_batch([{"a"}, {"b"}, {"a", "c"}, {"d"}])
-        waves = partition_conflicts(batch, keys_of=set)
+        waves = conflict_waves(batch, _payload)
         # txn3 conflicts with txn1 -> wave 1; txn2, txn4 fit in wave 0.
         assert len(waves) == 2
         assert {t.tid for t in waves[0]} == {1, 2, 4}
@@ -160,13 +154,18 @@ class TestPartitionConflicts:
     @settings(max_examples=60, deadline=None)
     @given(
         key_sets=st.lists(
-            st.sets(st.integers(0, 8), min_size=1, max_size=3), max_size=30
+            st.one_of(
+                st.sets(st.integers(0, 8), min_size=1, max_size=3), st.none()
+            ),
+            max_size=30,
         )
     )
     def test_waves_preserve_conflict_order_and_are_conflict_free(self, key_sets):
-        """Property: serial-equivalence conditions of deterministic locking."""
+        """Property: serial-equivalence conditions of deterministic locking.
+
+        ``None`` is an undeclared key set: a barrier alone in its wave."""
         batch = self._mk_batch(key_sets)
-        waves = partition_conflicts(batch, keys_of=set)
+        waves = conflict_waves(batch, _payload)
         # 1. Every txn appears exactly once.
         flat = [t for wave in waves for t in wave]
         assert sorted(t.tid for t in flat) == [t.tid for t in batch]
@@ -174,13 +173,18 @@ class TestPartitionConflicts:
         for wave in waves:
             seen = set()
             for txn in wave:
+                if txn.payload is None:
+                    assert wave == [txn]
+                    continue
                 assert not (seen & txn.payload)
                 seen |= txn.payload
-        # 3. Conflicting txns appear in TID order across waves.
+        # 3. Conflicting txns appear in TID order across waves; an
+        # undeclared txn conflicts with everything.
         wave_index = {t.tid: i for i, wave in enumerate(waves) for t in wave}
         for i, first in enumerate(batch):
             for second in batch[i + 1:]:
-                if first.payload & second.payload:
+                if (first.payload is None or second.payload is None
+                        or first.payload & second.payload):
                     assert wave_index[first.tid] < wave_index[second.tid]
 
 
@@ -198,7 +202,7 @@ _KEYS_HANDLER = HandlerSpec(
 
 
 class TestPartitionQueues:
-    """The queue view of the epoch planner, beside partition_conflicts."""
+    """The queue view of the epoch planner, beside conflict_waves."""
 
     def _mk_batch(self, key_sets):
         seq = Sequencer()
@@ -212,7 +216,7 @@ class TestPartitionQueues:
 
     def test_empty_epoch_yields_no_queues(self):
         assert self._queues([], shard_of=lambda k: 0) == {}
-        assert partition_conflicts([], keys_of=set) == []
+        assert conflict_waves([], _payload) == []
 
     def test_single_hot_key_fills_one_queue_in_tid_order(self):
         batch = self._mk_batch([{"hot"}] * 5)
@@ -220,8 +224,8 @@ class TestPartitionQueues:
         (queue,) = queues.values()
         assert [t.tid for t in queue] == [t.tid for t in batch]
         # ... and the wave view degenerates to fully serial.
-        keys_of = lambda payload: set(payload[0])
-        assert len(partition_conflicts(batch, keys_of=keys_of)) == len(batch)
+        keys_of = lambda txn: txn.payload[0]
+        assert len(conflict_waves(batch, keys_of)) == len(batch)
 
     def test_cross_shard_txn_lands_in_every_owning_queue_exactly_once(self):
         shard_of = lambda key: {"a": 0, "b": 1, "c": 2}[key]
