@@ -24,7 +24,6 @@ tables:
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -34,13 +33,12 @@ if __package__ in (None, ""):  # direct script execution
 from repro.apps.core import bind
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import ledger_spec
-from repro.chaos import run_trial
-from repro.chaos.scenarios import build_scenario
 from repro.harness import format_rows
 from repro.sim import Environment
 from repro.workloads.invoicing import InvoicingWorkload
 from repro.workloads.transfers import TransferWorkload
 
+from benchmarks.bench_c13_chaos_matrix import run_cell
 from benchmarks.common import report
 
 OPS = 40
@@ -134,28 +132,13 @@ def drive(app: str, runtime: str, opts: dict, count: int = OPS) -> dict:
     }
 
 
-def chaos_cell(runtime: str, kind: str, broken: bool, seeds=CHAOS_SEEDS):
-    """Violating trials for one fault class (C13's per-cell discipline)."""
-    config = build_scenario(runtime, Environment(seed=0)).default_config
-    if kind != "mixed":
-        config = dataclasses.replace(config, fault_classes=(kind,))
-    if not config.effective_classes():
-        return None
-    bad = 0
-    for seed in seeds:
-        result = run_trial(runtime, seed, config=config, broken=broken)
-        if result.violations:
-            bad += 1
-    return bad
-
-
 def run_matrix(count: int = OPS, seeds=CHAOS_SEEDS, columns=CHAOS_COLUMNS):
     goodput = {
         label: drive(app, runtime, opts, count)
         for app, runtime, opts, _sound, label in DEPLOYMENTS
     }
     chaos = {
-        (label, kind): chaos_cell(runtime, kind, broken, seeds)
+        (label, kind): run_cell(runtime, kind, broken, seeds)
         for runtime, broken, label in CHAOS_ROWS
         for kind in columns
     }

@@ -10,8 +10,8 @@ it does not, ``info`` ⇒ either — the Jepsen outcome discipline).
 The state invariants shipped by the kernel (conservation, double-entry,
 gap-free sequence, capacity, causal audit) are all *info-robust* by
 construction: an unknown-outcome operation either applied atomically or
-not at all, and the invariant holds in both worlds — so no info-subset
-search is needed, unlike :class:`repro.chaos.oracles.TransferExactlyOnceOracle`.
+not at all, and the invariant holds in both worlds — so no search over
+subsets of unknown-outcome operations is needed.
 """
 
 from __future__ import annotations

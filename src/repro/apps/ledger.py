@@ -1,21 +1,26 @@
 """The payments ledger: double-entry postings, balanced by construction.
 
 The first app defined purely as an :class:`~repro.apps.core.AppSpec` —
-one handler, three entities, three invariants — and deployed onto every
-runtime by the generic binders.  A transfer is not two balance updates
-that happen to cancel; it is a *posting row* recording both legs plus
-the two balance effects plus a causally-tied audit entry, all in one
-declared-key transaction:
+one posting handler, three entities, three invariants — and deployed
+onto every runtime by the generic binders.  A transfer is not two
+balance updates that happen to cancel; it is a *posting row* recording
+both legs plus the two balance effects plus a causally-tied audit entry,
+all in one declared-key transaction:
 
 - ``conservation`` — the balance total never drifts;
 - ``double_entry`` — every balance delta is explained by postings (the
   sharpest state-only detector for torn application);
 - ``causal_audit`` — the audit trail describes exactly the postings
   that committed (the C12/Antipode concern as app state).
+
+A second, read-only handler answers an :class:`AuditOp`: it reads every
+account, writes nothing and returns the balance total — the mid-run
+snapshot audit the chaos harness runs on isolated runtimes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator
 
 from repro.apps.core import (
@@ -27,6 +32,13 @@ from repro.apps.core import (
     HandlerSpec,
 )
 from repro.workloads.transfers import TransferOp, TransferWorkload
+
+
+@dataclass(frozen=True)
+class AuditOp:
+    """Read every account's balance in one transaction; returns the total."""
+
+    op_id: str
 
 
 def _post(ctx, op: TransferOp) -> Generator:
@@ -60,6 +72,15 @@ def _writes(op: TransferOp):
 def ledger_spec(workload: TransferWorkload) -> AppSpec:
     """Build the ledger app over a transfer workload's account universe."""
     initial = {row["id"]: row["balance"] for row in workload.initial_rows()}
+    accounts = [("accounts", account) for account in initial]
+
+    def audit(ctx, op: AuditOp) -> Generator:
+        total = 0
+        for ref in accounts:
+            row = yield from ctx.get(*ref)
+            total += row["balance"]
+        return total
+
     return AppSpec(
         name="ledger",
         entities=[
@@ -67,7 +88,10 @@ def ledger_spec(workload: TransferWorkload) -> AppSpec:
             EntitySpec("postings"),
             EntitySpec("audit"),
         ],
-        handlers=[HandlerSpec("posting", _post, _reads, _writes)],
+        handlers=[
+            HandlerSpec("posting", _post, _reads, _writes),
+            HandlerSpec("audit", audit, lambda op: accounts, lambda op: ()),
+        ],
         invariants=[
             ConservationSpec("accounts", "balance", workload.expected_total),
             DoubleEntrySpec("accounts", "postings", initial),
@@ -75,6 +99,7 @@ def ledger_spec(workload: TransferWorkload) -> AppSpec:
                             match_fields=("src", "dst", "amount")),
         ],
         initial_rows={"accounts": workload.initial_rows()},
+        route=lambda op: "audit" if isinstance(op, AuditOp) else "posting",
         kind="posting",
         effect_entity="postings",
     )

@@ -12,12 +12,12 @@ randomized adversaries instead of two scripted scenarios:
   shared :class:`repro.core.FaultPlan` execution path;
 - :mod:`repro.chaos.history` — Jepsen-style invoke/ok/fail/info histories
   with virtual-clock timestamps and span ids;
-- :mod:`repro.chaos.oracles` — pluggable invariant oracles over histories
-  and final state (conservation, exactly-once, saga atomicity, snapshot
-  audits);
-- :mod:`repro.chaos.scenarios` — the four runtimes under test behind one
-  scenario interface (microservice saga, actor transactions,
-  transactional dataflow, FaaS workflows);
+- :mod:`repro.chaos.oracles` — the oracle interface plus the oracles no
+  app spec compiles (saga atomicity, snapshot audits);
+- :mod:`repro.chaos.scenarios` — the nine runtimes under test behind one
+  scenario interface: seven kernel-app deployments
+  (:class:`~repro.chaos.scenarios.AppScenario`, judged by spec-compiled
+  oracles), the saga shop and the flooded service;
 - :mod:`repro.chaos.runner` — one seeded trial end to end;
 - :mod:`repro.chaos.shrinker` — deterministic schedule minimization and
   standalone repro artifacts.
@@ -26,13 +26,7 @@ randomized adversaries instead of two scripted scenarios:
 from repro.chaos.config import ChaosConfig
 from repro.chaos.history import History, HistoryEvent
 from repro.chaos.nemesis import Episode, Nemesis, compile_plan
-from repro.chaos.oracles import (
-    ConservationOracle,
-    Oracle,
-    SagaAtomicityOracle,
-    SnapshotAuditOracle,
-    TransferExactlyOnceOracle,
-)
+from repro.chaos.oracles import Oracle, SagaAtomicityOracle, SnapshotAuditOracle
 from repro.chaos.runner import RUNTIMES, TrialResult, run_trial
 from repro.chaos.scenarios import CONTROL_RUNTIMES, build_scenario
 from repro.chaos.shrinker import ReproArtifact, ShrinkReport, shrink
@@ -40,7 +34,6 @@ from repro.chaos.shrinker import ReproArtifact, ShrinkReport, shrink
 __all__ = [
     "CONTROL_RUNTIMES",
     "ChaosConfig",
-    "ConservationOracle",
     "Episode",
     "History",
     "HistoryEvent",
@@ -51,7 +44,6 @@ __all__ = [
     "SagaAtomicityOracle",
     "ShrinkReport",
     "SnapshotAuditOracle",
-    "TransferExactlyOnceOracle",
     "TrialResult",
     "build_scenario",
     "compile_plan",

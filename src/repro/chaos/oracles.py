@@ -5,17 +5,20 @@ Oracles extend the repository's invariant vocabulary
 "check a state snapshot *given what clients were told*".  The key
 subtlety is the Jepsen ``info`` category: an operation whose outcome is
 unknown (timeout, 2PC uncertainty window, in flight at trial end) may or
-may not have applied — a correct system is allowed either, so the oracle
-must search for *some* subset of info operations that explains the final
-state, and only report a violation when none exists.
+may not have applied, and a correct system is allowed either.
+
+Kernel apps compile their oracles from their spec
+(:func:`repro.apps.core.compile_oracles`); this module holds the base
+class and the two oracles no spec states: the saga shop's atomicity
+cross-check and the mid-run snapshot audit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.chaos.history import History
-from repro.transactions.anomalies import ConservationInvariant, Invariant, Violation
+from repro.transactions.anomalies import Violation
 
 
 class Oracle:
@@ -25,113 +28,6 @@ class Oracle:
 
     def check(self, history: History, final_state: Any) -> list[Violation]:
         raise NotImplementedError
-
-
-class ConservationOracle(Oracle):
-    """Total of a numeric field over final rows equals a constant.
-
-    History-independent (every transfer is zero-sum whether or not it
-    applied), so it holds regardless of info operations — which makes it
-    the sharpest detector for *partial* application (one leg landed, the
-    other did not).
-    """
-
-    def __init__(self, field_name: str, expected_total: float) -> None:
-        self.invariant = ConservationInvariant(field_name, expected_total)
-        self.name = self.invariant.name
-
-    def check(self, history: History, final_state: Any) -> list[Violation]:
-        return self.invariant.check(final_state)
-
-
-class TransferExactlyOnceOracle(Oracle):
-    """Final balances == initial + ok transfers + some subset of info ones.
-
-    ``ok`` transfers must have applied exactly once, ``fail`` transfers
-    not at all, and each ``info`` transfer either zero or one time; the
-    oracle searches for an info subset whose per-account deltas explain
-    the residual.  Duplicated effects, lost acknowledged effects, and
-    effects from failed operations all leave an inexplicable residual.
-    """
-
-    #: Beyond this many info ops the subset search degrades gracefully.
-    MAX_INFO_SEARCH = 16
-
-    def __init__(self, initial: dict[str, int], ops: dict[str, Any],
-                 kind: str = "transfer") -> None:
-        self.name = "transfer_exactly_once"
-        self.initial = dict(initial)
-        self.ops = dict(ops)  # op_id -> object with .src/.dst/.amount
-        self.kind = kind
-
-    def _delta(self, op_ids: list[str]) -> dict[str, int]:
-        delta: dict[str, int] = {}
-        for op_id in op_ids:
-            op = self.ops[op_id]
-            delta[op.src] = delta.get(op.src, 0) - op.amount
-            delta[op.dst] = delta.get(op.dst, 0) + op.amount
-        return delta
-
-    def check(self, history: History, final_state: Any) -> list[Violation]:
-        final = {row["id"]: row["balance"] for row in final_state}
-        known = set(self.ops)
-        ok_ops = [op for op in history.ok_ops(self.kind) if op in known]
-        info_ops = [op for op in history.info_ops(self.kind) if op in known]
-        applied = self._delta(ok_ops)
-        residual = {
-            acct: final.get(acct, 0) - balance - applied.get(acct, 0)
-            for acct, balance in self.initial.items()
-        }
-        if not any(residual.values()):
-            return []
-        if len(info_ops) > self.MAX_INFO_SEARCH:
-            # Too many unknowns for an exact search; fall back to the
-            # zero-sum property every subset preserves.
-            drift = sum(residual.values())
-            if drift:
-                return [Violation(
-                    self.name,
-                    f"balance drift {drift:+} not explainable by any "
-                    f"subset of {len(info_ops)} unknown-outcome transfers",
-                )]
-            return []
-        if self._explainable(residual, info_ops):
-            return []
-        return [Violation(
-            self.name,
-            "final balances unexplained by acknowledged transfers plus any "
-            f"subset of {len(info_ops)} unknown-outcome transfer(s); "
-            f"residual {self._residual_repr(residual)}",
-        )]
-
-    def _explainable(self, residual: dict[str, int], info_ops: list[str]) -> bool:
-        target = {acct: value for acct, value in residual.items() if value}
-
-        def search(index: int, remaining: dict[str, int]) -> bool:
-            if not remaining:
-                return True
-            if index == len(info_ops):
-                return False
-            op = self.ops[info_ops[index]]
-            # Branch: this info op did not apply.
-            if search(index + 1, remaining):
-                return True
-            # Branch: it applied once.
-            nxt = dict(remaining)
-            for acct, diff in ((op.src, -op.amount), (op.dst, op.amount)):
-                value = nxt.get(acct, 0) - diff
-                if value:
-                    nxt[acct] = value
-                else:
-                    nxt.pop(acct, None)
-            return search(index + 1, nxt)
-
-        return search(0, target)
-
-    @staticmethod
-    def _residual_repr(residual: dict[str, int]) -> str:
-        nonzero = {a: v for a, v in sorted(residual.items()) if v}
-        return repr(nonzero)
 
 
 class SagaAtomicityOracle(Oracle):

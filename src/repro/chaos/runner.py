@@ -19,16 +19,13 @@ from typing import Any, Optional
 from repro.chaos.config import ChaosConfig
 from repro.chaos.history import History
 from repro.chaos.nemesis import Episode, Nemesis, compile_plan
-from repro.chaos.scenarios import build_scenario
+from repro.chaos.scenarios import SCENARIOS, build_scenario
 from repro.core.faults import FaultPlan
 from repro.sim import Environment, any_of
 from repro.transactions.anomalies import Violation
 
 #: The runtimes a trial can target.
-RUNTIMES = (
-    "microservice", "actor", "dataflow", "faas", "cluster", "overload",
-    "replication", "ledger", "invoicing",
-)
+RUNTIMES = tuple(SCENARIOS)
 
 #: Concurrent client processes per trial.
 NUM_CLIENTS = 3
@@ -46,7 +43,6 @@ class TrialResult:
     episodes: list[Episode]
     history: History
     violations: list[Violation] = field(default_factory=list)
-    final_total: Optional[int] = None
     scenario: Any = None  # the live scenario, for stats introspection
 
     @property
@@ -159,13 +155,13 @@ def run_trial(
         while env.now < start + config.horizon:
             yield env.timeout(scenario.audit_interval)
             index += 1
-            yield from run_op("auditor", f"audit-{index:03d}", "audit",
-                              scenario.audit())
+            op_id = f"audit-{index:03d}"
+            yield from run_op("auditor", op_id, "audit", scenario.audit(op_id))
 
     for c in range(NUM_CLIENTS):
         env.process(client(f"client-{c}", ops[c::NUM_CLIENTS]),
                     label=f"chaos.client-{c}")
-    if scenario.audit is not None:
+    if scenario.audit_interval is not None:
         env.process(auditor(), label="chaos.auditor")
 
     env.run(until=start + config.horizon + config.settle)
@@ -175,14 +171,8 @@ def run_trial(
     violations: list[Violation] = []
     for oracle in scenario.oracles():
         violations.extend(oracle.check(history, final_state))
-    total: Optional[int] = None
-    if isinstance(final_state, list):
-        try:
-            total = sum(row["balance"] for row in final_state)
-        except (TypeError, KeyError):
-            total = None
     return TrialResult(
         runtime=runtime, seed=seed, broken=broken, fast_path=fast_path,
         plan=plan, episodes=list(episodes), history=history,
-        violations=violations, final_total=total, scenario=scenario,
+        violations=violations, scenario=scenario,
     )

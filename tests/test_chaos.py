@@ -1,19 +1,18 @@
 """Tests for the repro.chaos fuzzing subsystem.
 
 Unit coverage for the budget/nemesis/history/oracle layers, pinned-seed
-smoke trials across all four runtimes (the determinism contract), the
+smoke trials across every runtime (the determinism contract), the
 broken-config detection + shrink + replay acceptance path, and an opt-in
 ``chaos``-marked fuzz sweep that stays out of tier-1.
 """
 
-import collections
-
 import pytest
 
+from repro.apps.core import compile_oracles
+from repro.apps.ledger import ledger_spec
 from repro.chaos import (
     CONTROL_RUNTIMES,
     ChaosConfig,
-    ConservationOracle,
     Episode,
     History,
     Nemesis,
@@ -21,17 +20,15 @@ from repro.chaos import (
     RUNTIMES,
     SagaAtomicityOracle,
     SnapshotAuditOracle,
-    TransferExactlyOnceOracle,
     compile_plan,
     run_trial,
     shrink,
 )
 from repro.core.faults import FaultPlanError
 from repro.sim import Environment
+from repro.workloads.transfers import TransferOp, TransferWorkload
 
 SMOKE_SEED = 11
-
-Op = collections.namedtuple("Op", "src dst amount")
 
 
 class TestChaosConfig:
@@ -178,55 +175,85 @@ class TestHistory:
 
 
 class TestOracles:
-    def test_conservation(self):
-        oracle = ConservationOracle("balance", 200)
-        state = [{"id": "a", "balance": 150}, {"id": "b", "balance": 50}]
-        assert oracle.check(History(), state) == []
-        state[0]["balance"] = 160
-        assert len(oracle.check(History(), state)) == 1
+    """The ledger spec's compiled oracles judge each posting's outcome
+    against the final state: the exactly-once contract (``ok`` applied
+    once, ``fail`` never, ``info`` at most once) read off the op-keyed
+    posting rows, with no search over unknown outcomes."""
 
-    def _history(self, outcomes):
+    WORKLOAD = TransferWorkload(num_accounts=3, initial_balance=100)
+    A, B, C = (TransferWorkload.account(i) for i in range(3))
+    OPS = {
+        "t1": TransferOp("t1", A, B, 10),
+        "t2": TransferOp("t2", B, C, 7),
+        "t3": TransferOp("t3", C, A, 3),
+    }
+
+    def _state(self, applied=(), torn=()):
+        """Postings in ``applied`` land whole (a repeat lands twice);
+        those in ``torn`` land their debit leg alone."""
+        balances = {row["id"]: row["balance"]
+                    for row in self.WORKLOAD.initial_rows()}
+        postings = {}
+        for op_id in applied:
+            op = self.OPS[op_id]
+            balances[op.src] -= op.amount
+            balances[op.dst] += op.amount
+            postings[op_id] = {"id": op_id, "src": op.src, "dst": op.dst,
+                               "amount": op.amount}
+        for op_id in torn:
+            balances[self.OPS[op_id].src] -= self.OPS[op_id].amount
+        return {
+            "accounts": [{"id": a, "balance": b} for a, b in balances.items()],
+            "postings": list(postings.values()),
+            "audit": [dict(row) for row in postings.values()],
+        }
+
+    def _flagged(self, outcomes, state):
         history = History()
         for op_id, outcome in outcomes.items():
-            history.invoke(1.0, "c0", op_id, "transfer")
+            history.invoke(1.0, "c0", op_id, "posting")
             getattr(history, outcome)(2.0, op_id)
-        return history
+        oracles = compile_oracles(ledger_spec(self.WORKLOAD))
+        return sorted({v.invariant for oracle in oracles
+                       for v in oracle.check(history, state)})
+
+    def test_conservation(self):
+        # A torn posting: the debit landed, the credit and the row did not.
+        assert self._flagged({"t1": "ok"}, self._state(["t1"])) == []
+        flagged = self._flagged({"t1": "ok", "t2": "info"},
+                                self._state(["t1"], torn=["t2"]))
+        assert "conservation(accounts.balance)" in flagged
 
     def test_exactly_once_ok_must_apply(self):
-        ops = {"t1": Op("a", "b", 10)}
-        oracle = TransferExactlyOnceOracle({"a": 100, "b": 100}, ops)
-        history = self._history({"t1": "ok"})
-        applied = [{"id": "a", "balance": 90}, {"id": "b", "balance": 110}]
-        lost = [{"id": "a", "balance": 100}, {"id": "b", "balance": 100}]
-        assert oracle.check(history, applied) == []
-        assert len(oracle.check(history, lost)) == 1  # acked but lost
+        assert self._flagged({"t1": "ok"}, self._state(["t1"])) == []
+        # acknowledged but lost
+        assert self._flagged({"t1": "ok"}, self._state()) == [
+            "applied_exactly(postings)"
+        ]
 
     def test_exactly_once_fail_must_not_apply(self):
-        ops = {"t1": Op("a", "b", 10)}
-        oracle = TransferExactlyOnceOracle({"a": 100, "b": 100}, ops)
-        history = self._history({"t1": "fail"})
-        applied = [{"id": "a", "balance": 90}, {"id": "b", "balance": 110}]
-        assert len(oracle.check(history, applied)) == 1
+        assert self._flagged({"t1": "fail"}, self._state()) == []
+        # reported failed, yet its posting row committed
+        assert self._flagged({"t1": "fail"}, self._state(["t1"])) == [
+            "applied_exactly(postings)"
+        ]
 
     def test_exactly_once_info_may_go_either_way(self):
-        ops = {"t1": Op("a", "b", 10)}
-        oracle = TransferExactlyOnceOracle({"a": 100, "b": 100}, ops)
-        history = self._history({"t1": "info"})
-        applied = [{"id": "a", "balance": 90}, {"id": "b", "balance": 110}]
-        skipped = [{"id": "a", "balance": 100}, {"id": "b", "balance": 100}]
-        doubled = [{"id": "a", "balance": 80}, {"id": "b", "balance": 120}]
-        assert oracle.check(history, applied) == []
-        assert oracle.check(history, skipped) == []
-        assert len(oracle.check(history, doubled)) == 1  # info applied twice
+        assert self._flagged({"t1": "info"}, self._state(["t1"])) == []
+        assert self._flagged({"t1": "info"}, self._state()) == []
+        # applied twice: balances moved twice under one posting row
+        assert self._flagged({"t1": "info"}, self._state(["t1", "t1"])) == [
+            "double_entry(accounts<-postings)"
+        ]
 
     def test_exactly_once_subset_search(self):
-        ops = {"t1": Op("a", "b", 10), "t2": Op("b", "c", 7), "t3": Op("c", "a", 3)}
-        oracle = TransferExactlyOnceOracle({"a": 100, "b": 100, "c": 100}, ops)
-        history = self._history({"t1": "ok", "t2": "info", "t3": "info"})
-        # t1 applied, t2 applied, t3 did not: a=90, b=103, c=107.
-        state = [{"id": "a", "balance": 90}, {"id": "b", "balance": 103},
-                 {"id": "c", "balance": 107}]
-        assert oracle.check(history, state) == []
+        # Which unknown-outcome postings applied is read off the posting
+        # rows: t2 did, t3 did not, and nothing needs a subset search.
+        outcomes = {"t1": "ok", "t2": "info", "t3": "info"}
+        assert self._flagged(outcomes, self._state(["t1", "t2"])) == []
+        assert self._flagged(outcomes, self._state(["t2"])) == [
+            "applied_exactly(postings)"
+        ]
 
     def test_snapshot_audit(self):
         oracle = SnapshotAuditOracle(1200)
@@ -273,6 +300,8 @@ class TestTrials:
         # Same seed, same build: byte-identical schedule and history.
         assert first.plan_json == second.plan_json
         assert first.history_digest == second.history_digest
+        if first.scenario.audit_interval is not None:
+            assert first.history.ok_ops("audit"), "no mid-run audit succeeded"
 
     def test_golden_equivalence_fast_path(self):
         # The kernel fast path must not change a chaos trial's observable

@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from repro.chaos import run_trial
+from repro.chaos import CONTROL_RUNTIMES, run_trial
 from repro.cluster import (
     ClusterError,
     ConsistentHashRing,
@@ -459,12 +459,14 @@ class TestLiveMigrationEdgeCases:
 
 
 class TestClusterChaos:
-    def test_flip_without_drain_is_caught(self):
-        """The broken scenario variant (ownership flips from a stale
-        snapshot with no drain) must trip the conservation oracle under
-        some schedule of a sweep the sound variant survives on every
-        seed.  Which seeds catch it depends on how long commits hold
-        their locks, so the test sweeps rather than pinning one."""
+    @pytest.mark.parametrize("runtime", CONTROL_RUNTIMES)
+    def test_flip_without_drain_is_caught(self, runtime):
+        """Every runtime's unsound control — on ``cluster``, ownership
+        flipped from a stale snapshot with no drain — must trip an
+        oracle under some schedule of a sweep the sound configuration
+        survives on every seed.  Which seeds catch it depends on how
+        long commits hold their locks, so the test sweeps rather than
+        pinning one."""
         seeds = range(1, 9)
-        assert not [s for s in seeds if run_trial("cluster", seed=s).violations]
-        assert [s for s in seeds if run_trial("cluster", seed=s, broken=True).violations]
+        assert not [s for s in seeds if run_trial(runtime, seed=s).violations]
+        assert [s for s in seeds if run_trial(runtime, seed=s, broken=True).violations]

@@ -678,7 +678,9 @@ class TestReplicationChaos:
         result = run_trial("replication", seed=8, broken=True)
         assert result.violations, "no-fencing variant must violate the oracles"
         invariants = {v.invariant for v in result.violations}
-        assert invariants & {"conservation", "transfer_exactly_once"}
+        assert invariants & {"conservation(accounts.balance)",
+                             "double_entry(accounts<-postings)",
+                             "applied_exactly(postings)"}
 
     def test_a_decided_round_survives_its_coordinator(self):
         """Invoicing seed 68, shrunk: shard 1 has no leader when the 2PC
@@ -695,13 +697,16 @@ class TestReplicationChaos:
         assert result.violations == []
 
     def test_a_new_leader_applies_earlier_terms_before_serving(self):
-        """Replication seed 767: node0 crashes with a transfer's commit
-        entry unapplied and wins the next term.  A transaction it serves
-        before that entry applies reads a stale balance and overwrites
-        the debit (conservation drift +10)."""
-        result = run_trial("replication", 767, episodes=[
-            Episode(kind="crash", start=6.374, duration=45.681,
-                    target="bank/node0"),
+        """Replication seed 182, shrunk: two kills of shard 0's leader.
+        A node that wins a term with a posting's commit entry still
+        unapplied must not serve a transaction before that entry
+        applies: one that does reads a stale balance and overwrites the
+        debit (conservation drift +10)."""
+        result = run_trial("replication", 182, episodes=[
+            Episode(kind="kill_leader", start=24.623, duration=49.192,
+                    target="shard0"),
+            Episode(kind="kill_leader", start=167.952, duration=44.788,
+                    target="shard0"),
         ])
         assert result.violations == []
 
