@@ -21,10 +21,12 @@ Mechanics reproduced here:
   durable result log makes replayed epochs release nothing twice.  Epochs
   commit contiguous runs of the TID-ordered input log, so the released
   TIDs are always a prefix and the log is one high-water mark;
-- every N epochs the engine uploads a **delta checkpoint** — only the
-  keys written since the previous one — and truncates the input log at
-  the position the delta is durable through; a background **compactor**
-  folds the delta chain into a base image off the epoch path.  On failure
+- every N epochs the engine cuts a **delta checkpoint** — only the keys
+  written since the previous one — at the epoch boundary and hands it to
+  one background **uploader**, which puts deltas in position order while
+  later epochs run and truncates the input log at each delta's position
+  once its put has landed; a background **compactor** folds the delta
+  chain into a base image.  Neither is on the epoch path.  On failure
   the engine restores base + deltas and deterministically replays the log
   suffix — exactly-once end to end, *with* serializable isolation, at a
   durability cost proportional to one checkpoint interval, not to the
@@ -41,7 +43,9 @@ position is durable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Generator, Hashable, Optional
 
 from repro.cluster import stable_hash
@@ -91,8 +95,10 @@ class TxnDataflowStats:
     epochs: int = 0
     waves: int = 0
     cross_partition_calls: int = 0
-    checkpoints: int = 0
+    checkpoints: int = 0  # delta checkpoints whose put has landed
     checkpoint_keys: int = 0  # dirty keys uploaded by delta checkpoints
+    peak_uploads_queued: int = 0  # most cut deltas not yet landed, in flight included
+    peak_log_length: int = 0  # high-water mark of the (truncated) input log
     log_truncated: int = 0  # input-log entries dropped below a durable delta
     compactions: int = 0
     recoveries: int = 0
@@ -108,6 +114,10 @@ class TxnContext:
         self._deleted: set[Hashable] = set()
         self._root_key = root_key
         self.env = engine.env
+
+    @cached_property
+    def _root_partition(self) -> int:
+        return self._engine._partition(self._root_key)
 
     # -- state access (current function's key is enforced by convention) --------
 
@@ -136,13 +146,14 @@ class TxnContext:
         fn = engine._functions.get(fn_name)
         if fn is None:
             raise KeyError(f"no function named {fn_name!r}")
-        if engine._partition(key) != engine._partition(self._root_key):
+        remote = engine._partition(key) != self._root_partition
+        if remote:
             engine.stats.cross_partition_calls += 1
             yield engine.env.timeout(engine.hop_latency)
         if engine.work_ms > 0:
             yield engine.env.timeout(engine.work_ms)
         result = yield from fn(self, key, payload)
-        if engine._partition(key) != engine._partition(self._root_key):
+        if remote:
             yield engine.env.timeout(engine.hop_latency)
         return result
 
@@ -153,9 +164,11 @@ class TransactionalDataflow:
     Durable state is the input log (held from the newest durable delta on)
     plus, in bucket ``txn-dataflow`` of ``checkpoint_store``, one
     ``base-<position>`` image and the ``delta-<position>`` objects above
-    it.  Every ``checkpoint_every`` epochs the epoch loop uploads the keys
-    written since the last delta, charged by their number; a background
-    process folds more than ``_COMPACT_AFTER`` deltas into a new base.
+    it.  Every ``checkpoint_every`` epochs the epoch loop cuts the keys
+    written since the last delta and queues them; one background uploader
+    puts the queued deltas in position order, each charged by its number
+    of keys, while later epochs run.  Another background process folds
+    more than ``_COMPACT_AFTER`` deltas into a new base.
     :meth:`recover` lists the bucket, reads the newest base and the deltas
     above it, and replays the log suffix as one epoch.
     """
@@ -199,6 +212,10 @@ class TransactionalDataflow:
         self._released_through = 0  # durable result log: every tid <= this is out
         self._epochs_done = 0
         self._chain: list[int] = []  # positions of durable deltas not yet in a base
+        #: cut deltas not yet landed, ``(position, delta, keys)`` in position
+        #: order; the head is in flight, and the uploader runs while it is
+        #: not empty
+        self._uploads: deque[tuple[int, dict, int]] = deque()
         self._compacting = False
         self._running = False
         self._generation = 0  # bumped on crash/stop so stale loops exit
@@ -247,6 +264,8 @@ class TransactionalDataflow:
         self._input_log.append(request)
         self._pending.append(request)
         self.stats.submitted += 1
+        if len(self._input_log) > self.stats.peak_log_length:
+            self.stats.peak_log_length = len(self._input_log)
         return request.future
 
     # -- state --------------------------------------------------------------------
@@ -339,7 +358,7 @@ class TransactionalDataflow:
         # The batch is a contiguous run of the tid-ordered log.
         self._released_through = max(released, batch[-1].tid)
         if not replay and self._epochs_done % self.checkpoint_every == 0:
-            yield from self._checkpoint(incarnation)
+            self._checkpoint()
 
     def _execute_one(self, request: _Request, incarnation: int) -> Generator:
         ctx = TxnContext(self, request.key)
@@ -358,8 +377,13 @@ class TransactionalDataflow:
 
     # -- durability --------------------------------------------------------------------
 
-    def _checkpoint(self, incarnation: int) -> Generator:
-        """Upload the keys written since the last checkpoint, on the epoch path."""
+    def _checkpoint(self) -> None:
+        """Cut the keys written since the last checkpoint and queue their upload.
+
+        The cut is synchronous, at the epoch boundary, so the delta is this
+        epoch's and later epochs write into a fresh dirty set; only the put
+        runs in the background, in :meth:`_upload`.
+        """
         position = self._log_base + len(self._input_log) - len(self._pending)
         delta = {
             "puts": [
@@ -376,20 +400,39 @@ class TransactionalDataflow:
         }
         keys = sum(len(dirty) for dirty in self._dirty)
         self._dirty = self._blank_partitions()
-        yield from self.checkpoint_store.put(
-            _BUCKET, _object_name("delta", position), delta, size=keys + 1
-        )
-        if self._incarnation != incarnation:
-            return
-        self._chain.append(position)
-        self._truncate_log(position)
-        self.stats.checkpoints += 1
-        self.stats.checkpoint_keys += keys
-        if len(self._chain) > _COMPACT_AFTER and not self._compacting:
-            self._compacting = True
+        self._uploads.append((position, delta, keys))
+        if len(self._uploads) > self.stats.peak_uploads_queued:
+            self.stats.peak_uploads_queued = len(self._uploads)
+        if len(self._uploads) == 1:
             self.env.process(
-                self._compact(incarnation), label="txn-dataflow.compaction"
+                self._upload(self._incarnation), label="txn-dataflow.upload"
             )
+
+    def _upload(self, incarnation: int) -> Generator:
+        """Put the queued deltas one at a time, in position order.
+
+        A delta counts only once its put has landed: then it joins the
+        chain, the log is truncated below it and compaction may fold it.
+        One uploader keeps the chain in position order, and a delta never
+        lands before the one below it, whose keys it does not carry.
+        """
+        while self._uploads:
+            position, delta, keys = self._uploads[0]
+            yield from self.checkpoint_store.put(
+                _BUCKET, _object_name("delta", position), delta, size=keys + 1
+            )
+            if self._incarnation != incarnation:
+                return
+            self._uploads.popleft()
+            self._chain.append(position)
+            self._truncate_log(position)
+            self.stats.checkpoints += 1
+            self.stats.checkpoint_keys += keys
+            if len(self._chain) > _COMPACT_AFTER and not self._compacting:
+                self._compacting = True
+                self.env.process(
+                    self._compact(incarnation), label="txn-dataflow.compaction"
+                )
 
     def _truncate_log(self, position: int) -> None:
         """Drop the log below ``position``, which a durable checkpoint covers."""
@@ -436,7 +479,7 @@ class TransactionalDataflow:
         return image, folded, names
 
     def _compact(self, incarnation: int) -> Generator:
-        """Fold the delta chain into a new base, off the epoch path.
+        """Fold the delta chain into a new base, in the background.
 
         The new base is durable before anything it covers is deleted, so a
         crash at any point leaves a restorable set of objects.
@@ -467,8 +510,9 @@ class TransactionalDataflow:
         """Lose all volatile state; the input log and checkpoints survive.
 
         Client futures for unreleased transactions stay pending until
-        recovery replays them.  Epochs, uploads and compactions in flight
-        belong to the dead incarnation and abandon themselves.
+        recovery replays them.  Queued deltas are lost with the rest of
+        memory; epochs, the upload and compactions in flight belong to the
+        dead incarnation and abandon themselves.
         """
         self._running = False
         self._generation += 1
@@ -479,6 +523,7 @@ class TransactionalDataflow:
         self._released_through = 0
         self._epochs_done = 0
         self._chain = []
+        self._uploads.clear()
         self._compacting = False
 
     def recover(self) -> Generator:

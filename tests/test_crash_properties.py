@@ -97,11 +97,15 @@ def test_statefun_conserves_for_any_crash_time(crash_at, seed):
 @given(
     crash_at=st.floats(min_value=2.0, max_value=200.0),
     seed=st.integers(0, 50),
+    # 1: a delta every epoch, uploads (5-30 ms) queued behind the one in flight
+    checkpoint_every=st.sampled_from([1, 3]),
 )
-def test_txn_dataflow_conserves_for_any_crash_time(crash_at, seed):
+def test_txn_dataflow_conserves_for_any_crash_time(crash_at, seed, checkpoint_every):
     env = Environment(seed=seed)
     workload = TransferWorkload(num_accounts=12, theta=0.4)
-    bank = TxnDataflowBank(env, workload, epoch_interval=5.0, checkpoint_every=3)
+    bank = TxnDataflowBank(
+        env, workload, epoch_interval=5.0, checkpoint_every=checkpoint_every
+    )
     bank.start()
     env.run_until(env.process(bank.setup()))
     ops = list(workload.operations(env.stream("ops"), 20))
@@ -118,6 +122,12 @@ def test_txn_dataflow_conserves_for_any_crash_time(crash_at, seed):
     env.run(until=10_000)
     total = sum(row["balance"] for row in bank.balances())
     assert total == workload.expected_total
+    # Exactly once, not merely conserved: every transfer moved its amount once.
+    expected = {row["id"]: row["balance"] for row in workload.initial_rows()}
+    for op in ops:
+        expected[op.src] -= op.amount
+        expected[op.dst] += op.amount
+    assert {row["id"]: row["balance"] for row in bank.balances()} == expected
 
 
 def test_statefun_zombie_turn_regression():

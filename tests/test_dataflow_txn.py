@@ -313,11 +313,14 @@ class RecordingStore(ObjectStore):
             if key.startswith("delta-") and at >= since
         ]
 
+    def longest_gap(self):
+        """Longest virtual time between two delta uploads landing."""
+        times = [0.0] + [at for at, key, _ in self.puts if key.startswith("delta-")]
+        return max(later - earlier for earlier, later in zip(times, times[1:]))
+
     def interval_submits(self):
         """Postings arriving in the longest gap between two delta uploads."""
-        times = [0.0] + [at for at, key, _ in self.puts if key.startswith("delta-")]
-        gap = max(later - earlier for earlier, later in zip(times, times[1:]))
-        return PER_EPOCH * (int(gap / 5.0) + 1)
+        return submits_within(self.longest_gap())
 
     def durable_position(self):
         """Highest input-log position any stored checkpoint object covers."""
@@ -332,14 +335,21 @@ CHECKPOINT_EVERY = 3
 KEYS_PER_POSTING = 4  # src, dst, the posting row, one deleted posting row
 
 
-def ledger_engine(seed=61):
+def submits_within(span):
+    """Most postings ``submit_postings`` makes in any ``span`` ms."""
+    return PER_EPOCH * (int(span / 5.0) + 1)
+
+
+def ledger_engine(seed=61, checkpoint_every=CHECKPOINT_EVERY, store_latency=2.0):
     """An engine whose state grows by one key per transaction, like the ledger."""
     env = Environment(seed=seed)
     store = RecordingStore(env)
     engine = make_engine(
         env,
-        checkpoint_every=CHECKPOINT_EVERY,
-        checkpoint_store=ObjectStoreServer(env, store, latency=Latency.constant(2.0)),
+        checkpoint_every=checkpoint_every,
+        checkpoint_store=ObjectStoreServer(
+            env, store, latency=Latency.constant(store_latency)
+        ),
     )
 
     @engine.function("post")
@@ -421,6 +431,24 @@ class TestBoundedState:
         stats = engine.stats
         assert stats.checkpoint_keys == sum(store.delta_sizes()) - stats.checkpoints
         assert stats.log_truncated + len(engine._input_log) == stats.submitted
+
+    @pytest.mark.parametrize("store_latency", [2.0, 12.0])
+    def test_log_peak_spans_one_interval_and_one_upload(self, store_latency):
+        env, store, engine = ledger_engine(store_latency=store_latency)
+        engine.start()
+        submit_postings(env, engine, 480)
+        quiesce(env, 480)
+        stats = engine.stats
+        # The store keeps up: one delta in flight at a time, none waiting.
+        assert stats.peak_uploads_queued == 1
+        # The log holds the deltas' interval (``checkpoint_every`` epochs),
+        # the epoch being collected and what arrives while a delta uploads.
+        gap = store.longest_gap()
+        epoch = gap / CHECKPOINT_EVERY
+        upload = store_latency + 0.01 * max(store.delta_sizes())
+        assert stats.peak_log_length <= submits_within(gap + epoch + upload)
+        # Nothing is truncated before a delta covering a whole interval lands.
+        assert stats.peak_log_length >= PER_EPOCH * CHECKPOINT_EVERY
 
     def test_compaction_bounds_the_delta_chain(self):
         env, store, engine = ledger_engine()
@@ -516,3 +544,64 @@ class TestRecoveryEquivalence:
         assert engine.all_state() == state
         assert outcomes(futures) == released
         assert engine.stats.recoveries == 2
+
+
+class TestQueuedUploads:
+    """Deltas cut faster than the store takes them wait for one uploader."""
+
+    COUNT = 240
+    SLOW = 12.0  # object-store latency, longer than the 5 ms epoch interval
+    DOWNTIME = 12.0
+
+    def run_postings(self, crash_after=None):
+        env, store, engine = ledger_engine(checkpoint_every=1, store_latency=self.SLOW)
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        seen = {}
+
+        def crash_with_uploads_queued():
+            yield env.timeout(crash_after)
+            while len(engine._uploads) < 2:
+                yield env.timeout(0.25)
+            seen["queued"] = [position for position, _, _ in engine._uploads]
+            seen["landed"] = store.durable_position()
+            seen["chain"] = list(engine._chain)
+            seen["log"] = (engine._log_base, len(engine._input_log))
+            seen["submitted"] = engine.stats.submitted
+            engine.crash()
+            yield env.timeout(self.DOWNTIME)
+            yield from engine.recover()
+
+        if crash_after is not None:
+            env.process(crash_with_uploads_queued())
+        quiesce(env, self.COUNT)
+        return store, engine, futures, seen
+
+    @pytest.mark.parametrize("crash_after", [20.0, 90.0, 250.0])
+    def test_crash_with_two_uploads_queued_recovers_the_uncrashed_run(
+        self, crash_after
+    ):
+        _store, reference, reference_futures, _seen = self.run_postings()
+        store, engine, futures, seen = self.run_postings(crash_after)
+        assert reference.stats.peak_uploads_queued >= 2
+        assert engine.all_state() == reference.all_state()
+        assert outcomes(futures) == outcomes(reference_futures)
+        assert engine.stats.recoveries == 1
+        # Before the crash: the chain was in position order and every
+        # queued delta sat above it, none of them yet in the store ...
+        queued, chain = seen["queued"], seen["chain"]
+        assert len(queued) >= 2
+        assert chain == sorted(set(chain)) and queued == sorted(set(queued))
+        assert not chain or chain[-1] < queued[0]
+        assert seen["landed"] < queued[0]
+        # ... and the log held every entry above the newest landed delta.
+        log_base, log_length = seen["log"]
+        assert log_base <= seen["landed"]
+        assert log_base + log_length == seen["submitted"]
+        # The queue died with the crash: only the delta in flight could
+        # still land, and none waiting behind it ever did.
+        put = {key for _at, key, _size in store.puts}
+        assert not any(f"delta-{position:012d}" in put for position in queued[1:])
+        # The recovered engine's own deltas did not wait behind dead ones.
+        assert not engine._uploads
+        assert engine._chain == sorted(set(engine._chain))
