@@ -31,10 +31,3 @@ def test_e2e_smoke():
     metrics = bench_e2e.run(smoke=True)
     assert metrics["e2e_smoke_txns_per_sec"] > 0
 
-
-def test_parallel_smoke():
-    from benchmarks.perf import bench_parallel
-
-    metrics = bench_parallel.run(smoke=True)
-    assert metrics["parallel_plan_txns_per_sec"] > 0
-    assert metrics["parallel_epoch_w0_txns_per_sec"] > 0

@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python scripts/perfcheck.py            # full run + gate
     PYTHONPATH=src python scripts/perfcheck.py --smoke    # quick sanity run
-    PYTHONPATH=src python scripts/perfcheck.py --only parallel
+    PYTHONPATH=src python scripts/perfcheck.py --only locks
     PYTHONPATH=src python scripts/perfcheck.py --update-baseline
 
 The full run writes ``BENCH_perf.json`` at the repo root and compares
@@ -76,7 +76,6 @@ def collect(smoke: bool, only: str | None = None) -> dict:
         bench_kernel,
         bench_locks,
         bench_messaging,
-        bench_parallel,
         bench_storage,
     )
 
@@ -88,7 +87,6 @@ def collect(smoke: bool, only: str | None = None) -> dict:
         ("e2e", bench_e2e),
         ("c15-overload", bench_c15_overload),
         ("c16-replication", bench_c16_replication),
-        ("parallel", bench_parallel),
     )
     if only is not None:
         known = [name for name, _module in benches]
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only", metavar="BENCH", default=None,
-        help="run a single bench family (e.g. --only parallel); results "
+        help="run a single bench family (e.g. --only locks); results "
         "are merged into an existing BENCH_perf.json and the gate checks "
         "only the metrics that ran",
     )

@@ -5,9 +5,7 @@ uses — an undeclared read or write raises
 :class:`~repro.apps.core.base.UndeclaredAccess` — but the backend is a
 ``(entity, key) -> row`` mapping and there is no simulator: a body that
 yields a simulator event has no event loop to resume it, so it fails
-instead of being silently dropped.  :class:`repro.parallel.EpochExecutor`
-runs every planned transaction through :func:`run_op`, and its serial
-oracle is the same function applied op by op in TID order.
+instead of being silently dropped.
 """
 
 from __future__ import annotations

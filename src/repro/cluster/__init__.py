@@ -19,7 +19,7 @@ they all consult instead:
 - :mod:`~repro.cluster.stats` / :mod:`~repro.cluster.rebalancer` — the
   load signal and the control loop that moves hot shards to cold nodes;
 - :mod:`~repro.cluster.plan` — declared-access planning: the one lock
-  order, the sequencer, conflict waves and epoch plans.
+  order and the conflict waves.
 
 See ``docs/CLUSTER.md`` for the protocol and the determinism contract.
 """

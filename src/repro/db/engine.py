@@ -20,8 +20,8 @@ paper blames for 2PC's performance cost (§4.2).
 
 Each durable format is written down once.  ``_redo`` appends the
 ``write`` records of every path that installs rows (commits, prepares,
-replicated entries, parallel epochs, bulk load); ``_decide`` logs, fsyncs
-and applies the decision on an in-doubt write set (XA phase two,
+replicated entries, bulk load); ``_decide`` logs, fsyncs and applies the
+decision on an in-doubt write set (XA phase two,
 :meth:`~Database.resolve_in_doubt`, a replicated ``decide``) and
 ``_hold`` re-takes such a set's locks where no open transaction holds
 them.  :meth:`~Database.image` is the checkpoint format:
@@ -1171,63 +1171,6 @@ class Database:
         self.env.tracer.event(
             "db.install_snapshot", db=self.name, lsn=lsn
         )
-
-    # -- parallel-epoch entry points (repro.parallel) -------------------------------
-
-    def export_snapshot(
-        self, tables: Optional[Iterable[str]] = None
-    ) -> dict[tuple[str, Hashable], dict]:
-        """Latest committed rows as a flat picklable map — the worker-
-        shipping format of queue-oriented execution.
-
-        Keys are ``(table, key)`` pairs; values are plain ``dict`` copies
-        (never the live :class:`Row` objects), so a worker process can
-        mutate its slice freely.  Deleted rows are omitted.
-        """
-        names = list(tables) if tables is not None else list(self._tables)
-        snapshot: dict[tuple[str, Hashable], dict] = {}
-        for name in names:
-            tbl = self._table(name)
-            for key, chain in tbl.versions.items():
-                row = chain[-1][1]
-                if row is not None:
-                    snapshot[(name, key)] = dict(row)
-        return snapshot
-
-    def apply_epoch(
-        self,
-        txn_writes: Iterable[tuple[Any, list]],
-        *,
-        epoch: int = 0,
-    ) -> int:
-        """Install externally executed transactions in their given order.
-
-        ``txn_writes`` is ``(tid, [((table, key), row_or_None), ...])``
-        per transaction, already sorted into the epoch's total order by
-        the caller (:class:`repro.parallel.EpochExecutor` merges in
-        sequencer TID order).  Each transaction is WAL-logged and installed
-        as its own commit — one commit sequence per transaction, exactly as
-        serial execution would produce — under a namespaced WAL tid
-        (``("epoch", epoch, tid)``) so recovery replay can never collide
-        with the engine's interactive transaction ids.  The whole epoch
-        shares one physical fsync (synchronous, group-commit-style).
-        Read-only transactions (empty write lists) are skipped entirely.
-
-        Returns the number of transactions installed.
-        """
-        applied = 0
-        for tid, writes in txn_writes:
-            if not writes:
-                continue
-            wal_tid = ("epoch", epoch, tid)
-            buffered = self._redo(wal_tid, dict(writes))
-            self.wal.append("commit", (wal_tid,))
-            self._install(buffered)
-            self.stats.committed += 1
-            applied += 1
-        if applied:
-            self._flush_wal()
-        return applied
 
     # -- non-transactional helpers (test/bench setup) -------------------------------
 

@@ -185,10 +185,10 @@ class _ShardedMover:
 class _LeaderView:
     """Sequence façade: ``db.shards[i]`` is shard *i*'s current leader engine.
 
-    Keeps the unreplicated code paths (schema helpers, ``read_latest``,
-    parallel-epoch hooks) working unchanged when a shard is a replica
-    group rather than a single engine.  Mid-election, falls back to the
-    most advanced live replica so final-state reads stay serviceable.
+    Keeps the unreplicated code paths (schema helpers, ``read_latest``)
+    working unchanged when a shard is a replica group rather than a single
+    engine.  Mid-election, falls back to the most advanced live replica so
+    final-state reads stay serviceable.
     """
 
     def __init__(self, db: "ShardedDatabase") -> None:
@@ -988,29 +988,6 @@ class ShardedDatabase:
             txn.engines[index].abort(branch)
         txn.status = "aborted"
         self._close_branches(txn)
-
-    # -- parallel-epoch entry points (repro.parallel) --------------------------------
-
-    def export_shard_snapshot(
-        self, shard: int, tables: Optional[list[str]] = None
-    ) -> dict[tuple[str, Hashable], dict]:
-        """One shard engine's committed rows in worker-shipping format."""
-        if not (0 <= shard < len(self.shards)):
-            raise ClusterError(f"unknown shard {shard}")
-        return self.shards[shard].export_snapshot(tables)
-
-    def apply_shard_epoch(
-        self, shard: int, txn_writes: list, *, epoch: int = 0
-    ) -> int:
-        """Merge one shard's epoch results into its authoritative engine.
-
-        ``txn_writes`` must already be restricted to keys this shard owns
-        and sorted in TID order (the executor splits cross-shard
-        transactions' write sets per owning shard before calling this).
-        """
-        if not (0 <= shard < len(self.shards)):
-            raise ClusterError(f"unknown shard {shard}")
-        return self.shards[shard].apply_epoch(txn_writes, epoch=epoch)
 
     # -- helpers --------------------------------------------------------------------
 

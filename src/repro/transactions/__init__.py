@@ -14,9 +14,6 @@ management"):
 - :mod:`repro.transactions.anomalies` — invariant checkers and the effect
   ledger that counts lost/duplicated/phantom effects after every run.
 
-The deterministic sequencer re-exported here lives with the rest of the
-declared-access planning in :mod:`repro.cluster.plan`.
-
 Two-phase commit, the blocking alternative microservices avoid, is one
 coordinator, :mod:`repro.transactions.commit`, run by the runtimes that
 measure it: ``ShardedDatabase.commit`` (:mod:`repro.db.sharding`), the
@@ -24,7 +21,6 @@ microservice binder's ``2pc`` mode (:mod:`repro.apps.core.binders.micro`)
 and the actor transaction coordinator (:mod:`repro.actors.transactions`).
 """
 
-from repro.cluster.plan import Sequencer
 from repro.transactions.anomalies import (
     AnomalyReport,
     ConservationInvariant,
@@ -61,7 +57,6 @@ __all__ = [
     "SagaOutcome",
     "SagaStep",
     "SagaStuck",
-    "Sequencer",
     "VectorClock",
     "Violation",
 ]

@@ -3,11 +3,11 @@
 One :class:`Database` goes through every path that writes its WAL: bulk
 load, an interactive commit, prepare followed by either decision,
 replicated commit / prepare / decide entries (staged on the leader's
-engine and applied as a follower would), a parallel epoch, a
-checkpoint, crash and recovery with in-doubt resolution, and a snapshot
-install.  The exact ``(kind, payload)`` sequence each step appends is
-asserted, so a refactor of the engine's durability code that changes
-what reaches the log, or in which order, fails here.
+engine and applied as a follower would), a checkpoint, crash and
+recovery with in-doubt resolution, and a snapshot install.  The exact
+``(kind, payload)`` sequence each step appends is asserted, so a refactor
+of the engine's durability code that changes what reaches the log, or in
+which order, fails here.
 
 Replicated entries reach the engine through a one-replica group, whose
 leader applies each proposal synchronously — the same reader a real
@@ -131,18 +131,6 @@ def test_every_durable_path_appends_the_pinned_records():
         _write("g4", "d", 41), ("prepare", ("g4",)), ("abort", ("g4",)),
     ]
 
-    # a parallel epoch: read-only transactions log nothing
-    db.apply_epoch(
-        [(1, [(("accounts", "e"), _row("e", 50))]), (2, []),
-         (3, [(("accounts", "a"), _row("a", 13)), (("accounts", "e"), None)])],
-        epoch=7,
-    )
-    assert log.new() == [
-        _write(("epoch", 7, 1), "e", 50), ("commit", (("epoch", 7, 1),)),
-        _write(("epoch", 7, 3), "a", 13), _write(("epoch", 7, 3), "e", None),
-        ("commit", (("epoch", 7, 3),)),
-    ]
-
     # a checkpoint carries one in-doubt set and truncates the prefix
     before = interactive("c", 32)
     _drive(env, db.prepare(before))
@@ -152,7 +140,7 @@ def test_every_durable_path_appends_the_pinned_records():
         "tables": {"accounts": {
             "primary_key": "id",
             "indexes": [("balance", True)],
-            "rows": {"a": _row("a", 13), "c": _row("c", 31), "d": _row("d", 40)},
+            "rows": {"a": _row("a", 12), "c": _row("c", 31), "d": _row("d", 40)},
         }},
         "in_doubt": {before.tid: {("accounts", "c"): _row("c", 32)}},
     }
@@ -176,7 +164,7 @@ def test_every_durable_path_appends_the_pinned_records():
         before.tid: LockMode.IX, after.tid: LockMode.IX,
     }
     assert sorted(db.all_rows("accounts"), key=lambda r: r["id"]) == [
-        _row("a", 13), _row("c", 31), _row("d", 40),
+        _row("a", 12), _row("c", 31), _row("d", 40),
     ]
     db.resolve_in_doubt(before.tid, commit=True)
     db.resolve_in_doubt(after.tid, commit=False)

@@ -41,6 +41,7 @@ ALLOWLIST = {
     "repro.flow.credits": "ROADMAP item 12 (binder ingress credits)",
     "repro.apps.hotel_impl": "ROADMAP item 3 (port hotel to an AppSpec)",
     "repro.workloads.hotel": "ROADMAP item 3 (port hotel to an AppSpec)",
+    "repro.apps.core.reference": "ROADMAP item 16 (op-stream driver + differential test)",
 }
 
 

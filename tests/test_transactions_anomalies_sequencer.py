@@ -1,4 +1,9 @@
-"""Tests for invariants, the effect ledger, and the deterministic sequencer."""
+"""Tests for invariants, the effect ledger, and the conflict-wave planner."""
+
+import os
+import subprocess
+import sys
+from typing import Any, NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +13,15 @@ from repro.transactions import (
     EffectLedger,
     NonNegativeInvariant,
     PredicateInvariant,
-    Sequencer,
 )
-from repro.apps.core import HandlerSpec
 from repro.cluster.plan import conflict_waves
-from repro.parallel import plan_epoch
+
+
+class _Txn(NamedTuple):
+    """A TID-ordered batch entry whose payload is its declared key set."""
+
+    tid: int
+    payload: Any
 
 
 def _payload(txn):
@@ -105,29 +114,11 @@ class TestEffectLedger:
         assert set(ledger.unacknowledged()) == applied_set - acked
 
 
-class TestSequencer:
-    def test_tids_are_gap_free_and_ordered(self):
-        seq = Sequencer()
-        txns = [seq.submit(f"payload-{i}") for i in range(5)]
-        assert [t.tid for t in txns] == [1, 2, 3, 4, 5]
-
-    def test_epoch_cut(self):
-        seq = Sequencer()
-        seq.submit("a")
-        seq.submit("b")
-        batch = seq.cut_epoch()
-        assert [t.payload for t in batch] == ["a", "b"]
-        assert seq.pending_count == 0
-        later = seq.submit("c")
-        assert later.epoch == 1
-
-
 class TestPartitionConflicts:
     def _mk_batch(self, key_sets):
-        seq = Sequencer()
         return [
-            seq.submit(None if keys is None else frozenset(keys))
-            for keys in key_sets
+            _Txn(tid, None if keys is None else frozenset(keys))
+            for tid, keys in enumerate(key_sets, start=1)
         ]
 
     def test_disjoint_txns_share_a_wave(self):
@@ -166,8 +157,9 @@ class TestPartitionConflicts:
         ``None`` is an undeclared key set: a barrier alone in its wave."""
         batch = self._mk_batch(key_sets)
         waves = conflict_waves(batch, _payload)
-        # 1. Every txn appears exactly once.
+        # 1. Every txn appears exactly once, and no wave is empty.
         flat = [t for wave in waves for t in wave]
+        assert all(waves)
         assert sorted(t.tid for t in flat) == [t.tid for t in batch]
         # 2. No intra-wave conflicts.
         for wave in waves:
@@ -188,80 +180,43 @@ class TestPartitionConflicts:
                     assert wave_index[first.tid] < wave_index[second.tid]
 
 
-def _touch_nothing(ctx, keys):
-    return None
-    yield  # pragma: no cover
+_HASHSEED_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.cluster.hashing import stable_hash
+from repro.cluster.plan import by_partition, conflict_waves
+
+batch = []
+for i in range(40):
+    if i % 5 == 4:
+        keys = tuple({{("kv", f"k{{i}}"), ("kv", f"k{{(i * 7) % 40}}"), ("kv", "hot")}})
+    else:
+        keys = (("kv", f"k{{i}}"),)
+    batch.append((i + 1, keys))
+waves = conflict_waves(batch, lambda item: item[1])
+digest = [("waves", [[tid for tid, _keys in wave] for wave in waves])]
+for tid, keys in batch:
+    parts = by_partition(keys, lambda key: stable_hash(key) % 5)
+    digest.append((tid, list(parts.items())))
+print(digest)
+"""
 
 
-#: an op here is just its key set, declared as ``("kv", key)`` reads
-_KEYS_HANDLER = HandlerSpec(
-    "keys", _touch_nothing,
-    reads=lambda keys: [("kv", key) for key in sorted(keys, key=repr)],
-    writes=lambda keys: [],
-)
-
-
-class TestPartitionQueues:
-    """The queue view of the epoch planner, beside conflict_waves."""
-
-    def _mk_batch(self, key_sets):
-        seq = Sequencer()
-        for keys in key_sets:
-            keys = frozenset(keys)
-            seq.submit((keys, _KEYS_HANDLER, _KEYS_HANDLER.access(keys)))
-        return seq.cut_epoch()
-
-    def _queues(self, batch, shard_of, num_shards=8):
-        return plan_epoch(batch, num_shards=num_shards, shard_of=shard_of).queues
-
-    def test_empty_epoch_yields_no_queues(self):
-        assert self._queues([], shard_of=lambda k: 0) == {}
-        assert conflict_waves([], _payload) == []
-
-    def test_single_hot_key_fills_one_queue_in_tid_order(self):
-        batch = self._mk_batch([{"hot"}] * 5)
-        queues = self._queues(batch, shard_of=lambda k: hash(k) % 4)
-        (queue,) = queues.values()
-        assert [t.tid for t in queue] == [t.tid for t in batch]
-        # ... and the wave view degenerates to fully serial.
-        keys_of = lambda txn: txn.payload[0]
-        assert len(conflict_waves(batch, keys_of)) == len(batch)
-
-    def test_cross_shard_txn_lands_in_every_owning_queue_exactly_once(self):
-        shard_of = lambda key: {"a": 0, "b": 1, "c": 2}[key]
-        batch = self._mk_batch([{"a", "b"}, {"c"}, {"a", "b", "c"}])
-        queues = self._queues(batch, shard_of=shard_of)
-        for shard in (0, 1):
-            assert [t.tid for t in queues[shard]] == [1, 3]
-        assert [t.tid for t in queues[2]] == [2, 3]
-
-    def test_queue_keys_are_sorted_shards(self):
-        batch = self._mk_batch([{"b"}, {"a"}])
-        queues = self._queues(batch, shard_of=lambda key: {"a": 0, "b": 7}[key])
-        assert list(queues) == [0, 7]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        key_sets=st.lists(
-            st.sets(st.integers(0, 12), min_size=1, max_size=4), max_size=25
-        ),
-        num_shards=st.integers(1, 5),
-    )
-    def test_queues_cover_batch_and_preserve_tid_order(self, key_sets, num_shards):
-        batch = self._mk_batch(key_sets)
-        shard_of = lambda key: key % num_shards
-        queues = self._queues(batch, shard_of=shard_of, num_shards=num_shards)
-        for shard, queue in queues.items():
-            tids = [t.tid for t in queue]
-            # TID (total) order within every queue, no duplicates.
-            assert tids == sorted(tids)
-            assert len(tids) == len(set(tids))
-            # Only owners: every queued txn has a key on this shard.
-            for txn in queue:
-                assert any(shard_of(k) == shard for k in txn.op)
-        # Every txn appears in exactly the queues of its owning shards.
-        for txn in batch:
-            owners = {shard_of(k) for k in txn.payload[0]}
-            queued = {s for s, q in queues.items()
-                      if txn.tid in [t.tid for t in q]}
-            assert queued == owners
+def test_plan_is_hash_seed_invariant(tmp_path):
+    """String keys through sets must not leak ``PYTHONHASHSEED`` into the
+    plan: the same batch must produce the same conflict waves and the same
+    partition lock order under different hash randomization seeds (the
+    transactional dataflow's epochs and both ``lock_and_fetch``es rely on
+    it)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    script = tmp_path / "probe.py"
+    script.write_text(_HASHSEED_PROBE.format(src=src))
+    digests = set()
+    for seed in ("0", "1", "424242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = subprocess.run(
+            [sys.executable, str(script)], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout)
+    assert len(digests) == 1
