@@ -630,24 +630,14 @@ class OverloadScenario(Scenario):
 def bind_engine_to_node(env: Environment, node, engine) -> None:
     """Tie a :class:`TransactionalDataflow` lifecycle to a network node.
 
-    A sentinel process on the node translates node.crash() into
-    engine.crash(); the restart hook runs engine.recover() and re-arms
-    the sentinel, so FaultPlan/nemesis crash events drive the engine
+    node.crash() crashes the engine; the restart hook runs
+    engine.recover(), so FaultPlan/nemesis crash events drive the engine
     through its real checkpoint-restore + replay path.
     """
-
-    def sentinel() -> Generator:
-        try:
-            yield env.timeout(1e11)
-        except Interrupted:
-            engine.crash()
-
-    def on_restart(_node) -> None:
-        env.process(engine.recover(), label="dataflow-engine.recover")
-        node.spawn(sentinel(), label="dataflow-engine.sentinel")
-
-    node.spawn(sentinel(), label="dataflow-engine.sentinel")
-    node.on_restart(on_restart)
+    node.on_crash(lambda _node: engine.crash())
+    node.on_restart(
+        lambda _node: env.process(engine.recover(), label="dataflow-engine.recover")
+    )
 
 
 #: runtime name -> scenario class, in the order the CLI lists them.

@@ -32,7 +32,7 @@ from repro.cluster import stable_hash, stable_hash_text
 from repro.dataflow.graph import JobGraph, TaskState
 from repro.net.latency import Latency
 from repro.net.network import Network
-from repro.sim import Environment, Future, Interrupted
+from repro.sim import CrashScope, Environment, Future
 from repro.storage.lsm import LsmStore
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
 
@@ -337,7 +337,9 @@ class DataflowRuntime:
         }
         self.stats = DataflowStats()
         self.running = False
-        self._epoch = 0  # incremented on every (re)start; stale tasks die
+        #: the job's coordinator loop and in-flight hops; task processes
+        #: live in their worker nodes' scopes
+        self._scope = CrashScope(env)
         self._build_tasks()
 
     # -- construction -------------------------------------------------------------
@@ -377,8 +379,10 @@ class DataflowRuntime:
         """Spawn every task process and the checkpoint coordinator."""
         if self.running:
             raise RuntimeError("job already running")
+        self._launch()
+
+    def _launch(self) -> None:
         self.running = True
-        self._epoch += 1
         for source in self._sources.values():
             self._spawn(source.task_id, source.run())
         for tasks in self._operators.values():
@@ -387,13 +391,11 @@ class DataflowRuntime:
         for sink in self._sinks.values():
             self._spawn(sink.task_id, sink.run())
         # The coordinator models a durable job manager: not tied to workers.
-        self.env.process(self._coordinator_loop(self._epoch), label=f"{self.graph.name}.coord")
+        self._scope.spawn(self._coordinator_loop(), f"{self.graph.name}.coord")
 
-    def _coordinator_loop(self, epoch: int) -> Generator:
-        while self._epoch == epoch and self.running:
+    def _coordinator_loop(self) -> Generator:
+        while True:
             yield self.env.timeout(self._coordinator.interval)
-            if self._epoch != epoch or not self.running:
-                return
             if self._coordinator._inflight is None:
                 self._coordinator.trigger()
 
@@ -401,19 +403,12 @@ class DataflowRuntime:
         node = self._worker_for(task_id)
         if not node.alive:
             return  # will be (re)spawned at recovery
-        node.spawn(self._guard(generator), label=task_id)
-
-    @staticmethod
-    def _guard(generator: Generator) -> Generator:
-        try:
-            yield from generator
-        except Interrupted:
-            pass  # task killed by crash/stop
+        node.spawn(generator, label=task_id)
 
     def stop(self) -> None:
         """Halt all processing (tasks die; durable logs/snapshots remain)."""
         self.running = False
-        self._epoch += 1
+        self._scope.crash("job-stop")
         for node in self._workers:
             node.crash("job-stop")
             node.restart()
@@ -437,7 +432,7 @@ class DataflowRuntime:
     def _route(self, producer_task: str, producer_stage: str, key: Any, value: Any) -> None:
         for downstream in self.graph.downstream_of(producer_stage):
             target = self._target_task(downstream, key)
-            self.env.schedule(
+            self._scope.schedule(
                 self.hop_latency, target.gate.push, producer_task, (key, value)
             )
 
@@ -459,7 +454,7 @@ class DataflowRuntime:
             else:
                 targets = self._operators[downstream]
             for target in targets:
-                self.env.schedule(
+                self._scope.schedule(
                     self.hop_latency, target.gate.push, producer_task, barrier
                 )
 
@@ -480,7 +475,7 @@ class DataflowRuntime:
         restored offsets.
         """
         self.running = False
-        self._epoch += 1
+        self._scope.crash("recovery")
         self._coordinator.abandon_inflight()
         # Tear down whatever survives, keep durable artifacts.
         source_logs = {name: task.log for name, task in self._sources.items()}
@@ -510,12 +505,4 @@ class DataflowRuntime:
                 len(source.log) for source in self._sources.values()
             )
         self.stats.recoveries += 1
-        self.running = True
-        for source in self._sources.values():
-            self._spawn(source.task_id, source.run())
-        for tasks in self._operators.values():
-            for task in tasks:
-                self._spawn(task.task_id, task.run())
-        for sink in self._sinks.values():
-            self._spawn(sink.task_id, sink.run())
-        self.env.process(self._coordinator_loop(self._epoch), label=f"{self.graph.name}.coord")
+        self._launch()

@@ -29,7 +29,7 @@ from typing import Any, Callable, Generator, Hashable, Optional
 
 from repro.cluster import stable_hash
 from repro.net.latency import Latency
-from repro.sim import Environment, Lock
+from repro.sim import CrashScope, Environment, Lock
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
 
 StatefulFunction = Callable[["FunctionContext", Hashable, Any], Generator]
@@ -103,7 +103,7 @@ class StatefunRuntime:
         self._egress_buffer: list[Any] = []
         self._egress: list[Any] = []  # externally visible (exactly-once)
         self._running = False
-        self._generation = 0
+        self._scope = CrashScope(env)  # the live incarnation's processes and hops
         self._wake = None
         self.stats = StatefunStats()
 
@@ -153,43 +153,31 @@ class StatefunRuntime:
         if self._running:
             raise RuntimeError("runtime already running")
         self._running = True
-        self._generation += 1
-        self.env.process(self._dispatcher(self._generation), label="statefun.dispatch")
-        self.env.process(self._checkpointer(self._generation), label="statefun.ckpt")
-
-    def stop(self) -> None:
-        self._running = False
-        self._generation += 1
+        self._scope.spawn(self._dispatcher(), "statefun.dispatch")
+        self._scope.spawn(self._checkpointer(), "statefun.ckpt")
 
     def _wake_dispatcher(self) -> None:
         if self._wake is not None and not self._wake.done:
             self._wake.succeed(None)
         self._wake = None
 
-    def _dispatcher(self, generation: int) -> Generator:
-        while self._running and self._generation == generation:
+    def _dispatcher(self) -> Generator:
+        while True:
             if self._ingress_position < len(self._ingress_log):
                 fn_type, key, message = self._ingress_log[self._ingress_position]
                 self._ingress_position += 1
-                self._spawn_invocation(fn_type, key, message, generation)
+                self._spawn_invocation(fn_type, key, message)
                 yield self.env.timeout(0)
             else:
                 self._wake = self.env.future(label="statefun.idle")
                 yield self._wake
 
-    def _spawn_invocation(
-        self, fn_type: str, key: Hashable, message: Any, generation: int
-    ) -> None:
+    def _spawn_invocation(self, fn_type: str, key: Hashable, message: Any) -> None:
         self._inflight += 1
-        self.env.process(
-            self._invoke(fn_type, key, message, generation),
-            label=f"sf:{fn_type}:{key}",
-        )
+        self._scope.spawn(self._invoke(fn_type, key, message), f"sf:{fn_type}:{key}")
 
-    def _invoke(self, fn_type: str, key: Hashable, message: Any, generation: int) -> Generator:
+    def _invoke(self, fn_type: str, key: Hashable, message: Any) -> Generator:
         try:
-            if self._generation != generation:
-                return  # rewound: this in-flight cascade is abandoned
             ident = (fn_type, key)
             lock = self._entity_locks.get(ident)
             if lock is None:
@@ -197,17 +185,8 @@ class StatefunRuntime:
                 self._entity_locks[ident] = lock
             yield lock.acquire()
             try:
-                if self._generation != generation:
-                    return
                 if self.work_ms > 0:
                     yield self.env.timeout(self.work_ms)
-                if self._generation != generation:
-                    # A *zombie turn*: this invocation slept across a
-                    # crash; its incarnation is dead and its message will
-                    # be replayed from the ingress log.  Running it now
-                    # would double-apply the effect (caught by randomized
-                    # crash-point fuzzing).
-                    return
                 fn = self._functions[fn_type]
                 ctx = FunctionContext(self, fn_type, key)
                 self.stats.invocations += 1
@@ -227,32 +206,24 @@ class StatefunRuntime:
         if self._partition(key) != self._partition(src_key):
             self.stats.cross_partition += 1
             delay = self.hop_latency
-        generation = self._generation
         self._inflight += 1
+        self._scope.schedule(delay, self._deliver, fn_type, key, message)
 
-        def deliver() -> None:
-            self._inflight -= 1
-            if self._generation == generation:
-                self._spawn_invocation(fn_type, key, message, generation)
-
-        self.env.schedule(delay, deliver)
+    def _deliver(self, fn_type: str, key: Hashable, message: Any) -> None:
+        self._inflight -= 1
+        self._spawn_invocation(fn_type, key, message)
 
     # -- checkpointing / recovery ----------------------------------------------------
 
-    def _checkpointer(self, generation: int) -> Generator:
-        while self._running and self._generation == generation:
+    def _checkpointer(self) -> Generator:
+        while True:
             yield self.env.timeout(self.checkpoint_interval)
-            if not self._running or self._generation != generation:
-                return
             # Wait for quiescence so the snapshot is cascade-consistent.
             while self._inflight > 0 or self._ingress_position < len(self._ingress_log):
                 yield self.env.timeout(1.0)
-                if self._generation != generation:
-                    return
             yield from self._checkpoint()
 
     def _checkpoint(self) -> Generator:
-        generation = self._generation
         # Only egress produced *before* the snapshot is covered by it;
         # records arriving while the store write is in flight belong to
         # cascades that would replay after a crash.  The released egress
@@ -270,8 +241,8 @@ class StatefunRuntime:
             "statefun", "latest", snapshot,
             size=max(1, len(snapshot["states"])),
         )
-        if self._generation != generation:
-            return  # crashed during the write: recovery reads the snapshot
+        # A crash during the write killed this process, but the write
+        # still lands: recovery reads the snapshot.
         self._egress = released
         self.stats.egressed += len(covered)
         self._egress_buffer = self._egress_buffer[len(covered):]
@@ -280,7 +251,7 @@ class StatefunRuntime:
     def crash(self) -> None:
         """Lose volatile state: entity states, in-flight cascades, buffers."""
         self._running = False
-        self._generation += 1
+        self._scope.crash()
         self._states = {}
         self._entity_locks = {}
         self._egress_buffer = []
@@ -301,7 +272,4 @@ class StatefunRuntime:
         else:
             self._egress = []
         self.stats.replayed += len(self._ingress_log) - self._ingress_position
-        self._running = True
-        self._generation += 1
-        self.env.process(self._dispatcher(self._generation), label="statefun.dispatch")
-        self.env.process(self._checkpointer(self._generation), label="statefun.ckpt")
+        self.start()

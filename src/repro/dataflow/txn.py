@@ -51,7 +51,7 @@ from typing import Any, Callable, Generator, Hashable, Optional
 from repro.cluster import stable_hash
 from repro.cluster.plan import conflict_waves
 from repro.net.latency import Latency
-from repro.sim import Environment, Future, all_of
+from repro.sim import CrashScope, Environment, Future, all_of
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
 
 #: Functions: fn(ctx, key, payload) -> Generator returning the result.
@@ -218,8 +218,8 @@ class TransactionalDataflow:
         self._uploads: deque[tuple[int, dict, int]] = deque()
         self._compacting = False
         self._running = False
-        self._generation = 0  # bumped on crash/stop so stale loops exit
-        self._incarnation = 0  # bumped on crash so in-flight work abandons itself
+        #: the live incarnation's epoch loop, transactions, upload and compaction
+        self._scope = CrashScope(env)
         self.stats = TxnDataflowStats()
 
     # -- registration / submission -----------------------------------------------
@@ -305,43 +305,27 @@ class TransactionalDataflow:
         if self._running:
             raise RuntimeError("engine already running")
         self._running = True
-        self._generation += 1
-        self.env.process(self._epoch_loop(self._generation), label="txn-dataflow.epochs")
+        self._scope.spawn(self._epoch_loop(), "txn-dataflow.epochs")
 
-    def stop(self) -> None:
-        self._running = False
-        self._generation += 1
-
-    def _epoch_loop(self, generation: int) -> Generator:
-        while self._running and self._generation == generation:
+    def _epoch_loop(self) -> Generator:
+        while True:
             yield self.env.timeout(self.epoch_interval)
-            if not self._running or self._generation != generation:
-                return
             if self._pending:
                 batch, self._pending = self._pending, []
                 yield from self._run_epoch(batch, replay=False)
 
     def _run_epoch(self, batch: list[_Request], replay: bool) -> Generator:
         """Execute one epoch: conflict waves, then atomic commit."""
-        incarnation = self._incarnation
         outcomes: list[tuple[_Request, bool, Any]] = []
         for wave in conflict_waves(batch, lambda request: request.keys):
             self.stats.waves += 1
             running = [
-                self.env.process(
-                    self._execute_one(request, incarnation),
-                    label=f"txn-{request.tid}",
-                )
+                self._scope.spawn(self._execute_one(request), f"txn-{request.tid}")
                 for request in wave
             ]
-            results = yield all_of(self.env, running)
-            if self._incarnation != incarnation:
-                return
-            outcomes.extend(results)
+            outcomes.extend((yield all_of(self.env, running)))
         # Epoch commit: flush, record results durably, release futures.
         yield self.env.timeout(self.epoch_commit_ms)
-        if self._incarnation != incarnation:
-            return
         self._epochs_done += 1
         self.stats.epochs += 1
         released = self._released_through
@@ -360,7 +344,7 @@ class TransactionalDataflow:
         if not replay and self._epochs_done % self.checkpoint_every == 0:
             self._checkpoint()
 
-    def _execute_one(self, request: _Request, incarnation: int) -> Generator:
+    def _execute_one(self, request: _Request) -> Generator:
         ctx = TxnContext(self, request.key)
         fn = self._functions[request.fn_name]
         try:
@@ -371,8 +355,7 @@ class TransactionalDataflow:
             return (request, False, abort)
         except Exception as exc:  # noqa: BLE001 - aborts the transaction
             return (request, False, exc)
-        if self._incarnation == incarnation:  # else the engine crashed under us
-            self._install(ctx._buffer, ctx._deleted)
+        self._install(ctx._buffer, ctx._deleted)
         return (request, True, result)
 
     # -- durability --------------------------------------------------------------------
@@ -404,11 +387,9 @@ class TransactionalDataflow:
         if len(self._uploads) > self.stats.peak_uploads_queued:
             self.stats.peak_uploads_queued = len(self._uploads)
         if len(self._uploads) == 1:
-            self.env.process(
-                self._upload(self._incarnation), label="txn-dataflow.upload"
-            )
+            self._scope.spawn(self._upload(), "txn-dataflow.upload")
 
-    def _upload(self, incarnation: int) -> Generator:
+    def _upload(self) -> Generator:
         """Put the queued deltas one at a time, in position order.
 
         A delta counts only once its put has landed: then it joins the
@@ -421,8 +402,6 @@ class TransactionalDataflow:
             yield from self.checkpoint_store.put(
                 _BUCKET, _object_name("delta", position), delta, size=keys + 1
             )
-            if self._incarnation != incarnation:
-                return
             self._uploads.popleft()
             self._chain.append(position)
             self._truncate_log(position)
@@ -430,9 +409,7 @@ class TransactionalDataflow:
             self.stats.checkpoint_keys += keys
             if len(self._chain) > _COMPACT_AFTER and not self._compacting:
                 self._compacting = True
-                self.env.process(
-                    self._compact(incarnation), label="txn-dataflow.compaction"
-                )
+                self._scope.spawn(self._compact(), "txn-dataflow.compaction")
 
     def _truncate_log(self, position: int) -> None:
         """Drop the log below ``position``, which a durable checkpoint covers."""
@@ -478,7 +455,7 @@ class TransactionalDataflow:
             folded.append(delta["log_position"])
         return image, folded, names
 
-    def _compact(self, incarnation: int) -> Generator:
+    def _compact(self) -> Generator:
         """Fold the delta chain into a new base, in the background.
 
         The new base is durable before anything it covers is deleted, so a
@@ -487,21 +464,15 @@ class TransactionalDataflow:
         store = self._compaction_store
         while len(self._chain) > _COMPACT_AFTER:
             image, _folded, names = yield from self._restore(store)
-            if self._incarnation != incarnation:
-                return
             position = image["log_position"]
             base = _object_name("base", position)
             size = sum(len(partition) for partition in image["state"]) + 1
             yield from store.put(_BUCKET, base, image, size=size)
-            if self._incarnation != incarnation:
-                return
             covered = [
                 name for name in names
                 if name != base and _position_of(name) <= position
             ]
             yield from store.delete_many(_BUCKET, covered)
-            if self._incarnation != incarnation:
-                return
             self._chain = [p for p in self._chain if p > position]
             self.stats.compactions += 1
         self._compacting = False
@@ -511,12 +482,12 @@ class TransactionalDataflow:
 
         Client futures for unreleased transactions stay pending until
         recovery replays them.  Queued deltas are lost with the rest of
-        memory; epochs, the upload and compactions in flight belong to the
-        dead incarnation and abandon themselves.
+        memory; the epoch, upload, compaction or recovery in flight dies
+        with the scope, though an object-store request it had sent still
+        lands.
         """
         self._running = False
-        self._generation += 1
-        self._incarnation += 1
+        self._scope.crash()
         self._state = self._blank_partitions()
         self._dirty = self._blank_partitions()
         self._pending = []
@@ -527,12 +498,17 @@ class TransactionalDataflow:
         self._compacting = False
 
     def recover(self) -> Generator:
-        """Restore base + deltas, replay the input-log suffix deterministically."""
+        """Restore base + deltas, replay the input-log suffix deterministically.
+
+        Recovery runs in the engine's scope: if the engine crashes again
+        before it finishes, it dies (the caller sees :class:`Interrupted`)
+        and that crash's recovery takes over.
+        """
         self.stats.recoveries += 1
-        incarnation = self._incarnation
+        yield self._scope.spawn(self._recover(), "txn-dataflow.recover")
+
+    def _recover(self) -> Generator:
         image, folded, _names = yield from self._restore(self.checkpoint_store)
-        if self._incarnation != incarnation:
-            return  # crashed again mid-restore; that crash's recovery takes over
         self._state = image["state"]
         self._released_through = image["released_through"]
         self._epochs_done = image["epochs_done"]
@@ -556,8 +532,4 @@ class TransactionalDataflow:
         self.stats.replayed += len(replayable)
         if replayable:
             yield from self._run_epoch(replayable, replay=True)
-            if self._incarnation != incarnation:
-                return
-        self._running = True
-        self._generation += 1
-        self.env.process(self._epoch_loop(self._generation), label="txn-dataflow.epochs")
+        self.start()

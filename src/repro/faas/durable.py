@@ -24,11 +24,10 @@ Semantics reproduced:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim import Environment, Future, Interrupted
+from repro.sim import CrashScope, Environment, Future, Interrupted, all_of
 
 ActivityFn = Callable[..., Generator]
 WorkflowFn = Callable[["OrchestrationContext", Any], Generator]
@@ -113,7 +112,8 @@ class DurableWorkflows:
         self._workflows: dict[str, WorkflowFn] = {}
         self._activities: dict[str, ActivityFn] = {}
         self._instances: dict[str, _Instance] = {}  # histories are durable
-        self._generation = 0
+        #: the live incarnation's dispatches and timers
+        self._scope = CrashScope(env)
         self.stats = DurableStats()
 
     # -- registration -----------------------------------------------------------
@@ -231,98 +231,67 @@ class DurableWorkflows:
         if index in instance.pending:
             return  # already in flight (e.g. re-drive while awaiting)
         instance.pending[index] = command
-        generation = self._generation
         if command.kind == "all":
-            self.env.process(
-                self._run_all(instance, index, command, generation),
-                label=f"{instance.instance_id}:all@{index}",
+            self._scope.spawn(
+                self._run_all(instance, index, command),
+                f"{instance.instance_id}:all@{index}",
             )
         elif command.kind == "timer":
-            self.env.schedule(
-                command.delay, self._complete, instance, index, command, None,
-                generation,
+            self._scope.schedule(
+                command.delay, self._complete, instance, index, command, None
             )
         else:
-            self.env.process(
-                self._run_activity(instance, index, command, generation),
-                label=f"{instance.instance_id}:{command.name}@{index}",
+            self._scope.spawn(
+                self._run_activity(instance, index, command),
+                f"{instance.instance_id}:{command.name}@{index}",
             )
 
-    def _run_activity(
-        self, instance: _Instance, index: int, command: _Command, generation: int
-    ) -> Generator:
+    def _execute(self, command: _Command) -> Generator:
+        """Dispatch one activity and return its result.
+
+        The dispatch belongs to the engine's scope; the body does not.  It
+        runs in a process of its own, modelling a remote worker that an
+        engine crash does not stop, and its result reaches the history
+        only through a dispatch that is still alive.
+        """
         fn = self._activities.get(command.name)
         if fn is None:
-            self._fail_instance(instance, f"no activity {command.name!r}")
-            return
+            raise KeyError(f"no activity {command.name!r}")
         yield self.env.timeout(self.activity_latency)
-        if self._generation != generation:
-            return  # engine crashed while the activity was dispatched
         self.stats.activity_executions += 1
+        return (yield self.env.process(fn(*command.args), label=f"activity:{command.name}"))
+
+    def _run_activity(self, instance: _Instance, index: int, command: _Command) -> Generator:
         try:
-            result = yield from fn(*command.args)
+            result = yield from self._execute(command)
         except Interrupted:
             raise
         except Exception as exc:  # noqa: BLE001 - activity failure fails the wf
             self._fail_instance(instance, f"activity {command.name!r}: {exc!r}")
             return
-        if self._generation != generation:
-            return  # completion lost with the crash: will re-run on recovery
-        self._complete(instance, index, command, result, generation)
+        self._complete(instance, index, command, result)
 
-    def _run_all(
-        self, instance: _Instance, index: int, command: _Command, generation: int
-    ) -> Generator:
-        from repro.sim import all_of
-
-        child_futures = []
-        for child in command.children:
-            fut = self.env.future(label=f"{instance.instance_id}:child")
-            if child.kind == "timer":
-                self.env.schedule(child.delay, fut.try_succeed, None)
-            else:
-                self.env.process(
-                    self._child_activity(child, fut, generation),
-                    label=f"{instance.instance_id}:child:{child.name}",
-                )
-            child_futures.append(fut)
+    def _run_all(self, instance: _Instance, index: int, command: _Command) -> Generator:
+        children = [
+            self.env.timeout(child.delay) if child.kind == "timer"
+            else self._scope.spawn(
+                self._execute(child), f"{instance.instance_id}:child:{child.name}"
+            )
+            for child in command.children
+        ]
         try:
-            results = yield all_of(self.env, child_futures)
-        except Exception as exc:  # noqa: BLE001
-            if self._generation == generation:
-                self._fail_instance(instance, repr(exc))
-            return
-        if self._generation != generation:
-            return
-        self._complete(instance, index, command, list(results), generation)
-
-    def _child_activity(self, child: _Command, fut: Future, generation: int) -> Generator:
-        fn = self._activities.get(child.name)
-        if fn is None:
-            fut.try_fail(KeyError(f"no activity {child.name!r}"))
-            return
-        yield self.env.timeout(self.activity_latency)
-        if self._generation != generation:
-            return
-        self.stats.activity_executions += 1
-        try:
-            result = yield from fn(*child.args)
+            results = yield all_of(self.env, children)
         except Interrupted:
             raise
         except Exception as exc:  # noqa: BLE001
-            fut.try_fail(exc)
+            self._fail_instance(instance, repr(exc))
             return
-        fut.try_succeed(result)
+        self._complete(instance, index, command, list(results))
 
     def _complete(
-        self,
-        instance: _Instance,
-        index: int,
-        command: _Command,
-        result: Any,
-        generation: int,
+        self, instance: _Instance, index: int, command: _Command, result: Any
     ) -> None:
-        if self._generation != generation or instance.status != "running":
+        if instance.status != "running":
             return
         if command.kind == "timer":
             self.stats.timers_fired += 1
@@ -344,7 +313,7 @@ class DurableWorkflows:
     def crash(self) -> None:
         """Kill the engine: in-flight activity executions and timers are
         lost; histories (durable storage) survive."""
-        self._generation += 1
+        self._scope.crash()
         for instance in self._instances.values():
             instance.pending.clear()
             if instance.future is not None and not instance.future.done:
@@ -352,7 +321,6 @@ class DurableWorkflows:
 
     def recover(self) -> None:
         """Replay every unfinished orchestration from its history."""
-        self._generation += 1
         for instance in self._instances.values():
             if instance.status == "running":
                 self._drive(instance)

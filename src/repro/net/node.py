@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim import Channel, Environment, Process
+from repro.sim import Channel, CrashScope, Environment, Process
 
 
 class NodeCrashed(Exception):
@@ -21,7 +21,8 @@ class Node:
     """A simulated machine identified by a unique name.
 
     Components bind *ports* (named mailboxes) to receive messages from the
-    network, and spawn processes that are interrupted if the node crashes.
+    network, and spawn processes into the node's :class:`CrashScope`, which
+    kills them when the node crashes.
     """
 
     def __init__(self, env: Environment, name: str) -> None:
@@ -30,7 +31,8 @@ class Node:
         self.alive = True
         self.incarnation = 0
         self._ports: dict[str, Channel] = {}
-        self._processes: list[Process] = []
+        self._scope = CrashScope(env)
+        self._crash_hooks: list[Callable[["Node"], None]] = []
         self._restart_hooks: list[Callable[["Node"], None]] = []
         self.crash_count = 0
 
@@ -58,24 +60,19 @@ class Node:
         """Run a process on this node; it dies if the node crashes."""
         if not self.alive:
             raise NodeCrashed(self.name)
-        process = self.env.process(generator, label=label or f"{self.name}.proc")
-        self._processes.append(process)
-        if len(self._processes) > 256:
-            self._processes = [p for p in self._processes if p.is_alive]
-        return process
+        return self._scope.spawn(generator, label or f"{self.name}.proc")
 
     # -- lifecycle -----------------------------------------------------------
 
     def crash(self, cause: Any = "crash") -> None:
-        """Kill the node: interrupt all processes, drop mailbox contents."""
+        """Kill the node: kill all processes, fire crash hooks, drop mailboxes."""
         if not self.alive:
             return
         self.alive = False
         self.crash_count += 1
-        processes, self._processes = self._processes, []
-        for process in processes:
-            if process.is_alive:
-                process.interrupt(cause)
+        self._scope.crash(cause)
+        for hook in list(self._crash_hooks):
+            hook(self)
         ports, self._ports = self._ports, {}
         for channel in ports.values():
             channel.close()
@@ -88,6 +85,10 @@ class Node:
         self.incarnation += 1
         for hook in list(self._restart_hooks):
             hook(self)
+
+    def on_crash(self, hook: Callable[["Node"], None]) -> None:
+        """Register a hook invoked on each crash, after its processes died."""
+        self._crash_hooks.append(hook)
 
     def on_restart(self, hook: Callable[["Node"], None]) -> None:
         """Register a hook invoked after each restart (e.g. recovery)."""

@@ -100,6 +100,7 @@ class Replica:
         self.server.register("snapshot", self._on_snapshot)
         self.server.register("read", self._on_read)
         self.client = RpcClient(net, node, service=service)
+        self.node.on_crash(lambda _node: self._on_crash())
         self.node.on_restart(lambda _node: self._on_restart())
         self._start()
 
@@ -109,34 +110,27 @@ class Replica:
         if not self.node.alive:
             return
         self.node.spawn(
-            self._crash_sentinel(), label=f"{self.service}:{self.node.name}.sentinel"
-        )
-        self.node.spawn(
             self._timer_loop(), label=f"{self.service}:{self.node.name}.timer"
         )
 
-    def _crash_sentinel(self) -> Generator:
+    def _on_crash(self) -> None:
         """Mirror the node's fate into the engine and pending acks."""
-        try:
-            while True:
-                yield self.env.timeout(1e12)
-        except Interrupted:
-            self.engine.crash()
-            self.role = "follower"
-            self.leader_hint = None
-            self._inflight.clear()
-            self._wake = None
-            acks, self._acks = self._acks, {}
-            for index, ack in acks.items():
-                ack.try_succeed(
-                    ("err", ReplicationUncertain(
-                        f"{self.group_label} leader {self.node.name} crashed "
-                        f"before log index {index} was acknowledged"
-                    ))
-                )
-            waiters, self._applied_waiters = self._applied_waiters, []
-            for _min_index, waiter in waiters:
-                waiter.try_succeed(None)
+        self.engine.crash()
+        self.role = "follower"
+        self.leader_hint = None
+        self._inflight.clear()
+        self._wake = None
+        acks, self._acks = self._acks, {}
+        for index, ack in acks.items():
+            ack.try_succeed(
+                ("err", ReplicationUncertain(
+                    f"{self.group_label} leader {self.node.name} crashed "
+                    f"before log index {index} was acknowledged"
+                ))
+            )
+        waiters, self._applied_waiters = self._applied_waiters, []
+        for _min_index, waiter in waiters:
+            waiter.try_succeed(None)
 
     def _on_restart(self) -> None:
         """Durable state is back; volatile state rebuilds from it."""
@@ -237,14 +231,15 @@ class Replica:
         lo, hi = self.config.election_timeout
         while self.role != "stopped":
             span = self._rng.uniform(lo, hi)
-            armed_at = self.env.now
-            yield self.env.timeout(span)
+            deadline = self.env.now + span
+            while deadline > self.env.now:
+                yield self.env.timeout(deadline - self.env.now)
+                # Leader contact moves the deadline to ``span`` after it.
+                deadline = max(deadline, self._last_contact + span)
             if self.role == "stopped":
                 return
             if self.role == "leader" or not self.node.alive:
                 continue
-            if self._last_contact > armed_at:
-                continue  # heard from a leader while the timer ran
             yield from self._election()
 
     def force_election(self) -> None:

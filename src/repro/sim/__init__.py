@@ -22,6 +22,7 @@ is resumed by the environment when the awaited event fires::
 
 from repro.sim.events import Future, all_of, any_of
 from repro.sim.environment import (
+    CrashScope,
     Environment,
     Interrupted,
     Process,
@@ -31,6 +32,7 @@ from repro.sim.resources import Channel, Lock, Semaphore, Store
 
 __all__ = [
     "Channel",
+    "CrashScope",
     "Environment",
     "Future",
     "Interrupted",

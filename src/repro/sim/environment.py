@@ -93,6 +93,26 @@ class Process(Future):
         self._detach()
         self.env.call_soon(self._step, None, Interrupted(cause))
 
+    def kill(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupted` into the process *now*.
+
+        Unlike :meth:`interrupt`, the process's ``except Interrupted``
+        handlers and ``finally`` blocks run before ``kill`` returns.  A
+        process that catches the interrupt and suspends again lives on:
+        it models cleanup that another party finishes, such as a database
+        aborting the dead client's transaction.
+        """
+        if self._done:
+            return
+        if self._generator.gi_running:
+            raise SimulationError(f"process {self.label!r} cannot kill itself")
+        tracer = self._tracer
+        context = tracer.current if tracer is not None else None
+        self._detach()
+        self._step(None, Interrupted(cause))
+        if tracer is not None:
+            tracer.current = context
+
     def _detach(self) -> None:
         if self._waiting_on is not None:
             self._waiting_on.remove_done_callback(self._resume_callback)
@@ -175,6 +195,58 @@ class Process(Future):
             if tracer is not None:
                 self._trace_ctx = tracer.current
                 tracer.current = None
+
+
+class CrashScope:
+    """The processes and timers one incarnation of a component owns.
+
+    :meth:`crash` kills every live process the scope spawned (see
+    :meth:`Process.kill`) and drops every timer it scheduled that has not
+    fired, synchronously: ``finally`` blocks and ``except Interrupted``
+    handlers run against the dying incarnation's state before the caller
+    resets it.  Work left over from a crashed incarnation therefore never
+    acts on recovered state, by construction rather than by a check after
+    each suspension point.  The scope outlives its crashes: what it spawns
+    afterwards belongs to the next incarnation.
+    """
+
+    __slots__ = ("env", "_processes", "_prune_at", "_timers")
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        self._processes: list[Process] = []
+        self._prune_at = 256
+        #: the live incarnation's timer token: crash() swaps it, and a
+        #: timer scheduled under an older token fires as a no-op
+        self._timers = object()
+
+    def spawn(self, generator: Generator[Any, Any, Any], label: str = "") -> Process:
+        """Start a process that dies with the scope's next crash."""
+        process = Process(self.env, generator, label)
+        processes = self._processes
+        processes.append(process)
+        if len(processes) > self._prune_at:
+            # Drop finished processes once the list has doubled since the
+            # last prune: amortized O(1) per spawn however many are alive.
+            self._processes = [p for p in processes if not p._done]
+            self._prune_at = max(256, 2 * len(self._processes))
+        return process
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` unless the scope crashes first."""
+        self.env.schedule(delay, self._fire, self._timers, callback, args)
+
+    def _fire(self, token: object, callback: Callable[..., None], args: tuple) -> None:
+        if token is self._timers:
+            callback(*args)
+
+    def crash(self, cause: Any = "crash") -> None:
+        """Kill every live process and drop every pending timer, now."""
+        processes, self._processes = self._processes, []
+        for process in processes:
+            process.kill(cause)
+        self._prune_at = 256
+        self._timers = object()
 
 
 class Environment:

@@ -10,11 +10,11 @@ measurable.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.net.latency import Latency, Sampler
 from repro.net.node import Node
-from repro.sim import Environment
+from repro.sim import Environment, Future
 
 
 class NoSuchKey(KeyError):
@@ -66,7 +66,9 @@ class ObjectStoreServer:
 
     All methods are generators intended for ``yield from`` inside simulation
     processes; each charges a sampled request latency plus a per-unit-size
-    transfer cost.
+    transfer cost.  A write lands when its request does, whether or not the
+    caller is still waiting: a request in flight when its client crashes
+    still completes at the store.
     """
 
     def __init__(
@@ -95,8 +97,8 @@ class ObjectStoreServer:
 
     def put(self, bucket: str, key: str, obj: Any, size: int = 1) -> Generator:
         """Store an object, charging request + transfer latency."""
-        yield self.env.timeout(self._latency(self._rng) + self._transfer * size)
-        self.store.put(bucket, key, obj, size=size)
+        delay = self._latency(self._rng) + self._transfer * size
+        yield self._request(delay, self.store.put, bucket, key, obj, size)
 
     def get(self, bucket: str, key: str, size: int = 1) -> Generator:
         """Fetch an object, charging request + transfer latency."""
@@ -113,6 +115,19 @@ class ObjectStoreServer:
 
     def delete_many(self, bucket: str, keys: list[str]) -> Generator:
         """Delete a batch of objects in one request (S3 ``DeleteObjects``)."""
-        yield self.env.timeout(self._latency(self._rng))
+        yield self._request(self._latency(self._rng), self._delete_all, bucket, keys)
+
+    def _delete_all(self, bucket: str, keys: list[str]) -> None:
         for key in keys:
             self.store.delete(bucket, key)
+
+    def _request(self, delay: float, apply: Callable[..., None], *args: Any) -> Future:
+        """A write request: ``apply(*args)`` runs when it lands, then it resolves."""
+        landed = self.env.future(label="object-store.write")
+        self.env.schedule(delay, self._land, landed, apply, args)
+        return landed
+
+    @staticmethod
+    def _land(landed: Future, apply: Callable[..., None], args: tuple) -> None:
+        apply(*args)
+        landed.succeed(None)

@@ -160,3 +160,38 @@ def test_statefun_zombie_turn_regression():
     completed = bank.completed_ops()
     assert len(completed) == len(set(completed))  # the zombie duplicated this
     assert sorted(completed) == sorted(op.op_id for op in ops)
+
+
+def test_statefun_double_crash_keeps_inflight_accounting():
+    """Two crashes, the second 45 ms after the first recovery returned.
+
+    The dead incarnation's in-flight invocations and cross-partition
+    hops must not settle against the next incarnation's ``_inflight``:
+    when they did, the counter went negative, a checkpoint was cut
+    mid-cascade, and the second crash lost a transfer's credit (the
+    balances summed 10 short and 59 of 60 transfers were released)."""
+    env = Environment(seed=0)
+    workload = TransferWorkload(num_accounts=4, theta=0.9)
+    bank = StatefunBank(env, workload, checkpoint_interval=20)
+    bank.start()
+    ops = list(workload.operations(env.stream("ops"), 60))
+    for i, op in enumerate(ops):
+        env.schedule(1.5 * i, bank.submit, op)
+
+    def chaos():
+        yield env.timeout(3.0)
+        bank.runtime.crash()
+        yield env.timeout(2.0)
+        yield from bank.runtime.recover()
+        yield env.timeout(45.0)
+        bank.runtime.crash()
+        yield from bank.runtime.recover()
+
+    env.process(chaos())
+    lowest = 0
+    while env.now <= 10_000 and env.step():
+        lowest = min(lowest, bank.runtime._inflight)
+    assert lowest == 0
+    total = sum(row["balance"] for row in bank.balances())
+    assert total == workload.expected_total
+    assert sorted(bank.completed_ops()) == sorted(op.op_id for op in ops)

@@ -532,6 +532,68 @@ class TestRecoveryEquivalence:
         assert engine.stats.replayed <= 2 * store.interval_submits() + downtime_submits
         assert seen["durable"] > self.COUNT / 2
 
+    #: Tier-1 crashes at every STRIDE-th kernel event; ``-m chaos`` covers
+    #: the other residues, so together they crash at every event.
+    STRIDE = 97
+
+    def crash_after_events(self, events):
+        """Crash once ``events`` kernel events have run; recover after DOWNTIME."""
+        env, store, engine = ledger_engine()
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        for _ in range(events):
+            assert env.step()
+        engine.crash()
+        durable = store.durable_position()
+        submitted = engine.stats.submitted
+        env.schedule(self.DOWNTIME, lambda: env.process(engine.recover()))
+        # A crash late in the run still gets its recovery and replay.
+        env.run(until=max(submit_time(self.COUNT), env.now + self.DOWNTIME) + 300.0)
+        return engine, futures, durable, submitted
+
+    def check_crashes_at_events(self, offset):
+        store, state, released = self.reference()
+        env, _store, engine = ledger_engine()
+        engine.start()
+        submit_postings(env, engine, self.COUNT)
+        quiesce(env, self.COUNT)
+        total = env.events_executed
+        for events in range(offset, total, self.STRIDE):
+            engine, futures, durable, submitted = self.crash_after_events(events)
+            assert engine.all_state() == state, events
+            assert outcomes(futures) == released, events
+            assert engine.stats.recoveries == 1, events
+            # Submits during the downtime replay too; none below a durable delta.
+            assert engine.stats.replayed <= engine.stats.submitted - durable, events
+
+    def test_crash_at_every_strided_kernel_event(self):
+        self.check_crashes_at_events(0)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("offset", range(1, STRIDE))
+    def test_crash_at_every_kernel_event(self, offset):
+        self.check_crashes_at_events(offset)
+
+    def test_delta_put_in_flight_at_crash_lands_and_is_folded(self):
+        _store, state, released = self.reference()
+        env, store, engine = ledger_engine()
+        engine.start()
+        futures = submit_postings(env, engine, self.COUNT)
+        while not engine._uploads:
+            assert env.step()
+        position = engine._uploads[0][0]
+        env.run(until=env.now + 1.0)  # the put takes 2 ms and more
+        assert store.durable_position() < position  # the put is in flight
+        engine.crash()
+        env.run(until=env.now + self.DOWNTIME)
+        assert store.durable_position() == position  # ... and landed anyway
+        env.run_until(env.process(engine.recover()))
+        # Recovery folded the delta and replays only the log above it.
+        assert engine._chain == [position] and engine._log_base == position
+        quiesce(env, self.COUNT)
+        assert engine.all_state() == state
+        assert outcomes(futures) == released
+
     def test_second_crash_during_recovery(self):
         _store, state, released = self.reference()
         env, store, engine = ledger_engine()

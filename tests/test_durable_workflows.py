@@ -190,6 +190,19 @@ class TestCrashRecovery:
         run(env, engine.wait("wf-1"))
         assert executions["log"].count(("reserve", "x")) >= 1
 
+    def test_activity_body_in_flight_at_crash_finishes_once_unrecorded(self, env):
+        """The body models a remote worker: the engine's crash does not stop
+        it, but its result reaches no history."""
+        engine, executions = make_engine(env)
+        engine.start("wf-1", "checkout", {"item": "x", "amount": 5})
+        env.run(until=2.0)  # reserve dispatched at t=1, its body runs until t=3
+        assert executions["log"] == []
+        engine.crash()
+        env.run()
+        assert executions["log"] == [("reserve", "x")]
+        assert engine.history_of("wf-1") == []
+        assert engine.status_of("wf-1") == "running"
+
     def test_crash_during_timer_resumes_timer(self, env):
         engine, _ = make_engine(env)
         engine.start("wf-t", "with_timer", None)

@@ -228,6 +228,24 @@ class TestNodeLifecycle:
         assert node.incarnation == 1
         assert hooks == [1]
 
+    def test_crash_hooks_run_after_the_processes_died(self, env, net):
+        node = net.node("a")
+        events = []
+
+        def worker(env):
+            try:
+                yield env.timeout(100)
+            finally:
+                events.append("finally")
+
+        node.spawn(worker(env))
+        node.on_crash(lambda n: events.append(("hook", n.alive, n.crash_count)))
+        env.run(until=1.0)
+        node.crash()
+        assert events == ["finally", ("hook", False, 1)]
+        node.crash()  # already down: no second hook
+        assert len(events) == 2
+
     def test_restarted_node_receives_again(self, env, net):
         node = net.node("b")
         node.crash()

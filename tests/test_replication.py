@@ -162,6 +162,23 @@ class TestElections:
         run(env, commit_row(env, group, "a", 1, replica=leader))
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_election_deadline_counts_from_the_last_leader_contact(self, seed):
+        """A follower whose leader goes silent starts an election within
+        ``election_timeout[1]`` of its last contact, not a full span after
+        whichever timer wake-up last saw that contact."""
+        _lo, hi = ReplicationConfig().election_timeout
+        env = Environment(seed=seed)
+        net, group = make_group(env)
+        env.run(until=250.0)  # heartbeats flowing
+        net.nodes["n0"].crash("test")
+        followers = group.replicas[1:]
+        while all(replica.term == 1 for replica in followers):
+            assert env.step()
+        candidate = next(replica for replica in followers if replica.term > 1)
+        assert env.now <= candidate._last_contact + hi
+
+
 class TestFencing:
     def test_stale_leader_is_fenced_mid_commit(self):
         """A leader that proposes, replicates, then gets deposed must not

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupted, SimulationError
+from repro.sim import CrashScope, Environment, Interrupted, SimulationError
 
 
 @pytest.fixture
@@ -188,6 +188,128 @@ class TestInterrupts:
         env.run()
         assert proc.failed
         assert isinstance(proc.exception(), Interrupted)
+
+
+class TestCrashScope:
+    def test_crash_runs_handlers_and_finally_blocks_synchronously(self, env):
+        scope = CrashScope(env)
+        state = {"inflight": 1, "seen": []}
+
+        def worker(env):
+            try:
+                yield env.timeout(100)
+            except Interrupted as exc:
+                state["seen"].append((exc.cause, state["inflight"]))
+                raise
+            finally:
+                state["inflight"] -= 1
+
+        proc = scope.spawn(worker(env), "worker")
+        env.run(until=5.0)
+        scope.crash("boom")
+        # The dying incarnation's state is still in place when the handler
+        # runs, and the finally block has run before crash() returned.
+        assert state == {"inflight": 0, "seen": [("boom", 1)]}
+        assert proc.failed and isinstance(proc.exception(), Interrupted)
+        env.run()
+        assert env.now == 100.0  # the timeout fired, but resumed no one
+
+    def test_unstarted_process_never_runs(self, env):
+        scope = CrashScope(env)
+        ran = []
+
+        def worker(env):
+            ran.append(env.now)
+            yield env.timeout(1)
+
+        proc = scope.spawn(worker(env))
+        scope.crash()
+        env.run()
+        assert ran == [] and proc.failed
+
+    def test_crash_drops_pending_timers_only(self, env):
+        scope = CrashScope(env)
+        fired = []
+        scope.schedule(5.0, fired.append, "old")
+        env.schedule(5.0, fired.append, "unscoped")
+        env.run(until=1.0)
+        scope.crash()
+        scope.schedule(2.0, fired.append, "new")
+        env.run()
+        assert fired == ["new", "unscoped"]
+
+    def test_work_spawned_after_a_crash_belongs_to_the_next_incarnation(self, env):
+        scope = CrashScope(env)
+
+        def sleeper(env):
+            yield env.timeout(10)
+            return env.now
+
+        first = scope.spawn(sleeper(env))
+        scope.crash()
+        second = scope.spawn(sleeper(env))
+        env.run()
+        assert first.failed
+        assert second.result() == 10.0
+
+    def test_a_process_that_survives_the_kill_lives_on_outside_the_scope(self, env):
+        scope = CrashScope(env)
+
+        def cleanup(env):
+            try:
+                yield env.timeout(100)
+            except Interrupted:
+                yield env.timeout(3)  # e.g. the remote abort of its transaction
+                return env.now
+
+        proc = scope.spawn(cleanup(env))
+        env.run(until=1.0)
+        scope.crash()
+        scope.crash()  # a second crash no longer owns it
+        env.run()
+        assert proc.result() == 4.0
+
+    def test_a_process_cannot_kill_itself(self, env):
+        scope = CrashScope(env)
+
+        def suicidal(env):
+            yield env.timeout(1)
+            scope.crash()
+
+        proc = scope.spawn(suicidal(env))
+        env.run()
+        assert isinstance(proc.exception(), SimulationError)
+
+    def test_two_thousand_live_processes_prune_only_on_doubling(self, env):
+        scope = CrashScope(env)
+        forever = env.future()
+
+        def waiter():
+            yield forever
+
+        prunes = 0
+        for _ in range(2000):
+            before = scope._prune_at
+            scope.spawn(waiter())
+            prunes += scope._prune_at != before
+        # 256 -> 514 -> 1030 -> 2062: a rescan per doubling, not per spawn.
+        assert prunes == 3
+        assert len(scope._processes) == 2000
+        env.run()
+        scope.crash()
+        assert len(scope._processes) == 0
+
+    def test_finished_processes_are_pruned(self, env):
+        scope = CrashScope(env)
+
+        def brief():
+            yield env.timeout(1)
+
+        for _ in range(5):
+            for _ in range(300):
+                scope.spawn(brief())
+            env.run()
+        assert len(scope._processes) <= 2 * 300
 
 
 class TestRandomStreams:
