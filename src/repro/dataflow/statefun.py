@@ -259,8 +259,16 @@ class StatefunRuntime:
         self._ingress_position = 0
 
     def recover(self) -> Generator:
-        """Rewind to the last checkpoint and replay the ingress tail."""
+        """Rewind to the last checkpoint and replay the ingress tail.
+
+        Recovery runs in the runtime's scope: if the runtime crashes again
+        before it finishes, it dies (the caller sees :class:`Interrupted`)
+        and that crash's recovery takes over.
+        """
         self.stats.recoveries += 1
+        yield self._scope.spawn(self._recover(), "statefun.recover")
+
+    def _recover(self) -> Generator:
         exists = yield from self.checkpoint_store.exists("statefun", "latest")
         if exists:
             snapshot = yield from self.checkpoint_store.get("statefun", "latest")

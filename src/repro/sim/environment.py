@@ -82,30 +82,23 @@ class Process(Future):
         return not self.done
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its next step.
-
-        Interrupting a finished process is a no-op.  The future the process
-        was waiting on is detached: its eventual resolution no longer resumes
-        the process.
-        """
-        if self.done:
-            return
-        self._detach()
-        self.env.call_soon(self._step, None, Interrupted(cause))
-
-    def kill(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process *now*.
 
-        Unlike :meth:`interrupt`, the process's ``except Interrupted``
-        handlers and ``finally`` blocks run before ``kill`` returns.  A
-        process that catches the interrupt and suspends again lives on:
-        it models cleanup that another party finishes, such as a database
-        aborting the dead client's transaction.
+        The process's ``except Interrupted`` handlers and ``finally``
+        blocks run before ``interrupt`` returns.  The future the process
+        was waiting on is detached: its eventual resolution no longer
+        resumes the process.  A process that catches the interrupt and
+        suspends again lives on: it models cleanup that another party
+        finishes, such as a database aborting the dead client's
+        transaction.  Interrupting a finished process is a no-op; a
+        process that interrupts itself (say, by crashing its own node)
+        receives the interrupt at its next suspension point.
         """
         if self._done:
             return
         if self._generator.gi_running:
-            raise SimulationError(f"process {self.label!r} cannot kill itself")
+            self.env.call_soon(self.interrupt, cause)
+            return
         tracer = self._tracer
         context = tracer.current if tracer is not None else None
         self._detach()
@@ -200,8 +193,8 @@ class Process(Future):
 class CrashScope:
     """The processes and timers one incarnation of a component owns.
 
-    :meth:`crash` kills every live process the scope spawned (see
-    :meth:`Process.kill`) and drops every timer it scheduled that has not
+    :meth:`crash` interrupts every live process the scope spawned (see
+    :meth:`Process.interrupt`) and drops every timer it scheduled that has not
     fired, synchronously: ``finally`` blocks and ``except Interrupted``
     handlers run against the dying incarnation's state before the caller
     resets it.  Work left over from a crashed incarnation therefore never
@@ -241,10 +234,15 @@ class CrashScope:
             callback(*args)
 
     def crash(self, cause: Any = "crash") -> None:
-        """Kill every live process and drop every pending timer, now."""
+        """Kill every live process and drop every pending timer, now.
+
+        Timers that the dying processes' handlers schedule in the scope
+        are dropped too.  A process crashing its own scope dies at its
+        next suspension point.
+        """
         processes, self._processes = self._processes, []
         for process in processes:
-            process.kill(cause)
+            process.interrupt(cause)
         self._prune_at = 256
         self._timers = object()
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.apps import StatefunBank, TxnDataflowBank
 from repro.dataflow import DataflowRuntime, JobGraph
 from repro.net.latency import Latency
-from repro.sim import Environment
+from repro.sim import Environment, Interrupted
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
 from repro.workloads import TransferWorkload
 
@@ -192,6 +192,56 @@ def test_statefun_double_crash_keeps_inflight_accounting():
     while env.now <= 10_000 and env.step():
         lowest = min(lowest, bank.runtime._inflight)
     assert lowest == 0
+    total = sum(row["balance"] for row in bank.balances())
+    assert total == workload.expected_total
+    assert sorted(bank.completed_ops()) == sorted(op.op_id for op in ops)
+
+
+@pytest.mark.parametrize("phase", ["exists", "get"])
+def test_statefun_crash_during_recovery(phase):
+    """A second crash while the first recovery reads the checkpoint.
+
+    The interrupted recovery must die with the crash rather than finish
+    and start a live incarnation underneath the second recovery (which
+    would then rewind the dispatcher under stale invocations and find
+    the runtime already running)."""
+    env = Environment(seed=0)
+    workload = TransferWorkload(num_accounts=4, theta=0.9)
+    bank = StatefunBank(env, workload, checkpoint_interval=20)
+    runtime = bank.runtime
+    store = runtime.checkpoint_store
+    reads = []
+    real_get = store.get
+
+    def get(*args, **kwargs):
+        reads.append(env.now)
+        return (yield from real_get(*args, **kwargs))
+
+    store.get = get
+    bank.start()
+    ops = list(workload.operations(env.stream("ops"), 60))
+    for i, op in enumerate(ops):
+        env.schedule(1.5 * i, bank.submit, op)
+
+    def chaos():
+        yield env.timeout(45.0)
+        assert runtime.stats.checkpoints >= 1  # so recovery reads one back
+        runtime.crash()
+        first = env.process(runtime.recover())
+        if phase == "get":
+            while not reads:
+                yield env.timeout(0.5)
+        yield env.timeout(1.0)  # a store request takes at least 5 ms
+        assert len(reads) == (phase == "get")
+        runtime.crash()
+        yield from runtime.recover()
+        return first
+
+    chaos_run = env.process(chaos())
+    env.run(until=10_000)
+    first = chaos_run.result()
+    assert first.failed and isinstance(first.exception(), Interrupted)
+    assert runtime.stats.recoveries == 2
     total = sum(row["balance"] for row in bank.balances())
     assert total == workload.expected_total
     assert sorted(bank.completed_ops()) == sorted(op.op_id for op in ops)

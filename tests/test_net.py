@@ -246,6 +246,31 @@ class TestNodeLifecycle:
         node.crash()  # already down: no second hook
         assert len(events) == 2
 
+    def test_a_process_can_crash_its_own_node(self, env, net):
+        node = net.node("a")
+        outcome = []
+
+        def bystander(env):
+            try:
+                yield env.timeout(100)
+            except Interrupted:
+                outcome.append(("bystander", env.now))
+
+        def operator(env):
+            yield env.timeout(2)
+            node.crash("self")
+            try:
+                yield env.timeout(100)
+            except Interrupted as exc:
+                outcome.append(("operator", exc.cause, env.now))
+
+        node.spawn(bystander(env))
+        node.spawn(operator(env))
+        node.on_crash(lambda n: outcome.append("hook"))
+        env.run()
+        assert outcome == [("bystander", 2.0), "hook", ("operator", "self", 2.0)]
+        assert not node.alive and env.now == 102.0
+
     def test_restarted_node_receives_again(self, env, net):
         node = net.node("b")
         node.crash()

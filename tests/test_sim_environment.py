@@ -269,16 +269,50 @@ class TestCrashScope:
         env.run()
         assert proc.result() == 4.0
 
-    def test_a_process_cannot_kill_itself(self, env):
+    def test_a_process_crashing_its_own_scope_dies_at_its_next_suspension(self, env):
         scope = CrashScope(env)
+        fired, outcome = [], []
 
-        def suicidal(env):
+        def bystander(env):
+            try:
+                yield env.timeout(100)
+            except Interrupted:
+                outcome.append(("bystander", env.now))
+                raise
+
+        def crasher(env):
             yield env.timeout(1)
-            scope.crash()
+            scope.crash("self")
+            outcome.append(("crasher ran on", env.now))
+            try:
+                yield env.timeout(100)
+            except Interrupted as exc:
+                outcome.append(("crasher", exc.cause, env.now))
+                raise
 
-        proc = scope.spawn(suicidal(env))
+        scope.schedule(5.0, fired.append, "old")
+        scope.spawn(bystander(env))
+        proc = scope.spawn(crasher(env))
         env.run()
-        assert isinstance(proc.exception(), SimulationError)
+        assert outcome == [("bystander", 1.0), ("crasher ran on", 1.0), ("crasher", "self", 1.0)]
+        assert isinstance(proc.exception(), Interrupted)
+        assert fired == [] and scope._processes == []
+
+    def test_timers_scheduled_by_dying_handlers_are_dropped(self, env):
+        scope = CrashScope(env)
+        fired = []
+
+        def worker(env):
+            try:
+                yield env.timeout(100)
+            finally:
+                scope.schedule(1.0, fired.append, "from the dead")
+
+        scope.spawn(worker(env))
+        env.run(until=1.0)
+        scope.crash()
+        env.run()
+        assert fired == []
 
     def test_two_thousand_live_processes_prune_only_on_doubling(self, env):
         scope = CrashScope(env)
