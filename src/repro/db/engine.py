@@ -77,7 +77,7 @@ from repro.db.errors import (
     WriteConflict,
 )
 from repro.db.locks import LockManager, LockMode
-from repro.sim import Environment
+from repro.sim import Environment, Future
 from repro.storage.wal import WriteAheadLog
 
 _DELETED = None  # a version with row=None is a deletion marker
@@ -383,34 +383,73 @@ class Database:
         self.stats.begun += 1
         return txn
 
-    def _lock(self, txn: Transaction, resource: Hashable, mode: LockMode) -> Generator:
+    def _lock(
+        self, txn: Transaction, resource: Hashable, mode: LockMode
+    ) -> Optional[Generator]:
+        """Request a lock for ``txn``.
+
+        Returns ``None`` when the lock is granted in place — the
+        uncontended case costs no generator and no future — and otherwise
+        the generator the caller must ``yield from`` to wait for it.
+        """
+        locks = self.locks
+        grant = locks.acquire(txn.tid, resource, mode)
+        if grant is locks.granted:
+            return None
+        return self._lock_wait(txn, grant, resource, mode)
+
+    def _lock_wait(
+        self, txn: Transaction, grant: Future, resource: Hashable, mode: LockMode
+    ) -> Generator:
+        """Wait for a request the lock manager did not grant in place.
+
+        This is the 2PL wait the paper blames for 2PC's cost (§4.2),
+        surfaced as a ``db.lock_wait`` span only when it happens.  A
+        deadlock victim — refused at once because its own request closed
+        the waits-for cycle, or later while it waited — ends the span with
+        ``outcome="deadlock"`` and aborts ``txn``.
+        """
+        tracer = self.env.tracer
+        span = tracer.begin(
+            "db.lock_wait",
+            resource=repr(resource),
+            mode=mode.value,
+            tid=txn.tid,
+        )
         try:
-            grant = self.locks.acquire(txn.tid, resource, mode)
-            if grant.done:
-                # Uncontended: the grant resolved synchronously, so there is
-                # nothing to wait for and the process keeps its turn.
-                if grant._exc is not None:
-                    yield grant  # deliver the failure via the kernel
-            else:
-                # Blocked: the 2PL wait the paper blames for 2PC's cost
-                # (§4.2), surfaced as a span only when it actually happens.
-                tracer = self.env.tracer
-                span = tracer.begin(
-                    "db.lock_wait",
-                    resource=repr(resource),
-                    mode=mode.value,
-                    tid=txn.tid,
-                )
-                try:
-                    yield grant
-                except TransactionAborted:
-                    span.annotate(outcome="deadlock")
-                    raise
-                finally:
-                    tracer.end(span)
+            try:
+                yield grant
+            except TransactionAborted:
+                span.annotate(outcome="deadlock")
+                raise
+            finally:
+                tracer.end(span)
         except TransactionAborted:
             self.abort(txn)
             raise
+
+    def _then_lock(
+        self, wait: Generator, txn: Transaction, resource: Hashable, mode: LockMode
+    ) -> Generator:
+        """Finish a blocked lock request, then request the next one."""
+        yield from wait
+        wait = self._lock(txn, resource, mode)
+        if wait is not None:
+            yield from wait
+
+    def _read_locks(self, txn: Transaction, table: str, key: Hashable) -> Optional[Generator]:
+        """IS on the table, then S on the row (see :meth:`_lock`)."""
+        wait = self._lock(txn, ("table", table), LockMode.IS)
+        if wait is None:
+            return self._lock(txn, ("row", table, key), LockMode.S)
+        return self._then_lock(wait, txn, ("row", table, key), LockMode.S)
+
+    def _write_locks(self, txn: Transaction, table: str, key: Hashable) -> Optional[Generator]:
+        """IX on the table, then X on the row (see :meth:`_lock`)."""
+        wait = self._lock(txn, ("table", table), LockMode.IX)
+        if wait is None:
+            return self._lock(txn, ("row", table, key), LockMode.X)
+        return self._then_lock(wait, txn, ("row", table, key), LockMode.X)
 
     # -- reads --------------------------------------------------------------------
 
@@ -429,8 +468,9 @@ class Database:
             return self._out(txn.writes[(table, key)])
         txn.reads.add((table, key))
         if txn.isolation is IsolationLevel.SERIALIZABLE:
-            yield from self._lock(txn, ("table", table), LockMode.IS)
-            yield from self._lock(txn, ("row", table, key), LockMode.S)
+            wait = self._read_locks(txn, table, key)
+            if wait is not None:
+                yield from wait
             row = tbl.latest(key)
         elif txn.isolation is IsolationLevel.SNAPSHOT:
             row = tbl.read_at(key, txn.begin_seq)
@@ -450,7 +490,9 @@ class Database:
         tbl = self._table(table)
         self.stats.reads += 1
         if txn.isolation is IsolationLevel.SERIALIZABLE:
-            yield from self._lock(txn, ("table", table), LockMode.S)
+            wait = self._lock(txn, ("table", table), LockMode.S)
+            if wait is not None:
+                yield from wait
         snapshot = txn.isolation is IsolationLevel.SNAPSHOT
         begin_seq = txn.begin_seq
         out = self._out
@@ -504,7 +546,9 @@ class Database:
         if column not in tbl.indexes:
             raise ValueError(f"no index on {table}.{column}")
         if txn.isolation is IsolationLevel.SERIALIZABLE:
-            yield from self._lock(txn, ("table", table), LockMode.S)
+            wait = self._lock(txn, ("table", table), LockMode.S)
+            if wait is not None:
+                yield from wait
         keys = set(tbl.indexes[column].get(value, set()))
         rows = []
         for key in sorted(keys, key=repr):
@@ -531,7 +575,9 @@ class Database:
         if column not in tbl.ordered_indexes:
             raise ValueError(f"no ordered index on {table}.{column}")
         if txn.isolation is IsolationLevel.SERIALIZABLE:
-            yield from self._lock(txn, ("table", table), LockMode.S)
+            wait = self._lock(txn, ("table", table), LockMode.S)
+            if wait is not None:
+                yield from wait
         rows: list[dict] = []
         seen_keys: set[Hashable] = set()
         for value in tbl.range_values(column, low, high):
@@ -548,16 +594,14 @@ class Database:
 
     # -- writes -------------------------------------------------------------------
 
-    def _write_locks(self, txn: Transaction, table: str, key: Hashable) -> Generator:
-        yield from self._lock(txn, ("table", table), LockMode.IX)
-        yield from self._lock(txn, ("row", table, key), LockMode.X)
-
     def insert(self, txn: Transaction, table: str, row: dict) -> Generator:
         """Insert a new row; raises :class:`DuplicateKey` if visible."""
         txn.require(TxnStatus.ACTIVE)
         tbl = self._table(table)
         key = row[tbl.primary_key]
-        yield from self._write_locks(txn, table, key)
+        wait = self._write_locks(txn, table, key)
+        if wait is not None:
+            yield from wait
         if (table, key) in txn.writes:
             existing = txn.writes[(table, key)]
         else:
@@ -574,7 +618,9 @@ class Database:
         tbl = self._table(table)
         row = dict(row)
         row.setdefault(tbl.primary_key, key)
-        yield from self._write_locks(txn, table, key)
+        wait = self._write_locks(txn, table, key)
+        if wait is not None:
+            yield from wait
         txn.writes[(table, key)] = row
         self.stats.writes += 1
 
@@ -584,7 +630,9 @@ class Database:
         Raises ``KeyError`` if the row is not visible to this transaction.
         """
         current = yield from self.get(txn, table, key)
-        yield from self._write_locks(txn, table, key)
+        wait = self._write_locks(txn, table, key)
+        if wait is not None:
+            yield from wait
         if current is None:
             self.abort(txn)
             raise KeyError(f"{table}[{key!r}] does not exist")
@@ -598,7 +646,9 @@ class Database:
         """Delete a row (no-op if absent)."""
         txn.require(TxnStatus.ACTIVE)
         self._table(table)
-        yield from self._write_locks(txn, table, key)
+        wait = self._write_locks(txn, table, key)
+        if wait is not None:
+            yield from wait
         txn.writes[(table, key)] = _DELETED
         self.stats.writes += 1
 
@@ -628,11 +678,12 @@ class Database:
             table, key = ref
             tbl = self._table(table)
             if ref in writable:
-                yield from self._write_locks(txn, table, key)
+                wait = self._write_locks(txn, table, key)
             else:
                 txn.reads.add(ref)
-                yield from self._lock(txn, ("table", table), LockMode.IS)
-                yield from self._lock(txn, ("row", table, key), LockMode.S)
+                wait = self._read_locks(txn, table, key)
+            if wait is not None:
+                yield from wait
             self.stats.reads += 1
             rows[ref] = self._out(writes[ref] if ref in writes else tbl.latest(key))
         return rows
@@ -644,7 +695,7 @@ class Database:
         :meth:`lock_and_fetch` already took; raises if it did not."""
         txn.require(TxnStatus.ACTIVE)
         tbl = self._table(table)
-        if self.locks.holders(("row", table, key)).get(txn.tid) is not LockMode.X:
+        if self.locks.mode_of(txn.tid, ("row", table, key)) is not LockMode.X:
             raise InvalidTransactionState(
                 f"txn {txn.tid} holds no X lock on {table}[{key!r}]"
             )

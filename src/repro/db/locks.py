@@ -12,7 +12,24 @@ Because a transaction is a sequential simulation process, it waits on at
 most one resource at a time; its waits-for edges are therefore recomputed
 wholesale whenever the queue it sits in changes, keeping detection exact.
 
-Two indexes keep the hot paths cheap and deterministic:
+The uncontended path costs O(1) host work per request, whatever the number
+of holders:
+
+- Each resource keeps a count of holders per mode and a bitmask of the
+  modes held, and each :class:`LockMode` carries the bitmask of the modes it
+  conflicts with (derived once from ``_COMPATIBLE``).  "Does any holder
+  conflict?" is one ``&``; no enum is hashed on the hot path.
+- A request that needs no wait — the resource has no queue and no
+  conflicting holder, the requester already holds a covering mode, or an
+  upgrade no other holder blocks — is granted in place: :meth:`acquire`
+  returns the manager's one pre-resolved :attr:`LockManager.granted`
+  future, allocates nothing else, and leaves the waits-for graph alone.
+  Only a request that must wait gets its own future.
+- :meth:`release_all` drops a released resource with an empty queue on
+  the spot (when it has no holders left) and runs the wake-up and
+  deadlock work only for resources that have waiters.
+
+Two indexes keep release cheap and deterministic:
 
 - ``_held_by_txn`` and ``_waiting_by_txn`` map each transaction to the
   resources it holds / queues on, so :meth:`release_all` (called on every
@@ -31,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Hashable, Optional
 
 from repro.db.errors import DeadlockAbort
@@ -39,7 +56,13 @@ from repro.sim import Environment, Future
 
 
 class LockMode(enum.Enum):
-    """Lock modes; compatibility follows the textbook matrix."""
+    """Lock modes; compatibility follows the textbook matrix.
+
+    Each member also carries ``index`` (its position), ``bit``
+    (``1 << index``), ``conflicts`` (the ``bit``s of the modes it may not
+    be granted beside) and ``joins`` (:func:`combine` with each mode, by
+    ``index``), set once below so the lock paths never hash an enum.
+    """
 
     IS = "IS"
     IX = "IX"
@@ -76,17 +99,32 @@ _COMBINE: dict[tuple[LockMode, LockMode], LockMode] = {
     (LockMode.S, LockMode.X): LockMode.X,
 }
 
+_MODES = tuple(LockMode)
+for _index, _mode in enumerate(_MODES):
+    _mode.index = _index
+    _mode.bit = 1 << _index
+for _mode in _MODES:
+    # A request for _mode conflicts with a holder of ``held`` exactly when
+    # the matrix says ``compatible(held, _mode)`` is False.
+    _mode.conflicts = sum(
+        held.bit for held in _MODES if not _COMPATIBLE[(held, _mode)]
+    )
+    _mode.joins = tuple(
+        _mode if other is _mode
+        else _COMBINE.get((_mode, other)) or _COMBINE.get((other, _mode)) or LockMode.X
+        for other in _MODES
+    )
+del _index, _mode
+
 
 def combine(held: LockMode, wanted: LockMode) -> LockMode:
     """The weakest mode covering both ``held`` and ``wanted``."""
-    if held == wanted:
-        return held
-    return _COMBINE.get((held, wanted)) or _COMBINE.get((wanted, held)) or LockMode.X
+    return held.joins[wanted.index]
 
 
 def compatible(a: LockMode, b: LockMode) -> bool:
     """Whether two modes may be held simultaneously by different txns."""
-    return _COMPATIBLE[(a, b)]
+    return not a.bit & b.conflicts
 
 
 @dataclass
@@ -97,10 +135,52 @@ class _Waiter:
     upgrade: bool
 
 
-@dataclass
 class _LockState:
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    queue: Deque[_Waiter] = field(default_factory=deque)
+    """One resource: its holders, its wait queue and a per-mode summary.
+
+    ``counts[mode.index]`` is the number of holders of ``mode`` and
+    ``mask`` the ``bit``s of the modes with a nonzero count, so a conflict
+    test does not walk ``holders``.
+    """
+
+    __slots__ = ("holders", "queue", "counts", "mask")
+
+    def __init__(self, tid: int, mode: LockMode) -> None:
+        self.holders: dict[int, LockMode] = {tid: mode}
+        self.queue: Deque[_Waiter] = deque()
+        self.counts = [0] * len(_MODES)
+        self.counts[mode.index] = 1
+        self.mask = mode.bit
+
+    def hold(self, tid: int, mode: LockMode) -> None:
+        """Make ``tid`` hold ``mode``, combined with what it held."""
+        counts = self.counts
+        old = self.holders.get(tid)
+        if old is not None:
+            mode = old.joins[mode.index]
+            counts[old.index] -= 1
+            if not counts[old.index]:
+                self.mask &= ~old.bit
+        self.holders[tid] = mode
+        counts[mode.index] += 1
+        self.mask |= mode.bit
+
+    def drop(self, tid: int) -> None:
+        """Remove ``tid`` from the holders."""
+        mode = self.holders.pop(tid)
+        counts = self.counts
+        counts[mode.index] -= 1
+        if not counts[mode.index]:
+            self.mask &= ~mode.bit
+
+    def blocks(self, tid: int, mode: LockMode) -> bool:
+        """Whether a holder other than ``tid`` holds a mode ``mode``
+        conflicts with."""
+        mask = self.mask
+        own = self.holders.get(tid)
+        if own is not None and self.counts[own.index] == 1:
+            mask &= ~own.bit
+        return bool(mask & mode.conflicts)
 
 
 @dataclass
@@ -122,33 +202,64 @@ class LockManager:
         self._held_by_txn: dict[int, dict[Hashable, None]] = {}
         self._waiting_by_txn: dict[int, dict[Hashable, None]] = {}
         self.stats = LockStats()
+        #: What :meth:`acquire` returns for every request granted in place.
+        self.granted: Future = env.future(label="lock:granted").succeed(None)
 
     # -- acquisition --------------------------------------------------------
 
     def acquire(self, tid: int, resource: Hashable, mode: LockMode) -> Future:
         """Request a lock; the returned future resolves when granted.
 
-        Fails with :class:`DeadlockAbort` if waiting would close a cycle.
-        Callers must release with :meth:`release_all` on commit and abort.
+        A request granted in place returns :attr:`granted`; one that must
+        wait returns a fresh future.  Fails with :class:`DeadlockAbort` if
+        waiting would close a cycle.  Callers must release with
+        :meth:`release_all` on commit and abort.
         """
-        state = self._locks.setdefault(resource, _LockState())
-        fut = self.env.future(label=f"lock:{resource}:{mode.value}")
+        state = self._locks.get(resource)
+        if state is None:
+            # Idle resource: the request creates the lock and holds it.
+            self._locks[resource] = _LockState(tid, mode)
+        elif tid in state.holders or state.queue or state.mask & mode.conflicts:
+            return self._acquire_general(state, tid, resource, mode)
+        else:
+            # A newcomer no holder conflicts with and no waiter precedes.
+            state.holders[tid] = mode
+            state.counts[mode.index] += 1
+            state.mask |= mode.bit
+        held = self._held_by_txn.get(tid)
+        if held is None:
+            self._held_by_txn[tid] = {resource: None}
+        else:
+            held[resource] = None
+        self.stats.acquired += 1
+        return self.granted
 
+    def _acquire_general(
+        self, state: _LockState, tid: int, resource: Hashable, mode: LockMode
+    ) -> Future:
+        """Re-acquires, upgrades and requests that may have to queue."""
         held = state.holders.get(tid)
-        upgrade = False
-        if held is not None:
-            wanted = combine(held, mode)
-            if wanted == held:
-                fut.succeed(None)
-                return fut
-            mode = wanted
-            upgrade = True
+        if held is None:
+            return self._enqueue(state, tid, resource, mode, upgrade=False)
+        wanted = held.joins[mode.index]
+        if wanted is held:
+            return self.granted
+        if state.blocks(tid, wanted):
+            return self._enqueue(state, tid, resource, wanted, upgrade=True)
+        # Upgrades jump the queue, so only other holders can block one.
+        self._grant(state, tid, resource, wanted)
+        return self.granted
 
-        if self._grantable(state, tid, mode, upgrade):
-            self._grant(state, tid, resource, mode)
-            fut.succeed(None)
-            return fut
-
+    def _enqueue(
+        self,
+        state: _LockState,
+        tid: int,
+        resource: Hashable,
+        mode: LockMode,
+        upgrade: bool,
+    ) -> Future:
+        """Queue a request that cannot be granted now; detect deadlock."""
+        fut = self.env.future(label=f"lock:{resource}:{mode.value}")
         waiter = _Waiter(tid, mode, fut, upgrade)
         self.stats.waited += 1
         self._waiting_by_txn.setdefault(tid, {})[resource] = None
@@ -164,10 +275,11 @@ class LockManager:
         # holders plus every pending waiter ahead of it), so only it can
         # close a *new* cycle — one edge-set computation and at most one
         # DFS, instead of a rebuild plus a DFS per waiter.
+        conflicts = mode.conflicts
         edges = {
             holder
             for holder, held_mode in state.holders.items()
-            if holder != tid and not compatible(held_mode, mode)
+            if holder != tid and held_mode.bit & conflicts
         }
         edges.update(w.tid for w in state.queue if w.tid != tid and not w.future.done)
         self._waits_for[tid] = edges
@@ -176,19 +288,8 @@ class LockManager:
             self._abort_victim(resource, state, waiter, cycle)
         return fut
 
-    def _grantable(self, state: _LockState, tid: int, mode: LockMode, upgrade: bool) -> bool:
-        conflict = any(
-            holder != tid and not compatible(held_mode, mode)
-            for holder, held_mode in state.holders.items()
-        )
-        if conflict:
-            return False
-        if state.queue and not upgrade:
-            return False  # FIFO fairness: don't jump over waiters
-        return True
-
     def _grant(self, state: _LockState, tid: int, resource: Hashable, mode: LockMode) -> None:
-        state.holders[tid] = combine(state.holders.get(tid, mode), mode)
+        state.hold(tid, mode)
         self._held_by_txn.setdefault(tid, {})[resource] = None
         self._waits_for.pop(tid, None)
         self.stats.acquired += 1
@@ -199,21 +300,25 @@ class LockManager:
         """Release every lock held or awaited by ``tid`` (commit/abort).
 
         O(resources the txn touched); wakes waiters in the txn's
-        acquisition order, which is deterministic for a given seed.
+        acquisition order, which is deterministic for a given seed.  A
+        resource nobody queues on needs no wake-up: it is dropped once it
+        has no holders left.
         """
+        locks = self._locks
         held = self._held_by_txn.pop(tid, None)
         waited = self._waiting_by_txn.pop(tid, None)
         touched: list[Hashable] = []
         if held:
             for resource in held:
-                state = self._locks.get(resource)
-                if state is None:
-                    continue
-                state.holders.pop(tid, None)
-                touched.append(resource)
+                state = locks[resource]
+                state.drop(tid)
+                if state.queue:
+                    touched.append(resource)
+                elif not state.holders:
+                    del locks[resource]
         if waited:
             for resource in waited:
-                state = self._locks.get(resource)
+                state = locks.get(resource)
                 if state is None:
                     continue
                 state.queue = deque(w for w in state.queue if w.tid != tid)
@@ -221,7 +326,7 @@ class LockManager:
                     touched.append(resource)
         self._waits_for.pop(tid, None)
         for resource in touched:
-            state = self._locks.get(resource)
+            state = locks.get(resource)
             if state is not None:
                 self._wake_waiters(resource, state)
 
@@ -248,11 +353,7 @@ class LockManager:
                 state.queue.popleft()
                 self._unnote_waiting(waiter.tid, resource, state)
                 continue
-            blocked = any(
-                holder != waiter.tid and not compatible(held_mode, waiter.mode)
-                for holder, held_mode in state.holders.items()
-            )
-            if blocked:
+            if state.blocks(waiter.tid, waiter.mode):
                 break
             state.queue.popleft()
             self._unnote_waiting(waiter.tid, resource, state)
@@ -276,10 +377,11 @@ class LockManager:
         for waiter in state.queue:
             if waiter.future.done:
                 continue
+            conflicts = waiter.mode.conflicts
             edges = {
                 holder
                 for holder, held_mode in state.holders.items()
-                if holder != waiter.tid and not compatible(held_mode, waiter.mode)
+                if holder != waiter.tid and held_mode.bit & conflicts
             }
             edges.update(w.tid for w in ahead if w.tid != waiter.tid)
             self._waits_for[waiter.tid] = edges
@@ -348,6 +450,11 @@ class LockManager:
     def holders(self, resource: Hashable) -> dict[int, LockMode]:
         state = self._locks.get(resource)
         return dict(state.holders) if state else {}
+
+    def mode_of(self, tid: int, resource: Hashable) -> Optional[LockMode]:
+        """The mode ``tid`` holds on ``resource``, or ``None``."""
+        state = self._locks.get(resource)
+        return state.holders.get(tid) if state is not None else None
 
     def held_by(self, tid: int) -> set[Hashable]:
         return set(self._held_by_txn.get(tid, ()))

@@ -11,6 +11,7 @@ from repro.db import (
     WriteConflict,
 )
 from repro.db.errors import InvalidTransactionState, NoSuchTable
+from repro.obs import Tracer
 from repro.sim import Environment
 
 RC = IsolationLevel.READ_COMMITTED
@@ -411,6 +412,49 @@ class TestIsolationAnomalies:
         assert events[0] == ("scan", 2)
         assert events[1] == ("scan", 2)  # no phantom
         assert events[2][1] >= 10  # insert waited for the scanner
+
+
+class TestLockWaits:
+    """The engine's one blocked-lock path: span, deadlock, abort."""
+
+    def test_upgrade_cycle_aborts_one_and_commits_the_other(self):
+        env = Environment(seed=2, tracer=Tracer())
+        db = Database(env)
+        db.create_table("accounts", primary_key="id")
+        db.load("accounts", [{"id": "alice", "balance": 100}])
+        outcomes: dict[str, str] = {}
+        tids: dict[str, int] = {}
+
+        def rmw(name, delay):
+            txn = db.begin(SER)
+            tids[name] = txn.tid
+            try:
+                row = yield from db.get(txn, "accounts", "alice")  # S
+                yield env.timeout(delay)  # both hold S before either wants X
+                yield from db.update(
+                    txn, "accounts", "alice", {"balance": row["balance"] + 1}
+                )
+                yield from db.commit(txn)
+                outcomes[name] = "committed"
+            except DeadlockAbort:
+                assert txn.status is TxnStatus.ABORTED
+                outcomes[name] = "deadlock"
+
+        env.process(rmw("first", 1))
+        env.process(rmw("second", 2))
+        env.run()
+
+        assert sorted(outcomes.values()) == ["committed", "deadlock"]
+        assert db.locks.stats.deadlocks == 1
+        victim = next(name for name, outcome in outcomes.items() if outcome == "deadlock")
+        victim_waits = [
+            span for span in env.tracer.find("db.lock_wait")
+            if span.tags["tid"] == tids[victim]
+        ]
+        assert [span.tags.get("outcome") for span in victim_waits] == ["deadlock"]
+        assert victim_waits[0].tags["mode"] == "X"
+        assert db.read_latest("accounts", "alice")["balance"] == 101
+        assert db.locks._locks == {}
 
 
 class TestRecovery:

@@ -1,9 +1,18 @@
 """Unit tests for the hierarchical lock manager and deadlock detection."""
 
+import random
+
 import pytest
 
 from repro.db.errors import DeadlockAbort
-from repro.db.locks import LockManager, LockMode, combine, compatible
+from repro.db.locks import (
+    _COMBINE,
+    _COMPATIBLE,
+    LockManager,
+    LockMode,
+    combine,
+    compatible,
+)
 from repro.sim import Environment
 
 
@@ -37,6 +46,15 @@ class TestCompatibility:
         assert combine(LockMode.IS, LockMode.S) is LockMode.S
         assert combine(LockMode.IX, LockMode.S) is LockMode.X
         assert combine(LockMode.S, LockMode.S) is LockMode.S
+
+    def test_mode_tables_match_the_matrices(self):
+        for a in LockMode:
+            for b in LockMode:
+                assert compatible(a, b) is _COMPATIBLE[(a, b)]
+                expected = a if a is b else (
+                    _COMBINE.get((a, b)) or _COMBINE.get((b, a)) or LockMode.X
+                )
+                assert combine(a, b) is expected
 
 
 class TestGrants:
@@ -281,3 +299,121 @@ class TestIncrementalDetection:
         assert lm._locks == {}
         assert lm._waiting_by_txn == {}
         assert lm._waits_for == {}
+
+
+def _random_script(seed, steps=300, tids=6, resources=3):
+    """Random acquire/``release_all`` steps over all four modes; with few
+    resources, re-acquires and upgrades by the same tid come up often."""
+    rng = random.Random(seed)
+    modes = list(LockMode)
+    for _ in range(steps):
+        tid = rng.randrange(tids)
+        if rng.random() < 0.25:
+            yield ("release", tid, None, None)
+        else:
+            yield ("acquire", tid, ("row", "t", rng.randrange(resources)), rng.choice(modes))
+
+
+def _check_lock_table(lm):
+    for resource, state in lm._locks.items():
+        assert state.holders or state.queue, f"empty state kept for {resource}"
+        held = list(state.holders.items())
+        for i, (tid_a, mode_a) in enumerate(held):
+            for tid_b, mode_b in held[i + 1:]:
+                assert compatible(mode_a, mode_b), (resource, tid_a, mode_a, tid_b, mode_b)
+        for tid in state.holders:
+            assert resource in lm._held_by_txn.get(tid, {}), (tid, resource)
+    for tid, resources in lm._held_by_txn.items():
+        for resource in resources:
+            assert tid in lm._locks[resource].holders, (tid, resource)
+
+
+class TestLockTableInvariants:
+    """Random scripts over IS/IX/S/X, checked after every step.
+
+    Each tid behaves like a transaction process: it issues no request
+    while one of its own is pending, and a deadlock victim releases
+    everything before it acquires again.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_invariants_hold_after_every_step(self, seed):
+        env = Environment(seed=1)
+        lm = LockManager(env)
+        pending: dict[int, object] = {}
+        for op, tid, resource, mode in _random_script(seed):
+            fut = pending.get(tid)
+            if fut is not None and fut.failed:
+                op = "release"  # a deadlock victim aborts
+            if op == "release":
+                lm.release_all(tid)
+                pending.pop(tid, None)
+            elif fut is None or fut.done:
+                state = lm._locks.get(resource)
+                queued = state is not None and bool(state.queue)
+                holder = state is not None and tid in state.holders
+                fut = lm.acquire(tid, resource, mode)
+                pending[tid] = fut
+                if queued and not holder:
+                    # FIFO: a newcomer never overtakes a non-empty queue.
+                    assert not fut.done or fut.failed
+                    state = lm._locks.get(resource)
+                    assert state is None or tid not in state.holders
+            env.run()
+            _check_lock_table(lm)
+        for tid in list(pending):
+            lm.release_all(tid)
+        env.run()
+        _check_lock_table(lm)
+        assert lm._locks == {}
+        assert lm._held_by_txn == {}
+        assert lm._waiting_by_txn == {}
+        assert lm._waits_for == {}
+
+
+class TestUncontendedPath:
+    """Requests that need no wait are granted in place, in O(1)."""
+
+    def test_grants_in_place_return_the_shared_future(self, env, lm):
+        lm.acquire(9, "other", LockMode.X)
+        lm.acquire(8, "other", LockMode.X)  # a waiter elsewhere
+        edges = {tid: set(e) for tid, e in lm._waits_for.items()}
+        assert lm.acquire(1, "r", LockMode.IS) is lm.granted  # idle resource
+        assert lm.acquire(2, "r", LockMode.IX) is lm.granted  # compatible holder
+        assert lm.acquire(1, "r", LockMode.IS) is lm.granted  # already covered
+        assert lm.acquire(2, "r", LockMode.X) is not lm.granted  # blocked upgrade
+        lm.release_all(2)
+        assert lm.acquire(1, "r", LockMode.X) is lm.granted  # unblocked upgrade
+        assert lm._waits_for == edges
+        assert lm.granted.done and not lm.granted.failed
+
+    def test_release_drops_idle_resources_at_once(self, env, lm):
+        lm.acquire(1, "a", LockMode.S)
+        lm.acquire(2, "a", LockMode.S)
+        lm.acquire(1, "b", LockMode.X)
+        lm.release_all(1)
+        assert set(lm._locks) == {"a"}
+        assert lm.holders("a") == {2: LockMode.S}
+        lm.release_all(2)
+        assert lm._locks == {}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mode_summary_tracks_holders(self, seed):
+        env = Environment(seed=1)
+        lm = LockManager(env)
+        for op, tid, resource, mode in _random_script(seed):
+            if op == "release":
+                lm.release_all(tid)
+            else:
+                lm.acquire(tid, resource, mode)
+            env.run()
+            for state in lm._locks.values():
+                held = list(state.holders.values())
+                assert state.counts == [held.count(m) for m in LockMode]
+                assert state.mask == sum({m.bit for m in held})
+
+    def test_mode_of_reads_one_holder(self, lm):
+        lm.acquire(1, "r", LockMode.S)
+        assert lm.mode_of(1, "r") is LockMode.S
+        assert lm.mode_of(2, "r") is None
+        assert lm.mode_of(1, "missing") is None
