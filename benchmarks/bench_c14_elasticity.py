@@ -58,8 +58,8 @@ def run_elasticity(seed=411):
 
     orig_migrate = db.migrate_shard
 
-    def migrate_logged(shard, dest):
-        rows = yield from orig_migrate(shard, dest)
+    def migrate_logged(shard, dest, dest_nodes=None):
+        rows = yield from orig_migrate(shard, dest, dest_nodes)
         migration_ends.append(env.now)
         return rows
 

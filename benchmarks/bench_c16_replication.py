@@ -9,8 +9,9 @@ read path: bounded-stale follower reads answer locally (zero replication
 round trips) at the price of staleness, with read-your-writes sessions
 as the middle ground.
 
-Setup: the same 2-shard bank, once unreplicated (one engine per shard)
-and once as factor-3 replica groups (``repro.replication``), driven by
+Setup: the same 2-shard bank, once on the default replica groups of one
+(one engine per shard) and once on factor-3 groups, through the same
+code (``repro.replication``), driven by
 sequential single-shard transfers, cross-shard 2PC transfers, and point
 reads at each consistency level.  All latencies are *virtual* ms — the
 protocol cost, not host speed.
@@ -65,7 +66,7 @@ def _make_db(env: Environment, replicated: bool) -> ShardedDatabase:
     db = ShardedDatabase(
         env, num_shards=NUM_SHARDS, name="bank", rtt_ms=RTT_MS,
         num_nodes=3 if replicated else None,
-        replication=ReplicationConfig(factor=3) if replicated else None,
+        replication=ReplicationConfig(factor=3 if replicated else 1),
     )
     db.create_table("accounts")
     keys = sorted({_key_on(s, i) for s in range(NUM_SHARDS) for i in range(64)})

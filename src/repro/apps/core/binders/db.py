@@ -18,7 +18,7 @@ trip to every touched shard, where a shard whose lock is busy ends the
 round and the next round re-sends the requests to the shards above it.
 The body then reads those rows (overlaid with its own writes) and
 buffers its writes, issuing no request; the writes ride on the commit
-(the one-phase commit, the 2PC prepare, or the replicated stage).
+(the one-phase commit's log entry or the 2PC prepare's).
 Because :class:`~repro.apps.core.base.KernelContext` rejects any key
 outside the declared sets, every lock a transaction takes is in that one
 order, so no waits-for cycle can form — across shards included, where
@@ -141,8 +141,9 @@ class ShardedDbBinder(Binder):
     across the touched shards.  Each attempt locks and fetches the
     op's declared keys in global order before the body runs and ships
     the body's writes with the commit messages (module docstring), so
-    attempts never deadlock.  With replication enabled each shard
-    is a quorum group with fenced leadership — so the binder surfaces
+    attempts never deadlock.  Each shard is a replica group (one replica
+    unless ``replication`` asks for more); a larger group is a quorum
+    group with fenced leadership — so the binder surfaces
     the cluster's full outcome vocabulary: clean aborts retry, lost
     leadership retries after re-election, and an undeliverable commit
     decision raises :class:`AppUncertain` (the Jepsen ``info`` class).

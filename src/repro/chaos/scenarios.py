@@ -265,7 +265,7 @@ class AppScenario(Scenario):
     :data:`DEPLOYMENTS` entry.  What belongs to one deployment only is
     plain code on its path: placement — which network the nemesis gets
     and which nodes run what (:meth:`_place`) — the live-migration
-    driver of ``cluster`` and ``invoicing``, the unreplicated cluster's
+    driver of ``cluster`` and ``invoicing``, the ``cluster`` deployment's
     route check, and the mid-run audits of ``dataflow`` and ``faas``.
     """
 
@@ -301,7 +301,11 @@ class AppScenario(Scenario):
             self.net = binder.actors.net
         elif binder.runtime == "cluster":
             self.db = binder.db
-            self.net = self.db.repl_net if self.db.replication else Network(self.env)
+            # A replica of one has no replication traffic to fault: the
+            # nemesis works the client-facing nodes, and a down owner
+            # makes its keys unavailable without touching durable state.
+            replicated = self.db.replication.factor > 1
+            self.net = self.db.repl_net if replicated else Network(self.env)
         else:
             self.net = Network(self.env)
         if name == "dataflow":
@@ -340,8 +344,8 @@ class AppScenario(Scenario):
         is alive.
         """
         db = self.db
-        factor = db.replication.factor if db.replication else 1
-        period = 40.0 if db.replication else 30.0
+        factor = db.replication.factor
+        period = 40.0 if factor > 1 else 30.0
         rng = self.env.stream(f"{self.name}-migrations")
         while True:
             yield self.env.timeout(period + rng.random() * period)
@@ -365,17 +369,18 @@ class AppScenario(Scenario):
         """The intentionally unsound migration: no quiesce, stale snapshot.
 
         Snapshots the shard, streams the copy while transactions keep
-        committing against the source engine, then flips to the snapshot:
-        every write that landed during the copy window is silently lost.
+        committing against the source group, then flips to a new group on
+        ``dest`` built from the snapshot, leaving the source group serving
+        the branches already open on it: every write that landed during
+        the copy window, or lands after it, is silently lost.
         """
         db = self.db
         db.directory.begin_migration(shard, dest)
         try:
-            old_engine = db.shards[shard]
-            tables = [args for kind, args in db._schema if kind == "table"]
-            snapshot = {name: old_engine.all_rows(name) for name, _pk in tables}
+            old_engine = db.leader_engine(shard)
+            snapshot = {name: old_engine.all_rows(name) for name in db._primary_keys}
             yield self.env.timeout(25.0)  # the copy window — writes continue
-            db.shards[shard] = db.new_engine(f"{db.name}/shard{shard}", snapshot)
+            db.install_group(shard, [dest], snapshot)
         except BaseException:
             db.directory.abort_migration(shard)
             raise

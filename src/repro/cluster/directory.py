@@ -101,7 +101,7 @@ class PlacementDirectory:
         self._groups[shard] = tuple(nodes)
 
     def group_of(self, shard: int) -> tuple[str, ...]:
-        """Replica-group membership of ``shard`` (empty if unreplicated)."""
+        """Replica-group membership of ``shard`` (empty if none recorded)."""
         return self._groups.get(shard, ())
 
     def set_group_leader(self, shard: int, node: str) -> None:

@@ -32,8 +32,11 @@ class RebalanceTarget(Protocol):
     def cluster_nodes(self) -> list[str]:
         """Nodes eligible to receive shards (alive members)."""
 
-    def migrate_shard(self, shard: int, dest: str) -> Generator:
-        """Live-migrate one shard (the runtime's mover behind the protocol)."""
+    def migrate_shard(
+        self, shard: int, dest: str, dest_nodes: Optional[list[str]] = None
+    ) -> Generator:
+        """Live-migrate one shard's replica group, led by ``dest`` (the
+        runtime's mover behind the protocol)."""
 
 
 @dataclass
@@ -50,8 +53,8 @@ class Move:
     source: str
     dest: str
     reason: str
-    #: full membership of the relocated replica group (empty when the
-    #: target is unreplicated: the shard is a single engine)
+    #: full membership of the relocated replica group, ``dest`` first
+    #: (empty: too few nodes to plan it, the target chooses)
     dest_nodes: tuple[str, ...] = ()
 
 
@@ -127,7 +130,7 @@ class Rebalancer:
 
         The coldest node leads the new group; the rest of the membership
         is filled coldest-first from the remaining nodes so the follower
-        load spreads too.  Empty when the target is unreplicated.
+        load spreads too.  Empty when there are too few nodes.
         """
         current = self.target.directory.group_of(shard)
         if not current:
@@ -170,12 +173,9 @@ class Rebalancer:
             return None
         self.stats.planned += 1
         try:
-            if move.dest_nodes:
-                yield from self.target.migrate_shard(
-                    move.shard, move.dest, list(move.dest_nodes)
-                )
-            else:
-                yield from self.target.migrate_shard(move.shard, move.dest)
+            yield from self.target.migrate_shard(
+                move.shard, move.dest, list(move.dest_nodes) or None
+            )
             self.stats.completed += 1
         except ClusterError:
             self.stats.failed += 1  # raced another migration or a topology change

@@ -1103,7 +1103,6 @@ class Database:
     def apply_replicated(
         self,
         command: tuple,
-        *,
         token: Optional[int] = None,
         ack: Optional[Any] = None,
         ack_value: Optional[int] = None,
@@ -1130,12 +1129,14 @@ class Database:
             # a duplicate decide (idempotent retry) finds nothing to do
             self._decide(gid, body, self._repl_pending.pop(gid, None))
         elif kind in ("commit", "prepare"):
-            writes = self._redo(gid, dict(body))
+            pending = self._repl_pending.get(gid)
+            # the proposer's staged write set is the entry's, rows frozen
+            writes = self._redo(gid, dict(body) if pending is None else pending.writes)
             self.wal.append(kind, (gid,))
             self._flush_wal()
             if kind == "prepare":
                 self._in_doubt[gid] = writes
-                if gid not in self._repl_pending:
+                if pending is None:
                     # Follower apply: no interactive branch holds these
                     # locks, so the gid takes them (recovery-style) to
                     # keep post-failover writers off the in-doubt rows.
@@ -1143,8 +1144,8 @@ class Database:
             else:
                 self._install(writes)
                 self.stats.committed += 1
-                pending = self._repl_pending.pop(gid, None)
                 if pending is not None:
+                    del self._repl_pending[gid]
                     pending.status = TxnStatus.COMMITTED
                     self._finish(pending.tid)
         else:

@@ -1,17 +1,21 @@
 """Hash-sharded database with cross-shard 2PC and live shard rebalancing.
 
-Models the scale-out relational tier: each *logical shard* is a full
-:class:`~repro.db.engine.Database`, shards are placed on *nodes* through
-the shared cluster layer (:mod:`repro.cluster`), single-shard transactions
-commit locally, and cross-shard transactions run 2PC over the shards' XA
-interface.  This is the "cross-engine transactions ... at a lower level
-than the application" design the paper points to as promising (§5.2).
+Models the scale-out relational tier: each *logical shard* is a replica
+group (:class:`~repro.replication.ReplicaGroup`) of ``replication.factor``
+:class:`~repro.db.engine.Database` engines, placed on *nodes* through the
+shared cluster layer (:mod:`repro.cluster`).  The default group has one
+replica: it commits an entry when it proposes it and runs no election
+timer and no heartbeat, so it costs the virtual time and kernel events a
+plain engine would.
+Single-shard transactions commit in one phase and cross-shard
+transactions run 2PC, both as entries of the touched groups' logs.  This
+is the "cross-engine transactions ... at a lower level than the
+application" design the paper points to as promising (§5.2).
 
 What a commit costs is its sequential message delays, not its messages:
 a one-phase commit is one round trip, and 2PC is two however many shards
-it touches — every shard's prepare goes out in one round and every
-decision in the next (under replication, every group's ``prepare`` or
-``decide`` log entry is proposed before any quorum ack is awaited).
+it touches — every group's ``prepare`` entry is proposed in one round and
+every ``decide`` in the next, before any acknowledgement is awaited.
 :meth:`ShardedDatabase.lock_and_fetch` is one round too when no lock is
 busy; its ascending shard order, which is what makes it deadlock-free,
 binds only the waits, so each shard at which it has to wait costs one
@@ -20,10 +24,11 @@ more round.
 Placement and elasticity:
 
 - routing is key → shard (``ModHashRing``, the historical crc32 formula)
-  → owning node (:class:`~repro.cluster.PlacementDirectory`);
-- :meth:`ShardedDatabase.migrate_shard` moves a shard between nodes live,
-  through the drain → copy → flip → forward protocol of
-  :mod:`repro.cluster.migration`: new transactions touching the shard
+  → owning node (:class:`~repro.cluster.PlacementDirectory`): the
+  shard's group leader;
+- :meth:`ShardedDatabase.migrate_shard` moves a shard's whole group
+  between nodes live, through the drain → copy → flip → forward protocol
+  of :mod:`repro.cluster.migration`: new transactions touching the shard
   wait out the bar, in-flight ones (including distributed transactions
   holding locks there) drain first, state copies row-by-row through the
   storage layer, and ownership flips atomically in the directory;
@@ -32,9 +37,6 @@ Placement and elasticity:
 - with ``service_ms > 0`` every operation also occupies one of the owning
   node's ``node_concurrency`` service slots, which is what makes node
   count a real capacity limit (benchmark C14's elasticity curve).
-
-The default configuration (one node per shard, no service gate, no
-migrations) is byte-identical to the pre-cluster implementation.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Container,
     Generator,
     Hashable,
@@ -62,8 +63,9 @@ from repro.cluster import (
 )
 from repro.cluster.migration import migrate_shard as _run_migration
 from repro.cluster.plan import by_partition
-from repro.db.engine import Database, IsolationLevel, Transaction, TxnStatus
+from repro.db.engine import Database, IsolationLevel, Transaction
 from repro.db.errors import FencedOut
+from repro.net import Network
 from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoLeader,
@@ -75,13 +77,13 @@ from repro.sim import Environment, Future, Interrupted, Semaphore, any_of
 from repro.transactions.commit import PREPARED, two_phase
 
 if TYPE_CHECKING:
-    from repro.replication.group import Proposal
+    from repro.replication.group import Proposal, ReplicaGroup
 
 #: Effectively-unbounded deadline for 2PC decision entries: a decided
 #: transaction's outcome must reach every participant group no matter how
 #: many elections happen in between, or atomicity tears (conservation
 #: violation).  The decide keeps retrying through whichever leader emerges,
-#: even after the coordinator's own process dies (:meth:`_GroupRound.decide`).
+#: even after the coordinator's own process dies (:meth:`_Round.decide`).
 _DECIDE_TIMEOUT_MS = 1e9
 
 
@@ -96,22 +98,14 @@ class DistributedTransaction:
 
     isolation: IsolationLevel
     branches: dict[int, Transaction] = field(default_factory=dict)
-    #: the engine each branch was opened against — normally the shard's
-    #: current engine, but pinned here so a branch always settles where it
-    #: wrote (the drain bar makes the two identical in sound operation).
-    engines: dict[int, "Database"] = field(default_factory=dict)
-    #: under replication, the leader replica each branch executed on —
-    #: proposals pin to it so a deposed leader yields a definite NotLeader
-    #: instead of silently re-routing half-executed state.
+    #: the leader replica each branch executed on, whose engine holds the
+    #: branch — proposals pin to it so a deposed leader yields a definite
+    #: NotLeader instead of silently re-routing half-executed state.
     replicas: dict[int, Any] = field(default_factory=dict)
     #: log index each shard's commit/decide entry applied at (read-your-writes
     #: session tokens for follower reads).
     applied: dict[int, int] = field(default_factory=dict)
     status: str = "active"
-
-    @property
-    def shards_touched(self) -> list[int]:
-        return sorted(self.branches)
 
     @property
     def is_distributed(self) -> bool:
@@ -127,145 +121,69 @@ class ShardedDbStats:
     distributed_aborts: int = 0
 
 
-class _ShardedMover:
-    """The :class:`~repro.cluster.migration.ShardMover` of the sharded DB."""
+class _Mover:
+    """The :class:`~repro.cluster.migration.ShardMover` of the sharded DB:
+    moves a shard's whole replica group onto ``members`` atomically.
 
-    def __init__(self, db: "ShardedDatabase") -> None:
-        self.db = db
-
-    def quiesce(self, shard: int) -> Generator:
-        db = self.db
-        db._barriers[shard] = db.env.future(label=f"shard{shard}.barrier")
-        if db._active_branches.get(shard, 0) == 0:
-            return
-        drained = db.env.future(label=f"shard{shard}.drained")
-        db._drain_waiters[shard] = drained
-        winner = yield any_of(
-            db.env, [drained, db.env.timeout(db.drain_timeout_ms, "timeout")]
-        )
-        db._drain_waiters.pop(shard, None)
-        if winner[0] == 1:
-            raise ClusterError(
-                f"shard {shard} failed to drain within {db.drain_timeout_ms}ms "
-                f"({db._active_branches.get(shard, 0)} branch(es) still active)"
-            )
-
-    def transfer(self, shard: int, source: str, dest: str) -> Generator:
-        db = self.db
-        copied = yield from self._copy(db.shards[shard])
-        db.shards[shard] = db.new_engine(f"{db.name}/shard{shard}", copied)
-        return sum(len(rows) for rows in copied.values())
-
-    def _copy(
-        self, engine: Database, check: Callable[[], None] = lambda: None
-    ) -> Generator:
-        """Stream ``engine``'s rows, table by table; returns ``{table:
-        rows}``.  Each table costs one round trip to open its stream, then
-        a per-row copy cost: the state moves through the storage layer,
-        not by reference.  ``check`` runs after each table's charges."""
-        db = self.db
-        copied: dict[str, list[dict]] = {}
-        for kind, args in db._schema:
-            if kind != "table":
-                continue
-            rows = engine.all_rows(args[0])
-            yield db.env.timeout(db.rtt_ms)
-            if rows:
-                yield db.env.timeout(db.copy_ms_per_row * len(rows))
-            check()
-            copied[args[0]] = rows
-        return copied
-
-    def resume(self, shard: int) -> None:
-        barrier = self.db._barriers.pop(shard, None)
-        if barrier is not None:
-            barrier.try_succeed(None)
-
-
-class _LeaderView:
-    """Sequence façade: ``db.shards[i]`` is shard *i*'s current leader engine.
-
-    Keeps the unreplicated code paths (schema helpers, ``read_latest``)
-    working unchanged when a shard is a replica group rather than a single
-    engine.  Mid-election, falls back to the most advanced live replica so
-    final-state reads stay serviceable.
-    """
-
-    def __init__(self, db: "ShardedDatabase") -> None:
-        self.db = db
-
-    def __len__(self) -> int:
-        return self.db.num_shards
-
-    def _engine(self, shard: int) -> Database:
-        group = self.db._groups[shard]
-        leader = group.leader_replica()
-        if leader is not None:
-            return leader.engine
-        live = [
-            r for r in group.replicas
-            if r.node.alive and r.role != "stopped"
-        ]
-        if live:
-            return max(live, key=lambda r: (r.term, r.applied_index)).engine
-        return group.replicas[0].engine
-
-    def __getitem__(self, shard: int) -> Database:
-        return self._engine(shard)
-
-    def __iter__(self):
-        for shard in range(len(self)):
-            yield self._engine(shard)
-
-
-class _ReplicatedMover(_ShardedMover):
-    """Shard mover that migrates a whole replica group atomically.
-
-    Quiescence additionally waits for the group's log to be fully applied
-    with no outstanding acknowledgements or in-doubt transactions; the
-    copy re-checks leadership after every yield so a migration racing a
-    leader election (or a leader crash) aborts cleanly with
-    :class:`ClusterError` instead of flipping ownership to a group built
-    from a deposed leader's state.
+    Quiescence bars new branches, lets the in-flight ones drain, then
+    waits for the group's log to be fully applied with no outstanding
+    acknowledgement or in-doubt transaction.  The copy re-checks
+    leadership after every yield, so a migration racing a leader election
+    (or a leader crash) aborts cleanly with :class:`ClusterError` instead
+    of flipping ownership to a group built from a deposed leader's state.
     """
 
     def __init__(self, db: "ShardedDatabase", members: list[str]) -> None:
-        super().__init__(db)
+        self.db = db
         self.members = members
 
     def quiesce(self, shard: int) -> Generator:
-        yield from super().quiesce(shard)
-        db = self.db
+        db, env = self.db, self.db.env
+        db._barriers[shard] = env.future(label=f"shard{shard}.barrier")
+        if db._active_branches.get(shard, 0):
+            drained = env.future(label=f"shard{shard}.drained")
+            db._drain_waiters[shard] = drained
+            winner = yield any_of(
+                env, [drained, env.timeout(db.drain_timeout_ms, "timeout")]
+            )
+            db._drain_waiters.pop(shard, None)
+            if winner[0] == 1:
+                raise ClusterError(
+                    f"shard {shard} failed to drain within {db.drain_timeout_ms}ms "
+                    f"({db._active_branches.get(shard, 0)} branch(es) still active)"
+                )
         group = db._groups[shard]
-        deadline = db.env.now + db.drain_timeout_ms
+        deadline = env.now + db.drain_timeout_ms
         while not group.quiescent():
-            if db.env.now >= deadline:
+            if env.now >= deadline:
                 raise ClusterError(
                     f"shard {shard} replica group failed to quiesce within "
                     f"{db.drain_timeout_ms}ms"
                 )
-            yield db.env.timeout(db.replication.heartbeat_ms)
+            yield env.timeout(db.replication.heartbeat_ms)
 
     def transfer(self, shard: int, source: str, dest: str) -> Generator:
+        """Stream the leader's rows, table by table: each table costs one
+        round trip to open its stream, then a per-row copy cost, so the
+        state moves through the storage layer, not by reference."""
         db = self.db
         group = db._groups[shard]
-        leader = group.leader_replica()
-        if leader is None or not leader.node.alive:
+        leader = group.leader_replica()  # live, or None
+        if leader is None:
             raise ClusterError(f"shard {shard} has no leader to copy from")
         start_index = leader.applied_index
-
-        def still_leading() -> None:
-            if (
-                not leader.node.alive
-                or leader.role != "leader"
-                or group.leader_replica() is not leader
-            ):
+        copied: dict[str, list[dict]] = {}
+        for table in db._primary_keys:
+            rows = leader.engine.all_rows(table)
+            yield db.env.timeout(db.rtt_ms)
+            if rows:
+                yield db.env.timeout(db.copy_ms_per_row * len(rows))
+            if group.leader_replica() is not leader:
                 raise ClusterError(
                     f"shard {shard} leadership changed mid-copy; "
                     "migration aborted"
                 )
-
-        copied = yield from self._copy(leader.engine, still_leading)
+            copied[table] = rows
         for member in self.members:
             node = db.repl_net.nodes.get(member)
             if node is not None and not node.alive:
@@ -273,65 +191,18 @@ class _ReplicatedMover(_ShardedMover):
                     f"shard {shard} migration member {member!r} is down; "
                     "migration aborted"
                 )
-        generation = db._group_generation[shard] + 1
-        new_group = db._build_group(
-            shard, self.members, generation,
-            start_index=start_index, preload=copied,
-        )
-        db._group_generation[shard] = generation
-        old_group = db._groups[shard]
-        db._groups[shard] = new_group
-        db.directory.assign_group(shard, tuple(self.members))
-        old_group.stop()
+        db.install_group(shard, self.members, copied, start_index).stop()
         return sum(len(rows) for rows in copied.values())
 
-
-class _ShardRound:
-    """The :func:`~repro.transactions.commit.two_phase` transport over
-    unreplicated shards: a round is one ``rtt_ms`` charge, then each
-    shard's engine call (the shards' XA interface)."""
-
-    def __init__(self, db: "ShardedDatabase", txn: DistributedTransaction) -> None:
-        self.env, self.rtt_ms, self.txn = db.env, db.rtt_ms, txn
-
-    def prepare(self, shards: list[int]) -> Generator:
-        """Each shard's vote is a synchronous log flush; the first failure
-        ends the round, and the shards after it are never asked."""
-        txn = self.txn
-        yield self.env.timeout(self.rtt_ms)
-        votes: list[Any] = [None] * len(shards)
-        for position, index in enumerate(shards):
-            try:
-                yield from txn.engines[index].prepare(txn.branches[index])
-            except Exception as exc:
-                votes[position] = exc
-                break
-            votes[position] = PREPARED
-        return votes
-
-    def decide(self, shards: list[int], commit: bool) -> Generator:
-        txn = self.txn
-        yield self.env.timeout(self.rtt_ms)
-        errors: list[Optional[Exception]] = []
-        for index in shards:
-            engine, branch = txn.engines[index], txn.branches[index]
-            try:
-                if commit:
-                    engine.commit_prepared(branch)
-                elif branch.status is TxnStatus.PREPARED:
-                    engine.abort_prepared(branch)
-                else:
-                    engine.abort(branch)
-            except Exception as exc:
-                errors.append(exc)
-            else:
-                errors.append(None)
-        return errors
+    def resume(self, shard: int) -> None:
+        barrier = self.db._barriers.pop(shard, None)
+        if barrier is not None:
+            barrier.try_succeed(None)
 
 
-class _GroupRound:
-    """The :func:`~repro.transactions.commit.two_phase` transport over
-    replica groups: both phases are log entries.
+class _Round:
+    """The :func:`~repro.transactions.commit.two_phase` transport: both
+    phases are log entries of the touched replica groups.
 
     A round is one round trip, then every group's entry is proposed
     (:meth:`ReplicaGroup.start`) before any ack is awaited, and the acks
@@ -346,63 +217,57 @@ class _GroupRound:
     def __init__(self, db: "ShardedDatabase", txn: DistributedTransaction) -> None:
         self.db, self.txn = db, txn
         self.gid = ("repl", db.env.next_id("repl-gid"))
-        #: shards whose ``prepare`` entry was proposed: they get a ``decide``
+        #: the shards whose ``prepare`` entry was proposed: they get a
+        #: ``decide``
         self.proposed: list[int] = []
 
     def prepare(self, shards: list[int]) -> Generator:
         """A failed round (a deposed leader, a ``NotLeader``/``NoLeader``
         proposal, a failed ack) is every write shard's vote."""
-        db, txn = self.db, self.txn
+        db, txn, gid, proposed = self.db, self.txn, self.gid, self.proposed
         writing = [index for index in shards if txn.branches[index].writes]
         started: list[tuple[int, Proposal]] = []
         try:
             if writing:
                 yield db.env.timeout(db.rtt_ms)
             for index in writing:
-                engine = txn.engines[index]
+                engine = txn.replicas[index].engine
                 db._check_replica(txn, index)
-                writes = engine.stage_replicated(
-                    txn.branches[index], self.gid, prepared=True
-                )
+                writes = engine.stage_replicated(txn.branches[index], gid, prepared=True)
                 try:
                     started.append((index, db._groups[index].start(
-                        ("prepare", self.gid, writes), replica=txn.replicas[index],
+                        ("prepare", gid, writes), txn.replicas[index]
                     )))
                 except (NotLeader, NoLeader):
-                    engine.discard_replicated(self.gid)
+                    engine.discard_replicated(gid)
                     raise
-            yield from db._collect(started)
-            failure = None
+                proposed.append(index)
+            yield from self._collect(started)
         except Exception as exc:
-            failure = exc
-        self.proposed = [index for index, _ in started]
-        return [
-            failure if failure is not None and index in writing else PREPARED
-            for index in shards
-        ]
+            return [exc if index in writing else PREPARED for index in shards]
+        return [PREPARED] * len(shards)
 
     def decide(self, shards: list[int], commit: bool) -> Generator:
-        db, txn = self.db, self.txn
+        db, txn, groups = self.db, self.txn, self.db._groups
         # Mark the outcome first so a concurrent abort() won't touch staged
         # branches while the decides are in flight.  An abort decision is
         # always safe while no commit decision replicated: shards whose
         # prepare did (or will) land see the abort; shards where it never
         # landed settle by truncation-discard or crash.
         txn.status = "uncertain" if commit else "aborted"
-        proposed = [index for index in shards if index in self.proposed]
+        proposed = self.proposed
         if commit or proposed:  # an abort no group must log settles locally
             yield db.env.timeout(db.rtt_ms)
+        decide = ("decide", self.gid, commit)
         decides = [
-            (index, db._groups[index].start(
-                ("decide", self.gid, commit), retry=True, timeout=_DECIDE_TIMEOUT_MS,
-            ))
+            (index, groups[index].start(decide, None, _DECIDE_TIMEOUT_MS, True))
             for index in proposed
         ]
         errors: dict[int, Exception] = {}
         for index in shards:
             if index in proposed:
                 continue
-            engine, branch = txn.engines[index], txn.branches[index]
+            engine, branch = txn.replicas[index].engine, txn.branches[index]
             try:
                 if commit:
                     yield from engine.commit(branch)
@@ -411,16 +276,37 @@ class _GroupRound:
             except Exception as exc:
                 errors[index] = exc
         try:
-            txn.applied.update((yield from db._collect(decides, errors)))
+            txn.applied.update((yield from self._collect(decides, errors)))
         except Interrupted:
             # The coordinator's node crashed, but the decision is made:
             # a detached process keeps collecting the decides, or the
             # shards they have not reached stay prepared and locked.
             db.env.process(
-                db._collect(decides, {}), label=f"{db.name}.decide:{self.gid}"
+                self._collect(decides, {}), label=f"{db.name}.decide:{self.gid}"
             )
             raise
         return [errors.get(index) for index in shards]
+
+    def _collect(
+        self,
+        started: list[tuple[int, Proposal]],
+        errors: Optional[dict[int, Exception]] = None,
+    ) -> Generator:
+        """Await started proposals in shard order, inside the calling
+        process (:meth:`ReplicaGroup.wait`); returns ``{shard: applied
+        log index}``.  The first failed wait raises, unless ``errors`` is
+        given: then each shard's failure is recorded there and the rest
+        are still awaited."""
+        groups = self.db._groups
+        applied: dict[int, int] = {}
+        for index, proposal in started:
+            try:
+                applied[index] = yield from groups[index].wait(proposal)
+            except (ReplicationError, FencedOut) as exc:
+                if errors is None:
+                    raise
+                errors[index] = exc
+        return applied
 
 
 class ShardedDatabase:
@@ -431,7 +317,8 @@ class ShardedDatabase:
     and prepare/commit over every touched shard otherwise, charging
     ``rtt_ms`` per round — one for a local commit, one for all prepares
     plus one for all decisions under 2PC — so the extra round trip is
-    visible.
+    visible.  Every shard is a replica group of ``replication.factor``
+    replicas (default: one).
     """
 
     def __init__(
@@ -450,10 +337,7 @@ class ShardedDatabase:
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if replication is None:
-            if num_nodes is not None and not (0 < num_nodes <= num_shards):
-                raise ValueError("num_nodes must be in [1, num_shards]")
-        elif num_nodes is not None and num_nodes <= 0:
+        if num_nodes is not None and num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         self.env = env
         self.name = name
@@ -463,11 +347,7 @@ class ShardedDatabase:
         self.node_concurrency = node_concurrency
         self.copy_ms_per_row = copy_ms_per_row
         self.drain_timeout_ms = drain_timeout_ms
-        self.replication = replication
-        if replication is None:
-            self.shards = [
-                Database(env, name=f"{name}/shard{i}") for i in range(num_shards)
-            ]
+        self.replication = replication or ReplicationConfig(factor=1)
         self.stats = ShardedDbStats()
         # -- cluster placement ------------------------------------------------
         self.directory = PlacementDirectory(env)
@@ -476,42 +356,32 @@ class ShardedDatabase:
         self.migration_stats = MigrationStats()
         self.nodes: list[str] = []
         self._gates: dict[str, Semaphore] = {}
-        count = num_nodes if num_nodes is not None else num_shards
-        for i in range(count):
+        for _ in range(num_nodes if num_nodes is not None else num_shards):
             self.add_node()
+        factor = self.replication.factor
+        if len(self.nodes) < factor:
+            raise ValueError(
+                f"replication factor {factor} needs at "
+                f"least {factor} nodes, have {len(self.nodes)}"
+            )
         self._schema: list[tuple[str, tuple]] = []
-        if replication is None:
-            for shard in range(num_shards):
-                self.directory.assign(shard, self.nodes[shard % len(self.nodes)])
-        else:
-            if len(self.nodes) < replication.factor:
-                raise ValueError(
-                    f"replication factor {replication.factor} needs at "
-                    f"least {replication.factor} nodes, have {len(self.nodes)}"
-                )
-            from repro.net import Network
-
-            #: replica traffic runs over its own network so the replication
-            #: RPCs share fault injection (partitions, crashes) with the
-            #: chaos layer without disturbing the unreplicated model
-            self.repl_net = Network(env)
-            self._groups: dict[int, Any] = {}
-            self._group_generation: dict[int, int] = {}
-            for shard in range(num_shards):
-                members = [
-                    self.nodes[(shard + j) % len(self.nodes)]
-                    for j in range(replication.factor)
-                ]
-                group = self._build_group(shard, members, 0)
-                self._groups[shard] = group
-                self._group_generation[shard] = 0
-                self.directory.assign_group(shard, tuple(members))
-                self.directory.assign(shard, members[0])
-            self.shards = _LeaderView(self)
+        #: table -> primary-key column, as create_table recorded it
+        self._primary_keys: dict[str, str] = {}
+        #: replica traffic runs over its own network so the replication
+        #: RPCs share fault injection (partitions, crashes) with the
+        #: chaos layer without disturbing the client-facing model
+        self.repl_net = Network(env)
+        self._groups: dict[int, ReplicaGroup] = {}
+        self._generations: dict[int, int] = {}
+        for shard in range(num_shards):
+            members = [
+                self.nodes[(shard + j) % len(self.nodes)] for j in range(factor)
+            ]
+            self.install_group(shard, members)
+            self.directory.assign(shard, members[0])
         self._active_branches: dict[int, int] = {}
         self._drain_waiters: dict[int, Future] = {}
         self._barriers: dict[int, Future] = {}
-        self._mover = _ShardedMover(self)
 
     # -- topology -----------------------------------------------------------------
 
@@ -531,94 +401,73 @@ class ShardedDatabase:
         """Nodes eligible to own shards (the RebalanceTarget view)."""
         return list(self.nodes)
 
-    def _build_group(
+    def install_group(
         self,
         shard: int,
         members: list[str],
-        generation: int,
+        rows_by_table: Optional[dict[str, list[dict]]] = None,
         start_index: int = 0,
-        preload: Optional[dict[str, list]] = None,
-    ) -> Any:
-        """One shard's replica group: fresh engines on ``members``, schema
-        replayed, optionally preloaded with migrated rows.  The service
-        name carries a generation counter so a rebuilt group never
-        collides with its retired predecessor's RPC ports."""
+    ) -> Optional[ReplicaGroup]:
+        """Back ``shard`` with a new replica group; return the one it
+        replaced, for the caller to retire (:meth:`ReplicaGroup.stop`).
+
+        The group's engines are fresh on ``members`` (the first one leads),
+        with the schema replayed and ``rows_by_table`` loaded; its log
+        starts at ``start_index``.  The service name carries a generation
+        counter so a rebuilt group never collides with its predecessor's
+        RPC ports.  Ownership is the caller's to flip."""
         from repro.replication.group import ReplicaGroup
 
+        def engine(node_name: str) -> Database:
+            engine = Database(self.env, name=f"{self.name}/shard{shard}@{node_name}")
+            for kind, args in self._schema:
+                (engine.create_table if kind == "table" else engine.create_index)(*args)
+            for table, rows in (rows_by_table or {}).items():
+                if rows:
+                    engine.load(table, rows)
+            return engine
+
+        generation = self._generations.get(shard, -1) + 1
         group = ReplicaGroup(
             self.env,
             self.repl_net,
             name=f"{self.name}/s{shard}",
             config=self.replication,
-            engine_factory=lambda node_name: self.new_engine(
-                f"{self.name}/shard{shard}@{node_name}", preload
-            ),
+            engine_factory=engine,
             node_names=list(members),
             service=f"{self.name}-s{shard}g{generation}",
             start_index=start_index,
         )
-        group._on_leader_ext = (
-            lambda node, s=shard, g=group: self._on_group_leader(s, g, node)
-        )
-        return group
 
-    def new_engine(
-        self, name: str, rows_by_table: Optional[dict[str, list[dict]]] = None
-    ) -> Database:
-        """A fresh shard engine: this database's schema replayed, then
-        ``rows_by_table`` loaded (a migrated or restored shard's rows)."""
-        engine = Database(self.env, name=name)
-        for kind, args in self._schema:
-            if kind == "table":
-                engine.create_table(*args)
-            else:
-                engine.create_index(*args)
-        for table, rows in (rows_by_table or {}).items():
-            if rows:
-                engine.load(table, rows)
-        return engine
+        def on_leader(node: str) -> None:
+            # an election flips the shard's owner; a retired group's don't
+            if self._groups.get(shard) is group:
+                self.directory.set_group_leader(shard, node)
 
-    def _on_group_leader(self, shard: int, group: Any, node: str) -> None:
-        """A replica group elected a new leader: flip the shard's owner.
+        group._on_leader_ext = on_leader
+        replaced = self._groups.get(shard)
+        self._groups[shard] = group
+        self._generations[shard] = generation
+        self.directory.assign_group(shard, tuple(members))
+        return replaced
 
-        Callbacks from retired (pre-migration) groups are ignored — only
-        the group currently backing the shard routes traffic."""
-        if self._groups.get(shard) is not group:
-            return
-        self.directory.set_group_leader(shard, node)
-
-    def replica_group(self, shard: int) -> Any:
-        """The replica group currently backing ``shard`` (replicated mode)."""
-        if self.replication is None:
-            raise ClusterError(f"{self.name} is not replicated")
+    def replica_group(self, shard: int) -> ReplicaGroup:
+        """The replica group currently backing ``shard``."""
         return self._groups[shard]
 
-    def _plan_group_members(
-        self, dest: str, dest_nodes: Optional[list[str]]
-    ) -> list[str]:
-        factor = self.replication.factor
-        if dest_nodes is not None:
-            members = list(dest_nodes)
-            if not members or members[0] != dest:
-                raise ClusterError(
-                    "dest_nodes must start with the migration destination "
-                    "(the new group's bootstrap leader)"
-                )
-        else:
-            members = [dest]
-            for node in self.nodes:
-                if len(members) == factor:
-                    break
-                if node != dest:
-                    members.append(node)
-        if len(members) != factor or len(set(members)) != len(members):
-            raise ClusterError(
-                f"replica group needs {factor} distinct nodes, got {members}"
+    def leader_engine(self, shard: int) -> Database:
+        """``shard``'s current leader engine.
+
+        Mid-election, falls back to the most advanced live replica's, so
+        final-state reads stay serviceable."""
+        group = self._groups[shard]
+        leader = group.leader_replica()
+        if leader is None:
+            live = [r for r in group.replicas if r.node.alive and r.role != "stopped"]
+            leader = max(
+                live, key=lambda r: (r.term, r.applied_index), default=group.replicas[0]
             )
-        for node in members:
-            if node not in self.nodes:
-                raise ClusterError(f"unknown node {node!r}")
-        return members
+        return leader.engine
 
     def migrate_shard(
         self,
@@ -626,106 +475,102 @@ class ShardedDatabase:
         dest: str,
         dest_nodes: Optional[list[str]] = None,
     ) -> Generator:
-        """Live-migrate one shard to ``dest`` (drain → copy → flip).
+        """Live-migrate one shard's replica group to ``dest`` (drain →
+        copy → flip).
 
-        Under replication the whole replica group moves atomically:
-        ``dest`` becomes the new group's bootstrap leader and
-        ``dest_nodes`` (default: ``dest`` plus enough existing nodes)
-        names the full new membership.  The old group is retired at the
-        flip; the new log starts at the old leader's applied index so
-        session read-your-writes tokens stay monotone across the move.
+        The whole group moves atomically: ``dest`` becomes the new
+        group's bootstrap leader and ``dest_nodes`` (default: ``dest``
+        plus enough existing nodes) names the full new membership.  The
+        old group is retired at the flip; the new log starts at the old
+        leader's applied index so session read-your-writes tokens stay
+        monotone across the move.
         """
-        if not (0 <= shard < len(self.shards)):
+        factor = self.replication.factor
+        members = list(dest_nodes) if dest_nodes is not None else [
+            dest, *[node for node in self.nodes if node != dest][:factor - 1]
+        ]
+        if not (0 <= shard < self.num_shards):
             raise ClusterError(f"unknown shard {shard}")
-        if dest not in self.nodes:
-            raise ClusterError(f"unknown node {dest!r}")
-        if self.replication is None:
-            if dest_nodes is not None:
-                raise ClusterError("dest_nodes requires replication")
-            rows = yield from _run_migration(
-                self.env, self.directory, self._mover, shard, dest,
-                self.migration_stats,
+        if (
+            members[:1] != [dest]
+            or len(members) != factor or len(set(members)) != factor
+            or not set(members) <= set(self.nodes)
+        ):
+            raise ClusterError(
+                f"shard {shard} needs a group of {factor} distinct known "
+                f"nodes led by {dest!r}, got {members}"
             )
-            return rows
-        members = self._plan_group_members(dest, dest_nodes)
-        mover = _ReplicatedMover(self, members)
-        rows = yield from _run_migration(
-            self.env, self.directory, mover, shard, dest, self.migration_stats
-        )
-        return rows
+        return (yield from _run_migration(
+            self.env, self.directory, _Mover(self, members), shard, dest,
+            self.migration_stats,
+        ))
 
     # -- schema -----------------------------------------------------------------
 
-    def _schema_engines(self) -> Generator:
-        """Every engine a DDL statement must reach (all replicas, if any)."""
-        if self.replication is not None:
-            for shard in range(self.num_shards):
-                yield from self._groups[shard].engines()
-        else:
-            yield from self.shards
+    def _engines(self) -> Generator:
+        """Every replica's engine: what a DDL statement must reach."""
+        for group in self._groups.values():
+            yield from group.engines()
 
     def create_table(self, name: str, primary_key: str = "id") -> None:
         self._schema.append(("table", (name, primary_key)))
-        for engine in self._schema_engines():
+        self._primary_keys[name] = primary_key
+        for engine in self._engines():
             engine.create_table(name, primary_key)
 
     def create_index(self, table: str, column: str, ordered: bool = False) -> None:
         self._schema.append(("index", (table, column, ordered)))
-        for engine in self._schema_engines():
+        for engine in self._engines():
             engine.create_index(table, column, ordered=ordered)
 
     def load(self, table: str, rows: list[dict]) -> None:
+        """Setup-time load sits below the log: every replica gets its
+        shard's rows directly, like a restored base snapshot."""
+        primary_key = self._primary_keys[table]
+        shard_of = self.router.shard_of
         buckets: dict[int, list[dict]] = {}
         for row in rows:
-            primary_key = self.shards[0]._table(table).primary_key
-            buckets.setdefault(self.router.shard_of(row[primary_key]), []).append(row)
-        for index, shard_rows in buckets.items():
-            if self.replication is not None:
-                # Setup-time load sits below the log: every replica gets
-                # the same rows directly, like a restored base snapshot.
-                for engine in self._groups[index].engines():
-                    engine.load(table, shard_rows)
-            else:
-                self.shards[index].load(table, shard_rows)
+            buckets.setdefault(shard_of(row[primary_key]), []).append(row)
+        for shard, shard_rows in buckets.items():
+            for engine in self._groups[shard].engines():
+                engine.load(table, shard_rows)
 
     # -- transactions --------------------------------------------------------------
 
     def begin(self, isolation: IsolationLevel = IsolationLevel.SERIALIZABLE) -> DistributedTransaction:
         return DistributedTransaction(isolation=isolation)
 
-    def _branch(self, txn: DistributedTransaction, key: Hashable) -> Generator:
-        """Resolve the shard for ``key`` and open its branch if needed."""
+    def _reach(self, txn: DistributedTransaction, key: Hashable) -> Generator:
+        """Open ``txn``'s branch on ``key``'s shard if needed and charge
+        one round to it; returns ``(engine, branch)``."""
         shard = self.router.shard_of(key)
         yield from self._open_branch(txn, shard)
-        return shard
+        yield from self._round([shard])
+        return txn.replicas[shard].engine, txn.branches[shard]
 
     def _open_branch(self, txn: DistributedTransaction, shard: int) -> Generator:
-        """Open ``txn``'s branch on ``shard`` unless it already has one.
+        """Open ``txn``'s branch on ``shard``'s leader unless it already
+        has one.
 
         Opening a branch on a migrating shard waits out the migration bar
-        (drain + copy); operations on branches opened *before* the bar
-        proceed, which is what lets in-flight transactions drain.
+        (drain + copy), then for a servable leader; operations on branches
+        opened *before* the bar proceed, which is what lets in-flight
+        transactions drain.
         """
-        if shard not in txn.branches:
-            while True:
-                while shard in self._barriers:
-                    yield self._barriers[shard]
-                if self.replication is None:
-                    txn.branches[shard] = self.shards[shard].begin(txn.isolation)
-                    txn.engines[shard] = self.shards[shard]
-                    break
-                leader = yield from self._groups[shard].wait_leader()
-                if shard in self._barriers:
-                    # a migration raised its bar while we waited for a
-                    # leader — wait it out rather than dodging the drain
-                    continue
-                txn.branches[shard] = leader.engine.begin(txn.isolation)
-                txn.engines[shard] = leader.engine
-                txn.replicas[shard] = leader
-                break
-            self._active_branches[shard] = self._active_branches.get(shard, 0) + 1
-        elif self.replication is not None:
+        if shard in txn.branches:
             self._check_replica(txn, shard)
+            return
+        leader = self._groups[shard].leader_replica()
+        while shard in self._barriers or leader is None or not leader.servable:
+            # wait out the bar, then for a servable leader; a migration may
+            # raise its bar again meanwhile — wait that out too, rather
+            # than dodging the drain
+            while shard in self._barriers:
+                yield self._barriers[shard]
+            leader = yield from self._groups[shard].wait_leader()
+        txn.branches[shard] = leader.engine.begin(txn.isolation)
+        txn.replicas[shard] = leader
+        self._active_branches[shard] = self._active_branches.get(shard, 0) + 1
 
     def _check_replica(self, txn: DistributedTransaction, shard: int) -> None:
         """Refuse further work on a branch whose leader was deposed.
@@ -733,14 +578,8 @@ class ShardedDatabase:
         The branch's buffered state lives on one specific replica's
         engine; once that replica stops leading (crash, election) the
         transaction cannot commit there, so fail fast and definitely."""
-        replica = txn.replicas.get(shard)
-        if replica is None:
-            return
-        if (
-            not replica.node.alive
-            or replica.role != "leader"
-            or replica.engine is not txn.engines[shard]
-        ):
+        replica = txn.replicas[shard]
+        if replica.role != "leader" or not replica.node.alive:
             raise ReplicaUnavailable(self._groups[shard].name, replica.node.name)
 
     def _close_branches(self, txn: DistributedTransaction) -> None:
@@ -764,8 +603,10 @@ class ShardedDatabase:
         operations charge a one-shard round per call."""
         routes = [self.router.resolve_shard(shard) for shard in shards]
         yield self.env.timeout(self.rtt_ms)
-        if any(route.forwarded for route in routes):
-            yield self.env.timeout(self.rtt_ms)
+        for route in routes:
+            if route.forwarded:
+                yield self.env.timeout(self.rtt_ms)
+                break
         if self.service_ms > 0:
             gates = [self._gates[node] for node in sorted({r.node for r in routes})]
             held = []
@@ -781,30 +622,24 @@ class ShardedDatabase:
             self.shard_stats.record(shard)
 
     def get(self, txn: DistributedTransaction, table: str, key: Hashable) -> Generator:
-        shard = yield from self._branch(txn, key)
-        yield from self._round([shard])
-        return (yield from txn.engines[shard].get(txn.branches[shard], table, key))
+        engine, branch = yield from self._reach(txn, key)
+        return (yield from engine.get(branch, table, key))
 
     def put(self, txn: DistributedTransaction, table: str, key: Hashable, row: dict) -> Generator:
-        shard = yield from self._branch(txn, key)
-        yield from self._round([shard])
-        yield from txn.engines[shard].put(txn.branches[shard], table, key, row)
+        engine, branch = yield from self._reach(txn, key)
+        yield from engine.put(branch, table, key, row)
 
     def insert(self, txn: DistributedTransaction, table: str, row: dict) -> Generator:
-        primary_key = self.shards[0]._table(table).primary_key
-        shard = yield from self._branch(txn, row[primary_key])
-        yield from self._round([shard])
-        yield from txn.engines[shard].insert(txn.branches[shard], table, row)
+        engine, branch = yield from self._reach(txn, row[self._primary_keys[table]])
+        yield from engine.insert(branch, table, row)
 
     def update(self, txn: DistributedTransaction, table: str, key: Hashable, changes: dict) -> Generator:
-        shard = yield from self._branch(txn, key)
-        yield from self._round([shard])
-        return (yield from txn.engines[shard].update(txn.branches[shard], table, key, changes))
+        engine, branch = yield from self._reach(txn, key)
+        return (yield from engine.update(branch, table, key, changes))
 
     def delete(self, txn: DistributedTransaction, table: str, key: Hashable) -> Generator:
-        shard = yield from self._branch(txn, key)
-        yield from self._round([shard])
-        yield from txn.engines[shard].delete(txn.branches[shard], table, key)
+        engine, branch = yield from self._reach(txn, key)
+        yield from engine.delete(branch, table, key)
 
     def lock_and_fetch(
         self,
@@ -840,7 +675,7 @@ class ShardedDatabase:
             yield from self._round(pending)
             for done, shard in enumerate(pending, 1):
                 asked = self.env.now
-                fetched = yield from txn.engines[shard].lock_and_fetch(
+                fetched = yield from txn.replicas[shard].engine.lock_and_fetch(
                     txn.branches[shard], by_shard[shard], writable
                 )
                 rows.update(fetched)
@@ -856,45 +691,37 @@ class ShardedDatabase:
     ) -> Generator:
         """One-phase commit if local, else 2PC across touched shards.
 
-        A one-phase commit is one round trip (:meth:`_commit_replicated`
-        under replication).  2PC is :func:`~repro.transactions.commit.two_phase`
-        over :class:`_ShardRound` or, under replication, :class:`_GroupRound`:
-        two rounds, one carrying every shard's prepare and the next every
-        decision.  Once the locks are held the shards are independent, so
-        neither round waits for one shard before messaging the next.  A
-        commit decision that did not reach every shard leaves
-        ``txn.status == "uncertain"`` and raises its first delivery error.
+        A one-phase commit is one round trip (:meth:`_commit_one`).  2PC
+        is :func:`~repro.transactions.commit.two_phase` over
+        :class:`_Round`: two rounds, one carrying every shard's prepare
+        and the next every decision.  Once the locks are held the shards
+        are independent, so neither round waits for one shard before
+        messaging the next.  A commit decision that did not reach every
+        shard leaves ``txn.status == "uncertain"`` and raises its first
+        delivery error.
 
         ``writes`` — ``{(table, key): row, or None to delete}`` over keys
         :meth:`lock_and_fetch` locked exclusively — travel inside each
-        shard's commit message (the one-phase commit, the prepare, or the
-        replicated stage), so buffering them costs no hop of its own.
+        shard's commit message (the one-phase commit or the prepare), so
+        buffering them costs no hop of its own.
         """
+        for shard in txn.branches:
+            # a deposed leader's lock table is gone: fail definitely
+            self._check_replica(txn, shard)
         if writes:
             shard_of = self.router.shard_of
             for (table, key), row in writes.items():
                 shard = shard_of(key)
-                if self.replication is not None:
-                    # a deposed leader's lock table is gone: fail definitely
-                    self._check_replica(txn, shard)
-                txn.engines[shard].buffer_write(txn.branches[shard], table, key, row)
+                txn.replicas[shard].engine.buffer_write(txn.branches[shard], table, key, row)
         if not txn.branches:
             txn.status = "committed"
             return
         try:
             if not txn.is_distributed:
-                if self.replication is not None:
-                    yield from self._commit_replicated(txn)
-                    return
-                (index,) = txn.branches
-                yield self.env.timeout(self.rtt_ms)
-                yield from txn.engines[index].commit(txn.branches[index])
-                txn.status = "committed"
-                self.stats.single_shard_commits += 1
+                yield from self._commit_one(txn)
                 return
-            rounds = _ShardRound if self.replication is None else _GroupRound
             committed, error = yield from two_phase(
-                rounds(self, txn), txn.shards_touched
+                _Round(self, txn), sorted(txn.branches)
             )
             if not committed:
                 txn.status = "aborted"
@@ -910,7 +737,7 @@ class ShardedDatabase:
             if txn.status != "active":
                 self._close_branches(txn)
 
-    def _commit_replicated(self, txn: DistributedTransaction) -> Generator:
+    def _commit_one(self, txn: DistributedTransaction) -> Generator:
         """One-phase commit of a single-shard transaction through its
         replica group's log.
 
@@ -923,7 +750,7 @@ class ShardedDatabase:
         replicate and settles locally.
         """
         (index,) = txn.branches
-        engine = txn.engines[index]
+        engine = txn.replicas[index].engine
         branch = txn.branches[index]
         yield self.env.timeout(self.rtt_ms)
         if not branch.writes:
@@ -953,39 +780,11 @@ class ShardedDatabase:
         txn.status = "committed"
         self.stats.single_shard_commits += 1
 
-    def _collect(
-        self,
-        started: list[tuple[int, Proposal]],
-        errors: Optional[dict[int, Exception]] = None,
-    ) -> Generator:
-        """Await started proposals in shard order, inside the calling
-        process; returns ``{shard: applied log index}``.  An ack that
-        landed while an earlier one was awaited is taken without an
-        event; anything else gets :meth:`ReplicaGroup.wait`'s full
-        discipline on the proposal's own deadline.  The first failed wait
-        raises, unless ``errors`` is given: then each shard's failure is
-        recorded there and the rest are still awaited."""
-        applied: dict[int, int] = {}
-        for index, proposal in started:
-            ack = proposal.ack
-            if ack is not None and ack.done:
-                status, value = ack.result()
-                if status == "ok":
-                    applied[index] = value
-                    continue
-            try:
-                applied[index] = yield from self._groups[index].wait(proposal)
-            except (ReplicationError, FencedOut) as exc:
-                if errors is None:
-                    raise
-                errors[index] = exc
-        return applied
-
     def abort(self, txn: DistributedTransaction) -> None:
         if txn.status != "active":
             return
         for index, branch in txn.branches.items():
-            txn.engines[index].abort(branch)
+            txn.replicas[index].engine.abort(branch)
         txn.status = "aborted"
         self._close_branches(txn)
 
@@ -996,10 +795,10 @@ class ShardedDatabase:
         return self.directory.owner_of(self.router.shard_of(key))
 
     def read_latest(self, table: str, key: Hashable) -> Optional[dict]:
-        return self.shards[self.router.shard_of(key)].read_latest(table, key)
+        return self.leader_engine(self.router.shard_of(key)).read_latest(table, key)
 
     def all_rows(self, table: str) -> list[dict]:
         rows: list[dict] = []
-        for shard in self.shards:
-            rows.extend(shard.all_rows(table))
+        for shard in range(self.num_shards):
+            rows.extend(self.leader_engine(shard).all_rows(table))
         return rows

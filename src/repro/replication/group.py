@@ -13,6 +13,10 @@ operations the sharded database and the benchmarks need:
   :class:`Session` tokens;
 - :meth:`wait_leader` / :meth:`leader_replica` — leader discovery;
 - :meth:`stop` — retire the group after a migration flips ownership.
+
+A group of one (``ReplicationConfig(factor=1)``) runs the same code: its
+replica commits each entry when :meth:`start` proposes it, and
+:meth:`wait` takes the acknowledgement without an event.
 """
 
 from __future__ import annotations
@@ -258,13 +262,17 @@ class ReplicaGroup:
     def wait(self, proposal: Proposal) -> Generator:
         """Second half of :meth:`replicate`: await ``proposal``'s quorum
         acknowledgement, re-proposing a retrying command on truncation or
-        uncertainty until its deadline; returns the applied log index."""
+        uncertainty until its deadline; returns the applied log index.
+        An ack that already landed ``ok`` (a group of one commits at
+        :meth:`start`) is taken without an event."""
         while True:
             ack = proposal.ack
             if ack is None:
                 yield self.env.timeout(self.config.heartbeat_ms)
                 self._propose(proposal)
                 continue
+            if ack._done and ack._value[0] == "ok":
+                return ack._value[1]
             target = proposal.replica
             remaining = proposal.deadline - self.env.now
             if remaining <= 0:

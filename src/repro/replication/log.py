@@ -8,12 +8,10 @@ two cases AppendEntries consistency checks distinguish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     term: int
     index: int
     command: tuple[Any, ...]
@@ -53,10 +51,12 @@ class ReplicatedLog:
             raise IndexError(f"log index {index} not in memory")
         return self.entries[offset]
 
-    def append(self, term: int, command: tuple[Any, ...]) -> LogEntry:
-        entry = LogEntry(term, self.last_index + 1, command)
-        self.entries.append(entry)
-        return entry
+    def append(self, term: int, command: tuple[Any, ...]) -> int:
+        """Append ``command`` at the tip; returns its index."""
+        entries = self.entries
+        index = (entries[-1].index if entries else self.snapshot_index) + 1
+        entries.append(LogEntry(term, index, command))
+        return index
 
     def append_entry(self, entry: LogEntry) -> None:
         if entry.index != self.last_index + 1:

@@ -23,6 +23,14 @@ still installs.  The ``fencing=False`` configuration disables both the
 token check and the quorum wait: the leader acks after a purely local
 apply and ignores higher terms — the intentionally broken variant the
 chaos oracles must catch losing acknowledged writes.
+
+A replica with no peers (a group of one, the sharded database's default
+shard) is its own quorum.  It arms no election timer and starts no
+replicate loop, both of which exist to talk to peers, so it schedules
+nothing while idle.  :meth:`Replica.propose` commits and applies its
+entry before returning and keeps no log suffix, since no peer will ask
+for one.  A restart recovers the engine from its WAL and leads the next
+term without an election.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from repro.replication.errors import (
     ReplicationUncertain,
 )
 from repro.replication.log import LogEntry, ReplicatedLog
-from repro.sim import Environment, Interrupted, any_of
+from repro.sim import Environment, Future, Interrupted, any_of
 
 #: reply hint meaning "my log diverged below my applied prefix — only a
 #: full snapshot can repair me" (broken-mode damage or deep compaction)
@@ -68,6 +76,7 @@ class Replica:
         self.peers = list(peers)  # stable order: election + sync determinism
         self.service = service
         self.group_label = group_label
+        self._ack_label = f"{service}:ack"
         self._on_leader_cb = on_leader
 
         # -- persistent state (survives node crashes) --
@@ -107,11 +116,12 @@ class Replica:
     # -- lifecycle -----------------------------------------------------------
 
     def _start(self) -> None:
-        if not self.node.alive:
-            return
-        self.node.spawn(
-            self._timer_loop(), label=f"{self.service}:{self.node.name}.timer"
-        )
+        """Arm the election timer.  A replica with no peers has none:
+        nobody else can lead, and nobody can depose it."""
+        if self.node.alive and self.peers:
+            self.node.spawn(
+                self._timer_loop(), label=f"{self.service}:{self.node.name}.timer"
+            )
 
     def _on_crash(self) -> None:
         """Mirror the node's fate into the engine and pending acks."""
@@ -145,7 +155,13 @@ class Replica:
         self._last_contact = self.env.now
         if self.config.fencing:
             self.engine.raise_fence(self.term)
-        self._start()
+        if self.peers:
+            self._start()
+        else:
+            # Nobody else can lead or vote: a replica of one leads the
+            # next term as soon as its WAL is recovered.
+            self._stand()
+            self._become_leader()
 
     def stop(self) -> None:
         """Retire this replica (group migrated away); refuses all traffic."""
@@ -208,7 +224,7 @@ class Replica:
             self._advance_commit()
         if self._on_leader_cb is not None:
             self._on_leader_cb(self)
-        if self.node.alive:
+        if self.peers and self.node.alive:
             self.node.spawn(
                 self._replicate_loop(self.term),
                 label=f"{self.service}:{self.node.name}.lead-t{self.term}",
@@ -250,13 +266,17 @@ class Replica:
                 label=f"{self.service}:{self.node.name}.forced-election",
             )
 
-    def _election(self) -> Generator:
+    def _stand(self) -> int:
+        """Open the next term as a candidate voting for itself."""
         self.term += 1
-        term = self.term
         self.role = "candidate"
         self.voted_for = self.node.name
         if self.config.fencing:
-            self.engine.raise_fence(term)
+            self.engine.raise_fence(self.term)
+        return self.term
+
+    def _election(self) -> Generator:
+        term = self._stand()
         quorum = self.config.quorum
         tally = {"granted": 1}
         done = self.env.future(label=f"{self.service}:election-t{term}")
@@ -573,38 +593,48 @@ class Replica:
         The future resolves with ``("ok", index)`` once the entry is
         committed and applied on this replica's engine unfenced, or with
         ``("err", exc)`` — :class:`FencedOut`, truncation, crash.
-        Synchronous, so the caller observes the assigned index atomically.
+        Synchronous, so the caller observes the assigned index atomically;
+        a replica with no peers returns it already resolved.
         """
         if self.role != "leader" or not self.node.alive:
             raise NotLeader(self.group_label, self.node.name, self.leader_hint)
-        entry = self.log.append(self.term, command)
-        ack = self.env.future(
-            label=f"{self.service}:ack-{entry.index}"
-        )
-        self._acks[entry.index] = ack
+        ack = Future(self.env, self._ack_label)
+        if not self.peers:
+            # A replica of one is its own quorum: the entry commits and
+            # applies right here, and no peer will ever ask for it, so the
+            # log keeps only its snapshot floor (the engine's WAL has it).
+            index = self.log.last_index + 1
+            self.engine.apply_replicated(
+                command, self.term if self.config.fencing else None, ack, index
+            )
+            self.log.reset(index, self.term)
+            self.commit_index = self.applied_index = index
+            self._notify_applied()
+            return ack
+        index = self.log.append(self.term, command)
+        self._acks[index] = ack
         if not self.config.fencing:
             # Broken: acknowledge after the purely local apply — no quorum.
-            self.commit_index = entry.index
+            self.commit_index = index
             self._apply_committed()
         else:
-            self._advance_commit()  # factor-1 groups commit immediately
+            self._advance_commit()
         self._nudge_soon()
         return ack
 
     def _apply_committed(self) -> None:
+        log, engine = self.log, self.engine
         fencing = self.config.fencing
         while self.applied_index < self.commit_index:
             index = self.applied_index + 1
-            entry = self.log.entry(index)
-            command = entry.command
-            token = entry.term if fencing else None
+            token, _index, command = log.entries[index - log.snapshot_index - 1]
+            if not fencing:
+                token = None
             ack = self._acks.pop(index, None)
             if command[0] != "noop":
-                self.engine.apply_replicated(
-                    command, token=token, ack=ack, ack_value=index
-                )
+                engine.apply_replicated(command, token, ack, index)
             elif ack is not None:
-                if token is not None and token < self.engine.fence_token:
+                if token is not None and token < engine.fence_token:
                     ack.try_succeed(("err", NotLeader(
                         self.group_label, self.node.name
                     )))

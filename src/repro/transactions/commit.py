@@ -1,7 +1,7 @@
 """Two-phase commit: one coordinator for every runtime that runs it.
 
-Unreplicated shards and replica groups (:mod:`repro.db.sharding`),
-entity-per-service microservices (:mod:`repro.apps.core.binders.micro`)
+Sharded-database replica groups (:mod:`repro.db.sharding`; a group
+of one replica by default), entity-per-service microservices (:mod:`repro.apps.core.binders.micro`)
 and transactional actors (:mod:`repro.actors.transactions`) commit a
 multi-participant transaction the same way: a prepare round, then a
 decision round.  How a round reaches its participants, and what it

@@ -1,8 +1,8 @@
 """The two-phase-commit coordinator (``repro.transactions.commit``).
 
-One policy, four transports: unreplicated shards, replica groups,
-microservices and transactional actors all commit through
-:func:`~repro.transactions.commit.two_phase`.  The unit tests pin the
+One policy, three transports: sharded-database replica groups (a
+group of one by default), microservices and transactional actors all
+commit through :func:`~repro.transactions.commit.two_phase`.  The unit tests pin the
 policy against a fake transport; the rule test cuts the commit decision
 off from the first participant on every real transport and checks that
 the others installed before the error surfaced.
@@ -127,27 +127,21 @@ def moved(rows, deltas):
     }
 
 
-def cut_unreplicated_shard(monkeypatch):
-    """Shard 0's ``commit_prepared`` raises; shard 1 must still install."""
-    env = Environment(seed=1)
-    db, refs = sharded_db(env, 2)
-    txn = db.begin(SER)
-    rows = run(env, db.lock_and_fetch(txn, refs, set(refs)))
-
-    def unreachable(branch):
-        raise ConnectionError("shard 0 cut off")
-    monkeypatch.setattr(db.shards[0], "commit_prepared", unreachable)
-    with pytest.raises(ConnectionError) as raised:
-        run(env, db.commit(txn, moved(rows, dict(zip(refs, (-10, 10))))))
-    assert txn.status == "uncertain"
-    return raised.value, {"shard 1": db.read_latest(*refs[1])["balance"] == 110}
+def cut_group_of_one(monkeypatch):
+    """The default shards: shard 0's commit ``decide`` fails its wait;
+    shard 1's decide must have installed by the time the error surfaces."""
+    return _cut_group(monkeypatch, Environment(seed=1), None)
 
 
 def cut_replica_group(monkeypatch):
-    """Shard 0's commit ``decide`` fails its wait (a fenced ack); shard 1's
-    decide must have landed on its leader by the time the error surfaces."""
-    env = Environment(seed=10)
-    db, refs = sharded_db(env, 2, ReplicationConfig())
+    """Factor-3 groups: shard 0's commit ``decide`` fails its wait (a
+    fenced ack); shard 1's decide must have landed on its leader by the
+    time the error surfaces."""
+    return _cut_group(monkeypatch, Environment(seed=10), ReplicationConfig())
+
+
+def _cut_group(monkeypatch, env, replication):
+    db, refs = sharded_db(env, 2, replication)
     group = db.replica_group(0)
 
     def fenced(proposal, inner=group.wait):
@@ -222,7 +216,7 @@ def cut_actor(monkeypatch):
 
 @pytest.mark.parametrize(
     "cut",
-    [cut_unreplicated_shard, cut_replica_group, cut_service, cut_actor],
+    [cut_group_of_one, cut_replica_group, cut_service, cut_actor],
     ids=["shards", "replica_groups", "services", "actors"],
 )
 def test_commit_decision_cut_off_from_one_participant_reaches_the_rest(
@@ -262,4 +256,4 @@ def test_fenced_abort_decide_still_releases_the_read_only_branch(monkeypatch):
     for shard in (1, 2):
         branch = txn.branches[shard]
         assert branch.status is TxnStatus.ABORTED
-        assert txn.engines[shard].locks.held_by(branch.tid) == set()
+        assert txn.replicas[shard].engine.locks.held_by(branch.tid) == set()

@@ -122,7 +122,10 @@ class TestShardedDatabase:
         return sharded
 
     def test_load_routes_rows(self, env, sdb):
-        counts = [len(shard.all_rows("accounts")) for shard in sdb.shards]
+        counts = [
+            len(sdb.leader_engine(shard).all_rows("accounts"))
+            for shard in range(sdb.num_shards)
+        ]
         assert sum(counts) == 20
         assert all(c > 0 for c in counts)
 

@@ -182,7 +182,8 @@ def test_cluster_binder_is_deadlock_free_on_fast_grants():
 
     assert run(env, driver()) is True
     assert errors == []
-    assert all(eng.locks.stats.deadlocks == 0 for eng in binder.db.shards)
+    assert all(binder.db.leader_engine(shard).locks.stats.deadlocks == 0
+               for shard in range(binder.db.num_shards))
 
 
 def _shows_reference_mode(engine, fast_path):
@@ -217,7 +218,8 @@ def _every_engine(env):
     from repro.db import DatabaseServer, ShardedDatabase
 
     plain = ShardedDatabase(env, num_shards=2, num_nodes=2)
-    engines = [DatabaseServer(env).engine, *plain.shards]
+    engines = [DatabaseServer(env).engine,
+               *(plain.leader_engine(shard) for shard in range(2))]
     run(env, plain.migrate_shard(0, plain.nodes[1]))
     replicated = ShardedDatabase(env, num_shards=1, num_nodes=4, name="repl",
                                  replication=ReplicationConfig())
@@ -226,8 +228,8 @@ def _every_engine(env):
     cluster = build_scenario("cluster", env, broken=True)
     run(env, cluster._flip_without_drain(0, cluster.db.nodes[1]))
     # the migration's replacement, the moved group, the unsound flip's engine
-    engines += [plain.shards[0], *replicated.replica_group(0).engines(),
-                cluster.db.shards[0]]
+    engines += [plain.leader_engine(0), *replicated.replica_group(0).engines(),
+                cluster.db.leader_engine(0)]
     assert len({id(engine) for engine in engines}) == 11
     return engines
 

@@ -27,6 +27,11 @@ from repro.sim import Environment
 from repro.workloads.transfers import TransferOp, TransferWorkload
 
 
+def shard_engines(db):
+    """Every shard's leader engine, in shard order."""
+    return [db.leader_engine(shard) for shard in range(db.num_shards)]
+
+
 def run(env, gen):
     return env.run_until(env.process(gen))
 
@@ -77,7 +82,7 @@ def test_cross_shard_cycle_commits_on_first_attempt():
     run(env, main())
     assert results == {"x-ab": True, "x-ba": True}
     assert len(begins) == 2
-    assert all(engine.locks.stats.deadlocks == 0 for engine in binder.db.shards)
+    assert all(engine.locks.stats.deadlocks == 0 for engine in shard_engines(binder.db))
     balances = {row["id"]: row["balance"] for row in binder.snapshot()["accounts"]}
     assert balances[a] == balances[b] == 100
 
@@ -111,7 +116,7 @@ def _probe_spec(reads, writes, seen):
 def _record_acquires(db):
     """Log every lock request on every shard as ``(shard, resource, mode)``."""
     acquired = []
-    for shard, engine in enumerate(db.shards):
+    for shard, engine in enumerate(shard_engines(db)):
         def recorded(tid, resource, mode, _shard=shard, _acquire=engine.locks.acquire):
             acquired.append((_shard, resource, mode))
             return _acquire(tid, resource, mode)
@@ -199,7 +204,7 @@ def test_wait_at_a_busy_shard_ends_the_round_below_every_higher_shard():
     def inspect():
         yield env.timeout(release / 2)
         mid_wait.append([
-            dict(db.shards[shard].locks.holders(("row", *keys[shard])))
+            dict(db.leader_engine(shard).locks.holders(("row", *keys[shard])))
             for shard in range(3)
         ])
 
@@ -219,7 +224,7 @@ def test_wait_at_a_busy_shard_ends_the_round_below_every_higher_shard():
     assert seen[0] == ("start", release + 2.0)
     rows = [shard for shard, resource, _ in acquired if resource[0] == "row"]
     assert rows == [1, 0, 1, 2]  # the holder's, then the waiter's in order
-    assert all(engine.locks.stats.deadlocks == 0 for engine in db.shards)
+    assert all(engine.locks.stats.deadlocks == 0 for engine in shard_engines(db))
 
 
 @dataclass(frozen=True)
@@ -284,7 +289,7 @@ def test_random_declared_key_sets_commit_first_time_without_deadlock(runtime, op
     run(env, main())
     assert results == [True] * len(ops)
     assert len(begins) == len(ops)
-    engines = binder.db.shards if runtime == "cluster" else [binder.db.engine]
+    engines = shard_engines(binder.db) if runtime == "cluster" else [binder.db.engine]
     assert all(engine.locks.stats.deadlocks == 0 for engine in engines)
 
 
@@ -335,7 +340,7 @@ def test_lock_and_fetch_returns_the_branch_own_write():
         rows = yield from db.lock_and_fetch(txn, [("t", "k")], {("t", "k")})
         assert rows == {("t", "k"): {"id": "k", "v": 1}}
         shard = db.router.shard_of("k")
-        txn.engines[shard].buffer_write(txn.branches[shard], "t", "k", {"v": 2})
+        txn.replicas[shard].engine.buffer_write(txn.branches[shard], "t", "k", {"v": 2})
         again = yield from db.lock_and_fetch(txn, [("t", "k")], {("t", "k")})
         assert again == {("t", "k"): {"id": "k", "v": 2}}
         yield from db.commit(txn)
@@ -396,7 +401,7 @@ def test_sharded_hot_sweep_has_no_failures_and_no_deadlocks(seed):
     binder, acked, failures = _sharded_hot_run(seed)
     assert failures == []
     assert len(acked) == 600
-    assert all(engine.locks.stats.deadlocks == 0 for engine in binder.db.shards)
+    assert all(engine.locks.stats.deadlocks == 0 for engine in shard_engines(binder.db))
     state = binder.snapshot()
     for invariant in binder.invariants():
         assert invariant.check(state) == [], invariant.name

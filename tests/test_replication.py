@@ -451,14 +451,17 @@ class TestReplicatedShardedDatabase:
         "factor, fencing, expected",
         [
             (3, True, [(3.813778, 66), (2.950343, 31), (3.134485, 28)]),
-            (1, True, [(1.0, 7), (1.0, 7), (1.0, 7)]),
-            (3, False, [(1.0, 27), (1.0, 11), (1.0, 14)]),
+            # a group of one commits at start(): what a plain engine costs
+            (1, True, [(1.0, 3), (1.0, 3), (1.0, 3)]),
+            # the unfenced leader acks at start() too: no event for the ack
+            (3, False, [(1.0, 23), (1.0, 7), (1.0, 10)]),
         ],
     )
     def test_single_shard_commit_schedule_is_pinned(self, factor, fencing, expected):
         """``replicate()`` is ``start()`` then ``wait()``: a single-shard
         commit costs exactly the virtual time and kernel events it did
-        as one loop (numbers recorded from that implementation)."""
+        as one loop, less the ack event :meth:`ReplicaGroup.wait` saves
+        when the ack landed at ``start()``."""
         env = Environment(seed=9)
         db = self._make_db(
             env, replication=ReplicationConfig(factor=factor, fencing=fencing)
@@ -568,14 +571,25 @@ class TestReplicatedShardedDatabase:
         assert db.read_latest(*refs[0])["balance"] == 90
 
     def test_unreplicated_mode_is_unchanged(self):
+        """The default shard is a replica group of one: one replica per
+        shard, leading term 1 from bootstrap on the shard's node, and a
+        migration's membership is the destination alone."""
         env = Environment(seed=11)
         db = ShardedDatabase(env, num_shards=4)
-        assert isinstance(db.shards, list) and len(db.shards) == 4
-        assert not hasattr(db, "repl_net")
+        assert db.replication.factor == 1
+        for shard in range(4):
+            group = db.replica_group(shard)
+            (replica,) = group.replicas
+            assert replica.peers == [] and replica.servable
+            assert replica.term == 1
+            assert db.leader_engine(shard) is replica.engine
+            assert db.directory.owner_of(shard) == db.nodes[shard]
+            assert db.directory.group_of(shard) == (db.nodes[shard],)
         with pytest.raises(ClusterError):
-            db.replica_group(0)
-        with pytest.raises(ClusterError):
-            run(env, db.migrate_shard(0, db.nodes[1], [db.nodes[1]]))
+            run(env, db.migrate_shard(0, db.nodes[1], [db.nodes[1], db.nodes[2]]))
+        run(env, db.migrate_shard(0, db.nodes[1]))
+        assert db.directory.group_of(0) == (db.nodes[1],)
+        assert db.replica_group(0).leader_name() == db.nodes[1]
 
     def test_migration_moves_whole_group_atomically(self):
         env = Environment(seed=12)
@@ -650,7 +664,86 @@ class TestReplicatedShardedDatabase:
             db.shard_stats.record(0, 10.0)
         db.shard_stats.roll_window()
         move = rebalancer.plan()
-        assert move is not None and move.dest_nodes == ()
+        assert move is not None and move.dest_nodes == (move.dest,)
+
+
+class TestGroupOfOne:
+    """The default shard is a replica group of one: it costs what a plain
+    engine costs, idles silently, and recovers on its own."""
+
+    def _make_db(self, env):
+        db = ShardedDatabase(env, num_shards=2, name="bank", rtt_ms=1.0)
+        db.create_table("accounts")
+        k0 = key_on(0, 2)
+        keys = (k0, key_on(0, 2, start=k0 + 1), key_on(1, 2))
+        db.load("accounts", [{"id": k, "balance": 100} for k in keys])
+        return db, [("accounts", k) for k in keys]
+
+    def _transfer(self, env, db, src, dst, amount):
+        txn = db.begin(SER)
+        rows = run(env, db.lock_and_fetch(txn, [src, dst], {src, dst}))
+        writes = {
+            src: {"id": src[1], "balance": rows[src]["balance"] - amount},
+            dst: {"id": dst[1], "balance": rows[dst]["balance"] + amount},
+        }
+        return txn, db.commit(txn, writes)
+
+    def test_default_commit_costs_one_round_trip_per_phase_and_no_extra_event(self):
+        """One-phase commit: 1 ms and 3 events; 2PC: 2 ms and 5 events.
+        Each phase is one round trip (its timeout and the resume), and the
+        log entries commit and acknowledge without an event of their own."""
+        env = Environment(seed=9)
+        db, (a, b, c) = self._make_db(env)
+        for dst, expected in [(b, (1.0, 3)), (c, (2.0, 5))] * 3:
+            txn, commit = self._transfer(env, db, a, dst, 1)
+            start, events = env.now, env.events_executed
+            run(env, commit)
+            assert txn.status == "committed"
+            assert (round(env.now - start, 6), env.events_executed - events) == expected
+        assert db.stats.single_shard_commits == db.stats.distributed_commits == 3
+
+    def test_an_idle_group_of_one_schedules_no_event(self):
+        env = Environment(seed=9)
+        db, (a, b, _c) = self._make_db(env)
+        txn, commit = self._transfer(env, db, a, b, 1)
+        run(env, commit)
+        env.run(until=env.now + 1.0)
+        events = env.events_executed
+        env.run(until=env.now + 1000.0)
+        assert env.events_executed == events
+        assert env.pending_events == 0
+
+    def test_restart_leads_without_election_and_settles_the_prepared_branch(self):
+        """The replica crashes after its shard's prepare applied and before
+        the decide: the decide keeps retrying, the restarted replica
+        recovers its rows and the prepared branch from its WAL, leads the
+        next term at once, and the decide commits the branch there."""
+        env = Environment(seed=9)
+        db, (a, b, c) = self._make_db(env)
+        run(env, self._transfer(env, db, a, b, 10)[1])
+        (replica,) = db.replica_group(0).replicas
+        node = replica.node
+        seen = {}
+
+        def restart():
+            node.restart()
+            seen.update(
+                role=replica.role, term=replica.term, servable=replica.servable,
+                in_doubt=len(replica.engine.in_doubt()),
+                balance=replica.engine.read_latest(*a)["balance"],
+            )
+
+        txn, commit = self._transfer(env, db, a, c, 5)
+        start = env.now
+        env.schedule(1.5, node.crash, "test")  # prepared, not yet decided
+        env.schedule(40.0, restart)
+        run(env, commit)
+        assert seen == {"role": "leader", "term": 2, "servable": True,
+                        "in_doubt": 1, "balance": 90}
+        assert txn.status == "committed" and env.now > start + 40.0
+        assert replica.engine.in_doubt() == []
+        assert [db.read_latest(*ref)["balance"] for ref in (a, b, c)] == [85, 110, 105]
+        assert db.directory.owner_of(0) == node.name
 
 
 class TestKillLeaderFault:
