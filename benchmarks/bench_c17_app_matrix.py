@@ -33,6 +33,7 @@ if __package__ in (None, ""):  # direct script execution
 from repro.apps.core import bind
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import ledger_spec
+from repro.chaos.mutants import SplitAllocatorDbBinder
 from repro.harness import format_rows
 from repro.sim import Environment
 from repro.workloads.invoicing import InvoicingWorkload
@@ -45,7 +46,8 @@ OPS = 40
 SPACING_MS = 2.0
 SEED = 11
 
-#: (app, runtime, binder opts, sound, label)
+#: (app, runtime — a registered name or a mutant binder class —, binder
+#: opts, sound, label)
 DEPLOYMENTS = (
     ("ledger", "db", {}, True, "ledger × db (serializable)"),
     ("ledger", "cluster", {"num_shards": 2}, True, "ledger × cluster (2 shards)"),
@@ -63,7 +65,7 @@ DEPLOYMENTS = (
     ("ledger", "microservice", {"mode": "none"}, False,
      "ledger × microservice (uncoordinated)"),
     ("ledger", "actor", {"mode": "plain"}, False, "ledger × actors (plain)"),
-    ("invoicing", "db", {"transaction_per_step": True}, False,
+    ("invoicing", SplitAllocatorDbBinder, {}, False,
      "invoicing × db (split allocator)"),
 )
 
@@ -96,10 +98,17 @@ def make_ops(app: str, env: Environment, count: int = OPS):
     return list(workload.operations(env.stream(f"ops:{app}"), count))
 
 
+def deploy(runtime, env: Environment, spec, opts: dict):
+    """Bind ``spec`` onto a registered runtime, or build a mutant binder."""
+    if isinstance(runtime, str):
+        return bind(runtime, env, spec, **opts)
+    return runtime(env, spec, **opts)
+
+
 def drive(app: str, runtime: str, opts: dict, count: int = OPS) -> dict:
     """One fault-free closed-loop run; returns goodput + invariant verdict."""
     env = Environment(seed=SEED)
-    binder = bind(runtime, env, make_spec(app), **opts)
+    binder = deploy(runtime, env, make_spec(app), opts)
     ops = make_ops(app, env, count)
     outcomes: dict[str, str] = {}
 

@@ -1,10 +1,12 @@
 """Database binders: the monolith baseline and the sharded cluster.
 
 Entities map to tables; a handler body runs inside one serializable
-local (or distributed) transaction.  ``transaction_per_step=True``
-honors a handler's ``steps`` split — running each step as its *own*
-transaction — which is exactly the unsound allocate-then-insert pattern
-the gap-free oracle must catch.
+local (or distributed) transaction.  Running a handler's ``steps`` as
+transactions of their own — the unsound allocate-then-insert pattern
+the gap-free oracle must catch — is the mutant
+``invoicing.split_allocator`` (:mod:`repro.chaos.mutants`), which
+overrides :meth:`DbBinder.execute`; both binders run one transaction
+per op through ``_run_txn``.
 
 Neither binder lets the body choose its lock order.  Before the body
 runs, one lock-and-fetch request takes every declared key in the global
@@ -76,12 +78,8 @@ class DbBinder(Binder):
 
     runtime = "db"
 
-    def __init__(
-        self, env: Environment, spec: AppSpec, transaction_per_step: bool = False
-    ) -> None:
+    def __init__(self, env: Environment, spec: AppSpec) -> None:
         super().__init__(env, spec)
-        self.transaction_per_step = transaction_per_step
-        self.sound = not transaction_per_step
         self.db = DatabaseServer(env, name=f"{spec.name}-db")
         for entity in spec.entities.values():
             self.db.create_table(entity.name, primary_key=entity.key)
@@ -94,24 +92,16 @@ class DbBinder(Binder):
 
     def execute(self, op: Any) -> Generator:
         handler = self.handler_for(op)
-        bodies = (
-            handler.steps
-            if self.transaction_per_step and handler.steps
-            else (handler.body,)
+        result = yield from self._run_txn(
+            handler, op, handler.access(op), handler.body, {}
         )
-        access = handler.access(op)
-        scratch: dict = {}
-        result = None
-        for body in bodies:
-            result = yield from with_txn(
-                self, self._txn_body(handler, op, access, body, scratch),
-                retries=_RETRIES,
-            )
         self.record_effect(op)
         return result
 
-    def _txn_body(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
-                  scratch: dict):
+    def _run_txn(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
+                 scratch: dict) -> Generator:
+        """One serializable transaction running ``body``, with retries."""
+
         def run(txn):
             rows = yield from self.db.lock_and_fetch(
                 txn, access.declared, access.writable
@@ -122,7 +112,7 @@ class DbBinder(Binder):
                 self.db.engine.buffer_write(txn, table, key, row)
             return result
 
-        return run
+        return with_txn(self, run, retries=_RETRIES)
 
     def snapshot(self) -> dict[str, list[dict]]:
         return {
@@ -157,12 +147,9 @@ class ShardedDbBinder(Binder):
         spec: AppSpec,
         db: Optional[ShardedDatabase] = None,
         num_shards: int = 2,
-        transaction_per_step: bool = False,
         **db_opts,
     ) -> None:
         super().__init__(env, spec)
-        self.transaction_per_step = transaction_per_step
-        self.sound = not transaction_per_step
         if db is None:
             db = ShardedDatabase(
                 env, num_shards=num_shards, name=f"{spec.name}-cluster",
@@ -178,20 +165,8 @@ class ShardedDbBinder(Binder):
         return
         yield  # pragma: no cover
 
-    def execute(self, op: Any) -> Generator:
-        handler = self.handler_for(op)
-        bodies = (
-            handler.steps
-            if self.transaction_per_step and handler.steps
-            else (handler.body,)
-        )
-        access = handler.access(op)
-        scratch: dict = {}
-        result = None
-        for body in bodies:
-            result = yield from self._run_txn(handler, op, access, body, scratch)
-        self.record_effect(op)
-        return result
+    # one transaction per op, run by this class's ``_run_txn``
+    execute = DbBinder.execute
 
     def _run_txn(self, handler: HandlerSpec, op: Any, access: OpAccess, body,
                  scratch: dict) -> Generator:

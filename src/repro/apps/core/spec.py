@@ -66,12 +66,13 @@ class HandlerSpec:
     body may touch — binders use them to route, lock, partition, and (for
     queue-oriented runtimes) declare the transaction's key set up front.
 
-    ``steps`` (optional) splits the body into a sequence of bodies that a
-    transaction-per-step binder runs as *separate* transactions sharing a
-    ``scratch`` dict — the escape hatch that expresses intentionally
-    unsound variants (e.g. "allocate the invoice number in one
+    ``steps`` (optional) splits the body into a sequence of bodies that
+    the mutant ``invoicing.split_allocator`` (:mod:`repro.chaos.mutants`)
+    runs as *separate* transactions sharing a ``scratch`` dict — the
+    intentionally unsound variant ("allocate the invoice number in one
     transaction, insert the invoice in another") whose anomalies the
-    oracles must catch.  Atomic binders ignore step boundaries.
+    oracles must catch.  Every binder runs ``body`` and ignores step
+    boundaries.
 
     ``compensate`` (optional) is a generator body undoing a completed
     execution — the application-level inverse a saga binder needs.

@@ -15,17 +15,18 @@ judged by the oracles the spec compiles.  The saga shop
 classes.
 
 ``broken=True`` selects the intentionally unsound control of a runtime —
-for an app deployment, the entry's control binder options (plain actors,
-unfenced replication, uncoordinated services, the split allocator) or,
-on ``cluster``, an ownership flip without drain.  The chaos harness must
-find and shrink that bug; it is the end-to-end test that the detector
-detects.  Runtimes without a control (dataflow, FaaS) refuse
-``broken=True`` rather than run their sound configuration.
+for an app deployment, the entry's control: binder options of a
+paradigm the benchmarks measure (plain actors, uncoordinated services)
+or a named mutant from :mod:`repro.chaos.mutants` (unfenced
+replication, the split allocator, an ownership flip without drain).
+The chaos harness must find and shrink that bug; it is the end-to-end
+test that the detector detects.  Runtimes without a control (dataflow,
+FaaS) refuse ``broken=True`` rather than run their sound configuration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, NamedTuple, Optional
+from typing import Any, Generator, NamedTuple, Optional, Union
 
 from repro.actors import TransactionFailed
 from repro.apps import MicroserviceShop
@@ -33,6 +34,7 @@ from repro.apps.core import AppFailure, AppUncertain, bind
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import AuditOp, ledger_spec
 from repro.chaos.config import ChaosConfig
+from repro.chaos.mutants import MUTANTS
 from repro.chaos.oracles import Oracle, SagaAtomicityOracle, SnapshotAuditOracle
 from repro.cluster import ClusterError
 from repro.dataflow import TxnAbort
@@ -147,16 +149,17 @@ class Deployment(NamedTuple):
     runtime: str
     #: binder options of the sound configuration
     sound: dict
-    #: binder options of the unsound control (None: the runtime has none)
-    control: Optional[dict]
+    #: the unsound control: binder options, or the name of a mutant
+    #: (:data:`~repro.chaos.mutants.MUTANTS`) built from the sound
+    #: options (None: the runtime has none)
+    control: Union[dict, str, None]
     config: ChaosConfig
 
 
 _SILOS = ("silo-0", "silo-1", "silo-2")
 _LEDGER_NODES = tuple(f"ledger-cluster/node{i}" for i in range(4))
 _INVOICING_NODES = tuple(f"invoicing-cluster/node{i}" for i in range(4))
-#: the live-rebalancing cluster; its control is the migration driver's
-#: ownership flip without drain, not a binder option
+#: the live-rebalancing cluster
 _REBALANCED = {"num_shards": 8, "num_nodes": 4, "rtt_ms": 2.0,
                "drain_timeout_ms": 250.0}
 _REPLICATED = {"num_shards": 2, "rtt_ms": 1.0, "drain_timeout_ms": 250.0,
@@ -201,7 +204,7 @@ DEPLOYMENTS = {
     # and cuts them off from the client edge.  Shard state is durable: a
     # down owner makes its keys unavailable, never lossy.
     "cluster": Deployment(
-        "ledger", "cluster", _REBALANCED, _REBALANCED,
+        "ledger", "cluster", _REBALANCED, "cluster.flip_without_drain",
         ChaosConfig(
             fault_classes=("crash", "partition"),
             crashable=_LEDGER_NODES,
@@ -213,8 +216,7 @@ DEPLOYMENTS = {
     # is the unfenced primary that acks after a local apply.
     "replication": Deployment(
         "ledger", "cluster", {**_REPLICATED, "num_nodes": 3},
-        {**_REPLICATED, "num_nodes": 3,
-         "replication": ReplicationConfig(factor=3, fencing=False)},
+        "replication.unfenced",
         ChaosConfig(
             fault_classes=("kill_leader", "crash", "partition"),
             crashable=_LEDGER_NODES[:3],
@@ -241,7 +243,7 @@ DEPLOYMENTS = {
     # and the invoice in two transactions.
     "invoicing": Deployment(
         "invoicing", "cluster", {**_REPLICATED, "num_nodes": 4},
-        {**_REPLICATED, "num_nodes": 4, "transaction_per_step": True},
+        "invoicing.split_allocator",
         ChaosConfig(
             fault_classes=("kill_leader", "crash", "partition"),
             crashable=("invoicing-app0", "invoicing-app1", *_INVOICING_NODES),
@@ -283,8 +285,13 @@ class AppScenario(Scenario):
             self.workload = InvoicingWorkload()
             self.spec = invoicing_spec(self.workload)
         self.kind = self.spec.kind
-        opts = deployment.control if broken else deployment.sound
-        self.binder = bind(deployment.runtime, env, self.spec, **opts)
+        if broken and isinstance(deployment.control, str):
+            self.binder = MUTANTS[deployment.control](
+                env, self.spec, **deployment.sound
+            )
+        else:
+            opts = deployment.control if broken else deployment.sound
+            self.binder = bind(deployment.runtime, env, self.spec, **opts)
         #: crashable nodes that run each operation, if any (:meth:`_on_worker`)
         self.workers: list = []
         self._place()
@@ -358,33 +365,9 @@ class AppScenario(Scenario):
                 continue
             dest = rng.choice(alive)
             try:
-                if self.broken and self.name == "cluster":
-                    yield from self._flip_without_drain(shard, dest)
-                else:
-                    yield from db.migrate_shard(shard, dest)
+                yield from db.migrate_shard(shard, dest)
             except ClusterError:
                 continue  # raced a fault or another migration; try later
-
-    def _flip_without_drain(self, shard: int, dest: str) -> Generator:
-        """The intentionally unsound migration: no quiesce, stale snapshot.
-
-        Snapshots the shard, streams the copy while transactions keep
-        committing against the source group, then flips to a new group on
-        ``dest`` built from the snapshot, leaving the source group serving
-        the branches already open on it: every write that landed during
-        the copy window, or lands after it, is silently lost.
-        """
-        db = self.db
-        db.directory.begin_migration(shard, dest)
-        try:
-            old_engine = db.leader_engine(shard)
-            snapshot = {name: old_engine.all_rows(name) for name in db._primary_keys}
-            yield self.env.timeout(25.0)  # the copy window — writes continue
-            db.install_group(shard, [dest], snapshot)
-        except BaseException:
-            db.directory.abort_migration(shard)
-            raise
-        db.directory.complete_migration(shard)
 
     def ops(self) -> list:
         return list(self.workload.operations(self.env.stream("workload"), 18))

@@ -1103,7 +1103,7 @@ class Database:
     def apply_replicated(
         self,
         command: tuple,
-        token: Optional[int] = None,
+        token: int,
         ack: Optional[Any] = None,
         ack_value: Optional[int] = None,
     ) -> None:
@@ -1118,8 +1118,6 @@ class Database:
         proposal term (``token``) is below the engine's fence: the
         proposing leader was deposed before it could learn the outcome,
         so it must not report success (:class:`FencedOut`).
-        ``token=None`` disables the check (the broken no-fencing variant
-        the chaos oracles catch).
 
         Synchronous and WAL-durable per entry, so a replica's
         ``applied_index`` and its engine's recovered state always agree.
@@ -1152,7 +1150,7 @@ class Database:
             raise ValueError(f"unknown replicated command kind {kind!r}")
         self.stats.replicated_applies += 1
         if ack is not None:
-            if token is not None and token < self._fence:
+            if token < self._fence:
                 self.stats.fenced_acks += 1
                 ack.try_succeed(("err", FencedOut(gid, token, self._fence)))
             else:

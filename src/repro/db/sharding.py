@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Container,
     Generator,
@@ -73,11 +72,9 @@ from repro.replication.errors import (
     ReplicationError,
     ReplicaUnavailable,
 )
+from repro.replication.group import Proposal, ReplicaGroup
 from repro.sim import Environment, Future, Interrupted, Semaphore, any_of
 from repro.transactions.commit import PREPARED, two_phase
-
-if TYPE_CHECKING:
-    from repro.replication.group import Proposal, ReplicaGroup
 
 #: Effectively-unbounded deadline for 2PC decision entries: a decided
 #: transaction's outcome must reach every participant group no matter how
@@ -321,6 +318,9 @@ class ShardedDatabase:
     replicas (default: one).
     """
 
+    #: the class every shard's replica group is built from
+    group_class = ReplicaGroup
+
     def __init__(
         self,
         env: Environment,
@@ -416,7 +416,6 @@ class ShardedDatabase:
         starts at ``start_index``.  The service name carries a generation
         counter so a rebuilt group never collides with its predecessor's
         RPC ports.  Ownership is the caller's to flip."""
-        from repro.replication.group import ReplicaGroup
 
         def engine(node_name: str) -> Database:
             engine = Database(self.env, name=f"{self.name}/shard{shard}@{node_name}")
@@ -428,7 +427,7 @@ class ShardedDatabase:
             return engine
 
         generation = self._generations.get(shard, -1) + 1
-        group = ReplicaGroup(
+        group = self.group_class(
             self.env,
             self.repl_net,
             name=f"{self.name}/s{shard}",

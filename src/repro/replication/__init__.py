@@ -4,9 +4,10 @@ The paper's availability gap (§3.2, ROADMAP item 1): one replica per
 shard means "recovery" is replay-from-WAL, never failover.  This package
 adds Raft-style replica groups over :mod:`repro.messaging.rpc`:
 
-- :class:`ReplicationConfig` — factor, timeouts, and the ``fencing``
-  switch whose ``False`` setting is the intentionally broken
-  local-ack variant the chaos oracles must catch;
+- :class:`ReplicationConfig` — factor, timeouts and batching, all
+  sound settings (the intentionally broken local-ack variant the chaos
+  oracles must catch is the mutant ``replication.unfenced`` in
+  :mod:`repro.chaos.mutants`);
 - :class:`ReplicatedLog` / :class:`LogEntry` — the 1-based log with a
   compaction floor;
 - :class:`Replica` — one member: elections, AppendEntries,

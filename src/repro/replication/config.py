@@ -5,11 +5,12 @@ Raft guidance — heartbeat interval well below the election timeout span,
 randomized timeouts to break split votes — scaled to the simulator's
 intra-zone RTTs.
 
-``fencing=False`` is the *intentionally broken* variant the chaos
-oracles must catch: the leader acknowledges a write as soon as it is
-applied locally (no quorum wait) and a deposed leader ignores higher
-terms, so an isolated or about-to-die leader keeps acking writes that a
-failover will erase.
+Every field is a sound setting.  The intentionally broken variant the
+chaos oracles must catch is not a field but the mutant
+``replication.unfenced`` (:mod:`repro.chaos.mutants`): its leader
+acknowledges a write as soon as it is applied locally (no quorum wait)
+and, once deposed, ignores higher terms, so an isolated or about-to-die
+leader keeps acking writes that a failover will erase.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class ReplicationConfig:
     leader_wait_ms: float = 200.0
     #: max log entries per AppendEntries batch
     max_append_batch: int = 32
-    #: hold a proposal's replication nudge open this long so proposals
-    #: arriving within the window share one AppendEntries batch instead of
-    #: one RPC each (0.0 = nudge immediately, the exact reference behavior)
-    append_window_ms: float = 0.0
     #: compact the log once it holds more than this many entries ...
     compact_threshold: int = 256
     #: ... keeping at least this many trailing entries for cheap catch-up
@@ -47,8 +44,6 @@ class ReplicationConfig:
     log_fsync_ms: float = 0.5
     #: simulated charge for installing a full snapshot on a follower
     snapshot_install_ms: float = 2.0
-    #: sound mode; False = broken local-ack / ignore-higher-terms variant
-    fencing: bool = True
 
     def __post_init__(self) -> None:
         if self.factor < 1:

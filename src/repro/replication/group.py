@@ -79,6 +79,9 @@ class Proposal:
 
 
 class ReplicaGroup:
+    #: the class every member is built from
+    replica_class = Replica
+
     def __init__(
         self,
         env: Environment,
@@ -111,7 +114,7 @@ class ReplicaGroup:
                 node = net.add_node(node_name)
             engine = engine_factory(node_name)
             self.replicas.append(
-                Replica(
+                self.replica_class(
                     env, net, node, engine, config,
                     peers=[n for n in self.node_names if n != node_name],
                     service=self.service,
@@ -135,7 +138,7 @@ class ReplicaGroup:
     def leader_replica(self) -> Optional[Replica]:
         """The live replica currently claiming leadership.
 
-        With a stale (broken-variant) leader still claiming an old term,
+        With a stale (unfenced) leader still claiming an old term,
         the highest term wins — clients follow the most recent claimant.
         """
         best = None

@@ -13,16 +13,17 @@ wiped and rebuilt from its WAL — which, on a replicated shard, contains
 exactly the applied log prefix, because every apply writes and fsyncs
 WAL records synchronously.
 
-Fencing (the tentpole safety rule): every term a replica observes is
-pushed into the engine as a fencing token (``engine.raise_fence``).
+Fencing (the tentpole safety rule): every term a replica enters is
+pushed into the engine as a fencing token (:meth:`Replica._fence`).
 When a committed entry finally applies, the engine compares the entry's
 *proposal term* against the highest fence it has seen — a deposed
 leader's engine therefore refuses to acknowledge writes proposed under
 its old leadership, even though the entry itself (being committed)
-still installs.  The ``fencing=False`` configuration disables both the
-token check and the quorum wait: the leader acks after a purely local
-apply and ignores higher terms — the intentionally broken variant the
-chaos oracles must catch losing acknowledged writes.
+still installs.  The mutant ``replication.unfenced``
+(:mod:`repro.chaos.mutants`) overrides the fence, the term rule and the
+commit rule: its leader acks after a purely local apply and ignores
+higher terms — the intentionally broken variant the chaos oracles must
+catch losing acknowledged writes.
 
 A replica with no peers (a group of one, the sharded database's default
 shard) is its own quorum.  It arms no election timer and starts no
@@ -49,7 +50,8 @@ from repro.replication.log import LogEntry, ReplicatedLog
 from repro.sim import Environment, Future, Interrupted, any_of
 
 #: reply hint meaning "my log diverged below my applied prefix — only a
-#: full snapshot can repair me" (broken-mode damage or deep compaction)
+#: full snapshot can repair me" (an unfenced leader's damage or deep
+#: compaction)
 NEED_SNAPSHOT = -1
 
 
@@ -96,7 +98,6 @@ class Replica:
         self._peer_needs_snapshot: set[str] = set()
         self._last_contact = env.now
         self._wake: Optional[Any] = None
-        self._nudge_pending = False
         self._needs_repair = False
         self._applied_waiters: list[tuple[int, Any]] = []
         #: last log index before this leader's term-start no-op
@@ -150,11 +151,9 @@ class Replica:
         self.leader_hint = None
         self._inflight.clear()
         self._peer_needs_snapshot.clear()
-        self._nudge_pending = False
         self._needs_repair = False
         self._last_contact = self.env.now
-        if self.config.fencing:
-            self.engine.raise_fence(self.term)
+        self._fence(self.term)
         if self.peers:
             self._start()
         else:
@@ -184,26 +183,26 @@ class Replica:
             self.log.reset(start_index, 0)
             self.applied_index = start_index
             self.commit_index = start_index
-        if self.config.fencing:
-            self.engine.raise_fence(term)
+        self._fence(term)
         if leader == self.node.name:
             self._become_leader()
 
     # -- role transitions ----------------------------------------------------
 
+    def _fence(self, term: int) -> None:
+        """Raise the engine's fence to ``term``, the term this replica is
+        in: from now on the engine refuses the ack of any entry proposed
+        under an older term."""
+        self.engine.raise_fence(term)
+
     def _observe_term(self, term: int) -> None:
         if term <= self.term:
-            return
-        if self.role == "leader" and not self.config.fencing:
-            # Broken variant: a deposed leader refuses to learn about the
-            # new leadership and keeps acting on its stale term.
             return
         self.term = term
         self.voted_for = None
         if self.role != "stopped":
             self.role = "follower"
-        if self.config.fencing:
-            self.engine.raise_fence(term)
+        self._fence(term)
 
     def _become_leader(self) -> None:
         self.role = "leader"
@@ -217,11 +216,7 @@ class Replica:
         # entry in this log is committed too (Raft's current-term rule).
         self._serve_from = self.log.last_index
         self.log.append(self.term, ("noop",))
-        if not self.config.fencing:
-            self.commit_index = self.log.last_index
-            self._apply_committed()
-        else:
-            self._advance_commit()
+        self._advance_commit()
         if self._on_leader_cb is not None:
             self._on_leader_cb(self)
         if self.peers and self.node.alive:
@@ -271,8 +266,7 @@ class Replica:
         self.term += 1
         self.role = "candidate"
         self.voted_for = self.node.name
-        if self.config.fencing:
-            self.engine.raise_fence(self.term)
+        self._fence(self.term)
         return self.term
 
     def _election(self) -> Generator:
@@ -340,28 +334,6 @@ class Replica:
         if wake is not None:
             self._wake = None
             wake.try_succeed(None)
-
-    def _nudge_soon(self) -> None:
-        """Nudge replication, optionally after the append window.
-
-        With ``append_window_ms > 0`` the first proposal arms a timer and
-        later proposals ride along: when it fires, every entry appended in
-        the window leaves in one AppendEntries batch (piggybacking into the
-        existing ``max_append_batch`` path) instead of one RPC each.  With
-        the default ``0.0`` this is exactly ``_nudge()``.
-        """
-        window = self.config.append_window_ms
-        if window <= 0.0:
-            self._nudge()
-            return
-        if self._nudge_pending:
-            return
-        self._nudge_pending = True
-        self.env.schedule(window, self._fire_deferred_nudge)
-
-    def _fire_deferred_nudge(self) -> None:
-        self._nudge_pending = False
-        self._nudge()
 
     def _replicate_loop(self, term: int) -> Generator:
         wake = None
@@ -434,7 +406,7 @@ class Replica:
                 elif hint == NEED_SNAPSHOT:
                     self._peer_needs_snapshot.add(peer)
                 elif reply_term < term:
-                    return  # a stale (broken) replica refusing the new term
+                    return  # a stale (unfenced) replica refusing the new term
                 else:
                     self._next[peer] = max(1, min(hint + 1, next_index - 1))
         except Interrupted:
@@ -498,8 +470,8 @@ class Replica:
             return (self.term, False, 0)
         self._observe_term(term)
         if term != self.term:
-            # Stale leader's append (term < ours), or — in the broken
-            # variant — we are a deposed leader refusing the new term.
+            # Stale leader's append (term < ours), or — in the unfenced
+            # mutant — we are a deposed leader refusing the new term.
             return (self.term, False, self.log.last_index)
         if self.role == "candidate":
             self.role = "follower"
@@ -523,7 +495,7 @@ class Replica:
             if existing is not None:
                 if entry_index <= self.applied_index:
                     # The conflicting suffix was already applied locally —
-                    # only possible when a broken leader acked unreplicated
+                    # only possible when an unfenced leader acked unreplicated
                     # writes.  The log alone cannot repair the engine;
                     # request a full snapshot resync.
                     self._needs_repair = True
@@ -604,37 +576,27 @@ class Replica:
             # applies right here, and no peer will ever ask for it, so the
             # log keeps only its snapshot floor (the engine's WAL has it).
             index = self.log.last_index + 1
-            self.engine.apply_replicated(
-                command, self.term if self.config.fencing else None, ack, index
-            )
+            self.engine.apply_replicated(command, self.term, ack, index)
             self.log.reset(index, self.term)
             self.commit_index = self.applied_index = index
             self._notify_applied()
             return ack
         index = self.log.append(self.term, command)
         self._acks[index] = ack
-        if not self.config.fencing:
-            # Broken: acknowledge after the purely local apply — no quorum.
-            self.commit_index = index
-            self._apply_committed()
-        else:
-            self._advance_commit()
-        self._nudge_soon()
+        self._advance_commit()
+        self._nudge()
         return ack
 
     def _apply_committed(self) -> None:
         log, engine = self.log, self.engine
-        fencing = self.config.fencing
         while self.applied_index < self.commit_index:
             index = self.applied_index + 1
             token, _index, command = log.entries[index - log.snapshot_index - 1]
-            if not fencing:
-                token = None
             ack = self._acks.pop(index, None)
             if command[0] != "noop":
                 engine.apply_replicated(command, token, ack, index)
             elif ack is not None:
-                if token is not None and token < engine.fence_token:
+                if token < engine.fence_token:
                     ack.try_succeed(("err", NotLeader(
                         self.group_label, self.node.name
                     )))

@@ -24,6 +24,7 @@ from repro.apps.core import (
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import ledger_spec
 from repro.chaos import History
+from repro.chaos.mutants import SplitAllocatorDbBinder
 from repro.sim import Environment
 from repro.workloads.invoicing import InvoiceOp, InvoicingWorkload
 from repro.workloads.transfers import TransferWorkload
@@ -243,7 +244,7 @@ def test_gap_free_invariant_catches_gapped_allocator():
     """The split allocator burns a number; the compiled invariant sees it."""
     env = Environment(seed=3)
     spec = _gapped_spec("inv-002")
-    binder = bind("db", env, spec, transaction_per_step=True)
+    binder = SplitAllocatorDbBinder(env, spec)
     assert not binder.sound
     _issue_invoices(binder, env, "inv-002")
 

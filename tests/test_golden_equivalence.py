@@ -87,12 +87,11 @@ def _c17_fault_free():
     """Every C17 deployment's fault-free run: per-op (start, end, outcome),
     the run's end time, and the binder's final snapshot."""
     from benchmarks import bench_c17_app_matrix as c17
-    from repro.apps.core import bind
 
     runs = {}
     for app, runtime, opts, _sound, label in c17.DEPLOYMENTS:
         env = Environment(seed=c17.SEED)
-        binder = bind(runtime, env, c17.make_spec(app), **opts)
+        binder = c17.deploy(runtime, env, c17.make_spec(app), opts)
         ops = c17.make_ops(app, env)
         latencies = {}
 

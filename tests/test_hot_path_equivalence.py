@@ -3,9 +3,6 @@
 Every optimization added by the hot-path pass keeps a reference mode; the
 bar here matches the flag's contract:
 
-- the opt-in *timing-changing* path (append-window piggybacking) must
-  produce the **same outcomes and final state** as its reference mode,
-  with strictly less wire traffic;
 - the read paths audited in the bugfix sweep must never mutate shared
   state as a side effect of being asked a question;
 - the one reference switch, ``Environment(fast_path=False)``, must reach
@@ -16,7 +13,7 @@ import pytest
 
 from repro.messaging.rpc import RpcClient, RpcRemoteError, RpcServer
 from repro.net import Network
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicationConfig
 from repro.sim import Environment
 
 
@@ -36,71 +33,6 @@ def test_send_local_dead_node_counts_dropped():
     net.send_local("app", "p", "payload")
     assert net.stats.dropped_dead == 1
     assert net.stats.delivered == 0
-
-
-# -- replication append piggybacking ------------------------------------------
-
-
-def _replication_scenario(window_ms: float):
-    from repro.db import IsolationLevel
-    from repro.db.engine import Database
-
-    env = Environment(seed=5)
-    net = Network(env)
-
-    def factory(node_name):
-        engine = Database(env, name=f"g@{node_name}")
-        engine.create_table("kv")
-        return engine
-
-    config = ReplicationConfig(append_window_ms=window_ms)
-    group = ReplicaGroup(
-        env, net, name="g", config=config,
-        engine_factory=factory, node_names=["r0", "r1", "r2"],
-    )
-    leader = group.leader_replica()
-
-    def proposer(env):
-        # Pipelined proposals 3ms apart — longer than the intra-zone RTT,
-        # so without a window each proposal triggers its own sync round,
-        # while a 10ms window lets several share one AppendEntries batch.
-        acks = []
-        for i in range(12):
-            engine = leader.engine
-            txn = engine.begin(IsolationLevel.SERIALIZABLE)
-            yield from engine.put(txn, "kv", i, {"id": i, "value": i * 10})
-            gid = ("t", i)
-            writes = engine.stage_replicated(txn, gid)
-            acks.append(leader.propose(("commit", gid, writes)))
-            yield env.timeout(3.0)
-        for ack in acks:
-            status, _detail = yield ack
-            assert status == "ok"
-
-    run(env, proposer(env))
-    env.run(until=250.0)  # same fixed horizon: heartbeat counts comparable
-    applied = [replica.applied_index for replica in group.replicas]
-    values = [
-        [replica.engine.read_latest("kv", i) for i in range(12)]
-        for replica in group.replicas
-    ]
-    return applied, values, leader.client.stats.calls
-
-
-def test_append_window_same_state_fewer_rpcs():
-    """append_window_ms batches same-window proposals into shared
-    AppendEntries RPCs: identical replicated state, fewer leader calls."""
-    ref_applied, ref_values, ref_calls = _replication_scenario(0.0)
-    win_applied, win_values, win_calls = _replication_scenario(10.0)
-    assert win_applied == ref_applied
-    assert win_values == ref_values
-    for row_set in win_values:
-        assert [row["value"] for row in row_set] == [i * 10 for i in range(12)]
-    assert win_calls < ref_calls
-
-
-def test_append_window_defaults_off():
-    assert ReplicationConfig().append_window_ms == 0.0
 
 
 # -- bugfix sweep: read paths must not mutate ---------------------------------
@@ -226,7 +158,7 @@ def _every_engine(env):
     engines += replicated.replica_group(0).engines()
     run(env, replicated.migrate_shard(0, replicated.nodes[3]))
     cluster = build_scenario("cluster", env, broken=True)
-    run(env, cluster._flip_without_drain(0, cluster.db.nodes[1]))
+    run(env, cluster.db.migrate_shard(0, cluster.db.nodes[1]))
     # the migration's replacement, the moved group, the unsound flip's engine
     engines += [plain.leader_engine(0), *replicated.replica_group(0).engines(),
                 cluster.db.leader_engine(0)]

@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from repro.chaos import run_trial
+from repro.chaos.mutants import UnfencedShardedDatabase
 from repro.chaos.nemesis import Episode
 from repro.cluster import ClusterError, Rebalancer
 from repro.core.faults import FaultPlan, FaultPlanError
@@ -377,8 +378,9 @@ print(hashlib.sha256(repr((trace, state)).encode()).hexdigest())
 
 
 class TestReplicatedShardedDatabase:
-    def _make_db(self, env, num_shards=2, num_nodes=3, replication=None, **kwargs):
-        db = ShardedDatabase(
+    def _make_db(self, env, num_shards=2, num_nodes=3, replication=None,
+                 db_class=ShardedDatabase, **kwargs):
+        db = db_class(
             env, num_shards=num_shards, num_nodes=num_nodes, name="bank",
             rtt_ms=1.0, replication=replication or ReplicationConfig(), **kwargs,
         )
@@ -448,23 +450,24 @@ class TestReplicatedShardedDatabase:
         }
 
     @pytest.mark.parametrize(
-        "factor, fencing, expected",
+        "factor, sound, expected",
         [
             (3, True, [(3.813778, 66), (2.950343, 31), (3.134485, 28)]),
             # a group of one commits at start(): what a plain engine costs
             (1, True, [(1.0, 3), (1.0, 3), (1.0, 3)]),
-            # the unfenced leader acks at start() too: no event for the ack
+            # the unfenced mutant acks at start() too: no event for the ack
             (3, False, [(1.0, 23), (1.0, 7), (1.0, 10)]),
         ],
     )
-    def test_single_shard_commit_schedule_is_pinned(self, factor, fencing, expected):
+    def test_single_shard_commit_schedule_is_pinned(self, factor, sound, expected):
         """``replicate()`` is ``start()`` then ``wait()``: a single-shard
         commit costs exactly the virtual time and kernel events it did
         as one loop, less the ack event :meth:`ReplicaGroup.wait` saves
         when the ack landed at ``start()``."""
         env = Environment(seed=9)
         db = self._make_db(
-            env, replication=ReplicationConfig(factor=factor, fencing=fencing)
+            env, replication=ReplicationConfig(factor=factor),
+            db_class=ShardedDatabase if sound else UnfencedShardedDatabase,
         )
         k1 = key_on(0, 2)
         k2 = key_on(0, 2, start=k1 + 1)
@@ -786,7 +789,7 @@ class TestReplicationChaos:
 
     def test_broken_no_fencing_variant_is_caught(self):
         result = run_trial("replication", seed=8, broken=True)
-        assert result.violations, "no-fencing variant must violate the oracles"
+        assert result.violations, "the unfenced mutant must violate the oracles"
         invariants = {v.invariant for v in result.violations}
         assert invariants & {"conservation(accounts.balance)",
                              "double_entry(accounts<-postings)",
