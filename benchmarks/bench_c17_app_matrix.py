@@ -106,18 +106,22 @@ def deploy(runtime, env: Environment, spec, opts: dict):
 
 
 def drive(app: str, runtime: str, opts: dict, count: int = OPS) -> dict:
-    """One fault-free closed-loop run; returns goodput + invariant verdict."""
+    """One fault-free closed-loop run; returns goodput + invariant verdict,
+    and the run itself: per-op ``(start, end, outcome)`` (``"ok"`` or the
+    exception's type name), the end time and the final snapshot."""
     env = Environment(seed=SEED)
     binder = deploy(runtime, env, make_spec(app), opts)
     ops = make_ops(app, env, count)
-    outcomes: dict[str, str] = {}
+    latencies: dict[str, tuple] = {}
 
     def one(op):
+        start = env.now
         try:
             yield from binder.execute(op)
-            outcomes[op.op_id] = "ok"
-        except Exception:  # noqa: BLE001 — any client-visible failure
-            outcomes[op.op_id] = "err"
+            outcome = "ok"
+        except Exception as exc:  # noqa: BLE001 — any client-visible failure
+            outcome = type(exc).__name__
+        latencies[op.op_id] = (start, env.now, outcome)
 
     def main():
         pending = []
@@ -134,10 +138,14 @@ def drive(app: str, runtime: str, opts: dict, count: int = OPS) -> dict:
         invariant.name for invariant in binder.invariants()
         if invariant.check(state)
     )
+    committed = sum(1 for *_, outcome in latencies.values() if outcome == "ok")
     return {
-        "committed": sum(1 for v in outcomes.values() if v == "ok"),
-        "errors": sum(1 for v in outcomes.values() if v == "err"),
+        "committed": committed,
+        "errors": len(latencies) - committed,
         "violated": violated,
+        "latencies": latencies,
+        "end": env.now,
+        "snapshot": state,
     }
 
 

@@ -22,7 +22,7 @@ import time
 from repro.messaging.broker import Broker
 from repro.messaging.rpc import RpcClient, RpcServer
 from repro.net import Network
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicaGroup
 from repro.sim import Environment
 
 
@@ -89,7 +89,7 @@ def _replication_append(n: int) -> tuple[int, float]:
         return engine
 
     group = ReplicaGroup(
-        env, net, name="bench", config=ReplicationConfig(),
+        env, net, name="bench",
         engine_factory=factory, node_names=["r0", "r1", "r2"],
     )
 

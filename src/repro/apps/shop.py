@@ -6,7 +6,8 @@ order), matching the §4.2 spectrum:
 - ``"none"`` — fire the steps and hope: a mid-flight failure leaves
   orphan reservations and the invariants catch it;
 - ``"saga"`` — orchestrated saga with compensations (release stock,
-  refund payment): eventually consistent, non-blocking;
+  refund payment) up to its pivot, the charge; past it the checkout
+  only goes forward: eventually consistent, non-blocking;
 - ``"2pc"`` — atomic commit across the services: each service exposes
   ``prepare_*``/``commit_txn``/``abort_txn`` RPC endpoints over its own
   database's XA interface, and the checkout coordinator drives them.
@@ -28,10 +29,10 @@ from typing import Generator
 from repro.apps.core import KernelApp
 from repro.apps.core.retry import with_prepared_txn, with_txn
 from repro.db import IsolationLevel
-from repro.messaging.rpc import RpcRemoteError
+from repro.messaging.rpc import RpcError, RpcRemoteError
 from repro.microservices import Microservice, MicroserviceApp
 from repro.sim import Environment
-from repro.transactions import Saga, SagaOrchestrator, SagaStep
+from repro.transactions import Saga, SagaOrchestrator, SagaStep, SagaStuck
 from repro.workloads.marketplace import CheckoutOp, MarketplaceWorkload
 
 SER = IsolationLevel.SERIALIZABLE
@@ -371,27 +372,35 @@ class MicroserviceShop(KernelApp):
                 f"{op.op_id}/refund",
             )
 
-        def finalize(ctx):
-            yield from self._call(
-                "stock", "confirm", {"order_id": op.op_id, "items": items},
-                f"{op.op_id}/confirm",
-            )
-            yield from self._call(
-                "orders", "create", {"order_id": op.op_id, "items": items},
-                f"{op.op_id}/create",
-            )
-
         saga = Saga(
             f"checkout-{op.op_id}",
             [
                 SagaStep("reserve", reserve, release),
                 SagaStep("charge", charge, refund),
-                SagaStep("finalize", finalize),
             ],
         )
         outcome = yield from self.orchestrator.execute(saga)
         if outcome.status != "completed":
             raise RpcRemoteError("saga", "checkout", outcome.error or "compensated")
+        # The charge is the pivot: once it committed, the checkout only
+        # goes forward.  Finalizing is never compensated (an order row
+        # may already have landed behind a timeout); it retries with the
+        # same idempotency keys, as often as a compensation may, and if
+        # it still fails the checkout's outcome is unknown, not failed.
+        for attempt in range(1, self.orchestrator.compensation_retries + 2):
+            try:
+                yield from self._call(
+                    "stock", "confirm", {"order_id": op.op_id, "items": items},
+                    f"{op.op_id}/confirm",
+                )
+                yield from self._call(
+                    "orders", "create", {"order_id": op.op_id, "items": items},
+                    f"{op.op_id}/create",
+                )
+                return
+            except RpcError:
+                yield self.env.timeout(2.0 * attempt)  # backoff
+        raise SagaStuck(saga.name, "finalize")
 
     def _checkout_2pc(self, op: CheckoutOp) -> Generator:
         """2PC with the three services as participants, over RPC.

@@ -9,9 +9,9 @@ each name to a builder taking the entry's sound binder options.
 
 - ``replication.unfenced`` — a :class:`~repro.replication.Replica`
   whose leader commits at local append, whose deposed leader ignores
-  higher terms, and which never raises the engine's fence, so no ack is
-  ever fenced: an isolated or about-to-die leader keeps acking writes a
-  failover erases.
+  higher terms, and whose fencing check passes every entry, so no ack
+  is ever refused: an isolated or about-to-die leader keeps acking
+  writes a failover erases.
 - ``invoicing.split_allocator`` — a db binder running a handler's
   ``steps`` as separate transactions sharing one scratch dict: a crash
   between them burns an invoice number.
@@ -32,8 +32,9 @@ from repro.replication import Replica, ReplicaGroup
 class UnfencedReplica(Replica):
     """``replication.unfenced``: a leader that is its own quorum."""
 
-    def _fence(self, term: int) -> None:
-        """Never raised, so no ack is ever fenced."""
+    def _fenced(self, token: int) -> bool:
+        """No ack is ever refused."""
+        return False
 
     def _observe_term(self, term: int) -> None:
         # a deposed leader keeps acting on its stale term

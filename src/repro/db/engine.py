@@ -70,7 +70,6 @@ from typing import (
 from repro.cluster.plan import key_order
 from repro.db.errors import (
     DuplicateKey,
-    FencedOut,
     InvalidTransactionState,
     NoSuchTable,
     TransactionAborted,
@@ -285,8 +284,6 @@ class DbStats:
     gc_passes: int = 0
     #: retained version tuples across all tables (gauge)
     live_versions: int = 0
-    #: replicated-apply acks refused because the proposal term was fenced
-    fenced_acks: int = 0
     #: replicated commands (commit/prepare/decide entries) applied
     replicated_applies: int = 0
 
@@ -333,8 +330,6 @@ class Database:
         #: chain length past which a commit prunes inline; 0 = never
         self._gc_chain_threshold = GC_CHAIN_THRESHOLD if env.fast_path else 0
         self._group: Optional[_CommitGroup] = None
-        #: highest replication term observed (fencing token watermark)
-        self._fence = 0
         #: replicated proposals staged on this engine, awaiting their log
         #: entry's fate; keyed by the globally unique gid
         self._repl_pending: dict[Hashable, Transaction] = {}
@@ -1065,17 +1060,6 @@ class Database:
 
     # -- replication entry points (repro.replication) -------------------------------
 
-    @property
-    def fence_token(self) -> int:
-        """Highest replication term this engine has observed."""
-        return self._fence
-
-    def raise_fence(self, token: int) -> None:
-        """Monotonically raise the fencing watermark (survives crashes:
-        the replica re-raises its durable term on recovery)."""
-        if token > self._fence:
-            self._fence = token
-
     def stage_replicated(
         self, txn: Transaction, gid: Hashable, *, prepared: bool = False
     ) -> tuple:
@@ -1100,24 +1084,16 @@ class Database:
             txn.status = TxnStatus.PREPARED
         return tuple(writes.items())
 
-    def apply_replicated(
-        self,
-        command: tuple,
-        token: int,
-        ack: Optional[Any] = None,
-        ack_value: Optional[int] = None,
-    ) -> None:
-        """Apply one committed log entry; the fencing check lives here.
+    def apply_replicated(self, command: tuple) -> None:
+        """Apply one committed log entry: install it, or log it in doubt.
 
         ``command`` is the log entry's command: ``("commit", gid,
         writes)``, ``("prepare", gid, writes)`` or ``("decide", gid,
         commit)``, with ``writes`` the ``((table, key), row)`` pairs
-        :meth:`stage_replicated` returned.  A committed entry ALWAYS
-        installs — committedness was decided by the quorum, not by this
-        engine — but the *acknowledgement* is refused when the entry's
-        proposal term (``token``) is below the engine's fence: the
-        proposing leader was deposed before it could learn the outcome,
-        so it must not report success (:class:`FencedOut`).
+        :meth:`stage_replicated` returned.  A committed entry always
+        installs: committedness was decided by the quorum, not by this
+        engine.  Whether its proposer may report success is the
+        replica's to settle.
 
         Synchronous and WAL-durable per entry, so a replica's
         ``applied_index`` and its engine's recovered state always agree.
@@ -1149,12 +1125,6 @@ class Database:
         else:
             raise ValueError(f"unknown replicated command kind {kind!r}")
         self.stats.replicated_applies += 1
-        if ack is not None:
-            if token < self._fence:
-                self.stats.fenced_acks += 1
-                ack.try_succeed(("err", FencedOut(gid, token, self._fence)))
-            else:
-                ack.try_succeed(("ok", ack_value))
 
     def discard_replicated(self, gid: Hashable) -> None:
         """A staged proposal's entry will never commit: roll it back."""

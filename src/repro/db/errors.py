@@ -53,16 +53,16 @@ class InvalidTransactionState(TransactionError):
 class FencedOut(TransactionError):
     """A deposed leader's write was refused acknowledgement.
 
-    The engine saw a fencing token (replication term) higher than the one
-    the write was proposed under: the entry still installs if the log
-    committed it, but the proposing leader must not report success — its
-    leadership ended before it could learn the outcome.
+    The replica settling the ack is in a term (its fencing token) higher
+    than the one the write was proposed under: the entry still installs
+    if the log committed it, but the proposing leader must not report
+    success — its leadership ended before it could learn the outcome.
     """
 
     def __init__(self, gid: object, token: int, fence: int) -> None:
         super().__init__(
             f"replicated txn {gid!r} proposed under term {token} but the "
-            f"engine has seen term {fence}: ack refused (fenced out)"
+            f"replica is in term {fence}: ack refused (fenced out)"
         )
         self.gid = gid
         self.token = token

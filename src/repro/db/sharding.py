@@ -73,6 +73,7 @@ from repro.replication.errors import (
     ReplicaUnavailable,
 )
 from repro.replication.group import Proposal, ReplicaGroup
+from repro.replication.replica import HEARTBEAT_MS
 from repro.sim import Environment, Future, Interrupted, Semaphore, any_of
 from repro.transactions.commit import PREPARED, two_phase
 
@@ -157,7 +158,7 @@ class _Mover:
                     f"shard {shard} replica group failed to quiesce within "
                     f"{db.drain_timeout_ms}ms"
                 )
-            yield env.timeout(db.replication.heartbeat_ms)
+            yield env.timeout(HEARTBEAT_MS)
 
     def transfer(self, shard: int, source: str, dest: str) -> Generator:
         """Stream the leader's rows, table by table: each table costs one
@@ -431,7 +432,6 @@ class ShardedDatabase:
             self.env,
             self.repl_net,
             name=f"{self.name}/s{shard}",
-            config=self.replication,
             engine_factory=engine,
             node_names=list(members),
             service=f"{self.name}-s{shard}g{generation}",
@@ -443,7 +443,7 @@ class ShardedDatabase:
             if self._groups.get(shard) is group:
                 self.directory.set_group_leader(shard, node)
 
-        group._on_leader_ext = on_leader
+        group.on_leader = on_leader
         replaced = self._groups.get(shard)
         self._groups[shard] = group
         self._generations[shard] = generation

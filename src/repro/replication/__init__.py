@@ -4,14 +4,15 @@ The paper's availability gap (§3.2, ROADMAP item 1): one replica per
 shard means "recovery" is replay-from-WAL, never failover.  This package
 adds Raft-style replica groups over :mod:`repro.messaging.rpc`:
 
-- :class:`ReplicationConfig` — factor, timeouts and batching, all
-  sound settings (the intentionally broken local-ack variant the chaos
-  oracles must catch is the mutant ``replication.unfenced`` in
-  :mod:`repro.chaos.mutants`);
+- :class:`ReplicationConfig` — the replication factor, the one setting
+  (timeouts and batching are constants beside their uses; the
+  intentionally broken local-ack variant the chaos oracles must catch is
+  the mutant ``replication.unfenced`` in :mod:`repro.chaos.mutants`);
 - :class:`ReplicatedLog` / :class:`LogEntry` — the 1-based log with a
   compaction floor;
 - :class:`Replica` — one member: elections, AppendEntries,
-  InstallSnapshot, and the engine apply path with fencing tokens;
+  InstallSnapshot, and the apply path, where it fences a deposed
+  leader's acks by term;
 - :class:`ReplicaGroup` — the per-shard unit :mod:`repro.db.sharding`
   places and migrates; quorum writes, leader reads (read-index
   barrier), bounded-stale follower reads with :class:`Session`

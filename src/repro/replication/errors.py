@@ -2,9 +2,10 @@
 
 The split mirrors the chaos history's outcome classes: definite failures
 (the client *knows* nothing committed) versus uncertain outcomes (the
-proposal may or may not survive — Jepsen ``info``).  ``FencedOut`` lives
-in :mod:`repro.db.errors` because the fencing check happens inside the
-engine's apply path; it is re-exported here for convenience.
+proposal may or may not survive — Jepsen ``info``).  ``FencedOut``, which
+a replica settles a deposed leader's ack with, lives in
+:mod:`repro.db.errors` because it is a transaction error the db binders
+and the sharded database handle; it is re-exported here for convenience.
 """
 
 from __future__ import annotations

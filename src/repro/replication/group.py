@@ -14,25 +14,29 @@ operations the sharded database and the benchmarks need:
 - :meth:`wait_leader` / :meth:`leader_replica` — leader discovery;
 - :meth:`stop` — retire the group after a migration flips ownership.
 
-A group of one (``ReplicationConfig(factor=1)``) runs the same code: its
-replica commits each entry when :meth:`start` proposes it, and
-:meth:`wait` takes the acknowledgement without an event.
+A group's size is the number of nodes it is built on.  A group of one
+runs the same code: its replica commits each entry when :meth:`start`
+proposes it, and :meth:`wait` takes the acknowledgement without an event.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.net import Network, Node
-from repro.replication.config import ReplicationConfig
+from repro.net import Network
 from repro.replication.errors import (
     NoLeader,
     NotLeader,
     QuorumTimeout,
     ReplicationUncertain,
 )
-from repro.replication.replica import Replica
+from repro.replication.replica import HEARTBEAT_MS, MAX_STALENESS_MS, Replica
 from repro.sim import Environment, any_of
+
+#: client-visible deadline for a quorum-acknowledged commit (virtual ms)
+COMMIT_TIMEOUT_MS = 250.0
+#: how long a client waits for a leader to emerge before NoLeader
+LEADER_WAIT_MS = 200.0
 
 
 class Session:
@@ -87,26 +91,20 @@ class ReplicaGroup:
         env: Environment,
         net: Network,
         name: str,
-        config: ReplicationConfig,
         engine_factory: Callable[[str], Any],
         node_names: list[str],
         service: Optional[str] = None,
-        on_leader: Optional[Callable[[str], None]] = None,
         start_index: int = 0,
     ) -> None:
-        if len(node_names) != config.factor:
-            raise ValueError(
-                f"group {name} needs {config.factor} nodes, got {len(node_names)}"
-            )
         if len(set(node_names)) != len(node_names):
             raise ValueError(f"group {name} members must be distinct nodes")
         self.env = env
         self.net = net
         self.name = name
-        self.config = config
         self.service = service or name
         self.node_names = list(node_names)
-        self._on_leader_ext = on_leader
+        #: called with the node name of every replica that takes the lead
+        self.on_leader: Optional[Callable[[str], None]] = None
         self.replicas: list[Replica] = []
         for node_name in self.node_names:
             node = net.nodes.get(node_name)
@@ -115,7 +113,7 @@ class ReplicaGroup:
             engine = engine_factory(node_name)
             self.replicas.append(
                 self.replica_class(
-                    env, net, node, engine, config,
+                    env, net, node, engine,
                     peers=[n for n in self.node_names if n != node_name],
                     service=self.service,
                     group_label=name,
@@ -132,8 +130,8 @@ class ReplicaGroup:
     # -- leadership ----------------------------------------------------------
 
     def _leader_changed(self, replica: Replica) -> None:
-        if self._on_leader_ext is not None:
-            self._on_leader_ext(replica.node.name)
+        if self.on_leader is not None:
+            self.on_leader(replica.node.name)
 
     def leader_replica(self) -> Optional[Replica]:
         """The live replica currently claiming leadership.
@@ -156,7 +154,7 @@ class ReplicaGroup:
         """Poll until a live, :attr:`~Replica.servable` leader claims the
         group; NoLeader on timeout."""
         deadline = self.env.now + (
-            timeout if timeout is not None else self.config.leader_wait_ms
+            timeout if timeout is not None else LEADER_WAIT_MS
         )
         while True:
             leader = self.leader_replica()
@@ -164,7 +162,7 @@ class ReplicaGroup:
                 return leader
             if self.env.now >= deadline:
                 raise NoLeader(self.name)
-            yield self.env.timeout(self.config.heartbeat_ms)
+            yield self.env.timeout(HEARTBEAT_MS)
 
     def replica_on(self, node_name: str) -> Replica:
         for replica in self.replicas:
@@ -222,7 +220,7 @@ class ReplicaGroup:
             command,
             replica,
             self.env.now + (
-                timeout if timeout is not None else self.config.commit_timeout_ms
+                timeout if timeout is not None else COMMIT_TIMEOUT_MS
             ),
             retry,
         )
@@ -271,7 +269,7 @@ class ReplicaGroup:
         while True:
             ack = proposal.ack
             if ack is None:
-                yield self.env.timeout(self.config.heartbeat_ms)
+                yield self.env.timeout(HEARTBEAT_MS)
                 self._propose(proposal)
                 continue
             if ack._done and ack._value[0] == "ok":
@@ -292,7 +290,7 @@ class ReplicaGroup:
                 proposal.replica = None
                 if self.env.now >= proposal.deadline:
                     raise value
-                yield self.env.timeout(self.config.heartbeat_ms)
+                yield self.env.timeout(HEARTBEAT_MS)
                 self._propose(proposal)
                 continue
             raise value
@@ -315,7 +313,7 @@ class ReplicaGroup:
         """Bounded-stale read from a follower, with read-your-writes.
 
         Refuses service (:class:`NoLeader`) when every follower has been
-        out of contact longer than ``max_staleness_ms``; with a
+        out of contact longer than ``MAX_STALENESS_MS``; with a
         ``session``, waits until the follower's applied prefix covers the
         session's highest observed index.
         """
@@ -327,14 +325,14 @@ class ReplicaGroup:
         for replica in candidates:
             if not replica.node.alive or replica.role == "stopped":
                 continue
-            if replica.staleness_ms() > self.config.max_staleness_ms:
+            if replica.staleness_ms() > MAX_STALENESS_MS:
                 continue
             if replica.applied_index < min_index:
                 winner = yield any_of(
                     self.env,
                     [
                         replica.wait_applied(min_index),
-                        self.env.timeout(self.config.max_staleness_ms, None),
+                        self.env.timeout(MAX_STALENESS_MS, None),
                     ],
                 )
                 if winner[1] is None or replica.applied_index < min_index:
@@ -364,7 +362,7 @@ class ReplicaGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         leader = self.leader_name()
-        return f"<ReplicaGroup {self.name} leader={leader} x{self.config.factor}>"
+        return f"<ReplicaGroup {self.name} leader={leader} x{len(self.replicas)}>"
 
 
 __all__ = ["Proposal", "ReplicaGroup", "Session"]

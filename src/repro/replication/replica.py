@@ -13,17 +13,21 @@ wiped and rebuilt from its WAL — which, on a replicated shard, contains
 exactly the applied log prefix, because every apply writes and fsyncs
 WAL records synchronously.
 
-Fencing (the tentpole safety rule): every term a replica enters is
-pushed into the engine as a fencing token (:meth:`Replica._fence`).
-When a committed entry finally applies, the engine compares the entry's
-*proposal term* against the highest fence it has seen — a deposed
-leader's engine therefore refuses to acknowledge writes proposed under
-its old leadership, even though the entry itself (being committed)
-still installs.  The mutant ``replication.unfenced``
-(:mod:`repro.chaos.mutants`) overrides the fence, the term rule and the
-commit rule: its leader acks after a purely local apply and ignores
-higher terms — the intentionally broken variant the chaos oracles must
-catch losing acknowledged writes.
+Fencing (the tentpole safety rule): a replica's ``term`` is its
+fencing token.  When a committed entry applies, the replica settles the
+entry's acknowledgement in one place (:meth:`Replica._settle`), right
+after the engine installed it: an entry *proposed* under a term below
+the replica's current one is refused (:class:`FencedOut`), so a deposed
+leader never acknowledges writes proposed under its old leadership,
+even though the entry itself (being committed) still installs.  The
+engine knows nothing of terms.  The mutant ``replication.unfenced``
+(:mod:`repro.chaos.mutants`) overrides the check (:meth:`Replica._fenced`),
+the term rule and the commit rule: its leader acks after a purely local
+apply and ignores higher terms — the intentionally broken variant the
+chaos oracles must catch losing acknowledged writes.
+
+The protocol's timing and sizing are the module constants below; a
+group's size, and so its quorum, is its membership.
 
 A replica with no peers (a group of one, the sharded database's default
 shard) is its own quorum.  It arms no election timer and starts no
@@ -39,15 +43,39 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.db.engine import Database
+from repro.db.errors import FencedOut
 from repro.messaging.rpc import RpcClient, RpcError, RpcServer
 from repro.net import Network, Node
-from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NotLeader,
     ReplicationUncertain,
 )
 from repro.replication.log import LogEntry, ReplicatedLog
 from repro.sim import Environment, Future, Interrupted, any_of
+
+# All durations are virtual milliseconds.  The values follow the usual
+# Raft guidance (heartbeats well below the election timeout span,
+# randomized timeouts to break split votes), scaled to the simulator's
+# intra-zone RTTs.
+
+#: leader -> follower AppendEntries cadence when idle
+HEARTBEAT_MS = 15.0
+#: randomized follower election timeout span (uniform per arming)
+ELECTION_TIMEOUT = (60.0, 120.0)
+#: per-RPC timeout for vote/append/snapshot rounds
+RPC_TIMEOUT_MS = 30.0
+#: max log entries per AppendEntries batch
+MAX_APPEND_BATCH = 32
+#: compact the log once it holds more than this many entries ...
+COMPACT_THRESHOLD = 256
+#: ... keeping at least this many trailing entries for cheap catch-up
+COMPACT_KEEP = 32
+#: follower reads refuse service if the leader has been silent longer
+MAX_STALENESS_MS = 200.0
+#: simulated fsync charge for appending entries to the replicated log
+LOG_FSYNC_MS = 0.5
+#: simulated charge for installing a full snapshot on a follower
+SNAPSHOT_INSTALL_MS = 2.0
 
 #: reply hint meaning "my log diverged below my applied prefix — only a
 #: full snapshot can repair me" (an unfenced leader's damage or deep
@@ -64,7 +92,6 @@ class Replica:
         net: Network,
         node: Node,
         engine: Database,
-        config: ReplicationConfig,
         peers: list[str],
         service: str,
         group_label: str = "group",
@@ -74,8 +101,9 @@ class Replica:
         self.net = net
         self.node = node
         self.engine = engine
-        self.config = config
         self.peers = list(peers)  # stable order: election + sync determinism
+        #: a majority of the group: this replica and its peers
+        self.quorum = (len(self.peers) + 1) // 2 + 1
         self.service = service
         self.group_label = group_label
         self._ack_label = f"{service}:ack"
@@ -153,7 +181,6 @@ class Replica:
         self._peer_needs_snapshot.clear()
         self._needs_repair = False
         self._last_contact = self.env.now
-        self._fence(self.term)
         if self.peers:
             self._start()
         else:
@@ -183,17 +210,10 @@ class Replica:
             self.log.reset(start_index, 0)
             self.applied_index = start_index
             self.commit_index = start_index
-        self._fence(term)
         if leader == self.node.name:
             self._become_leader()
 
     # -- role transitions ----------------------------------------------------
-
-    def _fence(self, term: int) -> None:
-        """Raise the engine's fence to ``term``, the term this replica is
-        in: from now on the engine refuses the ack of any entry proposed
-        under an older term."""
-        self.engine.raise_fence(term)
 
     def _observe_term(self, term: int) -> None:
         if term <= self.term:
@@ -202,7 +222,6 @@ class Replica:
         self.voted_for = None
         if self.role != "stopped":
             self.role = "follower"
-        self._fence(term)
 
     def _become_leader(self) -> None:
         self.role = "leader"
@@ -239,7 +258,7 @@ class Replica:
     # -- elections -----------------------------------------------------------
 
     def _timer_loop(self) -> Generator:
-        lo, hi = self.config.election_timeout
+        lo, hi = ELECTION_TIMEOUT
         while self.role != "stopped":
             span = self._rng.uniform(lo, hi)
             deadline = self.env.now + span
@@ -266,12 +285,11 @@ class Replica:
         self.term += 1
         self.role = "candidate"
         self.voted_for = self.node.name
-        self._fence(self.term)
         return self.term
 
     def _election(self) -> Generator:
         term = self._stand()
-        quorum = self.config.quorum
+        quorum = self.quorum
         tally = {"granted": 1}
         done = self.env.future(label=f"{self.service}:election-t{term}")
         if tally["granted"] >= quorum:
@@ -281,7 +299,7 @@ class Replica:
                 self._solicit(peer, term, tally, done, quorum),
                 label=f"{self.service}:{self.node.name}.vote-req",
             )
-        lo, _hi = self.config.election_timeout
+        lo, _hi = ELECTION_TIMEOUT
         yield any_of(self.env, [done, self.env.timeout(lo)])
         if self.term != term or self.role != "candidate":
             return  # a newer term or a leader's append intervened
@@ -293,7 +311,7 @@ class Replica:
         try:
             reply = yield from self.client.call(
                 peer, "vote", payload,
-                timeout=self.config.rpc_timeout_ms, retries=0,
+                timeout=RPC_TIMEOUT_MS, retries=0,
             )
         except (RpcError, Interrupted):
             return
@@ -351,7 +369,7 @@ class Replica:
                 wake = self.env.future(label=f"{self.service}:lead-wake")
                 self._wake = wake
                 yield any_of(
-                    self.env, [wake, self.env.timeout(self.config.heartbeat_ms)]
+                    self.env, [wake, self.env.timeout(HEARTBEAT_MS)]
                 )
         except Interrupted:
             return
@@ -374,9 +392,7 @@ class Replica:
                 if prev_term is None:
                     self._peer_needs_snapshot.add(peer)
                     continue
-                entries = self.log.slice_from(
-                    next_index, self.config.max_append_batch
-                )
+                entries = self.log.slice_from(next_index, MAX_APPEND_BATCH)
                 payload = (
                     term, self.node.name, prev, prev_term,
                     [(e.term, e.index, e.command) for e in entries],
@@ -385,7 +401,7 @@ class Replica:
                 try:
                     reply = yield from self.client.call(
                         peer, "append", payload,
-                        timeout=self.config.rpc_timeout_ms, retries=0,
+                        timeout=RPC_TIMEOUT_MS, retries=0,
                     )
                 except RpcError:
                     return  # retried by the next heartbeat round
@@ -420,7 +436,7 @@ class Replica:
         matches = sorted(
             [self.log.last_index] + [self._match[p] for p in self.peers]
         )
-        index = matches[len(matches) - self.config.quorum]
+        index = matches[len(matches) - self.quorum]
         if index <= self.commit_index:
             return
         # Only entries from the current term commit by counting replicas;
@@ -443,8 +459,7 @@ class Replica:
         try:
             reply = yield from self.client.call(
                 peer, "snapshot", payload,
-                timeout=self.config.rpc_timeout_ms
-                + self.config.snapshot_install_ms,
+                timeout=RPC_TIMEOUT_MS + SNAPSHOT_INSTALL_MS,
                 retries=0,
             )
         except RpcError:
@@ -505,7 +520,7 @@ class Replica:
             self.log.append_entry(LogEntry(entry_term, entry_index, command))
             appended += 1
         if appended:
-            yield self.env.timeout(self.config.log_fsync_ms)
+            yield self.env.timeout(LOG_FSYNC_MS)
         new_commit = min(leader_commit, self.log.last_index)
         if new_commit > self.commit_index:
             self.commit_index = new_commit
@@ -540,7 +555,7 @@ class Replica:
         self._last_contact = self.env.now
         if last_index <= self.applied_index and not self._needs_repair:
             return (self.term, True, self.applied_index)
-        yield self.env.timeout(self.config.snapshot_install_ms)
+        yield self.env.timeout(SNAPSHOT_INSTALL_MS)
         self.engine.install_snapshot(snapshot)
         self.log.reset(last_index, last_term)
         self.applied_index = last_index
@@ -563,8 +578,9 @@ class Replica:
         """Append a command to the log; returns the quorum-ack future.
 
         The future resolves with ``("ok", index)`` once the entry is
-        committed and applied on this replica's engine unfenced, or with
-        ``("err", exc)`` — :class:`FencedOut`, truncation, crash.
+        committed and applied here (:meth:`_settle`), or with ``("err",
+        exc)`` — :class:`FencedOut` (this replica left the proposing
+        term first), truncation, crash.
         Synchronous, so the caller observes the assigned index atomically;
         a replica with no peers returns it already resolved.
         """
@@ -576,7 +592,8 @@ class Replica:
             # applies right here, and no peer will ever ask for it, so the
             # log keeps only its snapshot floor (the engine's WAL has it).
             index = self.log.last_index + 1
-            self.engine.apply_replicated(command, self.term, ack, index)
+            self.engine.apply_replicated(command)
+            ack.try_succeed(("ok", index))  # its own term: never fenced
             self.log.reset(index, self.term)
             self.commit_index = self.applied_index = index
             self._notify_applied()
@@ -592,19 +609,30 @@ class Replica:
         while self.applied_index < self.commit_index:
             index = self.applied_index + 1
             token, _index, command = log.entries[index - log.snapshot_index - 1]
-            ack = self._acks.pop(index, None)
             if command[0] != "noop":
-                engine.apply_replicated(command, token, ack, index)
-            elif ack is not None:
-                if token < engine.fence_token:
-                    ack.try_succeed(("err", NotLeader(
-                        self.group_label, self.node.name
-                    )))
-                else:
-                    ack.try_succeed(("ok", index))
+                engine.apply_replicated(command)
+            ack = self._acks.pop(index, None)
+            if ack is not None:
+                self._settle(ack, token, index, command)
             self.applied_index = index
         self._notify_applied()
         self._maybe_compact()
+
+    def _fenced(self, token: int) -> bool:
+        """Was an entry proposed under ``token`` proposed by a leader this
+        replica has since seen deposed?"""
+        return token < self.term
+
+    def _settle(self, ack: Any, token: int, index: int, command: tuple) -> None:
+        """Acknowledge the applied entry at ``index``, proposed under term
+        ``token``: refused when the proposing leadership is over — the
+        entry installed, but its proposer never learned that it would."""
+        if not self._fenced(token):
+            ack.try_succeed(("ok", index))
+        elif command[0] == "noop":
+            ack.try_succeed(("err", NotLeader(self.group_label, self.node.name)))
+        else:
+            ack.try_succeed(("err", FencedOut(command[1], token, self.term)))
 
     def _notify_applied(self) -> None:
         if not self._applied_waiters:
@@ -627,11 +655,9 @@ class Replica:
         return waiter
 
     def _maybe_compact(self) -> None:
-        if len(self.log.entries) <= self.config.compact_threshold:
+        if len(self.log.entries) <= COMPACT_THRESHOLD:
             return
-        upto = min(
-            self.applied_index, self.log.last_index - self.config.compact_keep
-        )
+        upto = min(self.applied_index, self.log.last_index - COMPACT_KEEP)
         if upto > self.log.snapshot_index:
             self.log.compact(upto)
 
@@ -649,7 +675,7 @@ class Replica:
         if not self.peers:
             return
         term = self.term
-        quorum = self.config.quorum
+        quorum = self.quorum
         tally = {"acked": 1}
         done = self.env.future(label=f"{self.service}:read-index")
         for peer in self.peers:
@@ -659,7 +685,7 @@ class Replica:
             )
         winner = yield any_of(
             self.env,
-            [done, self.env.timeout(self.config.rpc_timeout_ms * 2, "timeout")],
+            [done, self.env.timeout(RPC_TIMEOUT_MS * 2, "timeout")],
         )
         if winner[0] == 1 or self.role != "leader" or self.term != term:
             raise NotLeader(self.group_label, self.node.name, self.leader_hint)
@@ -674,7 +700,7 @@ class Replica:
         try:
             reply = yield from self.client.call(
                 peer, "append", payload,
-                timeout=self.config.rpc_timeout_ms, retries=0,
+                timeout=RPC_TIMEOUT_MS, retries=0,
             )
         except (RpcError, Interrupted):
             return
@@ -701,7 +727,7 @@ class Replica:
         if level == "leader":
             yield from self.confirm_leadership()
         else:
-            if self.staleness_ms() > self.config.max_staleness_ms:
+            if self.staleness_ms() > MAX_STALENESS_MS:
                 raise NotLeader(self.group_label, self.node.name, self.leader_hint)
             if min_index and self.applied_index < min_index:
                 yield self.wait_applied(min_index)

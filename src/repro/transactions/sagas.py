@@ -32,14 +32,17 @@ class SagaAborted(Exception):
 
 
 class SagaStuck(Exception):
-    """A compensation kept failing: the saga needs manual intervention.
+    """A step kept failing that can be neither undone nor skipped — a
+    compensation, or a step past the pivot that may only go forward: the
+    saga needs manual intervention.
 
-    This is the saga pattern's dirty secret — compensations must succeed
-    eventually, and when they do not, consistency rests on a human.
+    This is the saga pattern's dirty secret — compensations and the steps
+    after the pivot must succeed eventually, and when they do not,
+    consistency rests on a human.
     """
 
     def __init__(self, saga: str, step: str) -> None:
-        super().__init__(f"saga {saga!r} stuck compensating step {step!r}")
+        super().__init__(f"saga {saga!r} stuck at step {step!r}")
         self.step = step
 
 

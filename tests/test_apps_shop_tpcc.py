@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import DbTpcc, MicroserviceShop, StyxTpcc, WorkflowTpcc
 from repro.sim import Environment
+from repro.transactions import SagaStuck
 from repro.workloads import MarketplaceWorkload, TpccLite
 
 
@@ -61,6 +62,28 @@ class TestShopSaga:
         assert state["orders"] == []
         assert state["payments"] == []
         assert check(workload, state) == []  # reservations released
+
+    def test_finalize_never_compensates_past_the_charge(self, env, workload):
+        """The charge is the pivot: with the orders service down for good,
+        finalizing runs out of retries and the checkout is unknown
+        (``SagaStuck``), with its charge and reservation left in place."""
+        shop = MicroserviceShop(env, workload, mode="saga")
+        op = next(op for op in workload.operations(env.stream("ops"), 10)
+                  if not op.payment_fails)
+        shop.app.crash_service("orders")
+
+        def flow():
+            try:
+                yield from shop.execute(op)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                return exc
+
+        error = run(env, flow())
+        assert isinstance(error, SagaStuck) and error.step == "finalize"
+        assert shop.orchestrator.outcomes[-1].status == "completed"
+        state = shop.final_state()
+        assert [p["order_id"] for p in state["payments"]] == [op.op_id]
+        assert state["orders"] == []
 
     def test_concurrent_checkouts_keep_invariants(self, env, workload):
         shop = MicroserviceShop(env, workload, mode="saga")

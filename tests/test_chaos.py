@@ -359,6 +359,18 @@ class TestTrials:
         assert usage.value.code == 2
         assert fuzzed == list(CONTROL_RUNTIMES)  # nothing ran
 
+    def test_saga_checkout_is_not_compensated_past_its_pivot(self):
+        """Seed 341 times out ``orders.create`` after the create landed.
+        The charge is the checkout's pivot, so finalizing retries forward
+        instead of refunding a charge whose order row stays."""
+        result = run_trial("microservice", 341)
+        assert result.violations == [], result.summary()
+        outcomes = {
+            event.action for event in result.history.events
+            if event.op_id == "order-000001"
+        }
+        assert outcomes == {"invoke", "ok"}
+
     def test_artifact_version_gate(self):
         artifact = ReproArtifact(runtime="actor", seed=1, broken=True,
                                  fast_path=True, plan={"events": []})

@@ -17,7 +17,7 @@ replica uses.
 from repro.db.engine import Database, IsolationLevel
 from repro.db.locks import LockMode
 from repro.net import Network
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicaGroup
 from repro.sim import Environment
 
 SER = IsolationLevel.SERIALIZABLE
@@ -64,7 +64,7 @@ def test_every_durable_path_appends_the_pinned_records():
         return db
 
     group = ReplicaGroup(
-        env, Network(env), name="g", config=ReplicationConfig(factor=1),
+        env, Network(env), name="g",
         engine_factory=factory, node_names=["n0"],
     )
     (db,) = engines

@@ -84,39 +84,14 @@ def _c14_result():
 
 
 def _c17_fault_free():
-    """Every C17 deployment's fault-free run: per-op (start, end, outcome),
-    the run's end time, and the binder's final snapshot."""
+    """Every C17 deployment's fault-free run (``drive``): goodput, per-op
+    (start, end, outcome), the run's end time, and the final snapshot."""
     from benchmarks import bench_c17_app_matrix as c17
 
-    runs = {}
-    for app, runtime, opts, _sound, label in c17.DEPLOYMENTS:
-        env = Environment(seed=c17.SEED)
-        binder = c17.deploy(runtime, env, c17.make_spec(app), opts)
-        ops = c17.make_ops(app, env)
-        latencies = {}
-
-        def one(op):
-            start = env.now
-            try:
-                yield from binder.execute(op)
-                outcome = "ok"
-            except Exception as exc:  # noqa: BLE001 — any client-visible failure
-                outcome = type(exc).__name__
-            latencies[op.op_id] = (start, env.now, outcome)
-
-        def main():
-            pending = []
-            for op in ops:
-                yield env.timeout(c17.SPACING_MS)
-                pending.append(env.process(one(op)))
-            for proc in pending:
-                yield proc
-
-        env.run_until(env.process(binder.setup()))
-        env.run_until(env.process(main()))
-        runs[label] = {"latencies": latencies, "end": env.now,
-                       "snapshot": binder.snapshot()}
-    return runs
+    return {
+        label: c17.drive(app, runtime, opts)
+        for app, runtime, opts, _sound, label in c17.DEPLOYMENTS
+    }
 
 
 def _traced_transfer_json():

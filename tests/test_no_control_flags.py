@@ -7,7 +7,13 @@ scenario's ``_flip_without_drain``) would put a branch for the broken
 variant back on every sound commit, and the idle ``append_window_ms``
 knob is gone with its batching code.  This test reads the replication
 package, the app binders and the chaos scenarios, and fails if one of
-those identifiers comes back.  It never imports the code it checks.
+those identifiers comes back.
+
+The replication term has one owner: the replica fences a deposed
+leader's acks, so the storage engine names no fence, and
+``ReplicationConfig`` keeps the replication factor as its one setting
+(the protocol's timing and sizing are constants beside their uses).
+It never imports the code it checks.
 """
 
 import io
@@ -44,15 +50,44 @@ def checked_sources():
             yield os.path.relpath(path, SRC), handle.read()
 
 
-def switches_in(source):
+def switches_in(source, retired=RETIRED):
     """Identifiers naming a retired switch; comments and strings are
     prose, not code, and may still mention fencing."""
     return [
         token.string
         for token in tokenize.generate_tokens(io.StringIO(source).readline)
         if token.type == tokenize.NAME
-        and any(fragment in token.string for fragment in RETIRED)
+        and any(fragment in token.string.lower() for fragment in retired)
     ]
+
+
+def class_fields(source, name):
+    """The names annotated at the top level of class ``name``'s body:
+    a dataclass's fields."""
+    tokens = [
+        token for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type not in (tokenize.COMMENT, tokenize.NL)
+    ]
+    starts = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    fields, depth, body = [], 0, None
+    for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
+        if token.type == tokenize.INDENT:
+            depth += 1
+        elif token.type == tokenize.DEDENT:
+            depth -= 1
+            if body is not None and depth < body:
+                break
+        elif token.string == "class" and after.string == name:
+            body = depth + 1
+        elif (depth == body and before.type in starts
+              and token.type == tokenize.NAME and after.string == ":"):
+            fields.append(token.string)
+    return tuple(fields)
+
+
+def read(relpath):
+    with open(os.path.join(SRC, relpath)) as handle:
+        return handle.read()
 
 
 def test_checked_sources_exist():
@@ -74,3 +109,35 @@ def test_the_guard_matches_what_it_forbids():
     assert switches_in("yield from self._flip_without_drain(0, 'n1')\n")
     assert not switches_in('"""Fencing: fencing tokens."""  # fencing\n')
     assert not switches_in("self._fence(term)\n")
+
+
+def test_the_engine_names_no_fence():
+    assert not switches_in(read(os.path.join("db", "engine.py")), ("fence",))
+
+
+def test_replication_config_keeps_only_the_factor():
+    source = read(os.path.join("replication", "config.py"))
+    assert class_fields(source, "ReplicationConfig") == ("factor",)
+
+
+def test_the_field_reader_sees_every_field():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class ReplicationConfig:\n"
+        "    #: replicas per shard\n"
+        "    factor: int = 3\n"
+        "    heartbeat_ms: float = 15.0\n"
+        "\n"
+        "    def __post_init__(self) -> None:\n"
+        "        lo: float = 1.0\n"
+        "\n"
+        "    @property\n"
+        "    def quorum(self) -> int:\n"
+        "        return self.factor // 2 + 1\n"
+        "\n"
+        "class Other:\n"
+        "    extra: int = 0\n"
+    )
+    assert class_fields(source, "ReplicationConfig") == ("factor", "heartbeat_ms")
+    assert switches_in("self.engine.raise_fence(term)\n", ("fence",))
+    assert switches_in("from repro.db.errors import FencedOut\n", ("fence",))

@@ -35,6 +35,8 @@ from repro.replication import (
     ReplicationConfig,
     Session,
 )
+from repro.replication import replica as replica_module
+from repro.replication.replica import ELECTION_TIMEOUT
 from repro.sim import Environment
 
 SER = IsolationLevel.SERIALIZABLE
@@ -44,7 +46,7 @@ def run(env, gen, label="test"):
     return env.run_until(env.process(gen, label=label))
 
 
-def make_group(env, config=None, name="g", nodes=("n0", "n1", "n2")):
+def make_group(env, name="g", nodes=("n0", "n1", "n2")):
     net = Network(env)
 
     def factory(node_name):
@@ -53,7 +55,7 @@ def make_group(env, config=None, name="g", nodes=("n0", "n1", "n2")):
         return engine
 
     group = ReplicaGroup(
-        env, net, name=name, config=config or ReplicationConfig(),
+        env, net, name=name,
         engine_factory=factory, node_names=list(nodes),
     )
     return net, group
@@ -168,7 +170,7 @@ class TestElections:
         """A follower whose leader goes silent starts an election within
         ``election_timeout[1]`` of its last contact, not a full span after
         whichever timer wake-up last saw that contact."""
-        _lo, hi = ReplicationConfig().election_timeout
+        _lo, hi = ELECTION_TIMEOUT
         env = Environment(seed=seed)
         net, group = make_group(env)
         env.run(until=250.0)  # heartbeats flowing
@@ -184,7 +186,7 @@ class TestFencing:
     def test_stale_leader_is_fenced_mid_commit(self):
         """A leader that proposes, replicates, then gets deposed must not
         acknowledge: the entry commits under the new leadership, but the
-        old leader's engine refuses the ack (FencedOut)."""
+        old leader refuses the ack (FencedOut)."""
         env = Environment(seed=5)
         net, group = make_group(env)
         leader = group.leader_replica()
@@ -227,7 +229,9 @@ class TestFencing:
         assert isinstance(result, FencedOut)
         n0 = group.replica_on("n0")
         assert n0.role == "follower"  # deposed by the term-2 append
-        assert n0.engine.stats.fenced_acks == 1
+        # proposed under term 1, refused in the term n0 has since reached
+        assert (result.gid, result.token, result.fence) == (("t", 1), 1, n0.term)
+        assert n0.term > 1
         new_leader = group.leader_replica()
         assert new_leader is group.replica_on("n1")
         # The write is committed state everywhere — installed exactly once.
@@ -238,10 +242,13 @@ class TestFencing:
 
 
 class TestSnapshotCatchup:
-    def test_follower_restart_catches_up_from_snapshot_plus_suffix(self):
+    def test_follower_restart_catches_up_from_snapshot_plus_suffix(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(replica_module, "COMPACT_THRESHOLD", 8)
+        monkeypatch.setattr(replica_module, "COMPACT_KEEP", 2)
         env = Environment(seed=6)
-        config = ReplicationConfig(compact_threshold=8, compact_keep=2)
-        net, group = make_group(env, config=config)
+        net, group = make_group(env)
         net.nodes["n2"].crash("test")
 
         leader = group.leader_replica()
@@ -307,7 +314,7 @@ sys.path.insert(0, {src!r})
 from repro.db import IsolationLevel
 from repro.db.engine import Database
 from repro.net import Network
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicaGroup
 from repro.sim import Environment
 
 env = Environment(seed=7)
@@ -320,7 +327,7 @@ def factory(node_name):
     return engine
 
 
-group = ReplicaGroup(env, net, name="probe", config=ReplicationConfig(),
+group = ReplicaGroup(env, net, name="probe",
                      engine_factory=factory, node_names=["n0", "n1", "n2"])
 
 
