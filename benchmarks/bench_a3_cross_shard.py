@@ -15,7 +15,7 @@ shard (0%) or to another shard (25/50/100%).
 
 from repro.db import IsolationLevel, ShardedDatabase
 from repro.db.errors import TransactionAborted
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.harness import WorkloadDriver, format_rows
 from repro.sim import Environment
 from repro.workloads import ClosedLoop

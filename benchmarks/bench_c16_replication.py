@@ -40,7 +40,7 @@ if __package__ in (None, ""):  # direct script execution
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.db import IsolationLevel, ShardedDatabase
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.harness import format_rows
 from repro.replication import ReplicationConfig, Session
 from repro.sim import Environment

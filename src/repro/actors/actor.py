@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 
 class ActorError(Exception):
@@ -53,19 +53,6 @@ class Actor:
         yield from self._runtime.provider.save(
             type(self).__name__, self.key, self.state
         )
-
-    def call_actor(self, actor_type: str, key: str, method: str, *args: Any) -> Generator:
-        """Invoke another actor (asynchronous message, awaited reply).
-
-        Calling back into an actor that is awaiting this call deadlocks —
-        actors here are non-reentrant, like Orleans' default.
-        """
-        if self._runtime is None:
-            raise ActorError("actor is not activated")
-        ref = self._runtime.ref(actor_type, key)
-        via = self._silo.name if getattr(self, "_silo", None) is not None else None
-        result = yield from ref.call(method, *args, via=via)
-        return result
 
     @property
     def env(self):

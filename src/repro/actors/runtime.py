@@ -167,7 +167,6 @@ class _Silo:
         cls = self.runtime.actor_class(actor_type)
         actor = cls(key)
         actor._runtime = self.runtime
-        actor._silo = self
         saved = yield from self.runtime.provider.load(actor_type, key)
         if saved is not None:
             actor.state = saved
@@ -207,8 +206,8 @@ class ActorRef:
     ) -> Generator:
         """Invoke a method; ``retries=0`` is Orleans-default at-most-once.
 
-        ``via`` names the silo originating the call (set automatically for
-        actor-to-actor calls); external callers go through the client edge.
+        ``via`` names a silo to originate the call from; without it the
+        call goes through the client edge.
         """
         result = yield from self.runtime._dispatch(
             self.actor_type, self.key, method, args, timeout, retries, via=via
@@ -248,7 +247,6 @@ class ActorRuntime:
             silo.name: RpcClient(self.net, silo.node, service="actors")
             for silo in self.silos
         }
-        self._reminders: dict[str, bool] = {}  # durable reminder table
         self.stats = ActorRuntimeStats()
 
     # -- registration / addressing ---------------------------------------------
@@ -353,57 +351,6 @@ class ActorRuntime:
             except (RpcError, ActorError) as exc:
                 outcome.error = exc
         return outcomes
-
-    # -- reminders -------------------------------------------------------------------
-
-    def register_reminder(
-        self,
-        actor_type: str,
-        key: str,
-        method: str,
-        period: float,
-        args: tuple = (),
-    ) -> str:
-        """A durable periodic callback (Orleans *reminders*).
-
-        Unlike an in-memory timer, the reminder lives in the runtime's
-        durable reminder table: it keeps firing after the hosting silo
-        crashes — the call simply re-activates the actor wherever
-        placement decides.  Returns an id for :meth:`cancel_reminder`.
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        reminder_id = f"reminder-{actor_type}-{key}-{method}-{len(self._reminders)}"
-        self._reminders[reminder_id] = True
-        self.env.process(
-            self._reminder_loop(reminder_id, actor_type, key, method, period, args),
-            label=reminder_id,
-        )
-        return reminder_id
-
-    def cancel_reminder(self, reminder_id: str) -> bool:
-        """Stop a reminder; returns whether it existed."""
-        if reminder_id in self._reminders:
-            self._reminders[reminder_id] = False
-            return True
-        return False
-
-    def _reminder_loop(
-        self, reminder_id: str, actor_type: str, key: str, method: str,
-        period: float, args: tuple,
-    ) -> Generator:
-        from repro.messaging.rpc import RpcTimeout
-
-        while self._reminders.get(reminder_id):
-            yield self.env.timeout(period)
-            if not self._reminders.get(reminder_id):
-                return
-            try:
-                yield from self.ref(actor_type, key).call(
-                    method, *args, retries=2
-                )
-            except (RpcTimeout, ActorError):
-                continue  # the tick is skipped; the reminder itself survives
 
     # -- operations ----------------------------------------------------------------------
 

@@ -31,7 +31,6 @@ from repro.db.errors import TransactionAborted
 from repro.faas import DurableEntities, SharedKv, TransactionalWorkflows
 from repro.net.latency import Latency
 from repro.sim import Environment
-from repro.storage.kv import CasConflict
 from repro.workloads.transfers import TransferOp, TransferWorkload
 
 

@@ -217,7 +217,7 @@ class Binder(KernelApp):
     - ``execute(op)`` — generator; route the op to its handler, run it
       with the runtime's transaction discipline, record the effect;
     - ``snapshot()`` — generator; read committed state back as
-      ``{entity: [rows]}`` for invariants and probes;
+      ``{entity: [rows]}`` for invariants;
     - ``invariants()`` / ``oracles()`` — the spec's correctness story,
       as final-state checkers and as history-aware chaos oracles.
     """
@@ -246,7 +246,7 @@ class Binder(KernelApp):
 
         Synchronous: every backend exposes a committed-state peek
         (engine rows, KV store, actor provider) that reads no locks —
-        call it at quiescence for invariant checks, or mid-run for probes.
+        call it at quiescence for invariant checks.
         """
         raise NotImplementedError
 
@@ -259,15 +259,6 @@ class Binder(KernelApp):
         from repro.apps.core.oracles import compile_oracles
 
         return compile_oracles(self.spec)
-
-    def probe(self, state: dict[str, list[dict]]) -> dict[str, Any]:
-        """Live in-workload observation: invariant name -> probe value."""
-        values = {}
-        for invariant in self.spec.invariants:
-            value = invariant.probe_value(state)
-            if value is not None:
-                values[invariant.name] = value
-        return values
 
     # -- shared helpers -----------------------------------------------------
 

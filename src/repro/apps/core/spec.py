@@ -155,7 +155,7 @@ class AppSpec:
 #
 # Each is a plain Invariant over the kernel state snapshot (a dict
 # ``entity -> list[rows]``), plus enough structure for the oracle layer to
-# compile it into a history-aware chaos oracle and a live probe.
+# compile it into a history-aware chaos oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -164,19 +164,11 @@ class InvariantSpec(Invariant):
 
     ``check(state)`` judges a ``{entity: [rows]}`` snapshot.  The oracle
     layer wraps it with history awareness (see
-    :func:`repro.apps.core.oracles.compile_oracles`); binders may also run
-    it mid-workload as a live probe via :meth:`probe_value`.
+    :func:`repro.apps.core.oracles.compile_oracles`).
     """
-
-    #: entities this invariant reads; probes fetch only these.
-    entities: tuple[str, ...] = ()
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
         raise NotImplementedError
-
-    def probe_value(self, state: dict[str, list[dict]]) -> Any:
-        """A scalar observation a live probe records (None = no probe)."""
-        return None
 
 
 class ConservationSpec(InvariantSpec):
@@ -186,7 +178,6 @@ class ConservationSpec(InvariantSpec):
         self.entity = entity
         self.field_name = field_name
         self.expected_total = expected_total
-        self.entities = (entity,)
         self.name = f"conservation({entity}.{field_name})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
@@ -198,9 +189,6 @@ class ConservationSpec(InvariantSpec):
                 f"{self.expected_total} (drift {total - self.expected_total:+})",
             )]
         return []
-
-    def probe_value(self, state: dict[str, list[dict]]) -> Any:
-        return sum(row[self.field_name] for row in state.get(self.entity, []))
 
 
 class DoubleEntrySpec(InvariantSpec):
@@ -234,7 +222,6 @@ class DoubleEntrySpec(InvariantSpec):
         self.debit_field = debit_field
         self.credit_field = credit_field
         self.amount_field = amount_field
-        self.entities = (accounts_entity, postings_entity)
         self.name = f"double_entry({accounts_entity}<-{postings_entity})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
@@ -281,7 +268,6 @@ class GapFreeSequenceSpec(InvariantSpec):
         self.counter_entity = counter_entity
         self.counter_key = counter_key
         self.counter_field = counter_field
-        self.entities = (entity, counter_entity)
         self.name = f"gap_free({entity}.{number_field})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
@@ -319,9 +305,6 @@ class GapFreeSequenceSpec(InvariantSpec):
                 ))
         return violations
 
-    def probe_value(self, state: dict[str, list[dict]]) -> Any:
-        return len(state.get(self.entity, []))
-
 
 class CapacityBoundSpec(InvariantSpec):
     """A per-row numeric field stays within ``[minimum, bound_field]``.
@@ -342,7 +325,6 @@ class CapacityBoundSpec(InvariantSpec):
         self.field_name = field_name
         self.minimum = minimum
         self.bound_field = bound_field
-        self.entities = (entity,)
         self.name = f"capacity({entity}.{field_name})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
@@ -382,7 +364,6 @@ class CausalAuditSpec(InvariantSpec):
         self.effect_entity = effect_entity
         self.audit_entity = audit_entity
         self.match_fields = match_fields
-        self.entities = (effect_entity, audit_entity)
         self.name = f"causal_audit({audit_entity}->{effect_entity})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:

@@ -133,9 +133,6 @@ class History:
     def fail_ops(self, kind: Optional[str] = None) -> list[str]:
         return [e.op_id for e in self.completions("fail", kind)]
 
-    def info_ops(self, kind: Optional[str] = None) -> list[str]:
-        return [e.op_id for e in self.completions("info", kind)]
-
     def counts(self) -> dict[str, int]:
         out = {action: 0 for action in ACTIONS}
         for event in self.events:

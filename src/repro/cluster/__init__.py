@@ -1,4 +1,4 @@
-"""Unified cluster placement: rings, directory, router, live rebalancing.
+"""Unified cluster placement: hashing, directory, router, live rebalancing.
 
 The paper's taxonomy turns on *who owns state partitioning*: actor
 runtimes place activations via a directory, dataflow engines hash keys to
@@ -7,9 +7,8 @@ record key.  Before this package each runtime in the repository carried
 its own copy of that logic; ``repro.cluster`` is the shared substrate
 they all consult instead:
 
-- :mod:`~repro.cluster.hashing` — the platform-stable hash formulas;
-- :mod:`~repro.cluster.ring` — key→shard strategies (mod-hash,
-  consistent-hash ring, explicit range maps);
+- :mod:`~repro.cluster.hashing` — the platform-stable hash formulas,
+  including the one key→shard formula :func:`shard_of`;
 - :mod:`~repro.cluster.directory` — shard→node ownership with epochs,
   plus the activation registry behind virtual-actor placement;
 - :mod:`~repro.cluster.router` — cached key→node resolution with
@@ -32,33 +31,22 @@ from repro.cluster.directory import (
 )
 from repro.cluster.hashing import (
     rendezvous_owner,
-    rendezvous_score,
-    spread,
+    shard_of,
     stable_hash,
     stable_hash_text,
 )
 from repro.cluster.migration import MigrationStats, ShardMover, migrate_shard
 from repro.cluster.rebalancer import Move, Rebalancer, RebalancerStats
-from repro.cluster.ring import (
-    ConsistentHashRing,
-    ModHashRing,
-    PartitionStrategy,
-    RangeMap,
-)
 from repro.cluster.router import Route, Router, RouterStats
 from repro.cluster.stats import ShardStats
 
 __all__ = [
     "ClusterError",
-    "ConsistentHashRing",
     "DirectoryStats",
     "MigrationRecord",
     "MigrationStats",
-    "ModHashRing",
     "Move",
-    "PartitionStrategy",
     "PlacementDirectory",
-    "RangeMap",
     "Rebalancer",
     "RebalancerStats",
     "Route",
@@ -68,8 +56,7 @@ __all__ = [
     "ShardStats",
     "migrate_shard",
     "rendezvous_owner",
-    "rendezvous_score",
-    "spread",
+    "shard_of",
     "stable_hash",
     "stable_hash_text",
 ]

@@ -122,9 +122,6 @@ class PlacementDirectory:
     def is_migrating(self, shard: int) -> bool:
         return shard in self._migrating
 
-    def migration_of(self, shard: int) -> Optional[MigrationRecord]:
-        return self._migrating.get(shard)
-
     def begin_migration(self, shard: int, dest: str) -> MigrationRecord:
         """Mark a shard as migrating; rejects concurrent double-migration."""
         source = self.owner_of(shard)
@@ -168,9 +165,3 @@ class PlacementDirectory:
 
     def last_host(self, ident: Hashable) -> Optional[str]:
         return self._activations.get(ident)
-
-    def drop_activation(self, ident: Hashable) -> None:
-        self._activations.pop(ident, None)
-
-    def activations_on(self, node: str) -> list[Hashable]:
-        return [i for i, n in self._activations.items() if n == node]

@@ -7,10 +7,12 @@ this module, so the determinism contract lives in exactly one place:
 
 - :func:`stable_hash` hashes a *value* via ``repr`` — identical across
   processes and ``PYTHONHASHSEED`` values, unlike builtin ``hash``;
+- :func:`shard_of` maps a key to one of ``num_shards`` shards
+  (``stable_hash(key) % num_shards``);
 - :func:`stable_hash_text` hashes an already-stringified identifier;
-- :func:`rendezvous_score` / :func:`rendezvous_owner` implement
-  highest-random-weight placement with first-wins tie-breaking, the
-  formula the actor runtime has always used (``crc32("{node}|{key}")``).
+- :func:`rendezvous_owner` implements highest-random-weight placement
+  with first-wins tie-breaking, the formula the actor runtime has always
+  used (``crc32("{node}|{key}")``).
 
 Changing any formula here is a re-baselining event for every committed
 benchmark table; see ``docs/CLUSTER.md`` (determinism contract).
@@ -19,7 +21,7 @@ benchmark table; see ``docs/CLUSTER.md`` (determinism contract).
 from __future__ import annotations
 
 import zlib
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 
 def stable_hash(key: Hashable) -> int:
@@ -27,14 +29,18 @@ def stable_hash(key: Hashable) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
+def shard_of(key: Hashable, num_shards: int) -> int:
+    """The shard owning ``key``: ``stable_hash(key) % num_shards``.
+
+    The one key→shard formula of the sharded database (its router, bulk
+    load and commit bucketing) and of the benches that pick keys per shard.
+    """
+    return stable_hash(key) % num_shards
+
+
 def stable_hash_text(text: str) -> int:
     """CRC32 of an already-stringified identifier (no ``repr`` quoting)."""
     return zlib.crc32(text.encode("utf-8"))
-
-
-def rendezvous_score(node: str, key: str) -> int:
-    """The highest-random-weight score of ``node`` for ``key``."""
-    return zlib.crc32(f"{node}|{key}".encode("utf-8"))
 
 
 def rendezvous_owner(nodes: Sequence[str], key: str) -> Optional[str]:
@@ -52,12 +58,3 @@ def rendezvous_owner(nodes: Sequence[str], key: str) -> Optional[str]:
             best = node
             best_score = score
     return best
-
-
-def spread(keys: Iterable[Hashable], num_shards: int) -> dict[int, int]:
-    """Histogram of ``shard -> key count`` (diagnostics and tests)."""
-    counts: dict[int, int] = {}
-    for key in keys:
-        shard = stable_hash(key) % num_shards
-        counts[shard] = counts.get(shard, 0) + 1
-    return counts

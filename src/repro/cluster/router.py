@@ -1,7 +1,8 @@
 """Key→node resolution: the one lookup every runtime performs.
 
-``Router`` composes a partition strategy (key→shard) with the placement
-directory (shard→node).  Clients that cache routes model the real-world
+``Router`` composes the key→shard formula
+(:func:`~repro.cluster.hashing.shard_of`) with the placement directory
+(shard→node).  Clients that cache routes model the real-world
 "straggler" path: a request routed with a stale cache arrives at the old
 owner after an ownership flip and must be *forwarded* — one extra hop,
 visible in latency and counted in :class:`RouterStats`.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from repro.cluster.directory import PlacementDirectory
-from repro.cluster.ring import PartitionStrategy
+from repro.cluster.hashing import shard_of
 
 
 @dataclass
@@ -40,31 +41,24 @@ class Route(NamedTuple):
 class Router:
     """Resolves keys to their owning node, with per-client route caching."""
 
-    def __init__(self, ring: PartitionStrategy, directory: PlacementDirectory) -> None:
-        self.ring = ring
+    def __init__(self, num_shards: int, directory: PlacementDirectory) -> None:
+        self.num_shards = num_shards
         self.directory = directory
         #: cached shard -> (node, epoch); stale entries cost one forward.
         self._cache: dict[int, tuple[str, int]] = {}
         self.stats = RouterStats()
 
     def shard_of(self, key: Hashable) -> int:
-        return self.ring.shard_of(key)
+        return shard_of(key, self.num_shards)
 
-    def owner_of_shard(self, shard: int) -> str:
-        return self.directory.owner_of(shard)
-
-    def resolve(self, key: Hashable) -> Route:
-        """Key → (shard, node), tracking whether a stale cache forwarded.
+    def resolve_shard(self, shard: int) -> Route:
+        """Shard → node, tracking whether a stale cache forwarded.
 
         The first lookup of a shard populates the cache without a forward
         (a cold cache is resolved against the directory directly, as a
         client bootstrap would).  After an ownership flip, the next lookup
         per shard pays exactly one forward and repairs the cache.
         """
-        shard = self.ring.shard_of(key)
-        return self.resolve_shard(shard)
-
-    def resolve_shard(self, shard: int) -> Route:
         self.stats.lookups += 1
         owner = self.directory.owner_of(shard)
         epoch = self.directory.epoch(shard)
@@ -75,6 +69,3 @@ class Router:
             self.directory.stats.stale_lookups += 1
         self._cache[shard] = (owner, epoch)
         return Route(shard=shard, node=owner, epoch=epoch, forwarded=forwarded)
-
-    def invalidate(self, shard: int) -> None:
-        self._cache.pop(shard, None)

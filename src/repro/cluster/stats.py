@@ -28,16 +28,6 @@ class ShardStats:
         self._ewma: list[float] = [0.0] * num_shards
         self.windows_rolled = 0
 
-    def grow(self, num_shards: int) -> None:
-        """Widen the stat arrays after a shard split."""
-        if num_shards < self.num_shards:
-            raise ValueError("shard count cannot shrink")
-        extra = num_shards - self.num_shards
-        self.window.extend([0.0] * extra)
-        self.total.extend([0.0] * extra)
-        self._ewma.extend([0.0] * extra)
-        self.num_shards = num_shards
-
     def record(self, shard: int, cost: float = 1.0) -> None:
         self.window[shard] += cost
         self.total[shard] += cost

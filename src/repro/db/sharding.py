@@ -23,7 +23,7 @@ more round.
 
 Placement and elasticity:
 
-- routing is key → shard (``ModHashRing``, the historical crc32 formula)
+- routing is key → shard (:func:`~repro.cluster.shard_of`, the crc32 formula)
   → owning node (:class:`~repro.cluster.PlacementDirectory`): the
   shard's group leader;
 - :meth:`ShardedDatabase.migrate_shard` moves a shard's whole group
@@ -54,11 +54,9 @@ from typing import (
 from repro.cluster import (
     ClusterError,
     MigrationStats,
-    ModHashRing,
     PlacementDirectory,
     Router,
     ShardStats,
-    stable_hash,
 )
 from repro.cluster.migration import migrate_shard as _run_migration
 from repro.cluster.plan import by_partition
@@ -83,11 +81,6 @@ from repro.transactions.commit import PREPARED, two_phase
 #: violation).  The decide keeps retrying through whichever leader emerges,
 #: even after the coordinator's own process dies (:meth:`_Round.decide`).
 _DECIDE_TIMEOUT_MS = 1e9
-
-
-def shard_of(key: Hashable, num_shards: int) -> int:
-    """Deterministic, platform-stable shard routing (cluster formula)."""
-    return stable_hash(key) % num_shards
 
 
 @dataclass
@@ -352,7 +345,7 @@ class ShardedDatabase:
         self.stats = ShardedDbStats()
         # -- cluster placement ------------------------------------------------
         self.directory = PlacementDirectory(env)
-        self.router = Router(ModHashRing(num_shards), self.directory)
+        self.router = Router(num_shards, self.directory)
         self.shard_stats = ShardStats(num_shards)
         self.migration_stats = MigrationStats()
         self.nodes: list[str] = []

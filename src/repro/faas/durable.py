@@ -159,9 +159,6 @@ class DurableWorkflows:
         self._drive(instance)
         return instance.future
 
-    def status_of(self, instance_id: str) -> str:
-        return self._instances[instance_id].status
-
     def history_of(self, instance_id: str) -> list[tuple[str, str]]:
         return [(e.kind, e.name) for e in self._instances[instance_id].history]
 

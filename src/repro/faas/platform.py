@@ -90,16 +90,6 @@ class FaasContext:
             value = yield from self.platform.kv.get(key, default)
         return value
 
-    def kv_put(self, key: Any, value: Any) -> Generator:
-        if self.session is not None:
-            self.session.write(key, value)
-            return None
-        if self.platform.cached_state:
-            version = yield from self.platform.kv.cached_put(self.worker, key, value)
-        else:
-            version = yield from self.platform.kv.put(key, value)
-        return version
-
     def call(self, function: str, payload: Any = None) -> Generator:
         """Synchronous function composition (function-to-function trigger).
 
@@ -248,8 +238,3 @@ class FaasPlatform:
         pool.append(container)
         yield self.env.timeout(self._cold_start(self._rng))
         return container
-
-    def warm_pool_size(self, name: str) -> int:
-        """Live containers for ``name`` (busy or within keep-alive)."""
-        pool = self._pool.get(name, [])
-        return sum(1 for c in pool if c.busy or c.expires_at > self.env.now)

@@ -8,8 +8,8 @@ The two §3.3 FaaS state models:
 - *cached* access serves reads from a per-worker cache, trading the round
   trip for staleness, which the consistency tests make observable.
 
-Writes always go through (write-through), and support compare-and-set so
-optimistic protocols (Beldi-style workflows) can be built on top.
+Writes always go to the store and invalidate no cache (only ``cache_ttl``
+expires entries), so a cached read may be stale.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Generator, Optional
 from repro.net.latency import Latency, Sampler
 from repro.sim import Environment
 from repro.storage.cache import LruCache
-from repro.storage.kv import CasConflict, KeyValueStore, Versioned
+from repro.storage.kv import KeyValueStore
 
 
 class SharedKv:
@@ -69,11 +69,6 @@ class SharedKv:
         yield from self._trip()
         return self.store.put(key, value)
 
-    def compare_and_set(self, key: Any, value: Any, expected_version: int) -> Generator:
-        """CAS; raises :class:`~repro.storage.kv.CasConflict` on races."""
-        yield from self._trip()
-        return self.store.compare_and_set(key, value, expected_version)
-
     def delete(self, key: Any) -> Generator:
         yield from self._trip()
         return self.store.delete(key)
@@ -81,10 +76,10 @@ class SharedKv:
     # -- cached -------------------------------------------------------------------
 
     def cached_get(self, worker: str, key: Any, default: Any = None) -> Generator:
-        """Read via the worker's cache; write-through keeps it warm.
+        """Read via the worker's cache.
 
         A hit costs nothing; a miss pays the round trip and populates the
-        cache.  Hits can be *stale* relative to other workers' writes.
+        cache.  Hits can be *stale* relative to later writes.
         """
         cache = self._cache_for(worker)
         sentinel = object()
@@ -97,15 +92,3 @@ class SharedKv:
         value = self.store.get(key, default)
         cache.put(key, value)
         return value
-
-    def cached_put(self, worker: str, key: Any, value: Any) -> Generator:
-        """Write-through: update the store and this worker's cache."""
-        yield from self._trip()
-        version = self.store.put(key, value)
-        self._cache_for(worker).put(key, value)
-        return version
-
-    def invalidate(self, key: Any) -> None:
-        """Broadcast invalidation (instant, generous to the cache design)."""
-        for cache in self._caches.values():
-            cache.invalidate(key)

@@ -13,9 +13,9 @@ through broker → service → database:
   retry spends a token, a success refunds a fraction.  When the bucket is
   dry the client stops retrying — the circuit that prevents retry storms.
 - :class:`AdmissionController` — load-shedding admission control with
-  priority classes: low-priority work is rejected first (with the distinct
-  :class:`AdmissionRejected`), and rejection is cheap by construction —
-  shed work never reaches the expensive resource.
+  priority classes: low-priority work is rejected first (the RPC server
+  answers it with a distinct rejection, never a timeout), and rejection is
+  cheap by construction — shed work never reaches the expensive resource.
 
 See ``docs/OVERLOAD.md`` for the full design and ``benchmarks/
 bench_c15_overload.py`` for the overload ramp that motivates it.
@@ -26,7 +26,6 @@ from repro.flow.admission import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     AdmissionController,
-    AdmissionRejected,
     AdmissionStats,
 )
 from repro.flow.budget import RetryBudget
@@ -34,7 +33,6 @@ from repro.flow.credits import CreditGate
 
 __all__ = [
     "AdmissionController",
-    "AdmissionRejected",
     "AdmissionStats",
     "CreditGate",
     "PRIORITY_HIGH",

@@ -7,10 +7,12 @@ concurrent in-flight work and rejects by priority — low-priority work is
 turned away while the system still has headroom for high-priority work,
 so goodput degrades by *class* instead of collapsing across the board.
 
-Rejection is a distinct, typed error (:class:`AdmissionRejected`), never a
-timeout: callers must be able to tell "the system refused cheaply" from
-"the system may have done the work" — rejected work definitely did not
-execute, which the chaos oracle for the overload scenario relies on.
+A rejection is a distinct, typed reply (the RPC server answers a shed
+request with ``code="rejected"``, raised to the caller as
+:class:`~repro.messaging.rpc.RpcRejected`), never a timeout: callers must
+be able to tell "the system refused cheaply" from "the system may have
+done the work" — rejected work definitely did not execute, which the
+chaos oracle for the overload scenario relies on.
 """
 
 from __future__ import annotations
@@ -21,20 +23,6 @@ from dataclasses import dataclass, field
 PRIORITY_LOW = 0
 PRIORITY_NORMAL = 1
 PRIORITY_HIGH = 2
-
-_PRIORITY_NAMES = {PRIORITY_LOW: "low", PRIORITY_NORMAL: "normal", PRIORITY_HIGH: "high"}
-
-
-class AdmissionRejected(Exception):
-    """The request was shed at admission — it definitely did not execute."""
-
-    def __init__(self, resource: str, priority: int, inflight: int, limit: int) -> None:
-        name = _PRIORITY_NAMES.get(priority, str(priority))
-        super().__init__(
-            f"{resource}: {name}-priority request shed at {inflight}/{limit} in flight"
-        )
-        self.resource = resource
-        self.priority = priority
 
 
 @dataclass
@@ -55,9 +43,10 @@ class AdmissionController:
     ``max_inflight`` is the hard concurrency limit; each priority class is
     admitted only while in-flight work is below its watermark fraction of
     that limit (defaults: low 50%, normal 90%, high 100%).  Callers wrap
-    work in ``admit``/``release``::
+    work in ``try_admit``/``release``::
 
-        controller.admit(priority)        # raises AdmissionRejected
+        if not controller.try_admit(priority):
+            ... reject ...
         try:
             ... do the work ...
         finally:
@@ -101,13 +90,6 @@ class AdmissionController:
         self.inflight += 1
         self.stats.admitted += 1
         return True
-
-    def admit(self, priority: int = PRIORITY_NORMAL) -> None:
-        """Admit or raise :class:`AdmissionRejected`."""
-        if not self.try_admit(priority):
-            raise AdmissionRejected(
-                self.name, priority, self.inflight, self.limit_for(priority)
-            )
 
     def release(self) -> None:
         """Mark one admitted request complete (success or failure)."""

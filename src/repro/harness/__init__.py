@@ -12,7 +12,6 @@ from repro.harness.driver import RunResult, WorkloadDriver
 from repro.harness.report import (
     format_results,
     format_rows,
-    save_result_traces,
     save_trace,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "WorkloadDriver",
     "format_results",
     "format_rows",
-    "save_result_traces",
     "save_trace",
 ]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.core.metrics import LatencyRecorder, MetricsCollector
-from repro.obs import Tracer, chrome_trace_json, critical_path_report
+from repro.obs import Tracer, chrome_trace_json
 from repro.sim import Environment, Interrupted
 from repro.transactions.anomalies import AnomalyReport, EffectLedger, Invariant
 
@@ -72,12 +72,6 @@ class RunResult:
                 "Environment or call repro.obs.set_default_tracing(True)"
             )
         return chrome_trace_json(self.trace)
-
-    def critical_path(self, top: int = 1) -> str:
-        """Text critical-path decomposition of the slowest operation(s)."""
-        if self.trace is None:
-            raise ValueError(f"run {self.label!r} was not traced")
-        return critical_path_report(self.trace, top=top)
 
 
 class WorkloadDriver:

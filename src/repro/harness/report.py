@@ -59,16 +59,3 @@ def save_trace(
     with open(crit_path, "w") as handle:
         handle.write(critical_path_report(trace, top=critical_top) + "\n")
     return chrome_path, crit_path
-
-
-def save_result_traces(
-    results: Iterable[RunResult], directory: str
-) -> list[tuple[str, str]]:
-    """Persist trace artifacts for every traced result (untraced skipped)."""
-    written = []
-    for result in results:
-        if result.trace is None:
-            continue
-        label = result.label.replace("/", "_").replace(" ", "_")
-        written.append(save_trace(result.trace, directory, label))
-    return written

@@ -15,7 +15,7 @@ Implements the communication styles of paper §3.2:
   change and message publication made atomic through the database.
 """
 
-from repro.messaging.broker import Broker, Consumer, GroupMember, Record
+from repro.messaging.broker import Broker, Consumer, Record
 from repro.messaging.idempotency import Deduplicator, IdempotencyStore
 from repro.messaging.outbox import OutboxRelay, TransactionalOutbox
 from repro.messaging.rpc import (
@@ -33,7 +33,6 @@ __all__ = [
     "Broker",
     "Consumer",
     "Deduplicator",
-    "GroupMember",
     "IdempotencyStore",
     "OutboxRelay",
     "Record",

@@ -111,8 +111,6 @@ class Broker:
         self._offsets: dict[tuple[str, str, int], int] = {}
         # high-water mark of offsets ever handed to each group (dupe counting)
         self._delivered: dict[tuple[str, str, int], int] = {}
-        # cooperative group membership: (group, topic) -> members/generation
-        self._group_members: dict[tuple[str, str], dict] = {}
         self.stats = BrokerStats()
 
     # -- topics ------------------------------------------------------------------
@@ -134,9 +132,6 @@ class Broker:
         """Key-hash routing: equal keys always land in the same partition."""
         count = len(self._partitions(topic))
         return stable_hash(key) % count
-
-    def end_offsets(self, topic: str) -> list[int]:
-        return [p.end_offset for p in self._partitions(topic)]
 
     # -- producing ----------------------------------------------------------------
 
@@ -174,13 +169,6 @@ class Broker:
         finally:
             tracer.end(span)
 
-    def publish_now(self, topic: str, key: Any, value: Any) -> Record:
-        """Zero-latency append (test setup and fire-and-forget relays)."""
-        partitions = self._partitions(topic)
-        partition = partitions[self.partition_for(topic, key)]
-        self.stats.published += 1
-        return partition.append(key, value, self.env.now)
-
     # -- consuming ----------------------------------------------------------------
 
     def consumer(self, group: str, topic: str) -> "Consumer":
@@ -192,48 +180,6 @@ class Broker:
         instance's position are *redelivered*.
         """
         return Consumer(self, group, topic)
-
-    # -- consumer groups with rebalancing ------------------------------------------
-
-    def join_group(self, group: str, topic: str, member_id: str) -> "GroupMember":
-        """Join a cooperative consumer group; partitions are split among
-        members (round-robin) and rebalanced on every join/leave.
-
-        Each member polls only its assigned partitions; on a member's
-        departure (:meth:`GroupMember.leave`) survivors take over its
-        partitions from the committed offsets — the at-least-once
-        redelivery window applies across the handoff.
-        """
-        self._partitions(topic)  # validate topic
-        key = (group, topic)
-        state = self._group_members.setdefault(key, {"members": [], "generation": 0})
-        if member_id in state["members"]:
-            raise ValueError(f"member {member_id!r} already in group {group!r}")
-        state["members"].append(member_id)
-        state["generation"] += 1
-        return GroupMember(self, group, topic, member_id)
-
-    def _leave_group(self, group: str, topic: str, member_id: str) -> None:
-        state = self._group_members.get((group, topic))
-        if state is None:
-            return
-        if member_id in state["members"]:
-            state["members"].remove(member_id)
-            state["generation"] += 1
-
-    def _assignment(self, group: str, topic: str, member_id: str) -> list[int]:
-        """Round-robin partition assignment for one member."""
-        state = self._group_members.get((group, topic))
-        if state is None or member_id not in state["members"]:
-            return []
-        members = state["members"]
-        count = len(self._partitions(topic))
-        index = members.index(member_id)
-        return [p for p in range(count) if p % len(members) == index]
-
-    def group_generation(self, group: str, topic: str) -> int:
-        state = self._group_members.get((group, topic))
-        return state["generation"] if state else 0
 
     def committed(self, group: str, topic: str, partition: int) -> int:
         return self._offsets.get((group, topic, partition), 0)
@@ -273,14 +219,6 @@ class Broker:
             if offset < seen_up_to:
                 self.stats.redelivered += 1
         self._delivered[key] = max(seen_up_to, offsets.stop)
-
-    def lag(self, group: str, topic: str) -> int:
-        """Total records not yet committed by the group."""
-        return sum(
-            p.end_offset - self.committed(group, topic, p.index)
-            for p in self._partitions(topic)
-        )
-
 
 class Consumer:
     """A consumer-group member with explicit offset control.
@@ -340,111 +278,3 @@ class Consumer:
                 self.broker._commit(self.group, self.topic, index, position)
         finally:
             tracer.end(span)
-
-    def commit_now(self) -> None:
-        """Synchronous variant of :meth:`commit` (at-most-once fast path)."""
-        for index, position in self._positions.items():
-            self.broker._commit(self.group, self.topic, index, position)
-
-    def redelivery_window(self) -> int:
-        """Records polled but not committed (duplicated if we crash now)."""
-        return sum(
-            position - self.broker.committed(self.group, self.topic, index)
-            for index, position in self._positions.items()
-        )
-
-
-class GroupMember:
-    """One member of a cooperative consumer group (see ``join_group``).
-
-    Polls only the partitions currently assigned to it; assignments are
-    re-read whenever the group generation changes (a rebalance), resuming
-    each newly acquired partition at the group's committed offset.
-    """
-
-    def __init__(self, broker: Broker, group: str, topic: str, member_id: str) -> None:
-        self.broker = broker
-        self.group = group
-        self.topic = topic
-        self.member_id = member_id
-        self._generation = -1
-        self._positions: dict[int, int] = {}
-        self._refresh()
-
-    def _refresh(self) -> None:
-        generation = self.broker.group_generation(self.group, self.topic)
-        if generation == self._generation:
-            return
-        self._generation = generation
-        assigned = self.broker._assignment(self.group, self.topic, self.member_id)
-        self._positions = {
-            index: self.broker.committed(self.group, self.topic, index)
-            for index in assigned
-        }
-
-    @property
-    def assigned_partitions(self) -> list[int]:
-        self._refresh()
-        return sorted(self._positions)
-
-    def poll(self, max_records: int = 32, wait: bool = True) -> Generator:
-        """Fetch the next batch from the member's assigned partitions."""
-        env = self.broker.env
-        tracer = env.tracer
-        span = tracer.begin(
-            "broker.poll", group=self.group, topic=self.topic, member=self.member_id
-        )
-        try:
-            batch = yield from self._poll(env, max_records, wait)
-            span.annotate(records=len(batch))
-            return batch
-        finally:
-            tracer.end(span)
-
-    def _poll(self, env: Environment, max_records: int, wait: bool) -> Generator:
-        yield env.timeout(self.broker.poll_latency)
-        while True:
-            self._refresh()
-            batch: list[Record] = []
-            partitions = self.broker._partitions(self.topic)
-            for index, position in list(self._positions.items()):
-                partition = partitions[index]
-                available = partition.log[position:position + max_records - len(batch)]
-                if available:
-                    self.broker._note_delivery(
-                        self.group, self.topic, index,
-                        range(position, position + len(available)),
-                    )
-                    batch.extend(available)
-                    self._positions[index] = position + len(available)
-                if len(batch) >= max_records:
-                    break
-            if batch or not wait:
-                self.broker.stats.polled += len(batch)
-                return batch
-            if not self._positions:
-                yield env.timeout(self.broker.poll_latency * 4)  # rebalance wait
-                continue
-            waits = [
-                partitions[index].wait_for_data(env) for index in self._positions
-            ]
-            winner = any_of(env, waits)
-            timeout = env.timeout(self.broker.poll_latency * 10)  # rebalance poll
-            yield any_of(env, [winner, timeout])
-
-    def commit(self) -> Generator:
-        tracer = self.broker.env.tracer
-        span = tracer.begin(
-            "broker.commit", group=self.group, topic=self.topic, member=self.member_id
-        )
-        try:
-            yield self.broker.env.timeout(self.broker.poll_latency)
-            for index, position in self._positions.items():
-                self.broker._commit(self.group, self.topic, index, position)
-        finally:
-            tracer.end(span)
-
-    def leave(self) -> None:
-        """Leave the group; a rebalance hands the partitions to survivors."""
-        self.broker._leave_group(self.group, self.topic, self.member_id)
-        self._positions = {}

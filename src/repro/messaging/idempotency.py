@@ -66,16 +66,6 @@ class IdempotencyStore:
         self._entries[key] = entry
         return entry
 
-    def check_and_record(self, key: str, response: Any) -> tuple[bool, Any]:
-        """Atomically test-and-set: returns ``(is_first, response)``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            return False, entry.response
-        self.misses += 1
-        self._entries[key] = IdempotencyEntry(key, response, self._clock())
-        return True, response
-
 
 class Deduplicator:
     """Bounded set of already-processed message ids (FIFO eviction).

@@ -36,13 +36,6 @@ class Latency:
         return lambda rng: rng.uniform(low, high)
 
     @staticmethod
-    def exponential(mean: float) -> Sampler:
-        """Exponentially distributed delay with the given mean."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return lambda rng: rng.expovariate(1.0 / mean)
-
-    @staticmethod
     def lognormal(median: float, sigma: float = 0.25) -> Sampler:
         """Log-normal delay — the classic long-tailed datacenter RTT shape.
 
@@ -68,11 +61,6 @@ class Latency:
     def intra_zone() -> Sampler:
         """Same-availability-zone network hop (~0.5–1.5 ms)."""
         return Latency.lognormal(0.8, 0.3)
-
-    @staticmethod
-    def cross_zone() -> Sampler:
-        """Cross-availability-zone hop (~2–6 ms)."""
-        return Latency.lognormal(3.0, 0.35)
 
     @staticmethod
     def local_disk() -> Sampler:

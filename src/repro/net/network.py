@@ -116,7 +116,6 @@ class Network:
         self._global_faults = _LinkFaults()
         self._link_faults: dict[tuple[str, str], _LinkFaults] = {}
         self._partitions: set[frozenset[str]] = set()
-        self._link_latency: dict[tuple[str, str], Sampler] = {}
 
     # -- topology -------------------------------------------------------------
 
@@ -131,10 +130,6 @@ class Network:
     def node(self, name: str) -> Node:
         """Look up a node by name."""
         return self.nodes[name]
-
-    def set_link_latency(self, src: str, dst: str, sampler: Sampler) -> None:
-        """Override latency for the directed link ``src -> dst``."""
-        self._link_latency[(src, dst)] = sampler
 
     # -- fault injection --------------------------------------------------------
 
@@ -268,7 +263,7 @@ class Network:
         faults: _LinkFaults,
         duplicate: bool,
     ) -> None:
-        sampler = self._link_latency.get((src, dst), self.default_latency)
+        sampler = self.default_latency
         delay = sampler(self._rng) + faults.extra_delay
         if duplicate:
             # A duplicate (retransmission) arrives strictly later.

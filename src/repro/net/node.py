@@ -94,11 +94,6 @@ class Node:
         """Register a hook invoked after each restart (e.g. recovery)."""
         self._restart_hooks.append(hook)
 
-    def check_alive(self) -> None:
-        """Raise :class:`NodeCrashed` if the node is down."""
-        if not self.alive:
-            raise NodeCrashed(self.name)
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "DOWN"
         return f"<Node {self.name} {state} inc={self.incarnation}>"

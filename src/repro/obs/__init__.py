@@ -17,7 +17,7 @@ untraced runs produce identical metrics.
 """
 
 from repro.obs.export import chrome_trace_events, chrome_trace_json, critical_path_report
-from repro.obs.profile import CallCountProfiler, events_per_txn, subsystem_counters
+from repro.obs.profile import CallCountProfiler, events_per_txn
 from repro.obs.tracer import (
     NULL_SPAN,
     NULL_TRACER,
@@ -45,5 +45,4 @@ __all__ = [
     "drain_registered_tracers",
     "events_per_txn",
     "set_default_tracing",
-    "subsystem_counters",
 ]

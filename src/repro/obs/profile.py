@@ -13,9 +13,6 @@ instead:
   in CI.  A function's call count is also the honest "how hot is this
   path" signal for an interpreter workload: per-call overhead dominates,
   so calls ≈ cost.
-- **subsystem counters** — :func:`subsystem_counters` harvests the
-  counters the subsystems already keep (kernel events executed, network
-  messages, engine commits, RPC calls, tracer spans) into one flat dict.
 - **per-transaction event accounting** — :func:`events_per_txn` divides
   kernel events by committed transactions: the "how much machinery does
   one transaction turn" figure the perf gate tracks as
@@ -31,8 +28,7 @@ from __future__ import annotations
 
 import cProfile
 import os
-from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 #: absolute path of the ``repro`` package (profiles are restricted to it)
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,10 +100,6 @@ class CallCountProfiler:
             totals[subsystem] = totals.get(subsystem, 0) + calls
         return totals
 
-    def total_calls(self) -> int:
-        """All ``repro``-code calls recorded."""
-        return sum(calls for _s, _l, calls in self.counts())
-
     # -- reporting ----------------------------------------------------------
 
     def report(self, top: int = 25, scenario: str = "") -> str:
@@ -139,68 +131,6 @@ class CallCountProfiler:
         return "\n".join(lines)
 
 
-# -- subsystem counters ------------------------------------------------------
-
-
-def _stats_dict(stats: Any) -> dict[str, int]:
-    """Flatten a stats object (dataclass or ``as_dict``-bearing) to ints."""
-    if hasattr(stats, "as_dict"):
-        raw = stats.as_dict()
-    elif is_dataclass(stats):
-        raw = {f.name: getattr(stats, f.name) for f in fields(stats)}
-    else:
-        raw = {
-            name: value
-            for name, value in vars(stats).items()
-            if not name.startswith("_")
-        }
-    return {
-        name: value for name, value in raw.items() if isinstance(value, int)
-    }
-
-
-def subsystem_counters(
-    env: Any = None,
-    network: Any = None,
-    databases: Iterable[Any] = (),
-    rpc_servers: Iterable[Any] = (),
-    rpc_clients: Iterable[Any] = (),
-    brokers: Iterable[Any] = (),
-) -> dict[str, int]:
-    """Harvest the counters a run's subsystems already keep.
-
-    Returns a flat ``{"<subsystem>.<counter>": int}`` dict — kernel events
-    executed, tracer spans recorded, network message fates, per-database
-    engine stats, RPC client/server stats, broker stats.  All counts are
-    deterministic under a pinned seed, so the dict is comparable across
-    runs and suitable for per-txn accounting.
-
-    Collections with several members are summed (the question answered is
-    "how much did the *tier* do", not "which replica did it").
-    """
-    counters: dict[str, int] = {}
-
-    def _merge(prefix: str, stats: Any) -> None:
-        for name, value in _stats_dict(stats).items():
-            key = f"{prefix}.{name}"
-            counters[key] = counters.get(key, 0) + value
-
-    if env is not None:
-        counters["kernel.events_executed"] = env.events_executed
-        counters["tracer.spans"] = len(env.tracer)
-    if network is not None:
-        _merge("net", network.stats)
-    for database in databases:
-        _merge("db", database.stats)
-    for server in rpc_servers:
-        _merge("rpc_server", server.stats)
-    for client in rpc_clients:
-        _merge("rpc_client", client.stats)
-    for broker in brokers:
-        _merge("broker", broker.stats)
-    return counters
-
-
 # -- per-transaction accounting ----------------------------------------------
 
 
@@ -220,6 +150,5 @@ def events_per_txn(events: int, transactions: int, ndigits: int = 2) -> float:
 
 __all__ = [
     "CallCountProfiler",
-    "subsystem_counters",
     "events_per_txn",
 ]

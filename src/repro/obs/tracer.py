@@ -153,10 +153,6 @@ class Tracer:
         """Top-level spans, in creation order."""
         return [s for s in self.spans if s.parent_id is None]
 
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of ``span``, in creation order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def find(self, name: str) -> list[Span]:
         """All spans with the given name, in creation order."""
         return [s for s in self.spans if s.name == name]
@@ -219,9 +215,6 @@ class NullTracer:
         yield NULL_SPAN
 
     def roots(self) -> list[Span]:
-        return []
-
-    def children_of(self, span: Any) -> list[Span]:
         return []
 
     def find(self, name: str) -> list[Span]:

@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    #: replicas per shard (leader + followers); quorum = factor//2 + 1
+    #: replicas per shard (leader + followers); a replica works out its
+    #: quorum from its peers
     factor: int = 3
 
     def __post_init__(self) -> None:
         if self.factor < 1:
             raise ValueError("replication factor must be >= 1")
-
-    @property
-    def quorum(self) -> int:
-        return self.factor // 2 + 1
 
 
 __all__ = ["ReplicationConfig"]

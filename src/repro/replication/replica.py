@@ -629,8 +629,6 @@ class Replica:
         entry installed, but its proposer never learned that it would."""
         if not self._fenced(token):
             ack.try_succeed(("ok", index))
-        elif command[0] == "noop":
-            ack.try_succeed(("err", NotLeader(self.group_label, self.node.name)))
         else:
             ack.try_succeed(("err", FencedOut(command[1], token, self.term)))
 

@@ -28,7 +28,7 @@ from repro.sim.environment import (
     Process,
     SimulationError,
 )
-from repro.sim.resources import Channel, Lock, Semaphore, Store
+from repro.sim.resources import Channel, Lock, Semaphore
 
 __all__ = [
     "Channel",
@@ -40,7 +40,6 @@ __all__ = [
     "Process",
     "Semaphore",
     "SimulationError",
-    "Store",
     "all_of",
     "any_of",
 ]

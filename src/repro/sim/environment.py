@@ -76,11 +76,6 @@ class Process(Future):
         self._trace_ctx = tracer.current if self._tracer is not None else None
         env.call_soon(self._step, None, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process has not finished yet."""
-        return not self.done
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process *now*.
 

@@ -55,10 +55,6 @@ class Channel:
             self._getters.append(fut)
         return fut
 
-    def get_nowait(self) -> Any:
-        """Pop the next item immediately; raise ``IndexError`` if empty."""
-        return self._items.popleft()
-
     def close(self) -> None:
         """Close the channel; pending and future getters fail."""
         self._closed = True
@@ -69,61 +65,6 @@ class Channel:
 
 class ChannelClosed(Exception):
     """Raised to getters when a channel is closed."""
-
-
-class Store:
-    """Bounded buffer: both ``put`` and ``get`` may block.
-
-    Used to model backpressured links (e.g. dataflow channels with credit-
-    based flow control).
-    """
-
-    def __init__(self, env: Environment, capacity: int, label: str = "store") -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.label = label
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Future] = deque()
-        self._putters: Deque[tuple[Future, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Future:
-        """Return a future resolving once ``item`` is accepted."""
-        fut = Future(self.env, label=f"{self.label}.put")
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.done:
-                getter.succeed(item)
-                fut.succeed(None)
-                return fut
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            fut.succeed(None)
-        else:
-            self._putters.append((fut, item))
-        return fut
-
-    def get(self) -> Future:
-        """Return a future resolving with the next item."""
-        fut = Future(self.env, label=f"{self.label}.get")
-        if self._items:
-            fut.succeed(self._items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(fut)
-        return fut
-
-    def _admit_putter(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            put_fut, item = self._putters.popleft()
-            if put_fut.done:
-                continue
-            self._items.append(item)
-            put_fut.succeed(None)
 
 
 class Lock:

@@ -20,11 +20,6 @@ class CacheStats:
     evictions: int = 0
     expirations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class LruCache:
     """Bounded mapping with least-recently-used eviction and optional TTL.
@@ -78,10 +73,6 @@ class LruCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def invalidate(self, key: Any) -> bool:
-        """Drop a key (cache-invalidation path); returns whether present."""
-        return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         self._entries.clear()

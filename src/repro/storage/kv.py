@@ -1,9 +1,8 @@
-"""A versioned in-memory key-value store with CAS and snapshots.
+"""A versioned in-memory key-value store with snapshots.
 
 This is the simple *external state* building block: FaaS shared state,
 actor persistence providers, and idempotency stores are built on it.  Every
-write bumps a per-key version, enabling optimistic concurrency (compare-and-
-set) — the concurrency primitive of Cloudburst-style shared-state FaaS.
+write bumps a per-key version.
 """
 
 from __future__ import annotations
@@ -20,21 +19,11 @@ class Versioned:
     version: int
 
 
-class CasConflict(Exception):
-    """Raised when a compare-and-set loses the race."""
-
-    def __init__(self, key: Any, expected: int, actual: int) -> None:
-        super().__init__(f"cas on {key!r}: expected v{expected}, found v{actual}")
-        self.key = key
-        self.expected = expected
-        self.actual = actual
-
-
 class KeyValueStore:
-    """Dictionary semantics plus versions, CAS, and scans.
+    """Dictionary semantics plus versions and scans.
 
     Deletion is a real write: it bumps the version and leaves a tombstone
-    version counter so a CAS against a deleted key fails cleanly.
+    version counter, so a re-inserted key never reuses an old version.
     """
 
     def __init__(self) -> None:
@@ -72,17 +61,6 @@ class KeyValueStore:
         self._data[key] = value
         self._versions[key] = new_version
         return new_version
-
-    def compare_and_set(self, key: Any, value: Any, expected_version: int) -> int:
-        """Write only if the key is still at ``expected_version``.
-
-        Use ``expected_version=0`` for insert-if-absent.  Raises
-        :class:`CasConflict` on mismatch; returns the new version.
-        """
-        actual = self._versions.get(key, 0)
-        if actual != expected_version:
-            raise CasConflict(key, expected_version, actual)
-        return self.put(key, value)
 
     def update(self, key: Any, fn: Callable[[Any], Any], default: Any = None) -> Any:
         """Read-modify-write in one step; returns the new value."""

@@ -59,14 +59,6 @@ class SSTable:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def min_key(self) -> Any:
-        return self._keys[0] if self._keys else None
-
-    @property
-    def max_key(self) -> Any:
-        return self._keys[-1] if self._keys else None
-
     def get(self, key: Any) -> Any:
         """Return the stored value, ``_TOMBSTONE``, or ``None`` if absent."""
         index = bisect.bisect_left(self._keys, key)
@@ -246,7 +238,3 @@ class LsmStore:
         self._levels = [[]]
         for key, value in snapshot.items():
             self.put(key, value)
-
-    @property
-    def num_runs(self) -> int:
-        return sum(len(level) for level in self._levels)

@@ -26,7 +26,6 @@ from repro.transactions.anomalies import (
     ConservationInvariant,
     EffectLedger,
     Invariant,
-    NonNegativeInvariant,
     PredicateInvariant,
     Violation,
 )
@@ -34,7 +33,6 @@ from repro.transactions.causal import CausalStore, VectorClock
 from repro.transactions.choreography import ChoreographyMonitor, Reactor
 from repro.transactions.sagas import (
     Saga,
-    SagaAborted,
     SagaOrchestrator,
     SagaOutcome,
     SagaStep,
@@ -49,10 +47,8 @@ __all__ = [
     "Reactor",
     "EffectLedger",
     "Invariant",
-    "NonNegativeInvariant",
     "PredicateInvariant",
     "Saga",
-    "SagaAborted",
     "SagaOrchestrator",
     "SagaOutcome",
     "SagaStep",

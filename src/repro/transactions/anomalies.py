@@ -68,25 +68,6 @@ class ConservationInvariant(Invariant):
         return []
 
 
-class NonNegativeInvariant(Invariant):
-    """A field must never go below zero (e.g. stock, seats, balance)."""
-
-    def __init__(self, field_name: str, key_field: str = "id", name: str = "") -> None:
-        self.field_name = field_name
-        self.key_field = key_field
-        self.name = name or f"non_negative({field_name})"
-
-    def check(self, state: Iterable[dict]) -> list[Violation]:
-        return [
-            Violation(
-                self.name,
-                f"{row.get(self.key_field)!r}: {self.field_name} = {row[self.field_name]}",
-            )
-            for row in state
-            if row[self.field_name] < 0
-        ]
-
-
 class PredicateInvariant(Invariant):
     """An arbitrary predicate over the whole state snapshot."""
 
@@ -117,10 +98,6 @@ class AnomalyReport:
             and self.lost_effects == 0
             and self.duplicate_effects == 0
         )
-
-    @property
-    def total_anomalies(self) -> int:
-        return len(self.violations) + self.lost_effects + self.duplicate_effects
 
     def summary(self) -> str:
         if self.clean:

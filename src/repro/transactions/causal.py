@@ -49,13 +49,6 @@ class VectorClock:
             self.get(replica) >= count for replica, count in other._counters.items()
         )
 
-    def happens_before(self, other: "VectorClock") -> bool:
-        """Strictly before: other dominates self and they differ."""
-        return other.dominates(self) and self._counters != other._counters
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.dominates(other) and not other.dominates(self)
-
     def as_dict(self) -> dict[str, int]:
         return dict(self._counters)
 

@@ -22,15 +22,6 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim import Environment, Interrupted
 
 
-class SagaAborted(Exception):
-    """Raised by the orchestrator when a saga was rolled back."""
-
-    def __init__(self, saga: str, failed_step: str, cause: Exception) -> None:
-        super().__init__(f"saga {saga!r} aborted at step {failed_step!r}: {cause!r}")
-        self.failed_step = failed_step
-        self.cause = cause
-
-
 class SagaStuck(Exception):
     """A step kept failing that can be neither undone nor skipped — a
     compensation, or a step past the pivot that may only go forward: the

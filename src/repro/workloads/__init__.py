@@ -5,8 +5,8 @@ data-management requirements — multi-item transactions, data invariants,
 exactly-once semantics — and that request-arrival modeling must respect the
 open/closed distinction (Schroeder et al.).  This package supplies:
 
-- :mod:`repro.workloads.arrivals` — open (Poisson), closed (think-time),
-  and partly-open arrival processes;
+- :mod:`repro.workloads.arrivals` — open (Poisson) and closed
+  (think-time) arrival processes;
 - :mod:`repro.workloads.ycsb` — YCSB-style KV mixes with zipfian skew;
 - :mod:`repro.workloads.transfers` — the bank-transfer microbenchmark with
   a conservation invariant (the anomaly detector's favourite prey);
@@ -21,7 +21,6 @@ open/closed distinction (Schroeder et al.).  This package supplies:
 from repro.workloads.arrivals import (
     ClosedLoop,
     OpenLoop,
-    PartlyOpenLoop,
 )
 from repro.workloads.transfers import TransferWorkload
 from repro.workloads.tpcc import TpccLite
@@ -34,7 +33,6 @@ __all__ = [
     "HotelWorkload",
     "MarketplaceWorkload",
     "OpenLoop",
-    "PartlyOpenLoop",
     "TpccLite",
     "TransferWorkload",
     "YcsbWorkload",

@@ -1,4 +1,4 @@
-"""Arrival processes: open, closed, and partly-open system models.
+"""Arrival processes: open and closed system models.
 
 Schroeder, Wierman & Harchol-Balter (NSDI'06, paper ref [56]) showed that
 whether a benchmark models arrivals as *open* (requests arrive by a clock,
@@ -13,7 +13,7 @@ by the harness; the callback performs one operation end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
 from repro.sim import Environment, Interrupted
 
@@ -99,58 +99,3 @@ class ClosedLoop:
     @property
     def name(self) -> str:
         return f"closed({self.clients} clients)"
-
-
-@dataclass
-class PartlyOpenLoop:
-    """Sessions arrive openly; each session issues a short closed burst.
-
-    The model Schroeder et al. recommend for web workloads: arrivals are
-    open (new users show up on their own schedule) but each user performs
-    several dependent requests.
-    """
-
-    session_rate_per_s: float
-    total_sessions: int
-    ops_per_session: int = 3
-    think_time_ms: float = 5.0
-
-    def drive(self, env: Environment, issue: IssueFn) -> Generator:
-        if self.total_sessions <= 0 or self.session_rate_per_s <= 0:
-            raise ValueError("sessions and rate must be positive")
-        rng = env.stream("partly-open-arrivals")
-        mean_gap_ms = 1000.0 / self.session_rate_per_s
-
-        def session(session_index: int) -> Generator:
-            for i in range(self.ops_per_session):
-                op_index = session_index * self.ops_per_session + i
-                try:
-                    yield from issue(op_index)
-                except Interrupted:
-                    raise
-                except Exception:  # noqa: BLE001
-                    pass
-                if self.think_time_ms > 0:
-                    yield env.timeout(rng.expovariate(1.0 / self.think_time_ms))
-
-        running = []
-        for index in range(self.total_sessions):
-            yield env.timeout(rng.expovariate(1.0 / mean_gap_ms))
-            running.append(env.process(session(index), label=f"session-{index}"))
-        for process in running:
-            if process.done:
-                continue
-            try:
-                yield process
-            except Interrupted:
-                raise
-            except Exception:  # noqa: BLE001 - op failures already recorded
-                pass
-
-    @property
-    def total_ops(self) -> int:
-        return self.total_sessions * self.ops_per_session
-
-    @property
-    def name(self) -> str:
-        return f"partly-open({self.session_rate_per_s}/s x {self.ops_per_session})"

@@ -1,4 +1,4 @@
-"""Tests for durable actor reminders (Orleans-style)."""
+"""Tests for idle actor deactivation (Orleans-style activation GC)."""
 
 import pytest
 
@@ -24,63 +24,6 @@ def env():
     return Environment(seed=301)
 
 
-@pytest.fixture
-def runtime(env):
-    rt = ActorRuntime(env, num_silos=2)
-    rt.register(Ticker)
-    return rt
-
-
-def run(env, gen):
-    return env.run_until(env.process(gen))
-
-
-class TestReminders:
-    def test_fires_periodically(self, env, runtime):
-        runtime.register_reminder("Ticker", "t1", "tick", period=50.0)
-        env.run(until=480)
-
-        def read():
-            return (yield from runtime.ref("Ticker", "t1").call("ticks"))
-
-        ticks = run(env, read())
-        assert 7 <= ticks <= 9  # ~480/50, allowing for call latency
-
-    def test_cancel_stops_firing(self, env, runtime):
-        reminder_id = runtime.register_reminder("Ticker", "t1", "tick", period=50.0)
-        env.run(until=160)
-        assert runtime.cancel_reminder(reminder_id)
-        env.run(until=1000)
-
-        def read():
-            return (yield from runtime.ref("Ticker", "t1").call("ticks"))
-
-        assert run(env, read()) <= 4
-
-    def test_cancel_unknown_returns_false(self, runtime):
-        assert not runtime.cancel_reminder("nope")
-
-    def test_invalid_period(self, runtime):
-        with pytest.raises(ValueError):
-            runtime.register_reminder("Ticker", "t", "tick", period=0)
-
-    def test_survives_silo_crash(self, env, runtime):
-        """The reminder keeps firing after its actor's silo dies."""
-        runtime.register_reminder("Ticker", "t1", "tick", period=40.0)
-        env.run(until=130)  # ~3 ticks; actor now activated somewhere
-        host = runtime.host_of("Ticker", "t1")
-        index = int(host.split("-")[1])
-        runtime.crash_silo(index)
-        env.run(until=600)
-
-        def read():
-            return (yield from runtime.ref("Ticker", "t1").call("ticks", retries=2))
-
-        ticks = run(env, read())
-        assert ticks >= 10  # kept ticking post-crash (state reloaded)
-        assert runtime.host_of("Ticker", "t1") != host
-
-
 class TestIdleDeactivation:
     def test_idle_actors_are_collected(self, env):
         rt = ActorRuntime(env, num_silos=1, idle_timeout=100.0)
@@ -104,7 +47,13 @@ class TestIdleDeactivation:
     def test_busy_actors_are_not_collected(self, env):
         rt = ActorRuntime(env, num_silos=1, idle_timeout=100.0)
         rt.register(Ticker)
-        rt.register_reminder("Ticker", "hot", "tick", period=30.0)
+
+        def busy():
+            while True:
+                yield env.timeout(30.0)
+                yield from rt.ref("Ticker", "hot").call("tick")
+
+        env.process(busy())
         env.run(until=500)  # constantly used: never idle long enough
         assert rt.stats.idle_deactivations == 0
         assert rt.stats.activations == 1

@@ -52,15 +52,6 @@ class BankAccount(Actor):
         yield  # pragma: no cover
 
 
-class Greeter(Actor):
-    initial_state = {"greetings": 0}
-
-    def greet(self, name):
-        self.state["greetings"] += 1
-        other = yield from self.call_actor("BankAccount", "shared", "balance")
-        return f"hello {name} (bank says {other})"
-
-
 @pytest.fixture
 def env():
     return Environment(seed=31)
@@ -70,7 +61,6 @@ def env():
 def runtime(env):
     rt = ActorRuntime(env, num_silos=3)
     rt.register(BankAccount)
-    rt.register(Greeter)
     return rt
 
 
@@ -109,13 +99,6 @@ class TestActivation:
     def test_placement_spreads_actors(self, runtime):
         silos = {runtime.place("BankAccount", f"k{i}").name for i in range(50)}
         assert len(silos) == 3
-
-    def test_actor_to_actor_call(self, env, runtime):
-        def flow():
-            yield from runtime.ref("BankAccount", "shared").call("deposit", 7)
-            return (yield from runtime.ref("Greeter", "g1").call("greet", "ada"))
-
-        assert run(env, flow()) == "hello ada (bank says 7)"
 
 
 class TestTurnConcurrency:

@@ -160,7 +160,7 @@ class TestHistory:
         history.invoke(2.0, "c1", "op-2", "transfer")
         history.ok(3.0, "op-2")
         assert history.close_pending(10.0) == 1
-        assert history.info_ops() == ["op-1"]
+        assert [e.op_id for e in history.completions("info")] == ["op-1"]
         assert history.counts() == {"invoke": 2, "ok": 1, "fail": 0, "info": 1}
 
     def test_digest_is_content_sensitive(self):

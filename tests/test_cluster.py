@@ -1,7 +1,8 @@
 """Tests for the unified cluster placement layer (``repro.cluster``).
 
-Covers the byte-compatibility contract (the ring must reproduce the
-historical per-runtime crc32 formulas exactly), directory/epoch
+Covers the byte-compatibility contract (the one key→shard formula must
+reproduce the historical per-runtime crc32 formulas exactly, wherever it
+is reached from), directory/epoch
 semantics, router forwarding, rebalancer planning, and the resharding
 edge cases of the live-migration protocol: empty shards, a single hot
 key, a migration racing a distributed transaction that holds locks on
@@ -15,20 +16,16 @@ import pytest
 from repro.chaos import CONTROL_RUNTIMES, run_trial
 from repro.cluster import (
     ClusterError,
-    ConsistentHashRing,
-    ModHashRing,
     PlacementDirectory,
-    RangeMap,
     Rebalancer,
     Router,
     ShardStats,
     rendezvous_owner,
-    spread,
+    shard_of,
     stable_hash,
     stable_hash_text,
 )
 from repro.db import IsolationLevel, ShardedDatabase
-from repro.db.sharding import shard_of
 from repro.sim import Environment
 
 SER = IsolationLevel.SERIALIZABLE
@@ -57,11 +54,6 @@ class TestHashingByteCompat:
         for text in ["task-1", "silo-0|BankAccount|alice", ""]:
             assert stable_hash_text(text) == zlib.crc32(text.encode("utf-8"))
 
-    def test_mod_ring_matches_legacy_shard_formula(self):
-        ring = ModHashRing(12)
-        for key in [0, 5, "x", ("k", 3), 999]:
-            assert ring.shard_of(key) == zlib.crc32(repr(key).encode()) % 12
-
     def test_rendezvous_owner_matches_max_semantics(self):
         nodes = ["silo-0", "silo-1", "silo-2"]
         for key in [f"BankAccount|k{i}" for i in range(40)]:
@@ -72,39 +64,48 @@ class TestHashingByteCompat:
 
     def test_rendezvous_empty_and_spread(self):
         assert rendezvous_owner([], "k") is None
-        histogram = spread(range(200), 8)
-        assert sum(histogram.values()) == 200
-        assert len(histogram) == 8  # every shard gets keys
+        assert {shard_of(key, 8) for key in range(200)} == set(range(8))
 
 
-class TestRings:
-    def test_mod_ring_validates(self):
-        with pytest.raises(ValueError):
-            ModHashRing(0)
+class TestOneShardFormula:
+    """``shard_of`` is the one key→shard formula (docs/CLUSTER.md,
+    determinism contract): the router and the sharded database's bulk load
+    and commit bucketing all route through it, byte-identical to the
+    historical ``crc32(repr(key)) % n``."""
 
-    def test_consistent_ring_minimal_movement(self):
-        """Adding one shard to the ring moves only a small key fraction."""
-        before = ConsistentHashRing(8)
-        after = ConsistentHashRing(9)
-        keys = list(range(2000))
-        moved = sum(1 for k in keys if before.shard_of(k) != after.shard_of(k))
-        # Mod-hashing would move ~8/9 of the keys; the ring moves ~1/9.
-        assert moved / len(keys) < 0.35
+    KEYS = [0, 1, 5, 7, 999, 10**9, -1, "x", "acct-0", "acct-12", "k42", ""]
+    #: the pinned shards of KEYS at n = 4, 8 and 12
+    PINNED = {
+        4: [1, 3, 2, 2, 3, 0, 2, 2, 2, 0, 1, 1],
+        8: [1, 7, 6, 2, 7, 0, 2, 2, 6, 4, 5, 1],
+        12: [5, 11, 10, 6, 7, 0, 6, 10, 2, 8, 5, 1],
+    }
 
-    def test_consistent_ring_covers_all_shards(self):
-        ring = ConsistentHashRing(8)
-        assert {ring.shard_of(k) for k in range(2000)} == set(range(8))
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_shard_of_is_pinned(self, n):
+        assert [shard_of(key, n) for key in self.KEYS] == self.PINNED[n]
+        assert [zlib.crc32(repr(key).encode()) % n for key in self.KEYS] == self.PINNED[n]
 
-    def test_range_map_bounds_and_split(self):
-        ranges = RangeMap(["g", "p"])
-        assert [ranges.shard_of(k) for k in ["a", "g", "o", "z"]] == [0, 1, 1, 2]
-        ranges.split("k")
-        assert ranges.num_shards == 4
-        assert ranges.shard_of("o") == 2  # "k" <= o < "p"
-        with pytest.raises(ValueError):
-            ranges.split("k")
-        with pytest.raises(ValueError):
-            RangeMap(["p", "g"])
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_router_and_sharded_database_agree(self, n):
+        env = Environment(seed=1)
+        db = ShardedDatabase(env, num_shards=n, name="pin")
+        db.create_table("t", primary_key="id")
+        db.load("t", [{"id": key} for key in self.KEYS])
+        assert [db.router.shard_of(key) for key in self.KEYS] == self.PINNED[n]
+        for key, shard in zip(self.KEYS, self.PINNED[n]):
+            assert db.leader_engine(shard).read_latest("t", key) == {"id": key}
+            assert db.owner_of(key) == db.directory.owner_of(shard)
+
+        def write_all():
+            txn = db.begin()
+            for key in self.KEYS:
+                yield from db.put(txn, "t", key, {"id": key, "v": 1})
+            yield from db.commit(txn)
+
+        run(env, write_all())
+        for key, shard in zip(self.KEYS, self.PINNED[n]):
+            assert db.leader_engine(shard).read_latest("t", key) == {"id": key, "v": 1}
 
 
 class TestDirectory:
@@ -152,9 +153,6 @@ class TestDirectory:
         assert directory.record_activation(ident, "silo-0") is None
         assert directory.record_activation(ident, "silo-2") == "silo-0"
         assert directory.last_host(ident) == "silo-2"
-        assert directory.activations_on("silo-2") == [ident]
-        directory.drop_activation(ident)
-        assert directory.last_host(ident) is None
 
 
 class TestRouter:
@@ -163,31 +161,26 @@ class TestRouter:
         directory = PlacementDirectory(Environment(seed=1))
         for shard in range(4):
             directory.assign(shard, f"node{shard % 2}")
-        return Router(ModHashRing(4), directory)
+        return Router(4, directory)
 
     def test_cold_cache_does_not_forward(self, router):
-        first = router.resolve(7)
-        second = router.resolve(7)
+        first = router.resolve_shard(router.shard_of(7))
+        second = router.resolve_shard(router.shard_of(7))
         assert not first.forwarded and not second.forwarded
         assert router.stats.forwards == 0
 
     def test_stale_cache_pays_exactly_one_forward(self, router):
         shard = router.shard_of(7)
-        router.resolve(7)  # populate the cache
+        router.resolve_shard(shard)  # populate the cache
         router.directory.begin_migration(shard, "node9")
         router.directory.assign(99, "node9")  # make node9 known
         router.directory.complete_migration(shard)
-        stale = router.resolve(7)
-        repaired = router.resolve(7)
+        stale = router.resolve_shard(shard)
+        repaired = router.resolve_shard(shard)
         assert stale.forwarded and stale.node == "node9"
         assert not repaired.forwarded
         assert router.stats.forwards == 1
         assert router.directory.stats.stale_lookups == 1
-
-    def test_invalidate_resets_to_cold(self, router):
-        router.resolve(7)
-        router.invalidate(router.shard_of(7))
-        assert not router.resolve(7).forwarded
 
 
 class TestShardStats:
@@ -201,16 +194,12 @@ class TestShardStats:
         assert stats.load_of(0) == 2.5
         assert stats.total[0] == 10.0
 
-    def test_hottest_and_grow(self):
+    def test_hottest(self):
         stats = ShardStats(3)
         stats.record(1, 4.0)
         stats.record(2, 9.0)
         assert stats.hottest() == 2
         assert stats.hottest(among=[0, 1]) == 1
-        stats.grow(5)
-        assert stats.num_shards == 5 and stats.load_of(4) == 0.0
-        with pytest.raises(ValueError):
-            stats.grow(2)
 
 
 class TestRebalancerPlanning:

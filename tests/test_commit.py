@@ -21,7 +21,7 @@ from repro.apps.core import AppUncertain, bind
 from repro.apps.ledger import ledger_spec
 from repro.db import FencedOut, IsolationLevel, ShardedDatabase
 from repro.db.engine import TxnStatus
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.replication import ReplicaUnavailable, ReplicationConfig
 from repro.sim import Environment
 from repro.transactions.commit import PREPARED, REFUSED, two_phase

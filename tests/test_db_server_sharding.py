@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import DatabaseServer, IsolationLevel, ShardedDatabase
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.net.latency import Latency
 from repro.sim import Environment
 

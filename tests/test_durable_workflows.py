@@ -71,7 +71,7 @@ class TestHappyPath:
                                        {"item": "book", "amount": 30}))
         assert result == {"reservation": "res-book", "receipt": "paid-30"}
         assert executions["log"] == [("reserve", "book"), ("charge", 30)]
-        assert engine.status_of("wf-1") == "completed"
+        assert engine._instances["wf-1"].status == "completed"
 
     def test_history_records_command_order(self, env):
         engine, _ = make_engine(env)
@@ -117,7 +117,7 @@ class TestFailures:
         fut = engine.start("wf-f", "failing", None)
         with pytest.raises(WorkflowFailed, match="exploded"):
             run(env, fut)
-        assert engine.status_of("wf-f") == "failed"
+        assert engine._instances["wf-f"].status == "failed"
 
     def test_workflow_exception_fails_instance(self, env):
         engine, _ = make_engine(env)
@@ -146,7 +146,7 @@ class TestFailures:
 
         fut = engine.start("wf-nd", "flaky", None)
         env.run()
-        assert engine.status_of("wf-nd") == "failed"
+        assert engine._instances["wf-nd"].status == "failed"
         assert "replay mismatch" in engine._instances["wf-nd"].result
         with pytest.raises(WorkflowFailed, match="replay mismatch"):
             fut.result()
@@ -201,7 +201,7 @@ class TestCrashRecovery:
         env.run()
         assert executions["log"] == [("reserve", "x")]
         assert engine.history_of("wf-1") == []
-        assert engine.status_of("wf-1") == "running"
+        assert engine._instances["wf-1"].status == "running"
 
     def test_crash_during_timer_resumes_timer(self, env):
         engine, _ = make_engine(env)

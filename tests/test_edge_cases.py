@@ -5,9 +5,8 @@ import pytest
 from repro.core.faults import FaultEvent, FaultPlan
 from repro.dataflow import JobGraph
 from repro.db import Database, IsolationLevel
-from repro.messaging import Broker
-from repro.net import Latency, Network
-from repro.sim import Environment, Store
+from repro.net import Network
+from repro.sim import Environment
 from repro.storage import LsmStore
 
 
@@ -147,7 +146,7 @@ class TestLsmEdges:
         for i in (0, 57, 123, 199):
             assert lsm.get(f"k{i:04d}") == i
         assert lsm.stats.compactions > 3
-        assert lsm.num_runs < 10
+        assert sum(len(level) for level in lsm._levels) < 10
 
     def test_overwrite_heavy_workload_reclaims(self):
         lsm = LsmStore(memtable_limit=4, level0_limit=2, level_ratio=2)
@@ -156,45 +155,6 @@ class TestLsmEdges:
                 lsm.put(f"k{key_index}", round_index)
         assert len(lsm) == 5
         assert all(lsm.get(f"k{i}") == 19 for i in range(5))
-
-
-class TestBrokerEdges:
-    def test_publish_now_is_instant(self, env):
-        broker = Broker(env)
-        broker.create_topic("t")
-        record = broker.publish_now("t", "k", "v")
-        assert record.offset == 0
-        assert env.now == 0.0
-
-    def test_end_offsets(self, env):
-        broker = Broker(env)
-        broker.create_topic("t", partitions=2)
-        for i in range(5):
-            broker.publish_now("t", f"k{i}", i)
-        assert sum(broker.end_offsets("t")) == 5
-
-
-class TestStoreEdges:
-    def test_putters_queue_in_order(self, env):
-        store = Store(env, capacity=1)
-        order = []
-
-        def producer(name):
-            yield store.put(name)
-            order.append(name)
-
-        def consumer():
-            yield env.timeout(10)
-            for _ in range(2):
-                yield store.get()
-                yield env.timeout(10)
-
-        env.process(producer("a"))
-        env.process(producer("b"))
-        env.process(producer("c"))
-        env.process(consumer())
-        env.run()
-        assert order == ["a", "b", "c"]
 
 
 class TestNodeEdges:
@@ -209,23 +169,6 @@ class TestNodeEdges:
         node.bind("p")
         node.crash()
         assert not node.deliver("p", "payload")
-
-    def test_link_latency_override(self, env):
-        net = Network(env, default_latency=Latency.constant(1.0))
-        net.add_node("a")
-        net.add_node("b")
-        net.set_link_latency("a", "b", Latency.constant(50.0))
-        inbox = net.node("b").bind("svc")
-        arrived = []
-
-        def pump():
-            message = yield inbox.get()
-            arrived.append(env.now)
-
-        net.node("b").spawn(pump())
-        net.send("a", "b", "svc", None)
-        env.run()
-        assert arrived[0] == pytest.approx(50.0)
 
 
 class TestActorDeactivation:

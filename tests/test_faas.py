@@ -42,7 +42,7 @@ def make_platform(env, **kwargs):
 
     @platform.function("put_get")
     def put_get(ctx, payload):
-        yield from ctx.kv_put(payload["key"], payload["value"])
+        yield from ctx.kv.put(payload["key"], payload["value"])
         value = yield from ctx.kv_get(payload["key"])
         return value
 
@@ -136,7 +136,8 @@ class TestSharedKv:
         kv = SharedKv(env, rtt=Latency.constant(2.0))
 
         def flow():
-            yield from kv.cached_put("w1", "k", "v")
+            yield from kv.put("k", "v")
+            yield from kv.cached_get("w1", "k")  # a miss fills w1's cache
             start = env.now
             value = yield from kv.cached_get("w1", "k")
             return value, env.now - start
@@ -152,10 +153,9 @@ class TestSharedKv:
 
         def flow():
             yield from kv.cached_get("w1", "k", None)  # populate w1's cache
-            yield from kv.cached_put("w2", "k", "new")  # w2 writes through
+            yield from kv.put("k", "new")  # another worker writes the store
             stale = yield from kv.cached_get("w1", "k")
-            kv.invalidate("k")
-            fresh = yield from kv.cached_get("w1", "k")
+            fresh = yield from kv.get("k")
             return stale, fresh
 
         stale, fresh = run(env, flow())
@@ -166,28 +166,17 @@ class TestSharedKv:
         platform = make_platform(env, cached_state=True)
 
         def flow():
-            value = yield from platform.invoke(
+            first = yield from platform.invoke(
                 "put_get", {"key": "x", "value": 9}
             )
-            return value
+            # the warm container's worker now reads x from its cache
+            again = yield from platform.invoke(
+                "put_get", {"key": "x", "value": 9}
+            )
+            return first, again
 
-        assert run(env, flow()) == 9
+        assert run(env, flow()) == (9, 9)
         assert platform.kv.cached_reads >= 1
-
-    def test_cas_through_service(self, env):
-        from repro.storage.kv import CasConflict
-
-        kv = SharedKv(env, rtt=Latency.constant(1.0))
-
-        def flow():
-            v1 = yield from kv.put("k", 1)
-            yield from kv.compare_and_set("k", 2, v1)
-            try:
-                yield from kv.compare_and_set("k", 3, v1)
-            except CasConflict:
-                return "conflict"
-
-        assert run(env, flow()) == "conflict"
 
 
 def setup_entities(env):

@@ -29,7 +29,10 @@ def make_platform(env, causal):
 
     @platform.function("writer")
     def writer(ctx, payload):
-        yield from ctx.kv_put(payload["key"], payload["value"])
+        if ctx.session is not None:
+            ctx.session.write(payload["key"], payload["value"])
+        else:
+            yield from ctx.kv.put(payload["key"], payload["value"])
         # Compose: the reader runs in another container (maybe worker).
         result = yield from ctx.call("reader", {"key": payload["key"]})
         return result

@@ -9,7 +9,6 @@ import pytest
 
 from repro.flow import (
     AdmissionController,
-    AdmissionRejected,
     CreditGate,
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -97,14 +96,6 @@ class TestAdmissionController:
         assert ctrl.try_admit(PRIORITY_HIGH)
         assert ctrl.stats.admitted == 2
         assert ctrl.stats.completed == 1
-
-    def test_admit_raises_typed_error(self):
-        ctrl = AdmissionController(1, name="front-door")
-        ctrl.admit(PRIORITY_NORMAL)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            ctrl.admit(PRIORITY_NORMAL)
-        assert excinfo.value.resource == "front-door"
-        assert excinfo.value.priority == PRIORITY_NORMAL
 
     def test_release_without_admit_raises(self):
         with pytest.raises(RuntimeError):

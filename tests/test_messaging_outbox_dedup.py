@@ -29,13 +29,6 @@ class TestIdempotencyStore:
         store.record("k", "second")
         assert store.lookup("k").response == "first"
 
-    def test_check_and_record(self):
-        store = IdempotencyStore()
-        is_first, response = store.check_and_record("k", "a")
-        assert is_first and response == "a"
-        is_first, response = store.check_and_record("k", "b")
-        assert not is_first and response == "a"
-
     def test_clock_stamps_entries(self):
         clock = {"t": 42.0}
         store = IdempotencyStore(clock=lambda: clock["t"])

@@ -1,10 +1,13 @@
-"""Static reachability guard: every module under ``src/repro/`` earns a claim.
+"""Static reachability guard: every module under ``src/repro/`` earns a
+claim, and every public symbol in it a caller.
 
 The reproduction is defined by its experiments: the ``bench_*.py`` claim
 tables, the perf microbenches, the suite workloads, the chaos and perf
 scripts and the examples.  A module none of them imports is code without a
 claim, so this test walks imports from those roots with :mod:`ast` (it never
-imports anything) and fails on any module it cannot reach.
+imports anything) and fails on any module it cannot reach.  Inside a reached
+module, a public class, function or method that no non-test code names is
+code only its own unit tests run; the symbol walk fails on those too.
 
 Rules of the walk:
 
@@ -21,6 +24,18 @@ Rules of the walk:
 
 Package ``__init__`` files only re-export, so they are not themselves
 required to be reachable.
+
+Rules of the symbol walk (:class:`_Symbols`):
+
+- **Checked:** every public top-level class or function, and every public
+  method of a top-level class, in a reached non-package module.  Dunders
+  are exempt.
+- **Uses:** a ``Name``, an ``Attribute`` or an identifier string constant
+  in ``src/`` outside the symbol's own definition, or anywhere under the
+  roots above.  Tests never count.
+- **Not uses:** an import, or an entry in ``__all__``.
+- **Registered classes:** a class under a registering decorator
+  (``@register_binder``) is reached with its module.
 """
 
 from __future__ import annotations
@@ -45,11 +60,37 @@ ALLOWLIST = {
 }
 
 
-def _source_modules() -> dict[str, str]:
-    """``dotted name -> path`` for every module and package under ``src/``."""
+OBSERVES = "observation surface: tests read a run through it"
+SAFETY = "reference or recovery code kept as safety code"
+
+#: ``module:qualname`` -> why it stays although only tests name it.  An
+#: entry must name a checked symbol that is unused; remove it when either
+#: stops being true.
+SYMBOL_ALLOWLIST = {
+    "repro.obs.tracer:Tracer.find": OBSERVES,
+    "repro.obs.tracer:NullTracer.find": OBSERVES,
+    "repro.sim.events:Future.exception": OBSERVES,
+    "repro.sim.environment:Environment.pending_events": OBSERVES,
+    "repro.db.locks:LockManager.held_by": OBSERVES,
+    "repro.db.locks:LockManager.queue_length": OBSERVES,
+    "repro.db.engine:Database.version_count": OBSERVES + " (cross-checks the GC gauge)",
+    "repro.replication.replica:Replica.force_election": OBSERVES,
+    "repro.harness.driver:RunResult.trace_json": OBSERVES,
+    "repro.db.locks:combine": SAFETY + " (the lock table the grant path inlines)",
+    "repro.db.locks:compatible": SAFETY + " (the lock table the grant path inlines)",
+    "repro.db.engine:Database.resolve_in_doubt": SAFETY + " (in-doubt recovery)",
+    "repro.db.engine:Database.flush_barrier": SAFETY + " (group-commit durability)",
+    "repro.apps.core.spec:CapacityBoundSpec": "ROADMAP item 3 (port hotel to an AppSpec)",
+    "repro.net.network:Network.send_local":
+        "ROADMAP item 9(c) (benchmarks/suite/layers.py names it as a boundary)",
+}
+
+
+def _source_modules(src: str = SRC) -> dict[str, str]:
+    """``dotted name -> path`` for every module and package under ``src``."""
     modules = {}
-    for directory, _dirs, files in os.walk(os.path.join(SRC, "repro")):
-        package = os.path.relpath(directory, SRC).replace(os.sep, ".")
+    for directory, _dirs, files in os.walk(os.path.join(src, "repro")):
+        package = os.path.relpath(directory, src).replace(os.sep, ".")
         for name in files:
             if not name.endswith(".py"):
                 continue
@@ -59,10 +100,10 @@ def _source_modules() -> dict[str, str]:
     return modules
 
 
-def _roots() -> list[str]:
+def _roots(repo: str = REPO) -> list[str]:
     paths = []
     for top in ROOT_DIRS:
-        for directory, _dirs, files in os.walk(os.path.join(REPO, top)):
+        for directory, _dirs, files in os.walk(os.path.join(repo, top)):
             paths.extend(os.path.join(directory, name) for name in files if name.endswith(".py"))
     return sorted(paths)
 
@@ -91,8 +132,8 @@ def _imports(tree: ast.Module, package: str) -> list[tuple[str, str | None, str]
 class _Walk:
     """A static import walk over ``src/repro``; :attr:`reached` grows per root."""
 
-    def __init__(self) -> None:
-        self.modules = _source_modules()
+    def __init__(self, repo: str = REPO) -> None:
+        self.modules = _source_modules(os.path.join(repo, "src"))
         self.reached: set[str] = set()
         self._touched: set[str] = set()
         self._trees: dict[str, ast.Module] = {}
@@ -169,12 +210,127 @@ class _Walk:
                 self._reach(module)
 
 
-@pytest.fixture(scope="module")
-def walk() -> _Walk:
-    walk = _Walk()
-    for path in _roots():
+#: class decorators that enter the class in a table (``@register_binder``
+#: fills the binder registry ``bind()`` reads), so the class is reached
+#: along with its module.
+REGISTERING_DECORATORS = frozenset({"register_binder"})
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", "")
+
+
+def _definitions(tree: ast.Module):
+    """``(qualname, node)`` for every public top-level class or function and
+    every public method of a top-level class.
+
+    Dunders are private by this rule; a class with a registering decorator
+    is left out itself, its methods are not.
+    """
+    for node in tree.body:
+        if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        registered = isinstance(node, ast.ClassDef) and any(
+            _decorator_name(d) in REGISTERING_DECORATORS for d in node.decorator_list
+        )
+        if not node.name.startswith("_") and not registered:
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not member.name.startswith("_")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _uses(tree: ast.Module):
+    """``(identifier, line)`` for every ``Name``, ``Attribute`` and
+    identifier string constant in ``tree``.
+
+    Imports bind names without using them (an ``alias`` is neither node),
+    and the strings of an ``__all__`` list only export.
+    """
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exported
+        ):
+            yield node.value, node.lineno
+
+
+class _Symbols:
+    """The public symbols of the reached modules, and which are unused.
+
+    A symbol is used when its name occurs in non-test code outside its own
+    definition: anywhere in ``src/``, ``benchmarks/``, ``scripts/`` or
+    ``examples/``.  Matching is by name only, so a use of one ``get``
+    counts for every method called ``get``; the walk errs towards keeping.
+    """
+
+    def __init__(self, walk: _Walk, repo: str = REPO) -> None:
+        uses: dict[str, list[tuple[str, int]]] = {}
+        for path in sorted(walk.modules.values()) + _roots(repo):
+            for name, line in _uses(walk._tree(path)):
+                uses.setdefault(name, []).append((path, line))
+        #: ``module:qualname`` for every checked symbol
+        self.defined: set[str] = set()
+        #: the checked symbols no non-test code names
+        self.unused: set[str] = set()
+        for module in sorted(walk.reached):
+            if walk._is_package(module):
+                continue
+            path = walk.modules[module]
+            for qualname, node in _definitions(walk._tree(path)):
+                symbol = f"{module}:{qualname}"
+                self.defined.add(symbol)
+                inside = range(node.lineno, node.end_lineno + 1)
+                if all(
+                    where == path and line in inside
+                    for where, line in uses.get(node.name, ())
+                ):
+                    self.unused.add(symbol)
+
+    def stale(self, allowlist) -> dict[str, str]:
+        """Allowlist entries that no longer name an unused symbol."""
+        return {
+            symbol: "deleted" if symbol not in self.defined else "now reached"
+            for symbol in allowlist
+            if symbol not in self.unused
+        }
+
+
+def _walk_from_roots(repo: str = REPO) -> _Walk:
+    walk = _Walk(repo)
+    for path in _roots(repo):
         walk.root(path)
     return walk
+
+
+@pytest.fixture(scope="module")
+def walk() -> _Walk:
+    return _walk_from_roots()
+
+
+@pytest.fixture(scope="module")
+def symbols(walk) -> _Symbols:
+    return _Symbols(walk)
 
 
 def test_every_module_is_reachable_from_an_experiment(walk):
@@ -209,3 +365,105 @@ def test_submodule_binding_import_reaches_the_binders():
     walk._resolve("repro.apps.core", "AppSpec")
     assert "repro.apps.core.spec" in walk.reached
     assert "repro.apps.core.binders.micro" in walk.reached
+
+
+def test_every_public_symbol_has_a_caller(symbols):
+    unexpected = sorted(symbols.unused - set(SYMBOL_ALLOWLIST))
+    assert not unexpected, (
+        "only tests name these symbols; give each a caller outside tests or "
+        "delete it:\n" + "\n".join(unexpected)
+    )
+
+
+def test_symbol_allowlist_names_existing_unused_symbols(symbols):
+    stale = symbols.stale(SYMBOL_ALLOWLIST)
+    assert not stale, f"drop these symbol allowlist entries: {stale}"
+
+
+# -- the symbol walk on synthetic trees ----------------------------------------
+
+
+def _tree(root, files: dict[str, str]) -> str:
+    for relative, source in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return str(root)
+
+
+def _symbols_of(repo: str) -> _Symbols:
+    return _Symbols(_walk_from_roots(repo), repo)
+
+
+def test_a_function_only_a_test_uses_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/m.py": "def used():\n    pass\n\n\ndef tested():\n    pass\n",
+        "benchmarks/bench.py": "from repro.m import used\n\nused()\n",
+        "tests/test_m.py": "from repro.m import tested\n\ntested()\n",
+    })
+    symbols = _symbols_of(repo)
+    assert symbols.defined == {"repro.m:used", "repro.m:tested"}
+    assert symbols.unused == {"repro.m:tested"}
+
+
+def test_all_and_imports_are_not_uses(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": (
+            "from repro.pkg.m import exported, used\n\n"
+            "__all__ = [\"exported\", \"used\"]\n"
+        ),
+        "src/repro/pkg/m.py": (
+            "def exported():\n    pass\n\n\n"
+            "def used():\n    pass\n"
+        ),
+        "scripts/run.py": "from repro.pkg import exported, used\n\nused()\n",
+    })
+    assert _symbols_of(repo).unused == {"repro.pkg.m:exported"}
+
+
+def test_a_use_inside_its_own_definition_does_not_count(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/m.py": (
+            "class Node:\n"
+            "    def walk(self):\n        return self.walk()\n\n"
+            "    def size(self):\n        return 1\n\n\n"
+            "def main():\n    return Node().size()\n"
+        ),
+        "examples/demo.py": "from repro.m import main\n\nmain()\n",
+    })
+    assert _symbols_of(repo).unused == {"repro.m:Node.walk"}
+
+
+def test_a_registered_class_is_reached(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/binders.py": (
+            "REGISTRY = {}\n\n\n"
+            "def register_binder(cls):\n    REGISTRY[cls.__name__] = cls\n"
+            "    return cls\n\n\n"
+            "@register_binder\nclass Registered:\n    pass\n\n\n"
+            "class Unregistered:\n    pass\n\n\n"
+            "def bind():\n    return [cls() for cls in REGISTRY.values()]\n"
+        ),
+        "benchmarks/bench.py": "from repro.binders import bind\n\nbind()\n",
+    })
+    symbols = _symbols_of(repo)
+    assert "repro.binders:Registered" not in symbols.defined
+    assert symbols.unused == {"repro.binders:Unregistered"}
+
+
+def test_a_stale_symbol_allowlist_entry_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/m.py": "def kept():\n    pass\n\n\ndef called():\n    pass\n",
+        "benchmarks/bench.py": "from repro.m import called\n\ncalled()\n",
+    })
+    symbols = _symbols_of(repo)
+    allowlist = {"repro.m:kept": "", "repro.m:called": "", "repro.m:gone": ""}
+    assert symbols.stale(allowlist) == {
+        "repro.m:called": "now reached",
+        "repro.m:gone": "deleted",
+    }

@@ -2,8 +2,7 @@
 
 from repro.db import IsolationLevel
 from repro.db.engine import Database
-from repro.net import Network
-from repro.obs import CallCountProfiler, events_per_txn, subsystem_counters
+from repro.obs import CallCountProfiler, events_per_txn
 from repro.sim import Environment
 
 
@@ -55,30 +54,8 @@ class TestCallCountProfiler:
     def test_by_subsystem_sums_to_total(self):
         with CallCountProfiler() as prof:
             _tiny_workload()
-        assert sum(prof.by_subsystem().values()) == prof.total_calls()
-
-
-class TestSubsystemCounters:
-    def test_harvests_kernel_network_and_db(self):
-        env, db = _tiny_workload()
-        net = Network(env)
-        net.add_node("a")
-        net.add_node("b").bind("p")
-        net.send("a", "b", "p", "x")
-        env.run()
-        counters = subsystem_counters(env=env, network=net, databases=[db])
-        assert counters["kernel.events_executed"] == env.events_executed
-        assert counters["kernel.events_executed"] > 0
-        assert counters["net.sent"] == 1
-        assert counters["net.delivered"] == 1
-        assert counters["db.committed"] == 10
-        assert counters["tracer.spans"] == 0  # untraced run
-
-    def test_multiple_members_are_summed(self):
-        env, db = _tiny_workload()
-        env2, db2 = _tiny_workload()
-        counters = subsystem_counters(databases=[db, db2])
-        assert counters["db.committed"] == 20
+        total = sum(calls for _subsystem, _label, calls in prof.counts())
+        assert sum(prof.by_subsystem().values()) == total
 
 
 class TestEventsPerTxn:

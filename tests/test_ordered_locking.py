@@ -22,7 +22,7 @@ from repro.apps.ledger import ledger_spec
 from repro.db import IsolationLevel, ShardedDatabase
 from repro.db.errors import InvalidTransactionState
 from repro.db.locks import LockMode
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.sim import Environment
 from repro.workloads.transfers import TransferOp, TransferWorkload
 

@@ -25,7 +25,7 @@ from repro.cluster import ClusterError, Rebalancer
 from repro.core.faults import FaultPlan, FaultPlanError
 from repro.db import FencedOut, IsolationLevel, ShardedDatabase
 from repro.db.engine import Database, TxnStatus
-from repro.db.sharding import shard_of
+from repro.cluster import shard_of
 from repro.net import Network
 from repro.replication import (
     NoLeader,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Channel, Environment, Lock, Semaphore, SimulationError, Store
+from repro.sim import Channel, Environment, Lock, Semaphore, SimulationError
 from repro.sim.resources import ChannelClosed
 
 
@@ -54,13 +54,6 @@ class TestChannel:
         assert first.result() == "one"
         assert second.result() == "two"
 
-    def test_get_nowait(self, env):
-        ch = Channel(env)
-        ch.put(1)
-        assert ch.get_nowait() == 1
-        with pytest.raises(IndexError):
-            ch.get_nowait()
-
     def test_close_fails_getters(self, env):
         ch = Channel(env)
         fut = ch.get()
@@ -79,38 +72,6 @@ class TestChannel:
         ch.put(1)
         ch.put(2)
         assert len(ch) == 2
-
-
-class TestStore:
-    def test_put_blocks_at_capacity(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env):
-            for i in range(2):
-                yield store.put(i)
-                times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(10)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times[0] == 0.0
-        assert times[1] == 10.0
-
-    def test_get_waits_for_item(self, env):
-        store = Store(env, capacity=2)
-        fut = store.get()
-        env.schedule(3.0, lambda: store.put("v"))
-        env.run()
-        assert fut.result() == "v"
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
 
 
 class TestLock:

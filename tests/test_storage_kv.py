@@ -3,7 +3,6 @@
 import pytest
 
 from repro.storage import KeyValueStore
-from repro.storage.kv import CasConflict
 
 
 @pytest.fixture
@@ -65,38 +64,6 @@ class TestVersions:
         assert versioned.value == "v"
         assert versioned.version == 1
         assert kv.get_versioned("nope") is None
-
-
-class TestCas:
-    def test_cas_insert_if_absent(self, kv):
-        assert kv.compare_and_set("x", 1, expected_version=0) == 1
-
-    def test_cas_succeeds_at_matching_version(self, kv):
-        v = kv.put("x", 1)
-        assert kv.compare_and_set("x", 2, expected_version=v) == 2
-
-    def test_cas_conflict(self, kv):
-        kv.put("x", 1)
-        kv.put("x", 2)
-        with pytest.raises(CasConflict):
-            kv.compare_and_set("x", 3, expected_version=1)
-
-    def test_cas_after_delete_requires_tombstone_version(self, kv):
-        kv.put("x", 1)
-        kv.delete("x")
-        with pytest.raises(CasConflict):
-            kv.compare_and_set("x", 2, expected_version=0)
-        assert kv.compare_and_set("x", 2, expected_version=2) == 3
-
-    def test_lost_update_prevented_by_cas(self, kv):
-        """Two read-modify-write racers: exactly one CAS wins."""
-        kv.put("counter", 0)
-        snap_a = kv.get_versioned("counter")
-        snap_b = kv.get_versioned("counter")
-        kv.compare_and_set("counter", snap_a.value + 1, snap_a.version)
-        with pytest.raises(CasConflict):
-            kv.compare_and_set("counter", snap_b.value + 1, snap_b.version)
-        assert kv.get("counter") == 1
 
 
 class TestSnapshots:

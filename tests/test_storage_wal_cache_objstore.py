@@ -189,13 +189,6 @@ class TestLruCache:
         assert cache.get("a") is None
         assert cache.stats.expirations == 1
 
-    def test_invalidate(self):
-        cache = LruCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        assert cache.get("a") is None
-
     def test_put_refresh_does_not_grow(self):
         cache = LruCache(capacity=2)
         cache.put("a", 1)
@@ -209,7 +202,7 @@ class TestLruCache:
         cache.put("a", 1)
         cache.get("a")
         cache.get("zzz")
-        assert cache.stats.hit_rate == 0.5
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

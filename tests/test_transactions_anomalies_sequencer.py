@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.transactions import (
     ConservationInvariant,
     EffectLedger,
-    NonNegativeInvariant,
     PredicateInvariant,
 )
 from repro.cluster.plan import conflict_waves
@@ -39,13 +38,6 @@ class TestInvariants:
         violations = inv.check([{"balance": 100}, {"balance": 150}])
         assert len(violations) == 1
         assert "-50" in violations[0].detail
-
-    def test_non_negative(self):
-        inv = NonNegativeInvariant("stock")
-        state = [{"id": "a", "stock": 3}, {"id": "b", "stock": -2}]
-        violations = inv.check(state)
-        assert len(violations) == 1
-        assert "'b'" in violations[0].detail
 
     def test_predicate_invariant(self):
         inv = PredicateInvariant("even", lambda s: s % 2 == 0, "state is odd")
@@ -94,7 +86,8 @@ class TestEffectLedger:
             state=[{"balance": 90}],
         )
         assert not report.clean
-        assert report.total_anomalies == 1
+        assert len(report.violations) == 1
+        assert report.lost_effects == report.duplicate_effects == 0
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -119,15 +119,15 @@ class TestVectorClock:
     def test_happens_before(self):
         earlier = VectorClock().increment("a")
         later = earlier.increment("b")
-        assert earlier.happens_before(later)
-        assert not later.happens_before(earlier)
+        assert later.dominates(earlier)
+        assert not earlier.dominates(later)
 
     def test_concurrency(self):
         base = VectorClock()
         left = base.increment("a")
         right = base.increment("b")
-        assert left.concurrent_with(right)
-        assert not left.concurrent_with(left)
+        assert not left.dominates(right) and not right.dominates(left)
+        assert left.dominates(left)
 
     def test_merge_is_pointwise_max(self):
         left = VectorClock({"a": 3, "b": 1})
@@ -154,8 +154,8 @@ class TestVectorClock:
         for replica in ops:
             clocks.append(clocks[-1].increment(replica))
         for i in range(len(clocks) - 1):
-            assert clocks[i].happens_before(clocks[i + 1])
             assert clocks[i + 1].dominates(clocks[i])
+            assert not clocks[i].dominates(clocks[i + 1])
 
 
 class TestCausalStore:

@@ -25,8 +25,6 @@ SURVIVES = "survives a crash by design"
 
 #: (module, enclosing function) -> (sites, why it is unscoped)
 AUDITED = {
-    ("actors/runtime.py", "ActorRuntime.register_reminder"):
-        (1, SURVIVES + ": a reminder is durable and re-activates its actor"),
     ("chaos/runner.py", "run_trial"):
         (3, DRIVER + ": scenario setup, client loops and the auditor"),
     ("chaos/runner.py", "run_trial.run_op"):
@@ -53,8 +51,6 @@ AUDITED = {
         (1, DRIVER + ": closed-loop clients"),
     ("workloads/arrivals.py", "OpenLoop.drive"):
         (1, DRIVER + ": open-loop arrivals"),
-    ("workloads/arrivals.py", "PartlyOpenLoop.drive"):
-        (1, DRIVER + ": partly-open sessions"),
 }
 
 

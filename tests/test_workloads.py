@@ -13,7 +13,6 @@ from repro.workloads import (
     HotelWorkload,
     MarketplaceWorkload,
     OpenLoop,
-    PartlyOpenLoop,
     TpccLite,
     TransferWorkload,
     YcsbWorkload,
@@ -304,14 +303,6 @@ class TestArrivalProcesses:
         env = Environment(seed=73)
         issued = self._measure(env, ClosedLoop(clients=3, ops_per_client=4))
         assert len(issued) == 12
-
-    def test_partly_open_sessions(self):
-        env = Environment(seed=74)
-        arrival = PartlyOpenLoop(
-            session_rate_per_s=500.0, total_sessions=10, ops_per_session=3
-        )
-        issued = self._measure(env, arrival)
-        assert len(issued) == 30
 
     def test_closed_loop_tolerates_op_failures(self):
         env = Environment(seed=75)
