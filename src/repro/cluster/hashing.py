@@ -32,8 +32,10 @@ def stable_hash(key: Hashable) -> int:
 def shard_of(key: Hashable, num_shards: int) -> int:
     """The shard owning ``key``: ``stable_hash(key) % num_shards``.
 
-    The one key→shard formula of the sharded database (its router, bulk
-    load and commit bucketing) and of the benches that pick keys per shard.
+    The one key→partition formula: the sharded database's router and
+    bulk load, the broker's topic partitions, the dataflow and Statefun
+    runtimes' operator partitions, and the benches that pick keys per
+    shard.  (The transactional dataflow inlines it on its hot path.)
     """
     return stable_hash(key) % num_shards
 

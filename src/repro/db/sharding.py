@@ -70,7 +70,7 @@ from repro.replication.errors import (
     ReplicationError,
     ReplicaUnavailable,
 )
-from repro.replication.group import Proposal, ReplicaGroup
+from repro.replication.group import ReplicaGroup
 from repro.replication.replica import HEARTBEAT_MS
 from repro.sim import Environment, Future, Interrupted, Semaphore, any_of
 from repro.transactions.commit import PREPARED, two_phase
@@ -96,6 +96,9 @@ class DistributedTransaction:
     #: log index each shard's commit/decide entry applied at (read-your-writes
     #: session tokens for follower reads).
     applied: dict[int, int] = field(default_factory=dict)
+    #: the shard of every ``(table, key)`` :meth:`ShardedDatabase.lock_and_fetch`
+    #: locked, so the commit routes each write without hashing its key again
+    locked: dict[tuple[str, Hashable], int] = field(default_factory=dict)
     status: str = "active"
 
     @property
@@ -197,11 +200,12 @@ class _Round:
 
     A round is one round trip, then every group's entry is proposed
     (:meth:`ReplicaGroup.start`) before any ack is awaited, and the acks
-    are collected in shard order.  The ``prepare`` entries are pinned to
-    the leader each branch executed on; the idempotent ``decide`` entries
-    are re-proposed through whichever leader emerges until they land,
-    because a torn decision is an atomicity violation the conservation
-    oracle would catch.  Read-only branches hold no writes to replicate;
+    are collected in shard order; a group of one's entry has committed
+    by the time it is proposed, so it leaves nothing to await.  The
+    ``prepare`` entries are pinned to the leader each branch executed
+    on; the idempotent ``decide`` entries are re-proposed through
+    whichever leader emerges until they land, because a torn decision is
+    an atomicity violation the conservation oracle would catch.  Read-only branches hold no writes to replicate;
     they are settled locally in the decision round.
     """
 
@@ -217,7 +221,7 @@ class _Round:
         proposal, a failed ack) is every write shard's vote."""
         db, txn, gid, proposed = self.db, self.txn, self.gid, self.proposed
         writing = [index for index in shards if txn.branches[index].writes]
-        started: list[tuple[int, Proposal]] = []
+        started: list[tuple[int, Any]] = []
         try:
             if writing:
                 yield db.env.timeout(db.rtt_ms)
@@ -280,17 +284,22 @@ class _Round:
 
     def _collect(
         self,
-        started: list[tuple[int, Proposal]],
+        started: list[tuple[int, Any]],
         errors: Optional[dict[int, Exception]] = None,
     ) -> Generator:
         """Await started proposals in shard order, inside the calling
         process (:meth:`ReplicaGroup.wait`); returns ``{shard: applied
-        log index}``.  The first failed wait raises, unless ``errors`` is
-        given: then each shard's failure is recorded there and the rest
-        are still awaited."""
+        log index}``.  An entry that committed as it was proposed (a
+        group of one) started as its index, and is taken as it is.  The
+        first failed wait raises, unless ``errors`` is given: then each
+        shard's failure is recorded there and the rest are still
+        awaited."""
         groups = self.db._groups
         applied: dict[int, int] = {}
         for index, proposal in started:
+            if proposal.__class__ is int:
+                applied[index] = proposal
+                continue
             try:
                 applied[index] = yield from groups[index].wait(proposal)
             except (ReplicationError, FencedOut) as exc:
@@ -659,6 +668,9 @@ class ShardedDatabase:
         ``{(table, key): row or None}``.
         """
         by_shard = by_partition(refs, self.router.shard_of)
+        locked = txn.locked
+        for shard, shard_refs in by_shard.items():
+            locked.update(dict.fromkeys(shard_refs, shard))
         pending = list(by_shard)
         for shard in pending:
             yield from self._open_branch(txn, shard)
@@ -701,10 +713,14 @@ class ShardedDatabase:
             # a deposed leader's lock table is gone: fail definitely
             self._check_replica(txn, shard)
         if writes:
-            shard_of = self.router.shard_of
-            for (table, key), row in writes.items():
-                shard = shard_of(key)
-                txn.replicas[shard].engine.buffer_write(txn.branches[shard], table, key, row)
+            locked = txn.locked
+            for ref, row in writes.items():
+                shard = locked.get(ref)
+                if shard is None:  # never locked: routed, then refused there
+                    shard = self.router.shard_of(ref[1])
+                txn.replicas[shard].engine.buffer_write(
+                    txn.branches[shard], ref[0], ref[1], row
+                )
         if not txn.branches:
             txn.status = "committed"
             return

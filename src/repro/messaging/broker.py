@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Generator, Optional
 
-from repro.cluster import stable_hash
+from repro.cluster import shard_of
 from repro.sim import Environment, Future, any_of
 
 
@@ -130,8 +130,7 @@ class Broker:
 
     def partition_for(self, topic: str, key: Any) -> int:
         """Key-hash routing: equal keys always land in the same partition."""
-        count = len(self._partitions(topic))
-        return stable_hash(key) % count
+        return shard_of(key, len(self._partitions(topic)))
 
     # -- producing ----------------------------------------------------------------
 

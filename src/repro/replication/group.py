@@ -15,8 +15,14 @@ operations the sharded database and the benchmarks need:
 - :meth:`stop` — retire the group after a migration flips ownership.
 
 A group's size is the number of nodes it is built on.  A group of one
-runs the same code: its replica commits each entry when :meth:`start`
-proposes it, and :meth:`wait` takes the acknowledgement without an event.
+runs the same code, but its replica commits each entry inside
+:meth:`Replica.propose` and acknowledges it with the applied index, so
+:meth:`start` returns that index and builds no :class:`Proposal`, no ack
+future and no :meth:`wait` frame; nor does it scan for the leader, since
+its one replica is the only candidate.  A caller takes an ``int`` from
+:meth:`start` as the settled result and waits out anything else.  Only
+when that replica is down does a proposal stay pending, and :meth:`wait`
+retries it like any other.
 """
 
 from __future__ import annotations
@@ -57,14 +63,13 @@ class Session:
 
 
 class Proposal:
-    """A command :meth:`ReplicaGroup.start` proposed and nobody has yet
-    waited out: the ack future of its latest attempt (``None`` while no
-    leader could take it), the replica that attempt went to, and the
-    deadline fixed when it started."""
+    """A command :meth:`ReplicaGroup.start` proposed that did not commit
+    as it was proposed, and that nobody has yet waited out: the
+    acknowledgement of its latest attempt (``None`` while no leader could
+    take it), the replica that attempt went to, and the deadline fixed
+    when it started."""
 
-    __slots__ = (
-        "command", "replica", "pinned", "deadline", "retry", "proposed", "ack",
-    )
+    __slots__ = ("command", "replica", "deadline", "retry", "proposed", "ack")
 
     def __init__(
         self,
@@ -72,14 +77,14 @@ class Proposal:
         replica: Optional[Replica],
         deadline: float,
         retry: bool,
+        ack: Any,
     ) -> None:
         self.command = command
         self.replica = replica
-        self.pinned = replica is not None
         self.deadline = deadline
         self.retry = retry
-        self.proposed = False
-        self.ack: Any = None
+        self.proposed = ack is not None
+        self.ack = ack
 
 
 class ReplicaGroup:
@@ -126,6 +131,9 @@ class ReplicaGroup:
             if replica is not self.replicas[0]:
                 replica.bootstrap(self.node_names[0], start_index=start_index)
         self.replicas[0].bootstrap(self.node_names[0], start_index=start_index)
+        #: a group of one's replica: the only one that can ever lead it,
+        #: so finding its leader needs no scan
+        self._only = self.replicas[0] if len(self.replicas) == 1 else None
 
     # -- leadership ----------------------------------------------------------
 
@@ -138,7 +146,11 @@ class ReplicaGroup:
 
         With a stale (unfenced) leader still claiming an old term,
         the highest term wins — clients follow the most recent claimant.
+        A group of one has a single candidate, so it needs no scan.
         """
+        only = self._only
+        if only is not None:
+            return only if only.role == "leader" and only.node.alive else None
         best = None
         for replica in self.replicas:
             if replica.role == "leader" and replica.node.alive:
@@ -195,10 +207,13 @@ class ReplicaGroup:
         re-proposal through a different leader's state.  ``retry=True``
         is only safe for idempotent commands (2PC decides): on truncation
         or uncertainty the command is re-proposed through the current
-        leader until the deadline.  Exactly :meth:`start` then
-        :meth:`wait`.
+        leader until the deadline.  Exactly :meth:`start` then, for an
+        entry that did not commit as it was proposed, :meth:`wait`.
         """
-        return (yield from self.wait(self.start(command, replica, timeout, retry)))
+        proposal = self.start(command, replica, timeout, retry)
+        if proposal.__class__ is int:
+            return proposal
+        return (yield from self.wait(proposal))
 
     def start(
         self,
@@ -206,72 +221,79 @@ class ReplicaGroup:
         replica: Optional[Replica] = None,
         timeout: Optional[float] = None,
         retry: bool = False,
-    ) -> Proposal:
+    ) -> Any:
         """First half of :meth:`replicate`: propose now, without yielding.
 
-        Returns the pending :class:`Proposal`; its deadline runs from
-        this instant.  A pinned, non-retrying proposal whose leader was
-        deposed raises :class:`NotLeader` here, so a caller that starts
-        several proposals learns every definite failure before it waits.
-        With no leader to propose through, the proposal stays unsent and
-        :meth:`wait` keeps looking for one.
+        Returns the applied log index when the entry committed as it was
+        proposed — a group of one commits inside :meth:`Replica.propose`
+        — and otherwise the pending :class:`Proposal`, whose deadline
+        runs from this instant.  A pinned, non-retrying proposal whose
+        leader was deposed raises :class:`NotLeader` here, so a caller
+        that starts several proposals learns every definite failure
+        before it waits.  With no leader to propose through, the proposal
+        stays unsent and :meth:`wait` keeps looking for one.
         """
-        proposal = Proposal(
-            command,
-            replica,
-            self.env.now + (
-                timeout if timeout is not None else COMMIT_TIMEOUT_MS
-            ),
-            retry,
+        # the common case, inline: the pinned replica, or a group of
+        # one's, still leads
+        target = self._only if replica is None else replica
+        if target is None or target.role != "leader" or not target.node.alive:
+            target = self._target(replica, retry)
+        ack = None if target is None else target.propose(command)
+        if ack.__class__ is int:
+            return ack
+        deadline = self.env.now + (
+            timeout if timeout is not None else COMMIT_TIMEOUT_MS
         )
-        self._propose(proposal)
-        return proposal
+        if ack is None:
+            if self.env.now >= deadline:
+                raise NoLeader(self.name)
+            return Proposal(command, replica, deadline, retry, None)
+        return Proposal(command, target, deadline, retry, ack)
+
+    def _target(self, replica: Optional[Replica], retry: bool) -> Optional[Replica]:
+        """The leader to propose through: ``replica`` while it leads,
+        else — for a proposal free to move — the group's current leader,
+        or ``None``.  A pinned, non-retrying proposal whose leader was
+        deposed gets :class:`NotLeader`."""
+        if replica is not None:
+            if replica.role == "leader" and replica.node.alive:
+                return replica
+            if not retry:
+                raise NotLeader(self.name, replica.node.name, replica.leader_hint)
+        return self.leader_replica()
 
     def _propose(self, proposal: Proposal) -> None:
-        """One synchronous attempt: sets ``proposal.ack``, or leaves it
-        ``None`` when no leader can take the command right now."""
-        while True:
-            target = proposal.replica
-            if target is not None and (
-                target.role != "leader" or not target.node.alive
-            ):
-                if proposal.pinned and not proposal.retry:
-                    raise NotLeader(self.name, target.node.name, target.leader_hint)
-                target = None
-            if target is None:
-                target = self.leader_replica()
-            if target is None:
-                if self.env.now >= proposal.deadline:
-                    if proposal.proposed:
-                        raise ReplicationUncertain(
-                            f"{self.name}: proposal outcome unknown (no leader)"
-                        )
-                    raise NoLeader(self.name)
-                proposal.ack = None
-                return
-            try:
-                proposal.ack = target.propose(proposal.command)
-            except NotLeader:
-                if proposal.pinned and not proposal.retry:
-                    raise
-                proposal.replica = None
-                continue
-            proposal.proposed = True
-            proposal.replica = target
+        """Another attempt at a pending proposal: sets ``proposal.ack``,
+        or leaves it ``None`` when no leader can take the command now."""
+        target = self._target(proposal.replica, proposal.retry)
+        if target is None:
+            if self.env.now >= proposal.deadline:
+                if proposal.proposed:
+                    raise ReplicationUncertain(
+                        f"{self.name}: proposal outcome unknown (no leader)"
+                    )
+                raise NoLeader(self.name)
+            proposal.ack = None
             return
+        proposal.ack = target.propose(proposal.command)
+        proposal.proposed = True
+        proposal.replica = target
 
     def wait(self, proposal: Proposal) -> Generator:
         """Second half of :meth:`replicate`: await ``proposal``'s quorum
         acknowledgement, re-proposing a retrying command on truncation or
         uncertainty until its deadline; returns the applied log index.
-        An ack that already landed ``ok`` (a group of one commits at
-        :meth:`start`) is taken without an event."""
+        An acknowledgement that already landed ``ok`` — a re-attempt a
+        group of one committed, or an ack settled inside ``propose`` — is
+        taken without an event."""
         while True:
             ack = proposal.ack
             if ack is None:
                 yield self.env.timeout(HEARTBEAT_MS)
                 self._propose(proposal)
                 continue
+            if ack.__class__ is int:
+                return ack
             if ack._done and ack._value[0] == "ok":
                 return ack._value[1]
             target = proposal.replica

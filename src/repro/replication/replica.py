@@ -33,9 +33,11 @@ A replica with no peers (a group of one, the sharded database's default
 shard) is its own quorum.  It arms no election timer and starts no
 replicate loop, both of which exist to talk to peers, so it schedules
 nothing while idle.  :meth:`Replica.propose` commits and applies its
-entry before returning and keeps no log suffix, since no peer will ask
-for one.  A restart recovers the engine from its WAL and leads the next
-term without an election.
+entry with one engine call before returning and keeps no log suffix,
+since no peer will ask for one.  It builds no acknowledgement future
+either: under its own term nothing can refuse the entry, so it returns
+the applied index itself.  A restart recovers the engine from its WAL
+and leads the next term without an election.
 """
 
 from __future__ import annotations
@@ -236,6 +238,10 @@ class Replica:
         self._serve_from = self.log.last_index
         self.log.append(self.term, ("noop",))
         self._advance_commit()
+        if not self.peers:
+            # nobody will ask for the no-op either: the log of a replica of
+            # one is only ever its snapshot floor (see propose)
+            self.log.compact(self.applied_index)
         if self._on_leader_cb is not None:
             self._on_leader_cb(self)
         if self.peers and self.node.alive:
@@ -575,31 +581,33 @@ class Replica:
     # -- proposing and applying ----------------------------------------------
 
     def propose(self, command: tuple[Any, ...]) -> Any:
-        """Append a command to the log; returns the quorum-ack future.
+        """Append a command to the log; returns its acknowledgement.
 
-        The future resolves with ``("ok", index)`` once the entry is
-        committed and applied here (:meth:`_settle`), or with ``("err",
-        exc)`` — :class:`FencedOut` (this replica left the proposing
-        term first), truncation, crash.
-        Synchronous, so the caller observes the assigned index atomically;
-        a replica with no peers returns it already resolved.
+        With peers, that is a future resolving with ``("ok", index)`` once
+        the entry is committed and applied here (:meth:`_settle`), or
+        with ``("err", exc)`` — :class:`FencedOut` (this replica left the
+        proposing term first), truncation, crash.  A replica with no peers
+        is its own quorum: the entry commits and applies before this
+        returns, under its own term, so nothing can refuse it, and the
+        acknowledgement is the applied log index itself.
+        Synchronous, so the caller observes the assigned index atomically.
         """
         if self.role != "leader" or not self.node.alive:
             raise NotLeader(self.group_label, self.node.name, self.leader_hint)
-        ack = Future(self.env, self._ack_label)
+        log = self.log
         if not self.peers:
-            # A replica of one is its own quorum: the entry commits and
-            # applies right here, and no peer will ever ask for it, so the
-            # log keeps only its snapshot floor (the engine's WAL has it).
-            index = self.log.last_index + 1
+            # No peer will ever ask for the entry, so it folds straight
+            # into the snapshot floor, which is all this log ever holds
+            # (the engine's WAL has the entry).
             self.engine.apply_replicated(command)
-            ack.try_succeed(("ok", index))  # its own term: never fenced
-            self.log.reset(index, self.term)
-            self.commit_index = self.applied_index = index
-            self._notify_applied()
-            return ack
-        index = self.log.append(self.term, command)
-        self._acks[index] = ack
+            index = log.snapshot_index + 1
+            log.snapshot_index = self.commit_index = self.applied_index = index
+            log.snapshot_term = self.term
+            if self._applied_waiters:
+                self._notify_applied()
+            return index
+        ack = Future(self.env, self._ack_label)
+        self._acks[log.append(self.term, command)] = ack
         self._advance_commit()
         self._nudge()
         return ack

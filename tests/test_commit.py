@@ -127,6 +127,19 @@ def moved(rows, deltas):
     }
 
 
+def fence_decides(monkeypatch, env, group):
+    """Every replica of ``group`` acknowledges its ``decide`` entries
+    fenced out: each entry still applies, but its proposer's wait fails
+    with :class:`FencedOut`."""
+    for replica in group.replicas:
+        def propose(command, inner=replica.propose):
+            ack = inner(command)
+            if command[0] != "decide":
+                return ack
+            return env.future().succeed(("err", FencedOut(command[1], 0, 1)))
+        monkeypatch.setattr(replica, "propose", propose)
+
+
 def cut_group_of_one(monkeypatch):
     """The default shards: shard 0's commit ``decide`` fails its wait;
     shard 1's decide must have installed by the time the error surfaces."""
@@ -142,13 +155,7 @@ def cut_replica_group(monkeypatch):
 
 def _cut_group(monkeypatch, env, replication):
     db, refs = sharded_db(env, 2, replication)
-    group = db.replica_group(0)
-
-    def fenced(proposal, inner=group.wait):
-        if proposal.command[0] == "decide":
-            raise FencedOut(proposal.command[1], 0, 1)
-        return (yield from inner(proposal))
-    monkeypatch.setattr(group, "wait", fenced)
+    fence_decides(monkeypatch, env, db.replica_group(0))
     txn = db.begin(SER)
     rows = run(env, db.lock_and_fetch(txn, refs, set(refs)))
     with pytest.raises(FencedOut) as raised:
@@ -240,13 +247,7 @@ def test_fenced_abort_decide_still_releases_the_read_only_branch(monkeypatch):
     shard 1 are still released, and the prepare failure is what surfaces."""
     env = Environment(seed=22)
     db, refs = sharded_db(env, 3, ReplicationConfig())
-    group = db.replica_group(0)
-
-    def fenced(proposal, inner=group.wait):
-        if proposal.command[0] == "decide":
-            raise FencedOut(proposal.command[1], 0, 1)
-        return (yield from inner(proposal))
-    monkeypatch.setattr(group, "wait", fenced)
+    fence_decides(monkeypatch, env, db.replica_group(0))
     txn = db.begin(SER)
     rows = run(env, db.lock_and_fetch(txn, refs, {refs[0], refs[1]}))
     env.schedule(db.rtt_ms / 2, txn.replicas[1].node.crash, "test")

@@ -1,5 +1,6 @@
 """Unit tests for the hierarchical lock manager and deadlock detection."""
 
+import hashlib
 import random
 
 import pytest
@@ -369,6 +370,151 @@ class TestLockTableInvariants:
         assert lm._held_by_txn == {}
         assert lm._waiting_by_txn == {}
         assert lm._waits_for == {}
+
+
+#: every victim ``(step, tid, cycle)`` of a sequential script, seeds 0-11,
+#: as an unconditional search found them
+_SEQUENTIAL_VICTIMS = {
+    0: [
+        (45, 4, (4, 2)), (131, 1, (1, 3)), (137, 0, (0, 4, 3)),
+        (198, 1, (1, 5)), (205, 2, (2, 0, 4)), (227, 5, (5, 0)),
+        (290, 2, (2, 5)),
+    ],
+    1: [
+        (12, 1, (1, 0)), (23, 3, (3, 0)), (87, 4, (4, 1)),
+        (160, 0, (0, 3, 4, 2)), (187, 1, (1, 3, 4, 2)), (228, 5, (5, 3, 1)),
+        (238, 1, (1, 4, 3)), (294, 3, (3, 4)),
+    ],
+    2: [
+        (29, 5, (5, 1)), (130, 2, (2, 0, 3)), (174, 0, (0, 4, 2)),
+        (183, 1, (1, 4, 5)), (214, 2, (2, 3, 5)),
+    ],
+    3: [
+        (17, 2, (2, 3, 1)), (119, 1, (1, 3, 2)), (178, 5, (5, 2, 3, 4, 0)),
+        (184, 0, (0, 1, 2, 4)), (233, 2, (2, 0, 4)),
+    ],
+    4: [
+        (51, 3, (3, 0)), (110, 4, (4, 2, 3, 1)), (140, 1, (1, 2, 4, 0)),
+        (153, 3, (3, 4)), (233, 2, (2, 4, 1, 3)), (288, 0, (0, 5)),
+    ],
+    5: [
+        (61, 4, (4, 3)), (84, 0, (0, 2)), (111, 1, (1, 2)),
+        (170, 4, (4, 2, 3)), (243, 3, (3, 2, 0)),
+    ],
+    6: [
+        (36, 2, (2, 3, 0, 1)), (94, 5, (5, 4, 0)), (146, 3, (3, 0, 1, 5)),
+        (220, 0, (0, 4)), (239, 3, (3, 4, 1)),
+    ],
+    7: [
+        (168, 5, (5, 1, 2)), (183, 2, (2, 0)), (212, 1, (1, 0)),
+        (223, 3, (3, 2, 0)),
+    ],
+    8: [
+        (74, 1, (1, 0, 5)), (76, 4, (4, 0, 5)), (77, 3, (3, 0, 5)),
+        (135, 1, (1, 5, 3)), (163, 3, (3, 4)), (195, 1, (1, 0)),
+        (228, 5, (5, 0)), (285, 3, (3, 1)), (299, 2, (2, 1)),
+    ],
+    9: [
+        (31, 1, (1, 0, 4)), (53, 1, (1, 3)), (113, 1, (1, 3)),
+        (290, 0, (0, 4, 5)),
+    ],
+    10: [
+        (16, 0, (0, 1)), (46, 0, (0, 3)), (178, 2, (2, 5)),
+        (237, 4, (4, 2, 3)),
+    ],
+    11: [
+        (192, 3, (3, 1)), (214, 1, (1, 0)),
+    ],
+}
+#: ``(deadlocks, sha256(repr(victims))[:16])`` of an unruly script, seeds 0-11
+_UNRULY_VICTIMS = {
+    0: (38, "8b3d79a16d3c2f47"),
+    1: (46, "3a2b8a17e93978a7"),
+    2: (22, "60552092cc9a7eab"),
+    3: (34, "51257280dd179ce7"),
+    4: (27, "3f7351b7870812dd"),
+    5: (31, "ea74631ac9c9889f"),
+    6: (42, "4f7f6cbb136a7919"),
+    7: (30, "9b98e2ed5bf452ff"),
+    8: (48, "cb262c9c87bdbc1d"),
+    9: (28, "3f9499a0e6778f21"),
+    10: (22, "3cd9ba183a8b49c2"),
+    11: (27, "831b28c536d24ddb"),
+}
+
+
+def _victims(seed, sequential):
+    """Replay :func:`_random_script`; return every deadlock victim as
+    ``(step, tid, cycle)`` and the final ``stats.deadlocks``.
+
+    A *sequential* tid behaves like a transaction process (no request
+    while one of its own is pending; a victim releases before it acquires
+    again).  An *unruly* tid requests regardless, so it can wait in two
+    queues at once, or twice in one.
+    """
+    env = Environment(seed=1)
+    lm = LockManager(env)
+    pending: dict[int, object] = {}
+    waiting: list[tuple[int, object]] = []
+    victims = []
+    for step, (op, tid, resource, mode) in enumerate(_random_script(seed)):
+        fut = pending.get(tid)
+        if sequential and fut is not None and fut.failed:
+            op = "release"
+        if op == "release":
+            lm.release_all(tid)
+            pending.pop(tid, None)
+        elif not sequential or fut is None or fut.done:
+            fut = pending[tid] = lm.acquire(tid, resource, mode)
+            if fut is not lm.granted:
+                waiting.append((tid, fut))
+        env.run()
+        for entry in [entry for entry in waiting if entry[1].done]:
+            waiting.remove(entry)
+            if entry[1].failed:
+                victims.append((step, entry[0], tuple(entry[1].exception().cycle)))
+    return victims, lm.stats.deadlocks
+
+
+class TestDetectionOnlyWhereACycleCanClose:
+    """Skipping the search where no cycle can close leaves every victim,
+    its cycle and the deadlock count exactly as an unconditional search
+    found them (the pins were recorded with one)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sequential_victims_are_pinned(self, seed):
+        victims, deadlocks = _victims(seed, sequential=True)
+        assert victims == _SEQUENTIAL_VICTIMS[seed]
+        assert deadlocks == len(victims)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unruly_victims_are_pinned(self, seed):
+        """Double waits are where the skip conditions are subtle: a tid
+        queued twice, or a victim still queued elsewhere."""
+        victims, deadlocks = _victims(seed, sequential=False)
+        digest = hashlib.sha256(repr(victims).encode()).hexdigest()[:16]
+        assert (deadlocks, digest) == _UNRULY_VICTIMS[seed]
+
+    def test_a_wait_nothing_can_reach_runs_no_search(self, env, lm, monkeypatch):
+        searched = []
+        find_cycle = lm._find_cycle
+        monkeypatch.setattr(lm, "_find_cycle", lambda tid: searched.append(tid) or find_cycle(tid))
+        lm.acquire(1, "a", LockMode.X)
+        lm.acquire(2, "a", LockMode.X)  # 2 holds nothing: no edge can reach it
+        lm.acquire(3, "b", LockMode.X)
+        lm.acquire(3, "c", LockMode.X)
+        lm.acquire(4, "b", LockMode.X)  # 4 holds nothing either
+        lm.release_all(1)  # wakes 2; holder 2 waits nowhere else
+        assert searched == []
+        lm.acquire(2, "b", LockMode.X)  # 2 holds "a", which has no queue
+        assert searched == []
+        lm.acquire(5, "a", LockMode.X)
+        lm.acquire(3, "a", LockMode.X)  # 3 holds "b", where 4 and 2 queue
+        # 3 closes 3 -> 2 -> 3 and is the victim; re-driving "a" then
+        # searches from its waiter 5, since its holder 2 waits on "b"
+        assert searched == [3, 5]
+        env.run()
+        assert lm.stats.deadlocks == 1
 
 
 class TestUncontendedPath:

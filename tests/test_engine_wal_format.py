@@ -72,8 +72,8 @@ def test_every_durable_path_appends_the_pinned_records():
     log = _Log(db)
 
     def apply(command):
-        status, _value = leader.propose(command).result()
-        assert status == "ok"
+        # committed and applied as proposed: the ack is the applied index
+        assert leader.propose(command) == leader.applied_index
 
     def interactive(key, balance):
         txn = db.begin(SER)

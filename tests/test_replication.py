@@ -35,6 +35,7 @@ from repro.replication import (
     ReplicationConfig,
     Session,
 )
+from repro.replication import group as group_module
 from repro.replication import replica as replica_module
 from repro.replication.replica import ELECTION_TIMEOUT
 from repro.sim import Environment
@@ -711,6 +712,30 @@ class TestGroupOfOne:
             assert txn.status == "committed"
             assert (round(env.now - start, 6), env.events_executed - events) == expected
         assert db.stats.single_shard_commits == db.stats.distributed_commits == 3
+
+    def test_a_group_of_one_commits_without_ack_machinery(self, monkeypatch):
+        """Every entry commits inside ``propose``, so neither commit path
+        builds an ack future or a pending :class:`Proposal`."""
+        built = []
+
+        class CountedFuture(replica_module.Future):
+            def __init__(self, *args, **kwargs):
+                built.append("ack future")
+                super().__init__(*args, **kwargs)
+
+        class CountedProposal(group_module.Proposal):
+            def __init__(self, *args, **kwargs):
+                built.append("proposal")
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(replica_module, "Future", CountedFuture)
+        monkeypatch.setattr(group_module, "Proposal", CountedProposal)
+        env = Environment(seed=9)
+        db, (a, b, c) = self._make_db(env)
+        for dst in (b, c):  # one-phase, then 2PC
+            txn, commit = self._transfer(env, db, a, dst, 1)
+            run(env, commit)
+            assert txn.status == "committed"
+        assert built == []
 
     def test_an_idle_group_of_one_schedules_no_event(self):
         env = Environment(seed=9)
