@@ -39,11 +39,6 @@ class Actor:
         return
         yield  # pragma: no cover
 
-    def on_deactivate(self) -> Generator:
-        """Called when the silo evicts the activation."""
-        return
-        yield  # pragma: no cover
-
     # -- runtime services -------------------------------------------------------
 
     def save_state(self) -> Generator:

@@ -19,9 +19,15 @@ from typing import Any, Generator, Optional, Type
 from repro.actors.actor import Actor, ActorError
 from repro.cluster import PlacementDirectory, rendezvous_owner
 from repro.messaging.rpc import RpcCall, RpcClient, RpcError, RpcServer, RpcTimeout
-from repro.net.latency import Latency, Sampler
+from repro.net.latency import Latency
 from repro.net.network import Network
 from repro.sim import Environment, Lock
+
+
+#: one network hop between the client edge and a silo, or between silos
+NETWORK_LATENCY = Latency.intra_zone()
+#: one round trip to the external actor-state store
+STORE_LATENCY = Latency.intra_zone()
 
 
 def _payload(actor_type: str, key: str, method: str, args: tuple) -> dict:
@@ -36,9 +42,9 @@ class StateStorageProvider:
     by construction.
     """
 
-    def __init__(self, env: Environment, latency: Optional[Sampler] = None) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self._latency = latency or Latency.intra_zone()
+        self._latency = STORE_LATENCY
         self._rng = env.stream("actor-state-store")
         self._data: dict[tuple[str, str], dict] = {}
         self.loads = 0
@@ -84,7 +90,6 @@ class ActorRuntimeStats:
     migrations: int = 0
     calls: int = 0
     dropped_calls: int = 0
-    idle_deactivations: int = 0
     duplicates_dropped: int = 0
 
 
@@ -97,39 +102,15 @@ class _Silo:
         self.node = runtime.net.add_node(name)
         self.activations: dict[tuple[str, str], Actor] = {}
         self.turn_locks: dict[tuple[str, str], Lock] = {}
-        self.last_used: dict[tuple[str, str], float] = {}
         self.rpc = RpcServer(runtime.net, self.node, service="actors")
         self.rpc.register("invoke", self._invoke)
         self.node.on_restart(lambda _node: self._on_restart())
-        if runtime.idle_timeout is not None:
-            self.node.spawn(self._collector(), label=f"{name}.collector")
 
     def _on_restart(self) -> None:
         # Memory is gone: fresh activation tables; RPC re-registered by its
         # own restart hook, so only our maps need resetting.
         self.activations = {}
         self.turn_locks = {}
-        self.last_used = {}
-        if self.runtime.idle_timeout is not None:
-            self.node.spawn(self._collector(), label=f"{self.name}.collector")
-
-    def _collector(self) -> Generator:
-        """Deactivate activations idle beyond the runtime's idle_timeout.
-
-        Orleans' activation garbage collection: memory is reclaimed, and
-        the next call transparently re-activates from the state provider.
-        """
-        timeout = self.runtime.idle_timeout
-        while True:
-            yield self.runtime.env.timeout(timeout / 2)
-            now = self.runtime.env.now
-            for ident, used_at in list(self.last_used.items()):
-                lock = self.turn_locks.get(ident)
-                if (now - used_at >= timeout and ident in self.activations
-                        and (lock is None or not lock.locked)):
-                    yield from self.deactivate(*ident)
-                    self.last_used.pop(ident, None)
-                    self.runtime.stats.idle_deactivations += 1
 
     def _invoke(self, payload: dict) -> Generator:
         actor_type = payload["actor_type"]
@@ -147,20 +128,17 @@ class _Silo:
                 # us — placement moved away (we were presumed dead) and has
                 # now moved back.  Our cached activation missed every write
                 # the other activation committed, so serving from it would
-                # resurrect stale state.  Kill the duplicate without the
-                # graceful on_deactivate (which may persist the stale state)
-                # and re-activate from the provider.
+                # resurrect stale state.  Drop the duplicate and re-activate
+                # from the provider.
                 self.activations.pop(ident, None)
                 self.runtime.stats.duplicates_dropped += 1
                 actor = None
             if actor is None:
                 actor = yield from self._activate(actor_type, key)
-            self.last_used[ident] = self.runtime.env.now
             method = getattr(actor, payload["method"])
             result = yield from method(*payload["args"])
             return result
         finally:
-            self.last_used[ident] = self.runtime.env.now
             lock.release()
 
     def _activate(self, actor_type: str, key: str) -> Generator:
@@ -180,13 +158,6 @@ class _Silo:
         yield from actor.on_activate()
         return actor
 
-    def deactivate(self, actor_type: str, key: str) -> Generator:
-        ident = (actor_type, key)
-        actor = self.activations.pop(ident, None)
-        self.turn_locks.pop(ident, None)
-        if actor is not None:
-            yield from actor.on_deactivate()
-
 
 class ActorRef:
     """Location-transparent handle to one actor."""
@@ -202,15 +173,10 @@ class ActorRef:
         *args: Any,
         timeout: float = 30.0,
         retries: int = 0,
-        via: Optional[str] = None,
     ) -> Generator:
-        """Invoke a method; ``retries=0`` is Orleans-default at-most-once.
-
-        ``via`` names a silo to originate the call from; without it the
-        call goes through the client edge.
-        """
+        """Invoke a method; ``retries=0`` is Orleans-default at-most-once."""
         result = yield from self.runtime._dispatch(
-            self.actor_type, self.key, method, args, timeout, retries, via=via
+            self.actor_type, self.key, method, args, timeout, retries
         )
         return result
 
@@ -225,16 +191,12 @@ class ActorRuntime:
         self,
         env: Environment,
         num_silos: int = 3,
-        provider: Optional[StateStorageProvider] = None,
-        network_latency: Optional[Sampler] = None,
-        idle_timeout: Optional[float] = None,
     ) -> None:
         if num_silos <= 0:
             raise ValueError("num_silos must be positive")
         self.env = env
-        self.idle_timeout = idle_timeout
-        self.net = Network(env, default_latency=network_latency or Latency.intra_zone())
-        self.provider = provider or StateStorageProvider(env)
+        self.net = Network(env, default_latency=NETWORK_LATENCY)
+        self.provider = StateStorageProvider(env)
         self._classes: dict[str, Type[Actor]] = {}
         self.silos = [_Silo(self, f"silo-{i}") for i in range(num_silos)]
         #: the cluster-wide activation registry (which silo last activated
@@ -243,10 +205,6 @@ class ActorRuntime:
         self.directory = PlacementDirectory(env)
         client_node = self.net.add_node("actor-client")
         self._client_rpc = RpcClient(self.net, client_node, service="actors")
-        self._silo_rpc: dict[str, RpcClient] = {
-            silo.name: RpcClient(self.net, silo.node, service="actors")
-            for silo in self.silos
-        }
         self.stats = ActorRuntimeStats()
 
     # -- registration / addressing ---------------------------------------------
@@ -286,23 +244,20 @@ class ActorRuntime:
         args: tuple,
         timeout: float,
         retries: int,
-        via: Optional[str] = None,
     ) -> Generator:
         self.stats.calls += 1
-        rpc = self._silo_rpc.get(via, self._client_rpc) if via else self._client_rpc
         result = yield from self._deliver(
-            rpc, _payload(actor_type, key, method, args), timeout, retries
+            _payload(actor_type, key, method, args), timeout, retries
         )
         return result
 
-    def _deliver(self, rpc: RpcClient, payload: dict, timeout: float,
-                 retries: int) -> Generator:
+    def _deliver(self, payload: dict, timeout: float, retries: int) -> Generator:
         """Place and invoke ``payload``, re-placing after each timeout."""
         attempts = 0
         while True:
             silo = self.place(payload["actor_type"], payload["key"])
             try:
-                result = yield from rpc.call(
+                result = yield from self._client_rpc.call(
                     silo.node.name, "invoke", payload,
                     timeout=timeout, retries=0,
                 )
@@ -344,9 +299,7 @@ class ActorRuntime:
                 self.stats.dropped_calls += 1
                 continue
             try:
-                outcome.value = yield from self._deliver(
-                    rpc, payload, timeout, retries - 1
-                )
+                outcome.value = yield from self._deliver(payload, timeout, retries - 1)
                 outcome.error = None
             except (RpcError, ActorError) as exc:
                 outcome.error = exc

@@ -21,7 +21,7 @@ and zero mandatory provider trips.  Benchmark C3 measures the resulting
 factor.
 
 Locks are acquired in sorted actor order, so transactions cannot deadlock
-(they may still block).  A lock wait beyond ``lock_timeout`` aborts the
+(they may still block).  A lock wait beyond ``LOCK_TIMEOUT_MS`` aborts the
 transaction, as Orleans' lock-timeout policy does.
 """
 
@@ -35,6 +35,12 @@ from repro.actors.runtime import ActorRuntime
 from repro.messaging.rpc import RpcTimeout
 from repro.sim import Environment, Lock, any_of
 from repro.transactions.commit import PREPARED, two_phase
+
+
+#: how long a transaction waits for one actor's lock before it aborts
+LOCK_TIMEOUT_MS = 100.0
+#: commit rounds before a participant that cannot be reached is given up
+COMMIT_ATTEMPTS = 8
 
 
 class TransactionFailed(Exception):
@@ -149,8 +155,8 @@ class TxnSession:
         installs and persists every participant's tentative state in one
         round, and must reach each one even across silo crashes: a
         participant whose delivery failed is retried (the durable prepare
-        record makes redelivery safe), up to ``commit_attempts`` rounds
-        apart by ``lock_timeout / 4``.
+        record makes redelivery safe), up to ``COMMIT_ATTEMPTS`` rounds
+        apart by ``LOCK_TIMEOUT_MS / 4``.
         """
         errors: dict[tuple, Optional[Exception]] = dict.fromkeys(participants)
         if not commit:
@@ -158,7 +164,7 @@ class TxnSession:
         coordinator = self._coordinator
         request = ({"txn_id": self.txn_id},)
         pending = participants
-        for attempt in range(1, coordinator.commit_attempts + 1):
+        for attempt in range(1, COMMIT_ATTEMPTS + 1):
             try:
                 outcomes = yield from coordinator.runtime.gather(
                     [(actor_type, key, "txn_commit", request) for actor_type, key in pending],
@@ -171,25 +177,18 @@ class TxnSession:
                 ident for ident in pending
                 if isinstance(errors[ident], (RpcTimeout, ActorError))
             ]
-            if not pending or attempt == coordinator.commit_attempts:
+            if not pending or attempt == COMMIT_ATTEMPTS:
                 break
-            yield coordinator.env.timeout(coordinator.lock_timeout / 4)
+            yield coordinator.env.timeout(LOCK_TIMEOUT_MS / 4)
         return list(errors.values())
 
 
 class ActorTransactionCoordinator:
     """Coordinates ACID multi-actor operations on an :class:`ActorRuntime`."""
 
-    def __init__(
-        self,
-        runtime: ActorRuntime,
-        lock_timeout: float = 100.0,
-        commit_attempts: int = 8,
-    ) -> None:
+    def __init__(self, runtime: ActorRuntime) -> None:
         self.runtime = runtime
         self.env: Environment = runtime.env
-        self.lock_timeout = lock_timeout
-        self.commit_attempts = commit_attempts
         self._locks: dict[tuple[str, str], Lock] = {}
         self.stats = ActorTxnStats()
 
@@ -271,14 +270,14 @@ class ActorTransactionCoordinator:
         """Acquire every ident's transaction lock (sorted, so no deadlock).
 
         A free lock is granted on the spot; only a contended one races its
-        grant against ``lock_timeout``.
+        grant against ``LOCK_TIMEOUT_MS``.
         """
         for ident in idents:
             lock = self._lock_for(*ident)
             acquired = lock.acquire()
             if not acquired.done:
                 winner = yield any_of(
-                    self.env, [acquired, self.env.timeout(self.lock_timeout, "timeout")]
+                    self.env, [acquired, self.env.timeout(LOCK_TIMEOUT_MS, "timeout")]
                 )
                 if winner[0] == 1:
                     # Timed out; if the grant races in later, give it back.

@@ -34,6 +34,10 @@ from repro.sim import Environment
 from repro.workloads.transfers import TransferOp, TransferWorkload
 
 
+#: serializable attempts per transfer on the database
+DB_ATTEMPTS = 8
+
+
 class DbBank(KernelApp):
     """Transfers against the transactional database (the monolith baseline)."""
 
@@ -42,19 +46,17 @@ class DbBank(KernelApp):
         env: Environment,
         workload: TransferWorkload,
         isolation: IsolationLevel = IsolationLevel.SERIALIZABLE,
-        max_retries: int = 8,
         connections: int = 32,
     ) -> None:
         super().__init__(env)
         self.workload = workload
         self.isolation = isolation
-        self.max_retries = max_retries
         self.server = DatabaseServer(env, name="bank-db", connections=connections)
         self.server.create_table("accounts", primary_key="id")
         self.server.load("accounts", workload.initial_rows())
 
     def execute(self, op: TransferOp) -> Generator:
-        for attempt in range(self.max_retries):
+        for attempt in range(DB_ATTEMPTS):
             txn = yield from self.server.begin(self.isolation)
             try:
                 src = yield from self.server.get(txn, "accounts", op.src)
@@ -135,14 +137,13 @@ class ActorBank(KernelApp):
         env: Environment,
         workload: TransferWorkload,
         mode: str = "plain",
-        num_silos: int = 3,
     ) -> None:
         if mode not in ("plain", "transaction"):
             raise ValueError(f"unknown mode {mode!r}")
         super().__init__(env)
         self.workload = workload
         self.mode = mode
-        self.runtime = ActorRuntime(env, num_silos=num_silos)
+        self.runtime = ActorRuntime(env)
         self.runtime.register(_AccountActor)
         self.coordinator = ActorTransactionCoordinator(self.runtime)
         self._loaded = False

@@ -36,6 +36,10 @@ from repro.apps.core.spec import AppSpec
 from repro.sim import Environment
 
 
+#: coordinator attempts per op before a definite abort is surfaced
+TXN_ATTEMPTS = 12
+
+
 @transactional
 class KernelEntityActor(Actor):
     """A generic row-holder actor: one activation per (entity, key)."""
@@ -134,16 +138,13 @@ class ActorBinder(Binder):
         env: Environment,
         spec: AppSpec,
         mode: str = "transaction",
-        num_silos: int = 3,
-        retries: int = 12,
     ) -> None:
         if mode not in ("transaction", "plain"):
             raise ValueError(f"unknown mode {mode!r}")
         super().__init__(env, spec)
         self.mode = mode
-        self.retries = retries
         self.sound = mode == "transaction"
-        self.actors = ActorRuntime(env, num_silos=num_silos)
+        self.actors = ActorRuntime(env)
         self.actors.register(KernelEntityActor)
         self.coordinator = ActorTransactionCoordinator(self.actors)
         #: every key that may hold a row, for the state snapshot
@@ -178,7 +179,7 @@ class ActorBinder(Binder):
             # TransactionFailed — definite aborts, safe to retry.  Only
             # CommitUncertain (decision may have landed) must not be.
             last: Exception = TransactionFailed("transaction never attempted")
-            for attempt in range(self.retries):
+            for attempt in range(TXN_ATTEMPTS):
                 try:
                     result = yield from self.coordinator.execute_dynamic(
                         idents, driver

@@ -67,6 +67,9 @@ from repro.microservices import Microservice
 from repro.sim import Environment
 from repro.transactions.commit import PREPARED, REFUSED, two_phase
 
+#: handler attempts per op (each after a refused prepare or a saga failure)
+OP_ATTEMPTS = 24
+
 
 class _OccConflict(Exception):
     """A prepare-time version validation failed (retry with fresh reads)."""
@@ -199,9 +202,7 @@ class MicroserviceBinder(Binder):
         env: Environment,
         spec: AppSpec,
         mode: str = "2pc",
-        shared_database: bool = False,
         request_timeout: float = 400.0,
-        attempts: int = 24,
     ) -> None:
         if mode not in ("2pc", "saga", "none"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -209,12 +210,9 @@ class MicroserviceBinder(Binder):
         self.mode = mode
         self.sound = mode != "none"
         self.request_timeout = request_timeout
-        self.attempts = attempts
         from repro.microservices import MicroserviceApp
 
-        self.app = MicroserviceApp(
-            env, shared_database=shared_database, dedup_requests=True
-        )
+        self.app = MicroserviceApp(env, dedup_requests=True)
         self._rng = env.stream(f"micro-binder-{spec.name}")
         #: per service: txn_id -> (prepared local transaction, claimed keys),
         #: and the claim table key -> txn_id (see the module docstring)
@@ -358,7 +356,7 @@ class MicroserviceBinder(Binder):
         handler = self.handler_for(op)
         access = handler.access(op)
         op_id = getattr(op, "op_id", id(op))
-        for attempt in range(self.attempts):
+        for attempt in range(OP_ATTEMPTS):
             txn_id = f"{op_id}#{attempt}"
             ctx = _MicroCtx(self.env, op, handler, access, self, txn_id)
             yield from ctx.prefetch(access.reads)

@@ -15,14 +15,11 @@ from repro.db import IsolationLevel
 from repro.db.errors import TransactionAborted
 
 SER = IsolationLevel.SERIALIZABLE
+#: local transaction attempts before the retries are exhausted
+ATTEMPTS = 8
 
 
-def with_txn(
-    ctx,
-    body: Callable,
-    retries: int = 8,
-    isolation: IsolationLevel = SER,
-) -> Generator:
+def with_txn(ctx, body: Callable, retries: int = ATTEMPTS) -> Generator:
     """Run ``body(txn)`` in a local transaction, retrying aborts.
 
     ``ctx`` needs ``.db`` (a :class:`~repro.db.server.DatabaseServer`)
@@ -32,7 +29,7 @@ def with_txn(
     aborts are retried with backoff.
     """
     for attempt in range(retries):
-        txn = yield from ctx.db.begin(isolation)
+        txn = yield from ctx.db.begin(SER)
         try:
             result = yield from body(txn)
             yield from ctx.db.commit(txn)
@@ -46,14 +43,14 @@ def with_txn(
     raise RuntimeError("local transaction retries exhausted")
 
 
-def with_prepared_txn(ctx, body: Callable, retries: int = 8) -> Generator:
+def with_prepared_txn(ctx, body: Callable) -> Generator:
     """Like :func:`with_txn` but ends in *prepare*; returns the txn.
 
     The 2PC participant's phase-1 discipline: validate and write under the
     local serializable protocol, durably prepare (locks now held), and
     hand the prepared transaction back for the coordinator's decision.
     """
-    for attempt in range(retries):
+    for attempt in range(ATTEMPTS):
         txn = yield from ctx.db.begin(SER)
         try:
             yield from body(txn)

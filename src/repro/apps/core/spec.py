@@ -195,8 +195,8 @@ class DoubleEntrySpec(InvariantSpec):
     """Every balance delta is explained by balanced postings.
 
     The double-entry discipline: each posting row carries both legs
-    (``debit_field`` account loses ``amount_field``, ``credit_field``
-    account gains it), so per-account::
+    (its ``src`` account loses its ``amount``, its ``dst`` account gains
+    it), so per-account ``balance``::
 
         balance - initial == sum(credits) - sum(debits)
 
@@ -210,34 +210,26 @@ class DoubleEntrySpec(InvariantSpec):
         accounts_entity: str,
         postings_entity: str,
         initial: dict[Hashable, int],
-        balance_field: str = "balance",
-        debit_field: str = "src",
-        credit_field: str = "dst",
-        amount_field: str = "amount",
     ) -> None:
         self.accounts_entity = accounts_entity
         self.postings_entity = postings_entity
         self.initial = dict(initial)
-        self.balance_field = balance_field
-        self.debit_field = debit_field
-        self.credit_field = credit_field
-        self.amount_field = amount_field
         self.name = f"double_entry({accounts_entity}<-{postings_entity})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
         delta: dict[Hashable, int] = {}
         for row in state.get(self.postings_entity, []):
-            amount = row[self.amount_field]
-            delta[row[self.debit_field]] = delta.get(row[self.debit_field], 0) - amount
-            delta[row[self.credit_field]] = delta.get(row[self.credit_field], 0) + amount
+            amount = row["amount"]
+            delta[row["src"]] = delta.get(row["src"], 0) - amount
+            delta[row["dst"]] = delta.get(row["dst"], 0) + amount
         violations = []
         for row in state.get(self.accounts_entity, []):
             account = row["id"]
             expected = self.initial.get(account, 0) + delta.get(account, 0)
-            if row[self.balance_field] != expected:
+            if row["balance"] != expected:
                 violations.append(Violation(
                     self.name,
-                    f"{account!r}: balance {row[self.balance_field]} != initial "
+                    f"{account!r}: balance {row['balance']} != initial "
                     f"{self.initial.get(account, 0)} + posted delta "
                     f"{delta.get(account, 0):+}",
                 ))
@@ -248,7 +240,7 @@ class GapFreeSequenceSpec(InvariantSpec):
     """Allocated sequence numbers are contiguous: no gaps, no duplicates.
 
     ``entity`` rows carry ``number_field``; ``counter_entity[counter_key]``
-    holds the allocator's ``counter_field`` (next number to hand out).
+    holds the allocator's ``next`` field (the next number to hand out).
     Committed state must show exactly the numbers ``1..next-1``, each
     once — an allocator that commits the increment separately from the
     row that uses it (the classic unsound split) leaves a gap here the
@@ -261,13 +253,11 @@ class GapFreeSequenceSpec(InvariantSpec):
         number_field: str,
         counter_entity: str,
         counter_key: Hashable,
-        counter_field: str = "next",
     ) -> None:
         self.entity = entity
         self.number_field = number_field
         self.counter_entity = counter_entity
         self.counter_key = counter_key
-        self.counter_field = counter_field
         self.name = f"gap_free({entity}.{number_field})"
 
     def check(self, state: dict[str, list[dict]]) -> list[Violation]:
@@ -296,7 +286,7 @@ class GapFreeSequenceSpec(InvariantSpec):
             None,
         )
         if counter is not None and numbers:
-            handed_out = counter[self.counter_field] - 1
+            handed_out = counter["next"] - 1
             if max(numbers) > handed_out:
                 violations.append(Violation(
                     self.name,

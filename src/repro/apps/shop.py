@@ -68,10 +68,8 @@ class MicroserviceShop(KernelApp):
         env: Environment,
         workload: MarketplaceWorkload,
         mode: str = "saga",
-        shared_database: bool = False,
         request_timeout: float = 400.0,
         compensation_retries: int = 3,
-        zombie_safe_refunds: bool = True,
     ) -> None:
         if mode not in ("none", "saga", "2pc"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -79,9 +77,7 @@ class MicroserviceShop(KernelApp):
         self.workload = workload
         self.mode = mode
         self.request_timeout = request_timeout
-        self.zombie_safe_refunds = zombie_safe_refunds
-        self.app = MicroserviceApp(env, shared_database=shared_database,
-                                   dedup_requests=True)
+        self.app = MicroserviceApp(env, dedup_requests=True)
         self.app.add_service(self._stock_service())
         self.app.add_service(self._payment_service())
         self.app.add_service(self._order_service())
@@ -192,9 +188,20 @@ class MicroserviceShop(KernelApp):
         _register_decision_handlers(service, prepared)
         return service
 
-    def _payment_service(self) -> Microservice:
-        zombie_safe = self.zombie_safe_refunds
+    def _refund(self, ctx, txn, order_id: str) -> Generator:
+        """Mark the payment refunded.  With nothing charged yet, leave a
+        refunded tombstone, so a late *zombie* charge is rejected rather
+        than resurrected (the mutant ``shop.zombie_refunds`` in
+        :mod:`repro.chaos.mutants` deletes the row instead)."""
+        existing = yield from ctx.db.get(txn, "payments", order_id)
+        if existing is None:
+            yield from ctx.db.insert(
+                txn, "payments", {"order_id": order_id, "amount": 0, "refunded": True},
+            )
+        else:
+            yield from ctx.db.update(txn, "payments", order_id, {"refunded": True})
 
+    def _payment_service(self) -> Microservice:
         def init_db(db):
             db.create_table("payments", primary_key="order_id")
 
@@ -229,28 +236,7 @@ class MicroserviceShop(KernelApp):
         @service.handler("refund")
         def refund(ctx, payload):
             def body(txn):
-                existing = yield from ctx.db.get(txn, "payments", payload["order_id"])
-                if existing is None:
-                    if zombie_safe:
-                        # Nothing charged (yet): leave a tombstone so a
-                        # late zombie charge is rejected, not resurrected.
-                        yield from ctx.db.insert(
-                            txn, "payments",
-                            {"order_id": payload["order_id"], "amount": 0,
-                             "refunded": True},
-                        )
-                    # zombie-unsafe variant: refund of nothing is a no-op,
-                    # and a late charge will silently land (the anomaly).
-                else:
-                    if zombie_safe:
-                        yield from ctx.db.update(
-                            txn, "payments", payload["order_id"],
-                            {"refunded": True},
-                        )
-                    else:
-                        yield from ctx.db.delete(
-                            txn, "payments", payload["order_id"]
-                        )
+                yield from self._refund(ctx, txn, payload["order_id"])
                 return "refunded"
 
             result = yield from with_txn(ctx, body)

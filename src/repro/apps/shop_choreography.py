@@ -30,6 +30,8 @@ from repro.transactions.choreography import ChoreographyMonitor, Reactor
 from repro.workloads.marketplace import CheckoutOp, MarketplaceWorkload
 
 SER = IsolationLevel.SERIALIZABLE
+#: how often a checkout looks for its terminal event
+POLL_INTERVAL_MS = 2.0
 
 TOPICS = (
     "checkout-requested",
@@ -180,7 +182,7 @@ class ChoreographedShop(KernelApp):
 
     # -- client --------------------------------------------------------------------------
 
-    def execute(self, op: CheckoutOp, poll_interval: float = 2.0) -> Generator:
+    def execute(self, op: CheckoutOp) -> Generator:
         """Kick off a checkout and await its terminal event."""
         yield from self.broker.publish(
             "checkout-requested", op.op_id,
@@ -189,7 +191,7 @@ class ChoreographedShop(KernelApp):
              "fail": op.payment_fails},
         )
         while self.monitor.outcome_of(op.op_id) is None:
-            yield self.env.timeout(poll_interval)
+            yield self.env.timeout(POLL_INTERVAL_MS)
         if self.monitor.outcome_of(op.op_id) != "completed":
             raise RuntimeError(f"checkout {op.op_id} compensated")
         self.ledger.apply(op.op_id)

@@ -32,15 +32,18 @@ from repro.workloads.tpcc import (
 )
 
 SER = IsolationLevel.SERIALIZABLE
+#: serializable attempts per op on the database
+DB_ATTEMPTS = 8
+#: OCC workflow attempts per op on the shared KV
+WORKFLOW_ATTEMPTS = 24
 
 
 class DbTpcc(KernelApp):
     """TPC-C-lite on the monolithic serializable database."""
 
-    def __init__(self, env: Environment, workload: TpccLite, max_retries: int = 8) -> None:
+    def __init__(self, env: Environment, workload: TpccLite) -> None:
         super().__init__(env)
         self.workload = workload
-        self.max_retries = max_retries
         self.server = DatabaseServer(env, name="tpcc-db")
         for table in ("warehouses", "districts", "customers", "items",
                       "stock", "orders", "order_lines"):
@@ -52,7 +55,7 @@ class DbTpcc(KernelApp):
         self.server.load("stock", workload.initial_stock())
 
     def execute(self, op) -> Generator:
-        for attempt in range(self.max_retries):
+        for attempt in range(DB_ATTEMPTS):
             txn = yield from self.server.begin(SER)
             try:
                 if isinstance(op, NewOrderOp):
@@ -217,13 +220,13 @@ class _KvTpccCommon(KernelApp):
 class WorkflowTpcc(_KvTpccCommon):
     """TPC-C-lite as Beldi-style OCC workflows over the shared KV."""
 
-    def __init__(self, env: Environment, workload: TpccLite, max_retries: int = 24) -> None:
+    def __init__(self, env: Environment, workload: TpccLite) -> None:
         super().__init__(env)
         self.workload = workload
         self.kv = SharedKv(env, rtt=Latency.intra_zone())
         for key, value in self.seed_items().items():
             self.kv.store.put(key, value)
-        self.engine = TransactionalWorkflows(env, kv=self.kv, max_retries=max_retries)
+        self.engine = TransactionalWorkflows(env, kv=self.kv, max_retries=WORKFLOW_ATTEMPTS)
         self.engine.register("new_order", self._new_order)
         self.engine.register("payment", self._payment)
         self.engine.register("order_status", self._order_status)

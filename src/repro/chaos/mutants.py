@@ -18,6 +18,12 @@ each name to a builder taking the entry's sound binder options.
 - ``cluster.flip_without_drain`` — a shard migration that flips
   ownership to a copy of a stale snapshot without draining: writes that
   land during or after the copy are lost.
+- ``shop.zombie_refunds`` — a saga shop whose refund deletes the payment
+  row and leaves no tombstone for a checkout that was never charged, so
+  a timed-out charge still in flight lands after the compensation.  It
+  breaks the saga shop itself, not a ``DEPLOYMENTS`` entry: its builder
+  takes the shop's arguments (the chaos ``microservice`` control stays
+  the uncoordinated ``none`` mode, which benchmark C13 measures).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.apps.core.binders.db import DbBinder, ShardedDbBinder
+from repro.apps.shop import MicroserviceShop
 from repro.db.sharding import ShardedDatabase
 from repro.replication import Replica, ReplicaGroup
 
@@ -81,6 +88,17 @@ class FlipWithoutDrainDatabase(ShardedDatabase):
         self.directory.complete_migration(shard)
 
 
+class ZombieRefundShop(MicroserviceShop):
+    """``shop.zombie_refunds``: the naive refund."""
+
+    def _refund(self, ctx, txn, order_id: str) -> Generator:
+        """Delete the payment; a refund of nothing is a no-op, so a late
+        charge silently lands (a payment no order explains)."""
+        existing = yield from ctx.db.get(txn, "payments", order_id)
+        if existing is not None:
+            yield from ctx.db.delete(txn, "payments", order_id)
+
+
 class _SplitSteps:
     """``invoicing.split_allocator``: one transaction per handler step."""
 
@@ -121,8 +139,10 @@ def _on_database(db_class: type):
 
 
 #: mutant name -> ``(env, spec, **sound binder options) -> Binder``
+#: (``shop.zombie_refunds``: ``(env, workload, **shop options) -> shop``)
 MUTANTS = {
     "replication.unfenced": _on_database(UnfencedShardedDatabase),
     "invoicing.split_allocator": SplitAllocatorShardedDbBinder,
     "cluster.flip_without_drain": _on_database(FlipWithoutDrainDatabase),
+    "shop.zombie_refunds": ZombieRefundShop,
 }

@@ -22,6 +22,8 @@ from repro.chaos.runner import TrialResult, run_trial
 from repro.core.faults import FaultPlan
 
 ARTIFACT_VERSION = 1
+#: candidate schedules one shrink may try
+MAX_TRIALS = 64
 
 
 @dataclass
@@ -45,15 +47,14 @@ def shrink(
     config: Optional[ChaosConfig] = None,
     broken: bool = False,
     fast_path: bool = True,
-    max_trials: int = 64,
 ) -> ShrinkReport:
     """Minimize ``episodes`` while the trial still finds a violation.
 
     Greedy passes, each to fixpoint, in order of payoff: drop whole
     episodes, halve durations, halve rates, narrow partition groups.
-    The candidate count is bounded by ``max_trials``.
+    The candidate count is bounded by ``MAX_TRIALS``.
     """
-    budget = {"left": max_trials}
+    budget = {"left": MAX_TRIALS}
 
     def fails(candidate: list[Episode]) -> Optional[TrialResult]:
         if budget["left"] <= 0:
@@ -70,7 +71,7 @@ def shrink(
     if best is None:
         raise ValueError(
             "shrink() needs a failing schedule: the given episodes produced "
-            "no violation (or max_trials was 0)"
+            "no violation"
         )
     initial_events = len(best.plan.events)
 
@@ -148,7 +149,7 @@ def shrink(
 
     return ShrinkReport(
         episodes=current, result=best,
-        trials=max_trials - budget["left"], initial_events=initial_events,
+        trials=MAX_TRIALS - budget["left"], initial_events=initial_events,
     )
 
 

@@ -22,6 +22,9 @@ from repro.cluster.directory import ClusterError, PlacementDirectory
 from repro.cluster.stats import ShardStats
 from repro.sim import Environment
 
+#: below this smoothed load a node is too quiet to move anything off
+MIN_LOAD = 1.0
+
 
 class RebalanceTarget(Protocol):
     """What the rebalancer needs from a runtime: placement + migration."""
@@ -67,7 +70,6 @@ class Rebalancer:
         target: RebalanceTarget,
         interval: float = 50.0,
         imbalance_factor: float = 2.0,
-        min_load: float = 1.0,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -77,7 +79,6 @@ class Rebalancer:
         self.target = target
         self.interval = interval
         self.imbalance_factor = imbalance_factor
-        self.min_load = min_load
         self.stats = RebalancerStats()
         self._running = False
 
@@ -101,9 +102,9 @@ class Rebalancer:
         cold_node = min(loads, key=lambda n: (loads[n], n))
         if hot_node == cold_node:
             return None
-        if loads[hot_node] < self.min_load:
+        if loads[hot_node] < MIN_LOAD:
             return None  # nothing meaningful to move
-        if loads[hot_node] <= self.imbalance_factor * max(loads[cold_node], self.min_load):
+        if loads[hot_node] <= self.imbalance_factor * max(loads[cold_node], MIN_LOAD):
             return None
         directory = self.target.directory
         movable = [

@@ -3,7 +3,7 @@
 Every routed operation records one unit (or an explicit cost) against its
 shard; the :class:`~repro.cluster.rebalancer.Rebalancer` reads windowed
 loads to find hot shards and imbalanced nodes.  An exponentially weighted
-moving average smooths bursts: ``load = alpha * window + (1-alpha) * load``
+moving average smooths bursts: ``load = ALPHA * window + (1-ALPHA) * load``
 at every window roll, so a single spike does not trigger a migration but
 a sustained hot key does.
 """
@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: the weight of the newest window in the smoothed load
+ALPHA = 0.5
+
 
 class ShardStats:
     """Windowed per-shard operation counts with an EWMA load signal."""
 
-    def __init__(self, num_shards: int, alpha: float = 0.5) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
         self.num_shards = num_shards
-        self.alpha = alpha
         self.window: list[float] = [0.0] * num_shards
         self.total: list[float] = [0.0] * num_shards
         self._ewma: list[float] = [0.0] * num_shards
@@ -34,7 +34,7 @@ class ShardStats:
 
     def roll_window(self) -> None:
         """Fold the current window into the EWMA and reset it."""
-        alpha = self.alpha
+        alpha = ALPHA
         for shard in range(self.num_shards):
             self._ewma[shard] = (
                 alpha * self.window[shard] + (1.0 - alpha) * self._ewma[shard]
@@ -44,7 +44,7 @@ class ShardStats:
 
     def load_of(self, shard: int) -> float:
         """Smoothed load; includes the live window so cold starts see data."""
-        return self._ewma[shard] + self.alpha * self.window[shard]
+        return self._ewma[shard] + ALPHA * self.window[shard]
 
     def loads(self) -> list[float]:
         return [self.load_of(s) for s in range(self.num_shards)]

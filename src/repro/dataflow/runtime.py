@@ -307,6 +307,12 @@ class _Coordinator:
         return self.completed[-1] if self.completed else None
 
 
+#: worker nodes the tasks are spread over
+NUM_WORKERS = 2
+#: one hop between tasks
+HOP_LATENCY_MS = 0.5
+
+
 class DataflowRuntime:
     """Deploys a :class:`~repro.dataflow.graph.JobGraph` and runs it."""
 
@@ -315,19 +321,16 @@ class DataflowRuntime:
         env: Environment,
         graph: JobGraph,
         checkpoint_interval: float = 200.0,
-        num_workers: int = 2,
-        hop_latency: float = 0.5,
         checkpoint_store: Optional[ObjectStoreServer] = None,
     ) -> None:
         graph.validate()
         self.env = env
         self.graph = graph
-        self.hop_latency = hop_latency
-        self.net = Network(env, default_latency=Latency.constant(hop_latency))
+        self.net = Network(env, default_latency=Latency.constant(HOP_LATENCY_MS))
         self.checkpoint_store = checkpoint_store or ObjectStoreServer(
             env, ObjectStore(), latency=Latency.object_store(),
         )
-        self._workers = [self.net.add_node(f"df-worker-{i}") for i in range(num_workers)]
+        self._workers = [self.net.add_node(f"df-worker-{i}") for i in range(NUM_WORKERS)]
         self._coordinator = _Coordinator(self, checkpoint_interval)
         self._sources: dict[str, _SourceTask] = {}
         self._operators: dict[str, list[_OperatorTask]] = {}
@@ -433,7 +436,7 @@ class DataflowRuntime:
         for downstream in self.graph.downstream_of(producer_stage):
             target = self._target_task(downstream, key)
             self._scope.schedule(
-                self.hop_latency, target.gate.push, producer_task, (key, value)
+                HOP_LATENCY_MS, target.gate.push, producer_task, (key, value)
             )
 
     def _target_task(self, stage: str, key: Any):
@@ -451,7 +454,7 @@ class DataflowRuntime:
                 targets = self._operators[downstream]
             for target in targets:
                 self._scope.schedule(
-                    self.hop_latency, target.gate.push, producer_task, barrier
+                    HOP_LATENCY_MS, target.gate.push, producer_task, barrier
                 )
 
     def _snapshot_key(self, checkpoint_id: int, task_id: str) -> str:

@@ -74,23 +74,25 @@ class FunctionContext:
         self._runtime._egress_buffer.append(value)
 
 
+#: entity partitions; a message to another partition is a dataflow hop
+NUM_PARTITIONS = 4
+#: one dataflow hop between partitions
+HOP_LATENCY_MS = 0.5
+#: the execution cost of one function invocation
+WORK_MS = 0.1
+
+
 class StatefunRuntime:
     """The runtime: ingress log, entity dispatch, checkpoint/rewind."""
 
     def __init__(
         self,
         env: Environment,
-        num_partitions: int = 4,
         checkpoint_interval: float = 100.0,
-        hop_latency: float = 0.5,
-        work_ms: float = 0.1,
         checkpoint_store: Optional[ObjectStoreServer] = None,
     ) -> None:
         self.env = env
-        self.num_partitions = num_partitions
         self.checkpoint_interval = checkpoint_interval
-        self.hop_latency = hop_latency
-        self.work_ms = work_ms
         self.checkpoint_store = checkpoint_store or ObjectStoreServer(
             env, ObjectStore(), latency=Latency.object_store()
         )
@@ -134,7 +136,7 @@ class StatefunRuntime:
     # -- state --------------------------------------------------------------------
 
     def _partition(self, key: Hashable) -> int:
-        return shard_of(key, self.num_partitions)
+        return shard_of(key, NUM_PARTITIONS)
 
     def _state_of(self, fn_type: str, key: Hashable) -> dict:
         return self._states.setdefault((fn_type, key), {})
@@ -185,8 +187,7 @@ class StatefunRuntime:
                 self._entity_locks[ident] = lock
             yield lock.acquire()
             try:
-                if self.work_ms > 0:
-                    yield self.env.timeout(self.work_ms)
+                yield self.env.timeout(WORK_MS)
                 fn = self._functions[fn_type]
                 ctx = FunctionContext(self, fn_type, key)
                 self.stats.invocations += 1
@@ -205,7 +206,7 @@ class StatefunRuntime:
         delay = 0.0
         if self._partition(key) != self._partition(src_key):
             self.stats.cross_partition += 1
-            delay = self.hop_latency
+            delay = HOP_LATENCY_MS
         self._inflight += 1
         self._scope.schedule(delay, self._deliver, fn_type, key, message)
 

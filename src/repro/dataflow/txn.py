@@ -57,6 +57,15 @@ from repro.storage.object_store import ObjectStore, ObjectStoreServer
 #: Functions: fn(ctx, key, payload) -> Generator returning the result.
 TxnFunction = Callable[["TxnContext", Hashable, Any], Generator]
 
+#: state partitions; a call into another partition is a dataflow hop
+NUM_PARTITIONS = 4
+#: one dataflow hop between partitions, each way
+HOP_LATENCY_MS = 0.5
+#: the execution cost of one function invocation
+WORK_MS = 0.1
+#: the epoch commit's flush
+EPOCH_COMMIT_MS = 1.0
+
 _BUCKET = "txn-dataflow"
 #: Deltas allowed above the base before the compactor folds them into it.
 _COMPACT_AFTER = 8
@@ -149,12 +158,11 @@ class TxnContext:
         remote = engine._partition(key) != self._root_partition
         if remote:
             engine.stats.cross_partition_calls += 1
-            yield engine.env.timeout(engine.hop_latency)
-        if engine.work_ms > 0:
-            yield engine.env.timeout(engine.work_ms)
+            yield engine.env.timeout(HOP_LATENCY_MS)
+        yield engine.env.timeout(WORK_MS)
         result = yield from fn(self, key, payload)
         if remote:
-            yield engine.env.timeout(engine.hop_latency)
+            yield engine.env.timeout(HOP_LATENCY_MS)
         return result
 
 
@@ -176,22 +184,12 @@ class TransactionalDataflow:
     def __init__(
         self,
         env: Environment,
-        num_partitions: int = 4,
         epoch_interval: float = 10.0,
-        hop_latency: float = 0.5,
-        work_ms: float = 0.1,
-        epoch_commit_ms: float = 1.0,
         checkpoint_every: int = 10,
         checkpoint_store: Optional[ObjectStoreServer] = None,
     ) -> None:
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
         self.env = env
-        self.num_partitions = num_partitions
         self.epoch_interval = epoch_interval
-        self.hop_latency = hop_latency
-        self.work_ms = work_ms
-        self.epoch_commit_ms = epoch_commit_ms
         self.checkpoint_every = checkpoint_every
         self.checkpoint_store = checkpoint_store or ObjectStoreServer(
             env, ObjectStore(), latency=Latency.object_store()
@@ -271,10 +269,10 @@ class TransactionalDataflow:
     # -- state --------------------------------------------------------------------
 
     def _blank_partitions(self) -> list[dict]:
-        return [{} for _ in range(self.num_partitions)]
+        return [{} for _ in range(NUM_PARTITIONS)]
 
     def _partition(self, key: Hashable) -> int:
-        return stable_hash(key) % self.num_partitions
+        return stable_hash(key) % NUM_PARTITIONS
 
     def _read_state(self, key: Hashable) -> Any:
         return self._state[self._partition(key)].get(key)
@@ -325,7 +323,7 @@ class TransactionalDataflow:
             ]
             outcomes.extend((yield all_of(self.env, running)))
         # Epoch commit: flush, record results durably, release futures.
-        yield self.env.timeout(self.epoch_commit_ms)
+        yield self.env.timeout(EPOCH_COMMIT_MS)
         self._epochs_done += 1
         self.stats.epochs += 1
         released = self._released_through
@@ -348,8 +346,7 @@ class TransactionalDataflow:
         ctx = TxnContext(self, request.key)
         fn = self._functions[request.fn_name]
         try:
-            if self.work_ms > 0:
-                yield self.env.timeout(self.work_ms)
+            yield self.env.timeout(WORK_MS)
             result = yield from fn(ctx, request.key, request.payload)
         except TxnAbort as abort:
             return (request, False, abort)

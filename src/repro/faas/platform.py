@@ -16,7 +16,6 @@ from typing import Any, Callable, Generator, Optional
 from repro.faas.state import SharedKv
 from repro.net.latency import Latency, Sampler
 from repro.sim import Environment
-from repro.transactions.causal import CausalSession, CausalStore
 
 FunctionBody = Callable[["FaasContext", Any], Generator]
 
@@ -66,13 +65,11 @@ class FaasContext:
         platform: "FaasPlatform",
         worker: str,
         invocation_id: int,
-        session: Optional[CausalSession] = None,
     ) -> None:
         self.platform = platform
         self.worker = worker
         self.invocation_id = invocation_id
         self.env: Environment = platform.env
-        self.session = session  # causal context, flows along compositions
 
     @property
     def kv(self) -> SharedKv:
@@ -81,9 +78,6 @@ class FaasContext:
 
     def kv_get(self, key: Any, default: Any = None) -> Generator:
         """State read honouring the platform's state mode."""
-        if self.session is not None:
-            value = yield from self.session.read(key)
-            return value if value is not None else default
         if self.platform.cached_state:
             value = yield from self.platform.kv.cached_get(self.worker, key, default)
         else:
@@ -91,16 +85,13 @@ class FaasContext:
         return value
 
     def call(self, function: str, payload: Any = None) -> Generator:
-        """Synchronous function composition (function-to-function trigger).
-
-        In causal mode the caller's session travels with the call: the
-        callee never reads state older than what the caller saw/wrote —
-        Cloudburst's cross-function causal guarantee (§4.2).
-        """
-        result = yield from self.platform.invoke(
-            function, payload, _session=self.session
-        )
+        """Synchronous function composition (function-to-function trigger)."""
+        result = yield from self.platform.invoke(function, payload)
         return result
+
+
+#: the workers containers are placed on
+NUM_WORKERS = 4
 
 
 class FaasPlatform:
@@ -112,32 +103,20 @@ class FaasPlatform:
     def __init__(
         self,
         env: Environment,
-        num_workers: int = 4,
         keep_alive: float = 300.0,
         cold_start: Optional[Sampler] = None,
         warm_dispatch: Optional[Sampler] = None,
         cached_state: bool = False,
-        causal_state: bool = False,
-        replication_delay: float = 5.0,
         kv: Optional[SharedKv] = None,
     ) -> None:
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if cached_state and causal_state:
-            raise ValueError("pick one of cached_state / causal_state")
         self.env = env
         self.keep_alive = keep_alive
         self.cached_state = cached_state
-        self.causal_state = causal_state
         self.kv = kv or SharedKv(env)
         self._cold_start = cold_start or Latency.shifted_exponential(100.0, 50.0)
         self._warm_dispatch = warm_dispatch or Latency.constant(0.5)
         self._rng = env.stream("faas-platform")
-        self._workers = [f"faas-worker-{i}" for i in range(num_workers)]
-        self.causal = (
-            CausalStore(env, self._workers, replication_delay=replication_delay)
-            if causal_state else None
-        )
+        self._workers = [f"faas-worker-{i}" for i in range(NUM_WORKERS)]
         self._functions: dict[str, FunctionBody] = {}
         self._pool: dict[str, list[_Container]] = {}
         self._limits: dict[str, int] = {}
@@ -176,12 +155,7 @@ class FaasPlatform:
 
     # -- invocation ---------------------------------------------------------------
 
-    def invoke(
-        self,
-        name: str,
-        payload: Any = None,
-        _session: Optional[CausalSession] = None,
-    ) -> Generator:
+    def invoke(self, name: str, payload: Any = None) -> Generator:
         """Trigger a function; returns its result (or raises its error)."""
         body = self._functions.get(name)
         if body is None:
@@ -195,14 +169,7 @@ class FaasPlatform:
         container = None
         try:
             container = yield from self._acquire(name)
-            session = None
-            if self.causal is not None:
-                session = _session if _session is not None else self.causal.session()
-                session.move_to(container.worker)
-            ctx = FaasContext(
-                self, container.worker, next(FaasPlatform._invocation_ids),
-                session=session,
-            )
+            ctx = FaasContext(self, container.worker, next(FaasPlatform._invocation_ids))
             result = yield from body(ctx, payload)
             return result
         finally:

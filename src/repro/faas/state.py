@@ -8,8 +8,8 @@ The two §3.3 FaaS state models:
 - *cached* access serves reads from a per-worker cache, trading the round
   trip for staleness, which the consistency tests make observable.
 
-Writes always go to the store and invalidate no cache (only ``cache_ttl``
-expires entries), so a cached read may be stale.
+Writes always go to the store and invalidate no cache (no entry expires),
+so a cached read may be stale.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from repro.storage.cache import LruCache
 from repro.storage.kv import KeyValueStore
 
 
+#: entries each worker's look-aside cache holds
+CACHE_CAPACITY = 4096
+
+
 class SharedKv:
     """The platform's shared key-value state service."""
 
@@ -29,24 +33,18 @@ class SharedKv:
         self,
         env: Environment,
         rtt: Optional[Sampler] = None,
-        cache_capacity: int = 4096,
-        cache_ttl: Optional[float] = None,
     ) -> None:
         self.env = env
         self.store = KeyValueStore()
         self._rtt = rtt or Latency.intra_zone()
         self._rng = env.stream("faas-kv")
         self._caches: dict[str, LruCache] = {}
-        self._cache_capacity = cache_capacity
-        self._cache_ttl = cache_ttl
         self.remote_reads = 0
         self.cached_reads = 0
 
     def _cache_for(self, worker: str) -> LruCache:
         if worker not in self._caches:
-            self._caches[worker] = LruCache(
-                self._cache_capacity, ttl=self._cache_ttl, clock=lambda: self.env.now
-            )
+            self._caches[worker] = LruCache(CACHE_CAPACITY)
         return self._caches[worker]
 
     def _trip(self) -> Generator:

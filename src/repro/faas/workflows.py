@@ -73,6 +73,10 @@ class WorkflowContext:
         return new_value
 
 
+#: the mean backoff step between conflicting attempts (jittered, linear)
+BACKOFF_MS = 1.0
+
+
 class TransactionalWorkflows:
     """The workflow engine: register bodies, run them serializably."""
 
@@ -81,12 +85,10 @@ class TransactionalWorkflows:
         env: Environment,
         kv: Optional[SharedKv] = None,
         max_retries: int = 16,
-        backoff: float = 1.0,
     ) -> None:
         self.env = env
         self.kv = kv or SharedKv(env)
         self.max_retries = max_retries
-        self.backoff = backoff
         self._bodies: dict[str, WorkflowBody] = {}
         self._results = IdempotencyStore(clock=lambda: env.now)
         self._rng = env.stream("txn-workflows")
@@ -126,7 +128,7 @@ class TransactionalWorkflows:
                 return result
             self.stats.conflicts += 1
             # Jittered backoff decorrelates retrying conflict partners.
-            yield self.env.timeout(self.backoff * attempt * self._rng.uniform(0.5, 1.5))
+            yield self.env.timeout(BACKOFF_MS * attempt * self._rng.uniform(0.5, 1.5))
         self.stats.exhausted += 1
         raise WorkflowAborted(f"workflow {name!r} aborted after {self.max_retries} attempts")
 

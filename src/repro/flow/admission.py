@@ -37,12 +37,16 @@ class AdmissionStats:
         return sum(self.shed.values())
 
 
+#: priority class -> the fraction of ``max_inflight`` it may fill
+WATERMARKS = {PRIORITY_LOW: 0.5, PRIORITY_NORMAL: 0.9, PRIORITY_HIGH: 1.0}
+
+
 class AdmissionController:
     """Bounds concurrent in-flight requests, shedding low priority first.
 
     ``max_inflight`` is the hard concurrency limit; each priority class is
-    admitted only while in-flight work is below its watermark fraction of
-    that limit (defaults: low 50%, normal 90%, high 100%).  Callers wrap
+    admitted only while in-flight work is below its ``WATERMARKS``
+    fraction of that limit (low 50%, normal 90%, high 100%).  Callers wrap
     work in ``try_admit``/``release``::
 
         if not controller.try_admit(priority):
@@ -57,28 +61,17 @@ class AdmissionController:
         self,
         max_inflight: int,
         name: str = "admission",
-        watermarks: dict[int, float] | None = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.name = name
         self.max_inflight = max_inflight
-        self.watermarks = dict(watermarks) if watermarks is not None else {
-            PRIORITY_LOW: 0.5,
-            PRIORITY_NORMAL: 0.9,
-            PRIORITY_HIGH: 1.0,
-        }
-        for priority, fraction in self.watermarks.items():
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(
-                    f"watermark for priority {priority} must be in (0, 1]"
-                )
         self.inflight = 0
         self.stats = AdmissionStats()
 
     def limit_for(self, priority: int) -> int:
         """Admission ceiling for a priority class (at least 1 slot)."""
-        fraction = self.watermarks.get(priority, 1.0)
+        fraction = WATERMARKS.get(priority, 1.0)
         return max(1, int(self.max_inflight * fraction))
 
     def try_admit(self, priority: int = PRIORITY_NORMAL) -> bool:

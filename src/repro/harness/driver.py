@@ -134,7 +134,6 @@ class WorkloadDriver:
         invariants: Iterable[Invariant] = (),
         state: Any = None,
         state_fn: Optional[Callable[[], Any]] = None,
-        extra: Optional[dict] = None,
     ) -> Generator:
         """Drive the whole run; returns a :class:`RunResult`.
 
@@ -155,6 +154,5 @@ class WorkloadDriver:
             metrics=self.metrics,
             anomalies=report,
             wall_ms=self.env.now - started,
-            extra=dict(extra or {}),
             trace=tracer if tracer.enabled else None,
         )

@@ -15,7 +15,11 @@ def format_rows(headers: list[str], rows: list[list[object]]) -> str:
     return render_table(headers, [[str(cell) for cell in row] for row in rows])
 
 
-def format_results(results: Iterable[RunResult], title: str = "") -> str:
+#: the slowest operations a saved trace's critical-path report decomposes
+CRITICAL_TOP = 3
+
+
+def format_results(results: Iterable[RunResult]) -> str:
     """The standard benchmark table: perf columns + the correctness column."""
     rows = []
     for result in results:
@@ -30,20 +34,16 @@ def format_results(results: Iterable[RunResult], title: str = "") -> str:
                 result.anomalies.summary(),
             ]
         )
-    table = render_table(
+    return render_table(
         ["configuration", "ok", "fail", "ops/s", "p50 ms", "p99 ms", "anomalies"],
         rows,
     )
-    if title:
-        return f"\n=== {title} ===\n{table}"
-    return table
 
 
 def save_trace(
     trace: Tracer,
     directory: str,
     label: str,
-    critical_top: int = 3,
 ) -> tuple[str, str]:
     """Write one tracer's artifacts; returns (chrome_path, critpath_path).
 
@@ -57,5 +57,5 @@ def save_trace(
         handle.write(chrome_trace_json(trace))
     crit_path = os.path.join(directory, f"{label}.critpath.txt")
     with open(crit_path, "w") as handle:
-        handle.write(critical_path_report(trace, top=critical_top) + "\n")
+        handle.write(critical_path_report(trace, top=CRITICAL_TOP) + "\n")
     return chrome_path, crit_path

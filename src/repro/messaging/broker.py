@@ -31,6 +31,11 @@ from typing import Any, Deque, Generator, Optional
 from repro.cluster import shard_of
 from repro.sim import Environment, Future, any_of
 
+#: the broker's append-and-ack of one publish
+PUBLISH_LATENCY_MS = 0.8
+#: one consumer fetch or offset commit round trip
+POLL_LATENCY_MS = 0.5
+
 
 @dataclass(frozen=True)
 class Record:
@@ -91,20 +96,10 @@ class _Partition:
 class Broker:
     """The broker: topics, partitions, consumer-group offsets."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str = "broker",
-        publish_latency: float = 0.8,
-        poll_latency: float = 0.5,
-        max_backlog: Optional[int] = None,
-    ) -> None:
+    def __init__(self, env: Environment, max_backlog: Optional[int] = None) -> None:
         if max_backlog is not None and max_backlog < 1:
             raise ValueError("max_backlog must be >= 1 (or None for unbounded)")
         self.env = env
-        self.name = name
-        self.publish_latency = publish_latency
-        self.poll_latency = poll_latency
         self.max_backlog = max_backlog
         self._topics: dict[str, list[_Partition]] = {}
         # committed offsets: (group, topic, partition) -> next offset to read
@@ -144,10 +139,10 @@ class Broker:
         instead of growing the log without limit.
         """
         tracer = self.env.tracer
-        span = tracer.begin("broker.publish", broker=self.name, topic=topic)
+        span = tracer.begin("broker.publish", broker="broker", topic=topic)
         try:
             partitions = self._partitions(topic)
-            yield self.env.timeout(self.publish_latency)
+            yield self.env.timeout(PUBLISH_LATENCY_MS)
             partition = partitions[self.partition_for(topic, key)]
             if self.max_backlog is not None:
                 blocked = False
@@ -237,13 +232,13 @@ class Consumer:
             for p in broker._partitions(topic)
         }
 
-    def poll(self, max_records: int = 32, wait: bool = True) -> Generator:
-        """Fetch the next batch; blocks until data arrives if ``wait``."""
+    def poll(self, max_records: int = 32) -> Generator:
+        """Fetch the next batch; blocks until data arrives."""
         env = self.broker.env
         tracer = env.tracer
         span = tracer.begin("broker.poll", group=self.group, topic=self.topic)
         try:
-            yield env.timeout(self.broker.poll_latency)
+            yield env.timeout(POLL_LATENCY_MS)
             while True:
                 batch: list[Record] = []
                 for partition in self.broker._partitions(self.topic):
@@ -258,7 +253,7 @@ class Consumer:
                         self._positions[partition.index] = position + len(available)
                     if len(batch) >= max_records:
                         break
-                if batch or not wait:
+                if batch:
                     self.broker.stats.polled += len(batch)
                     span.annotate(records=len(batch))
                     return batch
@@ -272,7 +267,7 @@ class Consumer:
         tracer = self.broker.env.tracer
         span = tracer.begin("broker.commit", group=self.group, topic=self.topic)
         try:
-            yield self.broker.env.timeout(self.broker.poll_latency)
+            yield self.broker.env.timeout(POLL_LATENCY_MS)
             for index, position in self._positions.items():
                 self.broker._commit(self.group, self.topic, index, position)
         finally:

@@ -67,6 +67,10 @@ class IdempotencyStore:
         return entry
 
 
+#: message ids a :class:`Deduplicator` remembers
+WINDOW = 100_000
+
+
 class Deduplicator:
     """Bounded set of already-processed message ids (FIFO eviction).
 
@@ -75,10 +79,7 @@ class Deduplicator:
     window must exceed the maximum redelivery delay.
     """
 
-    def __init__(self, window: int = 100_000) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
+    def __init__(self) -> None:
         self._seen: OrderedDict[Hashable, None] = OrderedDict()
         self.duplicates = 0
         self.accepted = 0
@@ -89,7 +90,7 @@ class Deduplicator:
             self.duplicates += 1
             return True
         self._seen[message_id] = None
-        if len(self._seen) > self.window:
+        if len(self._seen) > WINDOW:
             self._seen.popitem(last=False)
         self.accepted += 1
         return False

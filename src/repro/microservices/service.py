@@ -58,14 +58,14 @@ class ServiceContext:
         service_name: str,
         db: DatabaseServer,
         rpc_client: RpcClient,
-        broker: Optional[Broker],
+        broker: Broker,
         service_nodes: dict[str, str],
     ) -> None:
         self.env = env
         self.service_name = service_name
         self.db = db
         self._rpc = rpc_client
-        self._broker = broker
+        self.broker = broker
         self._service_nodes = service_nodes
 
     def call(
@@ -102,13 +102,5 @@ class ServiceContext:
 
     def publish(self, topic: str, key: Any, value: Any) -> Generator:
         """Asynchronous event to the broker (§3.2 message-queue style)."""
-        if self._broker is None:
-            raise RuntimeError("no broker attached to this application")
-        record = yield from self._broker.publish(topic, key, value)
+        record = yield from self.broker.publish(topic, key, value)
         return record
-
-    @property
-    def broker(self) -> Broker:
-        if self._broker is None:
-            raise RuntimeError("no broker attached to this application")
-        return self._broker

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cProfile
 import os
-from typing import Any, Optional
+from typing import Any
 
 #: absolute path of the ``repro`` package (profiles are restricted to it)
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,8 +51,7 @@ class CallCountProfiler:
     function within its file does not churn the report either.
     """
 
-    def __init__(self, package_root: Optional[str] = None) -> None:
-        self.package_root = package_root or _PACKAGE_ROOT
+    def __init__(self) -> None:
         self._profile = cProfile.Profile()
 
     # -- collection ---------------------------------------------------------
@@ -73,7 +72,7 @@ class CallCountProfiler:
         order is total (byte-stable) even between functions with equal
         counts.
         """
-        root = self.package_root.rstrip(os.sep) + os.sep
+        root = _PACKAGE_ROOT.rstrip(os.sep) + os.sep
         rows: list[tuple[str, str, int]] = []
         for entry in self._profile.getstats():
             code = entry.code
@@ -134,7 +133,7 @@ class CallCountProfiler:
 # -- per-transaction accounting ----------------------------------------------
 
 
-def events_per_txn(events: int, transactions: int, ndigits: int = 2) -> float:
+def events_per_txn(events: int, transactions: int) -> float:
     """Kernel events per committed transaction (lower is better).
 
     The first-class efficiency metric of the hot-path work: wall-clock
@@ -145,7 +144,7 @@ def events_per_txn(events: int, transactions: int, ndigits: int = 2) -> float:
     """
     if transactions <= 0:
         return 0.0
-    return round(events / transactions, ndigits)
+    return round(events / transactions, 2)
 
 
 __all__ = [

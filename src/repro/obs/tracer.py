@@ -84,8 +84,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock: Callable[[], float] = clock or (lambda: 0.0)
+    def __init__(self) -> None:
+        self.clock: Callable[[], float] = lambda: 0.0
         self.spans: list[Span] = []
         self.current: Optional[Span] = None
         self._ids = itertools.count(1)
@@ -132,9 +132,10 @@ class Tracer:
             self.current = span._prev
         return span
 
-    def event(self, name: str, parent: Any = _CURRENT, **tags: Any) -> Span:
-        """Record an instantaneous (zero-duration) marker span."""
-        span = self.start(name, parent=parent, **tags)
+    def event(self, name: str, **tags: Any) -> Span:
+        """Record an instantaneous (zero-duration) marker span, a child of
+        the current span."""
+        span = self.start(name, **tags)
         span.end = span.start
         return span
 
@@ -207,7 +208,7 @@ class NullTracer:
     def end(self, span: Any, **tags: Any) -> _NullSpan:
         return NULL_SPAN
 
-    def event(self, name: str, parent: Any = _CURRENT, **tags: Any) -> _NullSpan:
+    def event(self, name: str, **tags: Any) -> _NullSpan:
         return NULL_SPAN
 
     @contextmanager

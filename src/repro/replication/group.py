@@ -197,20 +197,17 @@ class ReplicaGroup:
         command: tuple[Any, ...],
         replica: Optional[Replica] = None,
         timeout: Optional[float] = None,
-        retry: bool = False,
     ) -> Generator:
         """Propose ``command`` and await its quorum acknowledgement.
 
         ``replica`` pins the proposal to one specific leader (the one a
         transaction executed on) — if it was deposed before proposing,
         the caller gets a definite :class:`NotLeader` instead of a
-        re-proposal through a different leader's state.  ``retry=True``
-        is only safe for idempotent commands (2PC decides): on truncation
-        or uncertainty the command is re-proposed through the current
-        leader until the deadline.  Exactly :meth:`start` then, for an
-        entry that did not commit as it was proposed, :meth:`wait`.
+        re-proposal through a different leader's state.  Exactly
+        :meth:`start` (never retrying) then, for an entry that did not
+        commit as it was proposed, :meth:`wait`.
         """
-        proposal = self.start(command, replica, timeout, retry)
+        proposal = self.start(command, replica, timeout, False)
         if proposal.__class__ is int:
             return proposal
         return (yield from self.wait(proposal))
@@ -231,7 +228,10 @@ class ReplicaGroup:
         leader was deposed raises :class:`NotLeader` here, so a caller
         that starts several proposals learns every definite failure
         before it waits.  With no leader to propose through, the proposal
-        stays unsent and :meth:`wait` keeps looking for one.
+        stays unsent and :meth:`wait` keeps looking for one.  ``retry=True``
+        is only safe for idempotent commands (2PC decides): on truncation
+        or uncertainty the command is re-proposed through the current
+        leader until the deadline.
         """
         # the common case, inline: the pinned replica, or a group of
         # one's, still leads
@@ -330,7 +330,6 @@ class ReplicaGroup:
         table: str,
         key: Any,
         session: Optional[Session] = None,
-        node: Optional[str] = None,
     ) -> Generator:
         """Bounded-stale read from a follower, with read-your-writes.
 
@@ -339,10 +338,7 @@ class ReplicaGroup:
         ``session``, waits until the follower's applied prefix covers the
         session's highest observed index.
         """
-        candidates = (
-            [self.replica_on(node)] if node is not None
-            else self.follower_replicas()
-        )
+        candidates = self.follower_replicas()
         min_index = session.min_index if session is not None else 0
         for replica in candidates:
             if not replica.node.alive or replica.role == "stopped":

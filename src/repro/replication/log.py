@@ -45,12 +45,6 @@ class ReplicatedLog:
             return self.entries[offset].term
         return None
 
-    def entry(self, index: int) -> LogEntry:
-        offset = index - self.snapshot_index - 1
-        if not (0 <= offset < len(self.entries)):
-            raise IndexError(f"log index {index} not in memory")
-        return self.entries[offset]
-
     def append(self, term: int, command: tuple[Any, ...]) -> int:
         """Append ``command`` at the tip; returns its index."""
         entries = self.entries

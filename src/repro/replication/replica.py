@@ -204,9 +204,9 @@ class Replica:
 
     # -- bootstrap (deterministic initial leadership) ------------------------
 
-    def bootstrap(self, leader: str, term: int = 1, start_index: int = 0) -> None:
-        """Install the agreed initial term/leader without an election."""
-        self.term = term
+    def bootstrap(self, leader: str, start_index: int = 0) -> None:
+        """Install the agreed initial leader of term 1 without an election."""
+        self.term = 1
         self.voted_for = leader
         if start_index:
             self.log.reset(start_index, 0)

@@ -29,6 +29,9 @@ from repro.obs.tracer import default_tracer
 from repro.sim.events import Future
 
 _INF = float("inf")
+#: a virtual time no run reaches: a periodic timer cannot hide a deadlock
+#: from :meth:`Environment.run_until` past it
+RUN_UNTIL_LIMIT_MS = 1e12
 
 
 class SimulationError(RuntimeError):
@@ -411,12 +414,14 @@ class Environment:
             self._now = until
         return self._now
 
-    def run_until(self, future: Future, limit: float = 1e12) -> Any:
+    def run_until(self, future: Future) -> Any:
         """Run until ``future`` resolves; return its result.
 
-        Raises :class:`SimulationError` if the queue drains (or ``limit`` is
-        reached) before the future resolves — i.e. the simulation deadlocked.
+        Raises :class:`SimulationError` if the queue drains (or the next
+        event lies past ``RUN_UNTIL_LIMIT_MS``) before the future resolves —
+        i.e. the simulation deadlocked.
         """
+        limit = RUN_UNTIL_LIMIT_MS
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop

@@ -126,10 +126,6 @@ class Semaphore:
     def available(self) -> int:
         return self._available
 
-    @property
-    def permits(self) -> int:
-        return self._permits
-
     def acquire(self) -> Future:
         fut = Future(self.env, label=f"{self.label}.acquire")
         if self._available > 0:

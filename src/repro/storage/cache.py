@@ -1,4 +1,4 @@
-"""A look-aside cache (Redis/Hazelcast stand-in) with LRU + TTL eviction.
+"""A look-aside cache (Redis/Hazelcast stand-in) with LRU eviction.
 
 The paper notes (§3.4) that low-latency microservices embed caches to speed
 up state retrieval, "blurring the line between embedded and external state
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
 
 @dataclass
@@ -18,28 +18,17 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
 
 
 class LruCache:
-    """Bounded mapping with least-recently-used eviction and optional TTL.
+    """Bounded mapping with least-recently-used eviction; an entry never
+    expires, so a read may return a value the store has since replaced."""
 
-    ``clock`` supplies the current time (pass ``lambda: env.now`` to tie
-    TTLs to virtual time); entries older than ``ttl`` are treated as misses.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock or (lambda: 0.0)
-        self._entries: OrderedDict[Any, tuple[Any, float]] = OrderedDict()
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -50,17 +39,11 @@ class LruCache:
         return self.get(key, sentinel) is not sentinel
 
     def get(self, key: Any, default: Any = None) -> Any:
-        """Return the cached value; counts a miss if absent or expired."""
-        entry = self._entries.get(key)
-        if entry is None:
+        """Return the cached value; counts a miss if absent."""
+        if key not in self._entries:
             self.stats.misses += 1
             return default
-        value, written_at = entry
-        if self.ttl is not None and self._clock() - written_at > self.ttl:
-            del self._entries[key]
-            self.stats.expirations += 1
-            self.stats.misses += 1
-            return default
+        value = self._entries[key]
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return value
@@ -69,7 +52,7 @@ class LruCache:
         """Insert or refresh a key, evicting the LRU entry if full."""
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (value, self._clock())
+        self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

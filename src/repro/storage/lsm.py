@@ -18,13 +18,21 @@ from typing import Any, Iterator, Optional
 _TOMBSTONE = object()
 
 
+#: bloom filter bits per key
+BLOOM_BITS_PER_KEY = 10
+#: level-0 runs that trigger compaction into level 1
+LEVEL0_LIMIT = 4
+#: size multiplier between consecutive levels
+LEVEL_RATIO = 10
+
+
 class BloomFilter:
     """A classic k-hash bloom filter over a fixed bit array."""
 
-    def __init__(self, capacity: int, bits_per_key: int = 10) -> None:
-        self._num_bits = max(64, capacity * bits_per_key)
+    def __init__(self, capacity: int) -> None:
+        self._num_bits = max(64, capacity * BLOOM_BITS_PER_KEY)
         self._bits = 0
-        self._num_hashes = max(1, int(bits_per_key * 0.69))
+        self._num_hashes = max(1, int(BLOOM_BITS_PER_KEY * 0.69))
 
     def _positions(self, key: Any) -> Iterator[int]:
         # Salted CRC32 of repr(key), as repro.cluster.hashing does: builtin
@@ -69,14 +77,6 @@ class SSTable:
     def items(self) -> Iterator[tuple[Any, Any]]:
         return zip(self._keys, self._values)
 
-    def range(self, low: Any, high: Any) -> Iterator[tuple[Any, Any]]:
-        """Items with ``low <= key < high``."""
-        start = bisect.bisect_left(self._keys, low)
-        for i in range(start, len(self._keys)):
-            if self._keys[i] >= high:
-                break
-            yield self._keys[i], self._values[i]
-
 
 @dataclass
 class LsmStats:
@@ -96,23 +96,15 @@ class LsmStore:
     ----------
     memtable_limit:
         Number of entries that triggers a flush to level 0.
-    level0_limit:
-        Number of level-0 runs that triggers compaction into level 1.
-    level_ratio:
-        Size multiplier between consecutive levels.
+
+    ``LEVEL0_LIMIT`` level-0 runs trigger compaction into level 1, and each
+    level holds ``LEVEL_RATIO`` times the one above it.
     """
 
-    def __init__(
-        self,
-        memtable_limit: int = 1024,
-        level0_limit: int = 4,
-        level_ratio: int = 10,
-    ) -> None:
-        if memtable_limit <= 0 or level0_limit <= 0 or level_ratio <= 1:
+    def __init__(self, memtable_limit: int = 1024) -> None:
+        if memtable_limit <= 0:
             raise ValueError("invalid LSM configuration")
         self.memtable_limit = memtable_limit
-        self.level0_limit = level0_limit
-        self.level_ratio = level_ratio
         self._memtable: dict[Any, Any] = {}
         # levels[0] is a list of possibly-overlapping runs (newest last);
         # levels[i >= 1] each hold a single non-overlapping merged run.
@@ -144,7 +136,7 @@ class LsmStore:
         self._levels[0].append(SSTable(items))
         self._memtable = {}
         self.stats.flushes += 1
-        if len(self._levels[0]) >= self.level0_limit:
+        if len(self._levels[0]) >= LEVEL0_LIMIT:
             self._compact(0)
 
     def _compact(self, level: int) -> None:
@@ -168,7 +160,7 @@ class LsmStore:
         self._levels[level] = []
         self._levels[level + 1] = [SSTable(items)] if items else []
         del sources
-        limit = self.memtable_limit * (self.level_ratio ** (level + 1))
+        limit = self.memtable_limit * (LEVEL_RATIO ** (level + 1))
         if self._levels[level + 1] and len(self._levels[level + 1][0]) > limit:
             self._compact(level + 1)
 
@@ -200,19 +192,6 @@ class LsmStore:
         for level in self._levels[1:]:
             for run in level:
                 yield run
-
-    def range(self, low: Any, high: Any) -> list[tuple[Any, Any]]:
-        """Sorted items with ``low <= key < high`` (merging all sources)."""
-        merged: dict[Any, Any] = {}
-        for run in reversed(list(self._runs_newest_first())):  # oldest first
-            for key, value in run.range(low, high):
-                merged[key] = value
-        for key, value in self._memtable.items():
-            if low <= key < high:
-                merged[key] = value
-        return sorted(
-            (k, v) for k, v in merged.items() if v is not _TOMBSTONE
-        )
 
     def items(self) -> list[tuple[Any, Any]]:
         """All live items, sorted by key."""

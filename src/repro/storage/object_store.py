@@ -54,11 +54,13 @@ class ObjectStore:
     def delete(self, bucket: str, key: str) -> bool:
         return self._objects.pop((bucket, key), None) is not None
 
-    def list(self, bucket: str, prefix: str = "") -> list[str]:
-        """Sorted keys in ``bucket`` starting with ``prefix``."""
-        return sorted(
-            k for (b, k) in self._objects if b == bucket and k.startswith(prefix)
-        )
+    def list(self, bucket: str) -> list[str]:
+        """Sorted keys in ``bucket``."""
+        return sorted(k for (b, k) in self._objects if b == bucket)
+
+
+#: transfer cost per unit of object size, on top of the request latency
+TRANSFER_MS_PER_UNIT = 0.01
 
 
 class ObjectStoreServer:
@@ -76,13 +78,11 @@ class ObjectStoreServer:
         env: Environment,
         store: Optional[ObjectStore] = None,
         latency: Optional[Sampler] = None,
-        transfer_ms_per_unit: float = 0.01,
         stream: str = "object-store",
     ) -> None:
         self.env = env
         self.store = store if store is not None else ObjectStore()
         self._latency = latency or Latency.object_store()
-        self._transfer = transfer_ms_per_unit
         self._rng = env.stream(stream)
 
     def client(self, stream: str) -> "ObjectStoreServer":
@@ -91,27 +91,25 @@ class ObjectStoreServer:
         Background work (compaction, garbage collection) draws its request
         latencies here so it never shifts the foreground client's draws.
         """
-        return ObjectStoreServer(
-            self.env, self.store, self._latency, self._transfer, stream=stream
-        )
+        return ObjectStoreServer(self.env, self.store, self._latency, stream=stream)
 
     def put(self, bucket: str, key: str, obj: Any, size: int = 1) -> Generator:
         """Store an object, charging request + transfer latency."""
-        delay = self._latency(self._rng) + self._transfer * size
+        delay = self._latency(self._rng) + TRANSFER_MS_PER_UNIT * size
         yield self._request(delay, self.store.put, bucket, key, obj, size)
 
     def get(self, bucket: str, key: str, size: int = 1) -> Generator:
         """Fetch an object, charging request + transfer latency."""
-        yield self.env.timeout(self._latency(self._rng) + self._transfer * size)
+        yield self.env.timeout(self._latency(self._rng) + TRANSFER_MS_PER_UNIT * size)
         return self.store.get(bucket, key)
 
     def exists(self, bucket: str, key: str) -> Generator:
         yield self.env.timeout(self._latency(self._rng))
         return self.store.exists(bucket, key)
 
-    def list(self, bucket: str, prefix: str = "") -> Generator:
+    def list(self, bucket: str) -> Generator:
         yield self.env.timeout(self._latency(self._rng))
-        return self.store.list(bucket, prefix)
+        return self.store.list(bucket)
 
     def delete_many(self, bucket: str, keys: list[str]) -> Generator:
         """Delete a batch of objects in one request (S3 ``DeleteObjects``)."""

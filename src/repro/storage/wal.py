@@ -94,10 +94,10 @@ class WriteAheadLog:
             if record.lsn >= from_lsn:
                 yield record
 
-    def durable_records(self, from_lsn: int = 0) -> Iterator[LogRecord]:
+    def durable_records(self) -> Iterator[LogRecord]:
         """Iterate only records at or below the durability horizon."""
         for record in self._records:
-            if from_lsn <= record.lsn <= self._flushed_lsn:
+            if record.lsn <= self._flushed_lsn:
                 yield record
 
     def read(self, lsn: int) -> Optional[LogRecord]:

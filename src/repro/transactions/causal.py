@@ -221,7 +221,3 @@ class CausalSession:
         """Adopt causal context received from another service (Antipode's
         cross-service lineage propagation)."""
         self.context = self.context.merge(context)
-
-    def move_to(self, replica: str) -> None:
-        """Continue the session against a different replica."""
-        self.replica = replica

@@ -29,6 +29,9 @@ from repro.sim import Environment, Interrupted
 #: ``(topic, key, payload)`` events to emit (possibly empty).
 Reaction = Callable[[dict], Generator]
 
+#: records a reactor takes per poll
+POLL_BATCH = 16
+
 
 @dataclass
 class ReactorStats:
@@ -53,14 +56,12 @@ class Reactor:
         name: str,
         topic: str,
         reaction: Reaction,
-        poll_batch: int = 16,
     ) -> None:
         self.env = env
         self.broker = broker
         self.name = name
         self.topic = topic
         self.reaction = reaction
-        self.poll_batch = poll_batch
         self.dedup = Deduplicator()
         self.stats = ReactorStats()
         self._running = False
@@ -77,7 +78,7 @@ class Reactor:
     def _loop(self) -> Generator:
         consumer = self.broker.consumer(self.name, self.topic)
         while self._running:
-            batch = yield from consumer.poll(max_records=self.poll_batch)
+            batch = yield from consumer.poll(max_records=POLL_BATCH)
             if not self._running:
                 return
             for record in batch:

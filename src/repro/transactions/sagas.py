@@ -105,15 +105,15 @@ class SagaOrchestrator:
         self.stats = SagaStats()
         self.outcomes: list[SagaOutcome] = []
 
-    def execute(self, saga: Saga, ctx: Optional[dict] = None) -> Generator:
+    def execute(self, saga: Saga) -> Generator:
         """Run one saga instance; returns its :class:`SagaOutcome`.
 
         The outcome is also appended to :attr:`outcomes`.  Raises nothing
         for business failures (they become ``compensated`` outcomes); a
-        repeatedly failing compensation yields a ``stuck`` outcome.
+        repeatedly failing compensation yields a ``stuck`` outcome.  The
+        steps share a fresh ``ctx`` dict.
         """
-        ctx = ctx if ctx is not None else {}
-        ctx.setdefault("saga_execution_id", self.env.next_id("saga-execution"))
+        ctx = {"saga_execution_id": self.env.next_id("saga-execution")}
         outcome = SagaOutcome(saga=saga.name, status="completed", started_at=self.env.now)
         self.stats.started += 1
         completed: list[SagaStep] = []

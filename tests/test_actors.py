@@ -12,6 +12,7 @@ from repro.actors import (
     TransactionFailed,
     transactional,
 )
+from repro.actors import runtime as actor_runtime
 from repro.messaging import RpcRemoteError, RpcTimeout
 from repro.net import Latency
 from repro.sim import Environment
@@ -448,12 +449,8 @@ class TestActorTransactions:
         assert coordinator.stats.committed == 1
 
 
-def _constant_runtime(env, net_ms, store_ms):
-    runtime = ActorRuntime(
-        env, num_silos=3,
-        provider=StateStorageProvider(env, latency=Latency.constant(store_ms)),
-        network_latency=Latency.constant(net_ms),
-    )
+def _constant_runtime(env):
+    runtime = ActorRuntime(env, num_silos=3)
     runtime.register(BankAccount)
     return runtime
 
@@ -463,6 +460,11 @@ class TestRounds:
 
     NET_MS = 1.0
     STORE_MS = 5.0
+
+    @pytest.fixture(autouse=True)
+    def constant_latencies(self, monkeypatch):
+        monkeypatch.setattr(actor_runtime, "NETWORK_LATENCY", Latency.constant(self.NET_MS))
+        monkeypatch.setattr(actor_runtime, "STORE_LATENCY", Latency.constant(self.STORE_MS))
 
     def test_two_actor_transaction_costs_four_rounds(self):
         """Exact virtual time of a read-then-write transfer over two
@@ -479,7 +481,7 @@ class TestRounds:
         one at a time costs ``12n + 6p`` = 42 ms.
         """
         env = Environment(seed=31)
-        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        runtime = _constant_runtime(env)
         coordinator = ActorTransactionCoordinator(runtime)
         n, p = self.NET_MS, self.STORE_MS
 
@@ -509,7 +511,7 @@ class TestRounds:
 
     def test_gather_over_three_silos_costs_one_round_trip(self):
         env = Environment(seed=31)
-        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        runtime = _constant_runtime(env)
         keys = ["a", "b", "d"]
         assert len({runtime.place("BankAccount", key).name for key in keys}) == 3
 
@@ -532,7 +534,7 @@ class TestRounds:
         the timeout ``t`` the call is re-placed and re-activates ``a`` from
         the provider (``2n + p``), while ``b``'s reply was already in."""
         env = Environment(seed=31)
-        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        runtime = _constant_runtime(env)
         home = runtime.place("BankAccount", "a").name
         n, p, t = self.NET_MS, self.STORE_MS, 10.0
 
@@ -554,7 +556,7 @@ class TestRounds:
 
     def test_gather_reports_a_call_out_of_retries_without_hiding_the_others(self):
         env = Environment(seed=31)
-        runtime = _constant_runtime(env, self.NET_MS, self.STORE_MS)
+        runtime = _constant_runtime(env)
         runtime.net.partition(["actor-client"], [runtime.place("BankAccount", "a").name])
 
         def flow():
@@ -569,14 +571,15 @@ class TestRounds:
         assert found.result() == 0
         assert runtime.stats.dropped_calls == 1
 
-    def test_save_many_draws_one_latency_per_item_in_item_order(self):
+    def test_save_many_draws_one_latency_per_item_in_item_order(self, monkeypatch):
         """One draw per item from the provider's own stream, then one wait
         of the slowest — so two runs of the same seed produce the same
         history, and the next save takes the next draw."""
+        monkeypatch.setattr(actor_runtime, "STORE_LATENCY", Latency.uniform(1.0, 9.0))
 
         def run_once():
             env = Environment(seed=9)
-            provider = StateStorageProvider(env, latency=Latency.uniform(1.0, 9.0))
+            provider = StateStorageProvider(env)
             history = []
 
             def flow():

@@ -10,6 +10,7 @@ from the protocols, not from the absence of failures.
 import pytest
 
 from repro.apps import MicroserviceShop
+from repro.chaos.mutants import MUTANTS
 from repro.core import FaultPlan
 from repro.sim import Environment
 from repro.workloads import MarketplaceWorkload
@@ -23,15 +24,14 @@ def check(workload, state):
 
 
 class TestShopChaos:
-    def _run(self, seed, loss, duplication, crash_stock=True, zombie_safe=True):
+    def _run(self, seed, loss, duplication, crash_stock=True, shop_class=MicroserviceShop):
         env = Environment(seed=seed)
         workload = MarketplaceWorkload(
             num_products=6, initial_stock=500, payment_failure_rate=0.1
         )
-        shop = MicroserviceShop(env, workload, mode="saga",
-                                request_timeout=150.0,
-                                compensation_retries=10,
-                                zombie_safe_refunds=zombie_safe)
+        shop = shop_class(env, workload, mode="saga",
+                          request_timeout=150.0,
+                          compensation_retries=10)
         shop.app.net.set_loss(loss)
         shop.app.net.set_duplication(duplication)
         if crash_stock:
@@ -82,7 +82,7 @@ class TestShopChaos:
         for seed in (261, 301, 472, 533, 601):
             shop, workload, _outcomes = self._run(
                 seed=seed, loss=0.05, duplication=0.05,
-                crash_stock=False, zombie_safe=False,
+                crash_stock=False, shop_class=MUTANTS["shop.zombie_refunds"],
             )
             if check(workload, shop.final_state()):
                 dirty += 1
@@ -90,7 +90,7 @@ class TestShopChaos:
 
         shop, workload, _outcomes = self._run(
             seed=261, loss=0.05, duplication=0.05,
-            crash_stock=False, zombie_safe=True,
+            crash_stock=False,
         )
         assert check(workload, shop.final_state()) == []  # ...and fixed
 

@@ -185,9 +185,9 @@ class TestRouter:
 
 class TestShardStats:
     def test_ewma_folds_windows(self):
-        stats = ShardStats(2, alpha=0.5)
+        stats = ShardStats(2)
         stats.record(0, 10.0)
-        assert stats.load_of(0) == 5.0  # live window counts at alpha weight
+        assert stats.load_of(0) == 5.0  # live window counts at ALPHA weight
         stats.roll_window()
         assert stats.load_of(0) == 5.0
         stats.roll_window()  # an idle window decays the signal

@@ -233,7 +233,6 @@ class TestReport:
         result = env.run_until(
             env.process(driver.run([Op()], execute, OpenLoop(10.0, 1)))
         )
-        out = format_results([result], title="demo")
+        out = format_results([result])
         assert "cfg-1" in out
-        assert "demo" in out
         assert "clean" in out

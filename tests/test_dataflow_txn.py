@@ -114,7 +114,7 @@ class TestTransactions:
         assert engine.stats.aborted == 1
 
     def test_conservation_under_many_concurrent_transfers(self, env):
-        engine = make_engine(env, num_partitions=4)
+        engine = make_engine(env)
         engine.start()
         accounts = [f"acct-{i}" for i in range(10)]
         for account in accounts:
@@ -264,7 +264,7 @@ class TestExactlyOnceRecovery:
 
 class TestCosts:
     def test_cross_partition_calls_counted_and_charged(self, env):
-        engine = make_engine(env, num_partitions=4)
+        engine = make_engine(env)
         engine.start()
         # Find two keys on different partitions.
         keys = [f"k{i}" for i in range(20)]

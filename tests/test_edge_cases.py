@@ -8,6 +8,7 @@ from repro.db import Database, IsolationLevel
 from repro.net import Network
 from repro.sim import Environment
 from repro.storage import LsmStore
+from repro.storage import lsm as lsm_module
 
 
 @pytest.fixture
@@ -137,8 +138,13 @@ class TestDatabaseEdges:
 
 
 class TestLsmEdges:
+    @pytest.fixture(autouse=True)
+    def small_levels(self, monkeypatch):
+        monkeypatch.setattr(lsm_module, "LEVEL0_LIMIT", 2)
+        monkeypatch.setattr(lsm_module, "LEVEL_RATIO", 2)
+
     def test_deep_compaction_cascade(self):
-        lsm = LsmStore(memtable_limit=2, level0_limit=2, level_ratio=2)
+        lsm = LsmStore(memtable_limit=2)
         for i in range(200):
             lsm.put(f"k{i:04d}", i)
         lsm.flush()
@@ -149,7 +155,7 @@ class TestLsmEdges:
         assert sum(len(level) for level in lsm._levels) < 10
 
     def test_overwrite_heavy_workload_reclaims(self):
-        lsm = LsmStore(memtable_limit=4, level0_limit=2, level_ratio=2)
+        lsm = LsmStore(memtable_limit=4)
         for round_index in range(20):
             for key_index in range(5):
                 lsm.put(f"k{key_index}", round_index)
@@ -169,38 +175,3 @@ class TestNodeEdges:
         node.bind("p")
         node.crash()
         assert not node.deliver("p", "payload")
-
-
-class TestActorDeactivation:
-    def test_deactivate_calls_hook_and_reactivates_fresh(self, env):
-        from repro.actors import Actor, ActorRuntime
-
-        hooks = []
-
-        class Session(Actor):
-            initial_state = {"n": 0}
-
-            def bump(self):
-                self.state["n"] += 1
-                yield from self.save_state()
-                return self.state["n"]
-
-            def on_deactivate(self):
-                hooks.append(("deactivated", self.key))
-                return
-                yield  # pragma: no cover
-
-        runtime = ActorRuntime(env, num_silos=1)
-        runtime.register(Session)
-        ref = runtime.ref("Session", "s1")
-
-        def flow():
-            yield from ref.call("bump")
-            silo = runtime.silos[0]
-            yield from silo.deactivate("Session", "s1")
-            # Next call re-activates; saved state reloads.
-            return (yield from ref.call("bump"))
-
-        assert run(env, flow()) == 2
-        assert hooks == [("deactivated", "s1")]
-        assert runtime.stats.activations == 2

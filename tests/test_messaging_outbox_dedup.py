@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, IsolationLevel
-from repro.messaging import Broker, Deduplicator, IdempotencyStore
+from repro.messaging import Broker, Deduplicator, IdempotencyStore, idempotency
 from repro.messaging.outbox import OutboxRelay, TransactionalOutbox
 from repro.sim import Environment
 
@@ -48,21 +48,18 @@ class TestDeduplicator:
         assert dedup.is_duplicate("m1")
         assert dedup.duplicates == 1
 
-    def test_window_eviction_lets_old_duplicates_through(self):
-        dedup = Deduplicator(window=2)
+    def test_window_eviction_lets_old_duplicates_through(self, monkeypatch):
+        monkeypatch.setattr(idempotency, "WINDOW", 2)
+        dedup = Deduplicator()
         dedup.is_duplicate("a")
         dedup.is_duplicate("b")
         dedup.is_duplicate("c")  # evicts a
         assert not dedup.is_duplicate("a")  # slipped through!
 
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            Deduplicator(window=0)
-
     @settings(max_examples=50, deadline=None)
     @given(ids=st.lists(st.integers(0, 20), max_size=100))
     def test_accepted_plus_duplicates_equals_total(self, ids):
-        dedup = Deduplicator(window=1000)
+        dedup = Deduplicator()
         for message_id in ids:
             dedup.is_duplicate(message_id)
         assert dedup.accepted + dedup.duplicates == len(ids)

@@ -99,12 +99,6 @@ class TestDeployment:
     def test_db_per_service_by_default(self, env, app):
         assert app.database_of("inventory") is not app.database_of("orders")
 
-    def test_shared_database_mode(self, env):
-        application = MicroserviceApp(env, shared_database=True)
-        application.add_service(make_inventory_service())
-        application.add_service(make_order_service())
-        assert application.database_of("inventory") is application.database_of("orders")
-
     def test_duplicate_handler_rejected(self):
         service = Microservice("x")
 

@@ -36,6 +36,24 @@ Rules of the symbol walk (:class:`_Symbols`):
 - **Not uses:** an import, or an entry in ``__all__``.
 - **Registered classes:** a class under a registering decorator
   (``@register_binder``) is reached with its module.
+- **Methods:** a method is used only through an ``Attribute`` or an
+  identifier string, never through a bare ``Name`` (which cannot call it).
+
+Rules of the parameter walk (:class:`_Params`):
+
+- **Checked:** every defaulted parameter (keyword-only ones included) of a
+  checked function or method, and of a checked or registered class's own
+  ``__init__``, unless the symbol walk already reports or allowlists the
+  callable.  Dataclass fields are state, not knobs, and are not checked.
+- **Passed:** by a call in ``src/`` outside the function itself, or under
+  the roots, that names the callable (the class, for ``__init__``) and
+  passes the parameter by keyword or by position at or past its index;
+  through ``super().__init__`` in a subclass; through a subclass without
+  its own ``__init__``, or a name bound to the class
+  (``group_class = ReplicaGroup``); through a function that hands the
+  callable its ``**kwargs`` (keywords only); or as a string key of a dict
+  literal or ``dict(...)`` there, which is how binder and scenario options
+  arrive.  Tests never count.
 """
 
 from __future__ import annotations
@@ -83,6 +101,26 @@ SYMBOL_ALLOWLIST = {
     "repro.apps.core.spec:CapacityBoundSpec": "ROADMAP item 3 (port hotel to an AppSpec)",
     "repro.net.network:Network.send_local":
         "ROADMAP item 9(c) (benchmarks/suite/layers.py names it as a boundary)",
+    "repro.core.metrics:MetricsCollector.latency": OBSERVES,
+    "repro.obs.tracer:Span.finished": OBSERVES,
+    "repro.storage.wal:WriteAheadLog.records": OBSERVES + " (the durable-format pins)",
+    "repro.replication.group:ReplicaGroup.replica_on": OBSERVES + " (one member by node)",
+}
+
+SEAM = "seam: tests substitute a fake"
+
+#: ``module:qualname(parameter)`` -> why it stays although no non-test call
+#: passes it: safety code, a seam for a test double, or a ROADMAP item.  An
+#: entry must name a checked parameter that is not passed; remove it when
+#: either stops being true.
+PARAM_ALLOWLIST = {
+    "repro.sim.environment:Environment(tracer)": SEAM + " (a recording Tracer)",
+    "repro.dataflow.txn:TransactionalDataflow(checkpoint_store)":
+        SEAM + " (a recording or constant-latency object store)",
+    "repro.dataflow.statefun:StatefunRuntime(checkpoint_store)":
+        SEAM + " (a constant-latency object store)",
+    "repro.messaging.broker:Broker(max_backlog)":
+        "ROADMAP item 12 (bounded partitions, docs/OVERLOAD.md rule 3)",
 }
 
 
@@ -248,8 +286,8 @@ def _definitions(tree: ast.Module):
 
 
 def _uses(tree: ast.Module):
-    """``(identifier, line)`` for every ``Name``, ``Attribute`` and
-    identifier string constant in ``tree``.
+    """``(identifier, line, bare)`` for every ``Name``, ``Attribute`` and
+    identifier string constant in ``tree``; ``bare`` marks a ``Name``.
 
     Imports bind names without using them (an ``alias`` is neither node),
     and the strings of an ``__all__`` list only export.
@@ -263,16 +301,16 @@ def _uses(tree: ast.Module):
             exported.update(map(id, ast.walk(node.value)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in exported
         ):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 class _Symbols:
@@ -285,10 +323,10 @@ class _Symbols:
     """
 
     def __init__(self, walk: _Walk, repo: str = REPO) -> None:
-        uses: dict[str, list[tuple[str, int]]] = {}
+        uses: dict[str, list[tuple[str, int, bool]]] = {}
         for path in sorted(walk.modules.values()) + _roots(repo):
-            for name, line in _uses(walk._tree(path)):
-                uses.setdefault(name, []).append((path, line))
+            for name, line, bare in _uses(walk._tree(path)):
+                uses.setdefault(name, []).append((path, line, bare))
         #: ``module:qualname`` for every checked symbol
         self.defined: set[str] = set()
         #: the checked symbols no non-test code names
@@ -301,9 +339,10 @@ class _Symbols:
                 symbol = f"{module}:{qualname}"
                 self.defined.add(symbol)
                 inside = range(node.lineno, node.end_lineno + 1)
+                method = "." in qualname
                 if all(
-                    where == path and line in inside
-                    for where, line in uses.get(node.name, ())
+                    (where == path and line in inside) or (method and bare)
+                    for where, line, bare in uses.get(node.name, ())
                 ):
                     self.unused.add(symbol)
 
@@ -314,6 +353,212 @@ class _Symbols:
             for symbol in allowlist
             if symbol not in self.unused
         }
+
+
+def _signatures(tree: ast.Module):
+    """``(qualname, callee, function, offset)`` for every callable whose
+    defaulted parameters the parameter walk checks.
+
+    A checked class is called by its own name through its ``__init__``
+    (``offset`` 1: ``self`` is never written); a checked method is called
+    through an attribute by its own name (``offset`` 0 for a
+    ``staticmethod``).  A registered class's ``__init__`` is checked too:
+    its options arrive through ``bind``.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node, 0
+            continue
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if member.name == "__init__" and not node.name.startswith("_"):
+                yield node.name, node.name, member, 1
+            elif not member.name.startswith("_"):
+                static = any(_decorator_name(d) == "staticmethod" for d in member.decorator_list)
+                yield f"{node.name}.{member.name}", member.name, member, 0 if static else 1
+
+
+def _defaulted(function: ast.FunctionDef, offset: int):
+    """``(name, index)`` for every defaulted parameter; ``index`` counts the
+    call's positional arguments (``None`` for a keyword-only one)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - offset
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _callee(call: ast.Call) -> str:
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call in one tree as ``callee -> [(line, positional, keywords)]``,
+    the string keys of its dict literals and ``dict(...)`` calls, and the
+    names that call something by another name.
+
+    ``positional`` counts the arguments, or is infinite once a ``*args``
+    could fill any position.  ``super().__init__(...)`` inside a class
+    calls each of its bases by name.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.calls: dict[str, list[tuple[int, float, set[str]]]] = {}
+        self.keys: set[str] = set()
+        #: ``callee -> names of the functions that hand it their **kwargs``
+        self.forwarders: dict[str, set[str]] = {}
+        #: ``name -> names that call it``: a name bound to it
+        #: (``group_class = ReplicaGroup``) or a subclass without its own
+        #: ``__init__``
+        self.aliases: dict[str, set[str]] = {}
+        self._classes: list[ast.ClassDef] = []
+        self._functions: list[ast.FunctionDef] = []
+        self.visit(tree)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if not any(
+            isinstance(member, ast.FunctionDef) and member.name == "__init__"
+            for member in node.body
+        ):
+            for base in node.bases:
+                self.aliases.setdefault(_decorator_name(base), set()).add(node.name)
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._functions.append(node)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if isinstance(node.value, (ast.Name, ast.Attribute)):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.aliases.setdefault(_decorator_name(node.value), set()).add(target.id)
+        self.generic_visit(node)
+
+    def visit_Dict(self, node: ast.Dict) -> None:
+        self.keys.update(
+            key.value for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        )
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        callee = _callee(node)
+        if callee == "dict":
+            self.keys.update(k.arg for k in node.keywords if k.arg)
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        positional = float("inf") if starred else len(node.args)
+        keywords = {k.arg for k in node.keywords if k.arg}
+        names = [callee]
+        if (
+            callee == "__init__"
+            and isinstance(node.func.value, ast.Call)
+            and _callee(node.func.value) == "super"
+            and self._classes
+        ):
+            names = [_decorator_name(base) for base in self._classes[-1].bases]
+        for name in names:
+            self.calls.setdefault(name, []).append((node.lineno, positional, keywords))
+        function = self._functions[-1] if self._functions else None
+        if function is not None and function.args.kwarg is not None and any(
+            k.arg is None and getattr(k.value, "id", None) == function.args.kwarg.arg
+            for k in node.keywords
+        ):
+            forwarder = function.name
+            if forwarder == "__init__" and self._classes:
+                forwarder = self._classes[-1].name
+            for name in names:
+                self.forwarders.setdefault(name, set()).add(forwarder)
+        self.generic_visit(node)
+
+
+class _Params:
+    """The defaulted parameters of the checked callables, and which no
+    non-test call passes.
+
+    A parameter is passed when a call in ``src/`` outside the function
+    itself, or anywhere under the roots, names the callable (directly or
+    through an alias, see :class:`_Calls`) and passes it by keyword or by
+    position, when a function that forwards its ``**kwargs`` to the
+    callable is called with it by keyword, or when its name is a string key
+    of some dict literal or ``dict(...)`` there (binder and scenario
+    options arrive as ``**opts``).  Matching is by name only, like
+    :class:`_Symbols`.
+    """
+
+    def __init__(self, walk: _Walk, symbols: _Symbols, repo: str = REPO) -> None:
+        calls: dict[str, list[tuple[str, int, float, set[str]]]] = {}
+        keys: set[str] = set()
+        aliases: dict[str, set[str]] = {}
+        forwarders: dict[str, set[str]] = {}
+        for path in sorted(walk.modules.values()) + _roots(repo):
+            found = _Calls(walk._tree(path))
+            keys |= found.keys
+            for name, sites in found.calls.items():
+                calls.setdefault(name, []).extend((path, *site) for site in sites)
+            for name, names in found.forwarders.items():
+                forwarders.setdefault(name, set()).update(names)
+            for name, names in found.aliases.items():
+                aliases.setdefault(name, set()).update(names)
+        #: ``module:qualname(parameter)`` for every checked parameter
+        self.defined: set[str] = set()
+        #: the checked parameters no non-test call passes
+        self.unpassed: set[str] = set()
+        for module in sorted(walk.reached):
+            if walk._is_package(module):
+                continue
+            path = walk.modules[module]
+            for qualname, callee, function, offset in _signatures(walk._tree(path)):
+                if f"{module}:{qualname}" in symbols.unused:
+                    continue
+                inside = range(function.lineno, function.end_lineno + 1)
+                named = _named(callee, aliases)
+                sites = [
+                    (positional if name in named else 0, keywords)
+                    for name in _named(callee, aliases, forwarders)
+                    for where, line, positional, keywords in calls.get(name, ())
+                    if not (where == path and line in inside)
+                ]
+                for param, index in _defaulted(function, offset):
+                    entry = f"{module}:{qualname}({param})"
+                    self.defined.add(entry)
+                    if param not in keys and not any(
+                        param in keywords or (index is not None and positional > index)
+                        for positional, keywords in sites
+                    ):
+                        self.unpassed.add(entry)
+
+    def stale(self, allowlist) -> dict[str, str]:
+        """Allowlist entries that no longer name an unpassed parameter."""
+        return {
+            entry: "deleted" if entry not in self.defined else "now passed"
+            for entry in allowlist
+            if entry not in self.unpassed
+        }
+
+
+def _named(callee: str, *edges: dict[str, set[str]]) -> set[str]:
+    """``callee`` and every name that reaches it along ``edges``."""
+    names, todo = set(), [callee]
+    while todo:
+        name = todo.pop()
+        if name not in names:
+            names.add(name)
+            for edge in edges:
+                todo.extend(edge.get(name, ()))
+    return names
 
 
 def _walk_from_roots(repo: str = REPO) -> _Walk:
@@ -331,6 +576,11 @@ def walk() -> _Walk:
 @pytest.fixture(scope="module")
 def symbols(walk) -> _Symbols:
     return _Symbols(walk)
+
+
+@pytest.fixture(scope="module")
+def params(walk, symbols) -> _Params:
+    return _Params(walk, symbols)
 
 
 def test_every_module_is_reachable_from_an_experiment(walk):
@@ -378,6 +628,21 @@ def test_every_public_symbol_has_a_caller(symbols):
 def test_symbol_allowlist_names_existing_unused_symbols(symbols):
     stale = symbols.stale(SYMBOL_ALLOWLIST)
     assert not stale, f"drop these symbol allowlist entries: {stale}"
+
+
+def test_every_defaulted_parameter_is_passed(params):
+    unexpected = sorted(params.unpassed - set(PARAM_ALLOWLIST))
+    assert not unexpected, (
+        "no non-test call passes these parameters; fold each into a module "
+        "constant beside its use or delete it with its branch:\n"
+        + "\n".join(unexpected)
+    )
+
+
+def test_param_allowlist_names_existing_unpassed_parameters(params):
+    stale = params.stale(PARAM_ALLOWLIST)
+    assert not stale, f"drop these parameter allowlist entries: {stale}"
+    assert all(PARAM_ALLOWLIST.values()), "every entry needs its reason"
 
 
 # -- the symbol walk on synthetic trees ----------------------------------------
@@ -466,4 +731,128 @@ def test_a_stale_symbol_allowlist_entry_is_reported(tmp_path):
     assert symbols.stale(allowlist) == {
         "repro.m:called": "now reached",
         "repro.m:gone": "deleted",
+    }
+
+
+def test_a_method_named_only_by_a_bare_name_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/m.py": (
+            "class Store:\n"
+            "    def scan(self):\n        return []\n\n"
+            "    def get(self):\n        return 1\n\n\n"
+            "def scan():\n    return Store().get()\n"
+        ),
+        "examples/demo.py": "from repro.m import scan\n\nscan()\n",
+    })
+    assert _symbols_of(repo).unused == {"repro.m:Store.scan"}
+
+
+# -- the parameter walk on synthetic trees -------------------------------------
+
+
+def _params_of(repo: str) -> _Params:
+    walk = _walk_from_roots(repo)
+    return _Params(walk, _Symbols(walk, repo), repo)
+
+
+_LIB = (
+    "class Base:\n"
+    "    def __init__(self, env, size=1, name='b'):\n"
+    "        self.size = size\n\n"
+    "    def read(self, key, fresh=False, *, limit=None):\n"
+    "        return key\n\n\n"
+    "class Child(Base):\n"
+    "    def __init__(self, env):\n"
+    "        super().__init__(env, 2)\n\n\n"
+    "def make(env, depth=0, spare=None):\n"
+    "    return make(env, depth + 1, spare=spare) if depth else Child(env)\n"
+)
+
+
+def test_an_unpassed_parameter_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/lib.py": _LIB,
+        "benchmarks/bench.py": (
+            "from repro.lib import make\n\n"
+            "make(None).read('k', True)\n"
+        ),
+    })
+    params = _params_of(repo)
+    assert params.defined == {
+        "repro.lib:Base(size)", "repro.lib:Base(name)",
+        "repro.lib:Base.read(fresh)", "repro.lib:Base.read(limit)",
+        "repro.lib:make(depth)", "repro.lib:make(spare)",
+    }
+    # ``size`` arrives through super().__init__, ``fresh`` by position; a
+    # call inside ``make`` itself does not pass ``depth`` or ``spare``
+    assert params.unpassed == {
+        "repro.lib:Base(name)", "repro.lib:Base.read(limit)",
+        "repro.lib:make(depth)", "repro.lib:make(spare)",
+    }
+
+
+def test_keyword_position_and_options_dict_pass_a_parameter(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/lib.py": _LIB,
+        "src/repro/deploy.py": (
+            "from repro.lib import Base\n\n"
+            "OPTIONS = {'name': 'x'}\n\n\n"
+            "def deploy(env, **opts):\n    return Base(env, **opts)\n"
+        ),
+        "scripts/run.py": (
+            "from repro.deploy import OPTIONS, deploy\n"
+            "from repro.lib import make\n\n"
+            "deploy(None, **OPTIONS).read('k', limit=3)\n"
+            "deploy(None, size=4)\n"
+            "make(None, 1, spare=None)\n"
+        ),
+    })
+    params = _params_of(repo)
+    # ``name`` by an options dict, ``size`` through a **kwargs forwarder,
+    # ``limit`` by keyword, ``depth`` by position, ``spare`` by keyword
+    assert params.unpassed == {"repro.lib:Base.read(fresh)"}
+
+
+def test_a_positional_argument_before_the_index_does_not_pass(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/lib.py": (
+            "def fetch(key, retries=1, timeout=2.0):\n    return key\n\n\n"
+            "class Pool:\n"
+            "    def __init__(self, size=1, name='p'):\n"
+            "        self.size = size\n"
+        ),
+        "examples/demo.py": (
+            "from repro.lib import Pool, fetch\n\n"
+            "fetch('k', 3)\n"
+            "pool_class = Pool\n"
+            "pool_class(4)\n"
+        ),
+    })
+    # ``size`` arrives through a name bound to the class
+    assert _params_of(repo).unpassed == {
+        "repro.lib:fetch(timeout)", "repro.lib:Pool(name)",
+    }
+
+
+def test_a_stale_param_allowlist_entry_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/lib.py": _LIB,
+        "benchmarks/bench.py": (
+            "from repro.lib import make\n\n"
+            "make(None).read('k', True)\n"
+        ),
+    })
+    allowlist = {
+        "repro.lib:Base(name)": "seam",
+        "repro.lib:Base.read(fresh)": "seam",
+        "repro.lib:Base(gone)": "seam",
+    }
+    assert _params_of(repo).stale(allowlist) == {
+        "repro.lib:Base.read(fresh)": "now passed",
+        "repro.lib:Base(gone)": "deleted",
     }

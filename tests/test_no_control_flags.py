@@ -3,11 +3,12 @@
 Each chaos control is a named mutant in :mod:`repro.chaos.mutants`, a
 subclass overriding one protocol step.  A flag inside the sound code
 (``ReplicationConfig.fencing``, a binder's ``transaction_per_step``, the
-scenario's ``_flip_without_drain``) would put a branch for the broken
+scenario's ``_flip_without_drain``, the saga shop's
+``zombie_safe_refunds``) would put a branch for the broken
 variant back on every sound commit, and the idle ``append_window_ms``
 knob is gone with its batching code.  This test reads the replication
-package, the app binders and the chaos scenarios, and fails if one of
-those identifiers comes back.
+package, the app binders, the chaos scenarios and the saga shop, and
+fails if one of those identifiers comes back.
 
 The replication term has one owner: the replica fences a deposed
 leader's acks, so the storage engine names no fence, and
@@ -26,11 +27,11 @@ SRC = os.path.join(
 
 #: the sound code the controls used to live in
 CHECKED = ("replication", os.path.join("apps", "core", "binders"),
-           os.path.join("chaos", "scenarios.py"))
+           os.path.join("chaos", "scenarios.py"), os.path.join("apps", "shop.py"))
 
 #: identifier fragments of the retired switches
 RETIRED = ("fencing", "append_window", "transaction_per_step",
-           "_flip_without_drain")
+           "_flip_without_drain", "zombie_safe")
 
 
 def checked_files():
@@ -93,7 +94,7 @@ def read(relpath):
 def test_checked_sources_exist():
     files = dict(checked_sources())
     for name in ("replication/replica.py", "replication/config.py",
-                 "apps/core/binders/db.py", "chaos/scenarios.py"):
+                 "apps/core/binders/db.py", "chaos/scenarios.py", "apps/shop.py"):
         assert name in files
 
 
@@ -107,6 +108,7 @@ def test_the_guard_matches_what_it_forbids():
     assert switches_in("ReplicationConfig(append_window_ms=1.0)\n")
     assert switches_in("bind('db', env, spec, transaction_per_step=True)\n")
     assert switches_in("yield from self._flip_without_drain(0, 'n1')\n")
+    assert switches_in("MicroserviceShop(env, workload, zombie_safe_refunds=False)\n")
     assert not switches_in('"""Fencing: fencing tokens."""  # fencing\n')
     assert not switches_in("self._fence(term)\n")
 

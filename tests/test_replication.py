@@ -296,11 +296,17 @@ class TestReads:
         leader = group.leader_replica()
         session.observe(run(env, commit_row(env, group, "a", 2, replica=leader)))
 
-        # The restarted old leader is behind; a session read pinned to it
-        # must wait for catch-up rather than serve the stale value.
+        # The restarted old leader is behind; a session read that can only
+        # go to it (the other follower is down) must wait for catch-up
+        # rather than serve the stale value.
         net.nodes["n0"].restart()
+        for follower in group.follower_replicas():
+            if follower.node.name != "n0":
+                follower.node.crash("test")
         env.run(until=env.now + 1.0)
-        row = run(env, group.follower_read("kv", "a", session=session, node="n0"))
+        assert [r.node.name for r in group.follower_replicas()] == ["n0"]
+        assert group.replica_on("n0").applied_index < session.min_index
+        row = run(env, group.follower_read("kv", "a", session=session))
         assert row == {"id": "a", "value": 2}
         assert group.replica_on("n0").applied_index >= session.min_index
 
@@ -655,7 +661,7 @@ class TestReplicatedShardedDatabase:
     def test_rebalancer_plans_full_group_membership(self):
         env = Environment(seed=14)
         db = self._make_db(env, num_shards=4, num_nodes=5)
-        rebalancer = Rebalancer(env, db, min_load=0.5)
+        rebalancer = Rebalancer(env, db)
         for _ in range(4):
             db.shard_stats.record(0, 10.0)
         db.shard_stats.roll_window()
@@ -670,7 +676,7 @@ class TestReplicatedShardedDatabase:
     def test_rebalancer_plan_is_empty_membership_when_unreplicated(self):
         env = Environment(seed=15)
         db = ShardedDatabase(env, num_shards=4, name="plain")
-        rebalancer = Rebalancer(env, db, min_load=0.5)
+        rebalancer = Rebalancer(env, db)
         for _ in range(4):
             db.shard_stats.record(0, 10.0)
         db.shard_stats.roll_window()

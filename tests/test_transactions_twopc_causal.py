@@ -181,7 +181,7 @@ class TestCausalStore:
         store = CausalStore(env, ["r1", "r2"], replication_delay=10.0)
         session = store.session("r1")
         session.write("k", "v")
-        session.move_to("r2")
+        session.replica = "r2"
 
         def flow():
             value = yield from session.read("k")
