@@ -30,6 +30,13 @@ the commit discipline is the mode:
   cost — and a conflict retries the whole handler with fresh reads after
   a jittered backoff.
 
+  Inside a round, a service's ``read``, ``prepare`` or ``apply`` ships its
+  whole local transaction to its database as one request
+  (:meth:`~repro.db.server.DatabaseServer.ship`): one database round trip
+  per attempt, then each statement's service time — a one-row read is
+  ``rtt + 3 × service`` (begin, get, commit), a two-key prepare
+  ``rtt + 6 × service``.  The decisions are single statements already.
+
   **No-wait prepare.**  Preparing the services one after another in
   sorted order is what used to make this deadlock-free; preparing them
   all at once would let two transactions each hold one service and wait
@@ -61,7 +68,7 @@ from __future__ import annotations
 from typing import Any, Generator, Hashable, Optional
 
 from repro.apps.core.base import AppUncertain, Binder, BufferedContext, register_binder
-from repro.apps.core.retry import with_prepared_txn, with_txn
+from repro.apps.core.retry import with_shipped_txn
 from repro.apps.core.spec import AppSpec, EntitySpec, HandlerSpec, OpAccess
 from repro.microservices import Microservice
 from repro.sim import Environment
@@ -75,8 +82,10 @@ class _OccConflict(Exception):
     """A prepare-time version validation failed (retry with fresh reads)."""
 
 
-def _apply_writes(db, txn, table: str, writes: list, known: dict) -> Generator:
-    """Install buffered writes, bumping each row's version.
+def _apply_writes(request, table: str, writes: list, known: dict) -> Generator:
+    """Install buffered writes in a shipped local transaction
+    (:meth:`~repro.db.server.DatabaseServer.ship`), bumping each row's
+    version.
 
     ``known`` maps keys this transaction has already read to their rows;
     only the others are fetched.
@@ -85,13 +94,13 @@ def _apply_writes(db, txn, table: str, writes: list, known: dict) -> Generator:
         if key in known:
             current = known[key]
         else:
-            current = yield from db.get(txn, table, key)
+            current = yield from request.get(table, key)
         if row is None:
             if current is not None:
-                yield from db.delete(txn, table, key)
+                yield from request.delete(table, key)
             continue
         version = 0 if current is None else current.get("_v", 0)
-        yield from db.put(txn, table, key, dict(row, _v=version + 1))
+        yield from request.put(table, key, dict(row, _v=version + 1))
 
 
 class _MicroCtx(BufferedContext):
@@ -245,11 +254,11 @@ class MicroserviceBinder(Binder):
 
         @service.handler("read")
         def read(ctx, payload):
-            def body(txn):
-                row = yield from ctx.db.get(txn, table, payload["key"])
+            def body(request):
+                row = yield from request.get(table, payload["key"])
                 return row
 
-            row = yield from with_txn(ctx, body)
+            row = yield from with_shipped_txn(ctx, body)
             if row is None:
                 return {"row": None, "version": 0}
             row = dict(row)
@@ -258,11 +267,11 @@ class MicroserviceBinder(Binder):
 
         @service.handler("apply")
         def apply(ctx, payload):
-            def body(txn):
-                yield from _apply_writes(ctx.db, txn, table, payload["writes"], {})
+            def body(request):
+                yield from _apply_writes(request, table, payload["writes"], {})
                 return "applied"
 
-            result = yield from with_txn(ctx, body)
+            result = yield from with_shipped_txn(ctx, body)
             return result
 
         @service.handler("prepare")
@@ -281,20 +290,20 @@ class MicroserviceBinder(Binder):
             for key in keys:
                 claims[key] = txn_id
 
-            def body(txn):
+            def body(request):
                 validated = {}
                 for key, version in payload["reads"]:
-                    row = yield from ctx.db.get(txn, table, key)
+                    row = yield from request.get(table, key)
                     current = 0 if row is None else row.get("_v", 0)
                     if current != version:
                         raise _OccConflict(f"{table}/{key}")
                     validated[key] = row
                 yield from _apply_writes(
-                    ctx.db, txn, table, payload["writes"], validated
+                    request, table, payload["writes"], validated
                 )
 
             try:
-                txn = yield from with_prepared_txn(ctx, body)
+                txn = yield from with_shipped_txn(ctx, body, prepare=True)
             except _OccConflict:
                 release(keys)
                 return "conflict"

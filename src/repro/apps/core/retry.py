@@ -26,21 +26,10 @@ def with_txn(ctx, body: Callable, retries: int = ATTEMPTS) -> Generator:
     and ``.env``; microservice handler contexts and kernel binders both
     qualify.  Business errors (anything that is not a serialization
     failure) abort the transaction and propagate; deadlock/conflict
-    aborts are retried with backoff.
+    aborts are retried with backoff.  Every statement is its own round
+    trip to the database, as from an interactive client.
     """
-    for attempt in range(retries):
-        txn = yield from ctx.db.begin(SER)
-        try:
-            result = yield from body(txn)
-            yield from ctx.db.commit(txn)
-            return result
-        except TransactionAborted:
-            yield from ctx.db.abort(txn)
-            yield ctx.env.timeout(1.0 * (attempt + 1))
-        except Exception:
-            yield from ctx.db.abort(txn)
-            raise
-    raise RuntimeError("local transaction retries exhausted")
+    return _retrying(ctx.env, retries, lambda: _interactive(ctx.db, body, False))
 
 
 def with_prepared_txn(ctx, body: Callable) -> Generator:
@@ -50,16 +39,39 @@ def with_prepared_txn(ctx, body: Callable) -> Generator:
     local serializable protocol, durably prepare (locks now held), and
     hand the prepared transaction back for the coordinator's decision.
     """
-    for attempt in range(ATTEMPTS):
-        txn = yield from ctx.db.begin(SER)
+    return _retrying(ctx.env, ATTEMPTS, lambda: _interactive(ctx.db, body, True))
+
+
+def with_shipped_txn(ctx, body: Callable, prepare: bool = False) -> Generator:
+    """Like :func:`with_txn` (or, with ``prepare``, :func:`with_prepared_txn`),
+    but each attempt ships ``body(request)`` to the database as one request
+    (:meth:`~repro.db.server.DatabaseServer.ship`): one round trip per
+    attempt instead of one per statement."""
+    return _retrying(ctx.env, ATTEMPTS, lambda: ctx.db.ship(body, prepare))
+
+
+def _retrying(env, retries: int, attempt: Callable) -> Generator:
+    """Run ``attempt()`` until it ends without a serialization failure,
+    backing off linearly between attempts."""
+    for n in range(retries):
         try:
-            yield from body(txn)
-            yield from ctx.db.prepare(txn)
-            return txn
+            return (yield from attempt())
         except TransactionAborted:
-            yield from ctx.db.abort(txn)
-            yield ctx.env.timeout(1.0 * (attempt + 1))
-        except Exception:
-            yield from ctx.db.abort(txn)
-            raise
+            yield env.timeout(1.0 * (n + 1))
     raise RuntimeError("local transaction retries exhausted")
+
+
+def _interactive(db, body: Callable, prepare: bool) -> Generator:
+    """One attempt from an interactive client: returns the body's result,
+    or with ``prepare`` the prepared transaction; aborts on any error."""
+    txn = yield from db.begin(SER)
+    try:
+        result = yield from body(txn)
+        if prepare:
+            yield from db.prepare(txn)
+            return txn
+        yield from db.commit(txn)
+        return result
+    except Exception:
+        yield from db.abort(txn)
+        raise

@@ -102,9 +102,8 @@ class History:
         return self._append(ts, invoked.client, action, op_id, invoked.kind,
                             detail, value, span_id=invoked.span_id)
 
-    def ok(self, ts: float, op_id: str, value: Any = None,
-           detail: str = "") -> HistoryEvent:
-        return self._complete(ts, "ok", op_id, detail, value)
+    def ok(self, ts: float, op_id: str, value: Any = None) -> HistoryEvent:
+        return self._complete(ts, "ok", op_id, "", value)
 
     def fail(self, ts: float, op_id: str, detail: str = "") -> HistoryEvent:
         return self._complete(ts, "fail", op_id, detail, None)

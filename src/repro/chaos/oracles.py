@@ -71,14 +71,13 @@ class SnapshotAuditOracle(Oracle):
     transfers and must not install this oracle.
     """
 
-    def __init__(self, expected_total: int, kind: str = "audit") -> None:
+    def __init__(self, expected_total: int) -> None:
         self.name = "snapshot_audit"
         self.expected_total = expected_total
-        self.kind = kind
 
     def check(self, history: History, final_state: Any) -> list[Violation]:
         violations = []
-        for event in history.completions("ok", self.kind):
+        for event in history.completions("ok", "audit"):
             if event.value != self.expected_total:
                 violations.append(Violation(
                     self.name,

@@ -102,7 +102,7 @@ class MicroserviceScenario(Scenario):
         duplication_rate=(0.03, 0.15),
     )
 
-    def __init__(self, env: Environment, broken: bool = False) -> None:
+    def __init__(self, env: Environment, broken: bool) -> None:
         super().__init__(env, broken)
         self.workload = MarketplaceWorkload(
             num_products=6, initial_stock=200, payment_failure_rate=0.1
@@ -488,7 +488,7 @@ class OverloadScenario(Scenario):
     TRANSFER_MS = 8.0
     QUERY_MS = 6.0
 
-    def __init__(self, env: Environment, broken: bool = False) -> None:
+    def __init__(self, env: Environment, broken: bool) -> None:
         super().__init__(env, broken)
         self.workload = TransferWorkload(
             num_accounts=12, initial_balance=100, amount=10, theta=0.5

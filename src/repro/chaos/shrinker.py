@@ -46,7 +46,6 @@ def shrink(
     episodes: list[Episode],
     config: Optional[ChaosConfig] = None,
     broken: bool = False,
-    fast_path: bool = True,
 ) -> ShrinkReport:
     """Minimize ``episodes`` while the trial still finds a violation.
 
@@ -61,8 +60,7 @@ def shrink(
             return None
         budget["left"] -= 1
         result = run_trial(
-            runtime, seed, config=config, episodes=list(candidate),
-            fast_path=fast_path, broken=broken,
+            runtime, seed, config=config, episodes=list(candidate), broken=broken,
         )
         return result if result.violations else None
 

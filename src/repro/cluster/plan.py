@@ -29,16 +29,20 @@ def key_order(ref: Ref) -> tuple[str, str]:
 
 
 def by_partition(
-    refs: Iterable[Ref], partition_of: Callable[[Hashable], int]
+    refs: Iterable[Ref],
+    partition_of: Callable[[Hashable], int],
+    placed: dict[Ref, int],
 ) -> dict[int, list[Ref]]:
     """``{partition: refs in key order}``, partitions ascending.
 
-    ``partition_of`` maps a row key to its partition.  Iterating the result
+    ``partition_of`` maps a row key to its partition; each ref's partition
+    is also recorded in ``placed``, in the same pass.  Iterating the result
     walks ``refs`` in the global ``(partition, table, repr(key))`` order.
     """
     grouped: dict[int, list[Ref]] = {}
     for ref in refs:
-        grouped.setdefault(partition_of(ref[1]), []).append(ref)
+        part = placed[ref] = partition_of(ref[1])
+        grouped.setdefault(part, []).append(ref)
     return {part: sorted(grouped[part], key=key_order) for part in sorted(grouped)}
 
 

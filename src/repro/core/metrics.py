@@ -137,9 +137,7 @@ class MetricsCollector:
             return recorder.count if recorder is not None else 0
         return sum(r.count for r in self._latencies.values())
 
-    def failed(self, op: Optional[str] = None) -> int:
-        if op is not None:
-            return self._failures.get(op, 0)
+    def failed(self) -> int:
         return sum(self._failures.values())
 
     def latency(self, op: str) -> LatencyRecorder:

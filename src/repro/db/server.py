@@ -9,7 +9,7 @@ costs a round trip.
 
 from __future__ import annotations
 
-from typing import Any, Container, Generator, Hashable, Iterable, Optional
+from typing import Any, Callable, Container, Generator, Hashable, Iterable, Optional
 
 from repro.db.engine import Database, IsolationLevel, Transaction
 from repro.net.latency import Latency, Sampler
@@ -29,8 +29,10 @@ class DatabaseServer:
         Sampler for per-operation processing time (CPU + disk of the
         database node).
     network_rtt:
-        Sampler for the client's round trip to the database; charged once
-        per operation, as for a remote (external-state) database.
+        Sampler for the client's round trip to the database.  An
+        interactive client (the statement methods below) pays it once per
+        operation, as for a remote (external-state) database; a local
+        transaction shipped whole (:meth:`ship`) pays it once per attempt.
 
     The engine takes its fast-path mode from ``env``.  An already-granted
     pool connection is consumed without a suspension round trip, as an
@@ -244,6 +246,34 @@ class DatabaseServer:
             txn._conn_released = True  # type: ignore[attr-defined]
             self._pool.release()
 
+    # -- one local transaction as one request -------------------------------------
+
+    def ship(self, body: Callable, prepare: bool = False) -> Generator:
+        """Run ``body(request)`` as one local transaction sent in a single
+        request, the way a stored procedure runs.
+
+        The attempt pays ``network_rtt`` once, inside its begin's wait;
+        every later statement (the body's ``request.get``/``put``/
+        ``delete`` and the closing commit, prepare or abort) pays only its
+        service time.  Locks, validation and durability are the engine's,
+        unchanged.  Returns the body's result, or with ``prepare`` the
+        prepared transaction (decide it with :meth:`commit_prepared` /
+        :meth:`abort_prepared`).  Any exception aborts the transaction and
+        propagates: a retry is a new request and pays the round trip again.
+        """
+        txn = yield from self.begin()
+        request = _Shipped(self, txn)
+        try:
+            result = yield from body(request)
+            if prepare:
+                yield from request.prepare()
+                return txn
+            yield from request.commit()
+            return result
+        except Exception:
+            yield from request.abort()
+            raise
+
     # -- XA -----------------------------------------------------------------------
 
     def prepare(self, txn: Transaction) -> Generator:
@@ -281,3 +311,56 @@ class DatabaseServer:
             self.engine.abort_prepared(txn)
         finally:
             self._release_connection(txn)
+
+
+class _Shipped:
+    """The statements of one shipped local transaction
+    (:meth:`DatabaseServer.ship`): each pays its service time only, the
+    round trip having been paid by the begin."""
+
+    def __init__(self, server: DatabaseServer, txn: Transaction) -> None:
+        self.server = server
+        self.txn = txn
+
+    def _statement(self, name: str, work: Generator, **tags: Any) -> Generator:
+        gen = self._charged(work)
+        if self.server.env.tracer.enabled:
+            return self.server._traced(name, gen, **tags)
+        return gen
+
+    def _charged(self, work: Generator) -> Generator:
+        server = self.server
+        yield server.env.timeout(server._service(server._rng))
+        return (yield from work)
+
+    def get(self, table: str, key: Hashable) -> Generator:
+        work = self.server.engine.get(self.txn, table, key)
+        return self._statement("db.get", work, table=table)
+
+    def put(self, table: str, key: Hashable, row: dict) -> Generator:
+        work = self.server.engine.put(self.txn, table, key, row)
+        return self._statement("db.put", work, table=table)
+
+    def delete(self, table: str, key: Hashable) -> Generator:
+        work = self.server.engine.delete(self.txn, table, key)
+        return self._statement("db.delete", work, table=table)
+
+    def prepare(self) -> Generator:
+        return self._statement("db.prepare", self.server.engine.prepare(self.txn))
+
+    def commit(self) -> Generator:
+        try:
+            yield from self._statement("db.commit", self.server.engine.commit(self.txn))
+        finally:
+            self.server._release_connection(self.txn)
+
+    def abort(self) -> Generator:
+        try:
+            yield from self._statement("db.abort", self._abort())
+        finally:
+            self.server._release_connection(self.txn)
+
+    def _abort(self) -> Generator:
+        self.server.engine.abort(self.txn)
+        return
+        yield  # pragma: no cover

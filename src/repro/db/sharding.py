@@ -201,11 +201,13 @@ class _Round:
     A round is one round trip, then every group's entry is proposed
     (:meth:`ReplicaGroup.start`) before any ack is awaited, and the acks
     are collected in shard order; a group of one's entry has committed
-    by the time it is proposed, so it leaves nothing to await.  The
-    ``prepare`` entries are pinned to the leader each branch executed
-    on; the idempotent ``decide`` entries are re-proposed through
-    whichever leader emerges until they land, because a torn decision is
-    an atomicity violation the conservation oracle would catch.  Read-only branches hold no writes to replicate;
+    by the time it is proposed (it starts as its applied index), so it
+    leaves nothing to await, and a round with nothing to await collects
+    nothing.  The ``prepare`` entries are pinned to the leader each
+    branch executed on; the idempotent ``decide`` entries are
+    re-proposed through whichever leader emerges until they land,
+    because a torn decision is an atomicity violation the conservation
+    oracle would catch.  Read-only branches hold no writes to replicate;
     they are settled locally in the decision round.
     """
 
@@ -221,7 +223,7 @@ class _Round:
         proposal, a failed ack) is every write shard's vote."""
         db, txn, gid, proposed = self.db, self.txn, self.gid, self.proposed
         writing = [index for index in shards if txn.branches[index].writes]
-        started: list[tuple[int, Any]] = []
+        pending: list[tuple[int, Any]] = []
         try:
             if writing:
                 yield db.env.timeout(db.rtt_ms)
@@ -230,14 +232,17 @@ class _Round:
                 db._check_replica(txn, index)
                 writes = engine.stage_replicated(txn.branches[index], gid, prepared=True)
                 try:
-                    started.append((index, db._groups[index].start(
+                    proposal = db._groups[index].start(
                         ("prepare", gid, writes), txn.replicas[index]
-                    )))
+                    )
                 except (NotLeader, NoLeader):
                     engine.discard_replicated(gid)
                     raise
                 proposed.append(index)
-            yield from self._collect(started)
+                if proposal.__class__ is not int:
+                    pending.append((index, proposal))
+            if pending:
+                yield from self._collect(pending)
         except Exception as exc:
             return [exc if index in writing else PREPARED for index in shards]
         return [PREPARED] * len(shards)
@@ -254,10 +259,14 @@ class _Round:
         if commit or proposed:  # an abort no group must log settles locally
             yield db.env.timeout(db.rtt_ms)
         decide = ("decide", self.gid, commit)
-        decides = [
-            (index, groups[index].start(decide, None, _DECIDE_TIMEOUT_MS, True))
-            for index in proposed
-        ]
+        applied = txn.applied
+        pending: list[tuple[int, Any]] = []
+        for index in proposed:
+            proposal = groups[index].start(decide, None, _DECIDE_TIMEOUT_MS, True)
+            if proposal.__class__ is int:
+                applied[index] = proposal
+            else:
+                pending.append((index, proposal))
         errors: dict[int, Exception] = {}
         for index in shards:
             if index in proposed:
@@ -270,36 +279,32 @@ class _Round:
                     engine.abort(branch)
             except Exception as exc:
                 errors[index] = exc
-        try:
-            txn.applied.update((yield from self._collect(decides, errors)))
-        except Interrupted:
-            # The coordinator's node crashed, but the decision is made:
-            # a detached process keeps collecting the decides, or the
-            # shards they have not reached stay prepared and locked.
-            db.env.process(
-                self._collect(decides, {}), label=f"{db.name}.decide:{self.gid}"
-            )
-            raise
+        if pending:
+            try:
+                applied.update((yield from self._collect(pending, errors)))
+            except Interrupted:
+                # The coordinator's node crashed, but the decision is made:
+                # a detached process keeps collecting the decides, or the
+                # shards they have not reached stay prepared and locked.
+                db.env.process(
+                    self._collect(pending, {}), label=f"{db.name}.decide:{self.gid}"
+                )
+                raise
         return [errors.get(index) for index in shards]
 
     def _collect(
         self,
-        started: list[tuple[int, Any]],
+        pending: list[tuple[int, Any]],
         errors: Optional[dict[int, Exception]] = None,
     ) -> Generator:
-        """Await started proposals in shard order, inside the calling
+        """Await pending proposals in shard order, inside the calling
         process (:meth:`ReplicaGroup.wait`); returns ``{shard: applied
-        log index}``.  An entry that committed as it was proposed (a
-        group of one) started as its index, and is taken as it is.  The
-        first failed wait raises, unless ``errors`` is given: then each
-        shard's failure is recorded there and the rest are still
-        awaited."""
+        log index}``.  The first failed wait raises, unless ``errors`` is
+        given: then each shard's failure is recorded there and the rest
+        are still awaited."""
         groups = self.db._groups
         applied: dict[int, int] = {}
-        for index, proposal in started:
-            if proposal.__class__ is int:
-                applied[index] = proposal
-                continue
+        for index, proposal in pending:
             try:
                 applied[index] = yield from groups[index].wait(proposal)
             except (ReplicationError, FencedOut) as exc:
@@ -667,10 +672,7 @@ class ShardedDatabase:
         are touched; each wait adds one.  Returns
         ``{(table, key): row or None}``.
         """
-        by_shard = by_partition(refs, self.router.shard_of)
-        locked = txn.locked
-        for shard, shard_refs in by_shard.items():
-            locked.update(dict.fromkeys(shard_refs, shard))
+        by_shard = by_partition(refs, self.router.shard_of, txn.locked)
         pending = list(by_shard)
         for shard in pending:
             yield from self._open_branch(txn, shard)

@@ -132,7 +132,6 @@ class WorkloadDriver:
         execute: Executor,
         arrival,
         invariants: Iterable[Invariant] = (),
-        state: Any = None,
         state_fn: Optional[Callable[[], Any]] = None,
     ) -> Generator:
         """Drive the whole run; returns a :class:`RunResult`.
@@ -146,7 +145,7 @@ class WorkloadDriver:
         self.metrics.start(started)
         yield from arrival.drive(self.env, self.issue_fn(ops, execute))
         self.metrics.stop(self.env.now)
-        final_state = state_fn() if state_fn is not None else state
+        final_state = state_fn() if state_fn is not None else None
         report = self.ledger.reconcile(invariants=invariants, state=final_state)
         tracer = self.env.tracer
         return RunResult(

@@ -137,13 +137,13 @@ class Network:
         """Drop each matching message independently with probability ``rate``."""
         self._faults_for(src, dst).drop_rate = rate
 
-    def set_duplication(self, rate: float, src: str = "*", dst: str = "*") -> None:
-        """Duplicate each matching message with probability ``rate``."""
-        self._faults_for(src, dst).duplicate_rate = rate
+    def set_duplication(self, rate: float) -> None:
+        """Duplicate each message with probability ``rate``."""
+        self._global_faults.duplicate_rate = rate
 
-    def set_extra_delay(self, delay: float, src: str = "*", dst: str = "*") -> None:
-        """Add a fixed delay to each matching message (congestion)."""
-        self._faults_for(src, dst).extra_delay = delay
+    def set_extra_delay(self, delay: float) -> None:
+        """Add a fixed delay to each message (congestion)."""
+        self._global_faults.extra_delay = delay
 
     def partition(self, group_a: list[str], group_b: list[str]) -> None:
         """Cut bidirectional connectivity between two groups of nodes."""

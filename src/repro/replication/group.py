@@ -162,12 +162,10 @@ class ReplicaGroup:
         leader = self.leader_replica()
         return leader.node.name if leader is not None else None
 
-    def wait_leader(self, timeout: Optional[float] = None) -> Generator:
+    def wait_leader(self) -> Generator:
         """Poll until a live, :attr:`~Replica.servable` leader claims the
-        group; NoLeader on timeout."""
-        deadline = self.env.now + (
-            timeout if timeout is not None else LEADER_WAIT_MS
-        )
+        group; NoLeader after ``LEADER_WAIT_MS``."""
+        deadline = self.env.now + LEADER_WAIT_MS
         while True:
             leader = self.leader_replica()
             if leader is not None and leader.servable:
@@ -196,7 +194,6 @@ class ReplicaGroup:
         self,
         command: tuple[Any, ...],
         replica: Optional[Replica] = None,
-        timeout: Optional[float] = None,
     ) -> Generator:
         """Propose ``command`` and await its quorum acknowledgement.
 
@@ -207,7 +204,7 @@ class ReplicaGroup:
         :meth:`start` (never retrying) then, for an entry that did not
         commit as it was proposed, :meth:`wait`.
         """
-        proposal = self.start(command, replica, timeout, False)
+        proposal = self.start(command, replica)
         if proposal.__class__ is int:
             return proposal
         return (yield from self.wait(proposal))

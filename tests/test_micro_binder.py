@@ -7,12 +7,16 @@ a decision reaches every reachable participant.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from repro.apps.core import AppSpec, EntitySpec, HandlerSpec, bind
+from repro.apps.core.retry import with_shipped_txn, with_txn
 from repro.apps.ledger import ledger_spec
 from repro.chaos import Episode, run_trial
+from repro.db.errors import TransactionAborted
+from repro.db.server import DatabaseServer
 from repro.messaging import RpcRemoteError, RpcTimeout
 from repro.net import Latency
 from repro.obs import Tracer
@@ -323,3 +327,90 @@ def test_a_crash_mid_decision_does_not_acknowledge_an_uninstalled_commit():
     crash = Episode(kind="crash", start=98.444, duration=10.626, target="accounts")
     result = run_trial("ledger", 26, episodes=[crash])
     assert result.violations == []
+
+
+# -- one database round trip per local transaction ---------------------------
+
+RTT, SERVICE = 1.0, 0.25
+
+
+def pin_db_costs(server):
+    server._rtt = Latency.constant(RTT)
+    server._service = Latency.constant(SERVICE)
+
+
+class TestOneRoundTripPerLocalTransaction:
+    """A service ships each local transaction to its database whole
+    (``DatabaseServer.ship``): ``network_rtt`` once per attempt, then each
+    statement's service time; interactive clients still pay per statement."""
+
+    def setup_method(self):
+        self.env = Environment(seed=9, tracer=Tracer())
+        self.binder = ledger_binder(self.env)
+        for server in self.binder.app.databases.values():
+            pin_db_costs(server)
+        run(self.env, self.binder.setup())
+
+    def handled(self, method, payload):
+        """The handler time of one request to the accounts service."""
+        reply = run(self.env, self.binder.request(
+            "accounts", method, payload, f"test-{method}"
+        ))
+        (span,) = [s for s in self.env.tracer.find("rpc.handle")
+                   if s.tags["method"] == method]
+        return reply, span.duration
+
+    def test_read_is_one_round_trip_and_three_statements(self):
+        reply, took = self.handled("read", {"key": "k"})
+        assert reply == {"row": None, "version": 0}
+        assert took == pytest.approx(RTT + 3 * SERVICE)  # begin, get, commit
+
+    @pytest.mark.parametrize("keys", [1, 2, 3])
+    def test_prepare_is_one_round_trip_whatever_its_statement_count(self, keys):
+        names = [f"k{i}" for i in range(keys)]
+        payload = {"txn_id": "t1", "reads": [[k, 0] for k in names],
+                   "writes": [[k, {"id": k, "balance": 1}] for k in names]}
+        reply, took = self.handled("prepare", payload)
+        assert reply == "prepared"
+        # begin, a get and a put per key, prepare
+        assert took == pytest.approx(RTT + (2 + 2 * keys) * SERVICE)
+
+
+def shipped_ctx(env):
+    server = DatabaseServer(env, name="d")
+    pin_db_costs(server)
+    server.create_table("t")
+    server.load("t", [{"id": 1, "n": 0}])
+    return SimpleNamespace(env=env, db=server)
+
+
+def test_a_retried_shipped_attempt_pays_the_round_trip_again():
+    env = Environment(seed=1)
+    ctx = shipped_ctx(env)
+    attempts = []
+
+    def body(request):
+        attempts.append(env.now)
+        row = yield from request.get("t", 1)
+        if len(attempts) == 1:
+            raise TransactionAborted(0, "injected")
+        return row["n"]
+
+    assert run(env, with_shipped_txn(ctx, body)) == 0
+    # begin | get, abort | backoff 1 ms | begin | get, commit
+    first = RTT + 3 * SERVICE
+    assert attempts == [RTT + SERVICE, first + 1.0 + RTT + SERVICE]
+    assert env.now == pytest.approx(first + 1.0 + RTT + 3 * SERVICE)
+    assert ctx.db._pool.available == 32  # both attempts gave their connection back
+
+
+def test_an_interactive_transaction_still_pays_a_round_trip_per_statement():
+    env = Environment(seed=1)
+    ctx = shipped_ctx(env)
+
+    def body(txn):
+        row = yield from ctx.db.get(txn, "t", 1)
+        yield from ctx.db.put(txn, "t", 1, dict(row, n=1))
+
+    run(env, with_txn(ctx, body))
+    assert env.now == pytest.approx(4 * (RTT + SERVICE))  # begin, get, put, commit

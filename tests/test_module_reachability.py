@@ -52,8 +52,9 @@ Rules of the parameter walk (:class:`_Params`):
   its own ``__init__``, or a name bound to the class
   (``group_class = ReplicaGroup``); through a function that hands the
   callable its ``**kwargs`` (keywords only); or as a string key of a dict
-  literal or ``dict(...)`` there, which is how binder and scenario options
-  arrive.  Tests never count.
+  literal or ``dict(...)`` there that reaches a call through ``**``, which
+  is how binder and scenario options arrive (:func:`_spread_keys`).  Tests
+  never count.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ PARAM_ALLOWLIST = {
         SEAM + " (a recording or constant-latency object store)",
     "repro.dataflow.statefun:StatefunRuntime(checkpoint_store)":
         SEAM + " (a constant-latency object store)",
+    "repro.net.network:Network.set_loss(src)": "seam: tests lose one direction of one link",
+    "repro.net.network:Network.set_loss(dst)": "seam: tests lose one direction of one link",
     "repro.messaging.broker:Broker(max_backlog)":
         "ROADMAP item 12 (bounded partitions, docs/OVERLOAD.md rule 3)",
 }
@@ -401,8 +404,9 @@ def _callee(call: ast.Call) -> str:
 
 class _Calls(ast.NodeVisitor):
     """Every call in one tree as ``callee -> [(line, positional, keywords)]``,
-    the string keys of its dict literals and ``dict(...)`` calls, and the
-    names that call something by another name.
+    the names that call something by another name, the expressions spread
+    into a call with ``**`` and what every name is bound to (the input of
+    :func:`_spread_keys`).
 
     ``positional`` counts the arguments, or is infinite once a ``*args``
     could fill any position.  ``super().__init__(...)`` inside a class
@@ -411,7 +415,11 @@ class _Calls(ast.NodeVisitor):
 
     def __init__(self, tree: ast.Module) -> None:
         self.calls: dict[str, list[tuple[int, float, set[str]]]] = {}
-        self.keys: set[str] = set()
+        #: every ``expr`` of a ``**expr`` call argument
+        self.spread: list[ast.expr] = []
+        #: ``name -> [(value, iterated)]``: assignments, keyword arguments
+        #: and loop targets (``iterated``: the name takes an item of value)
+        self.bound: dict[str, list[tuple[ast.expr, bool]]] = {}
         #: ``callee -> names of the functions that hand it their **kwargs``
         self.forwarders: dict[str, set[str]] = {}
         #: ``name -> names that call it``: a name bound to it
@@ -440,24 +448,45 @@ class _Calls(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+    def _bind(self, target: ast.expr, value: ast.expr, iterated: bool) -> None:
+        """Bind the names of ``target`` (not a subscript's or attribute's)."""
+        if isinstance(target, ast.Name):
+            self.bound.setdefault(target.id, []).append((value, iterated))
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self._bind(elt, value, iterated)
+        elif isinstance(target, ast.Starred):
+            self._bind(target.value, value, iterated)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         if isinstance(node.value, (ast.Name, ast.Attribute)):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.aliases.setdefault(_decorator_name(node.value), set()).add(target.id)
+        for target in node.targets:
+            self._bind(target, node.value, False)
         self.generic_visit(node)
 
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self.keys.update(
-            key.value for key in node.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        )
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self._bind(node.target, node.value, False)
+        self.generic_visit(node)
+
+    def visit_For(self, node: ast.For) -> None:
+        self._bind(node.target, node.iter, True)
+        self.generic_visit(node)
+
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        self._bind(node.target, node.iter, True)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _callee(node)
-        if callee == "dict":
-            self.keys.update(k.arg for k in node.keywords if k.arg)
+        for k in node.keywords:
+            if k.arg is None:
+                self.spread.append(k.value)
+            else:
+                self.bound.setdefault(k.arg, []).append((k.value, False))
         starred = any(isinstance(arg, ast.Starred) for arg in node.args)
         positional = float("inf") if starred else len(node.args)
         keywords = {k.arg for k in node.keywords if k.arg}
@@ -493,25 +522,27 @@ class _Params:
     through an alias, see :class:`_Calls`) and passes it by keyword or by
     position, when a function that forwards its ``**kwargs`` to the
     callable is called with it by keyword, or when its name is a string key
-    of some dict literal or ``dict(...)`` there (binder and scenario
-    options arrive as ``**opts``).  Matching is by name only, like
+    of a dict literal or ``dict(...)`` there that reaches some call through
+    ``**`` (binder and scenario options arrive as ``**opts``;
+    :func:`_spread_keys`).  Matching is by name only, like
     :class:`_Symbols`.
     """
 
     def __init__(self, walk: _Walk, symbols: _Symbols, repo: str = REPO) -> None:
         calls: dict[str, list[tuple[str, int, float, set[str]]]] = {}
-        keys: set[str] = set()
         aliases: dict[str, set[str]] = {}
         forwarders: dict[str, set[str]] = {}
+        trees = []
         for path in sorted(walk.modules.values()) + _roots(repo):
             found = _Calls(walk._tree(path))
-            keys |= found.keys
+            trees.append(found)
             for name, sites in found.calls.items():
                 calls.setdefault(name, []).extend((path, *site) for site in sites)
             for name, names in found.forwarders.items():
                 forwarders.setdefault(name, set()).update(names)
             for name, names in found.aliases.items():
                 aliases.setdefault(name, set()).update(names)
+        keys = _spread_keys(trees)
         #: ``module:qualname(parameter)`` for every checked parameter
         self.defined: set[str] = set()
         #: the checked parameters no non-test call passes
@@ -547,6 +578,67 @@ class _Params:
             for entry in allowlist
             if entry not in self.unpassed
         }
+
+
+def _spread_keys(trees: list[_Calls]) -> set[str]:
+    """The string keys of every dict literal or ``dict(...)`` call whose
+    value reaches a call as its ``**`` argument.
+
+    The walk starts at every spread expression and follows, by name only,
+    what each name is bound to.  It carries the path from the expression
+    it has reached to the spread mapping: ``item`` steps into a
+    subscripted or iterated container, ``part`` into an attribute.  So
+    ``bind(..., **opts)`` after ``opts = DEPLOYMENTS[name].sound`` counts
+    the option dicts among the arguments of each ``DEPLOYMENTS`` entry,
+    but not the entries' own keys.
+    """
+    bound: dict[str, list[tuple[ast.expr, bool]]] = {}
+    for found in trees:
+        for name, values in found.bound.items():
+            bound.setdefault(name, []).extend(values)
+    keys: set[str] = set()
+    todo: list[tuple[ast.expr, tuple]] = [
+        (expr, ()) for found in trees for expr in found.spread
+    ]
+    seen: set[tuple[int, tuple]] = set()
+    while todo:
+        node, path = todo.pop()
+        if (id(node), path) in seen or len(path) > 4:
+            continue
+        seen.add((id(node), path))
+        step, rest = path[:1], path[1:]
+        if isinstance(node, ast.Name):
+            todo.extend(
+                (value, ("item",) + path if iterated else path)
+                for value, iterated in bound.get(node.id, ())
+            )
+        elif isinstance(node, ast.Subscript):
+            todo.append((node.value, ("item",) + path))
+        elif isinstance(node, ast.Attribute):
+            todo.append((node.value, ("part",) + path))
+        elif isinstance(node, ast.IfExp):
+            todo.extend([(node.body, path), (node.orelse, path)])
+        elif isinstance(node, ast.BoolOp):
+            todo.extend((value, path) for value in node.values)
+        elif isinstance(node, (ast.List, ast.Tuple, ast.Set)) and step != ("part",):
+            # an item, or one target of a tuple unpacking
+            todo.extend((elt, rest) for elt in node.elts)
+        elif isinstance(node, ast.Dict) and step == ("item",):
+            todo.extend((value, rest) for value in node.values)
+        elif isinstance(node, ast.Dict) and not path:
+            for key, value in zip(node.keys, node.values):
+                if key is None:  # {**other, ...}
+                    todo.append((value, ()))
+                elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    keys.add(key.value)
+        elif isinstance(node, ast.Call) and not path and _callee(node) == "dict":
+            keys.update(k.arg for k in node.keywords if k.arg)
+            todo.extend((arg, ()) for arg in node.args)
+        elif isinstance(node, ast.Call) and step == ("part",):
+            # an object built with the mapping among its arguments
+            todo.extend((arg, rest) for arg in node.args)
+            todo.extend((k.value, rest) for k in node.keywords)
+    return keys
 
 
 def _named(callee: str, *edges: dict[str, set[str]]) -> set[str]:
@@ -814,6 +906,35 @@ def test_keyword_position_and_options_dict_pass_a_parameter(tmp_path):
     # ``name`` by an options dict, ``size`` through a **kwargs forwarder,
     # ``limit`` by keyword, ``depth`` by position, ``spare`` by keyword
     assert params.unpassed == {"repro.lib:Base.read(fresh)"}
+
+
+def test_only_a_dict_that_reaches_a_spread_passes_a_parameter(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/lib.py": (
+            "class Pool:\n"
+            "    def __init__(self, size=1, name='p', label=''):\n"
+            "        self.size = size\n"
+        ),
+        "src/repro/deploy.py": (
+            "from repro.lib import Pool\n\n"
+            "DEPLOYMENTS = {'label': Deployment({'size': 2})}\n"
+            "ROW = {'name': 'x'}\n\n\n"
+            "def deploy(which):\n"
+            "    deployment = DEPLOYMENTS[which]\n"
+            "    return Pool(**deployment.opts)\n"
+        ),
+        "scripts/run.py": (
+            "from repro.deploy import ROW, deploy\n\n"
+            "print(ROW)\n"
+            "deploy('label')\n"
+        ),
+    })
+    # ``size`` arrives in a deployment's options; ``name`` is only a key of
+    # a dict that reaches no call, ``label`` only the registry's own key
+    assert _params_of(repo).unpassed == {
+        "repro.lib:Pool(name)", "repro.lib:Pool(label)",
+    }
 
 
 def test_a_positional_argument_before_the_index_does_not_pass(tmp_path):

@@ -189,7 +189,7 @@ for i in range(40):
 waves = conflict_waves(batch, lambda item: item[1])
 digest = [("waves", [[tid for tid, _keys in wave] for wave in waves])]
 for tid, keys in batch:
-    parts = by_partition(keys, lambda key: stable_hash(key) % 5)
+    parts = by_partition(keys, lambda key: stable_hash(key) % 5, {{}})
     digest.append((tid, list(parts.items())))
 print(digest)
 """
