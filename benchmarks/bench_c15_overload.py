@@ -77,7 +77,7 @@ def run_point(multiplier: float, sound: bool, seed: int, duration_ms: float) -> 
     service = net.add_node("bank")
     edge = net.add_node("edge")
     admission = AdmissionController(8, name="bank.admission") if sound else None
-    dedup = IdempotencyStore(clock=lambda: env.now) if sound else None
+    dedup = IdempotencyStore() if sound else None
     server = RpcServer(net, service, dedup_store=dedup, admission=admission)
     server.register("transfer", bank.execute)
     client = RpcClient(net, edge)

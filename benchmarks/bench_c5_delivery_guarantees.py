@@ -39,7 +39,7 @@ def run_protocol(label, retries, dedup, seed):
     net.set_loss(LOSS)
     ledger = EffectLedger()
     state = {"count": 0}
-    store = IdempotencyStore(clock=lambda: env.now) if dedup else None
+    store = IdempotencyStore() if dedup else None
     server = RpcServer(net, net.node("server"), dedup_store=store)
 
     def incr(payload):

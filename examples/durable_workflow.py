@@ -65,7 +65,7 @@ def main():
     reserved = sum(1 for s in side_effects if s.startswith("reserved"))
     print(f"\n'reserve_stock' executed {reserved} time(s) despite the crash —")
     print("its completion was already in the history, so replay skipped it.")
-    print(f"engine stats: {engine.stats}")
+    print(f"workflow replays: {engine.stats.replays}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ class Actor:
         self.key = key
         self.state: dict[str, Any] = dict(type(self).initial_state)
         self._runtime = None  # wired by the silo at activation
-        self.activation_count = 0
 
     # -- lifecycle (overridable) ----------------------------------------------
 

@@ -154,7 +154,6 @@ class _Silo:
             self.runtime.stats.migrations += 1
         self.activations[ident] = actor
         self.runtime.stats.activations += 1
-        actor.activation_count += 1
         yield from actor.on_activate()
         return actor
 

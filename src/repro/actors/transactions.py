@@ -60,8 +60,6 @@ class CommitUncertain(TransactionFailed):
 class ActorTxnStats:
     committed: int = 0
     aborted: int = 0
-    lock_timeouts: int = 0
-    commit_uncertain: int = 0
 
 
 class TxnSession:
@@ -251,8 +249,7 @@ class ActorTransactionCoordinator:
             self.stats.committed += 1
             return result
         except CommitUncertain:
-            self.stats.commit_uncertain += 1
-            raise
+            raise  # decided commit: not an abort
         except TransactionFailed:
             self.stats.aborted += 1
             raise
@@ -282,7 +279,6 @@ class ActorTransactionCoordinator:
                 if winner[0] == 1:
                     # Timed out; if the grant races in later, give it back.
                     acquired.add_done_callback(lambda _f, l=lock: l.release())
-                    self.stats.lock_timeouts += 1
                     raise TransactionFailed(f"txn {txn_id}: lock timeout on {ident}")
             held.append(lock)
 

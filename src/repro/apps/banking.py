@@ -146,14 +146,12 @@ class ActorBank(KernelApp):
         self.runtime = ActorRuntime(env)
         self.runtime.register(_AccountActor)
         self.coordinator = ActorTransactionCoordinator(self.runtime)
-        self._loaded = False
 
     def setup(self) -> Generator:
         """Load initial balances (must run inside the simulation)."""
         for row in self.workload.initial_rows():
             ref = self.runtime.ref("_AccountActor", row["id"])
             yield from ref.call("load", row["balance"])
-        self._loaded = True
 
     def execute(self, op: TransferOp) -> Generator:
         if self.mode == "plain":

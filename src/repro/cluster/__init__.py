@@ -25,7 +25,6 @@ See ``docs/CLUSTER.md`` for the protocol and the determinism contract.
 
 from repro.cluster.directory import (
     ClusterError,
-    DirectoryStats,
     MigrationRecord,
     PlacementDirectory,
 )
@@ -42,7 +41,6 @@ from repro.cluster.stats import ShardStats
 
 __all__ = [
     "ClusterError",
-    "DirectoryStats",
     "MigrationRecord",
     "MigrationStats",
     "Move",

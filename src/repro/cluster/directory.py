@@ -22,7 +22,7 @@ directory coordinates, not the metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from repro.sim import Environment
@@ -43,14 +43,6 @@ class MigrationRecord:
     phase: str = "drain"  # drain | copy | flip
 
 
-@dataclass
-class DirectoryStats:
-    ownership_flips: int = 0
-    migrations_begun: int = 0
-    migrations_aborted: int = 0
-    stale_lookups: int = 0
-
-
 class PlacementDirectory:
     """Authoritative shard→node and ident→node placement records."""
 
@@ -61,7 +53,6 @@ class PlacementDirectory:
         self._groups: dict[int, tuple[str, ...]] = {}
         self._migrating: dict[int, MigrationRecord] = {}
         self._activations: dict[Hashable, str] = {}
-        self.stats = DirectoryStats()
 
     # -- shard ownership ----------------------------------------------------
 
@@ -115,7 +106,6 @@ class PlacementDirectory:
             return
         self._owners[shard] = node
         self._epochs[shard] = self._epochs.get(shard, 0) + 1
-        self.stats.ownership_flips += 1
 
     # -- migration lifecycle ------------------------------------------------
 
@@ -137,7 +127,6 @@ class PlacementDirectory:
             shard=shard, source=source, dest=dest, started_at=self.env.now
         )
         self._migrating[shard] = record
-        self.stats.migrations_begun += 1
         return record
 
     def complete_migration(self, shard: int) -> None:
@@ -147,12 +136,10 @@ class PlacementDirectory:
             raise ClusterError(f"shard {shard} is not migrating")
         self._owners[shard] = record.dest
         self._epochs[shard] = self._epochs.get(shard, 0) + 1
-        self.stats.ownership_flips += 1
 
     def abort_migration(self, shard: int) -> None:
         """Cancel an in-flight migration; ownership is unchanged."""
-        if self._migrating.pop(shard, None) is not None:
-            self.stats.migrations_aborted += 1
+        self._migrating.pop(shard, None)
 
     # -- activation registry (virtual actors) -------------------------------
 

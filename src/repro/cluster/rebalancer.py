@@ -44,8 +44,6 @@ class RebalanceTarget(Protocol):
 
 @dataclass
 class RebalancerStats:
-    cycles: int = 0
-    planned: int = 0
     completed: int = 0
     failed: int = 0
 
@@ -55,7 +53,6 @@ class Move:
     shard: int
     source: str
     dest: str
-    reason: str
     #: full membership of the relocated replica group, ``dest`` first
     #: (empty: too few nodes to plan it, the target chooses)
     dest_nodes: tuple[str, ...] = ()
@@ -117,10 +114,6 @@ class Rebalancer:
             shard=shard,
             source=hot_node,
             dest=cold_node,
-            reason=(
-                f"node load {loads[hot_node]:.1f} > "
-                f"{self.imbalance_factor:g}x {loads[cold_node]:.1f}"
-            ),
             dest_nodes=self._plan_dest_nodes(shard, cold_node, loads),
         )
 
@@ -167,12 +160,10 @@ class Rebalancer:
 
     def run_cycle(self) -> Generator:
         """One observe→plan→migrate cycle (public for tests and benches)."""
-        self.stats.cycles += 1
         self.target.shard_stats.roll_window()
         move = self.plan()
         if move is None:
             return None
-        self.stats.planned += 1
         try:
             yield from self.target.migrate_shard(
                 move.shard, move.dest, list(move.dest_nodes) or None

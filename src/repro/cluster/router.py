@@ -22,7 +22,6 @@ from repro.cluster.hashing import shard_of
 
 @dataclass
 class RouterStats:
-    lookups: int = 0
     forwards: int = 0
 
 
@@ -59,13 +58,11 @@ class Router:
         client bootstrap would).  After an ownership flip, the next lookup
         per shard pays exactly one forward and repairs the cache.
         """
-        self.stats.lookups += 1
         owner = self.directory.owner_of(shard)
         epoch = self.directory.epoch(shard)
         cached = self._cache.get(shard)
         forwarded = cached is not None and cached != (owner, epoch)
         if forwarded:
             self.stats.forwards += 1
-            self.directory.stats.stale_lookups += 1
         self._cache[shard] = (owner, epoch)
         return Route(shard=shard, node=owner, epoch=epoch, forwarded=forwarded)

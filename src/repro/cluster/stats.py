@@ -26,7 +26,6 @@ class ShardStats:
         self.window: list[float] = [0.0] * num_shards
         self.total: list[float] = [0.0] * num_shards
         self._ewma: list[float] = [0.0] * num_shards
-        self.windows_rolled = 0
 
     def record(self, shard: int, cost: float = 1.0) -> None:
         self.window[shard] += cost
@@ -40,7 +39,6 @@ class ShardStats:
                 alpha * self.window[shard] + (1.0 - alpha) * self._ewma[shard]
             )
             self.window[shard] = 0.0
-        self.windows_rolled += 1
 
     def load_of(self, shard: int) -> float:
         """Smoothed load; includes the live window so cold starts see data."""

@@ -92,7 +92,6 @@ class OpSummary:
     mean_ms: float
     p50_ms: float
     p99_ms: float
-    throughput_per_s: float
 
 
 class MetricsCollector:
@@ -131,10 +130,7 @@ class MetricsCollector:
     #: read paths never insert rows (it is never handed out for writing).
     _EMPTY = LatencyRecorder()
 
-    def completed(self, op: Optional[str] = None) -> int:
-        if op is not None:
-            recorder = self._latencies.get(op)
-            return recorder.count if recorder is not None else 0
+    def completed(self) -> int:
         return sum(r.count for r in self._latencies.values())
 
     def failed(self) -> int:
@@ -152,12 +148,12 @@ class MetricsCollector:
         """The live per-operation recorders (do not mutate)."""
         return dict(self._latencies)
 
-    def throughput(self, op: Optional[str] = None) -> float:
+    def throughput(self) -> float:
         """Completed operations per second of virtual time (window-scaled)."""
         window_s = self.window / 1000.0  # clock unit is ms
         if window_s <= 0:
             return 0.0
-        return self.completed(op) / window_s
+        return self.completed() / window_s
 
     def summary(self) -> list[OpSummary]:
         """One row per operation type, sorted by name."""
@@ -172,7 +168,6 @@ class MetricsCollector:
                     mean_ms=recorder.mean,
                     p50_ms=recorder.p(50),
                     p99_ms=recorder.p(99),
-                    throughput_per_s=self.throughput(name),
                 )
             )
         return rows

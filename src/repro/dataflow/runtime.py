@@ -46,10 +46,8 @@ class _Barrier:
 class DataflowStats:
     records_processed: int = 0
     checkpoints_completed: int = 0
-    checkpoints_abandoned: int = 0
     recoveries: int = 0
     replayed_records: int = 0
-    sink_emits: int = 0
 
 
 class _InputGate:
@@ -299,9 +297,7 @@ class _Coordinator:
                 sink.on_checkpoint_complete(checkpoint_id)
 
     def abandon_inflight(self) -> None:
-        if self._inflight is not None:
-            self._inflight = None
-            self.runtime.stats.checkpoints_abandoned += 1
+        self._inflight = None
 
     def last_completed(self) -> Optional[tuple[int, dict]]:
         return self.completed[-1] if self.completed else None
@@ -424,7 +420,6 @@ class DataflowRuntime:
 
     def _deliver_output(self, sink: str, key: Any, value: Any) -> None:
         self._outputs[sink].append((key, value, self.env.now))
-        self.stats.sink_emits += 1
 
     def sink_outputs(self, sink: str) -> list[tuple[Any, Any, float]]:
         """Externally visible outputs: ``(key, value, emitted_at)``."""

@@ -37,14 +37,9 @@ StatefulFunction = Callable[["FunctionContext", Hashable, Any], Generator]
 
 @dataclass
 class StatefunStats:
-    ingressed: int = 0
-    invocations: int = 0
-    internal_messages: int = 0
-    cross_partition: int = 0
     checkpoints: int = 0
     recoveries: int = 0
     replayed: int = 0
-    egressed: int = 0
 
 
 class FunctionContext:
@@ -130,7 +125,6 @@ class StatefunRuntime:
         if fn_type not in self._functions:
             raise KeyError(f"no function {fn_type!r}")
         self._ingress_log.append((fn_type, key, message))
-        self.stats.ingressed += 1
         self._wake_dispatcher()
 
     # -- state --------------------------------------------------------------------
@@ -190,7 +184,6 @@ class StatefunRuntime:
                 yield self.env.timeout(WORK_MS)
                 fn = self._functions[fn_type]
                 ctx = FunctionContext(self, fn_type, key)
-                self.stats.invocations += 1
                 yield from fn(ctx, key, message)
             finally:
                 lock.release()
@@ -202,10 +195,8 @@ class StatefunRuntime:
     ) -> None:
         if fn_type not in self._functions:
             raise KeyError(f"no function {fn_type!r}")
-        self.stats.internal_messages += 1
         delay = 0.0
         if self._partition(key) != self._partition(src_key):
-            self.stats.cross_partition += 1
             delay = HOP_LATENCY_MS
         self._inflight += 1
         self._scope.schedule(delay, self._deliver, fn_type, key, message)
@@ -245,7 +236,6 @@ class StatefunRuntime:
         # A crash during the write killed this process, but the write
         # still lands: recovery reads the snapshot.
         self._egress = released
-        self.stats.egressed += len(covered)
         self._egress_buffer = self._egress_buffer[len(covered):]
         self.stats.checkpoints += 1
 

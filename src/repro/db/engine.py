@@ -265,7 +265,6 @@ class _Table:
 
 @dataclass
 class DbStats:
-    begun: int = 0
     committed: int = 0
     aborted: int = 0
     conflicts: int = 0
@@ -273,18 +272,10 @@ class DbStats:
     writes: int = 0
     #: mirror of ``wal.flush_count`` — physical fsyncs issued by this engine
     flush_count: int = 0
-    #: group-commit batches fsynced (each saved ``size - 1`` flushes)
-    group_flushes: int = 0
-    #: commits that rode a shared group fsync
-    grouped_commits: int = 0
     #: versions dropped by the MVCC chain GC (inline + explicit passes)
     gc_pruned_versions: int = 0
-    #: explicit :meth:`Database.gc` sweeps
-    gc_passes: int = 0
     #: retained version tuples across all tables (gauge)
     live_versions: int = 0
-    #: replicated commands (commit/prepare/decide entries) applied
-    replicated_applies: int = 0
 
 
 class _CommitGroup:
@@ -374,7 +365,6 @@ class Database:
             begin_seq=self._commit_seq,
         )
         self._active[txn.tid] = txn
-        self.stats.begun += 1
         return txn
 
     def _lock(
@@ -767,8 +757,6 @@ class Database:
                 batch=group.size,
                 lsn=group.last_lsn,
             )
-        self.stats.group_flushes += 1
-        self.stats.grouped_commits += group.size
         group.future.succeed(group.last_lsn)
 
     def flush_barrier(self):
@@ -867,7 +855,6 @@ class Database:
         if dropped:
             self.stats.gc_pruned_versions += dropped
             self.stats.live_versions -= dropped
-        self.stats.gc_passes += 1
         self.env.tracer.event(
             "db.gc", db=self.name, horizon=horizon, pruned=dropped
         )
@@ -1125,7 +1112,6 @@ class Database:
                     self._finish(pending.tid)
         else:
             raise ValueError(f"unknown replicated command kind {kind!r}")
-        self.stats.replicated_applies += 1
 
     def discard_replicated(self, gid: Hashable) -> None:
         """A staged proposal's entry will never commit: roll it back."""

@@ -13,7 +13,6 @@ class TransactionAborted(TransactionError):
     def __init__(self, tid: int, reason: str = "") -> None:
         super().__init__(f"transaction {tid} aborted: {reason}")
         self.tid = tid
-        self.reason = reason
 
 
 class DeadlockAbort(TransactionAborted):

@@ -151,7 +151,6 @@ class _Waiter:
     tid: int
     mode: LockMode
     future: Future
-    upgrade: bool
 
 
 class _LockState:
@@ -204,7 +203,6 @@ class _LockState:
 
 @dataclass
 class LockStats:
-    acquired: int = 0
     waited: int = 0
     deadlocks: int = 0
 
@@ -250,7 +248,6 @@ class LockManager:
             self._held_by_txn[tid] = {resource: None}
         else:
             held[resource] = None
-        self.stats.acquired += 1
         return self.granted
 
     def _acquire_general(
@@ -279,7 +276,7 @@ class LockManager:
     ) -> Future:
         """Queue a request that cannot be granted now; detect deadlock."""
         fut = self.env.future(label=f"lock:{resource}:{mode.value}")
-        waiter = _Waiter(tid, mode, fut, upgrade)
+        waiter = _Waiter(tid, mode, fut)
         self.stats.waited += 1
         already_waiting = tid in self._waiting_by_txn
         self._waiting_by_txn.setdefault(tid, {})[resource] = None
@@ -326,7 +323,6 @@ class LockManager:
         state.hold(tid, mode)
         self._held_by_txn.setdefault(tid, {})[resource] = None
         self._waits_for.pop(tid, None)
-        self.stats.acquired += 1
 
     # -- release ------------------------------------------------------------
 

@@ -112,7 +112,6 @@ class ShardedDbStats:
 
     single_shard_commits: int = 0
     distributed_commits: int = 0
-    distributed_aborts: int = 0
 
 
 class _Mover:
@@ -735,7 +734,6 @@ class ShardedDatabase:
             )
             if not committed:
                 txn.status = "aborted"
-                self.stats.distributed_aborts += 1
             elif error is None:
                 txn.status = "committed"
                 self.stats.distributed_commits += 1

@@ -75,10 +75,8 @@ class _Instance:
 class OrchestrationContext:
     """What workflow code may touch.  Everything else is nondeterminism."""
 
-    def __init__(self, engine: "DurableWorkflows", instance: _Instance) -> None:
-        self._engine = engine
-        self._instance = instance
-        self.instance_id = instance.instance_id
+    def __init__(self, instance_id: str) -> None:
+        self.instance_id = instance_id
 
     def activity(self, name: str, *args: Any) -> _Command:
         """Command: run activity ``name`` (idempotent!) and await its result."""
@@ -95,12 +93,9 @@ class OrchestrationContext:
 
 @dataclass
 class DurableStats:
-    started: int = 0
     completed: int = 0
     failed: int = 0
-    activity_executions: int = 0
     replays: int = 0
-    timers_fired: int = 0
 
 
 class DurableWorkflows:
@@ -155,7 +150,6 @@ class DurableWorkflows:
             future=self.env.future(label=f"wf:{instance_id}"),
         )
         self._instances[instance_id] = instance
-        self.stats.started += 1
         self._drive(instance)
         return instance.future
 
@@ -170,7 +164,7 @@ class DurableWorkflows:
             return
         self.stats.replays += 1
         fn = self._workflows[instance.workflow]
-        ctx = OrchestrationContext(self, instance)
+        ctx = OrchestrationContext(instance.instance_id)
         generator = fn(ctx, instance.input)
         cursor = 0
         send_value: Any = None
@@ -255,7 +249,6 @@ class DurableWorkflows:
         if fn is None:
             raise KeyError(f"no activity {command.name!r}")
         yield self.env.timeout(self.activity_latency)
-        self.stats.activity_executions += 1
         return (yield self.env.process(fn(*command.args), label=f"activity:{command.name}"))
 
     def _run_activity(self, instance: _Instance, index: int, command: _Command) -> Generator:
@@ -290,8 +283,6 @@ class DurableWorkflows:
     ) -> None:
         if instance.status != "running":
             return
-        if command.kind == "timer":
-            self.stats.timers_fired += 1
         instance.pending.pop(index, None)
         instance.history.append(_HistoryEvent(command.kind, command.name, result))
         self._drive(instance)

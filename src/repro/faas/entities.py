@@ -33,8 +33,6 @@ class EntityError(Exception):
 @dataclass
 class EntityStats:
     operations: int = 0
-    deduplicated: int = 0
-    critical_sections: int = 0
 
 
 class DurableEntities:
@@ -53,7 +51,7 @@ class DurableEntities:
         self._rng = env.stream("durable-entities")
         self._states: dict[str, dict] = {}
         self._locks: dict[str, Lock] = {}
-        self._dedup = IdempotencyStore(clock=lambda: env.now)
+        self._dedup = IdempotencyStore()
         self._operations: dict[str, Operation] = {}
         self.stats = EntityStats()
 
@@ -93,7 +91,6 @@ class DurableEntities:
         if operation_id is not None:
             hit = self._dedup.lookup(operation_id)
             if hit is not None:
-                self.stats.deduplicated += 1
                 return hit.response
         if not _locked:
             yield self._lock_of(entity_id).acquire()
@@ -104,7 +101,6 @@ class DurableEntities:
                 # applied while we waited.
                 hit = self._dedup.lookup(operation_id)
                 if hit is not None:
-                    self.stats.deduplicated += 1
                     return hit.response
             state = self._states.setdefault(entity_id, {})
             result = op(state, arg)
@@ -146,7 +142,6 @@ class CriticalSection:
         for entity_id in self.entity_ids:  # sorted: no deadlock
             yield self.entities._lock_of(entity_id).acquire()
         self._held = True
-        self.entities.stats.critical_sections += 1
 
     def exit(self) -> None:
         if not self._held:

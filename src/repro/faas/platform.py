@@ -9,7 +9,6 @@ adoption of the FaaS paradigm".  Benchmark C7 sweeps exactly that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
@@ -36,7 +35,6 @@ class Throttled(FunctionError):
 class _Container:
     """One warm execution slot for one function."""
 
-    container_id: int
     function: str
     worker: str
     expires_at: float
@@ -45,11 +43,8 @@ class _Container:
 
 @dataclass
 class FaasStats:
-    invocations: int = 0
     cold_starts: int = 0
     warm_starts: int = 0
-    containers_created: int = 0
-    throttled: int = 0
 
     @property
     def cold_fraction(self) -> float:
@@ -60,15 +55,9 @@ class FaasStats:
 class FaasContext:
     """What a running function can touch."""
 
-    def __init__(
-        self,
-        platform: "FaasPlatform",
-        worker: str,
-        invocation_id: int,
-    ) -> None:
+    def __init__(self, platform: "FaasPlatform", worker: str) -> None:
         self.platform = platform
         self.worker = worker
-        self.invocation_id = invocation_id
         self.env: Environment = platform.env
 
     @property
@@ -96,9 +85,6 @@ NUM_WORKERS = 4
 
 class FaasPlatform:
     """Registry + scheduler + container pool."""
-
-    _invocation_ids = itertools.count(1)
-    _container_ids = itertools.count(1)
 
     def __init__(
         self,
@@ -162,14 +148,12 @@ class FaasPlatform:
             raise FunctionError(f"no function named {name!r}")
         limit = self._limits.get(name)
         if limit is not None and self._running.get(name, 0) >= limit:
-            self.stats.throttled += 1
             raise Throttled(f"{name!r} at its concurrency limit ({limit})")
         self._running[name] = self._running.get(name, 0) + 1
-        self.stats.invocations += 1
         container = None
         try:
             container = yield from self._acquire(name)
-            ctx = FaasContext(self, container.worker, next(FaasPlatform._invocation_ids))
+            ctx = FaasContext(self, container.worker)
             result = yield from body(ctx, payload)
             return result
         finally:
@@ -189,14 +173,12 @@ class FaasPlatform:
                 return container
         # Cold start: provision a new container on the least-loaded worker.
         self.stats.cold_starts += 1
-        self.stats.containers_created += 1
         load = {worker: 0 for worker in self._workers}
         for containers in self._pool.values():
             for container in containers:
                 load[container.worker] += 1
         worker = min(self._workers, key=lambda w: (load[w], w))
         container = _Container(
-            container_id=next(FaasPlatform._container_ids),
             function=name,
             worker=worker,
             expires_at=self.env.now + self.keep_alive,

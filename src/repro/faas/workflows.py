@@ -38,8 +38,6 @@ class WorkflowAborted(Exception):
 class WorkflowStats:
     committed: int = 0
     conflicts: int = 0
-    deduplicated: int = 0
-    exhausted: int = 0
 
 
 class WorkflowContext:
@@ -90,7 +88,7 @@ class TransactionalWorkflows:
         self.kv = kv or SharedKv(env)
         self.max_retries = max_retries
         self._bodies: dict[str, WorkflowBody] = {}
-        self._results = IdempotencyStore(clock=lambda: env.now)
+        self._results = IdempotencyStore()
         self._rng = env.stream("txn-workflows")
         self.stats = WorkflowStats()
 
@@ -116,7 +114,6 @@ class TransactionalWorkflows:
         if workflow_id is not None:
             hit = self._results.lookup(workflow_id)
             if hit is not None:
-                self.stats.deduplicated += 1
                 return hit.response
         for attempt in range(1, self.max_retries + 1):
             ctx = WorkflowContext(self.kv)
@@ -129,7 +126,6 @@ class TransactionalWorkflows:
             self.stats.conflicts += 1
             # Jittered backoff decorrelates retrying conflict partners.
             yield self.env.timeout(BACKOFF_MS * attempt * self._rng.uniform(0.5, 1.5))
-        self.stats.exhausted += 1
         raise WorkflowAborted(f"workflow {name!r} aborted after {self.max_retries} attempts")
 
     def _try_commit(self, ctx: WorkflowContext) -> bool:

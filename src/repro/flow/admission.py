@@ -27,7 +27,6 @@ PRIORITY_HIGH = 2
 
 @dataclass
 class AdmissionStats:
-    admitted: int = 0
     completed: int = 0
     #: rejected requests by priority class (the shed counter)
     shed: dict[int, int] = field(default_factory=dict)
@@ -81,7 +80,6 @@ class AdmissionController:
             self.stats.shed[priority] = self.stats.shed.get(priority, 0) + 1
             return False
         self.inflight += 1
-        self.stats.admitted += 1
         return True
 
     def release(self) -> None:

@@ -41,17 +41,13 @@ class RetryBudget:
         if self.refund < 0:
             raise ValueError("refund must be >= 0")
         self.tokens = float(self.capacity)
-        self.spent = 0
-        self.denied = 0
         self.refunded = 0
 
     def try_spend(self) -> bool:
         """Take one token for a retry; ``False`` (and no retry) when dry."""
         if self.tokens >= 1.0:
             self.tokens -= 1.0
-            self.spent += 1
             return True
-        self.denied += 1
         return False
 
     def on_success(self) -> None:
@@ -59,6 +55,3 @@ class RetryBudget:
         self.tokens = min(float(self.capacity), self.tokens + self.refund)
         self.refunded += 1
 
-    @property
-    def exhausted(self) -> bool:
-        return self.tokens < 1.0

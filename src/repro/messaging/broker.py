@@ -46,15 +46,10 @@ class Record:
     offset: int
     key: Any
     value: Any
-    timestamp: float
 
 
 @dataclass
 class BrokerStats:
-    published: int = 0
-    polled: int = 0
-    committed_offsets: int = 0
-    redelivered: int = 0
     #: publishes that had to wait for a producer credit (bounded partitions)
     blocked_publishes: int = 0
 
@@ -76,8 +71,8 @@ class _Partition:
     def end_offset(self) -> int:
         return len(self.log)
 
-    def append(self, key: Any, value: Any, timestamp: float) -> Record:
-        record = Record(self.topic, self.index, len(self.log), key, value, timestamp)
+    def append(self, key: Any, value: Any) -> Record:
+        record = Record(self.topic, self.index, len(self.log), key, value)
         self.log.append(record)
         wakeup = self._wakeup
         if wakeup is not None:
@@ -104,8 +99,6 @@ class Broker:
         self._topics: dict[str, list[_Partition]] = {}
         # committed offsets: (group, topic, partition) -> next offset to read
         self._offsets: dict[tuple[str, str, int], int] = {}
-        # high-water mark of offsets ever handed to each group (dupe counting)
-        self._delivered: dict[tuple[str, str, int], int] = {}
         self.stats = BrokerStats()
 
     # -- topics ------------------------------------------------------------------
@@ -156,8 +149,7 @@ class Broker:
                 if blocked:
                     self.stats.blocked_publishes += 1
                     span.annotate(blocked=True)
-            record = partition.append(key, value, self.env.now)
-            self.stats.published += 1
+            record = partition.append(key, value)
             span.annotate(partition=partition.index, offset=record.offset)
             return record
         finally:
@@ -181,7 +173,6 @@ class Broker:
     def _commit(self, group: str, topic: str, partition: int, offset: int) -> None:
         key = (group, topic, partition)
         self._offsets[key] = max(self._offsets.get(key, 0), offset)
-        self.stats.committed_offsets += 1
         if self.max_backlog is not None:
             # A commit may have freed producer credits: wake every waiter
             # (in FIFO order); each re-checks the backlog before appending.
@@ -206,13 +197,6 @@ class Broker:
         ]
         return part.end_offset - (min(floors) if floors else 0)
 
-    def _note_delivery(self, group: str, topic: str, partition: int, offsets: range) -> None:
-        key = (group, topic, partition)
-        seen_up_to = self._delivered.get(key, 0)
-        for offset in offsets:
-            if offset < seen_up_to:
-                self.stats.redelivered += 1
-        self._delivered[key] = max(seen_up_to, offsets.stop)
 
 class Consumer:
     """A consumer-group member with explicit offset control.
@@ -245,16 +229,11 @@ class Consumer:
                     position = self._positions[partition.index]
                     available = partition.log[position:position + max_records - len(batch)]
                     if available:
-                        self.broker._note_delivery(
-                            self.group, self.topic, partition.index,
-                            range(position, position + len(available)),
-                        )
                         batch.extend(available)
                         self._positions[partition.index] = position + len(available)
                     if len(batch) >= max_records:
                         break
                 if batch:
-                    self.broker.stats.polled += len(batch)
                     span.annotate(records=len(batch))
                     return batch
                 waits = [p.wait_for_data(env) for p in self.broker._partitions(self.topic)]

@@ -25,7 +25,6 @@ class IdempotencyEntry:
 
     key: str
     response: Any
-    recorded_at: float
 
 
 class IdempotencyStore:
@@ -37,11 +36,8 @@ class IdempotencyStore:
     :mod:`repro.messaging.outbox` for the pattern.
     """
 
-    def __init__(self, clock=None) -> None:
+    def __init__(self) -> None:
         self._entries: dict[str, IdempotencyEntry] = {}
-        self._clock = clock or (lambda: 0.0)
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -51,18 +47,13 @@ class IdempotencyStore:
 
     def lookup(self, key: str) -> Optional[IdempotencyEntry]:
         """Return the recorded entry, or ``None`` if this key is new."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
+        return self._entries.get(key)
 
     def record(self, key: str, response: Any) -> IdempotencyEntry:
         """Record the first response for ``key`` (first writer wins)."""
         if key in self._entries:
             return self._entries[key]
-        entry = IdempotencyEntry(key, response, self._clock())
+        entry = IdempotencyEntry(key, response)
         self._entries[key] = entry
         return entry
 

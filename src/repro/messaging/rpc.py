@@ -193,8 +193,6 @@ class RpcStats:
     expired_dropped: int = 0
     #: server: requests shed by the admission controller
     shed: int = 0
-    #: client: futures failed because the node restarted mid-call
-    restart_failed_calls: int = 0
 
 
 class RpcServer:
@@ -386,7 +384,6 @@ class RpcClient:
         # in-flight call on every crash, forever.
         pending, self._pending = self._pending, {}
         for request_id, fut in pending.items():
-            self.stats.restart_failed_calls += 1
             fut.try_fail(
                 RpcError(f"node {self.node.name} restarted with call #{request_id} pending")
             )

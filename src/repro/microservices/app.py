@@ -63,7 +63,7 @@ class MicroserviceApp:
         db = DatabaseServer(self.env, name=f"{service.name}-db", connections=DB_CONNECTIONS)
         if service.init_db is not None:
             service.init_db(db)
-        dedup = IdempotencyStore(clock=lambda: self.env.now) if self.dedup_requests else None
+        dedup = IdempotencyStore() if self.dedup_requests else None
         if dedup is not None:
             self.dedup_stores[service.name] = dedup
         rpc_server = RpcServer(self.net, node, dedup_store=dedup)
@@ -71,7 +71,6 @@ class MicroserviceApp:
         rpc_client = RpcClient(self.net, node)
         context = ServiceContext(
             env=self.env,
-            service_name=service.name,
             db=db,
             rpc_client=rpc_client,
             broker=self.broker,

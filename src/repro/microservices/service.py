@@ -55,14 +55,12 @@ class ServiceContext:
     def __init__(
         self,
         env: Environment,
-        service_name: str,
         db: DatabaseServer,
         rpc_client: RpcClient,
         broker: Broker,
         service_nodes: dict[str, str],
     ) -> None:
         self.env = env
-        self.service_name = service_name
         self.db = db
         self._rpc = rpc_client
         self.broker = broker

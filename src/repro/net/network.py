@@ -76,18 +76,6 @@ class NetworkStats:
     dropped_partition: int = 0
     dropped_dead: int = 0
     dropped_crashed_inflight: int = 0
-    duplicated: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped_loss": self.dropped_loss,
-            "dropped_partition": self.dropped_partition,
-            "dropped_dead": self.dropped_dead,
-            "dropped_crashed_inflight": self.dropped_crashed_inflight,
-            "duplicated": self.duplicated,
-        }
 
 
 @dataclass
@@ -208,7 +196,6 @@ class Network:
 
         self._dispatch(src, dst, port, payload, msg_id, faults, duplicate=False)
         if faults.duplicate_rate > 0 and self._rng.random() < faults.duplicate_rate:
-            self.stats.duplicated += 1
             self._dispatch(src, dst, port, payload, msg_id, faults, duplicate=True)
         return msg_id
 

@@ -34,7 +34,6 @@ class Node:
         self._scope = CrashScope(env)
         self._crash_hooks: list[Callable[["Node"], None]] = []
         self._restart_hooks: list[Callable[["Node"], None]] = []
-        self.crash_count = 0
 
     # -- ports ---------------------------------------------------------------
 
@@ -69,7 +68,6 @@ class Node:
         if not self.alive:
             return
         self.alive = False
-        self.crash_count += 1
         self._scope.crash(cause)
         for hook in list(self._crash_hooks):
             hook(self)

@@ -35,7 +35,6 @@ class NotLeader(ReplicationError):
     def __init__(self, group: str, node: str, hint: str | None = None) -> None:
         self.group = group
         self.node = node
-        self.hint = hint
         suffix = f" (try {hint})" if hint else ""
         super().__init__(f"{node} is not the leader of {group}{suffix}")
 

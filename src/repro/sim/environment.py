@@ -279,7 +279,6 @@ class Environment:
         "_sequence",
         "_executed",
         "seed",
-        "rng",
         "_streams",
         "_counters",
         "tracer",
@@ -298,7 +297,6 @@ class Environment:
         self._sequence = 0
         self._executed = 0
         self.seed = seed
-        self.rng = random.Random(seed)
         self._streams: dict[str, random.Random] = {}
         self._counters: dict[str, int] = {}
         self.tracer = tracer if tracer is not None else default_tracer()

@@ -17,7 +17,6 @@ from typing import Any
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
 
 class LruCache:
@@ -55,7 +54,6 @@ class LruCache:
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def clear(self) -> None:
         self._entries.clear()

@@ -29,8 +29,6 @@ class KeyValueStore:
     def __init__(self) -> None:
         self._data: dict[Any, Any] = {}
         self._versions: dict[Any, int] = {}
-        self.write_count = 0
-        self.read_count = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -40,12 +38,10 @@ class KeyValueStore:
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the current value, or ``default``."""
-        self.read_count += 1
         return self._data.get(key, default)
 
     def get_versioned(self, key: Any) -> Optional[Versioned]:
         """Return the value with its version, or ``None`` if absent."""
-        self.read_count += 1
         if key not in self._data:
             return None
         return Versioned(self._data[key], self._versions[key])
@@ -56,7 +52,6 @@ class KeyValueStore:
 
     def put(self, key: Any, value: Any) -> int:
         """Write unconditionally; returns the new version."""
-        self.write_count += 1
         new_version = self._versions.get(key, 0) + 1
         self._data[key] = value
         self._versions[key] = new_version
@@ -72,7 +67,6 @@ class KeyValueStore:
         """Remove the key; the version counter survives as a tombstone."""
         if key not in self._data:
             return False
-        self.write_count += 1
         del self._data[key]
         self._versions[key] = self._versions.get(key, 0) + 1
         return True
@@ -85,7 +79,6 @@ class KeyValueStore:
 
     def scan(self, prefix: str) -> list[tuple[Any, Any]]:
         """All ``(key, value)`` pairs whose string key starts with ``prefix``."""
-        self.read_count += 1
         return sorted(
             (k, v)
             for k, v in self._data.items()

@@ -54,10 +54,7 @@ class BloomFilter:
 class SSTable:
     """An immutable sorted run of key-value pairs with a bloom filter."""
 
-    _ids = iter(range(1, 1 << 60))
-
     def __init__(self, items: list[tuple[Any, Any]]) -> None:
-        self.table_id = next(SSTable._ids)
         self._keys = [k for k, _ in items]
         self._values = [v for _, v in items]
         self.bloom = BloomFilter(max(1, len(items)))
@@ -85,8 +82,6 @@ class LsmStats:
     flushes: int = 0
     compactions: int = 0
     bloom_skips: int = 0
-    sstable_reads: int = 0
-    memtable_hits: int = 0
 
 
 class LsmStore:
@@ -169,14 +164,12 @@ class LsmStore:
     def get(self, key: Any, default: Any = None) -> Any:
         """Point lookup: memtable, then runs newest to oldest."""
         if key in self._memtable:
-            self.stats.memtable_hits += 1
             value = self._memtable[key]
             return default if value is _TOMBSTONE else value
         for run in self._runs_newest_first():
             if not run.bloom.might_contain(key):
                 self.stats.bloom_skips += 1
                 continue
-            self.stats.sstable_reads += 1
             value = run.get(key)
             if value is not None:
                 return default if value is _TOMBSTONE else value

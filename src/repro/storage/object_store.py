@@ -30,19 +30,14 @@ class ObjectStore:
 
     def __init__(self) -> None:
         self._objects: dict[tuple[str, str], Any] = {}
-        self.put_count = 0
-        self.get_count = 0
-        self.bytes_written = 0
 
     def put(self, bucket: str, key: str, obj: Any, size: int = 1) -> None:
-        """Store an object (last-writer-wins, like S3)."""
+        """Store an object (last-writer-wins, like S3).  ``size`` is what
+        the server charged the transfer for; a recording store keeps it."""
         self._objects[(bucket, key)] = obj
-        self.put_count += 1
-        self.bytes_written += size
 
     def get(self, bucket: str, key: str) -> Any:
         """Fetch an object; raises :class:`NoSuchKey` if absent."""
-        self.get_count += 1
         try:
             return self._objects[(bucket, key)]
         except KeyError:

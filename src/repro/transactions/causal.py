@@ -77,7 +77,6 @@ class _Write:
 class CausalStats:
     writes: int = 0
     reads: int = 0
-    delayed_applies: int = 0
     stale_reads_prevented: int = 0
 
 
@@ -161,7 +160,6 @@ class CausalStore:
 
     def _receive(self, replica: _Replica, write: _Write) -> None:
         if not replica.try_apply(write):
-            self.stats.delayed_applies += 1
             replica.buffer.append(write)
         else:
             replica.drain_buffer()

@@ -35,10 +35,7 @@ POLL_BATCH = 16
 
 @dataclass
 class ReactorStats:
-    handled: int = 0
-    deduplicated: int = 0
     failed: int = 0
-    emitted: int = 0
 
 
 class Reactor:
@@ -89,7 +86,6 @@ class Reactor:
         event = record.value
         event_id = event.get("event_id", f"{record.partition}:{record.offset}")
         if self.dedup.is_duplicate((self.name, event_id)):
-            self.stats.deduplicated += 1
             return
         try:
             emitted = yield from self.reaction(event)
@@ -98,7 +94,6 @@ class Reactor:
         except Exception:  # noqa: BLE001 - a poisoned event must not kill the loop
             self.stats.failed += 1
             return
-        self.stats.handled += 1
         for topic, key, payload in emitted or []:
             payload = dict(payload)
             payload.setdefault("saga_id", event.get("saga_id"))
@@ -106,7 +101,6 @@ class Reactor:
                 "event_id", f"{event_id}->{topic}"
             )
             yield from self.broker.publish(topic, key, payload)
-            self.stats.emitted += 1
 
 
 class ChoreographyMonitor:

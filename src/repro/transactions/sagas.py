@@ -85,7 +85,6 @@ class SagaOutcome:
 
 @dataclass
 class SagaStats:
-    started: int = 0
     completed: int = 0
     compensated: int = 0
     stuck: int = 0
@@ -115,7 +114,6 @@ class SagaOrchestrator:
         """
         ctx = {"saga_execution_id": self.env.next_id("saga-execution")}
         outcome = SagaOutcome(saga=saga.name, status="completed", started_at=self.env.now)
-        self.stats.started += 1
         completed: list[SagaStep] = []
         tracer = self.env.tracer
         span = tracer.begin(

@@ -75,7 +75,6 @@ class YcsbOp:
     kind: str  # "read" | "update" | "insert" | "scan" | "rmw"
     key: str
     value: Optional[dict] = None
-    scan_length: int = 0
 
 
 _MIXES = {
@@ -142,11 +141,7 @@ class YcsbWorkload:
                     {"field0": "y" * self.value_size},
                 )
             elif kind == "scan":
-                yield YcsbOp(
-                    "scan",
-                    self.key_of(self._zipf.next(rng)),
-                    scan_length=rng.randint(1, 20),
-                )
+                yield YcsbOp("scan", self.key_of(self._zipf.next(rng)))
             else:
                 key = self.key_of(self._zipf.next(rng))
                 value = {"field0": "z" * self.value_size} if kind in ("update", "rmw") else None

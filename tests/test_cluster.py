@@ -137,7 +137,7 @@ class TestDirectory:
         directory.abort_migration(0)
         assert directory.owner_of(0) == "node0"
         assert directory.epoch(0) == 0
-        assert directory.stats.migrations_aborted == 1
+        assert not directory.is_migrating(0)
 
     def test_double_migration_rejected(self, directory):
         directory.begin_migration(0, "node1")
@@ -180,7 +180,6 @@ class TestRouter:
         assert stale.forwarded and stale.node == "node9"
         assert not repaired.forwarded
         assert router.stats.forwards == 1
-        assert router.directory.stats.stale_lookups == 1
 
 
 class TestShardStats:

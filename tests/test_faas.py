@@ -102,7 +102,7 @@ class TestPlatform:
         env.process(caller())
         env.process(caller())
         env.run()
-        assert platform.stats.containers_created == 2
+        assert platform.stats.cold_starts == 2
 
     def test_function_composition(self, env):
         platform = make_platform(env)
@@ -235,7 +235,6 @@ class TestDurableEntities:
         first, dup = run(env, flow())
         assert first == dup == 10
         assert entities.state_of("acct:a")["balance"] == 10
-        assert entities.stats.deduplicated == 1
 
     def test_critical_section_gives_multi_entity_isolation(self, env):
         entities = setup_entities(env)
@@ -364,7 +363,6 @@ class TestTransactionalWorkflows:
         first, dup = run(env, flow())
         assert first == dup
         assert engine.kv.store.get("a") == 70  # applied once
-        assert engine.stats.deduplicated == 1
 
     def test_retries_exhausted_raises(self, env):
         engine = TransactionalWorkflows(
@@ -381,7 +379,6 @@ class TestTransactionalWorkflows:
         engine.register("hostile", hostile)
         with pytest.raises(WorkflowAborted):
             run(env, engine.run("hostile"))
-        assert engine.stats.exhausted == 1
 
     def test_unknown_workflow(self, env):
         engine = self.make_engine(env)
@@ -414,7 +411,6 @@ class TestConcurrencyLimits:
         env.run()
         assert outcomes.count("throttled") == 3
         assert outcomes.count("ok") == 2
-        assert platform.stats.throttled == 3
 
     def test_limit_frees_after_completion(self, env):
         platform = make_platform(env)
@@ -430,7 +426,6 @@ class TestConcurrencyLimits:
             return first, second
 
         assert run(env, flow()) == (1, 2)
-        assert platform.stats.throttled == 0
 
     def test_invalid_limit(self, env):
         platform = make_platform(env)

@@ -1,5 +1,6 @@
 """Static reachability guard: every module under ``src/repro/`` earns a
-claim, and every public symbol in it a caller.
+claim, every public symbol in it a caller, every defaulted parameter a
+passer and every stored attribute a reader.
 
 The reproduction is defined by its experiments: the ``bench_*.py`` claim
 tables, the perf microbenches, the suite workloads, the chaos and perf
@@ -7,7 +8,13 @@ scripts and the examples.  A module none of them imports is code without a
 claim, so this test walks imports from those roots with :mod:`ast` (it never
 imports anything) and fails on any module it cannot reach.  Inside a reached
 module, a public class, function or method that no non-test code names is
-code only its own unit tests run; the symbol walk fails on those too.
+code only its own unit tests run; the symbol walk fails on those too, the
+parameter walk on a defaulted parameter no non-test call passes, and the
+state walk on an attribute that no non-test code reads.
+
+Every walk matches by name only, so it errs towards keeping: a dead member
+that shares its name with a live one passes unseen (``NetworkStats.as_dict``
+counted as used while ``VectorClock.as_dict`` was called).
 
 Rules of the walk:
 
@@ -44,7 +51,8 @@ Rules of the parameter walk (:class:`_Params`):
 - **Checked:** every defaulted parameter (keyword-only ones included) of a
   checked function or method, and of a checked or registered class's own
   ``__init__``, unless the symbol walk already reports or allowlists the
-  callable.  Dataclass fields are state, not knobs, and are not checked.
+  callable.  Dataclass fields are state, not knobs: the state walk checks
+  them.
 - **Passed:** by a call in ``src/`` outside the function itself, or under
   the roots, that names the callable (the class, for ``__init__``) and
   passes the parameter by keyword or by position at or past its index;
@@ -55,6 +63,23 @@ Rules of the parameter walk (:class:`_Params`):
   literal or ``dict(...)`` there that reaches a call through ``**``, which
   is how binder and scenario options arrive (:func:`_spread_keys`).  Tests
   never count.
+
+Rules of the state walk (:class:`_State`):
+
+- **Checked:** every attribute a top-level class of a reached non-package
+  module stores, private classes and private attributes included: its
+  dataclass fields (not ``ClassVar``), its ``__slots__`` entries, and every
+  ``self.x`` a method assigns, augments or annotates.  ``NamedTuple``
+  fields are not checked: unpacking reads them by position.
+- **Read:** an ``Attribute`` load of the name in ``src/`` or under the
+  roots, or an identifier string constant there (``getattr(x, "f")``) that
+  neither ``__all__`` nor ``__slots__`` lists; and every attribute of a
+  class that hands ``self`` to ``asdict``, ``astuple`` or ``vars``.  Tests
+  never count.
+- **Not reads:** a store, ``x.f += 1`` included, or a ``del``.  Neither is a
+  dataclass's generated ``__eq__``, ``__hash__`` or ``__repr__``: before
+  deleting a field of a compared, hashed or printed value, check where its
+  instances are compared, hashed or printed.
 """
 
 from __future__ import annotations
@@ -124,6 +149,47 @@ PARAM_ALLOWLIST = {
     "repro.net.network:Network.set_loss(dst)": "seam: tests lose one direction of one link",
     "repro.messaging.broker:Broker(max_backlog)":
         "ROADMAP item 12 (bounded partitions, docs/OVERLOAD.md rule 3)",
+}
+
+PAYLOAD = "exception payload: "
+
+#: ``module:Class.attribute`` -> why it stays although no non-test code
+#: reads it: a test asserts behaviour through it that no other test checks,
+#: or an exception carries it to its handler.  An entry must name a checked
+#: attribute that is unread; remove it when either stops being true.
+STATE_ALLOWLIST = {
+    "repro.actors.runtime:ActorRuntimeStats.dropped_calls": OBSERVES,
+    "repro.actors.runtime:ActorRuntimeStats.duplicates_dropped": OBSERVES,
+    "repro.actors.runtime:StateStorageProvider.saves": OBSERVES,
+    "repro.cluster.migration:MigrationStats.started": OBSERVES,
+    "repro.core.taxonomy:RuntimeProfile.module": OBSERVES + " (each names an importable module)",
+    "repro.dataflow.runtime:DataflowStats.records_processed": OBSERVES,
+    "repro.dataflow.txn:TxnDataflowStats.checkpoint_keys": OBSERVES + " (bounded state)",
+    "repro.dataflow.txn:TxnDataflowStats.compactions": OBSERVES + " (bounded state)",
+    "repro.dataflow.txn:TxnDataflowStats.log_truncated": OBSERVES + " (bounded state)",
+    "repro.db.engine:DbStats.live_versions": OBSERVES + " (the GC gauge)",
+    "repro.db.errors:DeadlockAbort.cycle": PAYLOAD + "the waits-for cycle the victim closed",
+    "repro.db.errors:FencedOut.fence": PAYLOAD + "the fence that rejected the request",
+    "repro.db.errors:FencedOut.token": PAYLOAD + "the stale token the request carried",
+    "repro.db.locks:LockStats.waited": OBSERVES,
+    "repro.db.sharding:ShardedDbStats.single_shard_commits": OBSERVES,
+    "repro.messaging.broker:BrokerStats.blocked_publishes": OBSERVES,
+    "repro.messaging.idempotency:Deduplicator.accepted": OBSERVES,
+    "repro.messaging.outbox:OutboxRelay.published": OBSERVES,
+    "repro.messaging.outbox:OutboxRelay.republished": OBSERVES,
+    "repro.messaging.rpc:RpcStats.budget_stopped": OBSERVES,
+    "repro.messaging.rpc:RpcStats.deduplicated": OBSERVES,
+    "repro.messaging.rpc:RpcTimeout.attempts": PAYLOAD + "how many attempts the call made",
+    "repro.net.network:NetworkStats.dropped_loss": OBSERVES + " (loss, not a partition)",
+    "repro.sim.environment:Interrupted.cause": PAYLOAD + "why the process was interrupted",
+    "repro.storage.cache:CacheStats.hits": OBSERVES,
+    "repro.storage.cache:CacheStats.misses": OBSERVES,
+    "repro.storage.lsm:LsmStats.bloom_skips": OBSERVES,
+    "repro.storage.lsm:LsmStats.compactions": OBSERVES,
+    "repro.storage.lsm:LsmStats.flushes": OBSERVES,
+    "repro.transactions.anomalies:AnomalyReport.unacknowledged_applied": OBSERVES,
+    "repro.transactions.sagas:SagaOutcome.failed_step": OBSERVES,
+    "repro.transactions.sagas:SagaStuck.step": PAYLOAD + "the step that needs a human",
 }
 
 
@@ -641,6 +707,119 @@ def _spread_keys(trees: list[_Calls]) -> set[str]:
     return keys
 
 
+#: calls that read every field of the instance they are handed
+WHOLE_READS = frozenset({"asdict", "astuple", "vars"})
+
+
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _stored(cls: ast.ClassDef):
+    """Every attribute instances of ``cls`` store: its dataclass fields, its
+    ``__slots__`` entries and every ``self.x`` a method assigns, augments or
+    annotates."""
+    dataclass = any(_decorator_name(d) == "dataclass" for d in cls.decorator_list)
+    for member in cls.body:
+        if (
+            dataclass
+            and isinstance(member, ast.AnnAssign)
+            and isinstance(member.target, ast.Name)
+            and "ClassVar" not in ast.unparse(member.annotation)
+        ):
+            yield member.target.id
+        elif isinstance(member, ast.Assign) and any(
+            getattr(target, "id", None) == "__slots__" for target in member.targets
+        ):
+            for node in ast.walk(member.value):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    yield node.value
+        elif isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(member):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and (
+                    _is_self(node.value)
+                ):
+                    yield node.attr
+
+
+def _reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The attribute names ``tree`` reads, and the classes in it that hand
+    ``self`` to a call in :data:`WHOLE_READS`.
+
+    A read is an ``Attribute`` load or an identifier string constant that
+    neither ``__all__`` nor ``__slots__`` lists; ``x.f += 1`` stores.
+    """
+    listed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) in ("__all__", "__slots__") for target in node.targets
+        ):
+            listed.update(map(id, ast.walk(node.value)))
+    names, whole = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in listed
+        ):
+            names.add(node.value)
+        elif isinstance(node, ast.ClassDef) and any(
+            isinstance(call, ast.Call)
+            and _callee(call) in WHOLE_READS
+            and any(_is_self(arg) for arg in call.args)
+            for call in ast.walk(node)
+        ):
+            whole.add(node.name)
+    return names, whole
+
+
+class _State:
+    """The attributes the classes of the reached modules store, and which
+    no non-test code reads.
+
+    Every top-level class of a reached non-package module is checked,
+    private ones and private attributes included.  An attribute is read
+    when an ``Attribute`` load or identifier string of its name occurs in
+    ``src/`` or under the roots, or when its class hands ``self`` to
+    ``asdict``/``astuple``/``vars``.  Matching is by name only, like
+    :class:`_Symbols`.
+    """
+
+    def __init__(self, walk: _Walk, repo: str = REPO) -> None:
+        read: set[str] = set()
+        whole: set[str] = set()
+        for path in sorted(walk.modules.values()) + _roots(repo):
+            names, classes = _reads(walk._tree(path))
+            read |= names
+            whole |= classes
+        #: ``module:Class.attribute`` for every checked attribute
+        self.defined: set[str] = set()
+        #: the checked attributes no non-test code reads
+        self.unread: set[str] = set()
+        for module in sorted(walk.reached):
+            if walk._is_package(module):
+                continue
+            for cls in walk._tree(walk.modules[module]).body:
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for attribute in _stored(cls):
+                    entry = f"{module}:{cls.name}.{attribute}"
+                    self.defined.add(entry)
+                    if attribute not in read and cls.name not in whole:
+                        self.unread.add(entry)
+
+    def stale(self, allowlist) -> dict[str, str]:
+        """Allowlist entries that no longer name an unread attribute."""
+        return {
+            entry: "deleted" if entry not in self.defined else "now read"
+            for entry in allowlist
+            if entry not in self.unread
+        }
+
+
 def _named(callee: str, *edges: dict[str, set[str]]) -> set[str]:
     """``callee`` and every name that reaches it along ``edges``."""
     names, todo = set(), [callee]
@@ -673,6 +852,11 @@ def symbols(walk) -> _Symbols:
 @pytest.fixture(scope="module")
 def params(walk, symbols) -> _Params:
     return _Params(walk, symbols)
+
+
+@pytest.fixture(scope="module")
+def state(walk) -> _State:
+    return _State(walk)
 
 
 def test_every_module_is_reachable_from_an_experiment(walk):
@@ -735,6 +919,21 @@ def test_param_allowlist_names_existing_unpassed_parameters(params):
     stale = params.stale(PARAM_ALLOWLIST)
     assert not stale, f"drop these parameter allowlist entries: {stale}"
     assert all(PARAM_ALLOWLIST.values()), "every entry needs its reason"
+
+
+def test_every_stored_attribute_is_read(state):
+    unexpected = sorted(state.unread - set(STATE_ALLOWLIST))
+    assert not unexpected, (
+        "no non-test code reads these attributes; delete each with every "
+        "write, its __slots__ entry and its constructor argument:\n"
+        + "\n".join(unexpected)
+    )
+
+
+def test_state_allowlist_names_existing_unread_attributes(state):
+    stale = state.stale(STATE_ALLOWLIST)
+    assert not stale, f"drop these state allowlist entries: {stale}"
+    assert all(STATE_ALLOWLIST.values()), "every entry needs its reason"
 
 
 # -- the symbol walk on synthetic trees ----------------------------------------
@@ -977,3 +1176,140 @@ def test_a_stale_param_allowlist_entry_is_reported(tmp_path):
         "repro.lib:Base.read(fresh)": "now passed",
         "repro.lib:Base(gone)": "deleted",
     }
+
+
+# -- the state walk on synthetic trees -----------------------------------------
+
+
+def _state_of(repo: str) -> _State:
+    return _State(_walk_from_roots(repo), repo)
+
+
+_STORE = (
+    "from dataclasses import asdict, dataclass\n\n\n"
+    "@dataclass\n"
+    "class Stats:\n"
+    "    hits: int = 0\n"
+    "    misses: int = 0\n\n\n"
+    "@dataclass\n"
+    "class Row:\n"
+    "    key: str\n"
+    "    size: int = 0\n\n"
+    "    def dump(self):\n        return asdict(self)\n\n\n"
+    "class Store:\n"
+    "    __slots__ = ('stats', '_data', 'label')\n\n"
+    "    def __init__(self):\n"
+    "        self.stats = Stats()\n"
+    "        self._data = {}\n"
+    "        self.label = 'store'\n\n"
+    "    def get(self, key):\n"
+    "        self.stats.hits += 1\n"
+    "        return self._data.get(key)\n"
+)
+
+
+def test_a_write_only_attribute_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "benchmarks/bench.py": (
+            "from repro.store import Row, Store\n\n"
+            "print(Store().get('k'), Store().stats.misses, Row('k').dump())\n"
+        ),
+    })
+    state = _state_of(repo)
+    assert {"repro.store:Stats.hits", "repro.store:Store.label"} <= state.defined
+    # ``hits`` is only augmented, ``label`` only assigned and listed in
+    # ``__slots__``; ``misses`` is read by the bench, ``_data`` by ``get``
+    assert state.unread == {"repro.store:Stats.hits", "repro.store:Store.label"}
+
+
+def test_an_augmented_assignment_alone_is_not_a_read(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "scripts/run.py": (
+            "from repro.store import Store\n\n"
+            "store = Store()\nstore.stats.misses += 1\nstore.label = 'x'\n"
+        ),
+    })
+    unread = _state_of(repo).unread
+    assert {"repro.store:Stats.misses", "repro.store:Store.label"} <= unread
+
+
+def test_an_identifier_string_is_a_read(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "examples/demo.py": (
+            "from repro.store import Store\n\n"
+            "store = Store()\n"
+            "print(getattr(store.stats, 'hits'), store.stats.misses)\n"
+            "print(getattr(store, 'label'))\n"
+        ),
+    })
+    assert _state_of(repo).unread == set()
+
+
+def test_asdict_of_self_reads_every_field(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "benchmarks/bench.py": "from repro.store import Row\n\nRow('k')\n",
+    })
+    unread = _state_of(repo).unread
+    # ``Row.dump`` hands ``self`` to ``asdict``: ``key`` and ``size`` are
+    # read although no code names them
+    assert not {e for e in unread if e.startswith("repro.store:Row.")}
+    assert "repro.store:Stats.misses" in unread
+
+
+def test_a_test_only_read_does_not_count(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "benchmarks/bench.py": "from repro.store import Store\n\nStore().get('k')\n",
+        "tests/test_store.py": (
+            "from repro.store import Store\n\n"
+            "assert Store().stats.misses == 0 and Store().label\n"
+        ),
+    })
+    unread = _state_of(repo).unread
+    assert {"repro.store:Stats.misses", "repro.store:Store.label"} <= unread
+
+
+def test_a_stale_state_allowlist_entry_is_reported(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/store.py": _STORE,
+        "benchmarks/bench.py": "from repro.store import Store\n\nStore().stats.misses\n",
+    })
+    allowlist = {
+        "repro.store:Stats.hits": "reason",
+        "repro.store:Stats.misses": "reason",
+        "repro.store:Stats.gone": "reason",
+    }
+    assert _state_of(repo).stale(allowlist) == {
+        "repro.store:Stats.misses": "now read",
+        "repro.store:Stats.gone": "deleted",
+    }
+
+
+if __name__ == "__main__":
+    # One line per walk: what it checks, what it flags before its
+    # allowlist, and how many allowlist entries it has.
+    found = _walk_from_roots()
+    found_symbols = _Symbols(found)
+    found_params = _Params(found, found_symbols)
+    found_state = _State(found)
+    modules = [m for m in found.modules if not found._is_package(m)]
+    for name, checked, flagged, allowlist in (
+        ("modules", modules, found.unreachable(), ALLOWLIST),
+        ("symbols", found_symbols.defined, found_symbols.unused, SYMBOL_ALLOWLIST),
+        ("params", found_params.defined, found_params.unpassed, PARAM_ALLOWLIST),
+        ("state", found_state.defined, found_state.unread, STATE_ALLOWLIST),
+    ):
+        print(
+            f"{name:<8} checked {len(checked):>5}  flagged {len(flagged):>4}"
+            f"  allowlisted {len(allowlist):>3}"
+        )

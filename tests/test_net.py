@@ -208,7 +208,6 @@ class TestNodeLifecycle:
         assert received == []
         assert net.stats.dropped_crashed_inflight == 1
         assert net.stats.dropped_dead == 0
-        assert "dropped_crashed_inflight" in net.stats.as_dict()
 
     def test_spawn_on_dead_node_raises(self, env, net):
         node = net.node("a")
@@ -237,10 +236,10 @@ class TestNodeLifecycle:
                 events.append("finally")
 
         node.spawn(worker(env))
-        node.on_crash(lambda n: events.append(("hook", n.alive, n.crash_count)))
+        node.on_crash(lambda n: events.append(("hook", n.alive)))
         env.run(until=1.0)
         node.crash()
-        assert events == ["finally", ("hook", False, 1)]
+        assert events == ["finally", ("hook", False)]
         node.crash()  # already down: no second hook
         assert len(events) == 2
 
@@ -280,9 +279,11 @@ class TestNodeLifecycle:
 
     def test_double_crash_is_noop(self, env, net):
         node = net.node("a")
+        crashes = []
+        node.on_crash(crashes.append)
         node.crash()
         node.crash()
-        assert node.crash_count == 1
+        assert crashes == [node]
 
 
 class TestDeterminism:

@@ -111,7 +111,6 @@ class TestVersionChainGc:
             run(env, write_balance(db, "alice" if i % 3 else "bob", i))
         db.gc()
         assert db.stats.live_versions == db.version_count()
-        assert db.stats.gc_passes == 1
 
     def test_gc_pass_emits_span(self):
         env = Environment(tracer=Tracer())
@@ -138,8 +137,6 @@ class TestGroupCommit:
         before = db.wal.flush_count
         self._contended_commits(env, db, n=5)
         assert db.wal.flush_count - before == 1
-        assert db.stats.group_flushes == 1
-        assert db.stats.grouped_commits == 5
         assert db.stats.flush_count == db.wal.flush_count
 
     def test_reference_mode_fsyncs_per_commit(self):
@@ -148,7 +145,6 @@ class TestGroupCommit:
         before = db.wal.flush_count
         self._contended_commits(env, db, n=5)
         assert db.wal.flush_count - before == 5
-        assert db.stats.group_flushes == 0
 
     def test_group_flush_emits_batch_span(self):
         env = Environment(tracer=Tracer())

@@ -82,9 +82,3 @@ class TestSnapshots:
         snap = kv.snapshot()
         snap["a"] = 42
         assert kv.get("a") == 1
-
-    def test_counters(self, kv):
-        kv.put("a", 1)
-        kv.get("a")
-        assert kv.write_count == 1
-        assert kv.read_count == 1

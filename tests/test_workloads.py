@@ -131,14 +131,14 @@ OP_STREAMS = {
     ),
 }
 OP_STREAM_DIGESTS = {
-    ("ycsb-C", 3): "3125bee76e9cfd79a69e0390329d691240b585e98dcd79fcee12a6d98679c18d",
-    ("ycsb-C", 11): "9c10743f3889b4c4f9bfa687c1682c7dc90f669677f1f3689d68d54f3dadca8b",
-    ("ycsb-rmw", 3): "bf70602f9b010a7174a79e3f4dea27152dbbaed583a31da7991e51ddbe31acf0",
-    ("ycsb-rmw", 11): "14e78f40a864c36d9a7b5078c67e58a25d455f5469a1b791fdc856599e73444c",
-    ("ycsb-A", 3): "6d849216e31cec3efd05f1fa1b6ed66b5118cfe00f8d2cf051dce045dc4163fa",
-    ("ycsb-A", 11): "fcfab0d085d29ce9384e5e47293761716c003b7c77803f3d1d2858a9ef7c205a",
-    ("ycsb-E", 3): "dfad27934e66afd3156d0a02180c569d80079563a870485bc3adcfc3fde5de77",
-    ("ycsb-E", 11): "b6986c3c461f94201ea7bb7fb08ea657c93efeaa2afb5efb26e8484398f6a91b",
+    ("ycsb-C", 3): "db25b1d0ce335a34fec8999ab00fc5e625167625e92d1ef15d23cec52928a7a2",
+    ("ycsb-C", 11): "4d26874f1bec814b778938874b2e48770be3207a20ced6376896f3721ad1b9ce",
+    ("ycsb-rmw", 3): "f39fc92a4f238d4e101041ab113925d9f63c20fa2e55eb622bd2a4337641b8d6",
+    ("ycsb-rmw", 11): "28b3d5fa6829fcf84866d93a8db3b79e9a74a7d29ea708c69cbfe8edc0c09188",
+    ("ycsb-A", 3): "7184afb23ccba45cf582915af0e1184c4578598f93ea57e3a668f3d5dfc70136",
+    ("ycsb-A", 11): "50a8de1968a847bc4a85446dda0c8345e7095327ed6c010a8d57880512b390db",
+    ("ycsb-E", 3): "37a0109e83477e7552772525827db8e8e4e252230df93bd58f634bda64b82086",
+    ("ycsb-E", 11): "0d72314e2204eebf83ebf210ad8335dcd01836d686a93c4b61c4d5c437d971b2",
     ("transfers", 3): "050bffb1d8ca76bd7181e4cd2d3cb4b9126fe0ce6a67ae0bd7babc8760acc007",
     ("transfers", 11): "1f42d56706feccb989f01b25115cb02437a81a258bb596f89a60e62fc02a49de",
 }
