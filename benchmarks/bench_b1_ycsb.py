@@ -65,8 +65,6 @@ class YcsbExecutor:
                         txn, "usertable", op.key,
                         {"id": op.key, "counter": 0, **op.value},
                     )
-                elif op.kind == "scan":
-                    yield from self.server.scan(txn, "usertable")
                 else:  # rmw: increment the row's counter
                     row = yield from self.server.get(txn, "usertable", op.key)
                     yield from self.server.update(

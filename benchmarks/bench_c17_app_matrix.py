@@ -6,14 +6,16 @@ key sets, invariants) and it runs on every runtime paradigm with its
 correctness story intact.  This benchmark operationalizes that in two
 tables:
 
-1. **Fault-free goodput** — the two kernel apps (double-entry payments
-   ledger, gap-free invoicing) deployed through every registered binder
-   under closed-loop contention.  Every sound deployment must commit its
-   whole workload with zero invariant violations; the intentionally
-   unsound controls (uncoordinated microservices, plain actors, the
-   transaction-per-step allocator split) run the *same spec* and show
-   what each missing guarantee costs — some drift under pure concurrency,
-   before any fault is injected.
+1. **Fault-free goodput** — the three kernel apps (double-entry payments
+   ledger, gap-free invoicing, DeathStar-style hotel reservations)
+   deployed through every registered binder under closed-loop
+   contention.  Every sound deployment must commit its whole workload
+   with zero invariant violations — a reserve that finds its hotel full
+   is declined, which is a committed outcome, not an error; the
+   intentionally unsound controls (uncoordinated microservices, plain
+   actors, the transaction-per-step allocator split) run the *same spec*
+   and show what each missing guarantee costs — some drift under pure
+   concurrency, before any fault is injected.
 
 2. **Chaos survival** — the spec-compiled oracles judging each app under
    the seeded nemesis, one fault class per cell plus a mixed column
@@ -31,13 +33,10 @@ if __package__ in (None, ""):  # direct script execution
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.apps.core import bind
-from repro.apps.invoicing import invoicing_spec
-from repro.apps.ledger import ledger_spec
 from repro.chaos.mutants import SplitAllocatorDbBinder
+from repro.chaos.scenarios import APPS
 from repro.harness import format_rows
 from repro.sim import Environment
-from repro.workloads.invoicing import InvoicingWorkload
-from repro.workloads.transfers import TransferWorkload
 
 from benchmarks.bench_c13_chaos_matrix import run_cell
 from benchmarks.common import report
@@ -61,12 +60,20 @@ DEPLOYMENTS = (
     ("invoicing", "actor", {}, True, "invoicing × actors (txn)"),
     ("invoicing", "dataflow", {}, True, "invoicing × dataflow (epochs)"),
     ("invoicing", "faas", {}, True, "invoicing × faas (occ workflows)"),
+    ("hotel", "db", {}, True, "hotel × db (serializable)"),
+    ("hotel", "cluster", {"num_shards": 2}, True, "hotel × cluster (2 shards)"),
+    ("hotel", "microservice", {}, True, "hotel × microservice (2pc)"),
+    ("hotel", "actor", {}, True, "hotel × actors (txn)"),
+    ("hotel", "dataflow", {}, True, "hotel × dataflow (epochs)"),
+    ("hotel", "faas", {}, True, "hotel × faas (occ workflows)"),
     # Unsound controls: the same specs, minus one guarantee each.
     ("ledger", "microservice", {"mode": "none"}, False,
      "ledger × microservice (uncoordinated)"),
     ("ledger", "actor", {"mode": "plain"}, False, "ledger × actors (plain)"),
     ("invoicing", SplitAllocatorDbBinder, {}, False,
      "invoicing × db (split allocator)"),
+    ("hotel", "microservice", {"mode": "none"}, False,
+     "hotel × microservice (uncoordinated)"),
 )
 
 CHAOS_SEEDS = tuple(range(1, 5))
@@ -77,25 +84,6 @@ CHAOS_ROWS = (
     ("ledger", True, "ledger (uncoordinated)"),
     ("invoicing", True, "invoicing (split allocator)"),
 )
-
-
-def make_spec(app: str):
-    if app == "ledger":
-        return ledger_spec(TransferWorkload(
-            num_accounts=12, initial_balance=100, amount=10, theta=0.5
-        ))
-    workload = InvoicingWorkload()
-    return invoicing_spec(workload)
-
-
-def make_ops(app: str, env: Environment, count: int = OPS):
-    if app == "ledger":
-        workload = TransferWorkload(
-            num_accounts=12, initial_balance=100, amount=10, theta=0.5
-        )
-    else:
-        workload = InvoicingWorkload()
-    return list(workload.operations(env.stream(f"ops:{app}"), count))
 
 
 def deploy(runtime, env: Environment, spec, opts: dict):
@@ -110,8 +98,10 @@ def drive(app: str, runtime: str, opts: dict, count: int = OPS) -> dict:
     and the run itself: per-op ``(start, end, outcome)`` (``"ok"`` or the
     exception's type name), the end time and the final snapshot."""
     env = Environment(seed=SEED)
-    binder = deploy(runtime, env, make_spec(app), opts)
-    ops = make_ops(app, env, count)
+    workload_of, spec_of = APPS[app]
+    workload = workload_of()
+    binder = deploy(runtime, env, spec_of(workload), opts)
+    ops = list(workload.operations(env.stream(f"ops:{app}"), count))
     latencies: dict[str, tuple] = {}
 
     def one(op):
@@ -199,8 +189,18 @@ def check_claims(goodput, chaos) -> None:
     # The controls run the same spec and the invariants see the damage —
     # uncoordinated writes drift under pure concurrency, no faults needed.
     for label in ("ledger × microservice (uncoordinated)",
-                  "ledger × actors (plain)"):
+                  "ledger × actors (plain)",
+                  "hotel × microservice (uncoordinated)"):
         assert goodput[label]["violated"], (label, goodput[label])
+
+    # The hotel is small enough that some reserves find it full: each
+    # sound deployment declines some and confirms some, as committed
+    # outcomes.
+    for app, _, _, sound, label in DEPLOYMENTS:
+        if app == "hotel" and sound:
+            statuses = {row["status"]
+                        for row in goodput[label]["snapshot"]["reservations"]}
+            assert statuses == {"confirmed", "declined"}, (label, statuses)
 
     # Under chaos, every sound configuration survives every admissible
     # fault class with zero violating trials.

@@ -11,6 +11,11 @@ builds, shared by the examples and the benchmark suite:
   with no coordination, saga coordination, or 2PC;
 - :mod:`repro.apps.tpcc_impls` — TPC-C-lite on a monolithic database, on
   Beldi-style transactional FaaS, and on the Styx-like dataflow.
+
+The kernel apps — :mod:`repro.apps.ledger`, :mod:`repro.apps.invoicing`
+and :mod:`repro.apps.hotel` — are each one
+:class:`~repro.apps.core.AppSpec` that :func:`repro.apps.core.bind`
+deploys onto every runtime.
 """
 
 from repro.apps.banking import (
@@ -21,7 +26,6 @@ from repro.apps.banking import (
     StatefunBank,
     TxnDataflowBank,
 )
-from repro.apps.hotel_impl import HotelApp
 from repro.apps.shop import MicroserviceShop
 from repro.apps.tpcc_impls import DbTpcc, StyxTpcc, WorkflowTpcc
 
@@ -31,7 +35,6 @@ __all__ = [
     "DbBank",
     "DbTpcc",
     "FaasBank",
-    "HotelApp",
     "MicroserviceShop",
     "StatefunBank",
     "StyxTpcc",

@@ -8,9 +8,10 @@ effect definitely did not happen, ``info`` = unknown), and names the
 oracles entitled to judge it.
 
 Seven of the nine runtimes are one class, :class:`AppScenario`: a kernel
-app spec (the double-entry ledger or gap-free invoicing) deployed by
-:func:`repro.apps.core.bind` as its :data:`DEPLOYMENTS` entry says, and
-judged by the oracles the spec compiles.  The saga shop
+app spec (the double-entry ledger or gap-free invoicing, built as the
+:data:`APPS` table says) deployed by :func:`repro.apps.core.bind` as its
+:data:`DEPLOYMENTS` entry says, and judged by the oracles the spec
+compiles.  The saga shop
 (``microservice``) and the flooded service (``overload``) keep their own
 classes.
 
@@ -31,6 +32,7 @@ from typing import Any, Generator, NamedTuple, Optional, Union
 from repro.actors import TransactionFailed
 from repro.apps import MicroserviceShop
 from repro.apps.core import AppFailure, AppUncertain, bind
+from repro.apps.hotel import hotel_spec
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import AuditOp, ledger_spec
 from repro.chaos.config import ChaosConfig
@@ -46,7 +48,7 @@ from repro.messaging.rpc import RpcClient, RpcServer
 from repro.net import Network, NodeCrashed
 from repro.replication import ReplicationConfig
 from repro.sim import Environment, Interrupted
-from repro.workloads import MarketplaceWorkload, TransferWorkload
+from repro.workloads import HotelWorkload, MarketplaceWorkload, TransferWorkload
 from repro.workloads.invoicing import InvoicingWorkload
 
 
@@ -140,10 +142,32 @@ class MicroserviceScenario(Scenario):
         return "info"
 
 
+#: kernel app name -> (workload factory, spec factory): how the chaos
+#: deployments and the C17 app matrix size and build each app.
+APPS = {
+    "ledger": (
+        lambda: TransferWorkload(
+            num_accounts=12, initial_balance=100, amount=10, theta=0.5
+        ),
+        ledger_spec,
+    ),
+    "invoicing": (InvoicingWorkload, invoicing_spec),
+    # Few hotels, few rooms: reserves contend on each hotel and some of
+    # them find it full.
+    "hotel": (
+        lambda: HotelWorkload(
+            num_hotels=3, num_cities=2, capacity_per_hotel=4,
+            reserve_fraction=0.6,
+        ),
+        hotel_spec,
+    ),
+}
+
+
 class Deployment(NamedTuple):
     """One kernel app on one runtime, as the chaos harness deploys it."""
 
-    #: ``"ledger"`` or ``"invoicing"``
+    #: an :data:`APPS` name
     app: str
     #: the :func:`~repro.apps.core.bind` runtime
     runtime: str
@@ -276,14 +300,9 @@ class AppScenario(Scenario):
         deployment = DEPLOYMENTS[name]
         self.name = name
         self.default_config = deployment.config
-        if deployment.app == "ledger":
-            self.workload = TransferWorkload(
-                num_accounts=12, initial_balance=100, amount=10, theta=0.5
-            )
-            self.spec = ledger_spec(self.workload)
-        else:
-            self.workload = InvoicingWorkload()
-            self.spec = invoicing_spec(self.workload)
+        workload_of, spec_of = APPS[deployment.app]
+        self.workload = workload_of()
+        self.spec = spec_of(self.workload)
         self.kind = self.spec.kind
         if broken and isinstance(deployment.control, str):
             self.binder = MUTANTS[deployment.control](
@@ -490,10 +509,9 @@ class OverloadScenario(Scenario):
 
     def __init__(self, env: Environment, broken: bool) -> None:
         super().__init__(env, broken)
-        self.workload = TransferWorkload(
-            num_accounts=12, initial_balance=100, amount=10, theta=0.5
-        )
-        self.binder = bind("db", env, ledger_spec(self.workload))
+        workload_of, spec_of = APPS["ledger"]
+        self.workload = workload_of()
+        self.binder = bind("db", env, spec_of(self.workload))
         self.net = Network(env)
         self.client_node = self.net.add_node("load-client")
         self.bg_node = self.net.add_node("bg-client")

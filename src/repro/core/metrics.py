@@ -2,14 +2,13 @@
 
 Because the clock is virtual, latencies are exact (no measurement noise)
 and percentiles are reproducible.  A :class:`MetricsCollector` is shared by
-the workload drivers; benchmarks print its :meth:`MetricsCollector.summary`.
+the workload drivers; benchmarks read its per-operation recorders.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -67,10 +66,6 @@ class LatencyRecorder:
         return len(self.samples)
 
     @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
     def sorted_samples(self) -> list[float]:
         """Samples in ascending order (cached until the next record)."""
         if self._sorted is None:
@@ -80,18 +75,6 @@ class LatencyRecorder:
     def p(self, q: float) -> float:
         """Percentile; 0.0 when empty (keeps report rendering simple)."""
         return percentile_sorted(self.sorted_samples, q) if self.samples else 0.0
-
-
-@dataclass
-class OpSummary:
-    """Per-operation aggregate used in benchmark tables."""
-
-    name: str
-    completed: int
-    failed: int
-    mean_ms: float
-    p50_ms: float
-    p99_ms: float
 
 
 class MetricsCollector:
@@ -140,7 +123,7 @@ class MetricsCollector:
         """Read-only view of one operation's samples.
 
         Never inserts: querying an unknown op returns an empty recorder
-        without fabricating a row in :meth:`summary`.
+        without fabricating a row in :meth:`recorders`.
         """
         return self._latencies.get(op, MetricsCollector._EMPTY)
 
@@ -154,23 +137,6 @@ class MetricsCollector:
         if window_s <= 0:
             return 0.0
         return self.completed() / window_s
-
-    def summary(self) -> list[OpSummary]:
-        """One row per operation type, sorted by name."""
-        rows = []
-        for name in sorted(set(self._latencies) | set(self._failures)):
-            recorder = self._latencies.get(name, MetricsCollector._EMPTY)
-            rows.append(
-                OpSummary(
-                    name=name,
-                    completed=recorder.count,
-                    failed=self._failures.get(name, 0),
-                    mean_ms=recorder.mean,
-                    p50_ms=recorder.p(50),
-                    p99_ms=recorder.p(99),
-                )
-            )
-        return rows
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -5,7 +5,7 @@ that monoliths delegated state management, recovery, and consistency to, and
 that each microservice re-adopts as a private or shared database.  It
 provides:
 
-- heap tables with primary keys and secondary indexes,
+- versioned heap tables keyed by primary key,
 - three isolation levels — read committed, snapshot isolation (MVCC with
   first-committer-wins), and serializable (strict two-phase locking with
   intention locks and deadlock detection),

@@ -147,19 +147,12 @@ class Transaction:
 
 
 class _Table:
-    """Versioned heap with primary key and secondary indexes.
-
-    Secondary indexes come in two flavours: hash (equality lookups) and
-    ordered (range lookups over a sorted column directory).
-    """
+    """Versioned heap keyed by primary key."""
 
     def __init__(self, name: str, primary_key: str) -> None:
         self.name = name
         self.primary_key = primary_key
         self.versions: dict[Hashable, list[tuple[int, Optional[dict]]]] = {}
-        self.indexes: dict[str, dict[Any, set[Hashable]]] = {}
-        self.ordered_indexes: set[str] = set()  # columns with sorted access
-        self._sorted_values: dict[str, list[Any]] = {}
 
     def latest(self, key: Hashable) -> Optional[dict]:
         chain = self.versions.get(key)
@@ -181,21 +174,7 @@ class _Table:
     def install(self, key: Hashable, row: Optional[dict], seq: int) -> None:
         if row is not None and row.__class__ is not Row:
             row = Row(row)
-        old = self.latest(key)
         self.versions.setdefault(key, []).append((seq, row))
-        for column, index in self.indexes.items():
-            if old is not None and column in old:
-                old_value = old[column]
-                bucket = index.get(old_value, set())
-                bucket.discard(key)
-                if not bucket and column in self.ordered_indexes:
-                    self._sorted_remove(column, old_value)
-                    index.pop(old_value, None)
-            if row is not None and column in row:
-                value = row[column]
-                if value not in index and column in self.ordered_indexes:
-                    self._sorted_insert(column, value)
-                index.setdefault(value, set()).add(key)
 
     def prune(self, key: Hashable, horizon: int) -> int:
         """Drop versions superseded at-or-below ``horizon`` (MVCC GC).
@@ -220,29 +199,6 @@ class _Table:
         del chain[:cut]
         return cut
 
-    def _sorted_insert(self, column: str, value: Any) -> None:
-        import bisect
-
-        directory = self._sorted_values.setdefault(column, [])
-        bisect.insort(directory, value)
-
-    def _sorted_remove(self, column: str, value: Any) -> None:
-        import bisect
-
-        directory = self._sorted_values.get(column, [])
-        position = bisect.bisect_left(directory, value)
-        if position < len(directory) and directory[position] == value:
-            del directory[position]
-
-    def range_values(self, column: str, low: Any, high: Any) -> list[Any]:
-        """Index values in ``[low, high)`` (ordered index required)."""
-        import bisect
-
-        directory = self._sorted_values.get(column, [])
-        start = bisect.bisect_left(directory, low)
-        stop = bisect.bisect_left(directory, high)
-        return directory[start:stop]
-
     def keys(self) -> KeysView[Hashable]:
         """Live key view (don't mutate the table while iterating)."""
         return self.versions.keys()
@@ -250,18 +206,6 @@ class _Table:
     def version_count(self) -> int:
         """Total retained versions across every chain (GC accounting)."""
         return sum(len(chain) for chain in self.versions.values())
-
-    def create_index(self, column: str, ordered: bool = False) -> None:
-        index: dict[Any, set[Hashable]] = {}
-        for key in self.versions:
-            row = self.latest(key)
-            if row is not None and column in row:
-                index.setdefault(row[column], set()).add(key)
-        self.indexes[column] = index
-        if ordered:
-            self.ordered_indexes.add(column)
-            self._sorted_values[column] = sorted(index)
-
 
 @dataclass
 class DbStats:
@@ -333,16 +277,6 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         self._tables[name] = _Table(name, primary_key)
         self.wal.append("create_table", (name, primary_key))
-        self._flush_wal()
-
-    def create_index(self, table: str, column: str, ordered: bool = False) -> None:
-        """Build a secondary index on ``column``.
-
-        ``ordered=True`` additionally maintains a sorted value directory,
-        enabling :meth:`range_lookup`.
-        """
-        self._table(table).create_index(column, ordered=ordered)
-        self.wal.append("create_index", (table, column, ordered))
         self._flush_wal()
 
     def _table(self, name: str) -> _Table:
@@ -516,65 +450,6 @@ class Database:
         if predicate is not None:
             result = [r for r in result if predicate(r)]
         return result
-
-    def lookup(self, txn: Transaction, table: str, column: str, value: Any) -> Generator:
-        """Equality lookup through a secondary index.
-
-        The index reflects the *latest committed* state; under SNAPSHOT
-        isolation a key whose indexed value changed after this
-        transaction's snapshot may be missed (a standard limitation of
-        latest-state indexes over MVCC heaps).
-        """
-        txn.require(TxnStatus.ACTIVE)
-        tbl = self._table(table)
-        if column not in tbl.indexes:
-            raise ValueError(f"no index on {table}.{column}")
-        if txn.isolation is IsolationLevel.SERIALIZABLE:
-            wait = self._lock(txn, ("table", table), LockMode.S)
-            if wait is not None:
-                yield from wait
-        keys = set(tbl.indexes[column].get(value, set()))
-        rows = []
-        for key in sorted(keys, key=repr):
-            row = yield from self.get(txn, table, key)
-            if row is not None and row.get(column) == value:
-                rows.append(row)
-        for (wtable, wkey), wrow in txn.writes.items():
-            if wtable == table and wrow is not None and wrow.get(column) == value:
-                if wkey not in keys:
-                    rows.append(self._out(wrow))
-        return rows
-
-    def range_lookup(
-        self, txn: Transaction, table: str, column: str, low: Any, high: Any
-    ) -> Generator:
-        """Rows with ``low <= row[column] < high`` via an ordered index.
-
-        Same visibility caveats as :meth:`lookup` (latest-state index over
-        the MVCC heap); SERIALIZABLE takes a table lock for phantom
-        protection, matching :meth:`scan`.
-        """
-        txn.require(TxnStatus.ACTIVE)
-        tbl = self._table(table)
-        if column not in tbl.ordered_indexes:
-            raise ValueError(f"no ordered index on {table}.{column}")
-        if txn.isolation is IsolationLevel.SERIALIZABLE:
-            wait = self._lock(txn, ("table", table), LockMode.S)
-            if wait is not None:
-                yield from wait
-        rows: list[dict] = []
-        seen_keys: set[Hashable] = set()
-        for value in tbl.range_values(column, low, high):
-            for key in sorted(tbl.indexes[column].get(value, set()), key=repr):
-                row = yield from self.get(txn, table, key)
-                if row is not None and low <= row.get(column) < high:
-                    rows.append(row)
-                    seen_keys.add(key)
-        for (wtable, wkey), wrow in txn.writes.items():
-            if (wtable == table and wkey not in seen_keys and wrow is not None
-                    and column in wrow and low <= wrow[column] < high):
-                rows.append(self._out(wrow))
-        return rows
 
     # -- writes -------------------------------------------------------------------
 
@@ -988,10 +863,6 @@ class Database:
             if record.kind == "create_table":
                 name, primary_key = record.payload
                 self._tables[name] = _Table(name, primary_key)
-            elif record.kind == "create_index":
-                table, column, *rest = record.payload
-                ordered = rest[0] if rest else False
-                self._table(table).create_index(column, ordered=ordered)
             elif record.kind == "write":
                 tid, table, key, row = record.payload
                 pending.setdefault(tid, {})[(table, key)] = row
@@ -1030,9 +901,7 @@ class Database:
         self.stats.live_versions = 0
         restored: dict[tuple[str, Hashable], Optional[dict]] = {}
         for name, meta in image["tables"].items():
-            tbl = self._tables[name] = _Table(name, meta["primary_key"])
-            for column, ordered in meta["indexes"]:
-                tbl.create_index(column, ordered=ordered)
+            self._tables[name] = _Table(name, meta["primary_key"])
             for key, row in meta["rows"].items():
                 restored[(name, key)] = row
         if restored:
@@ -1129,7 +998,7 @@ class Database:
     def image(self) -> dict:
         """Committed state in the durable checkpoint format.
 
-        ``{"tables": {name: {"primary_key", "indexes", "rows"}},
+        ``{"tables": {name: {"primary_key", "rows"}},
         "in_doubt": {tid: writes}}``: the schema, the latest committed
         row per key and the in-doubt write sets.  :meth:`checkpoint` logs
         it; a replica ships it as an InstallSnapshot payload, which the
@@ -1140,10 +1009,6 @@ class Database:
             "tables": {
                 name: {
                     "primary_key": tbl.primary_key,
-                    "indexes": [
-                        (column, column in tbl.ordered_indexes)
-                        for column in tbl.indexes
-                    ],
                     "rows": {
                         key: chain[-1][1]
                         for key, chain in tbl.versions.items()

@@ -60,9 +60,6 @@ class DatabaseServer:
     def create_table(self, name: str, primary_key: str = "id") -> None:
         self.engine.create_table(name, primary_key)
 
-    def create_index(self, table: str, column: str, ordered: bool = False) -> None:
-        self.engine.create_index(table, column, ordered=ordered)
-
     def load(self, table: str, rows: list[dict]) -> None:
         self.engine.load(table, rows)
 
@@ -143,32 +140,6 @@ class DatabaseServer:
         yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
         rows = yield from self.engine.scan(txn, table, predicate)
         # Result-set transfer cost: scans are not free the way gets are.
-        yield self.env.timeout(0.002 * len(rows))
-        return rows
-
-    def lookup(self, txn: Transaction, table: str, column: str, value: Any) -> Generator:
-        gen = self._lookup(txn, table, column, value)
-        if self.env.tracer.enabled:
-            return self._traced("db.lookup", gen, table=table)
-        return gen
-
-    def _lookup(self, txn: Transaction, table: str, column: str, value: Any) -> Generator:
-        yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
-        return (yield from self.engine.lookup(txn, table, column, value))
-
-    def range_lookup(
-        self, txn: Transaction, table: str, column: str, low: Any, high: Any
-    ) -> Generator:
-        gen = self._range_lookup(txn, table, column, low, high)
-        if self.env.tracer.enabled:
-            return self._traced("db.range_lookup", gen, table=table)
-        return gen
-
-    def _range_lookup(
-        self, txn: Transaction, table: str, column: str, low: Any, high: Any
-    ) -> Generator:
-        yield self.env.timeout(self._rtt(self._rng) + self._service(self._rng))
-        rows = yield from self.engine.range_lookup(txn, table, column, low, high)
         yield self.env.timeout(0.002 * len(rows))
         return rows
 

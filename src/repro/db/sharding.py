@@ -371,8 +371,8 @@ class ShardedDatabase:
                 f"replication factor {factor} needs at "
                 f"least {factor} nodes, have {len(self.nodes)}"
             )
-        self._schema: list[tuple[str, tuple]] = []
-        #: table -> primary-key column, as create_table recorded it
+        #: table -> primary-key column, in create_table order: the schema
+        #: every new engine replays
         self._primary_keys: dict[str, str] = {}
         #: replica traffic runs over its own network so the replication
         #: RPCs share fault injection (partitions, crashes) with the
@@ -426,8 +426,8 @@ class ShardedDatabase:
 
         def engine(node_name: str) -> Database:
             engine = Database(self.env, name=f"{self.name}/shard{shard}@{node_name}")
-            for kind, args in self._schema:
-                (engine.create_table if kind == "table" else engine.create_index)(*args)
+            for table, primary_key in self._primary_keys.items():
+                engine.create_table(table, primary_key)
             for table, rows in (rows_by_table or {}).items():
                 if rows:
                     engine.load(table, rows)
@@ -518,15 +518,9 @@ class ShardedDatabase:
             yield from group.engines()
 
     def create_table(self, name: str, primary_key: str = "id") -> None:
-        self._schema.append(("table", (name, primary_key)))
         self._primary_keys[name] = primary_key
         for engine in self._engines():
             engine.create_table(name, primary_key)
-
-    def create_index(self, table: str, column: str, ordered: bool = False) -> None:
-        self._schema.append(("index", (table, column, ordered)))
-        for engine in self._engines():
-            engine.create_index(table, column, ordered=ordered)
 
     def load(self, table: str, rows: list[dict]) -> None:
         """Setup-time load sits below the log: every replica gets its

@@ -122,10 +122,6 @@ class Semaphore:
         self._available = permits
         self._waiters: Deque[Future] = deque()
 
-    @property
-    def available(self) -> int:
-        return self._available
-
     def acquire(self) -> Future:
         fut = Future(self.env, label=f"{self.label}.acquire")
         if self._available > 0:

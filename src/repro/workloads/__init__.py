@@ -15,7 +15,8 @@ open/closed distinction (Schroeder et al.).  This package supplies:
 - :mod:`repro.workloads.marketplace` — an Online-Marketplace-style
   checkout (cart → stock → payment) with oversell/double-charge invariants;
 - :mod:`repro.workloads.hotel` — a DeathStarBench-style hotel reservation
-  workload with capacity invariants.
+  workload (searches and reserves; the app and its capacity invariants
+  are :mod:`repro.apps.hotel`).
 """
 
 from repro.workloads.arrivals import (

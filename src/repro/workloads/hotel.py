@@ -3,9 +3,10 @@
 DeathStarBench (paper ref [27]) is the de-facto microservice benchmark;
 its hotel-reservation application is the scenario used by Boki and
 friends.  We keep its essential data-management shape: a search over
-nearby hotels followed by a reservation against finite room capacity, with
-a capacity invariant that breaks under lost isolation (two concurrent
-reservations both observing the last room).
+nearby hotels followed by a reservation against finite room capacity.
+The app itself, with the capacity invariants that break under lost
+isolation (two concurrent reservations both observing the last room),
+is :func:`repro.apps.hotel.hotel_spec`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Iterator
-
-from repro.transactions.anomalies import Invariant, Violation
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class HotelWorkload:
                 "id": self.hotel(i),
                 "city": self.city_of(i),
                 "capacity": self.capacity_per_hotel,
-                "available": self.capacity_per_hotel,
+                "reserved": 0,
             }
             for i in range(self.num_hotels)
         ]
@@ -75,30 +74,3 @@ class HotelWorkload:
                 )
             else:
                 yield SearchOp(op_id=op_id, city=f"city-{rng.randrange(self.num_cities)}")
-
-    def invariants(self) -> list[Invariant]:
-        return [_CapacityInvariant()]
-
-
-class _CapacityInvariant(Invariant):
-    """available + confirmed reservations == capacity, and available >= 0."""
-
-    name = "hotel.capacity"
-
-    def check(self, state: dict) -> list[Violation]:
-        violations = []
-        reserved: dict[str, int] = {}
-        for reservation in state["reservations"]:
-            reserved[reservation["hotel"]] = reserved.get(reservation["hotel"], 0) + 1
-        for hotel in state["hotels"]:
-            total = hotel["available"] + reserved.get(hotel["id"], 0)
-            if hotel["available"] < 0 or total != hotel["capacity"]:
-                violations.append(
-                    Violation(
-                        self.name,
-                        f"{hotel['id']}: available={hotel['available']}, "
-                        f"reserved={reserved.get(hotel['id'], 0)}, "
-                        f"capacity={hotel['capacity']}",
-                    )
-                )
-        return violations

@@ -72,7 +72,7 @@ class ZipfianGenerator:
 class YcsbOp:
     """One abstract operation: the adapter decides how to run it."""
 
-    kind: str  # "read" | "update" | "insert" | "scan" | "rmw"
+    kind: str  # "read" | "update" | "insert" | "rmw"
     key: str
     value: Optional[dict] = None
 
@@ -82,7 +82,6 @@ _MIXES = {
     "B": {"read": 0.95, "update": 0.05},
     "C": {"read": 1.0},
     "D": {"read": 0.95, "insert": 0.05},
-    "E": {"scan": 0.95, "insert": 0.05},
     "F": {"read": 0.5, "rmw": 0.5},
 }
 
@@ -91,7 +90,8 @@ _MIXES = {
 class YcsbWorkload:
     """A YCSB core workload instance.
 
-    ``mix`` is a letter A–F or a custom ``{kind: fraction}`` dict.
+    ``mix`` is a letter A, B, C, D or F (E, the scan mix, is not
+    modelled) or a custom ``{kind: fraction}`` dict.
     """
 
     record_count: int = 1000
@@ -140,8 +140,6 @@ class YcsbWorkload:
                     self.key_of(self._insert_counter),
                     {"field0": "y" * self.value_size},
                 )
-            elif kind == "scan":
-                yield YcsbOp("scan", self.key_of(self._zipf.next(rng)))
             else:
                 key = self.key_of(self._zipf.next(rng))
                 value = {"field0": "z" * self.value_size} if kind in ("update", "rmw") else None

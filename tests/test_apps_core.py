@@ -21,11 +21,13 @@ from repro.apps.core import (
     compile_oracles,
     registered_runtimes,
 )
+from repro.apps.hotel import hotel_spec
 from repro.apps.invoicing import invoicing_spec
 from repro.apps.ledger import ledger_spec
 from repro.chaos import History
 from repro.chaos.mutants import SplitAllocatorDbBinder
 from repro.sim import Environment
+from repro.workloads.hotel import HotelWorkload
 from repro.workloads.invoicing import InvoiceOp, InvoicingWorkload
 from repro.workloads.transfers import TransferWorkload
 
@@ -36,6 +38,9 @@ def make_app(app):
     if app == "ledger":
         workload = TransferWorkload(num_accounts=8, initial_balance=100, amount=10)
         return ledger_spec(workload), workload
+    if app == "hotel":
+        workload = HotelWorkload(num_hotels=3, num_cities=2, capacity_per_hotel=2)
+        return hotel_spec(workload), workload
     workload = InvoicingWorkload()
     return invoicing_spec(workload), workload
 
@@ -60,7 +65,7 @@ def drive(env, binder, ops):
     return done
 
 
-@pytest.mark.parametrize("app", ["ledger", "invoicing"])
+@pytest.mark.parametrize("app", ["ledger", "invoicing", "hotel"])
 @pytest.mark.parametrize("runtime", registered_runtimes())
 def test_binder_conformance(app, runtime):
     """Adapter surface + fault-free smoke workload + clean invariants."""

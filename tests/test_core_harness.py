@@ -65,10 +65,11 @@ class TestMetricsCollector:
         metrics.record_success("read", 4.0)
         metrics.record_failure("write")
         metrics.stop(500.0)
-        rows = {row.name: row for row in metrics.summary()}
-        assert rows["read"].completed == 2
-        assert rows["read"].mean_ms == 3.0
-        assert rows["write"].failed == 1
+        rows = metrics.recorders()
+        assert rows["read"].count == 2
+        assert rows["read"].samples == [2.0, 4.0]
+        assert "write" not in rows  # a failure-only op has no latency row
+        assert metrics.failed() == 1
 
     def test_zero_window(self):
         metrics = MetricsCollector()

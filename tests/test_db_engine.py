@@ -172,57 +172,6 @@ class TestCrud:
         assert db.read_latest("accounts", "alice")["balance"] == 100
 
 
-class TestSecondaryIndex:
-    def test_lookup_by_indexed_column(self, env, db):
-        db.create_index("accounts", "balance")
-
-        def txn_body():
-            txn = db.begin(SER)
-            rows = yield from db.lookup(txn, "accounts", "balance", 50)
-            yield from db.commit(txn)
-            return rows
-
-        assert [r["id"] for r in run(env, txn_body())] == ["bob"]
-
-    def test_index_maintained_on_update(self, env, db):
-        db.create_index("accounts", "balance")
-
-        def writer():
-            txn = db.begin(SER)
-            yield from db.update(txn, "accounts", "bob", {"balance": 100})
-            yield from db.commit(txn)
-
-        run(env, writer())
-
-        def reader():
-            txn = db.begin(SER)
-            rows = yield from db.lookup(txn, "accounts", "balance", 100)
-            yield from db.commit(txn)
-            return rows
-
-        assert sorted(r["id"] for r in run(env, reader())) == ["alice", "bob"]
-
-    def test_lookup_without_index_raises(self, env, db):
-        def txn_body():
-            txn = db.begin(SER)
-            yield from db.lookup(txn, "accounts", "balance", 50)
-
-        with pytest.raises(ValueError):
-            run(env, txn_body())
-
-    def test_lookup_sees_own_insert(self, env, db):
-        db.create_index("accounts", "balance")
-
-        def txn_body():
-            txn = db.begin(SER)
-            yield from db.insert(txn, "accounts", {"id": "dave", "balance": 50})
-            rows = yield from db.lookup(txn, "accounts", "balance", 50)
-            yield from db.commit(txn)
-            return sorted(r["id"] for r in rows)
-
-        assert run(env, txn_body()) == ["bob", "dave"]
-
-
 class TestIsolationAnomalies:
     """Each isolation level shows (exactly) its textbook anomalies."""
 
@@ -489,19 +438,6 @@ class TestRecovery:
         db.crash()
         db.recover()
         assert db.all_rows("accounts") == first
-
-    def test_indexes_rebuilt_after_recovery(self, env, db):
-        db.create_index("accounts", "balance")
-        db.crash()
-        db.recover()
-
-        def reader():
-            txn = db.begin(SER)
-            rows = yield from db.lookup(txn, "accounts", "balance", 100)
-            yield from db.commit(txn)
-            return rows
-
-        assert [r["id"] for r in run(env, reader())] == ["alice"]
 
     def test_prepared_txn_becomes_in_doubt(self, env, db):
         def preparer():

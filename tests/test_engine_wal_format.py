@@ -82,11 +82,9 @@ def test_every_durable_path_appends_the_pinned_records():
 
     # schema and bulk load
     db.create_table("accounts")
-    db.create_index("accounts", "balance", ordered=True)
     db.load("accounts", [_row("a", 10), _row("b", 20)])
     assert log.new() == [
         ("create_table", ("accounts", "id")),
-        ("create_index", ("accounts", "balance", True)),
         _write(0, "a", 10), _write(0, "b", 20), ("commit", (0,)),
     ]
 
@@ -139,7 +137,6 @@ def test_every_durable_path_appends_the_pinned_records():
     image = {
         "tables": {"accounts": {
             "primary_key": "id",
-            "indexes": [("balance", True)],
             "rows": {"a": _row("a", 12), "c": _row("c", 31), "d": _row("d", 40)},
         }},
         "in_doubt": {before.tid: {("accounts", "c"): _row("c", 32)}},
@@ -177,7 +174,6 @@ def test_every_durable_path_appends_the_pinned_records():
     snapshot = {
         "tables": {"accounts": {
             "primary_key": "id",
-            "indexes": [("balance", True)],
             "rows": {"z": _row("z", 1)},
         }},
         "in_doubt": {"g9": {("accounts", "y"): _row("y", 2)}},

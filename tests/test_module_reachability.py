@@ -98,8 +98,6 @@ ROOT_DIRS = ("benchmarks", "scripts", "examples")
 #: being true.
 ALLOWLIST = {
     "repro.flow.credits": "ROADMAP item 12 (binder ingress credits)",
-    "repro.apps.hotel_impl": "ROADMAP item 3 (port hotel to an AppSpec)",
-    "repro.workloads.hotel": "ROADMAP item 3 (port hotel to an AppSpec)",
     "repro.apps.core.reference": "ROADMAP item 16 (op-stream driver + differential test)",
 }
 
@@ -124,7 +122,6 @@ SYMBOL_ALLOWLIST = {
     "repro.db.locks:compatible": SAFETY + " (the lock table the grant path inlines)",
     "repro.db.engine:Database.resolve_in_doubt": SAFETY + " (in-doubt recovery)",
     "repro.db.engine:Database.flush_barrier": SAFETY + " (group-commit durability)",
-    "repro.apps.core.spec:CapacityBoundSpec": "ROADMAP item 3 (port hotel to an AppSpec)",
     "repro.net.network:Network.send_local":
         "ROADMAP item 9(c) (benchmarks/suite/layers.py names it as a boundary)",
     "repro.core.metrics:MetricsCollector.latency": OBSERVES,

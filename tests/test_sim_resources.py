@@ -127,7 +127,8 @@ class TestSemaphore:
             env.process(worker(env))
         env.run()
         assert active["max"] == 2
-        assert sem.available == 2
+        with pytest.raises(SimulationError):  # every permit is back
+            sem.release()
 
     def test_over_release_raises(self, env):
         sem = Semaphore(env, permits=1)

@@ -272,7 +272,6 @@ class TestCheckpointTruncate:
     def test_recovery_from_truncated_log(self):
         env = Environment()
         db = make_db(env)
-        db.create_index("accounts", "balance")
         for i in range(20):
             run(env, write_balance(db, "alice", i))
         records_before = len(db.wal)
@@ -287,14 +286,6 @@ class TestCheckpointTruncate:
         assert db.read_latest("accounts", "alice")["balance"] == 19
         assert db.read_latest("accounts", "bob")["balance"] == 7
         assert info["wal_records_dropped"] > 0
-
-        def by_index():
-            txn = db.begin(SER)
-            rows = yield from db.lookup(txn, "accounts", "balance", 19)
-            yield from db.commit(txn)
-            return rows
-
-        assert [r["id"] for r in run(env, by_index())] == ["alice"]
 
     def test_lsns_keep_increasing_across_truncation(self):
         env = Environment()
@@ -361,20 +352,18 @@ class TestCopyElision:
         assert isinstance(first, Row)
         assert first is db.read_latest("accounts", "bob")
 
-    def test_scan_and_lookup_rows_are_immutable(self):
+    def test_scan_and_read_latest_rows_are_immutable(self):
         env = Environment()
         db = make_db(env)
-        db.create_index("accounts", "balance")
 
         def scans():
             txn = db.begin(RC)
             scanned = yield from db.scan(txn, "accounts")
-            looked_up = yield from db.lookup(txn, "accounts", "balance", 50)
             yield from db.commit(txn)
-            return scanned, looked_up
+            return scanned
 
-        scanned, looked_up = run(env, scans())
-        for row in scanned + looked_up:
+        scanned = run(env, scans())
+        for row in scanned + [db.read_latest("accounts", "bob")]:
             with pytest.raises(TypeError):
                 row["balance"] = -1
             with pytest.raises(TypeError):

@@ -54,10 +54,11 @@ def run_scenario(seed, traced):
 
 
 def summary_tuples(result):
+    rows = result.metrics.recorders()
     return [
-        (s.name, s.completed, s.failed, s.mean_ms, s.p50_ms, s.p99_ms)
-        for s in result.metrics.summary()
-    ]
+        (name, rows[name].samples, rows[name].p(50), rows[name].p(99))
+        for name in sorted(rows)
+    ] + [("failed", result.metrics.failed())]
 
 
 def test_same_seed_runs_are_identical_including_trace():

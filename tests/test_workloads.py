@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.hotel import hotel_spec
 from repro.sim import Environment
 from repro.workloads import (
     ClosedLoop,
@@ -125,7 +126,6 @@ OP_STREAMS = {
     "ycsb-C": lambda: YcsbWorkload(record_count=10_000, mix="C", theta=0.9),
     "ycsb-rmw": lambda: YcsbWorkload(record_count=100, mix={"rmw": 1.0}, theta=0.9),
     "ycsb-A": lambda: YcsbWorkload(record_count=1_000, mix="A"),
-    "ycsb-E": lambda: YcsbWorkload(record_count=1_000, mix="E"),
     "transfers": lambda: TransferWorkload(
         num_accounts=1_000, initial_balance=10**6, amount=1, theta=0.7
     ),
@@ -137,8 +137,6 @@ OP_STREAM_DIGESTS = {
     ("ycsb-rmw", 11): "28b3d5fa6829fcf84866d93a8db3b79e9a74a7d29ea708c69cbfe8edc0c09188",
     ("ycsb-A", 3): "7184afb23ccba45cf582915af0e1184c4578598f93ea57e3a668f3d5dfc70136",
     ("ycsb-A", 11): "50a8de1968a847bc4a85446dda0c8345e7095327ed6c010a8d57880512b390db",
-    ("ycsb-E", 3): "37a0109e83477e7552772525827db8e8e4e252230df93bd58f634bda64b82086",
-    ("ycsb-E", 11): "0d72314e2204eebf83ebf210ad8335dcd01836d686a93c4b61c4d5c437d971b2",
     ("transfers", 3): "050bffb1d8ca76bd7181e4cd2d3cb4b9126fe0ce6a67ae0bd7babc8760acc007",
     ("transfers", 11): "1f42d56706feccb989f01b25115cb02437a81a258bb596f89a60e62fc02a49de",
 }
@@ -254,14 +252,20 @@ class TestHotel:
         assert 120 < reserves < 280
 
     def test_capacity_invariant(self):
-        invariant = HotelWorkload().invariants()[0]
+        capacity, booked = hotel_spec(HotelWorkload()).state_invariants()
         state = {
-            "hotels": [{"id": "h", "capacity": 10, "available": 8}],
-            "reservations": [{"hotel": "h"}, {"hotel": "h"}],
+            "hotels": [{"id": "h", "capacity": 2, "reserved": 2}],
+            "reservations": [
+                {"hotel": "h", "status": "confirmed"},
+                {"hotel": "h", "status": "confirmed"},
+                {"hotel": "h", "status": "declined"},
+            ],
         }
-        assert invariant.check(state) == []
-        state["hotels"][0]["available"] = -1
-        assert invariant.check(state)
+        assert capacity.check(state) == booked.check(state) == []
+        state["hotels"][0]["reserved"] = 3  # one room sold twice
+        assert capacity.check(state) and booked.check(state)
+        state["hotels"][0]["reserved"] = -1
+        assert capacity.check(state) and booked.check(state)
 
 
 class TestArrivalProcesses:
