@@ -98,8 +98,9 @@ def run_one(mix, level_name, isolation, seed):
     )
     lost = executor.rmw_applied - executor.counter_total()
     result.extra["lost_updates"] = lost
-    # Deterministic per-cell kernel-event count for the e2e_b1_events_per_txn
-    # accounting (extras do not appear in the committed result table).
+    # Deterministic per-cell kernel-event count for the profile report's
+    # per-transaction accounting (extras do not appear in the committed
+    # result table).
     result.extra["events_executed"] = env.events_executed
     return result
 

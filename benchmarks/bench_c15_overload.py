@@ -25,8 +25,7 @@ on duplicate and expired work) while the flow-controlled config keeps
 goodput near capacity by rejecting the excess instead of queueing it.
 
 Run directly (``python benchmarks/bench_c15_overload.py [--smoke]``),
-via pytest (``pytest benchmarks/bench_c15_overload.py``), or through
-``scripts/perfcheck.py`` (which calls :func:`run`).
+or via pytest (``pytest benchmarks/bench_c15_overload.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 if __package__ in (None, ""):  # direct script execution
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -193,25 +191,6 @@ def test_c15_overload(benchmark):
         format_table(results),
     )
     check_claims(results)
-
-
-def run(smoke: bool = False) -> dict:
-    """perfcheck entry point: the key goodput numbers plus wall time."""
-    started = time.perf_counter()
-    results = run_all(smoke=smoke)
-    wall = time.perf_counter() - started
-    if not smoke:
-        check_claims(results)
-    by = {(r["config"], r["mult"]): r for r in results}
-    return {
-        "c15_flow_goodput_10x_per_sec": round(
-            by[("flow", 10.0)]["goodput_per_s"], 1
-        ),
-        "c15_unprotected_goodput_10x_per_sec": round(
-            by[("unprotected", 10.0)]["goodput_per_s"], 1
-        ),
-        "c15_overload_wall_sec": round(wall, 3),
-    }
 
 
 def main(argv=None) -> int:

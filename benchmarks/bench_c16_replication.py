@@ -25,8 +25,7 @@ at the median, but reading your *own* fresh write waits out commit-index
 propagation to the follower, so the tail stretches past the leader path.
 
 Run directly (``python benchmarks/bench_c16_replication.py [--smoke]``),
-via pytest (``pytest benchmarks/bench_c16_replication.py``), or through
-``scripts/perfcheck.py`` (which calls :func:`run`).
+or via pytest (``pytest benchmarks/bench_c16_replication.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 if __package__ in (None, ""):  # direct script execution
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -197,23 +195,6 @@ def test_c16_replication(benchmark):
         format_table(results),
     )
     check_claims(results)
-
-
-def run(smoke: bool = False) -> dict:
-    """perfcheck entry point: key virtual latencies plus wall time."""
-    started = time.perf_counter()
-    results = run_all(smoke=smoke)
-    wall = time.perf_counter() - started
-    if not smoke:
-        check_claims(results)
-    by = {r["op"]: r for r in results}
-    return {
-        "c16_single_write_mean_ms": round(by["1-shard write/single"]["mean_ms"], 3),
-        "c16_quorum_write_mean_ms": round(by["1-shard write/quorum(3)"]["mean_ms"], 3),
-        "c16_leader_read_mean_ms": round(by["read/leader"]["mean_ms"], 3),
-        "c16_follower_read_mean_ms": round(by["read/follower"]["mean_ms"], 3),
-        "c16_replication_wall_sec": round(wall, 3),
-    }
 
 
 def main(argv=None) -> int:

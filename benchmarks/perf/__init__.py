@@ -6,9 +6,10 @@ Everything under ``benchmarks/perf`` measures *real* time with
 never depend on the host clock, but the harness exists to measure the
 host clock.
 
-Entry point: ``python scripts/perfcheck.py`` runs every bench, writes
-``BENCH_perf.json`` at the repo root, and diffs against the committed
-baseline in ``benchmarks/perf/baseline.json``.
+Entry point: ``python scripts/perfcheck.py`` runs the four microbench
+families (kernel, locks, storage, messaging), writes ``BENCH_perf.json``
+at the repo root, and diffs against the committed baseline in
+``benchmarks/perf/baseline.json``.
 """
 
 from __future__ import annotations
@@ -64,23 +65,22 @@ def tracing_mode() -> dict:
     }
 
 
-def write_results(metrics: dict, *, smoke: bool = False, path: str = BENCH_JSON) -> str:
+def write_results(metrics: dict) -> str:
     """Persist a metrics dict (metric name -> number) as BENCH_perf.json."""
     payload = {
         "host": host_info(),
         "mode": tracing_mode(),
-        "smoke": smoke,
         "metrics": metrics,
     }
-    with open(path, "w") as handle:
+    with open(BENCH_JSON, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
+    return BENCH_JSON
 
 
-def load_baseline(path: str = BASELINE_JSON) -> dict:
+def load_baseline() -> dict:
     """Load the committed baseline, or an empty dict if absent."""
-    if not os.path.exists(path):
+    if not os.path.exists(BASELINE_JSON):
         return {}
-    with open(path) as handle:
+    with open(BASELINE_JSON) as handle:
         return json.load(handle)

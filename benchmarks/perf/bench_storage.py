@@ -20,7 +20,8 @@ Three scenarios, one per fast path (see the "Storage engine" section of
 
 Smoke mode runs the same scenarios at reduced scale (same metric names,
 like ``bench_kernel``); smoke numbers are not comparable to the
-committed baseline and ``scripts/perfcheck.py`` skips the gate for them.
+committed baseline, so ``scripts/perfcheck.py --smoke`` prints them and
+skips the gate.
 """
 
 from __future__ import annotations

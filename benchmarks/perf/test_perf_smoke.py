@@ -8,7 +8,7 @@ For the gated run against the committed baseline use::
 
 import pytest
 
-from benchmarks.perf import bench_e2e, bench_kernel, bench_locks
+from benchmarks.perf import bench_kernel, bench_locks
 
 pytestmark = pytest.mark.perf
 
@@ -25,9 +25,3 @@ def test_locks_smoke():
     metrics = bench_locks.run(smoke=True)
     for name, value in metrics.items():
         assert value > 0, name
-
-
-def test_e2e_smoke():
-    metrics = bench_e2e.run(smoke=True)
-    assert metrics["e2e_smoke_txns_per_sec"] > 0
-

@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""Run the wall-clock perf harness and gate on the committed baseline.
+"""Run the wall-clock microbenches and gate on the committed baseline.
 
 Usage::
 
     PYTHONPATH=src python scripts/perfcheck.py            # full run + gate
     PYTHONPATH=src python scripts/perfcheck.py --smoke    # quick sanity run
-    PYTHONPATH=src python scripts/perfcheck.py --only locks
     PYTHONPATH=src python scripts/perfcheck.py --update-baseline
 
-The full run writes ``BENCH_perf.json`` at the repo root and compares
-every throughput metric (``*_per_sec``) and wall-clock metric
-(``*_wall_sec``) against ``benchmarks/perf/baseline.json``; a metric more
-than 20% worse than baseline fails the check.  ``--smoke`` runs every
-bench at reduced scale and skips the gate (smoke numbers are not
-comparable to the committed baseline).  ``--update-baseline`` rewrites the
-baseline from a fresh full run — do this only on a quiet machine.
+Four microbench families run: kernel, locks, storage and messaging
+(end-to-end host time is ``benchmarks/suite``'s job).  The full run writes
+``BENCH_perf.json`` at the repo root and compares every throughput metric
+(``*_per_sec``) and speedup (``*_speedup``) against
+``benchmarks/perf/baseline.json``; a metric more than 20% below baseline
+fails the check.  ``--smoke`` runs every bench at reduced scale, prints
+its numbers and writes nothing (smoke numbers are not comparable to the
+committed baseline).  ``--update-baseline`` rewrites the baseline from a
+fresh full run — do this only on a quiet machine.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ def profile_report_text(top: int = 25) -> str:
     return text
 
 
-def collect(smoke: bool, only: str | None = None) -> dict:
-    from benchmarks import bench_c15_overload, bench_c16_replication
+def collect(smoke: bool) -> dict:
     from benchmarks.perf import (
-        bench_e2e,
         bench_kernel,
         bench_locks,
         bench_messaging,
@@ -84,18 +83,7 @@ def collect(smoke: bool, only: str | None = None) -> dict:
         ("locks", bench_locks),
         ("storage", bench_storage),
         ("messaging", bench_messaging),
-        ("e2e", bench_e2e),
-        ("c15-overload", bench_c15_overload),
-        ("c16-replication", bench_c16_replication),
     )
-    if only is not None:
-        known = [name for name, _module in benches]
-        if only not in known:
-            raise SystemExit(
-                f"perfcheck: unknown bench {only!r} (choose from {known})"
-            )
-        benches = tuple(b for b in benches if b[0] == only)
-
     metrics: dict[str, float] = {}
     for name, module in benches:
         print(f"[perfcheck] running {name} benches ...", flush=True)
@@ -103,14 +91,17 @@ def collect(smoke: bool, only: str | None = None) -> dict:
     return metrics
 
 
-def compare(metrics: dict, baseline_metrics: dict, skip: set | None = None) -> list[str]:
-    """Return a list of regression descriptions (empty = pass)."""
+def compare(metrics: dict, baseline_metrics: dict) -> list[str]:
+    """Return a list of regression descriptions (empty = pass).
+
+    Only throughputs (``*_per_sec``) and speedups (``*_speedup``) are
+    gated; deterministic counts such as flush totals are recorded but not
+    compared.
+    """
     regressions = []
     for name, base in sorted(baseline_metrics.items()):
         current = metrics.get(name)
-        if current is None or not isinstance(base, (int, float)) or base <= 0:
-            continue
-        if skip and name in skip:
+        if current is None or base <= 0:
             continue
         if name.endswith("_per_sec") or name.endswith("_speedup"):
             floor = base * (1.0 - REGRESSION_TOLERANCE)
@@ -119,23 +110,6 @@ def compare(metrics: dict, baseline_metrics: dict, skip: set | None = None) -> l
                     f"{name}: {current:,.0f} < {floor:,.0f} "
                     f"(baseline {base:,.0f}, -{(1 - current / base):.0%})"
                 )
-        elif name.endswith("_wall_sec") or name.endswith("_sec"):
-            ceiling = base * (1.0 + REGRESSION_TOLERANCE)
-            if current > ceiling:
-                regressions.append(
-                    f"{name}: {current:.3f}s > {ceiling:.3f}s "
-                    f"(baseline {base:.3f}s, +{(current / base - 1):.0%})"
-                )
-        elif name.endswith("_per_txn"):
-            # Efficiency counters (e.g. kernel events per transaction):
-            # deterministic, lower is better, gated tighter than the
-            # wall-clock metrics because host noise cannot move them.
-            ceiling = base * 1.02
-            if current > ceiling:
-                regressions.append(
-                    f"{name}: {current:,.2f} > {ceiling:,.2f} "
-                    f"(baseline {base:,.2f}, +{(current / base - 1):.1%})"
-                )
     return regressions
 
 
@@ -143,17 +117,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="reduced-scale sanity run; skips the regression gate",
+        help="reduced-scale sanity run; prints its numbers, writes no "
+        "file and skips the regression gate",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="rewrite benchmarks/perf/baseline.json from this run",
-    )
-    parser.add_argument(
-        "--only", metavar="BENCH", default=None,
-        help="run a single bench family (e.g. --only locks); results "
-        "are merged into an existing BENCH_perf.json and the gate checks "
-        "only the metrics that ran",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -170,7 +139,6 @@ def main(argv=None) -> int:
 
     from benchmarks.perf import (
         BASELINE_JSON,
-        BENCH_JSON,
         host_info,
         load_baseline,
         tracing_mode,
@@ -210,31 +178,13 @@ def main(argv=None) -> int:
         print(text)
         return 0
 
-    metrics = collect(smoke=args.smoke, only=args.only)
-    fresh = set(metrics)
-    if args.only and os.path.exists(BENCH_JSON):
-        # Partial run: keep the other families' numbers in the artifact,
-        # but gate only on the metrics measured just now.
-        with open(BENCH_JSON) as handle:
-            previous = json.load(handle).get("metrics", {})
-        metrics = {**previous, **metrics}
-    baseline = load_baseline()
-    pre_change = baseline.get("pre_change", {}).get("kernel_events_per_sec")
-    if not args.smoke and pre_change:
-        # Reference: the pre-fast-path kernel measured once with these same
-        # scenarios (see docs/PERFORMANCE.md for how it was captured).
-        metrics["kernel_events_per_sec_pre_change"] = pre_change
-        metrics["kernel_speedup_vs_pre_change"] = round(
-            metrics["kernel_events_per_sec"] / pre_change, 3
-        )
-    path = write_results(metrics, smoke=args.smoke)
-    print(f"[perfcheck] wrote {path}")
+    metrics = collect(smoke=args.smoke)
     for name in sorted(metrics):
         print(f"  {name:45s} {metrics[name]:>14,.8g}")
-
     if args.smoke:
-        print("[perfcheck] smoke run OK (regression gate skipped)")
+        print("[perfcheck] smoke run OK (nothing written, regression gate skipped)")
         return 0
+    print(f"[perfcheck] wrote {write_results(metrics)}")
 
     if args.update_baseline:
         payload = {
@@ -242,34 +192,25 @@ def main(argv=None) -> int:
             "mode": tracing_mode(),
             "metrics": metrics,
         }
-        if "pre_change" in baseline:
-            payload["pre_change"] = baseline["pre_change"]
         with open(BASELINE_JSON, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"[perfcheck] baseline updated: {BASELINE_JSON}")
         return 0
 
+    baseline = load_baseline()
     if not baseline:
         print("[perfcheck] no committed baseline; run with --update-baseline")
         return 0
     current_mode = tracing_mode()
     baseline_mode = baseline.get("mode")
-    if baseline_mode is None:
-        print(
-            "[perfcheck] WARNING: baseline does not record its tracing/"
-            "profile mode; assuming it was measured untraced — re-run "
-            "--update-baseline to record the mode"
-        )
-    elif baseline_mode != current_mode:
+    if baseline_mode != current_mode:
         print(
             "[perfcheck] WARNING: observability mode mismatch — baseline "
             f"measured with {baseline_mode}, this run is {current_mode}; "
             "wall-clock comparisons across modes are not meaningful"
         )
-    baseline_metrics = baseline.get("metrics", {})
-    skip = {name for name in baseline_metrics if name not in fresh}
-    regressions = compare(metrics, baseline_metrics, skip=skip)
+    regressions = compare(metrics, baseline.get("metrics", {}))
     if regressions:
         print(f"[perfcheck] FAIL: {len(regressions)} metric(s) regressed >20%:")
         for line in regressions:

@@ -15,9 +15,9 @@ instead:
   so calls ≈ cost.
 - **per-transaction event accounting** — :func:`events_per_txn` divides
   kernel events by committed transactions: the "how much machinery does
-  one transaction turn" figure the perf gate tracks as
-  ``e2e_b1_events_per_txn`` (lower is better; every eliminated event is
-  interpreter work every transaction no longer pays).
+  one transaction turn" figure in the committed profile report and the
+  benchmark suite's ``events_per_txn`` (lower is better; every eliminated
+  event is interpreter work every transaction no longer pays).
 
 Nothing here reads the host clock (``tests/test_no_wallclock.py``
 enforces that for all of ``src/``); wall-clock timing stays in
